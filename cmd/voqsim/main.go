@@ -361,7 +361,8 @@ func buildSim(algo, topology string, n int, slots int64, seed uint64, fast bool,
 	}
 	seedRoot := xrand.New(seed)
 	sw := a.New(n, seedRoot.Split("switch", 0))
-	return sw, pat, switchsim.Config{Slots: slots, Seed: seed, Fast: fast}, seedRoot.Split("traffic", 0), nil
+	cfg := switchsim.Config{Slots: slots, Seed: seed, Fast: fast, DrawAhead: switchsim.SpareCPU(1)}
+	return sw, pat, cfg, seedRoot.Split("traffic", 0), nil
 }
 
 // buildRunner is buildSim packaged as an engine Runner.

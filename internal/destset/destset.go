@@ -158,6 +158,17 @@ func (s *Set) CopyFrom(o *Set) {
 	copy(s.words, o.words)
 }
 
+// Alias re-points s at row, which becomes its storage: one Set header
+// can then walk a slab of packed rows (the engine's arrival batches),
+// so that code which fills or reads a *Set works on the slab in place.
+// row must be WordsPerRow(n) long.
+func (s *Set) Alias(row []uint64) {
+	if len(row) != len(s.words) {
+		panic("destset: aliased row does not span the universe")
+	}
+	s.words = row
+}
+
 func (s *Set) sameUniverse(o *Set) {
 	if s.n != o.n {
 		panic(fmt.Sprintf("destset: universe mismatch %d vs %d", s.n, o.n))

@@ -82,6 +82,30 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+func TestAliasWalksSlab(t *testing.T) {
+	const n = 70
+	slab := make([]uint64, 3*WordsPerRow(n))
+	view := New(n)
+	for row, port := range []int{1, 65, 69} {
+		view.Alias(slab[row*WordsPerRow(n) : (row+1)*WordsPerRow(n)])
+		view.Add(port)
+	}
+	// Each write landed in its own row, and a re-aliased view reads it.
+	if slab[0] != 1<<1 || slab[3] != 1<<1 || slab[5] != 1<<5 {
+		t.Fatalf("slab after three aliased writes: %#x", slab)
+	}
+	view.Alias(slab[2:4])
+	if !view.Equal(FromMembers(n, 65)) {
+		t.Fatalf("view over row 1 = %v, want {65}", view)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a row of the wrong length did not panic")
+		}
+	}()
+	view.Alias(slab[:1])
+}
+
 func TestEqual(t *testing.T) {
 	if !FromMembers(16, 1, 2).Equal(FromMembers(16, 2, 1)) {
 		t.Fatal("order-insensitive equality failed")

@@ -2,7 +2,10 @@ package switchsim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+
+	"voqsim/internal/cell"
 )
 
 // TestSlotZeroAllocs guards the whole steady-state slot loop — traffic
@@ -68,6 +71,52 @@ func TestSlotZeroAllocs1024(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Fatalf("steady-state slot at n=1024 (fast=%v): %.2f allocs/op, want 0", fast, avg)
+		}
+	}
+}
+
+// TestDrawAheadZeroAllocs extends the guard to a draw-ahead Run: over
+// a warmed window, producer and consumer together — batch hand-offs
+// included — allocate nothing, and the batches, allocated once in New,
+// stay within their footprint budget (DESIGN.md §17).
+func TestDrawAheadZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed guard")
+	}
+	const n = 64
+	warm := warmSlotsFor(n)
+	measured := warm + 3000
+	r := slotBenchRunnerWith(n, Config{Slots: measured + 1, DrawAhead: true})
+
+	var before, after runtime.MemStats
+	var seen int
+	r.OnDelivery(func(d cell.Delivery) {
+		switch {
+		case seen == 0 && d.Slot >= warm:
+			runtime.ReadMemStats(&before)
+			seen++
+		case seen == 1 && d.Slot >= measured:
+			runtime.ReadMemStats(&after)
+			seen++
+		}
+	})
+	r.Run("fifoms")
+	if seen != 2 {
+		t.Fatalf("window [%d,%d) never closed", warm, measured)
+	}
+	if d := after.Mallocs - before.Mallocs; d != 0 {
+		t.Fatalf("%d mallocs over %d warmed draw-ahead slots, want 0", d, measured-warm)
+	}
+
+	for _, tc := range []struct{ n, limit int }{
+		{16, 256 << 10}, {64, 256 << 10}, {1024, 1 << 20},
+	} {
+		total := 0
+		for _, b := range slotBenchRunnerWith(tc.n, Config{DrawAhead: true}).batches {
+			total += 4*cap(b.ends) + 4*len(b.inputs) + 8*len(b.words) + 8*b.stride
+		}
+		if total > tc.limit {
+			t.Errorf("draw-ahead batches at n=%d hold %d bytes, want <= %d", tc.n, total, tc.limit)
 		}
 	}
 }

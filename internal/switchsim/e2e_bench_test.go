@@ -21,9 +21,15 @@ import (
 // effective load 0.9 — stable under FIFOMS but busy nearly every slot.
 // fast selects the relaxed-identity engine mode (DESIGN.md §12).
 func slotBenchRunner(n int, slots int64, fast bool) *Runner {
+	return slotBenchRunnerWith(n, Config{Slots: slots, Fast: fast})
+}
+
+// slotBenchRunnerWith is slotBenchRunner for a caller that sets more
+// of the engine configuration than the run length and the mode.
+func slotBenchRunnerWith(n int, cfg Config) *Runner {
 	pat := traffic.Uniform{P: 2 * 0.9 / (1 + 4), MaxFanout: 4} // load 0.9
 	sw := core.NewSwitch(n, &core.FIFOMS{}, xrand.New(7).Split("switch", 0))
-	cfg := Config{Slots: slots, WarmupFrac: -1, Seed: 7, Fast: fast}
+	cfg.WarmupFrac, cfg.Seed = -1, 7
 	return New(sw, pat, cfg, xrand.New(7).Split("traffic", 0))
 }
 

@@ -126,6 +126,11 @@ type Config struct {
 	// FastStatsEvery is the fast-mode batching/subsampling interval;
 	// zero means 16. Ignored unless Fast is set.
 	FastStatsEvery int64
+	// DrawAhead has Run draw the traffic one batch ahead on a second
+	// goroutine (DESIGN.md §17). It changes no output, only who polls
+	// the sources, and pays only when a CPU is idle: set it from
+	// SpareCPU, and leave it off under a pool of concurrent runs.
+	DrawAhead bool
 }
 
 func (c Config) withDefaults(n int) Config {
@@ -247,9 +252,10 @@ type Runner struct {
 	peak    stats.MaxInt64
 	sizes   []int
 
-	// intoSources caches each source's optional zero-alloc interface;
-	// nil entries fall back to the allocating Next path.
-	intoSources []traffic.IntoSource
+	// into is sources under the interface the draw polls them through;
+	// batches are the arrival batches it fills (batch.go).
+	into    []traffic.IntoSource
+	batches []*batch
 
 	// skips caches each source's optional SkipSource interface; nil
 	// (always, outside fast mode) means the source must be polled
@@ -311,11 +317,14 @@ func New(sw Switch, pat traffic.Pattern, cfg Config, root *xrand.Rand) *Runner {
 		cfg:     cfg,
 		tracker: stats.NewDelayTracker(warmup),
 		sizes:   make([]int, n),
+		into:    make([]traffic.IntoSource, n),
 	}
-	r.intoSources = make([]traffic.IntoSource, n)
 	for i, src := range r.sources {
-		r.intoSources[i], _ = src.(traffic.IntoSource)
+		// Every source BuildSources returns draws into caller-owned
+		// storage; one that did not could not fill a batch.
+		r.into[i] = src.(traffic.IntoSource)
 	}
+	r.batches = r.newBatches()
 	if cfg.Fast {
 		r.fastEvery = cfg.FastStatsEvery
 		r.tracker.EnableDeferred(n, cfg.FastStatsEvery)
@@ -423,6 +432,9 @@ func (r *Runner) Run(name string) Results {
 // exactly Run — the loop is shared, so checkpointing cannot change
 // what is simulated, only observe it.
 func (r *Runner) RunWithCheckpoints(name string, every int64, sink CheckpointFunc) (Results, error) {
+	if every > 0 && sink == nil {
+		return Results{}, fmt.Errorf("switchsim: checkpoint interval %d without a sink", every)
+	}
 	warmup := r.WarmupSlots()
 	res := Results{
 		Algorithm:   name,
@@ -433,21 +445,25 @@ func (r *Runner) RunWithCheckpoints(name string, every int64, sink CheckpointFun
 		WarmupSlots: warmup,
 	}
 
-	var slot int64
-	for slot = r.startSlot; slot < r.cfg.Slots; slot++ {
-		r.tick(slot, warmup)
-		if r.sw.BufferedCells() > r.cfg.UnstableCellLimit {
-			res.Unstable = true
-			res.UnstableAt = slot
-			slot++
+	slot := r.startSlot
+	for slot < r.cfg.Slots {
+		// A segment never crosses a checkpoint boundary: the draw is at
+		// rest when runTo returns, so the snapshot's traffic section is
+		// the source state at exactly this slot.
+		end := r.cfg.Slots
+		if every > 0 {
+			end = min(end, (slot/every+1)*every)
+		}
+		if slot, res.Unstable = r.runTo(slot, end, warmup); res.Unstable {
+			res.UnstableAt = slot - 1
 			break
 		}
-		if every > 0 && (slot+1)%every == 0 && slot+1 < r.cfg.Slots {
-			blob, err := r.Snapshot(name, slot+1)
+		if slot < r.cfg.Slots {
+			blob, err := r.Snapshot(name, slot)
 			if err != nil {
 				return res, err
 			}
-			if err := sink(slot+1, blob); err != nil {
+			if err := sink(slot, blob); err != nil {
 				return res, err
 			}
 		}
@@ -500,42 +516,19 @@ func (r *Runner) RunWithCheckpoints(name string, every int64, sink CheckpointFun
 	return res, nil
 }
 
-// tick simulates one slot: arrivals, switch step, sampling.
+// tick simulates one slot with the draw inline: arrivals, switch
+// step, sampling. Run goes through runTo; this is the single-slot form
+// the allocation guards and slot benchmarks drive directly.
 func (r *Runner) tick(slot, warmup int64) {
-	for in, src := range r.sources {
-		if r.skips != nil {
-			// Fast mode: a source that knows its next arrival slot is
-			// not even polled until then.
-			if sk := r.skips[in]; sk != nil && sk.NextArrival() > slot {
-				continue
-			}
-		}
-		var p *cell.Packet
-		if into := r.intoSources[in]; into != nil {
-			p = r.getPacket()
-			if !into.NextInto(slot, p.Dests) {
-				r.putPacket(p)
-				continue
-			}
-		} else {
-			dests := src.Next(slot)
-			if dests == nil {
-				continue
-			}
-			p = r.getPacket()
-			p.Dests = dests
-		}
-		r.nextID++
-		p.ID, p.Input, p.Arrival = r.nextID, in, slot
-		fanout := p.Fanout()
-		if slot >= warmup {
-			r.offeredPackets++
-			r.offeredCopies += int64(fanout)
-		}
-		r.tracker.Arrive(p) // tracker self-filters pre-warmup arrivals
-		r.sw.Arrive(p)
-	}
+	b := r.batches[0]
+	r.fill(b, slot, slot+1)
+	r.arrive(b, 0, slot, warmup)
+	r.step(slot, warmup)
+}
 
+// step runs the switch for one slot whose arrivals are in, and samples
+// the statistics.
+func (r *Runner) step(slot, warmup int64) {
 	busy := r.sw.BufferedCells() > 0
 	r.warmup = warmup
 	r.slotDelivered = 0

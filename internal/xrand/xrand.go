@@ -43,6 +43,7 @@ package xrand
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // splitmix64 advances *state and returns the next output of the
@@ -167,28 +168,15 @@ func (r *Rand) Intn(n int) int {
 	}
 	bound := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
 		threshold := -bound % bound
 		for lo < threshold {
 			x = r.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = bits.Mul64(x, bound)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return hi, lo
 }
 
 // Perm fills dst with a uniform random permutation of 0..len(dst)-1

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -240,18 +241,36 @@ func TestGeometricOne(t *testing.T) {
 	}
 }
 
+// mul64Reference is the portable four-multiply 128-bit product Intn
+// used before it moved to math/bits.Mul64; every golden was recorded
+// with it.
+func mul64Reference(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t&mask32 + x0*y1
+	hi = x1*y1 + t>>32 + w1>>32
+	lo = x * y
+	return hi, lo
+}
+
+// TestMul64 pins the product under Intn to the reference: the same
+// (hi, lo) on the carry edge cases and on random operands.
 func TestMul64(t *testing.T) {
-	cases := []struct{ x, y, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+	cases := [][2]uint64{
+		{0, 0}, {1, 1}, {math.MaxUint64, 2}, {1 << 32, 1 << 32}, {math.MaxUint64, math.MaxUint64},
+	}
+	r := New(11)
+	for i := 0; i < 10_000; i++ {
+		cases = append(cases, [2]uint64{r.Uint64(), r.Uint64()})
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.x, c.y)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.x, c.y, hi, lo, c.hi, c.lo)
+		hi, lo := bits.Mul64(c[0], c[1])
+		wantHi, wantLo := mul64Reference(c[0], c[1])
+		if hi != wantHi || lo != wantLo {
+			t.Fatalf("bits.Mul64(%d,%d) = (%d,%d), reference (%d,%d)", c[0], c[1], hi, lo, wantHi, wantLo)
 		}
 	}
 }

@@ -380,7 +380,10 @@ func buildRunner(cfg Config) (*switchsim.Runner, string, error) {
 	}
 	seedRoot := xrand.New(cfg.Seed)
 	sw := algo.New(cfg.Ports, seedRoot.Split("switch", 0))
-	engineCfg := switchsim.Config{Slots: cfg.Slots, Seed: cfg.Seed, WarmupFrac: cfg.WarmupFrac, Fast: cfg.Fast}
+	engineCfg := switchsim.Config{Slots: cfg.Slots, Seed: cfg.Seed, WarmupFrac: cfg.WarmupFrac, Fast: cfg.Fast,
+		// One run at a time: a CPU the switch does not use draws the
+		// traffic ahead (DESIGN.md §17).
+		DrawAhead: switchsim.SpareCPU(cfg.Parallel)}
 	return switchsim.New(sw, pat, engineCfg, seedRoot.Split("traffic", 0)), algo.Name, nil
 }
 

@@ -1,8 +1,10 @@
 package voqsim
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -93,6 +95,44 @@ func TestRunParallelIdentity(t *testing.T) {
 	cfg = Config{Ports: 8, Scheduler: FIFOMS, Traffic: BernoulliTraffic(0.3, 0.25), Slots: 100, Parallel: 4}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Topology") {
 		t.Fatalf("Parallel without Topology accepted (err=%v)", err)
+	}
+}
+
+// TestRunDrawAheadIdentity drives the facade's own opt-in (DESIGN.md
+// §17): GOMAXPROCS decides whether Run draws the traffic inline or a
+// batch ahead on a spare CPU, and must decide nothing else — reports
+// and checkpoint blobs match the single-CPU run's.
+func TestRunDrawAheadIdentity(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, cfg := range []Config{
+		{Ports: 16, Scheduler: FIFOMS, Traffic: UniformTraffic(0.24, 4), Slots: 3000, Seed: 7},
+		{Scheduler: FIFOMS, Topology: "fattree:k=4", Parallel: 2, Traffic: BernoulliTraffic(0.3, 0.12), Slots: 1500, Seed: 7},
+	} {
+		type outcome struct {
+			rep   Report
+			blobs [][]byte
+		}
+		var want outcome
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			var got outcome
+			var err error
+			got.rep, err = RunResumable(cfg, nil, 700, func(_ int64, blob []byte) error {
+				got.blobs = append(got.blobs, bytes.Clone(blob))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("GOMAXPROCS=%d changed the %s run:\n%+v\n%+v", procs, cfg.Topology, got.rep, want.rep)
+			}
+		}
 	}
 }
 
