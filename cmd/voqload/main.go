@@ -101,7 +101,7 @@ func run() error {
 
 	var recv *daemon.Receiver
 	if *admin != "" {
-		recv, err = daemon.NewReceiver(n)
+		recv, err = daemon.NewReceiver(n, nil)
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ import (
 
 // DiffConfig parameterises one differential run.
 type DiffConfig struct {
-	Algo  string  // fifoms | pim | eslip | wba
+	Algo  string  // fifoms | fifoms-nosplit | pim | eslip | wba
 	N     int     // switch size
 	Seed  uint64  // master seed (traffic and arbiter substreams derive from it)
 	Slots int64   // slots to simulate (default 400)
@@ -26,9 +26,10 @@ type DiffConfig struct {
 // Differential drives two independent runs of the configured switch on
 // identical seeded Bernoulli traffic and fails on any divergence:
 //
-//   - for "fifoms", the checked production kernel against the checked
-//     naive oracle (internal/check/oracle) — the paper-prose reference
-//     must produce the identical delivery stream;
+//   - for "fifoms" and "fifoms-nosplit", the checked production kernel
+//     against the checked naive oracle (internal/check/oracle) in the
+//     same mode — the paper-prose reference must produce the identical
+//     delivery stream;
 //   - for every other algorithm, a checked run against an unchecked
 //     one — pinning the checker's passivity guarantee (wrapping a
 //     switch must not change a single delivery).
@@ -57,8 +58,11 @@ func Differential(cfg DiffConfig) error {
 		return fmt.Errorf("check: %s (checked): %w", cfg.Algo, err)
 	}
 	refAlgo, refChecked := cfg.Algo, false
-	if cfg.Algo == "fifoms" {
+	switch cfg.Algo {
+	case "fifoms":
 		refAlgo, refChecked = "fifoms-oracle", true
+	case "fifoms-nosplit":
+		refAlgo, refChecked = "fifoms-oracle-nosplit", true
 	}
 	want, err := runOne(cfg, refAlgo, pat, refChecked)
 	if err != nil {
@@ -76,8 +80,12 @@ func buildSwitch(algo string, n int, root *xrand.Rand) (Switch, error) {
 	switch algo {
 	case "fifoms":
 		return core.NewSwitch(n, &core.FIFOMS{}, root), nil
+	case "fifoms-nosplit":
+		return core.NewSwitch(n, &core.FIFOMS{NoFanoutSplitting: true}, root), nil
 	case "fifoms-oracle":
 		return core.NewSwitch(n, oracle.New(), root), nil
+	case "fifoms-oracle-nosplit":
+		return core.NewSwitch(n, &oracle.Arbiter{NoFanoutSplitting: true}, root), nil
 	case "pim":
 		return core.NewSwitch(n, pim.New(), root), nil
 	case "eslip":

@@ -9,11 +9,12 @@ import (
 // arbiter of the comparison set, at every size, with three independent
 // seeds. For fifoms each cell proves the word-parallel kernel delivers
 // bit-identically to the paper-prose oracle under full invariant
-// checking; for the others it proves checker passivity plus a clean
+// checking, and fifoms-nosplit does the same for the all-or-nothing
+// discipline; for the others it proves checker passivity plus a clean
 // invariant verdict.
 func TestDifferentialGrid(t *testing.T) {
 	slotsByN := map[int]int64{4: 400, 8: 300, 16: 200, 32: 100, 64: 50}
-	for _, algo := range []string{"fifoms", "pim", "eslip", "wba"} {
+	for _, algo := range []string{"fifoms", "fifoms-nosplit", "pim", "eslip", "wba"} {
 		for _, n := range []int{4, 8, 16, 32, 64} {
 			if testing.Short() && n > 16 {
 				continue

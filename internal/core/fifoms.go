@@ -32,9 +32,9 @@ import (
 // words, and after the first round recomputes requests only for inputs
 // whose request mask intersects the outputs reserved in the previous
 // round. The grant step visits only actual requesters of each output
-// via the transposed request bitmap. legacyFIFOMS preserves the
-// original O(N³) kernel, and the differential test pins this one to it
-// bit for bit.
+// via the transposed request bitmap. internal/check/oracle is the O(N³)
+// reference kernel, and the differential test pins this one to it bit
+// for bit.
 //
 // The zero value is ready to use; FIFOMS keeps no state between slots
 // (its fairness comes entirely from time stamps).
@@ -75,40 +75,7 @@ type FIFOMS struct {
 	reserved []uint64 // [words] outputs reserved in the previous round
 	granted  []int    // per-output provisional grant within a round
 	grants   []int    // outputs granted in the current round
-
-	// Slot-batched seeding state. Round 0 of every Match seeds
-	// reqMask/minTS from the switch's oldest-stamp cache; across
-	// consecutive slots most inputs' cache rows are untouched (no
-	// arrival made a new oldest head, no departure popped one), so the
-	// previous slot's seed is still correct for them. seedSw remembers
-	// which switch the seed mirrors, seedVer[in] the Switch.holVer
-	// value it mirrors, and seedStale the inputs whose reqMask/minTS
-	// this arbiter itself clobbered during later rounds. A row is
-	// re-copied only when its version moved or its stale bit is set —
-	// the values re-copied are identical to a full reseed, so the match
-	// (and its RNG draw sequence) is bit-for-bit unchanged.
-	seedSw    *Switch
-	seedVer   []uint64 // [n] Switch.holVer at last seed of each input
-	seedStale []uint64 // [words] inputs clobbered since their last seed
-
-	// batchSeed enables the slot-batched seeding and the sparse
-	// transpose clear. Both trade a little per-slot bookkeeping
-	// (version comparisons, requested-output popcounts) for skipped
-	// memory traffic — a trade that only pays once the rows being
-	// skipped are wide enough. Below seedBatchMinPorts the bulk
-	// copy/clear is a handful of words and the bookkeeping is pure
-	// overhead (BENCH_e2e.json recorded an 8% slot regression at N=16),
-	// so small switches take the plain path. The values produced are
-	// identical either way — a full reseed copies exactly what the
-	// incremental reseed would — so the gate is invisible to the match
-	// and its RNG draw sequence.
-	batchSeed bool
 }
-
-// seedBatchMinPorts is the smallest switch size that uses slot-batched
-// seeding and sparse transpose clears; smaller switches bulk-copy and
-// bulk-clear every slot.
-const seedBatchMinPorts = 33
 
 // Name implements Arbiter.
 func (f *FIFOMS) Name() string {
@@ -140,10 +107,6 @@ func (f *FIFOMS) ensure(n int) {
 	f.reserved = make([]uint64, f.words)
 	f.granted = make([]int, n)
 	f.grants = make([]int, 0, n)
-	f.seedSw = nil
-	f.seedVer = make([]uint64, n)
-	f.seedStale = make([]uint64, f.words)
-	f.batchSeed = n >= seedBatchMinPorts
 }
 
 // fillOnes sets the first n bits of the word slice.
@@ -205,7 +168,6 @@ func (f *FIFOMS) Match(s *Switch, slot int64, r *xrand.Rand, m *Matching) {
 				}
 				row &^= res
 				f.reqMask[in] = row
-				f.seedStale[0] |= 1 << uint(in)
 				if row == 0 {
 					// Every requested output was taken; the input
 					// falls back to its next-smallest stamp.
@@ -232,7 +194,6 @@ func (f *FIFOMS) Match(s *Switch, slot int64, r *xrand.Rand, m *Matching) {
 					if !hit {
 						continue // mask untouched by last round's grants
 					}
-					f.seedStale[in>>6] |= 1 << uint(in&63)
 					nonzero := false
 					for i := range row {
 						row[i] &^= f.reserved[i]
@@ -288,66 +249,14 @@ func (f *FIFOMS) Match(s *Switch, slot int64, r *xrand.Rand, m *Matching) {
 // drains), so the copied mask is correct for it too and only minTS
 // needs the empty-input branch. The cache itself is cross-checked
 // against a direct scan of the VOQ heads by TestCachedHOLStateCoherent.
-//
-// The seed is batched across slots: rows already mirrored from this
-// switch are re-copied only when the switch-side version counter moved
-// (an arrival or departure touched that input's oldest-stamp row) or
-// when a later round of a previous Match overwrote the arbiter-side
-// copy (the seedStale bit). Either way the copied values are exactly
-// what a full reseed would produce, so this is invisible to the
-// matching itself. The cache keys on the switch pointer, so an arbiter
-// shared across switches — or a switch shared across arbiters, as in
-// the differential tests — degrades to correct full/partial reseeds,
-// never to stale state.
 func (f *FIFOMS) seedRequests(s *Switch, n int) {
-	w := f.words
-	if !f.batchSeed {
-		// Small switch: the whole cache is a few cache lines, so copy
-		// it wholesale every slot and skip the version bookkeeping.
-		copy(f.reqMask, s.minMask[:n*w])
-		for in := 0; in < n; in++ {
-			if mh := s.minHOL[in]; mh != emptyHOL {
-				f.minTS[in] = mh
-			} else {
-				f.minTS[in] = -1
-			}
+	copy(f.reqMask, s.minMask[:n*f.words])
+	for in := 0; in < n; in++ {
+		if mh := s.minHOL[in]; mh != emptyHOL {
+			f.minTS[in] = mh
+		} else {
+			f.minTS[in] = -1
 		}
-		return
-	}
-	if f.seedSw != s {
-		f.seedSw = s
-		copy(f.reqMask, s.minMask[:n*w])
-		copy(f.seedVer, s.holVer[:n])
-		for in := 0; in < n; in++ {
-			if mh := s.minHOL[in]; mh != emptyHOL {
-				f.minTS[in] = mh
-			} else {
-				f.minTS[in] = -1
-			}
-		}
-		clear(f.seedStale)
-		return
-	}
-	for wi := 0; wi < w; wi++ {
-		stale := f.seedStale[wi]
-		base := wi << 6
-		top := base + 64
-		if top > n {
-			top = n
-		}
-		for in := base; in < top; in++ {
-			if stale&(1<<uint(in&63)) == 0 && f.seedVer[in] == s.holVer[in] {
-				continue
-			}
-			f.seedVer[in] = s.holVer[in]
-			copy(f.reqMask[in*w:in*w+w], s.minMask[in*w:in*w+w])
-			if mh := s.minHOL[in]; mh != emptyHOL {
-				f.minTS[in] = mh
-			} else {
-				f.minTS[in] = -1
-			}
-		}
-		f.seedStale[wi] = 0
 	}
 }
 
@@ -420,50 +329,14 @@ func (f *FIFOMS) computeRequest(s *Switch, in int) {
 	f.minTS[in] = best
 }
 
-// clearTranspose zeroes the requester-transpose state for the next
-// round. The only reqT columns that can be non-zero are the outputs
-// set in reqOut by the previous build (scatter always records the
-// column it writes), so when the previous request set was sparse —
-// the common case at large N, where a round touches a handful of
-// outputs out of n — clearing just those columns beats the n×words
-// bulk memclr. The threshold charges each sparse column roughly four
-// words of loop overhead against the bulk clear's straight-line run.
-func (f *FIFOMS) clearTranspose() {
-	if !f.batchSeed {
-		clear(f.reqT)
-		clear(f.reqOut)
-		return
-	}
-	w := f.words
-	cnt := 0
-	for _, v := range f.reqOut {
-		cnt += bits.OnesCount64(v)
-	}
-	if cnt*w*4 >= len(f.reqT) {
-		clear(f.reqT)
-	} else {
-		for wi, v := range f.reqOut {
-			base := wi << 6
-			for v != 0 {
-				out := base + bits.TrailingZeros64(v)
-				v &= v - 1
-				col := f.reqT[out*w : out*w+w]
-				for i := range col {
-					col[i] = 0
-				}
-			}
-		}
-	}
-	clear(f.reqOut)
-}
-
 // buildTranspose rebuilds reqT — for every output, the set of free
 // inputs requesting it — and reqOut, the set of outputs with at least
 // one requester, from the per-input masks, and reports whether any
 // request exists at all.
 func (f *FIFOMS) buildTranspose() bool {
 	w := f.words
-	f.clearTranspose()
+	clear(f.reqT)
+	clear(f.reqOut)
 	if w == 1 {
 		// Single-word layout: row masks are scalars and the requester
 		// bit scatter indexes reqT directly.
@@ -696,7 +569,8 @@ func (f *FIFOMS) matchNoSplit(s *Switch, n, maxRounds int, r *xrand.Rand, m *Mat
 		// Filter + transpose: an input participates only while it is
 		// free and every destination of its oldest packet is still
 		// free (some destination reserved ⇒ the packet waits whole).
-		f.clearTranspose()
+		clear(f.reqT)
+		clear(f.reqOut)
 		any := false
 		for wi := 0; wi < w; wi++ {
 			fw := f.inFree[wi]

@@ -1,11 +1,11 @@
-package core
+package core_test
 
 // Microbenchmark matrix for the FIFOMS match kernel: N ∈ {8, 16, 32,
 // 64, 128, 256, 1024} × {uniform, bursty, hotspot} HOL patterns, plus
-// the frozen legacy kernel on the identical states for the speedup
-// comparison. The two wide sizes exercise the multi-word row scans
-// (4, 16 words per row) whose chunked early-exit paths never run at
-// N <= 128.
+// the reference kernel (internal/check/oracle) on the identical states
+// for the speedup comparison. The two wide sizes exercise the
+// multi-word row scans (4, 16 words per row) whose chunked early-exit
+// paths never run at N <= 128.
 // Match does not mutate queue state, so each iteration reruns the
 // kernel on a constant backlogged switch — this isolates the
 // arbitration cost that dominates every sweep behind Figures 4–7.
@@ -16,6 +16,8 @@ import (
 	"testing"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/check/oracle"
+	"voqsim/internal/core"
 	"voqsim/internal/destset"
 	"voqsim/internal/xrand"
 )
@@ -26,8 +28,8 @@ var benchPatterns = []string{"uniform", "bursty", "hotspot"}
 
 // loadedMatchSwitch builds a deterministic backlogged switch whose HOL
 // state follows the named pattern.
-func loadedMatchSwitch(n int, pattern string, arb Arbiter) *Switch {
-	s := NewSwitch(n, arb, xrand.New(7))
+func loadedMatchSwitch(n int, pattern string, arb core.Arbiter) *core.Switch {
+	s := core.NewSwitch(n, arb, xrand.New(7))
 	r := xrand.New(uint64(100 + n))
 	id := cell.PacketID(0)
 	arrive := func(in int, slot int64, d *destset.Set) {
@@ -88,12 +90,12 @@ func loadedMatchSwitch(n int, pattern string, arb Arbiter) *Switch {
 	return s
 }
 
-func benchMatch(b *testing.B, n int, pattern string, arb Arbiter) {
+func benchMatch(b *testing.B, n int, pattern string, arb core.Arbiter) {
 	b.Helper()
 	s := loadedMatchSwitch(n, pattern, arb)
 	r := xrand.New(11)
-	m := NewMatching(n)
-	// Warm call: both kernels size their scratch state lazily on first
+	m := core.NewMatching(n)
+	// Warm call: the kernel sizes its scratch state lazily on first
 	// use, and that one-time allocation must not be billed to the
 	// steady state (it showed up as a stray byte/op at low -benchtime).
 	m.Clear()
@@ -112,20 +114,20 @@ func BenchmarkFIFOMSMatch(b *testing.B) {
 	for _, n := range benchSizes {
 		for _, pat := range benchPatterns {
 			b.Run(fmt.Sprintf("n=%d/%s", n, pat), func(b *testing.B) {
-				benchMatch(b, n, pat, &FIFOMS{})
+				benchMatch(b, n, pat, &core.FIFOMS{})
 			})
 		}
 	}
 }
 
-// BenchmarkFIFOMSMatchLegacy is the frozen pre-optimisation kernel on
-// the identical states — the denominator of the speedup quoted in the
-// PR description.
-func BenchmarkFIFOMSMatchLegacy(b *testing.B) {
+// BenchmarkFIFOMSMatchReference is the O(N³) reference kernel on the
+// identical states — the denominator of BENCH_fifoms.json's "new vs
+// reference" column.
+func BenchmarkFIFOMSMatchReference(b *testing.B) {
 	for _, n := range benchSizes {
 		for _, pat := range benchPatterns {
 			b.Run(fmt.Sprintf("n=%d/%s", n, pat), func(b *testing.B) {
-				benchMatch(b, n, pat, &legacyFIFOMS{})
+				benchMatch(b, n, pat, oracle.New())
 			})
 		}
 	}
@@ -136,7 +138,7 @@ func BenchmarkFIFOMSMatchLegacy(b *testing.B) {
 func BenchmarkFIFOMSMatchNoSplit(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d/uniform", n), func(b *testing.B) {
-			benchMatch(b, n, "uniform", &FIFOMS{NoFanoutSplitting: true})
+			benchMatch(b, n, "uniform", &core.FIFOMS{NoFanoutSplitting: true})
 		})
 	}
 }

@@ -1,16 +1,20 @@
-package core
+package core_test
 
-// Differential test of the word-parallel FIFOMS kernel against
-// legacyFIFOMS, the pre-optimisation pointer-chasing kernel kept as an
-// executable reference. The two must produce bit-identical Matchings
+// Differential test of the word-parallel FIFOMS kernel against the one
+// reference kernel in the tree, internal/check/oracle (the paper-prose
+// O(N³) transcription). The two must produce bit-identical Matchings
 // and Rounds for the same seeds — including identical tie-break RNG
-// draw sequences — across all mode combinations and switch sizes.
+// draw sequences — across all mode combinations and switch sizes. The
+// package is external because the oracle imports core; everything used
+// here is exported API.
 
 import (
 	"fmt"
 	"testing"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/check/oracle"
+	"voqsim/internal/core"
 	"voqsim/internal/destset"
 	"voqsim/internal/xrand"
 )
@@ -23,62 +27,13 @@ func TestFIFOMSMatchesLegacyKernel(t *testing.T) {
 				n, noSplit, det := n, noSplit, det
 				t.Run(fmt.Sprintf("n=%d/nosplit=%v/det=%v", n, noSplit, det), func(t *testing.T) {
 					t.Parallel()
-					diffRun(t, n, noSplit, det, 600)
+					arb := &core.FIFOMS{NoFanoutSplitting: noSplit, DeterministicTies: det}
+					ref := &oracle.Arbiter{NoFanoutSplitting: noSplit, DeterministicTies: det}
+					s := core.NewSwitch(n, arb, xrand.New(uint64(1000+n)))
+					lockstep(t, s, arb, ref, uint64(2000+n), 9, 0.5, 0.35, 600)
 				})
 			}
 		}
-	}
-}
-
-// diffRun drives one switch with random traffic and compares the two
-// kernels on the identical pre-transfer state every slot. Both draw
-// tie-break randomness from identically seeded streams: staying in
-// lockstep for the whole run also proves the new kernel consumes the
-// RNG in exactly the reference order.
-func diffRun(t *testing.T, n int, noSplit, det bool, slots int64) {
-	t.Helper()
-	arb := &FIFOMS{NoFanoutSplitting: noSplit, DeterministicTies: det}
-	legacy := &legacyFIFOMS{NoFanoutSplitting: noSplit, DeterministicTies: det}
-	s := NewSwitch(n, arb, xrand.New(uint64(1000+n)))
-	r := xrand.New(uint64(2000 + n))
-	rNew := xrand.New(9)
-	rLegacy := xrand.New(9)
-	mNew := NewMatching(n)
-	mLegacy := NewMatching(n)
-	id := cell.PacketID(0)
-
-	for slot := int64(0); slot < slots; slot++ {
-		for in := 0; in < n; in++ {
-			if r.Bool(0.5) {
-				d := destset.New(n)
-				d.RandomBernoulli(r, 0.35)
-				if d.Empty() {
-					continue
-				}
-				id++
-				s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
-			}
-		}
-
-		mLegacy.Clear()
-		legacy.Match(s, slot, rLegacy, mLegacy)
-		mNew.Clear()
-		arb.Match(s, slot, rNew, mNew)
-
-		for out := 0; out < n; out++ {
-			if mNew.OutIn[out] != mLegacy.OutIn[out] {
-				t.Fatalf("slot %d output %d: new kernel granted %d, legacy %d",
-					slot, out, mNew.OutIn[out], mLegacy.OutIn[out])
-			}
-		}
-		if mNew.Rounds != mLegacy.Rounds {
-			t.Fatalf("slot %d: new kernel %d rounds, legacy %d", slot, mNew.Rounds, mLegacy.Rounds)
-		}
-
-		// Advance the switch one slot to evolve the queue state (Step
-		// re-runs the new kernel internally, which is fine: Match does
-		// not mutate queue contents).
-		s.Step(slot, func(cell.Delivery) {})
 	}
 }
 
@@ -87,43 +42,10 @@ func diffRun(t *testing.T, n int, noSplit, det bool, slots int64) {
 // recomputation.
 func TestFIFOMSMatchesLegacyWithRoundCap(t *testing.T) {
 	for _, cap := range []int{1, 2, 3} {
-		arb := &FIFOMS{MaxRounds: cap}
-		legacy := &legacyFIFOMS{MaxRounds: cap}
-		n := 8
-		s := NewSwitch(n, arb, xrand.New(uint64(77+cap)))
-		r := xrand.New(uint64(88 + cap))
-		rNew := xrand.New(5)
-		rLegacy := xrand.New(5)
-		mNew := NewMatching(n)
-		mLegacy := NewMatching(n)
-		id := cell.PacketID(0)
-		for slot := int64(0); slot < 800; slot++ {
-			for in := 0; in < n; in++ {
-				if r.Bool(0.6) {
-					d := destset.New(n)
-					d.RandomBernoulli(r, 0.4)
-					if d.Empty() {
-						continue
-					}
-					id++
-					s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
-				}
-			}
-			mLegacy.Clear()
-			legacy.Match(s, slot, rLegacy, mLegacy)
-			mNew.Clear()
-			arb.Match(s, slot, rNew, mNew)
-			for out := 0; out < n; out++ {
-				if mNew.OutIn[out] != mLegacy.OutIn[out] {
-					t.Fatalf("cap %d slot %d output %d: new %d, legacy %d",
-						cap, slot, out, mNew.OutIn[out], mLegacy.OutIn[out])
-				}
-			}
-			if mNew.Rounds != mLegacy.Rounds {
-				t.Fatalf("cap %d slot %d: new %d rounds, legacy %d", cap, slot, mNew.Rounds, mLegacy.Rounds)
-			}
-			s.Step(slot, func(cell.Delivery) {})
-		}
+		arb := &core.FIFOMS{MaxRounds: cap}
+		ref := &oracle.Arbiter{MaxRounds: cap}
+		s := core.NewSwitch(8, arb, xrand.New(uint64(77+cap)))
+		lockstep(t, s, arb, ref, uint64(88+cap), 5, 0.6, 0.4, 800)
 	}
 }
 
@@ -134,57 +56,33 @@ func TestFIFOMSMatchesLegacyWithRoundCap(t *testing.T) {
 // switches of different sizes in both directions (N=4 → N=16 → N=4),
 // producing the same matchings as a fresh arbiter at each size.
 func TestFIFOMSReuseAcrossSizes(t *testing.T) {
-	shared := &FIFOMS{DeterministicTies: true}
+	shared := &core.FIFOMS{DeterministicTies: true}
 	for _, n := range []int{4, 16, 4, 16} {
-		fresh := &FIFOMS{DeterministicTies: true}
-		s := NewSwitch(n, shared, xrand.New(uint64(11*n)))
-		r := xrand.New(uint64(13 * n))
-		rShared := xrand.New(3)
-		rFresh := xrand.New(3)
-		mShared := NewMatching(n)
-		mFresh := NewMatching(n)
-		id := cell.PacketID(0)
-		for slot := int64(0); slot < 300; slot++ {
-			for in := 0; in < n; in++ {
-				if r.Bool(0.5) {
-					d := destset.New(n)
-					d.RandomBernoulli(r, 0.4)
-					if d.Empty() {
-						continue
-					}
-					id++
-					s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
-				}
-			}
-			mShared.Clear()
-			shared.Match(s, slot, rShared, mShared)
-			mFresh.Clear()
-			fresh.Match(s, slot, rFresh, mFresh)
-			for out := 0; out < n; out++ {
-				if mShared.OutIn[out] != mFresh.OutIn[out] {
-					t.Fatalf("n=%d slot %d output %d: reused arbiter granted %d, fresh %d",
-						n, slot, out, mShared.OutIn[out], mFresh.OutIn[out])
-				}
-			}
-			s.Step(slot, func(cell.Delivery) {})
-		}
+		fresh := &core.FIFOMS{DeterministicTies: true}
+		s := core.NewSwitch(n, shared, xrand.New(uint64(11*n)))
+		lockstep(t, s, shared, fresh, uint64(13*n), 3, 0.5, 0.4, 300)
 	}
 }
 
-// TestCachedHOLStateCoherent cross-checks the flat cached HOL state
-// against the authoritative queues after every slot of a random run:
-// the caches are updated incrementally on push/pop and any divergence
-// means a maintenance path was missed.
-func TestCachedHOLStateCoherent(t *testing.T) {
-	const n = 9 // odd and >8 so the last bitmap word is partial
-	s := NewSwitch(n, &FIFOMS{}, xrand.New(3))
-	r := xrand.New(4)
+// lockstep drives switch s with random traffic (each input busy with
+// probability pBusy per slot, Bernoulli(pDest) destinations) and
+// compares arbiters a and b on the identical pre-transfer state every
+// slot. Both draw tie-break randomness from streams seeded tieSeed:
+// staying in lockstep for the whole run also proves a consumes the RNG
+// in exactly b's order.
+func lockstep(t *testing.T, s *core.Switch, a, b core.Arbiter, trafficSeed, tieSeed uint64, pBusy, pDest float64, slots int64) {
+	t.Helper()
+	n := s.Ports()
+	r := xrand.New(trafficSeed)
+	rA, rB := xrand.New(tieSeed), xrand.New(tieSeed)
+	mA, mB := core.NewMatching(n), core.NewMatching(n)
 	id := cell.PacketID(0)
-	for slot := int64(0); slot < 2000; slot++ {
+
+	for slot := int64(0); slot < slots; slot++ {
 		for in := 0; in < n; in++ {
-			if r.Bool(0.5) {
+			if r.Bool(pBusy) {
 				d := destset.New(n)
-				d.RandomBernoulli(r, 0.3)
+				d.RandomBernoulli(r, pDest)
 				if d.Empty() {
 					continue
 				}
@@ -192,54 +90,26 @@ func TestCachedHOLStateCoherent(t *testing.T) {
 				s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
 			}
 		}
-		s.Step(slot, func(cell.Delivery) {})
-		for in := 0; in < n; in++ {
-			occ := s.OccInWords(in)
-			for out := 0; out < n; out++ {
-				q := &s.arena.rings[in*s.n+out]
-				ts := s.HOLTime(in, out)
-				inBit := s.occOut[out*s.words+in>>6]&(1<<uint(in&63)) != 0
-				outBit := occ[out>>6]&(1<<uint(out&63)) != 0
-				if q.size == 0 {
-					if ts != emptyHOL || inBit || outBit {
-						t.Fatalf("slot %d (%d,%d): empty VOQ cached as ts=%d occIn=%v occOut=%v",
-							slot, in, out, ts, outBit, inBit)
-					}
-				} else {
-					if ts != q.front().ts || !inBit || !outBit {
-						t.Fatalf("slot %d (%d,%d): HOL ts %d cached as ts=%d occIn=%v occOut=%v",
-							slot, in, out, q.front().ts, ts, outBit, inBit)
-					}
-				}
-			}
-			// The per-input oldest-stamp cache must agree with a direct
-			// scan over the VOQ heads: same minimum, same argmin set.
-			wantMin := int64(emptyHOL)
-			wantMask := make([]uint64, s.words)
-			for out := 0; out < n; out++ {
-				q := &s.arena.rings[in*s.n+out]
-				if q.size == 0 {
-					continue
-				}
-				switch ts := q.front().ts; {
-				case ts < wantMin:
-					wantMin = ts
-					clear(wantMask)
-					wantMask[out>>6] = 1 << uint(out&63)
-				case ts == wantMin:
-					wantMask[out>>6] |= 1 << uint(out&63)
-				}
-			}
-			if s.minHOL[in] != wantMin {
-				t.Fatalf("slot %d input %d: minHOL cached as %d, scan says %d",
-					slot, in, s.minHOL[in], wantMin)
-			}
-			for wi := 0; wi < s.words; wi++ {
-				if got := s.minMask[in*s.words+wi]; got != wantMask[wi] {
-					t.Fatalf("slot %d input %d: minMask word %d cached as %#x, scan says %#x",
-						slot, in, wi, got, wantMask[wi])
-				}
+
+		mB.Clear()
+		b.Match(s, slot, rB, mB)
+		mA.Clear()
+		a.Match(s, slot, rA, mA)
+
+		for out := 0; out < n; out++ {
+			if mA.OutIn[out] != mB.OutIn[out] {
+				t.Fatalf("n=%d slot %d output %d: %s granted %d, %s %d",
+					n, slot, out, a.Name(), mA.OutIn[out], b.Name(), mB.OutIn[out])
 			}
 		}
+		if mA.Rounds != mB.Rounds {
+			t.Fatalf("n=%d slot %d: %s %d rounds, %s %d",
+				n, slot, a.Name(), mA.Rounds, b.Name(), mB.Rounds)
+		}
+
+		// Advance the switch one slot to evolve the queue state (Step
+		// re-runs its own arbiter internally, which is fine: Match does
+		// not mutate queue contents).
+		s.Step(slot, func(cell.Delivery) {})
 	}
 }

@@ -276,3 +276,76 @@ func TestQueueCounts(t *testing.T) {
 	}()
 	QueueCountTraditional(0)
 }
+
+// TestCachedHOLStateCoherent cross-checks the flat cached HOL state
+// against the authoritative queues after every slot of a random run:
+// the caches are updated incrementally on push/pop and any divergence
+// means a maintenance path was missed.
+func TestCachedHOLStateCoherent(t *testing.T) {
+	const n = 9 // odd and >8 so the last bitmap word is partial
+	s := NewSwitch(n, &FIFOMS{}, xrand.New(3))
+	r := xrand.New(4)
+	id := cell.PacketID(0)
+	for slot := int64(0); slot < 2000; slot++ {
+		for in := 0; in < n; in++ {
+			if r.Bool(0.5) {
+				d := destset.New(n)
+				d.RandomBernoulli(r, 0.3)
+				if d.Empty() {
+					continue
+				}
+				id++
+				s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
+			}
+		}
+		s.Step(slot, func(cell.Delivery) {})
+		for in := 0; in < n; in++ {
+			occ := s.OccInWords(in)
+			for out := 0; out < n; out++ {
+				q := &s.arena.rings[in*s.n+out]
+				ts := s.HOLTime(in, out)
+				inBit := s.occOut[out*s.words+in>>6]&(1<<uint(in&63)) != 0
+				outBit := occ[out>>6]&(1<<uint(out&63)) != 0
+				if q.size == 0 {
+					if ts != emptyHOL || inBit || outBit {
+						t.Fatalf("slot %d (%d,%d): empty VOQ cached as ts=%d occIn=%v occOut=%v",
+							slot, in, out, ts, outBit, inBit)
+					}
+				} else {
+					if ts != q.front().ts || !inBit || !outBit {
+						t.Fatalf("slot %d (%d,%d): HOL ts %d cached as ts=%d occIn=%v occOut=%v",
+							slot, in, out, q.front().ts, ts, outBit, inBit)
+					}
+				}
+			}
+			// The per-input oldest-stamp cache must agree with a direct
+			// scan over the VOQ heads: same minimum, same argmin set.
+			wantMin := int64(emptyHOL)
+			wantMask := make([]uint64, s.words)
+			for out := 0; out < n; out++ {
+				q := &s.arena.rings[in*s.n+out]
+				if q.size == 0 {
+					continue
+				}
+				switch ts := q.front().ts; {
+				case ts < wantMin:
+					wantMin = ts
+					clear(wantMask)
+					wantMask[out>>6] = 1 << uint(out&63)
+				case ts == wantMin:
+					wantMask[out>>6] |= 1 << uint(out&63)
+				}
+			}
+			if s.minHOL[in] != wantMin {
+				t.Fatalf("slot %d input %d: minHOL cached as %d, scan says %d",
+					slot, in, s.minHOL[in], wantMin)
+			}
+			for wi := 0; wi < s.words; wi++ {
+				if got := s.minMask[in*s.words+wi]; got != wantMask[wi] {
+					t.Fatalf("slot %d input %d: minMask word %d cached as %#x, scan says %#x",
+						slot, in, wi, got, wantMask[wi])
+				}
+			}
+		}
+	}
+}

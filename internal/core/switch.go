@@ -70,17 +70,6 @@ type Switch struct {
 	minHOL  []int64
 	minMask []uint64
 
-	// holVer[in] counts the mutations of input in's oldest-stamp cache
-	// (its minHOL/minMask row). FIFOMS's persistent round-0 seed keys on
-	// it to skip re-copying rows untouched since the previous slot —
-	// under steady load most inputs neither gained a new oldest head nor
-	// lost one, so the per-slot seed cost drops from n×words copied
-	// words to one counter compare per input. The counters live on the
-	// switch (not the arena): they version this switch's mutation
-	// history, and arena adoption is legal only while everything is
-	// empty and the cache rows are trivially equal.
-	holVer []uint64
-
 	// Running totals across ports, so BufferedCells and
 	// BufferedAddressCells — called every slot by the engine — are O(1).
 	totalData int64
@@ -159,7 +148,6 @@ func NewSwitch(n int, arb Arbiter, root *xrand.Rand) *Switch {
 	for i := range s.ports {
 		s.ports[i].lastArrival = -1
 	}
-	s.holVer = make([]uint64, n)
 	s.installArena(NewArena(n))
 	s.grantsByIn = make([][]int, n)
 	for i := range s.grantsByIn {
@@ -263,10 +251,8 @@ func (s *Switch) pushCell(in, out int, ts int64, data int32) {
 				row[i] = 0
 			}
 			row[out>>6] = 1 << uint(out&63)
-			s.holVer[in]++
 		case ts == mh:
 			s.minMask[in*s.words+out>>6] |= 1 << uint(out&63)
-			s.holVer[in]++
 		}
 	}
 	q.push(acell{ts: ts, data: data})
@@ -294,7 +280,6 @@ func (s *Switch) popCell(in, out int) acell {
 		// The popped cell held the input's oldest stamp; stamps within
 		// a VOQ strictly increase, so this queue leaves the argmin set.
 		// When the set drains the next-oldest stamp takes over.
-		s.holVer[in]++
 		s.minMask[in*s.words+out>>6] &^= 1 << uint(out&63)
 		row := s.minMask[in*s.words : in*s.words+s.words]
 		empty := true

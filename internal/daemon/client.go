@@ -164,9 +164,9 @@ type Receiver struct {
 	delayMax  atomic.Int64
 	perOut    []atomic.Int64
 
-	// OnFrame, when set before any frame arrives, observes every
-	// valid delivery frame from the receiver goroutine.
-	OnFrame func(Delivery)
+	// onFrame, when non-nil, observes every valid delivery frame from
+	// the receiver goroutine.
+	onFrame func(Delivery)
 
 	done chan struct{}
 }
@@ -182,8 +182,9 @@ type ReceiverStats struct {
 }
 
 // NewReceiver binds an ephemeral loopback socket sized for n outputs
-// and starts reading. Close releases it.
-func NewReceiver(n int) (*Receiver, error) {
+// and starts reading; onFrame, when non-nil, is called with every valid
+// delivery frame from the receiver goroutine. Close releases it.
+func NewReceiver(n int, onFrame func(Delivery)) (*Receiver, error) {
 	addr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
 	conn, err := net.ListenUDP("udp", addr)
 	if err != nil {
@@ -191,10 +192,11 @@ func NewReceiver(n int) (*Receiver, error) {
 	}
 	conn.SetReadBuffer(4 << 20)
 	r := &Receiver{
-		conn:   conn,
-		n:      n,
-		perOut: make([]atomic.Int64, n),
-		done:   make(chan struct{}),
+		conn:    conn,
+		n:       n,
+		perOut:  make([]atomic.Int64, n),
+		onFrame: onFrame,
+		done:    make(chan struct{}),
 	}
 	go r.loop()
 	return r, nil
@@ -222,7 +224,6 @@ func (r *Receiver) loop() {
 			r.bad.Add(1)
 			continue
 		}
-		r.frames.Add(1)
 		r.perOut[d.Out].Add(1)
 		if d.Last {
 			r.completed.Add(1)
@@ -235,9 +236,12 @@ func (r *Receiver) loop() {
 				break
 			}
 		}
-		if r.OnFrame != nil {
-			r.OnFrame(d)
+		if r.onFrame != nil {
+			r.onFrame(d)
 		}
+		// Counted last: this add is what WaitFrames synchronises on, so
+		// a waiter that sees the frame also sees its callback's writes.
+		r.frames.Add(1)
 	}
 }
 
@@ -260,7 +264,9 @@ func (r *Receiver) Stats() ReceiverStats {
 }
 
 // WaitFrames blocks until the receiver has seen at least want valid
-// frames or the timeout passes, returning the count it saw.
+// frames or the timeout passes, returning the count it saw. A frame is
+// counted after its onFrame callback returns, so state the callback
+// wrote for the counted frames may be read without further locking.
 func (r *Receiver) WaitFrames(want int64, timeout time.Duration) int64 {
 	deadline := time.Now().Add(timeout)
 	for {

@@ -121,11 +121,6 @@ func TestLoopbackMirrorsSimulator(t *testing.T) {
 		EgressBacklog:  4096,
 	})
 
-	recv, err := daemon.NewReceiver(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
 	type obsKey struct {
 		src int
 		seq uint64
@@ -136,17 +131,16 @@ func TestLoopbackMirrorsSimulator(t *testing.T) {
 		slot    int64
 		last    bool
 	}
+	// Written by the receiver goroutine, read below once WaitFrames has
+	// counted every frame (a frame is counted after its callback).
 	observed := map[obsKey]obsVal{}
-	obsCh := make(chan struct{}, 1)
-	var obsN int
-	recv.OnFrame = func(dv daemon.Delivery) {
+	recv, err := daemon.NewReceiver(n, func(dv daemon.Delivery) {
 		observed[obsKey{dv.Src, dv.Seq, dv.Out}] = obsVal{dv.Arrival, dv.Slot, dv.Last}
-		obsN++
-		select {
-		case obsCh <- struct{}{}:
-		default:
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer recv.Close()
 	if err := d.Subscribe(-1, recv.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +240,39 @@ func TestLoopbackMirrorsSimulator(t *testing.T) {
 	}
 	if mirrored != len(observed) {
 		t.Fatalf("receiver observed %d distinct copies, mirror %d", len(observed), mirrored)
+	}
+}
+
+// TestWaitFramesOrdersCallback pins the publication order WaitFrames
+// promises: a frame is counted only after its callback has returned,
+// so a test may keep plain, unlocked state in the callback and read it
+// as soon as WaitFrames has counted the frames it sent. The receiver
+// used to count first and call back second, and the read below raced
+// with the last callback (TestLoopbackMirrorsSimulator's map did).
+func TestWaitFramesOrdersCallback(t *testing.T) {
+	const frames = 200
+	seen := map[uint64]bool{} // written by the callback, never locked
+	recv, err := daemon.NewReceiver(1, func(dv daemon.Delivery) { seen[dv.Seq] = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+
+	conn, err := net.DialUDP("udp", nil, recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for seq := uint64(0); seq < frames; seq++ {
+		if _, err := conn.Write(daemon.AppendDelivery(nil, 0, 0, seq, 0, 0, true, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := recv.WaitFrames(frames, 10*time.Second); got != frames {
+		t.Fatalf("receiver saw %d of %d frames", got, frames)
+	}
+	if len(seen) != frames {
+		t.Fatalf("%d frames counted, %d callbacks finished", frames, len(seen))
 	}
 }
 
@@ -492,7 +519,7 @@ func TestCheckpointRestoreResumesExactly(t *testing.T) {
 		t.Fatalf("resumed at slot %d, checkpoint was at %d", got, ckptSlot)
 	}
 
-	recvB, err := daemon.NewReceiver(n)
+	recvB, err := daemon.NewReceiver(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

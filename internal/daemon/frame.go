@@ -14,6 +14,7 @@
 package daemon
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -98,18 +99,6 @@ func FrameKind(b []byte) (byte, error) {
 	return b[3], nil
 }
 
-func be16(b []byte) int { return int(b[0])<<8 | int(b[1]) }
-func be64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func put16(dst []byte, v int) []byte { return append(dst, byte(v>>8), byte(v)) }
-func put64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 // AppendData encodes a data frame onto dst and returns the extended
 // slice. bitmap must be exactly bitmapLen(nports) bytes with no bit
 // set at or beyond nports; AppendData panics on caller errors the
@@ -128,11 +117,11 @@ func AppendData(dst []byte, src int, seq uint64, nports int, bitmap, payload []b
 		panic(fmt.Sprintf("daemon: AppendData payload %d exceeds %d", len(payload), MaxPayload))
 	}
 	dst = append(dst, 'V', 'Q', FrameVersion, KindData)
-	dst = put16(dst, src)
-	dst = put64(dst, seq)
-	dst = put16(dst, nports)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(src))
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(nports))
 	dst = append(dst, bitmap...)
-	dst = put16(dst, len(payload))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(payload)))
 	return append(dst, payload...)
 }
 
@@ -154,9 +143,9 @@ func ParseData(b []byte) (Data, error) {
 	if len(rest) < 2+8+2 {
 		return d, fmt.Errorf("daemon: data frame header truncated (%d bytes)", len(b))
 	}
-	d.Src = be16(rest)
-	d.Seq = be64(rest[2:])
-	d.NPorts = be16(rest[10:])
+	d.Src = int(binary.BigEndian.Uint16(rest))
+	d.Seq = binary.BigEndian.Uint64(rest[2:])
+	d.NPorts = int(binary.BigEndian.Uint16(rest[10:]))
 	rest = rest[12:]
 	if d.NPorts == 0 || d.NPorts > MaxFramePorts {
 		return Data{}, fmt.Errorf("daemon: data frame declares %d ports", d.NPorts)
@@ -184,7 +173,7 @@ func ParseData(b []byte) (Data, error) {
 	if empty {
 		return Data{}, fmt.Errorf("daemon: data frame with empty destination set")
 	}
-	plen := be16(rest[bl:])
+	plen := int(binary.BigEndian.Uint16(rest[bl:]))
 	rest = rest[bl+2:]
 	if plen > MaxPayload {
 		return Data{}, fmt.Errorf("daemon: data frame payload %d exceeds %d", plen, MaxPayload)
@@ -230,17 +219,17 @@ func AppendDelivery(dst []byte, src, out int, seq uint64, arrival, slot int64, l
 		panic(fmt.Sprintf("daemon: AppendDelivery payload %d exceeds %d", len(payload), MaxPayload))
 	}
 	dst = append(dst, 'V', 'Q', FrameVersion, KindDelivery)
-	dst = put16(dst, src)
-	dst = put16(dst, out)
-	dst = put64(dst, seq)
-	dst = put64(dst, uint64(arrival))
-	dst = put64(dst, uint64(slot))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(src))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(out))
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(arrival))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(slot))
 	var flags byte
 	if last {
 		flags |= deliveryLast
 	}
 	dst = append(dst, flags)
-	dst = put16(dst, len(payload))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(payload)))
 	return append(dst, payload...)
 }
 
@@ -259,13 +248,13 @@ func ParseDelivery(b []byte) (Delivery, error) {
 	if len(rest) < 2+2+8+8+8+1+2 {
 		return d, fmt.Errorf("daemon: delivery frame truncated (%d bytes)", len(b))
 	}
-	d.Src = be16(rest)
-	d.Out = be16(rest[2:])
-	d.Seq = be64(rest[4:])
-	arr := be64(rest[12:])
-	slot := be64(rest[20:])
+	d.Src = int(binary.BigEndian.Uint16(rest))
+	d.Out = int(binary.BigEndian.Uint16(rest[2:]))
+	d.Seq = binary.BigEndian.Uint64(rest[4:])
+	arr := binary.BigEndian.Uint64(rest[12:])
+	slot := binary.BigEndian.Uint64(rest[20:])
 	flags := rest[28]
-	plen := be16(rest[29:])
+	plen := int(binary.BigEndian.Uint16(rest[29:]))
 	rest = rest[31:]
 	if d.Src > MaxFramePorts || d.Out > MaxFramePorts {
 		return Delivery{}, fmt.Errorf("daemon: delivery frame ports (%d,%d) out of range", d.Src, d.Out)

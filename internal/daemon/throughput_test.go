@@ -49,7 +49,7 @@ func TestLoopbackThroughput(t *testing.T) {
 	d.Start()
 	defer d.Shutdown()
 
-	recv, err := daemon.NewReceiver(n)
+	recv, err := daemon.NewReceiver(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ package dsweep
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -127,24 +128,6 @@ func Checksum(b []byte) uint64 {
 	return h
 }
 
-func be16(b []byte) int { return int(b[0])<<8 | int(b[1]) }
-func be32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-func be64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func put16(dst []byte, v int) []byte { return append(dst, byte(v>>8), byte(v)) }
-func put32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func put64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 // AppendFrame encodes f onto dst and returns the extended slice. It
 // panics on caller errors the sender controls — an unknown kind or an
 // oversized field — because those are bugs, not input.
@@ -155,7 +138,7 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		if len(f.Name) == 0 || len(f.Name) > MaxName {
 			panic(fmt.Sprintf("dsweep: hello name is %d bytes", len(f.Name)))
 		}
-		dst = put16(dst, len(f.Name))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.Name)))
 		dst = append(dst, f.Name...)
 	case KindWelcome:
 		if f.HeartbeatMs == 0 {
@@ -167,9 +150,9 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		if len(f.Spec) == 0 || len(f.Spec) > MaxBlob {
 			panic(fmt.Sprintf("dsweep: welcome spec is %d bytes", len(f.Spec)))
 		}
-		dst = put32(dst, f.HeartbeatMs)
-		dst = put64(dst, uint64(f.CheckpointEvery))
-		dst = put32(dst, uint32(len(f.Spec)))
+		dst = binary.BigEndian.AppendUint32(dst, f.HeartbeatMs)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(f.CheckpointEvery))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Spec)))
 		dst = append(dst, f.Spec...)
 	case KindClaim, KindDone:
 		// empty body
@@ -180,23 +163,23 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		if len(f.Blob) > MaxBlob {
 			panic(fmt.Sprintf("dsweep: lease blob is %d bytes", len(f.Blob)))
 		}
-		dst = put64(dst, f.LeaseID)
-		dst = put32(dst, uint32(f.AI))
-		dst = put32(dst, uint32(f.LI))
-		dst = put64(dst, f.Sum)
-		dst = put32(dst, uint32(len(f.Blob)))
+		dst = binary.BigEndian.AppendUint64(dst, f.LeaseID)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(f.AI))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(f.LI))
+		dst = binary.BigEndian.AppendUint64(dst, f.Sum)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Blob)))
 		dst = append(dst, f.Blob...)
 	case KindWait:
 		if f.RetryMs == 0 {
 			panic("dsweep: wait without a retry delay")
 		}
-		dst = put32(dst, f.RetryMs)
+		dst = binary.BigEndian.AppendUint32(dst, f.RetryMs)
 	case KindHeartbeat:
 		if f.Slot < 0 {
 			panic(fmt.Sprintf("dsweep: heartbeat slot %d", f.Slot))
 		}
-		dst = put64(dst, f.LeaseID)
-		dst = put64(dst, uint64(f.Slot))
+		dst = binary.BigEndian.AppendUint64(dst, f.LeaseID)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(f.Slot))
 	case KindCheckpoint:
 		if f.Slot < 0 {
 			panic(fmt.Sprintf("dsweep: checkpoint slot %d", f.Slot))
@@ -204,24 +187,24 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		if len(f.Blob) == 0 || len(f.Blob) > MaxBlob {
 			panic(fmt.Sprintf("dsweep: checkpoint blob is %d bytes", len(f.Blob)))
 		}
-		dst = put64(dst, f.LeaseID)
-		dst = put64(dst, uint64(f.Slot))
-		dst = put64(dst, f.Sum)
-		dst = put32(dst, uint32(len(f.Blob)))
+		dst = binary.BigEndian.AppendUint64(dst, f.LeaseID)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(f.Slot))
+		dst = binary.BigEndian.AppendUint64(dst, f.Sum)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Blob)))
 		dst = append(dst, f.Blob...)
 	case KindResult:
 		if len(f.Blob) == 0 || len(f.Blob) > MaxBlob {
 			panic(fmt.Sprintf("dsweep: result payload is %d bytes", len(f.Blob)))
 		}
-		dst = put64(dst, f.LeaseID)
-		dst = put64(dst, f.Sum)
-		dst = put32(dst, uint32(len(f.Blob)))
+		dst = binary.BigEndian.AppendUint64(dst, f.LeaseID)
+		dst = binary.BigEndian.AppendUint64(dst, f.Sum)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Blob)))
 		dst = append(dst, f.Blob...)
 	case KindError:
 		if len(f.Msg) == 0 || len(f.Msg) > MaxMsg {
 			panic(fmt.Sprintf("dsweep: error message is %d bytes", len(f.Msg)))
 		}
-		dst = put16(dst, len(f.Msg))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.Msg)))
 		dst = append(dst, f.Msg...)
 	default:
 		panic(fmt.Sprintf("dsweep: unknown frame kind %d", f.Kind))
@@ -251,7 +234,7 @@ func ParseFrame(b []byte) (Frame, error) {
 		if len(rest) < 2 {
 			return Frame{}, fmt.Errorf("dsweep: hello truncated")
 		}
-		n := be16(rest)
+		n := int(binary.BigEndian.Uint16(rest))
 		rest = rest[2:]
 		if n == 0 || n > MaxName {
 			return Frame{}, fmt.Errorf("dsweep: hello name is %d bytes", n)
@@ -264,9 +247,9 @@ func ParseFrame(b []byte) (Frame, error) {
 		if len(rest) < 4+8+4 {
 			return Frame{}, fmt.Errorf("dsweep: welcome truncated")
 		}
-		f.HeartbeatMs = be32(rest)
-		every := be64(rest[4:])
-		n := int(be32(rest[12:]))
+		f.HeartbeatMs = binary.BigEndian.Uint32(rest)
+		every := binary.BigEndian.Uint64(rest[4:])
+		n := int(binary.BigEndian.Uint32(rest[12:]))
 		rest = rest[16:]
 		if f.HeartbeatMs == 0 {
 			return Frame{}, fmt.Errorf("dsweep: welcome with zero heartbeat interval")
@@ -290,10 +273,10 @@ func ParseFrame(b []byte) (Frame, error) {
 		if len(rest) < 8+4+4+8+4 {
 			return Frame{}, fmt.Errorf("dsweep: lease truncated")
 		}
-		f.LeaseID = be64(rest)
-		ai, li := be32(rest[8:]), be32(rest[12:])
-		f.Sum = be64(rest[16:])
-		n := int(be32(rest[24:]))
+		f.LeaseID = binary.BigEndian.Uint64(rest)
+		ai, li := binary.BigEndian.Uint32(rest[8:]), binary.BigEndian.Uint32(rest[12:])
+		f.Sum = binary.BigEndian.Uint64(rest[16:])
+		n := int(binary.BigEndian.Uint32(rest[24:]))
 		rest = rest[28:]
 		if ai > MaxGrid || li > MaxGrid {
 			return Frame{}, fmt.Errorf("dsweep: lease coordinates (%d,%d) out of range", ai, li)
@@ -312,7 +295,7 @@ func ParseFrame(b []byte) (Frame, error) {
 		if len(rest) != 4 {
 			return Frame{}, fmt.Errorf("dsweep: wait is %d bytes", len(rest))
 		}
-		f.RetryMs = be32(rest)
+		f.RetryMs = binary.BigEndian.Uint32(rest)
 		if f.RetryMs == 0 {
 			return Frame{}, fmt.Errorf("dsweep: wait with zero retry delay")
 		}
@@ -320,8 +303,8 @@ func ParseFrame(b []byte) (Frame, error) {
 		if len(rest) != 16 {
 			return Frame{}, fmt.Errorf("dsweep: heartbeat is %d bytes", len(rest))
 		}
-		f.LeaseID = be64(rest)
-		slot := be64(rest[8:])
+		f.LeaseID = binary.BigEndian.Uint64(rest)
+		slot := binary.BigEndian.Uint64(rest[8:])
 		if slot > maxSlot {
 			return Frame{}, fmt.Errorf("dsweep: heartbeat slot overflows")
 		}
@@ -330,10 +313,10 @@ func ParseFrame(b []byte) (Frame, error) {
 		if len(rest) < 8+8+8+4 {
 			return Frame{}, fmt.Errorf("dsweep: checkpoint truncated")
 		}
-		f.LeaseID = be64(rest)
-		slot := be64(rest[8:])
-		f.Sum = be64(rest[16:])
-		n := int(be32(rest[24:]))
+		f.LeaseID = binary.BigEndian.Uint64(rest)
+		slot := binary.BigEndian.Uint64(rest[8:])
+		f.Sum = binary.BigEndian.Uint64(rest[16:])
+		n := int(binary.BigEndian.Uint32(rest[24:]))
 		rest = rest[28:]
 		if slot > maxSlot {
 			return Frame{}, fmt.Errorf("dsweep: checkpoint slot overflows")
@@ -350,9 +333,9 @@ func ParseFrame(b []byte) (Frame, error) {
 		if len(rest) < 8+8+4 {
 			return Frame{}, fmt.Errorf("dsweep: result truncated")
 		}
-		f.LeaseID = be64(rest)
-		f.Sum = be64(rest[8:])
-		n := int(be32(rest[16:]))
+		f.LeaseID = binary.BigEndian.Uint64(rest)
+		f.Sum = binary.BigEndian.Uint64(rest[8:])
+		n := int(binary.BigEndian.Uint32(rest[16:]))
 		rest = rest[20:]
 		if n == 0 || n > MaxBlob {
 			return Frame{}, fmt.Errorf("dsweep: result payload is %d bytes", n)
@@ -365,7 +348,7 @@ func ParseFrame(b []byte) (Frame, error) {
 		if len(rest) < 2 {
 			return Frame{}, fmt.Errorf("dsweep: error frame truncated")
 		}
-		n := be16(rest)
+		n := int(binary.BigEndian.Uint16(rest))
 		rest = rest[2:]
 		if n == 0 || n > MaxMsg {
 			return Frame{}, fmt.Errorf("dsweep: error message is %d bytes", n)
@@ -399,7 +382,7 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	n := int(be32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n < 4 || n > maxFrame {
 		return Frame{}, fmt.Errorf("dsweep: frame length %d out of range", n)
 	}

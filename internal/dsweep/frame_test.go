@@ -3,6 +3,7 @@ package dsweep
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -149,8 +150,8 @@ func AppendFrameRaw(kind byte, groups ...[]byte) []byte {
 	return b
 }
 
-func put32h(dst []byte, v uint32) []byte { return put32(dst, v) }
-func put64h(dst []byte, v uint64) []byte { return put64(dst, v) }
+func put32h(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
+func put64h(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
 
 func TestChecksum(t *testing.T) {
 	// FNV-1a 64 reference values.

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"voqsim/internal/core"
-	"voqsim/internal/switchsim"
 )
 
 // Single-point execution: the leasing seam behind the distributed
@@ -59,55 +58,7 @@ func (s *Sweep) RunPointAt(ai, li int, pr PointRun) (Point, error) {
 	if ai < 0 || ai >= len(s.Algorithms) || li < 0 || li >= len(s.Loads) {
 		return Point{}, fmt.Errorf("experiment: point (%d,%d) outside %dx%d grid", ai, li, len(s.Algorithms), len(s.Loads))
 	}
-	algo := s.Algorithms[ai]
-	pt := Point{Algorithm: algo.Name, Load: s.Loads[li]}
-
-	pat, err := s.Pattern(s.Loads[li], s.N)
-	if err != nil {
-		pt.Skipped = err.Error()
-		return pt, nil
-	}
-
-	r, ck, release := s.pointRunner(ai, li, pat, pr.Pool)
-	if len(pr.Resume) > 0 {
-		if err := r.Restore(algo.Name, pr.Resume); err != nil {
-			// A failed restore may leave the runner partially loaded;
-			// rebuild it and run the point from slot 0 (see resume.go).
-			release()
-			r, ck, release = s.pointRunner(ai, li, pat, pr.Pool)
-		}
-	}
-	defer release()
-
-	var every int64
-	var sink switchsim.CheckpointFunc
-	if pr.Checkpoint != nil && r.Snapshottable() == nil {
-		every = pr.CheckpointEvery
-		if every <= 0 {
-			every = r.Config().Slots / 10
-			if every <= 0 {
-				every = 1
-			}
-		}
-		sink = func(slot int64, blob []byte) error {
-			pr.Checkpoint(slot, append([]byte(nil), blob...))
-			return nil
-		}
-	}
-	res, err := r.RunWithCheckpoints(algo.Name, every, sink)
-	if err != nil {
-		// Unreachable with a never-failing sink; keep the point
-		// well-formed if the invariant ever changes.
-		pt.Skipped = err.Error()
-		return pt, nil
-	}
-	pt.Results = res
-	if ck != nil {
-		if cerr := ck.Err(); cerr != nil {
-			pt.CheckError = cerr.Error()
-		}
-	}
-	return pt, nil
+	return s.runCell(ai, li, 0, pr), nil
 }
 
 // LoadFinishedPoint reads the grid cell's finished-point JSON from the

@@ -33,7 +33,7 @@ func (s *Sweep) runReplicated(tbl *Table) (*Table, error) {
 		ai, li := p/nl, p%nl
 		load := strconv.FormatFloat(s.Loads[li], 'g', -1, 64)
 		withPointLabels(s.Name, s.Algorithms[ai].Name, load, func() {
-			runs[p][rep] = s.runPointRep(ai, li, rep, pool)
+			runs[p][rep] = s.runCell(ai, li, rep, PointRun{Pool: pool})
 		})
 		return fmt.Sprintf("%s@%s#%d", s.Algorithms[ai].Name, load, rep)
 	})
@@ -41,26 +41,6 @@ func (s *Sweep) runReplicated(tbl *Table) (*Table, error) {
 		tbl.Points[p/nl][p%nl] = mergePoints(pts)
 	}
 	return tbl, nil
-}
-
-// runPointRep simulates one replication of one grid cell.
-func (s *Sweep) runPointRep(ai, li, rep int, pool *core.ArenaPool) Point {
-	algo := s.Algorithms[ai]
-	pt := Point{Algorithm: algo.Name, Load: s.Loads[li]}
-	pat, err := s.Pattern(pt.Load, s.N)
-	if err != nil {
-		pt.Skipped = err.Error()
-		return pt
-	}
-	r, ck, release := s.pointRunnerRep(ai, li, rep, pat, pool)
-	pt.Results = r.Run(algo.Name)
-	release()
-	if ck != nil {
-		if err := ck.Err(); err != nil {
-			pt.CheckError = err.Error()
-		}
-	}
-	return pt
 }
 
 // mergePoints folds one grid cell's replications into its table entry.

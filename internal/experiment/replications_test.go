@@ -66,7 +66,7 @@ func TestReplicatedSweepMergesRuns(t *testing.T) {
 			}
 			var slots, offered int64
 			for rep := 0; rep < reps; rep++ {
-				one := s.runPointRep(ai, li, rep, nil)
+				one := s.runCell(ai, li, rep, PointRun{})
 				slots += one.Results.Slots
 				offered += one.Results.OfferedPackets
 				if rep == 0 && !reflect.DeepEqual(one.Results, want.Results) {

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 
 	"voqsim/internal/core"
-	"voqsim/internal/switchsim"
-	"voqsim/internal/traffic"
 )
 
 // Mid-sweep resume (Sweep.CheckpointDir). A resumable sweep keeps two
@@ -41,61 +39,30 @@ func (s *Sweep) pointPaths(ai, li int) (doneFile, snapFile string) {
 	return base + ".json", base + ".snap"
 }
 
-// runPointResumable is runPoint with the checkpoint protocol around
-// the simulation.
-func (s *Sweep) runPointResumable(ai, li int, pt Point, pat traffic.Pattern, pool *core.ArenaPool) Point {
-	algo := s.Algorithms[ai]
-	_, snapFile := s.pointPaths(ai, li)
-
+// runPoint simulates one grid cell of Sweep.Run: runCell, behind the
+// disk protocol above when the sweep has a CheckpointDir.
+func (s *Sweep) runPoint(ai, li int, pool *core.ArenaPool) Point {
+	if s.CheckpointDir == "" {
+		return s.runCell(ai, li, 0, PointRun{Pool: pool})
+	}
 	if saved, ok := s.LoadFinishedPoint(ai, li); ok {
 		return saved
 	}
-	// Absent or unreadable finished point: run (or resume) it.
-
-	r, ck, release := s.pointRunner(ai, li, pat, pool)
-	if blob, err := os.ReadFile(snapFile); err == nil {
-		if err := r.Restore(algo.Name, blob); err != nil {
-			// A failed restore may leave the runner partially loaded;
-			// rebuild it — recycling the arena, which Get resets — and
-			// run the point from slot 0.
-			release()
-			r, ck, release = s.pointRunner(ai, li, pat, pool)
-		}
+	// Absent or unreadable finished point: run it, resuming from the
+	// snapshot file when there is one (an unreadable file is no blob).
+	_, snapFile := s.pointPaths(ai, li)
+	blob, _ := os.ReadFile(snapFile)
+	pt := s.runCell(ai, li, 0, PointRun{
+		Resume:          blob,
+		CheckpointEvery: s.CheckpointEvery,
+		Checkpoint: func(_ int64, snapshot []byte) {
+			writeFileAtomic(snapFile, snapshot) // best-effort, see package comment
+		},
+		Pool: pool,
+	})
+	if pt.Skipped == "" {
+		s.SaveFinishedPoint(ai, li, pt) // best-effort, see package comment
 	}
-	defer release()
-
-	// Architectures without snapshot support still participate in a
-	// resumable sweep: their points run whole and are saved as finished
-	// JSON, they just cannot be interrupted mid-run.
-	var every int64
-	var sink switchsim.CheckpointFunc
-	if r.Snapshottable() == nil {
-		every = s.CheckpointEvery
-		if every <= 0 {
-			every = r.Config().Slots / 10
-			if every <= 0 {
-				every = 1
-			}
-		}
-		sink = func(_ int64, blob []byte) error {
-			writeFileAtomic(snapFile, blob) // best-effort, see package comment
-			return nil
-		}
-	}
-	res, err := r.RunWithCheckpoints(algo.Name, every, sink)
-	if err != nil {
-		// Unreachable with a never-failing sink, but keep the point
-		// well-formed if the invariant ever changes.
-		pt.Skipped = err.Error()
-		return pt
-	}
-	pt.Results = res
-	if ck != nil {
-		if cerr := ck.Err(); cerr != nil {
-			pt.CheckError = cerr.Error()
-		}
-	}
-	s.SaveFinishedPoint(ai, li, pt) // best-effort, see package comment
 	return pt
 }
 

@@ -164,52 +164,78 @@ func (s *Sweep) Run() (*Table, error) {
 	return tbl, nil
 }
 
-// runPoint simulates one grid cell. The point seed mixes the sweep
-// seed with the grid coordinates so that (a) every point is
-// independent and (b) re-running the sweep — with any worker count —
-// reproduces it exactly.
-func (s *Sweep) runPoint(ai, li int, pool *core.ArenaPool) Point {
+// runCell simulates replication rep of grid cell (ai, li). It is the
+// one copy of the point protocol — resolve the pattern, build the
+// runner, restore pr.Resume or fall back to slot 0, stream snapshots to
+// pr.Checkpoint at the default cadence, collect the checker verdict —
+// and every way a point runs is this function under a different
+// PointRun: Sweep.Run in memory or over the checkpoint directory
+// (resume.go), a replication (replications.go), a lease (RunPointAt).
+func (s *Sweep) runCell(ai, li, rep int, pr PointRun) Point {
 	algo := s.Algorithms[ai]
-	load := s.Loads[li]
-	pt := Point{Algorithm: algo.Name, Load: load}
-
-	pat, err := s.Pattern(load, s.N)
+	pt := Point{Algorithm: algo.Name, Load: s.Loads[li]}
+	pat, err := s.Pattern(pt.Load, s.N)
 	if err != nil {
 		pt.Skipped = err.Error()
 		return pt
 	}
 
-	if s.CheckpointDir != "" {
-		return s.runPointResumable(ai, li, pt, pat, pool)
+	r, ck, release := s.pointRunner(ai, li, rep, pat, pr.Pool)
+	if len(pr.Resume) > 0 {
+		if err := r.Restore(algo.Name, pr.Resume); err != nil {
+			// A failed restore may leave the runner partially loaded;
+			// rebuild it — recycling the arena, which Get resets — and
+			// run the point from slot 0.
+			release()
+			r, ck, release = s.pointRunner(ai, li, rep, pat, pr.Pool)
+		}
 	}
-	r, ck, release := s.pointRunner(ai, li, pat, pool)
-	pt.Results = r.Run(algo.Name)
-	release()
+	defer release()
+
+	// Architectures without snapshot support still run under a
+	// checkpointing caller: their points run whole, they just cannot
+	// be interrupted mid-run.
+	var every int64
+	var sink switchsim.CheckpointFunc
+	if pr.Checkpoint != nil && r.Snapshottable() == nil {
+		every = pr.CheckpointEvery
+		if every <= 0 {
+			every = max(r.Config().Slots/10, 1)
+		}
+		sink = func(slot int64, blob []byte) error {
+			pr.Checkpoint(slot, blob)
+			return nil
+		}
+	}
+	res, err := r.RunWithCheckpoints(algo.Name, every, sink)
+	if err != nil {
+		// Unreachable with a never-failing sink, but keep the point
+		// well-formed if the invariant ever changes.
+		pt.Skipped = err.Error()
+		return pt
+	}
+	pt.Results = res
 	if ck != nil {
-		if err := ck.Err(); err != nil {
-			pt.CheckError = err.Error()
+		if cerr := ck.Err(); cerr != nil {
+			pt.CheckError = cerr.Error()
 		}
 	}
 	return pt
 }
 
-// pointRunner builds the runner of one grid cell, wrapped in the
-// invariant checker when the sweep asks for checking, running on a
-// recycled arena when the worker's pool has one. The release function
-// must be called once the run is over. The point seed mixes the sweep
-// seed with the grid coordinates; the derivation is pinned —
-// checkpoint blobs embed the derived seed, so changing it would orphan
-// every saved checkpoint.
-func (s *Sweep) pointRunner(ai, li int, pat traffic.Pattern, pool *core.ArenaPool) (*switchsim.Runner, *invcheck.Checker, func()) {
-	return s.pointRunnerRep(ai, li, 0, pat, pool)
-}
-
-// pointRunnerRep is pointRunner for one replication of the cell.
-// Replication 0 uses the pinned point seed unchanged; higher
+// pointRunner builds the runner of one replication of a grid cell,
+// wrapped in the invariant checker when the sweep asks for checking,
+// running on a recycled arena when the worker's pool has one. The
+// release function must be called once the run is over. The point seed
+// mixes the sweep seed with the grid coordinates, so every point is
+// independent and re-running the sweep — with any worker count —
+// reproduces it exactly; the derivation is pinned — checkpoint blobs
+// embed the derived seed, so changing it would orphan every saved
+// checkpoint. Replication 0 uses the point seed unchanged; higher
 // replications mix in their index, giving every replication an
 // independent substream that is still a pure function of
 // (sweep seed, ai, li, rep).
-func (s *Sweep) pointRunnerRep(ai, li, rep int, pat traffic.Pattern, pool *core.ArenaPool) (*switchsim.Runner, *invcheck.Checker, func()) {
+func (s *Sweep) pointRunner(ai, li, rep int, pat traffic.Pattern, pool *core.ArenaPool) (*switchsim.Runner, *invcheck.Checker, func()) {
 	algo := s.Algorithms[ai]
 	seed := s.Seed ^ (uint64(ai)+1)*0x9e3779b97f4a7c15 ^ (uint64(li)+1)*0xd6e8feb86659fd93
 	seed ^= uint64(rep) * 0x94d049bb133111eb
