@@ -15,8 +15,8 @@
 //	                         port order (copy from the voqd READY line)
 //	    -admin host:port     voqd admin address; enables the delivery
 //	                         receiver and the delivery report
-//	    -traffic bernoulli   bernoulli|uniform|burst|mixed
-//	    -load 0.8 -b 0.2 -maxfanout 8 -eon 16 -mcfrac 0.5
+//	    -traffic bernoulli   bernoulli|uniform|burst|mixed|hotspot|diagonal
+//	    -load 0.8 -b 0.2 -maxfanout 8 -eon 16 -mcfrac 0.5 -skew 4
 //	                         model parameters (as cmd/voqsim)
 //	    -slots 100000        model slots to generate
 //	    -slot-rate 0         pacing in model slots/second (0: unpaced);
@@ -57,19 +57,15 @@ func main() {
 
 func run() error {
 	var (
-		targets   = flag.String("targets", "", "comma-separated voqd ingress addresses, one per input")
-		admin     = flag.String("admin", "", "voqd admin address (enables the delivery receiver)")
-		trafficK  = flag.String("traffic", "bernoulli", "bernoulli|uniform|burst|mixed")
-		load      = flag.Float64("load", 0.8, "target effective load")
-		b         = flag.Float64("b", 0.2, "per-output probability")
-		maxFanout = flag.Int("maxfanout", 8, "maximum fanout")
-		eOn       = flag.Float64("eon", 16, "mean burst length")
-		mcFrac    = flag.Float64("mcfrac", 0.5, "multicast fraction")
-		slots     = flag.Int64("slots", 100_000, "model slots to generate")
-		slotRate  = flag.Float64("slot-rate", 0, "pacing in model slots per second (0: unpaced)")
-		payload   = flag.Int("payload", 64, "payload bytes per frame")
-		seed      = flag.Uint64("seed", 1, "traffic model seed")
-		drain     = flag.Duration("drain", 2*time.Second, "post-send wait for deliveries to quiesce")
+		targets  = flag.String("targets", "", "comma-separated voqd ingress addresses, one per input")
+		admin    = flag.String("admin", "", "voqd admin address (enables the delivery receiver)")
+		spec     = traffic.RegisterFlags(flag.CommandLine)
+		load     = flag.Float64("load", 0.8, "target effective load")
+		slots    = flag.Int64("slots", 100_000, "model slots to generate")
+		slotRate = flag.Float64("slot-rate", 0, "pacing in model slots per second (0: unpaced)")
+		payload  = flag.Int("payload", 64, "payload bytes per frame")
+		seed     = flag.Uint64("seed", 1, "traffic model seed")
+		drain    = flag.Duration("drain", 2*time.Second, "post-send wait for deliveries to quiesce")
 	)
 	flag.Parse()
 
@@ -82,19 +78,7 @@ func run() error {
 	}
 	n := len(addrs)
 
-	var pat traffic.Pattern
-	switch *trafficK {
-	case "bernoulli":
-		pat, err = traffic.BernoulliAtLoad(*load, *b, n)
-	case "uniform":
-		pat, err = traffic.UniformAtLoad(*load, *maxFanout, n)
-	case "burst":
-		pat, err = traffic.BurstAtLoad(*load, *b, *eOn, n)
-	case "mixed":
-		pat, err = traffic.MixedAtLoad(*load, *mcFrac, *maxFanout, n)
-	default:
-		return fmt.Errorf("unknown traffic family %q", *trafficK)
-	}
+	pat, err := spec.AtLoad(*load, n)
 	if err != nil {
 		return err
 	}
@@ -124,7 +108,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("inputs:        %d\n", n)
-	fmt.Printf("model:         %s load=%.3f\n", *trafficK, *load)
+	fmt.Printf("model:         %s load=%.3f\n", spec.Family, *load)
 	fmt.Printf("frames sent:   %d (%d copies addressed)\n", rep.FramesSent, rep.CopiesExpected)
 	fmt.Printf("send rate:     %.0f frames/s over %d slots (%.0f slots/s)\n", rep.FrameRate, rep.Slots, rep.SlotRate)
 

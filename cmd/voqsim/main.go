@@ -14,12 +14,16 @@
 //	                    trees over bounded inter-stage links. Specs:
 //	                    fattree:k=K (K even) and clos:n=N,m=M,r=R.
 //	                    -n defaults to the fabric's external port count
-//	-traffic bernoulli  bernoulli | uniform | burst | mixed
+//	-traffic bernoulli  bernoulli | uniform | burst | mixed | hotspot |
+//	                    diagonal — the traffic flags are one set, shared
+//	                    with voqsweep, voqtrace record and voqload
+//	                    (internal/traffic.RegisterFlags)
 //	-load 0.8           target effective load (solves the free parameter)
 //	-b 0.2              per-output probability (bernoulli, burst)
 //	-maxfanout 8        fanout bound (uniform, mixed)
 //	-eon 16             mean burst length (burst)
 //	-mcfrac 0.5         multicast fraction (mixed)
+//	-skew 4             hot/cold load ratio (hotspot)
 //	-slots 200000       simulated slots
 //	-seed 1             run seed
 //	-parallel W         step fabric nodes on W worker goroutines
@@ -39,20 +43,26 @@
 //	-series FILE        write a per-slot backlog time series CSV
 //	-trace FILE         write a slot-level event trace (JSONL) of the run
 //	-metrics-every K    print a metrics snapshot to stderr every K slots
-//	-check              re-run under the invariant checker (DESIGN.md §9)
+//	-check              run under the invariant checker (DESIGN.md §9)
 //	-cpuprofile FILE    write a CPU profile of the run (go tool pprof)
 //	-memprofile FILE    write a heap profile at exit
 //
-// -trace and -metrics-every re-run the identical simulation with the
-// observability layer attached (the instrumentation draws no
-// randomness, so the observed run is bit-identical); feed the JSONL
-// trace to voqtrace timeline / voqtrace explain. Tracing and metrics
-// are supported for the core VOQ schedulers (fifoms, islip, pim, 2drr,
-// lqfms and variants) plus eslip and wba.
+// The invocation is simulated once. -series, -trace, -metrics-every,
+// -check and -checkpoint all attach to the one run the report comes
+// from: none of them draws randomness, and the checker hands the
+// events it has verified on to the tracer, so each output is what a
+// run with that flag alone writes. Feed the JSONL trace to voqtrace
+// timeline / voqtrace explain. Tracing and metrics are supported for
+// the core VOQ schedulers (fifoms, islip, pim, 2drr, lqfms and
+// variants), eslip, wba and fabrics; on any other architecture the
+// flags are refused before the run starts.
 //
 // A resumed run is bit-identical to one that was never interrupted:
 // same flags + the snapshot file reproduce the original report exactly
-// (the snapshot's identity header rejects mismatched flags).
+// (the snapshot's identity header rejects mismatched flags). The
+// attachments see the slots this process simulates: under -resume the
+// series, the trace and the metrics start at the snapshot's slot, and
+// the check: line counts the slots checked from there.
 //
 // Example — the paper's Figure 4 operating point at load 0.8:
 //
@@ -66,31 +76,35 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"voqsim"
 	"voqsim/internal/check"
 	"voqsim/internal/experiment"
-	"voqsim/internal/fabric"
 	"voqsim/internal/obs"
 	"voqsim/internal/report"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
-	"voqsim/internal/xrand"
 )
 
 func main() {
+	if code := run(); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// fail reports err and returns the exit code of a failed run.
+func fail(err error) int {
+	fmt.Fprintf(os.Stderr, "voqsim: %v\n", err)
+	return 1
+}
+
+func run() int {
 	var (
-		algo      = flag.String("algo", "fifoms", "scheduling algorithm")
+		algoName  = flag.String("algo", "fifoms", "scheduling algorithm")
 		n         = flag.Int("n", 16, "switch size N")
 		topology  = flag.String("topology", "", "multi-stage fabric spec: fattree:k=K | clos:n=N,m=M,r=R (empty: single switch)")
-		trafficK  = flag.String("traffic", "bernoulli", "traffic family: bernoulli|uniform|burst|mixed")
+		spec      = traffic.RegisterFlags(flag.CommandLine)
 		load      = flag.Float64("load", 0.8, "target effective load per output")
-		b         = flag.Float64("b", 0.2, "per-output destination probability (bernoulli, burst)")
-		maxFanout = flag.Int("maxfanout", 8, "maximum fanout (uniform, mixed)")
-		eOn       = flag.Float64("eon", 16, "mean burst length in slots (burst)")
-		mcFrac    = flag.Float64("mcfrac", 0.5, "multicast fraction of arrivals (mixed)")
 		slots     = flag.Int64("slots", 200_000, "simulated slots")
 		seed      = flag.Uint64("seed", 1, "run seed")
 		parallel  = flag.Int("parallel", 0, "fabric worker goroutines (requires -topology; results are byte-identical to sequential)")
@@ -102,142 +116,215 @@ func main() {
 		seriesOut = flag.String("series", "", "also write a per-slot backlog time series CSV to this file")
 		traceOut  = flag.String("trace", "", "also write a slot-level event trace (JSONL) to this file")
 		metricsK  = flag.Int64("metrics-every", 0, "print a metrics snapshot (JSONL) to stderr every K slots")
-		checkRun  = flag.Bool("check", false, "re-run under the runtime invariant checker and report its verdict")
+		checkRun  = flag.Bool("check", false, "run under the runtime invariant checker and report its verdict")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 
-	if *fast {
-		switch {
-		case *checkRun:
-			fmt.Fprintln(os.Stderr, "voqsim: -fast is incompatible with -check: the invariant checker certifies the bit-exact path; validate fast mode statistically instead (TestFastModeEquivalence)")
-			os.Exit(2)
-		case *ckptPath != "" || *resumePth != "":
-			fmt.Fprintln(os.Stderr, "voqsim: -fast is incompatible with -checkpoint/-resume: fast runs relax draw-order identity and cannot be snapshotted")
-			os.Exit(2)
-		}
+	var usage error
+	switch {
+	case *fast && *checkRun:
+		usage = fmt.Errorf("-fast is incompatible with -check: the invariant checker certifies the bit-exact path; validate fast mode statistically instead (TestFastModeEquivalence)")
+	case *fast && (*ckptPath != "" || *resumePth != ""):
+		usage = fmt.Errorf("-fast is incompatible with -checkpoint/-resume: fast runs relax draw-order identity and cannot be snapshotted")
+	default:
+		usage = spec.Validate()
+	}
+	if usage != nil {
+		fail(usage)
+		return 2
 	}
 
-	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf, os.Stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "voqsim: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer stopProfiles()
 
-	var tr voqsim.Traffic
-	switch *trafficK {
-	case "bernoulli":
-		tr = voqsim.BernoulliTrafficAtLoad(*load, *b)
-	case "uniform":
-		tr = voqsim.UniformTrafficAtLoad(*load, *maxFanout)
-	case "burst":
-		tr = voqsim.BurstTrafficAtLoad(*load, *b, *eOn)
-	case "mixed":
-		// Mixed has no at-load helper on the facade with fraction; use
-		// the probability form: p = load / meanFanout.
-		mean := *mcFrac*(2+float64(*maxFanout))/2 + (1 - *mcFrac)
-		tr = voqsim.MixedTraffic(*load/mean, *mcFrac, *maxFanout)
-	default:
-		fmt.Fprintf(os.Stderr, "voqsim: unknown traffic family %q\n", *trafficK)
-		os.Exit(2)
-	}
-
+	// With a topology, -n defaults to the fabric's external port count;
+	// an explicit -n must match it (Resolve verifies).
 	ports := *n
 	if *topology != "" {
-		// With a topology, -n defaults to the fabric's external port
-		// count; an explicit -n must match it (the facade verifies).
-		nSet := false
+		ports = 0
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "n" {
-				nSet = true
+				ports = *n
 			}
 		})
-		if !nSet {
-			ports = 0
-		}
 	}
-	cfg := voqsim.Config{
-		Ports:     ports,
-		Scheduler: voqsim.Scheduler(*algo),
-		Topology:  *topology,
-		Traffic:   tr,
-		Slots:     *slots,
-		Seed:      *seed,
-		Fast:      *fast,
-		Parallel:  *parallel,
-	}
-	var report voqsim.Report
-	if *ckptPath != "" || *resumePth != "" {
-		report, err = runResumable(cfg, *ckptPath, *ckptEvery, *resumePth)
-	} else {
-		report, err = voqsim.Run(cfg)
-	}
+	algo, ports, err := experiment.Resolve(*algoName, *topology, ports, *parallel)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "voqsim: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
+	pat, err := spec.AtLoad(*load, ports)
+	if err != nil {
+		return fail(err)
+	}
+	// One run at a time: a CPU the switch does not use draws the traffic
+	// ahead (DESIGN.md §17).
+	cfg := switchsim.Config{Slots: *slots, Seed: *seed, Fast: *fast, DrawAhead: switchsim.SpareCPU(*parallel)}
+	runner, ck, release := experiment.RunSeeding.NewRunner(algo, ports, pat, cfg, nil, *checkRun)
+	defer release()
 
+	// Attachments, all on the one runner and all before it runs, so an
+	// architecture that cannot honour one is refused before simulating.
+	var series *switchsim.SeriesRecorder
 	if *seriesOut != "" {
-		if err := writeSeries(*seriesOut, *algo, *topology, report.Ports, *slots, *seed, *fast, report.Load, *trafficK, *b, *maxFanout, *eOn, *mcFrac); err != nil {
-			fmt.Fprintf(os.Stderr, "voqsim: %v\n", err)
-			os.Exit(1)
-		}
+		series = switchsim.NewSeriesRecorder(*slots / 2000)
+		runner.Observe(series)
 	}
-
+	var o *obs.Observer
 	if *traceOut != "" || *metricsK > 0 {
-		if err := runObserved(*traceOut, *metricsK, *algo, *topology, report.Ports, *slots, *seed, *fast, report.Load, *trafficK, *b, *maxFanout, *eOn, *mcFrac); err != nil {
-			fmt.Fprintf(os.Stderr, "voqsim: %v\n", err)
-			os.Exit(1)
+		o = &obs.Observer{}
+		if *traceOut != "" {
+			o.Trace = obs.NewTracer(obs.DefaultTracerCap)
+		}
+		if *metricsK > 0 {
+			o.Metrics = obs.NewRegistry()
+		}
+		if !runner.Instrument(o) {
+			return fail(fmt.Errorf("algorithm %q does not support observability (core VOQ schedulers, eslip and wba do)", *algoName))
 		}
 	}
+	if *resumePth != "" {
+		blob, err := os.ReadFile(*resumePth)
+		if err != nil {
+			return fail(err)
+		}
+		if err := runner.Restore(algo.Name, blob); err != nil {
+			return fail(err)
+		}
+	}
+	var every int64
+	var sink switchsim.CheckpointFunc
+	if *ckptPath != "" {
+		if every = *ckptEvery; every <= 0 {
+			every = max(*slots/10, 1)
+		}
+		// Keep ckptPath at the latest snapshot, replaced atomically, so
+		// a killed run can be picked up with -resume.
+		sink = func(_ int64, blob []byte) error { return experiment.WriteFileAtomic(*ckptPath, blob) }
+	}
 
-	if *checkRun {
+	// The event trace streams to its file as JSONL while the run goes;
+	// every -metrics-every slots a registry snapshot goes to stderr as
+	// one JSON line, plus a final one at the end of the run.
+	var traceFile *os.File
+	var traceBuf *bufio.Writer
+	var emitted int64
+	if o.TraceOn() {
+		if traceFile, err = os.Create(*traceOut); err != nil {
+			return fail(err)
+		}
+		defer traceFile.Close()
+		traceBuf = bufio.NewWriter(traceFile)
+		write := report.EventSink(traceBuf)
+		o.Trace.OnFull(func(events []obs.Event) error {
+			emitted += int64(len(events))
+			return write(events)
+		})
+	}
+	lastSnapshotSlot := int64(-1)
+	if o.MetricsOn() {
+		runner.OnMetricsEvery(*metricsK, func(slot int64, metrics []obs.Metric) {
+			lastSnapshotSlot = slot
+			if err := report.WriteMetricsJSONL(os.Stderr, slot, metrics); err != nil {
+				fmt.Fprintf(os.Stderr, "voqsim: metrics snapshot: %v\n", err)
+			}
+		})
+	}
+
+	res, err := runner.RunWithCheckpoints(algo.Name, every, sink)
+	if err != nil {
+		return fail(err)
+	}
+
+	if series != nil {
+		f, err := os.Create(*seriesOut)
+		if err != nil {
+			return fail(err)
+		}
+		if err := series.WriteCSV(f); err != nil {
+			f.Close()
+			return fail(err)
+		}
+		if err := f.Close(); err != nil {
+			return fail(err)
+		}
+		fmt.Printf("series:               %s (%d points)\n", *seriesOut, series.Len())
+	}
+	if o.MetricsOn() && res.Slots-1 != lastSnapshotSlot {
+		if err := report.WriteMetricsJSONL(os.Stderr, res.Slots-1, o.Metrics.Snapshot()); err != nil {
+			return fail(fmt.Errorf("metrics snapshot: %w", err))
+		}
+	}
+	if o.TraceOn() {
+		err := o.Trace.Flush()
+		if err == nil {
+			err = traceBuf.Flush()
+		}
+		if err == nil {
+			err = traceFile.Close()
+		}
+		if err != nil {
+			return fail(fmt.Errorf("writing trace: %w", err))
+		}
+		fmt.Printf("trace:                %s (%d events)\n", *traceOut, emitted)
+	}
+	if ck != nil {
+		if ck.Err() != nil {
+			for _, v := range ck.Violations() {
+				fmt.Fprintf(os.Stderr, "voqsim: check: %s\n", v)
+			}
+			return fail(fmt.Errorf("invariant check failed: %d violations (profile %s)", ck.Total(), ck.Profile()))
+		}
 		// In -json mode the verdict goes to stderr so stdout stays a
 		// single machine-parseable document.
 		verdictTo := io.Writer(os.Stdout)
 		if *asJSON {
 			verdictTo = os.Stderr
 		}
-		if err := runChecked(verdictTo, *algo, *topology, report.Ports, *slots, *seed, report.Load, *trafficK, *b, *maxFanout, *eOn, *mcFrac); err != nil {
-			fmt.Fprintf(os.Stderr, "voqsim: %v\n", err)
-			os.Exit(1)
-		}
+		fmt.Fprintf(verdictTo, "check:                ok (profile %s, %d invariants, %d slots)\n",
+			ck.Profile(), check.NumInvariants, ck.Slots())
 	}
 
+	rep := voqsim.ToReport(res)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(os.Stderr, "voqsim: %v\n", err)
-			os.Exit(1)
+		if err := enc.Encode(rep); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
+	printReport(rep)
+	return 0
+}
 
-	fmt.Printf("algorithm:            %s\n", report.Scheduler)
-	fmt.Printf("traffic:              %s\n", report.Traffic)
-	fmt.Printf("switch:               %dx%d\n", report.Ports, report.Ports)
-	fmt.Printf("effective load:       %.4f\n", report.Load)
-	fmt.Printf("slots (warmup):       %d (%d)\n", report.Slots, report.WarmupSlots)
-	if report.Unstable {
-		fmt.Printf("stability:            UNSTABLE at slot %d — offered load not sustainable\n", report.UnstableAt)
+func printReport(r voqsim.Report) {
+	fmt.Printf("algorithm:            %s\n", r.Scheduler)
+	fmt.Printf("traffic:              %s\n", r.Traffic)
+	fmt.Printf("switch:               %dx%d\n", r.Ports, r.Ports)
+	fmt.Printf("effective load:       %.4f\n", r.Load)
+	fmt.Printf("slots (warmup):       %d (%d)\n", r.Slots, r.WarmupSlots)
+	if r.Unstable {
+		fmt.Printf("stability:            UNSTABLE at slot %d — offered load not sustainable\n", r.UnstableAt)
 	} else {
 		fmt.Printf("stability:            stable\n")
 	}
-	fmt.Printf("avg input delay:      %.3f slots\n", report.AvgInputDelay)
-	fmt.Printf("avg output delay:     %.3f slots\n", report.AvgOutputDelay)
-	fmt.Printf("input delay p99:      <= %d slots\n", report.InputDelayP99)
-	fmt.Printf("avg queue size:       %.3f cells/port\n", report.AvgQueueSize)
-	fmt.Printf("max queue size:       %d cells\n", report.MaxQueueSize)
-	if report.MeanRounds > 0 {
-		fmt.Printf("mean rounds/slot:     %.3f\n", report.MeanRounds)
+	fmt.Printf("avg input delay:      %.3f slots\n", r.AvgInputDelay)
+	fmt.Printf("avg output delay:     %.3f slots\n", r.AvgOutputDelay)
+	fmt.Printf("input delay p99:      <= %d slots\n", r.InputDelayP99)
+	fmt.Printf("avg queue size:       %.3f cells/port\n", r.AvgQueueSize)
+	fmt.Printf("max queue size:       %d cells\n", r.MaxQueueSize)
+	if r.MeanRounds > 0 {
+		fmt.Printf("mean rounds/slot:     %.3f\n", r.MeanRounds)
 	}
-	fmt.Printf("throughput:           %.4f copies/output/slot\n", report.Throughput)
-	fmt.Printf("completed packets:    %d\n", report.CompletedPackets)
-	fmt.Printf("delivered copies:     %d\n", report.DeliveredCopies)
-	if f := report.Fabric; f != nil {
+	fmt.Printf("throughput:           %.4f copies/output/slot\n", r.Throughput)
+	fmt.Printf("completed packets:    %d\n", r.CompletedPackets)
+	fmt.Printf("delivered copies:     %d\n", r.DeliveredCopies)
+	if f := r.Fabric; f != nil {
 		fmt.Printf("topology:             %s (%d switches, %d links)\n", f.Topology, f.Nodes, f.Links)
 		fmt.Printf("fabric admitted:      %d packets, %d copies\n", f.AdmittedPackets, f.AdmittedCopies)
 		fmt.Printf("fabric delivered:     %d copies\n", f.DeliveredCopies)
@@ -251,247 +338,4 @@ func main() {
 			fmt.Printf("hops per copy:        mean %.3f, min %d, max %d\n", f.HopMean, f.HopMin, f.HopMax)
 		}
 	}
-}
-
-// runResumable is the checkpoint/resume path of the main run: it
-// restores resumePath when given (continuing mid-run bit-identically),
-// and keeps ckptPath updated with the latest snapshot so a killed run
-// can be picked up with -resume.
-func runResumable(cfg voqsim.Config, ckptPath string, every int64, resumePath string) (voqsim.Report, error) {
-	var blob []byte
-	if resumePath != "" {
-		var err error
-		blob, err = os.ReadFile(resumePath)
-		if err != nil {
-			return voqsim.Report{}, err
-		}
-	}
-	var sink voqsim.CheckpointFunc
-	if ckptPath != "" {
-		if every <= 0 {
-			every = cfg.Slots / 10
-			if every <= 0 {
-				every = 1
-			}
-		}
-		sink = func(nextSlot int64, blob []byte) error {
-			tmp := ckptPath + ".tmp"
-			if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-				return err
-			}
-			return os.Rename(tmp, ckptPath)
-		}
-	} else {
-		every = 0
-	}
-	return voqsim.RunResumable(cfg, blob, every, sink)
-}
-
-// startProfiles starts CPU profiling and/or arranges a heap profile,
-// returning a stop function to run when the measured work is done.
-// Either path may be empty. The heap profile is preceded by a GC so it
-// shows live steady-state memory, not garbage awaiting collection.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}, nil
-}
-
-// buildSim reconstructs the exact simulation the facade ran — same
-// pattern, same seed derivation, same fast-mode setting — so a second
-// pass can attach recorders, the observability layer or the invariant
-// checker. The rerun is exact: the engine (fast or not) is
-// deterministic in the seed.
-func buildSim(algo, topology string, n int, slots int64, seed uint64, fast bool, load float64, family string, b float64, maxFanout int, eOn, mcFrac float64) (switchsim.Switch, traffic.Pattern, switchsim.Config, *xrand.Rand, error) {
-	var pat traffic.Pattern
-	var err error
-	switch family {
-	case "bernoulli":
-		pat, err = traffic.BernoulliAtLoad(load, b, n)
-	case "uniform":
-		pat, err = traffic.UniformAtLoad(load, maxFanout, n)
-	case "burst":
-		pat, err = traffic.BurstAtLoad(load, b, eOn, n)
-	case "mixed":
-		pat, err = traffic.MixedAtLoad(load, mcFrac, maxFanout, n)
-	default:
-		err = fmt.Errorf("rerun not supported for traffic family %q", family)
-	}
-	if err != nil {
-		return nil, nil, switchsim.Config{}, nil, err
-	}
-	a, err := experiment.ByName(algo)
-	if err != nil {
-		return nil, nil, switchsim.Config{}, nil, err
-	}
-	if topology != "" {
-		top, err := fabric.ParseSpec(topology)
-		if err != nil {
-			return nil, nil, switchsim.Config{}, nil, err
-		}
-		if a, err = experiment.WithTopology(a, top, fabric.Config{}); err != nil {
-			return nil, nil, switchsim.Config{}, nil, err
-		}
-	}
-	seedRoot := xrand.New(seed)
-	sw := a.New(n, seedRoot.Split("switch", 0))
-	cfg := switchsim.Config{Slots: slots, Seed: seed, Fast: fast, DrawAhead: switchsim.SpareCPU(1)}
-	return sw, pat, cfg, seedRoot.Split("traffic", 0), nil
-}
-
-// buildRunner is buildSim packaged as an engine Runner.
-func buildRunner(algo, topology string, n int, slots int64, seed uint64, fast bool, load float64, family string, b float64, maxFanout int, eOn, mcFrac float64) (*switchsim.Runner, error) {
-	sw, pat, cfg, trafficRoot, err := buildSim(algo, topology, n, slots, seed, fast, load, family, b, maxFanout, eOn, mcFrac)
-	if err != nil {
-		return nil, err
-	}
-	return switchsim.New(sw, pat, cfg, trafficRoot), nil
-}
-
-// runChecked re-runs the identical simulation wrapped in the runtime
-// invariant checker (internal/check, DESIGN.md §9) and reports its
-// verdict. The checker is passive — the checked rerun delivers
-// bit-identically to the measured run — so a clean verdict certifies
-// the run that was just reported.
-func runChecked(verdictTo io.Writer, algo, topology string, n int, slots int64, seed uint64, load float64, family string, b float64, maxFanout int, eOn, mcFrac float64) error {
-	sw, pat, cfg, trafficRoot, err := buildSim(algo, topology, n, slots, seed, false, load, family, b, maxFanout, eOn, mcFrac)
-	if err != nil {
-		return err
-	}
-	_, ck, err := switchsim.CheckedRun(algo, sw, pat, cfg, trafficRoot, check.Options{})
-	if err != nil {
-		for _, v := range ck.Violations() {
-			fmt.Fprintf(os.Stderr, "voqsim: check: %s\n", v)
-		}
-		return fmt.Errorf("invariant check failed: %d violations (profile %s)", ck.Total(), ck.Profile())
-	}
-	fmt.Fprintf(verdictTo, "check:                ok (profile %s, %d invariants, %d slots)\n",
-		ck.Profile(), check.NumInvariants, slots)
-	return nil
-}
-
-// writeSeries re-runs the identical simulation with a series recorder
-// attached and writes the per-slot backlog CSV.
-func writeSeries(path, algo, topology string, n int, slots int64, seed uint64, fast bool, load float64, family string, b float64, maxFanout int, eOn, mcFrac float64) error {
-	runner, err := buildRunner(algo, topology, n, slots, seed, fast, load, family, b, maxFanout, eOn, mcFrac)
-	if err != nil {
-		return err
-	}
-	stride := slots / 2000
-	rec := switchsim.NewSeriesRecorder(stride)
-	runner.Observe(rec)
-	runner.Run(algo)
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("series:               %s (%d points)\n", path, rec.Len())
-	return nil
-}
-
-// runObserved re-runs the identical simulation with the observability
-// layer attached (DESIGN.md §8): the event trace streams to tracePath
-// as JSONL, and every metricsEvery slots a registry snapshot goes to
-// stderr as one JSON line (plus a final snapshot at the end of the
-// run).
-func runObserved(tracePath string, metricsEvery int64, algo, topology string, n int, slots int64, seed uint64, fast bool, load float64, family string, b float64, maxFanout int, eOn, mcFrac float64) error {
-	runner, err := buildRunner(algo, topology, n, slots, seed, fast, load, family, b, maxFanout, eOn, mcFrac)
-	if err != nil {
-		return err
-	}
-
-	o := &obs.Observer{}
-	var traceFile *os.File
-	var bw *bufio.Writer
-	var emitted int64
-	if tracePath != "" {
-		traceFile, err = os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		bw = bufio.NewWriter(traceFile)
-		sink := report.EventSink(bw)
-		tr := obs.NewTracer(obs.DefaultTracerCap)
-		tr.OnFull(func(events []obs.Event) error {
-			emitted += int64(len(events))
-			return sink(events)
-		})
-		o.Trace = tr
-	}
-	if metricsEvery > 0 {
-		o.Metrics = obs.NewRegistry()
-	}
-	if !runner.Instrument(o) {
-		if traceFile != nil {
-			traceFile.Close()
-			os.Remove(tracePath)
-		}
-		return fmt.Errorf("algorithm %q does not support observability (core VOQ schedulers, eslip and wba do)", algo)
-	}
-
-	var lastSnapshotSlot int64 = -1
-	if metricsEvery > 0 {
-		runner.OnMetricsEvery(metricsEvery, func(slot int64, metrics []obs.Metric) {
-			lastSnapshotSlot = slot
-			if err := report.WriteMetricsJSONL(os.Stderr, slot, metrics); err != nil {
-				fmt.Fprintf(os.Stderr, "voqsim: metrics snapshot: %v\n", err)
-			}
-		})
-	}
-
-	res := runner.Run(algo)
-
-	if metricsEvery > 0 && res.Slots-1 != lastSnapshotSlot {
-		if err := report.WriteMetricsJSONL(os.Stderr, res.Slots-1, o.Metrics.Snapshot()); err != nil {
-			return fmt.Errorf("metrics snapshot: %w", err)
-		}
-	}
-	if o.Trace != nil {
-		flushErr := o.Trace.Flush()
-		if err := bw.Flush(); flushErr == nil {
-			flushErr = err
-		}
-		if err := traceFile.Close(); flushErr == nil {
-			flushErr = err
-		}
-		if flushErr != nil {
-			return fmt.Errorf("writing trace: %w", flushErr)
-		}
-		fmt.Printf("trace:                %s (%d events)\n", tracePath, emitted)
-	}
-	return nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"voqsim/internal/dsweep"
 	"voqsim/internal/experiment"
-	"voqsim/internal/scenario"
 )
 
 // Distributed mode: `voqsweep -serve ADDR` turns the command into a
@@ -26,28 +25,6 @@ type serveOpts struct {
 	addr    string
 	ttl     time.Duration
 	verbose bool // stream fleet events (joins, losses, re-leases) to stderr
-}
-
-// trafficSpecFor maps the flag-built traffic family onto the scenario
-// form used as the worker wire spec, carrying only the parameters the
-// family reads so the spec JSON stays canonical.
-func trafficSpecFor(family string, b float64, maxFanout int, eOn, mcFrac, skew float64) (scenario.TrafficSpec, error) {
-	switch family {
-	case "bernoulli":
-		return scenario.TrafficSpec{Family: family, B: b}, nil
-	case "uniform":
-		return scenario.TrafficSpec{Family: family, MaxFanout: maxFanout}, nil
-	case "burst":
-		return scenario.TrafficSpec{Family: family, B: b, EOn: eOn}, nil
-	case "mixed":
-		return scenario.TrafficSpec{Family: family, MulticastFrac: mcFrac, MaxFanout: maxFanout}, nil
-	case "hotspot":
-		return scenario.TrafficSpec{Family: family, Skew: skew}, nil
-	case "diagonal":
-		return scenario.TrafficSpec{Family: family}, nil
-	default:
-		return scenario.TrafficSpec{}, fmt.Errorf("unknown traffic family %q", family)
-	}
 }
 
 // serveSweep runs the sweep as a fleet coordinator and emits the

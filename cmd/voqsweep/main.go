@@ -7,9 +7,12 @@
 //	voqsweep [flags]
 //
 //	-algos fifoms,tatra,islip,oqfifo   algorithms to compare
-//	-traffic bernoulli                 bernoulli | uniform | burst | mixed
+//	-traffic bernoulli                 bernoulli | uniform | burst | mixed |
+//	                                   hotspot | diagonal
 //	-loads 0.1,0.2,...                 swept effective loads
-//	-b, -maxfanout, -eon, -mcfrac      family shape parameters
+//	-b, -maxfanout, -eon, -mcfrac, -skew
+//	                                   family shape parameters (the traffic
+//	                                   flags of cmd/voqsim)
 //	-n, -slots, -seed, -workers        run setup
 //	-parallel R                        run R independent replications of every
 //	                                   point concurrently and merge them into one
@@ -54,8 +57,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -63,6 +64,7 @@ import (
 	"voqsim/internal/dsweep"
 	"voqsim/internal/experiment"
 	"voqsim/internal/fabric"
+	"voqsim/internal/obs"
 	"voqsim/internal/scenario"
 	"voqsim/internal/traffic"
 )
@@ -80,13 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		algosFlag   = fs.String("algos", "fifoms,tatra,islip,oqfifo", "comma-separated algorithms")
-		trafficK    = fs.String("traffic", "bernoulli", "traffic family: bernoulli|uniform|burst|mixed|hotspot|diagonal")
+		spec        = traffic.RegisterFlags(fs)
 		loadsFlag   = fs.String("loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.95", "comma-separated effective loads")
-		b           = fs.Float64("b", 0.2, "per-output probability (bernoulli, burst)")
-		maxFanout   = fs.Int("maxfanout", 8, "maximum fanout (uniform, mixed)")
-		eOn         = fs.Float64("eon", 16, "mean burst length (burst)")
-		mcFrac      = fs.Float64("mcfrac", 0.5, "multicast fraction (mixed)")
-		skew        = fs.Float64("skew", 4, "hot/cold load ratio (hotspot)")
 		n           = fs.Int("n", 16, "switch size N")
 		topoFlag    = fs.String("topology", "", "multi-stage fabric spec: fattree:k=K | clos:n=N,m=M,r=R (empty: single switch)")
 		slots       = fs.Int64("slots", 200_000, "slots per point")
@@ -143,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	stopProfiles, err := startProfiles(*cpuProf, *memProf, stderr)
+	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf, stderr)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -154,89 +151,95 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = progressPrinter(stderr)
 	}
 
+	// The scenario comes from a file or from the flags; everything after
+	// that is the same.
+	var sc *scenario.Scenario
+	var sweep *experiment.Sweep
 	if *configPath != "" {
-		return runScenario(*configPath, *metricsFlag, *csvPath, *jsonPath,
-			*checkRun, *fastRun, *resumeDir, *ckptEvery, *parallelR, serve, progress, stdout, stderr)
+		sc, sweep, err = fileScenario(*configPath)
+	} else {
+		sc, sweep, err = flagScenario(*algosFlag, *loadsFlag, *spec, *n, *topoFlag, *slots, *seed, *workers)
 	}
-
-	loads, err := parseLoads(*loadsFlag)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	algos, err := parseAlgos(*algosFlag)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	sizeLabel := fmt.Sprintf("%dx%d", *n, *n)
-	if *topoFlag != "" {
-		top, err := fabric.ParseSpec(*topoFlag)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		for i := range algos {
-			if algos[i], err = experiment.WithTopology(algos[i], top, fabric.Config{}); err != nil {
-				return fail(stderr, err)
-			}
-		}
-		// The engine drives the fabric's external ports; -n is not a
-		// free parameter on a topology sweep.
-		*n = top.Ingress()
-		sizeLabel = fmt.Sprintf("%s (%d ports)", top.Name(), *n)
-	}
-	pattern, title, err := patternFor(*trafficK, *b, *maxFanout, *eOn, *mcFrac, *skew)
-	if err != nil {
-		return fail(stderr, err)
-	}
+	sweep.Check = *checkRun
+	sweep.CheckpointDir = *resumeDir
+	sweep.CheckpointEvery = *ckptEvery
+	sweep.Replications = *parallelR
+	sweep.Progress = progress
+	sweep.Fast = *fastRun
 	metrics, err := parseMetrics(*metricsFlag)
 	if err != nil {
 		return fail(stderr, err)
 	}
-
-	sweep := &experiment.Sweep{
-		Name:            "sweep",
-		Title:           fmt.Sprintf("%s, %s", title, sizeLabel),
-		N:               *n,
-		Loads:           loads,
-		Algorithms:      algos,
-		Slots:           *slots,
-		Seed:            *seed,
-		Workers:         *workers,
-		Replications:    *parallelR,
-		Pattern:         pattern,
-		Check:           *checkRun,
-		CheckpointDir:   *resumeDir,
-		CheckpointEvery: *ckptEvery,
-		Progress:        progress,
-		Fast:            *fastRun,
-	}
 	if serve.addr != "" {
-		ts, err := trafficSpecFor(*trafficK, *b, *maxFanout, *eOn, *mcFrac, *skew)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		names := make([]string, len(algos))
-		for i, a := range algos {
-			names[i] = a.Name
-		}
-		spec := dsweep.Spec{
-			Scenario: scenario.Scenario{
-				Name:       sweep.Name,
-				N:          *n,
-				Slots:      *slots,
-				Seed:       *seed,
-				Traffic:    ts,
-				Algorithms: names,
-				Loads:      loads,
-			},
-			Check: *checkRun,
-		}
-		return serveSweep(sweep, spec, serve, metrics, *csvPath, *jsonPath, *checkRun, progress, stdout, stderr)
+		// The scenario itself is the wire spec the workers rebuild the
+		// points from.
+		wire := dsweep.Spec{Scenario: *sc, Check: *checkRun}
+		return serveSweep(sweep, wire, serve, metrics, *csvPath, *jsonPath, *checkRun, progress, stdout, stderr)
 	}
 	tbl, err := sweep.Run()
 	if err != nil {
 		return fail(stderr, err)
 	}
 	return emit(tbl, metrics, *csvPath, *jsonPath, *checkRun, stdout, stderr)
+}
+
+// fileScenario reads a version-controlled scenario file.
+func fileScenario(path string) (*scenario.Scenario, *experiment.Sweep, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	sc, err := scenario.Read(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	sweep, err := sc.Sweep()
+	return sc, sweep, err
+}
+
+// flagScenario writes the scenario the flags describe — the traffic in
+// its canonical form, so the wire spec of a served flag sweep is the
+// one a scenario file saying the same would send — and builds its
+// sweep, under the flag path's own report title and, with a topology,
+// with every algorithm lifted onto the fabric.
+func flagScenario(algos, loads string, spec traffic.Spec, n int, topology string, slots int64, seed uint64, workers int) (*scenario.Scenario, *experiment.Sweep, error) {
+	sc := &scenario.Scenario{Name: "sweep", N: n, Slots: slots, Seed: seed, Traffic: spec.Canonical()}
+	var err error
+	if sc.Loads, err = parseLoads(loads); err != nil {
+		return nil, nil, err
+	}
+	for _, tok := range strings.Split(algos, ",") {
+		sc.Algorithms = append(sc.Algorithms, strings.TrimSpace(tok))
+	}
+	sizeLabel := fmt.Sprintf("%dx%d", n, n)
+	if topology != "" {
+		top, err := fabric.ParseSpec(topology)
+		if err != nil {
+			return nil, nil, err
+		}
+		// The engine drives the fabric's external ports; -n is not a
+		// free parameter on a topology sweep.
+		sc.N = top.Ingress()
+		sizeLabel = fmt.Sprintf("%s (%d ports)", top.Name(), sc.N)
+	}
+	sweep, err := sc.Sweep()
+	if err != nil {
+		return nil, nil, err
+	}
+	sweep.Title = fmt.Sprintf("%s, %s", spec.Title(), sizeLabel)
+	sweep.Workers = workers
+	if topology != "" {
+		for i, name := range sc.Algorithms {
+			if sweep.Algorithms[i], _, err = experiment.Resolve(name, topology, sc.N, 0); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return sc, sweep, nil
 }
 
 // emit renders the finished table: formatted metrics to stdout, then
@@ -289,80 +292,6 @@ func reportCheck(tbl *experiment.Table, checked bool, stdout, stderr io.Writer) 
 	return 0
 }
 
-// startProfiles starts CPU profiling and/or arranges a heap profile,
-// returning a stop function to run when the measured work is done.
-// Either path may be empty. The heap profile is preceded by a GC so it
-// shows live steady-state memory, not garbage awaiting collection.
-func startProfiles(cpuPath, memPath string, stderr io.Writer) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(stderr, "memprofile: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}, nil
-}
-
-// runScenario executes a version-controlled scenario file, locally or
-// (with -serve) as a fleet coordinator handing the scenario itself to
-// workers as the wire spec.
-func runScenario(path, metricsFlag, csvPath, jsonPath string, checked, fast bool, resumeDir string, ckptEvery int64, reps int, serve serveOpts, progress func(experiment.Progress), stdout, stderr io.Writer) int {
-	f, err := os.Open(path)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	sc, err := scenario.Read(f)
-	f.Close()
-	if err != nil {
-		return fail(stderr, err)
-	}
-	sweep, err := sc.Sweep()
-	if err != nil {
-		return fail(stderr, err)
-	}
-	sweep.Check = sweep.Check || checked
-	sweep.CheckpointDir = resumeDir
-	sweep.CheckpointEvery = ckptEvery
-	sweep.Replications = reps
-	sweep.Progress = progress
-	sweep.Fast = fast
-	metrics, err := parseMetrics(metricsFlag)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if serve.addr != "" {
-		spec := dsweep.Spec{Scenario: *sc, Check: sweep.Check}
-		return serveSweep(sweep, spec, serve, metrics, csvPath, jsonPath, sweep.Check, progress, stdout, stderr)
-	}
-	tbl, err := sweep.Run()
-	if err != nil {
-		return fail(stderr, err)
-	}
-	return emit(tbl, metrics, csvPath, jsonPath, sweep.Check, stdout, stderr)
-}
-
 func parseLoads(s string) ([]float64, error) {
 	var loads []float64
 	for _, tok := range strings.Split(s, ",") {
@@ -373,18 +302,6 @@ func parseLoads(s string) ([]float64, error) {
 		loads = append(loads, v)
 	}
 	return loads, nil
-}
-
-func parseAlgos(s string) ([]experiment.Algorithm, error) {
-	var algos []experiment.Algorithm
-	for _, tok := range strings.Split(s, ",") {
-		a, err := experiment.ByName(strings.TrimSpace(tok))
-		if err != nil {
-			return nil, err
-		}
-		algos = append(algos, a)
-	}
-	return algos, nil
 }
 
 func parseMetrics(s string) ([]experiment.Metric, error) {
@@ -408,40 +325,6 @@ func parseMetrics(s string) ([]experiment.Metric, error) {
 		out = append(out, m)
 	}
 	return out, nil
-}
-
-func patternFor(family string, b float64, maxFanout int, eOn, mcFrac, skew float64) (experiment.PatternFunc, string, error) {
-	switch family {
-	case "bernoulli":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, b, n)
-		}, fmt.Sprintf("Bernoulli traffic, b=%g", b), nil
-	case "uniform":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.UniformAtLoad(load, maxFanout, n)
-		}, fmt.Sprintf("Uniform traffic, maxFanout=%d", maxFanout), nil
-	case "burst":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BurstAtLoad(load, b, eOn, n)
-		}, fmt.Sprintf("Burst traffic, b=%g, Eon=%g", b, eOn), nil
-	case "mixed":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.MixedAtLoad(load, mcFrac, maxFanout, n)
-		}, fmt.Sprintf("Mixed traffic, mc=%g, maxFanout=%d", mcFrac, maxFanout), nil
-	case "hotspot":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.HotspotAtLoad(load, skew, n)
-		}, fmt.Sprintf("Hotspot traffic, skew=%g", skew), nil
-	case "diagonal":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			if load > 1 {
-				return nil, fmt.Errorf("diagonal load %v exceeds 1", load)
-			}
-			return traffic.Diagonal{P: load}, nil
-		}, "Diagonal traffic", nil
-	default:
-		return nil, "", fmt.Errorf("unknown traffic family %q", family)
-	}
 }
 
 func writeFile(path string, write func(*os.File) error) error {

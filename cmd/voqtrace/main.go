@@ -7,7 +7,8 @@
 //
 //	voqtrace record [flags] > trace.jsonl
 //	    -traffic bernoulli -load 0.8 -b 0.2 -n 16 -slots 100000 -seed 1
-//	    (same traffic flags as cmd/voqsim)
+//	    (the traffic flags of cmd/voqsim: -traffic -b -maxfanout -eon
+//	    -mcfrac -skew)
 //
 //	voqtrace run -algo fifoms [-check] < trace.jsonl
 //	    replays the trace and prints the run's statistics; -check
@@ -36,7 +37,6 @@ import (
 	"fmt"
 	"os"
 
-	"voqsim/internal/check"
 	"voqsim/internal/experiment"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
@@ -77,32 +77,15 @@ func usage() {
 func record(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	var (
-		trafficK  = fs.String("traffic", "bernoulli", "bernoulli|uniform|burst|mixed")
-		load      = fs.Float64("load", 0.8, "target effective load")
-		b         = fs.Float64("b", 0.2, "per-output probability")
-		maxFanout = fs.Int("maxfanout", 8, "maximum fanout")
-		eOn       = fs.Float64("eon", 16, "mean burst length")
-		mcFrac    = fs.Float64("mcfrac", 0.5, "multicast fraction")
-		n         = fs.Int("n", 16, "switch size")
-		slots     = fs.Int64("slots", 100_000, "slots to record")
-		seed      = fs.Uint64("seed", 1, "seed")
+		spec  = traffic.RegisterFlags(fs)
+		load  = fs.Float64("load", 0.8, "target effective load")
+		n     = fs.Int("n", 16, "switch size")
+		slots = fs.Int64("slots", 100_000, "slots to record")
+		seed  = fs.Uint64("seed", 1, "seed")
 	)
 	fs.Parse(args)
 
-	var pat traffic.Pattern
-	var err error
-	switch *trafficK {
-	case "bernoulli":
-		pat, err = traffic.BernoulliAtLoad(*load, *b, *n)
-	case "uniform":
-		pat, err = traffic.UniformAtLoad(*load, *maxFanout, *n)
-	case "burst":
-		pat, err = traffic.BurstAtLoad(*load, *b, *eOn, *n)
-	case "mixed":
-		pat, err = traffic.MixedAtLoad(*load, *mcFrac, *maxFanout, *n)
-	default:
-		return fmt.Errorf("unknown traffic family %q", *trafficK)
-	}
+	pat, err := spec.AtLoad(*load, *n)
 	if err != nil {
 		return err
 	}
@@ -127,32 +110,30 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The switch-side derivation Split("switch", 0) is pinned across
-	// voqsim, voqd and here: replaying a daemon's recorded arrival
-	// transcript with the daemon's algo and seed reproduces the live
-	// delivery stream draw for draw, and with -check certifies it
-	// against the full invariant catalogue (docs/OPERATIONS.md).
-	sw := a.New(tr.N, xrand.New(*seed).Split("switch", 0))
 	// WarmupFrac -1 disables the warmup cut: a replayed trace is the
 	// whole population (a daemon transcript's traffic may sit anywhere
 	// in the slot range), so the reported statistics cover every
 	// recorded arrival — the delay/throughput numbers are directly
 	// comparable with the live daemon's own counters.
 	cfg := switchsim.Config{Slots: tr.Slots, Seed: *seed, WarmupFrac: -1}
-	if *chk {
-		res, ck, cerr := switchsim.CheckedRun(a.Name, sw, tr.Pattern(), cfg, xrand.New(*seed), check.Options{})
-		fmt.Println(res.Describe())
-		if cerr != nil {
-			for _, v := range ck.Violations() {
-				fmt.Fprintf(os.Stderr, "violation: %v\n", v)
-			}
-			return cerr
-		}
-		fmt.Println("check: all invariants held")
+	// RunSeeding's switch substream is the one voqsim and voqd derive:
+	// replaying a daemon's recorded arrival transcript with the daemon's
+	// algo and seed reproduces the live delivery stream draw for draw,
+	// and with -check certifies it against the full invariant catalogue
+	// (docs/OPERATIONS.md). The replayed sources draw nothing.
+	runner, ck, release := experiment.RunSeeding.NewRunner(a, tr.N, tr.Pattern(), cfg, nil, *chk)
+	defer release()
+	fmt.Println(runner.Run(a.Name).Describe())
+	if ck == nil {
 		return nil
 	}
-	res := switchsim.New(sw, tr.Pattern(), cfg, xrand.New(*seed)).Run(a.Name)
-	fmt.Println(res.Describe())
+	if err := ck.Err(); err != nil {
+		for _, v := range ck.Violations() {
+			fmt.Fprintf(os.Stderr, "violation: %v\n", v)
+		}
+		return err
+	}
+	fmt.Println("check: all invariants held")
 	return nil
 }
 

@@ -39,10 +39,11 @@ func fabricDeliveryHash(tb testing.TB, algo Scheduler, seed uint64) (uint64, int
 		Slots:     2_000,
 		Seed:      seed,
 	}
-	runner, name, err := buildRunner(cfg)
+	runner, name, release, err := buildRunner(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	defer release()
 	h := fnv.New64a()
 	var buf [33]byte
 	var copies int64

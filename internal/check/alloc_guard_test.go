@@ -43,7 +43,7 @@ func benchSteadySlot(b *testing.B) {
 // TestUncheckedSlotZeroAllocs guards the checker's disabled cost: a
 // switch that is simply not wrapped must keep the allocation-free
 // per-slot path it had before the checker existed. Wiring the checker
-// into switchsim/cmd is all opt-in indirection (CheckedRun, -check), so
+// into switchsim/cmd is all opt-in indirection (NewChecked, -check), so
 // the default path here is the same code the tier-1 benchmarks run —
 // this pin fails if checker support ever leaks an allocation into it.
 func TestUncheckedSlotZeroAllocs(t *testing.T) {

@@ -278,8 +278,10 @@ type Checker struct {
 	perInResident    []int64
 	perInOutstanding []int64
 
-	// Event capture (I7/I8).
+	// Event capture (I7/I8). outer is the caller's tracer (SetObserver):
+	// it receives each slot's events once they are verified.
 	tracer     *obs.Tracer
+	outer      *obs.Tracer
 	events     []obs.Event
 	arrivals   []cell.Packet // ID/Input/Arrival + fanout via aux
 	arrFanout  []int
@@ -387,6 +389,32 @@ func (c *Checker) BufferedCells() int64 { return c.inner.BufferedCells() }
 
 // Inner returns the wrapped switch as driven (not unwrapped).
 func (c *Checker) Inner() Switch { return c.inner }
+
+// SetObserver lets a checked run be instrumented like a bare one (it is
+// the engine's Observable surface). The wrapped switch has one observer
+// slot and the checker's event capture stays in it: o's metrics
+// registry is handed to the switch as is, and trace events reach
+// o.Trace through the checker, in emission order, once verifyEvents has
+// checked the slot they belong to — the caller's trace is the one an
+// unchecked run writes. A nil o detaches the caller, never the checker.
+// Nothing is attached when the wrapped architecture is not observable.
+func (c *Checker) SetObserver(o *obs.Observer) {
+	ob, ok := c.base.(observable)
+	if !ok {
+		return
+	}
+	if c.tracer == nil {
+		// Options.NoEvents: the checker holds no slot to share.
+		ob.SetObserver(o)
+		return
+	}
+	inner := &obs.Observer{Trace: c.tracer}
+	c.outer = nil
+	if o != nil {
+		inner.Metrics, c.outer = o.Metrics, o.Trace
+	}
+	ob.SetObserver(inner)
+}
 
 // Arrive records the packet in the shadow model and forwards it.
 func (c *Checker) Arrive(p *cell.Packet) {
@@ -848,6 +876,11 @@ func (c *Checker) verifyEvents(slot int64) {
 			}
 		}
 	}
+	if c.outer != nil {
+		for _, e := range c.events {
+			c.outer.Emit(e)
+		}
+	}
 	c.events = c.events[:0]
 	c.arrivals = c.arrivals[:0]
 	c.arrFanout = c.arrFanout[:0]
@@ -871,6 +904,10 @@ func (c *Checker) Violations() []Violation { return c.violations }
 
 // Total returns the total number of violations observed.
 func (c *Checker) Total() int { return c.total }
+
+// Slots returns the number of slots checked so far: the slots stepped
+// through this checker, which after a restore are fewer than the run's.
+func (c *Checker) Slots() int64 { return c.slots }
 
 // Err returns nil if the run was clean, or an *Error describing the
 // violations.

@@ -66,9 +66,7 @@ func Fig4(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: o.algorithms(),
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.2, n)
-		},
+		Pattern:    traffic.Spec{Family: "bernoulli", B: 0.2}.AtLoad,
 	}
 }
 
@@ -86,9 +84,7 @@ func Fig5(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: algos,
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.2, n)
-		},
+		Pattern:    traffic.Spec{Family: "bernoulli", B: 0.2}.AtLoad,
 	}
 }
 
@@ -102,9 +98,7 @@ func Fig6(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: o.algorithms(),
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.UniformAtLoad(load, 1, n)
-		},
+		Pattern:    traffic.Spec{Family: "uniform", MaxFanout: 1}.AtLoad,
 	}
 }
 
@@ -118,9 +112,7 @@ func Fig7(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: o.algorithms(),
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.UniformAtLoad(load, 8, n)
-		},
+		Pattern:    traffic.Spec{Family: "uniform", MaxFanout: 8}.AtLoad,
 	}
 }
 
@@ -135,9 +127,7 @@ func Fig8(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: o.algorithms(),
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BurstAtLoad(load, 0.5, 16, n)
-		},
+		Pattern:    traffic.Spec{Family: "burst", B: 0.5, EOn: 16}.AtLoad,
 	}
 }
 
@@ -152,9 +142,7 @@ func AblationRounds(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: []Algorithm{FIFOMSRounds(1), FIFOMSRounds(2), FIFOMSRounds(4), FIFOMS},
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.2, n)
-		},
+		Pattern:    traffic.Spec{Family: "bernoulli", B: 0.2}.AtLoad,
 	}
 }
 
@@ -169,9 +157,7 @@ func AblationSplitting(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: []Algorithm{FIFOMS, FIFOMSNoSplit},
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.2, n)
-		},
+		Pattern:    traffic.Spec{Family: "bernoulli", B: 0.2}.AtLoad,
 	}
 }
 
@@ -187,9 +173,7 @@ func AblationCriterion(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: []Algorithm{FIFOMS, LQFMS},
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.2, n)
-		},
+		Pattern:    traffic.Spec{Family: "bernoulli", B: 0.2}.AtLoad,
 	}
 }
 
@@ -204,9 +188,7 @@ func Speedup(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: []Algorithm{FIFOMS, CIOQ(2), CIOQ(4), OQFIFO},
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.2, n)
-		},
+		Pattern:    traffic.Spec{Family: "bernoulli", B: 0.2}.AtLoad,
 	}
 }
 
@@ -221,9 +203,7 @@ func HotspotTraffic(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: o.algorithms(),
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.HotspotAtLoad(load, 4, n)
-		},
+		Pattern:    traffic.Spec{Family: "hotspot", Skew: 4}.AtLoad,
 	}
 }
 
@@ -239,9 +219,7 @@ func Industry(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: []Algorithm{FIFOMS, ESLIP, ISLIP, OQFIFO},
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.2, n)
-		},
+		Pattern:    traffic.Spec{Family: "bernoulli", B: 0.2}.AtLoad,
 	}
 }
 
@@ -257,9 +235,7 @@ func Memory(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: []Algorithm{FIFOMS, ISLIP, TATRA, OQFIFO},
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.UniformAtLoad(load, 8, n)
-		},
+		Pattern:    traffic.Spec{Family: "uniform", MaxFanout: 8}.AtLoad,
 	}
 }
 
@@ -274,9 +250,7 @@ func MixedTraffic(o Options) *Sweep {
 		N:     o.N, Slots: o.Slots, Seed: o.Seed, Workers: o.Workers,
 		Loads:      o.loads(defaultLoads),
 		Algorithms: o.algorithms(),
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.MixedAtLoad(load, 0.5, 8, n)
-		},
+		Pattern:    traffic.Spec{Family: "mixed", MulticastFrac: 0.5, MaxFanout: 8}.AtLoad,
 	}
 }
 

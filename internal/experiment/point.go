@@ -98,7 +98,7 @@ func (s *Sweep) SaveFinishedPoint(ai, li int, pt Point) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(doneFile, append(data, '\n')); err != nil {
+	if err := WriteFileAtomic(doneFile, append(data, '\n')); err != nil {
 		return err
 	}
 	os.Remove(snapFile)

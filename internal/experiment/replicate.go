@@ -7,7 +7,6 @@ import (
 	"voqsim/internal/core"
 	"voqsim/internal/stats"
 	"voqsim/internal/switchsim"
-	"voqsim/internal/xrand"
 )
 
 // Independent replications: the statistically rigorous way to put a
@@ -110,11 +109,9 @@ func Replicate(cfg ReplicateConfig) (*ReplicateSummary, error) {
 	runs := make([]switchsim.Results, cfg.Replications)
 	runShards(cfg.Workers, cfg.Replications, nil, func(rep int, pool *core.ArenaPool) string {
 		seed := cfg.Seed ^ (uint64(rep)+1)*0xbf58476d1ce4e5b9
-		sw := cfg.Algorithm.New(cfg.N, xrand.New(seed).Split("switch", 0))
-		release := adoptPooledArena(sw, cfg.N, pool)
-		runs[rep] = switchsim.New(sw, pat,
-			switchsim.Config{Slots: cfg.Slots, Seed: seed},
-			xrand.New(seed).Split("traffic", 0)).Run(cfg.Algorithm.Name)
+		r, _, release := RunSeeding.NewRunner(cfg.Algorithm, cfg.N, pat,
+			switchsim.Config{Slots: cfg.Slots, Seed: seed}, pool, false)
+		runs[rep] = r.Run(cfg.Algorithm.Name)
 		release()
 		return fmt.Sprintf("%s rep %d", cfg.Algorithm.Name, rep)
 	})

@@ -56,7 +56,7 @@ func (s *Sweep) runPoint(ai, li int, pool *core.ArenaPool) Point {
 		Resume:          blob,
 		CheckpointEvery: s.CheckpointEvery,
 		Checkpoint: func(_ int64, snapshot []byte) {
-			writeFileAtomic(snapFile, snapshot) // best-effort, see package comment
+			WriteFileAtomic(snapFile, snapshot) // best-effort, see package comment
 		},
 		Pool: pool,
 	})
@@ -66,9 +66,9 @@ func (s *Sweep) runPoint(ai, li int, pool *core.ArenaPool) Point {
 	return pt
 }
 
-// writeFileAtomic writes data under a temporary name and renames it
+// WriteFileAtomic writes data under a temporary name and renames it
 // into place, so readers never observe a half-written file.
-func writeFileAtomic(path string, data []byte) error {
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err

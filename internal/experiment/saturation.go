@@ -2,12 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
+	"voqsim/internal/core"
 	"voqsim/internal/switchsim"
-	"voqsim/internal/xrand"
 )
 
 // The saturation experiment measures each algorithm's maximum
@@ -58,23 +56,10 @@ func Saturation(cfg SaturationConfig) ([]SaturationResult, error) {
 		return nil, fmt.Errorf("experiment: incomplete saturation config")
 	}
 	results := make([]SaturationResult, len(cfg.Algorithms))
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, algo := range cfg.Algorithms {
-		wg.Add(1)
-		go func(i int, algo Algorithm) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = saturate(cfg, algo)
-		}(i, algo)
-	}
-	wg.Wait()
+	runShards(cfg.Workers, len(cfg.Algorithms), nil, func(i int, _ *core.ArenaPool) string {
+		results[i] = saturate(cfg, cfg.Algorithms[i])
+		return cfg.Algorithms[i].Name
+	})
 	return results, nil
 }
 
@@ -86,10 +71,10 @@ func stableProbe(cfg SaturationConfig, algo Algorithm, load float64) bool {
 		return false
 	}
 	seed := cfg.Seed ^ uint64(load*1e6)
-	sw := algo.New(cfg.N, xrand.New(seed).Split("switch", 0))
-	res := switchsim.New(sw, pat, switchsim.Config{Slots: cfg.Slots, Seed: seed},
-		xrand.New(seed).Split("traffic", 0)).Run(algo.Name)
-	return !res.Unstable
+	r, _, release := RunSeeding.NewRunner(algo, cfg.N, pat,
+		switchsim.Config{Slots: cfg.Slots, Seed: seed}, nil, false)
+	defer release()
+	return !r.Run(algo.Name).Unstable
 }
 
 func saturate(cfg SaturationConfig, algo Algorithm) SaturationResult {

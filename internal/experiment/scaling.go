@@ -2,14 +2,12 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
+	"voqsim/internal/core"
 	"voqsim/internal/hw"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
-	"voqsim/internal/xrand"
 )
 
 // The scaling experiment backs Section IV.C's complexity analysis:
@@ -69,23 +67,10 @@ func Scaling(cfg ScalingConfig) ([]ScalingPoint, error) {
 	cfg = cfg.withDefaults()
 	points := make([]ScalingPoint, len(cfg.Sizes))
 	errs := make([]error, len(cfg.Sizes))
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, n := range cfg.Sizes {
-		wg.Add(1)
-		go func(i, n int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			points[i], errs[i] = scalingPoint(cfg, n, uint64(i))
-		}(i, n)
-	}
-	wg.Wait()
+	runShards(cfg.Workers, len(cfg.Sizes), nil, func(i int, _ *core.ArenaPool) string {
+		points[i], errs[i] = scalingPoint(cfg, cfg.Sizes[i], uint64(i))
+		return fmt.Sprintf("N=%d", cfg.Sizes[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -100,9 +85,10 @@ func scalingPoint(cfg ScalingConfig, n int, idx uint64) (ScalingPoint, error) {
 		return ScalingPoint{}, fmt.Errorf("experiment: scaling at N=%d: %w", n, err)
 	}
 	seed := cfg.Seed ^ (idx+1)*0x9e3779b97f4a7c15
-	sw := FIFOMS.New(n, xrand.New(seed).Split("switch", 0))
-	res := switchsim.New(sw, pat, switchsim.Config{Slots: cfg.Slots, Seed: seed},
-		xrand.New(seed).Split("traffic", 0)).Run("fifoms")
+	r, _, release := RunSeeding.NewRunner(FIFOMS, n, pat,
+		switchsim.Config{Slots: cfg.Slots, Seed: seed}, nil, false)
+	defer release()
+	res := r.Run(FIFOMS.Name)
 
 	lat := hw.DefaultLatency
 	return ScalingPoint{

@@ -9,7 +9,6 @@ import (
 	"voqsim/internal/core"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
-	"voqsim/internal/xrand"
 )
 
 // PatternFunc builds the traffic pattern offering the given effective
@@ -223,33 +222,21 @@ func (s *Sweep) runCell(ai, li, rep int, pr PointRun) Point {
 	return pt
 }
 
-// pointRunner builds the runner of one replication of a grid cell,
-// wrapped in the invariant checker when the sweep asks for checking,
-// running on a recycled arena when the worker's pool has one. The
-// release function must be called once the run is over. The point seed
-// mixes the sweep seed with the grid coordinates, so every point is
-// independent and re-running the sweep — with any worker count —
-// reproduces it exactly; the derivation is pinned — checkpoint blobs
-// embed the derived seed, so changing it would orphan every saved
+// pointRunner builds the runner of one replication of a grid cell
+// (NewRunner under the sweep's labeling, pool and Check setting). The
+// point seed mixes the sweep seed with the grid coordinates, so every
+// point is independent and re-running the sweep — with any worker
+// count — reproduces it exactly; the derivation is pinned — checkpoint
+// blobs embed the derived seed, so changing it would orphan every saved
 // checkpoint. Replication 0 uses the point seed unchanged; higher
 // replications mix in their index, giving every replication an
 // independent substream that is still a pure function of
 // (sweep seed, ai, li, rep).
 func (s *Sweep) pointRunner(ai, li, rep int, pat traffic.Pattern, pool *core.ArenaPool) (*switchsim.Runner, *invcheck.Checker, func()) {
-	algo := s.Algorithms[ai]
 	seed := s.Seed ^ (uint64(ai)+1)*0x9e3779b97f4a7c15 ^ (uint64(li)+1)*0xd6e8feb86659fd93
 	seed ^= uint64(rep) * 0x94d049bb133111eb
-	trafficRoot := xrand.New(seed).Split("run-traffic", 0)
-	switchRoot := xrand.New(seed).Split("run-switch", 0)
-
-	sw := algo.New(s.N, switchRoot)
-	release := adoptPooledArena(sw, s.N, pool)
 	cfg := switchsim.Config{Slots: s.Slots, Seed: seed, UnstableCellLimit: s.UnstableCap, Fast: s.Fast}
-	if s.Check {
-		r, ck := switchsim.NewChecked(sw, pat, cfg, trafficRoot, invcheck.Options{})
-		return r, ck, release
-	}
-	return switchsim.New(sw, pat, cfg, trafficRoot), nil, release
+	return pointSeeding.NewRunner(s.Algorithms[ai], s.N, pat, cfg, pool, s.Check)
 }
 
 // CheckFailures lists every point of a checked sweep that drew an

@@ -102,9 +102,10 @@ func TestFabricChecked(t *testing.T) {
 	f := newFabric(t, top, "fifoms", fabric.Config{}, 23)
 	pat := traffic.Bernoulli{P: 0.3, B: 0.12}
 	cfg := switchsim.Config{Slots: 1200, Seed: 23, WarmupFrac: 0.25}
-	_, ck, err := switchsim.CheckedRun("fifoms@fattree", f, pat, cfg,
+	r, ck := switchsim.NewChecked(f, pat, cfg,
 		xrand.New(23).Split("traffic", 0), check.Options{Every: 16})
-	if err != nil {
+	r.Run("fifoms@fattree")
+	if err := ck.Err(); err != nil {
 		t.Fatalf("checked fat-tree run: %v", err)
 	}
 	if ck.Profile() != "fabric/fattree:k=4" {
@@ -125,9 +126,10 @@ func TestFabricCheckedWithDrops(t *testing.T) {
 	f := newFabric(t, top, "fifoms", fabric.Config{LinkCapacity: 1, MaxInputCells: 4}, 5)
 	pat := traffic.Bernoulli{P: 0.7, B: 0.4}
 	cfg := switchsim.Config{Slots: 800, Seed: 5, WarmupFrac: 0.25, UnstableCellLimit: 1 << 30}
-	res, _, err := switchsim.CheckedRun("fifoms@clos", f, pat, cfg,
+	r, ck := switchsim.NewChecked(f, pat, cfg,
 		xrand.New(5).Split("traffic", 0), check.Options{Every: 8})
-	if err != nil {
+	res := r.Run("fifoms@clos")
+	if err := ck.Err(); err != nil {
 		t.Fatalf("checked run with drops: %v", err)
 	}
 	st := f.FabricStats()

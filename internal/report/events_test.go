@@ -12,7 +12,6 @@ import (
 	"voqsim/internal/obs"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
-	"voqsim/internal/xrand"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -20,22 +19,19 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // tracedRun runs a small deterministic 4x4 FIFOMS simulation with the
 // observability layer attached, streaming its event trace into a
 // buffer, and returns the JSONL bytes plus the run's results. Warmup
-// is disabled so every delivery counts.
-func tracedRun(t *testing.T, slots int64) ([]byte, switchsim.Results) {
+// is disabled so every delivery counts. With checked set the run goes
+// through the invariant checker, which must hand on the same events and
+// find nothing.
+func tracedRun(t *testing.T, slots int64, checked bool) ([]byte, switchsim.Results) {
 	t.Helper()
 	const n, seed = 4, 2004
 	pat, err := traffic.BernoulliAtLoad(0.6, 0.3, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := experiment.ByName("fifoms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedRoot := xrand.New(seed)
-	sw := a.New(n, seedRoot.Split("switch", 0))
 	cfg := switchsim.Config{Slots: slots, WarmupFrac: -1, Seed: seed}
-	runner := switchsim.New(sw, pat, cfg, seedRoot.Split("traffic", 0))
+	runner, ck, release := experiment.RunSeeding.NewRunner(experiment.FIFOMS, n, pat, cfg, nil, checked)
+	defer release()
 
 	var buf bytes.Buffer
 	tr := obs.NewTracer(64) // tiny ring: exercises mid-run streaming
@@ -51,16 +47,26 @@ func tracedRun(t *testing.T, slots int64) ([]byte, switchsim.Results) {
 	if tr.Dropped() != 0 {
 		t.Fatalf("streaming tracer dropped %d events", tr.Dropped())
 	}
+	if checked && ck.Err() != nil {
+		t.Fatalf("checker verdict on the traced run: %v", ck.Err())
+	}
 	return buf.Bytes(), res
 }
 
 // TestTraceGolden pins the wire format and the event stream of a tiny
 // deterministic run: the simulator draws all randomness from xrand
 // (pure uint64 arithmetic), so the trace is bit-identical across
-// platforms. Regenerate with: go test ./internal/report/ -run
-// TraceGolden -update
+// platforms. The same bytes must come out when the run is instrumented
+// through the invariant checker (Checker.SetObserver). Regenerate with:
+// go test ./internal/report/ -run TraceGolden -update
 func TestTraceGolden(t *testing.T) {
-	got, _ := tracedRun(t, 20)
+	for _, checked := range []bool{false, true} {
+		testTraceGolden(t, checked)
+	}
+}
+
+func testTraceGolden(t *testing.T, checked bool) {
+	got, _ := tracedRun(t, 20, checked)
 	golden := filepath.Join("testdata", "trace_4x4_fifoms.jsonl")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -78,10 +84,10 @@ func TestTraceGolden(t *testing.T) {
 		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("trace diverges from golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+				t.Fatalf("checked=%v: trace diverges from golden at line %d:\n got: %s\nwant: %s", checked, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("trace length differs from golden: got %d lines, want %d", len(gl), len(wl))
+		t.Fatalf("checked=%v: trace length differs from golden: got %d lines, want %d", checked, len(gl), len(wl))
 	}
 }
 
@@ -91,7 +97,7 @@ func TestTraceGolden(t *testing.T) {
 // completed-packet counts, and its arrival events the offered-packet
 // count.
 func TestTraceReplaysToDeliveredCount(t *testing.T) {
-	raw, res := tracedRun(t, 400)
+	raw, res := tracedRun(t, 400, false)
 	events, err := ReadEventsJSONL(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +131,7 @@ func TestTraceReplaysToDeliveredCount(t *testing.T) {
 // TestEventsCSVRoundTrip sanity-checks the CSV exporter against the
 // same run.
 func TestEventsCSV(t *testing.T) {
-	raw, _ := tracedRun(t, 20)
+	raw, _ := tracedRun(t, 20, false)
 	events, err := ReadEventsJSONL(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)

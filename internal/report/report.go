@@ -271,12 +271,8 @@ func writeSaturation(w io.Writer, eo experiment.Options, slots int64) error {
 		title   string
 		pattern experiment.PatternFunc
 	}{
-		{"unicast (uniform, maxFanout=1)", func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.UniformAtLoad(load, 1, n)
-		}},
-		{"multicast (Bernoulli, b=0.2)", func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.2, n)
-		}},
+		{"unicast (uniform, maxFanout=1)", traffic.Spec{Family: "uniform", MaxFanout: 1}.AtLoad},
+		{"multicast (Bernoulli, b=0.2)", traffic.Spec{Family: "bernoulli", B: 0.2}.AtLoad},
 	}
 	probe := slots / 4
 	if probe < 20_000 {

@@ -32,15 +32,10 @@ import (
 	"voqsim/internal/traffic"
 )
 
-// TrafficSpec is the traffic part of a scenario.
-type TrafficSpec struct {
-	Family        string  `json:"family"`
-	B             float64 `json:"b,omitempty"`
-	MaxFanout     int     `json:"maxFanout,omitempty"`
-	EOn           float64 `json:"eOn,omitempty"`
-	MulticastFrac float64 `json:"multicastFrac,omitempty"`
-	Skew          float64 `json:"skew,omitempty"`
-}
+// TrafficSpec is the traffic part of a scenario: the family table's
+// own description (internal/traffic), under the name scenario files
+// and the distributed-sweep wire spec have always used.
+type TrafficSpec = traffic.Spec
 
 // Scenario is one experiment specification.
 type Scenario struct {
@@ -90,8 +85,8 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("scenario %q: non-positive load %v", s.Name, l)
 		}
 	}
-	if _, err := s.patternFunc(); err != nil {
-		return err
+	if err := s.Traffic.Validate(); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	for _, a := range s.Algorithms {
 		if _, err := experiment.ByName(a); err != nil {
@@ -101,48 +96,9 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-func (s *Scenario) patternFunc() (experiment.PatternFunc, error) {
-	t := s.Traffic
-	switch t.Family {
-	case "bernoulli":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, t.B, n)
-		}, nil
-	case "uniform":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.UniformAtLoad(load, t.MaxFanout, n)
-		}, nil
-	case "burst":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BurstAtLoad(load, t.B, t.EOn, n)
-		}, nil
-	case "mixed":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.MixedAtLoad(load, t.MulticastFrac, t.MaxFanout, n)
-		}, nil
-	case "hotspot":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.HotspotAtLoad(load, t.Skew, n)
-		}, nil
-	case "diagonal":
-		return func(load float64, n int) (traffic.Pattern, error) {
-			if load > 1 {
-				return nil, fmt.Errorf("scenario: diagonal load %v exceeds 1", load)
-			}
-			return traffic.Diagonal{P: load}, nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("scenario %q: unknown traffic family %q", s.Name, t.Family)
-	}
-}
-
 // Sweep converts the scenario into a runnable experiment sweep.
 func (s *Scenario) Sweep() (*experiment.Sweep, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	pattern, err := s.patternFunc()
-	if err != nil {
 		return nil, err
 	}
 	algos := make([]experiment.Algorithm, 0, len(s.Algorithms))
@@ -162,7 +118,7 @@ func (s *Scenario) Sweep() (*experiment.Sweep, error) {
 		Slots:      s.Slots,
 		Seed:       s.Seed,
 		Workers:    s.Workers,
-		Pattern:    pattern,
+		Pattern:    s.Traffic.AtLoad,
 	}, nil
 }
 

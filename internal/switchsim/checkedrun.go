@@ -6,73 +6,17 @@ import (
 	"voqsim/internal/xrand"
 )
 
-// CheckedRun runs the same simulation as New(...).Run(name) with the
-// switch wrapped in the runtime invariant checker (internal/check).
-// The measured Results are identical to an unchecked run — the checker
-// draws no randomness and forwards the switch's optional reporter
-// capabilities — so perf and correctness PRs can flip checking on
-// without disturbing any baseline numbers. The returned error is the
-// checker's verdict (nil for a clean run); Results are valid either
-// way.
-func CheckedRun(name string, sw Switch, pat traffic.Pattern, cfg Config, root *xrand.Rand, opt check.Options) (Results, *check.Checker, error) {
-	r, ck := NewChecked(sw, pat, cfg, root, opt)
-	res := r.Run(name)
-	return res, ck, ck.Err()
-}
-
-// NewChecked is New with the switch wrapped in the invariant checker,
-// reporter capabilities forwarded. The returned runner supports the
-// full checkpoint surface: restoring a snapshot into it primes the
+// NewChecked is New with the switch wrapped in the runtime invariant
+// checker (internal/check); ck.Err() after the run is its verdict. The
+// measured Results are identical to an unchecked run's — the checker
+// draws no randomness, and the engine reads the switch's optional
+// reporter capabilities through it (see capabilities) — so checking can
+// be flipped on without disturbing any baseline number. The runner
+// supports everything a bare one does: Instrument reaches the switch by
+// way of Checker.SetObserver, and restoring a snapshot primes the
 // checker's shadow model from the restored buffer content, so the
 // invariants keep holding across a resume.
 func NewChecked(sw Switch, pat traffic.Pattern, cfg Config, root *xrand.Rand, opt check.Options) (*Runner, *check.Checker) {
 	ck := check.Wrap(sw, opt)
-	return New(checkedSwitch(sw, ck), pat, cfg, root), ck
+	return New(ck, pat, cfg, root), ck
 }
-
-// checkedSwitch wraps the checker so that the engine still sees the
-// inner switch's RoundsReporter/BytesReporter capabilities. It
-// deliberately does not forward Observable: the checker owns the
-// switch's observer slot while checking is on (so Instrument on a
-// checked run reports false instead of silently detaching the
-// checker's event capture).
-func checkedSwitch(sw Switch, ck *check.Checker) Switch {
-	rr, hasRounds := sw.(RoundsReporter)
-	br, hasBytes := sw.(BytesReporter)
-	base := checkedBase{ck}
-	switch {
-	case hasRounds && hasBytes:
-		return &checkedBoth{base, rr, br}
-	case hasRounds:
-		return &checkedRounds{base, rr}
-	case hasBytes:
-		return &checkedBytes{base, br}
-	default:
-		return &base
-	}
-}
-
-type checkedBase struct{ *check.Checker }
-
-type checkedRounds struct {
-	checkedBase
-	rr RoundsReporter
-}
-
-func (c *checkedRounds) LastRounds() int { return c.rr.LastRounds() }
-
-type checkedBytes struct {
-	checkedBase
-	br BytesReporter
-}
-
-func (c *checkedBytes) BufferedBytes() int64 { return c.br.BufferedBytes() }
-
-type checkedBoth struct {
-	checkedBase
-	rr RoundsReporter
-	br BytesReporter
-}
-
-func (c *checkedBoth) LastRounds() int      { return c.rr.LastRounds() }
-func (c *checkedBoth) BufferedBytes() int64 { return c.br.BufferedBytes() }

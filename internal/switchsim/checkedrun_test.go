@@ -11,7 +11,7 @@ import (
 	"voqsim/internal/xrand"
 )
 
-// TestCheckedRunMatchesRun pins CheckedRun's contract: the measured
+// TestCheckedRunMatchesRun pins NewChecked's contract: the measured
 // Results of a checked run are identical — field for field, including
 // the optional rounds and buffer-bytes series — to an unchecked run of
 // the same seed, and a correct switch draws a nil verdict.
@@ -42,9 +42,10 @@ func TestCheckedRunMatchesRun(t *testing.T) {
 				Run(tc.name)
 
 			root = xrand.New(seed)
-			checked, ck, err := CheckedRun(tc.name, tc.build(n, root.Split("switch", 0)),
+			r, ck := NewChecked(tc.build(n, root.Split("switch", 0)),
 				pat, cfg, root.Split("traffic", 0), check.Options{})
-			if err != nil {
+			checked := r.Run(tc.name)
+			if err := ck.Err(); err != nil {
 				t.Fatalf("checker verdict: %v", err)
 			}
 			if ck.Total() != 0 {
@@ -57,8 +58,8 @@ func TestCheckedRunMatchesRun(t *testing.T) {
 	}
 }
 
-// TestCheckedRunCatchesMutant pins that a checker verdict surfaces
-// through CheckedRun's error.
+// TestCheckedRunCatchesMutant pins that a faulty switch draws a checker
+// verdict through NewChecked's runner.
 func TestCheckedRunCatchesMutant(t *testing.T) {
 	const n, seed = 4, 3
 	pat, err := traffic.BernoulliAtLoad(0.6, 0.4, n)
@@ -67,9 +68,10 @@ func TestCheckedRunCatchesMutant(t *testing.T) {
 	}
 	root := xrand.New(seed)
 	sw := &lastFlipper{core.NewSwitch(n, &core.FIFOMS{}, root.Split("switch", 0))}
-	_, ck, err := CheckedRun("mutant", sw, pat, Config{Slots: 200, Seed: seed},
+	r, ck := NewChecked(sw, pat, Config{Slots: 200, Seed: seed},
 		root.Split("traffic", 0), check.Options{})
-	if err == nil || ck.Total() == 0 {
+	r.Run("mutant")
+	if ck.Err() == nil || ck.Total() == 0 {
 		t.Fatal("mutant run produced no checker verdict")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 	"voqsim/internal/cell"
 	"voqsim/internal/experiment"
-	"voqsim/internal/fabric"
+	"voqsim/internal/obs"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
 	"voqsim/internal/xrand"
@@ -53,32 +53,19 @@ type aheadRun struct {
 	blobs  [][]byte
 }
 
-// run builds the point the way the facade does (one seed root, the
-// switch on Split("switch",0), the traffic on Split("traffic",0)) and
-// drives it to the end, restoring resume first when it is non-nil.
+// run builds the point the way the facade does (the module's run
+// builder, single-run seeding) and drives it to the end, restoring
+// resume first when it is non-nil.
 func (p aheadPoint) run(tb testing.TB, ahead bool, tailFrom int64, resume []byte) aheadRun {
 	tb.Helper()
 	const seed = 29
-	alg, err := experiment.ByName("fifoms")
+	alg, _, err := experiment.Resolve("fifoms", p.topology, p.n, p.workers)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if p.topology != "" {
-		top, err := fabric.ParseSpec(p.topology)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if alg, err = experiment.WithTopology(alg, top, fabric.Config{Workers: p.workers}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	root := xrand.New(seed)
-	sw := alg.New(p.n, root.Split("switch", 0))
-	if c, ok := sw.(interface{ Close() error }); ok {
-		defer c.Close()
-	}
 	cfg := switchsim.Config{Slots: p.slots, Seed: seed, WarmupFrac: 0.25, Fast: p.fast, DrawAhead: ahead}
-	r := switchsim.New(sw, p.pat, cfg, root.Split("traffic", 0))
+	r, _, release := experiment.RunSeeding.NewRunner(alg, p.n, p.pat, cfg, nil, false)
+	defer release()
 	if resume != nil {
 		if err := r.Restore(alg.Name, resume); err != nil {
 			tb.Fatalf("%v: Restore: %v", p, err)
@@ -230,6 +217,88 @@ func TestDrawAheadIdentity(t *testing.T) {
 				t.Fatalf("%s: checkpoints after the resume differ from the straight run's", label)
 			}
 		}
+	}
+}
+
+// TestDrawAheadCheckedObserved pins the composition the voqsim CLI runs
+// when every attachment is on: the checker around the switch, the
+// tracer and the metrics registry reaching it through the checker, a
+// series recorder, and the traffic drawn ahead on a second goroutine.
+// Everything observable equals the plain sequential run's — Results,
+// delivery stream, event trace, metrics, series — and the checker finds
+// nothing. CI's parallel job races it with the rest of the battery.
+func TestDrawAheadCheckedObserved(t *testing.T) {
+	type observed struct {
+		res     switchsim.Results
+		stream  uint64
+		events  []obs.Event
+		metrics []obs.Metric
+		series  string
+	}
+	for _, tc := range []struct{ algo, topology string }{
+		{"fifoms", ""}, {"eslip", ""}, {"fifoms", "fattree:k=4"},
+	} {
+		const n, seed = 16, 31
+		alg, _, err := experiment.Resolve(tc.algo, tc.topology, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(alg.Name, func(t *testing.T) {
+			run := func(composed bool) observed {
+				cfg := switchsim.Config{Slots: 1500, Seed: seed, WarmupFrac: 0.25, DrawAhead: composed}
+				r, ck, release := experiment.RunSeeding.NewRunner(alg, n,
+					traffic.Uniform{P: 0.24, MaxFanout: 4}, cfg, nil, composed)
+				defer release()
+
+				var got observed
+				tr := obs.NewTracer(512) // small ring: streams mid-run
+				tr.OnFull(func(batch []obs.Event) error {
+					got.events = append(got.events, batch...)
+					return nil
+				})
+				o := &obs.Observer{Trace: tr, Metrics: obs.NewRegistry()}
+				if !r.Instrument(o) {
+					t.Fatalf("checked=%v: runner refused the observer", composed)
+				}
+				rec := switchsim.NewSeriesRecorder(1)
+				r.Observe(rec)
+				r.OnDelivery(func(d cell.Delivery) { got.stream = mixDelivery(got.stream, d) })
+
+				got.res = r.Run(alg.Name)
+				if err := tr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if composed && (ck.Err() != nil || ck.Slots() != got.res.Slots) {
+					t.Fatalf("checker: %v after %d of %d slots", ck.Err(), ck.Slots(), got.res.Slots)
+				}
+				got.metrics = o.Metrics.Snapshot()
+				var csv bytes.Buffer
+				if err := rec.WriteCSV(&csv); err != nil {
+					t.Fatal(err)
+				}
+				got.series = csv.String()
+				return got
+			}
+			want, got := run(false), run(true)
+			if want.res.Delivered == 0 || len(want.events) == 0 {
+				t.Fatalf("empty reference run: %+v, %d events", want.res, len(want.events))
+			}
+			if !reflect.DeepEqual(got.res, want.res) {
+				t.Errorf("Results diverged:\n got %+v\nwant %+v", got.res, want.res)
+			}
+			if got.stream != want.stream {
+				t.Errorf("delivery stream hash %#x, plain run %#x", got.stream, want.stream)
+			}
+			if !reflect.DeepEqual(got.events, want.events) {
+				t.Errorf("trace through the checker differs: %d events, plain run %d", len(got.events), len(want.events))
+			}
+			if !reflect.DeepEqual(got.metrics, want.metrics) {
+				t.Errorf("metrics differ:\n got %v\nwant %v", got.metrics, want.metrics)
+			}
+			if got.series != want.series {
+				t.Error("series CSV differs")
+			}
+		})
 	}
 }
 

@@ -53,10 +53,7 @@ func (r *Runner) meta(name string, nextSlot int64) snap.Meta {
 // Snapshottable reports why this run cannot be checkpointed, or nil.
 // Callers that degrade gracefully (a resumable sweep over a mixed
 // algorithm roster) probe it before asking for snapshots.
-func (r *Runner) Snapshottable() error { return r.snapshottable() }
-
-// snapshottable reports why this run cannot be checkpointed, or nil.
-func (r *Runner) snapshottable() error {
+func (r *Runner) Snapshottable() error {
 	if r.cfg.Fast {
 		// Fast mode relaxes draw-order identity, which the whole
 		// checkpoint contract (resume == straight run, bit for bit)
@@ -83,7 +80,7 @@ func (r *Runner) snapshottable() error {
 // restored into an identically-built runner, resumes at nextSlot.
 // Call it only between slots (never from inside a deliver callback).
 func (r *Runner) Snapshot(name string, nextSlot int64) ([]byte, error) {
-	if err := r.snapshottable(); err != nil {
+	if err := r.Snapshottable(); err != nil {
 		return nil, err
 	}
 	if nextSlot < 0 || nextSlot > r.cfg.Slots {
@@ -97,7 +94,7 @@ func (r *Runner) Snapshot(name string, nextSlot int64) ([]byte, error) {
 // the snapshot was taken under (the blob's identity header is
 // enforced). A following Run continues from the snapshot's slot.
 func (r *Runner) Restore(name string, blob []byte) error {
-	if err := r.snapshottable(); err != nil {
+	if err := r.Snapshottable(); err != nil {
 		return err
 	}
 	if r.sw.BufferedCells() != 0 || r.startSlot != 0 {

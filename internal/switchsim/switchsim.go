@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/check"
 	"voqsim/internal/destset"
 	"voqsim/internal/fabric"
 	"voqsim/internal/obs"
@@ -118,14 +119,11 @@ type Config struct {
 	// variants (traffic.Fast), idle ports are skipped between
 	// arrivals, delay statistics accumulate in deferred batches, and
 	// the per-slot occupancy/memory sampling is subsampled to every
-	// FastStatsEvery-th measured slot. A fast run draws the same
+	// fastStatsEvery-th measured slot. A fast run draws the same
 	// distributions in a different order, so it is not bit-comparable
 	// to a default run and cannot be checkpointed, resumed or golden-
 	// replayed; it is validated statistically instead.
 	Fast bool
-	// FastStatsEvery is the fast-mode batching/subsampling interval;
-	// zero means 16. Ignored unless Fast is set.
-	FastStatsEvery int64
 	// DrawAhead has Run draw the traffic one batch ahead on a second
 	// goroutine (DESIGN.md §17). It changes no output, only who polls
 	// the sources, and pays only when a CPU is idle: set it from
@@ -146,11 +144,12 @@ func (c Config) withDefaults(n int) Config {
 	if c.UnstableCellLimit <= 0 {
 		c.UnstableCellLimit = int64(1000 * n)
 	}
-	if c.Fast && c.FastStatsEvery <= 0 {
-		c.FastStatsEvery = 16
-	}
 	return c
 }
+
+// fastStatsEvery is the fast-mode batching and subsampling interval, in
+// slots (DESIGN.md §12).
+const fastStatsEvery = 16
 
 // Summary is the plain-value digest of a Welford accumulator, suitable
 // for tables and JSON.
@@ -326,16 +325,16 @@ func New(sw Switch, pat traffic.Pattern, cfg Config, root *xrand.Rand) *Runner {
 	}
 	r.batches = r.newBatches()
 	if cfg.Fast {
-		r.fastEvery = cfg.FastStatsEvery
-		r.tracker.EnableDeferred(n, cfg.FastStatsEvery)
-		r.tracker.EnableSampling(cfg.FastStatsEvery)
+		r.fastEvery = fastStatsEvery
+		r.tracker.EnableDeferred(n, fastStatsEvery)
+		r.tracker.EnableSampling(fastStatsEvery)
 		r.skips = make([]traffic.SkipSource, n)
 		for i, src := range r.sources {
 			r.skips[i], _ = src.(traffic.SkipSource)
 		}
 	}
-	r.rr, _ = sw.(RoundsReporter)
-	r.br, _ = sw.(BytesReporter)
+	r.rr, _ = capabilities(sw).(RoundsReporter)
+	r.br, _ = capabilities(sw).(BytesReporter)
 	if pr, ok := sw.(PacketReleaser); ok {
 		pr.SetReleaseHook(r.putPacket)
 	}
@@ -379,13 +378,26 @@ func (r *Runner) Tracker() *stats.DelayTracker { return r.tracker }
 // instrumentation makes no RNG draws, so an instrumented run is
 // bit-identical to an unobserved one.
 func (r *Runner) Instrument(o *obs.Observer) bool {
-	ob, ok := r.sw.(Observable)
-	if !ok {
+	if _, ok := capabilities(r.sw).(Observable); !ok {
 		return false
 	}
-	ob.SetObserver(o)
+	r.sw.(Observable).SetObserver(o)
 	r.obs = o
 	return true
+}
+
+// capabilities returns the switch whose read-only optional interfaces
+// (RoundsReporter, BytesReporter, whether it is Observable) describe
+// the run: sw itself, or the switch a checker wraps — the checker
+// forwards none of the reporters and has SetObserver whatever it wraps.
+// The engine still drives sw. PacketReleaser is never read through a
+// checker: it keeps packets past delivery for conservation accounting,
+// so the engine must not recycle them.
+func capabilities(sw Switch) check.Switch {
+	if ck, ok := sw.(*check.Checker); ok {
+		return ck.Inner()
+	}
+	return sw
 }
 
 // OnMetricsEvery registers fn to receive a metrics snapshot every
@@ -432,8 +444,14 @@ func (r *Runner) Run(name string) Results {
 // exactly Run — the loop is shared, so checkpointing cannot change
 // what is simulated, only observe it.
 func (r *Runner) RunWithCheckpoints(name string, every int64, sink CheckpointFunc) (Results, error) {
-	if every > 0 && sink == nil {
-		return Results{}, fmt.Errorf("switchsim: checkpoint interval %d without a sink", every)
+	if every > 0 {
+		if sink == nil {
+			return Results{}, fmt.Errorf("switchsim: checkpoint interval %d without a sink", every)
+		}
+		// Fail before simulating, not at the first checkpoint.
+		if err := r.Snapshottable(); err != nil {
+			return Results{}, err
+		}
 	}
 	warmup := r.WarmupSlots()
 	res := Results{

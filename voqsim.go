@@ -30,10 +30,8 @@ import (
 	"sort"
 
 	"voqsim/internal/experiment"
-	"voqsim/internal/fabric"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
-	"voqsim/internal/xrand"
 )
 
 // Scheduler names a scheduling algorithm together with the switch
@@ -289,7 +287,11 @@ type FabricReport struct {
 	HopMax  int64
 }
 
-func toReport(r switchsim.Results) Report {
+// ToReport renders the engine's Results as the facade's Report. It is
+// exported for the module's own commands, which drive the engine runner
+// directly (to attach recorders and the checker to it) and print this
+// form.
+func ToReport(r switchsim.Results) Report {
 	var fr *FabricReport
 	if r.Fabric != nil {
 		fr = &FabricReport{
@@ -344,66 +346,35 @@ func (r Report) String() string {
 		r.AvgQueueSize, r.MaxQueueSize, r.Throughput, state)
 }
 
-// buildRunner assembles the engine runner for cfg. The seed derivation
-// here is pinned: checkpoint blobs embed the derived streams, so
-// changing it would orphan every saved snapshot.
-func buildRunner(cfg Config) (*switchsim.Runner, string, error) {
-	algo, err := experiment.ByName(string(cfg.Scheduler))
+// buildRunner assembles the engine runner for cfg through the module's
+// one run builder (internal/experiment, DESIGN.md "Run construction");
+// release must be called when the run is over.
+func buildRunner(cfg Config) (r *switchsim.Runner, name string, release func(), err error) {
+	algo, n, err := experiment.Resolve(string(cfg.Scheduler), cfg.Topology, cfg.Ports, cfg.Parallel)
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
-	if cfg.Parallel > 1 && cfg.Topology == "" {
-		return nil, "", fmt.Errorf("voqsim: Parallel needs a Topology; a single switch steps sequentially")
-	}
-	if cfg.Topology != "" {
-		top, err := fabric.ParseSpec(cfg.Topology)
-		if err != nil {
-			return nil, "", err
-		}
-		if cfg.Ports == 0 {
-			cfg.Ports = top.Ingress()
-		}
-		if cfg.Ports != top.Ingress() {
-			return nil, "", fmt.Errorf("voqsim: Ports %d does not match the %d external ports of topology %s",
-				cfg.Ports, top.Ingress(), top.Name())
-		}
-		if algo, err = experiment.WithTopology(algo, top, fabric.Config{Workers: cfg.Parallel}); err != nil {
-			return nil, "", err
-		}
-	}
-	if cfg.Ports <= 0 {
-		return nil, "", fmt.Errorf("voqsim: Ports must be positive, got %d", cfg.Ports)
-	}
-	pat, err := cfg.Traffic.resolve(cfg.Ports)
+	pat, err := cfg.Traffic.resolve(n)
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
-	seedRoot := xrand.New(cfg.Seed)
-	sw := algo.New(cfg.Ports, seedRoot.Split("switch", 0))
 	engineCfg := switchsim.Config{Slots: cfg.Slots, Seed: cfg.Seed, WarmupFrac: cfg.WarmupFrac, Fast: cfg.Fast,
 		// One run at a time: a CPU the switch does not use draws the
 		// traffic ahead (DESIGN.md §17).
 		DrawAhead: switchsim.SpareCPU(cfg.Parallel)}
-	return switchsim.New(sw, pat, engineCfg, seedRoot.Split("traffic", 0)), algo.Name, nil
-}
-
-// closeRunner releases any goroutines the runner's switch owns (the
-// parallel fabric's worker pool); a no-op for everything else.
-func closeRunner(r *switchsim.Runner) {
-	if c, ok := r.Switch().(interface{ Close() error }); ok {
-		c.Close()
-	}
+	r, _, release = experiment.RunSeeding.NewRunner(algo, n, pat, engineCfg, nil, false)
+	return r, algo.Name, release, nil
 }
 
 // Run simulates one switch under one traffic pattern and returns its
 // report. The run is fully determined by cfg.
 func Run(cfg Config) (Report, error) {
-	runner, name, err := buildRunner(cfg)
+	runner, name, release, err := buildRunner(cfg)
 	if err != nil {
 		return Report{}, err
 	}
-	defer closeRunner(runner)
-	return toReport(runner.Run(name)), nil
+	defer release()
+	return ToReport(runner.Run(name)), nil
 }
 
 // CheckpointFunc receives each periodic snapshot of a resumable run:
@@ -418,25 +389,14 @@ type CheckpointFunc func(nextSlot int64, blob []byte) error
 // a run that was never interrupted. When every > 0, sink receives a
 // self-contained snapshot of the simulation state after each block of
 // `every` slots. Snapshots require a checkpointable scheduler (the
-// core VOQ family, eslip and wba).
+// core VOQ family, eslip and wba) and the default engine, not Fast; the
+// engine refuses anything else before it simulates a slot.
 func RunResumable(cfg Config, resumeFrom []byte, every int64, sink CheckpointFunc) (Report, error) {
-	if cfg.Fast && (resumeFrom != nil || every > 0) {
-		return Report{}, fmt.Errorf("voqsim: Fast mode cannot be checkpointed or resumed (it relaxes bit-exact draw order)")
-	}
-	if every > 0 && sink == nil {
-		return Report{}, fmt.Errorf("voqsim: checkpoint interval %d without a sink", every)
-	}
-	runner, name, err := buildRunner(cfg)
+	runner, name, release, err := buildRunner(cfg)
 	if err != nil {
 		return Report{}, err
 	}
-	defer closeRunner(runner)
-	if every > 0 {
-		// Fail before simulating, not at the first checkpoint.
-		if err := runner.Snapshottable(); err != nil {
-			return Report{}, err
-		}
-	}
+	defer release()
 	if resumeFrom != nil {
 		if err := runner.Restore(name, resumeFrom); err != nil {
 			return Report{}, err
@@ -446,7 +406,7 @@ func RunResumable(cfg Config, resumeFrom []byte, every int64, sink CheckpointFun
 	if err != nil {
 		return Report{}, err
 	}
-	return toReport(res), nil
+	return ToReport(res), nil
 }
 
 // Compare runs every scheduler under an identical configuration (same
