@@ -34,8 +34,10 @@
 //	-fast               relaxed-identity fast mode: O(1) alias/Floyd/
 //	                    geometric traffic sampling and batched statistics
 //	                    (DESIGN.md §12); statistically equivalent to the
-//	                    default, but not bit-comparable. Incompatible with
-//	                    -check, -checkpoint and -resume.
+//	                    default, but not bit-comparable. A fast run cannot
+//	                    be snapshotted: the engine refuses -checkpoint and
+//	                    -resume before simulating, as it does for tatra
+//	                    and oqfifo.
 //	-checkpoint FILE    atomically save a resume snapshot to FILE during the run
 //	-checkpoint-every K snapshot cadence in slots (default slots/10 with -checkpoint)
 //	-resume FILE        resume a run from a snapshot written by -checkpoint
@@ -108,7 +110,7 @@ func run() int {
 		slots     = flag.Int64("slots", 200_000, "simulated slots")
 		seed      = flag.Uint64("seed", 1, "run seed")
 		parallel  = flag.Int("parallel", 0, "fabric worker goroutines (requires -topology; results are byte-identical to sequential)")
-		fast      = flag.Bool("fast", false, "relaxed-identity fast mode (no -check/-checkpoint/-resume)")
+		fast      = flag.Bool("fast", false, "relaxed-identity fast mode: O(1) traffic sampling and batched statistics")
 		ckptPath  = flag.String("checkpoint", "", "atomically save a resume snapshot to this file during the run")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "snapshot cadence in slots (default slots/10 with -checkpoint)")
 		resumePth = flag.String("resume", "", "resume the run from this snapshot file (same flags as the original run)")
@@ -122,17 +124,8 @@ func run() int {
 	)
 	flag.Parse()
 
-	var usage error
-	switch {
-	case *fast && *checkRun:
-		usage = fmt.Errorf("-fast is incompatible with -check: the invariant checker certifies the bit-exact path; validate fast mode statistically instead (TestFastModeEquivalence)")
-	case *fast && (*ckptPath != "" || *resumePth != ""):
-		usage = fmt.Errorf("-fast is incompatible with -checkpoint/-resume: fast runs relax draw-order identity and cannot be snapshotted")
-	default:
-		usage = spec.Validate()
-	}
-	if usage != nil {
-		fail(usage)
+	if err := spec.Validate(); err != nil {
+		fail(err)
 		return 2
 	}
 

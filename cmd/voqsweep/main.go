@@ -15,11 +15,12 @@
 //	                                   flags of cmd/voqsim)
 //	-n, -slots, -seed, -workers        run setup
 //	-parallel R                        run R independent replications of every
-//	                                   point concurrently and merge them into one
-//	                                   pooled measurement per cell (replication 0
-//	                                   reuses the point's legacy seed, so tables
-//	                                   extend rather than change). Incompatible
-//	                                   with -resume-dir, -serve and -worker.
+//	                                   point and merge them into one pooled
+//	                                   measurement per point (replication 0 reuses
+//	                                   the point's legacy seed, so tables extend
+//	                                   rather than change); each replication is its
+//	                                   own unit of work for -workers, -resume-dir
+//	                                   and -serve
 //	-topology fattree:k=4              sweep a multi-stage fabric (every node an
 //	                                   instance of each -algos entry) instead of
 //	                                   a single switch; -n is forced to the
@@ -28,13 +29,14 @@
 //	-fast                              relaxed-identity fast mode: O(1) traffic
 //	                                   sampling and batched statistics (DESIGN.md
 //	                                   §12); statistically equivalent, not
-//	                                   bit-comparable. Incompatible with -check
-//	                                   and -resume-dir.
+//	                                   bit-comparable
 //	-check                             invariant-check every point (exit 1 on violation)
 //	-progress                          stream per-point completion and ETA to stderr
 //	-resume-dir DIR                    make the sweep resumable: finished points and
 //	                                   mid-run checkpoints live in DIR, and a re-run
 //	                                   with the same flags picks up where it stopped
+//	                                   (a point whose engine cannot be snapshotted —
+//	                                   -fast, tatra, oqfifo — runs whole)
 //	-checkpoint-every K                checkpoint cadence in slots (with -resume-dir)
 //	-csv FILE / -json FILE             exports
 //	-cpuprofile FILE / -memprofile FILE  pprof profiles of the sweep
@@ -94,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csvPath     = fs.String("csv", "", "write long-form CSV to this file")
 		jsonPath    = fs.String("json", "", "write the full table as JSON to this file")
 		configPath  = fs.String("config", "", "run a scenario file instead of flag-built traffic (see internal/scenario)")
-		fastRun     = fs.Bool("fast", false, "relaxed-identity fast mode (no -check/-resume-dir)")
+		fastRun     = fs.Bool("fast", false, "relaxed-identity fast mode: O(1) traffic sampling and batched statistics")
 		checkRun    = fs.Bool("check", false, "run every point under the runtime invariant checker; exit 1 on any violation")
 		progressOn  = fs.Bool("progress", false, "stream per-point completion and ETA to stderr")
 		resumeDir   = fs.String("resume-dir", "", "checkpoint directory; a re-run of the identical sweep resumes from it")
@@ -110,11 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *parallelR > 1 && (*serveAddr != "" || *workerAddr != "") {
-		// Replications run on the in-process pool; the fleet protocol
-		// leases single simulations (see experiment.RunPointAt).
-		return fail(stderr, fmt.Errorf("-parallel replications cannot be distributed: drop -serve/-worker or run the sweep locally"))
-	}
 	if *workerAddr != "" {
 		if *serveAddr != "" {
 			return fail(stderr, fmt.Errorf("-serve and -worker are mutually exclusive"))
@@ -122,23 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runWorkerMode(*workerAddr, *workerName, *progressOn, stderr)
 	}
 	serve := serveOpts{addr: *serveAddr, ttl: *leaseTTL, verbose: *progressOn}
-	if *serveAddr != "" {
-		switch {
-		case *fastRun:
-			return fail(stderr, fmt.Errorf("-serve is incompatible with -fast: the fleet protocol checkpoints the bit-exact path"))
-		case *topoFlag != "":
-			return fail(stderr, fmt.Errorf("-serve cannot distribute -topology sweeps: fabric rosters are not expressible as a wire spec yet"))
-		}
-	}
-
-	if *fastRun {
-		switch {
-		case *checkRun:
-			return fail(stderr, fmt.Errorf("-fast is incompatible with -check: the invariant checker certifies the bit-exact path"))
-		case *resumeDir != "":
-			return fail(stderr, fmt.Errorf("-fast is incompatible with -resume-dir: fast runs cannot be checkpointed or resumed"))
-		}
-	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf, stderr)
 	if err != nil {
@@ -176,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if serve.addr != "" {
 		// The scenario itself is the wire spec the workers rebuild the
 		// points from.
-		wire := dsweep.Spec{Scenario: *sc, Check: *checkRun}
+		wire := dsweep.Spec{Scenario: *sc, Check: *checkRun, Fast: *fastRun, Replications: *parallelR}
 		return serveSweep(sweep, wire, serve, metrics, *csvPath, *jsonPath, *checkRun, progress, stdout, stderr)
 	}
 	tbl, err := sweep.Run()
@@ -204,8 +184,7 @@ func fileScenario(path string) (*scenario.Scenario, *experiment.Sweep, error) {
 // flagScenario writes the scenario the flags describe — the traffic in
 // its canonical form, so the wire spec of a served flag sweep is the
 // one a scenario file saying the same would send — and builds its
-// sweep, under the flag path's own report title and, with a topology,
-// with every algorithm lifted onto the fabric.
+// sweep, under the flag path's own report title.
 func flagScenario(algos, loads string, spec traffic.Spec, n int, topology string, slots int64, seed uint64, workers int) (*scenario.Scenario, *experiment.Sweep, error) {
 	sc := &scenario.Scenario{Name: "sweep", N: n, Slots: slots, Seed: seed, Traffic: spec.Canonical()}
 	var err error
@@ -223,7 +202,7 @@ func flagScenario(algos, loads string, spec traffic.Spec, n int, topology string
 		}
 		// The engine drives the fabric's external ports; -n is not a
 		// free parameter on a topology sweep.
-		sc.N = top.Ingress()
+		sc.N, sc.Topology = top.Ingress(), topology
 		sizeLabel = fmt.Sprintf("%s (%d ports)", top.Name(), sc.N)
 	}
 	sweep, err := sc.Sweep()
@@ -232,13 +211,6 @@ func flagScenario(algos, loads string, spec traffic.Spec, n int, topology string
 	}
 	sweep.Title = fmt.Sprintf("%s, %s", spec.Title(), sizeLabel)
 	sweep.Workers = workers
-	if topology != "" {
-		for i, name := range sc.Algorithms {
-			if sweep.Algorithms[i], _, err = experiment.Resolve(name, topology, sc.N, 0); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
 	return sc, sweep, nil
 }
 

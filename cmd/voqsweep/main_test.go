@@ -101,18 +101,22 @@ func TestParallelReplicationsDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelRejectsIncompatibleModes pins the interlocks: replicated
-// sweeps are in-process only and cannot be checkpointed.
-func TestParallelRejectsIncompatibleModes(t *testing.T) {
-	for _, extra := range [][]string{
-		{"-serve", "127.0.0.1:0"},
-		{"-worker", "127.0.0.1:1"},
-		{"-resume-dir", t.TempDir()},
+// TestParallelComposes pins that replications are ordinary units of
+// work: a replicated sweep over a resume directory — first filling it,
+// then loading every replication back from it — prints the plain
+// replicated table, as does the fast engine under the checker.
+func TestParallelComposes(t *testing.T) {
+	for _, mode := range [][]string{
+		{"-parallel", "2"},
+		{"-parallel", "2", "-fast", "-check"},
 	} {
-		args := append(append([]string{"-parallel", "2"}, extra...), sweepArgs...)
-		var out, errBuf bytes.Buffer
-		if code := run(args, &out, &errBuf); code == 0 {
-			t.Errorf("%v accepted with -parallel", extra)
+		args := append(mode, sweepArgs...)
+		want, _ := runCmd(t, args...)
+		resumable := append([]string{"-resume-dir", t.TempDir()}, args...)
+		for _, leg := range []string{"filling", "resuming"} {
+			if got, _ := runCmd(t, resumable...); got != want {
+				t.Errorf("%v: %s the resume directory changed stdout\ngot:  %q\nwant: %q", mode, leg, got, want)
+			}
 		}
 	}
 }

@@ -26,6 +26,11 @@ func drive(t *testing.T, sw Switch, n int, slots int64, seed uint64, opt Options
 	if err != nil {
 		t.Fatal(err)
 	}
+	return drivePattern(sw, pat, n, slots, seed, opt)
+}
+
+// drivePattern is drive under a caller-chosen traffic pattern.
+func drivePattern(sw Switch, pat traffic.Pattern, n int, slots int64, seed uint64, opt Options) (*Checker, []cell.Delivery) {
 	root := xrand.New(seed)
 	ck := Wrap(sw, opt)
 	sources := traffic.BuildSources(pat, n, root.Split("traffic", 0))

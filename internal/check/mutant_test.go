@@ -6,6 +6,7 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/core"
 	"voqsim/internal/obs"
+	"voqsim/internal/traffic"
 	"voqsim/internal/xrand"
 )
 
@@ -50,7 +51,10 @@ func hasInvariant(ck *Checker, inv string) bool {
 // TestMutantsCaught injects one classic scheduler bug per case into an
 // otherwise-correct FIFOMS switch and asserts the checker convicts it
 // under the intended invariant. These are the harness's negative
-// controls: if a mutant ever passes, the checker has gone blind.
+// controls: if a mutant ever passes, the checker has gone blind. Every
+// mutant runs under the exact traffic sources and under the fast
+// samplers: the checker sees arrivals and deliveries, never the
+// sampler, so a checked fast run convicts the same bugs.
 func TestMutantsCaught(t *testing.T) {
 	const n, slots, seed = 8, 200, 5
 	cases := []struct {
@@ -97,23 +101,32 @@ func TestMutantsCaught(t *testing.T) {
 			},
 		},
 	}
+	exact, err := traffic.BernoulliAtLoad(0.7, 0.3, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samplers := map[string]traffic.Pattern{"exact": exact, "fast": traffic.Fast(exact)}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			root := xrand.New(seed)
-			sw := &tamper{
-				inner: core.NewSwitch(n, &core.FIFOMS{}, root.Split("switch", 0)),
-				fn:    tc.fn,
-			}
-			ck, _ := drive(t, sw, n, slots, seed, Options{})
-			if ck.Total() == 0 {
-				t.Fatalf("mutant %s passed the checker", tc.name)
-			}
-			if !hasInvariant(ck, tc.invariant) {
-				t.Fatalf("mutant %s convicted, but not under %s: %v",
-					tc.name, tc.invariant, ck.Violations())
-			}
-			if got := ck.Profile(); got != "core/fifoms" {
-				t.Fatalf("tamper wrapper demoted the profile to %q", got)
+			for sampler, pat := range samplers {
+				t.Run(sampler, func(t *testing.T) {
+					root := xrand.New(seed)
+					sw := &tamper{
+						inner: core.NewSwitch(n, &core.FIFOMS{}, root.Split("switch", 0)),
+						fn:    tc.fn,
+					}
+					ck, _ := drivePattern(sw, pat, n, slots, seed, Options{})
+					if ck.Total() == 0 {
+						t.Fatalf("mutant %s passed the checker", tc.name)
+					}
+					if !hasInvariant(ck, tc.invariant) {
+						t.Fatalf("mutant %s convicted, but not under %s: %v",
+							tc.name, tc.invariant, ck.Violations())
+					}
+					if got := ck.Profile(); got != "core/fifoms" {
+						t.Fatalf("tamper wrapper demoted the profile to %q", got)
+					}
+				})
 			}
 		})
 	}

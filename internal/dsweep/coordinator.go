@@ -22,7 +22,7 @@ type Config struct {
 	Spec  Spec
 
 	// LeaseTTL is how long a lease survives without a heartbeat or
-	// checkpoint before the point is reclaimed (default 10s).
+	// checkpoint before the cell is reclaimed (default 10s).
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the heartbeat interval sent to workers in the
 	// welcome frame (default LeaseTTL/4).
@@ -43,7 +43,7 @@ type Config struct {
 	// a private registry is created when nil.
 	Metrics *obs.Registry
 	// Progress, when non-nil, receives one serialized event per merged
-	// point, mirroring experiment.Sweep.Progress.
+	// cell, mirroring experiment.Sweep.Progress.
 	Progress func(experiment.Progress)
 	// Logf, when non-nil, receives one diagnostic line per fleet event
 	// (joins, losses, re-leases, rejections).
@@ -59,7 +59,7 @@ type fleetMetrics struct {
 	connected                                          *obs.Gauge
 }
 
-// Coordinator owns one sweep's grid: it leases points to connected
+// Coordinator owns one sweep's grid: it leases cells to connected
 // workers, stores their checkpoint blobs, merges their results, and
 // reclaims work from workers that die. Serve returns the completed
 // table, byte-identical to Sweep.Run on the same sweep.
@@ -70,13 +70,14 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	lt        *leaseTable
+	cells     []experiment.Point // finished cells, by cell number
 	tbl       *experiment.Table
 	reg       *obs.Registry
 	m         fleetMetrics
 	conns     map[*coordConn]struct{}
 	connSeq   int
 	merged    int // results merged during this serve
-	preloaded int // points loaded from the resume dir
+	preloaded int // cells loaded from the resume dir
 	total     int
 	start     time.Time
 	finished  bool
@@ -98,7 +99,7 @@ func (cc *coordConn) send(f Frame) error {
 }
 
 // NewCoordinator validates the configuration and builds the
-// coordinator, preloading finished points from the sweep's
+// coordinator, preloading finished cells from the sweep's
 // CheckpointDir when set.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Sweep == nil {
@@ -106,9 +107,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if err := cfg.Sweep.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Sweep.Fast {
-		return nil, fmt.Errorf("dsweep: fast sweeps cannot be distributed: the crash-recovery protocol checkpoints the bit-exact path")
 	}
 	specJSON, err := cfg.Spec.Marshal()
 	if err != nil {
@@ -156,7 +154,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		tbl:      tbl,
 		reg:      reg,
 		conns:    make(map[*coordConn]struct{}),
-		total:    len(cfg.Sweep.Algorithms) * len(cfg.Sweep.Loads),
+		cells:    make([]experiment.Point, cfg.Sweep.Cells()),
+		total:    cfg.Sweep.Cells(),
 		doneCh:   make(chan struct{}),
 	}
 	c.m = fleetMetrics{
@@ -177,22 +176,33 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c.lt = newLeaseTable(c.total, cfg.LeaseTTL, cfg.BackoffBase, cfg.BackoffCap, cfg.WaitRetry)
 
-	// Resume-dir preload: finished points merge straight into the
+	// Resume-dir preload: finished cells merge straight into the
 	// table and are never leased, exactly as a resumable local sweep
 	// loads them instead of re-simulating.
-	if cfg.Sweep.CheckpointDir != "" {
-		for ai := range cfg.Sweep.Algorithms {
-			for li := range cfg.Sweep.Loads {
-				if pt, ok := cfg.Sweep.LoadFinishedPoint(ai, li); ok {
-					c.tbl.SetPoint(ai, li, pt)
-					c.lt.markDone(c.pointIndex(ai, li))
-					c.preloaded++
-					c.m.preloaded.Inc()
-				}
-			}
+	for cell := 0; cell < c.total; cell++ {
+		if pt, ok := cfg.Sweep.LoadFinishedPoint(cfg.Sweep.CellAt(cell)); ok {
+			c.lt.markDone(cell)
+			c.place(cell, pt)
+			c.preloaded++
+			c.m.preloaded.Inc()
 		}
 	}
 	return c, nil
+}
+
+// place stores a finished cell (already marked done in the lease
+// table) and, once every replication of its grid point is in, folds
+// them into the table exactly as Sweep.Run does.
+func (c *Coordinator) place(cell int, pt experiment.Point) {
+	c.cells[cell] = pt
+	ai, li, rep := c.cfg.Sweep.CellAt(cell)
+	first, reps := cell-rep, max(c.cfg.Sweep.Replications, 1)
+	for i := first; i < first+reps; i++ {
+		if c.lt.states[i] != pointDone {
+			return
+		}
+	}
+	c.tbl.SetPoint(ai, li, experiment.MergePoints(c.cells[first:first+reps]))
 }
 
 // checkSpecAgainstSweep rejects a Config whose worker-facing spec
@@ -203,9 +213,10 @@ func checkSpecAgainstSweep(sp *Spec, s *experiment.Sweep) error {
 		return err
 	}
 	if ss.N != s.N || ss.Slots != s.Slots || ss.Seed != s.Seed ||
-		ss.UnstableCap != s.UnstableCap || ss.Check != s.Check ||
+		ss.UnstableCap != s.UnstableCap || ss.Check != s.Check || ss.Fast != s.Fast ||
+		ss.Cells() != s.Cells() ||
 		len(ss.Loads) != len(s.Loads) || len(ss.Algorithms) != len(s.Algorithms) {
-		return fmt.Errorf("dsweep: spec and sweep disagree (n/slots/seed/cap/check/grid shape)")
+		return fmt.Errorf("dsweep: spec and sweep disagree (n/slots/seed/cap/check/fast/grid shape)")
 	}
 	for i := range s.Loads {
 		if ss.Loads[i] != s.Loads[i] {
@@ -220,16 +231,9 @@ func checkSpecAgainstSweep(sp *Spec, s *experiment.Sweep) error {
 	return nil
 }
 
-// pointIndex flattens grid coordinates exactly as the sharded engine
-// numbers its shards: ai*len(loads)+li.
-func (c *Coordinator) pointIndex(ai, li int) int { return ai*len(c.cfg.Sweep.Loads) + li }
-func (c *Coordinator) pointCoords(point int) (ai, li int) {
-	return point / len(c.cfg.Sweep.Loads), point % len(c.cfg.Sweep.Loads)
-}
-func (c *Coordinator) pointLabel(point int) string {
-	ai, li := c.pointCoords(point)
-	return fmt.Sprintf("%s@%g", c.tbl.Algos[ai], c.cfg.Sweep.Loads[li])
-}
+// pointLabel names a leased cell in log lines and progress events; the
+// lease table's point numbers are the sweep's cell numbers.
+func (c *Coordinator) pointLabel(point int) string { return c.cfg.Sweep.CellLabel(point) }
 
 // Listen binds the coordinator to addr (e.g. "127.0.0.1:0" for an
 // ephemeral port) and returns the bound address.
@@ -257,7 +261,7 @@ func (c *Coordinator) Metrics() []obs.Metric {
 	return c.reg.Snapshot()
 }
 
-// Serve accepts workers until every grid point is merged, then tells
+// Serve accepts workers until every cell is merged, then tells
 // the fleet it is done and returns the completed table. Call Listen
 // first. Serve blocks indefinitely while points remain and no worker
 // connects — the fleet may still be starting — so callers wanting a
@@ -461,8 +465,8 @@ func (c *Coordinator) handleClaim(cc *coordConn) bool {
 		if len(blob) > 0 {
 			c.m.resumed.Inc()
 		}
-		ai, li := c.pointCoords(point)
-		reply = Frame{Kind: KindLease, LeaseID: id, AI: ai, LI: li, Sum: Checksum(blob), Blob: blob}
+		ai, li, rep := c.cfg.Sweep.CellAt(point)
+		reply = Frame{Kind: KindLease, LeaseID: id, AI: ai, LI: li, Rep: rep, Sum: Checksum(blob), Blob: blob}
 		c.logf("lease %d: %s -> %s (resume slot %d)", id, c.pointLabel(point), cc.id, slot)
 	case claimWait:
 		ms := retry.Milliseconds()
@@ -513,7 +517,7 @@ func (c *Coordinator) handleCheckpoint(cc *coordConn, f Frame) bool {
 	return true
 }
 
-// handleResult verifies and merges one finished point. Verification
+// handleResult verifies and merges one finished cell. Verification
 // failures — bad checksum, undecodable JSON, coordinates that
 // contradict the lease — are counted, the point is bounced for
 // re-lease, and the connection is dropped: a worker that returns a
@@ -531,7 +535,7 @@ func (c *Coordinator) handleResult(cc *coordConn, f Frame) bool {
 		return true
 	}
 	point := l.point
-	ai, li := c.pointCoords(point)
+	ai, li, rep := c.cfg.Sweep.CellAt(point)
 
 	reject := func(why string) bool {
 		c.m.rejected.Inc()
@@ -555,10 +559,10 @@ func (c *Coordinator) handleResult(cc *coordConn, f Frame) bool {
 	}
 
 	c.lt.complete(f.LeaseID, cc.id)
-	c.tbl.SetPoint(ai, li, pt)
+	c.place(point, pt)
 	c.m.merged.Inc()
 	c.merged++
-	if err := c.cfg.Sweep.SaveFinishedPoint(ai, li, pt); err != nil {
+	if err := c.cfg.Sweep.SaveFinishedPoint(ai, li, rep, pt); err != nil {
 		// Best-effort, like the local resumable sweep: a failing disk
 		// degrades resumability, never the table.
 		c.logf("persisting %s: %v", c.pointLabel(point), err)

@@ -222,8 +222,8 @@ func TestHeartbeatLossExpiresLease(t *testing.T) {
 			Hooks: Hooks{
 				SuppressHeartbeats:  true,
 				SuppressCheckpoints: true,
-				OnLease:             func(ai, li int, _ int64) { leaseOnce.Do(func() { close(leased) }) },
-				ResultGate:          func(ai, li int) { <-gate },
+				OnLease:             func(ai, li, rep int, _ int64) { leaseOnce.Do(func() { close(leased) }) },
+				ResultGate:          func(ai, li, rep int) { <-gate },
 			},
 		})
 	}()
@@ -418,11 +418,11 @@ func TestResumeDirPreload(t *testing.T) {
 	// Pre-finish two points exactly as a previous coordinator would
 	// have persisted them.
 	for _, cell := range [][2]int{{0, 0}, {1, 2}} {
-		pt, err := s.RunPointAt(cell[0], cell[1], experiment.PointRun{})
+		pt, err := s.RunPointAt(cell[0], cell[1], 0, experiment.PointRun{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.SaveFinishedPoint(cell[0], cell[1], pt); err != nil {
+		if err := s.SaveFinishedPoint(cell[0], cell[1], 0, pt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -458,16 +458,14 @@ func TestFullyPreloadedServesImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.CheckpointDir = dir
-	// Persist every point, including the skipped ones a plain
-	// resumable Run leaves off disk (it re-derives them from the
-	// pattern error instead).
+	// Persist every point, the skipped ones included.
 	for ai := range s.Algorithms {
 		for li := range s.Loads {
-			pt, err := s.RunPointAt(ai, li, experiment.PointRun{})
+			pt, err := s.RunPointAt(ai, li, 0, experiment.PointRun{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.SaveFinishedPoint(ai, li, pt); err != nil {
+			if err := s.SaveFinishedPoint(ai, li, 0, pt); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -500,6 +498,11 @@ func TestSpecSweepMismatchRejected(t *testing.T) {
 	s.Seed = sp.Scenario.Seed
 	s.Fast = true
 	if _, err := NewCoordinator(Config{Sweep: s, Spec: sp}); err == nil {
-		t.Fatal("coordinator accepted a fast sweep")
+		t.Fatal("coordinator accepted a fast sweep under an exact spec")
+	}
+	s.Fast = false
+	s.Replications = 2
+	if _, err := NewCoordinator(Config{Sweep: s, Spec: sp}); err == nil {
+		t.Fatal("coordinator accepted a spec/sweep replication mismatch")
 	}
 }

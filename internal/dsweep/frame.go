@@ -1,12 +1,14 @@
 // Package dsweep scales parameter sweeps across processes and
 // machines: a coordinator owns one experiment.Sweep's grid and leases
-// points to workers over TCP; workers simulate points, stream
-// heartbeats and mid-point snapshot checkpoints back, and return
-// per-point results. When a worker dies — connection drop, kill -9,
-// heartbeat loss — the coordinator re-leases the point, handing the
+// its cells — (algorithm, load, replication), numbered as Sweep.Run
+// numbers its shards — to workers over TCP; workers simulate cells,
+// stream heartbeats and mid-run snapshot checkpoints back, and return
+// per-cell results. When a worker dies — connection drop, kill -9,
+// heartbeat loss — the coordinator re-leases the cell, handing the
 // replacement worker the latest checkpoint blob so it resumes mid-run
-// instead of restarting. Because every grid point derives its seeds
-// from its own coordinates and a resumed point is bit-identical to a
+// instead of restarting (a cell whose engine cannot be snapshotted
+// restarts). Because every cell derives its seeds
+// from its own coordinates and a resumed cell is bit-identical to a
 // straight run (the PR 4 contract pinned in internal/switchsim), the
 // merged table is byte-identical to a single-process Sweep.Run for any
 // fleet size, join/leave order, or crash schedule — the chaos battery
@@ -37,8 +39,10 @@ import (
 // semantically, so a tampered or corrupted payload is rejected with a
 // counted error instead of killing the parse.
 const (
-	// Version is the protocol version in every frame header.
-	Version = 1
+	// Version is the protocol version in every frame header. Version 2
+	// put the replication index in the lease; a mixed fleet fails at the
+	// hello handshake.
+	Version = 2
 
 	// KindHello opens a session: worker -> coordinator, carrying the
 	// worker's display name.
@@ -50,9 +54,10 @@ const (
 	// KindClaim asks for work: worker -> coordinator, empty body. The
 	// coordinator answers with exactly one of Lease, Wait or Done.
 	KindClaim = 3
-	// KindLease grants one grid point: coordinator -> worker, carrying
-	// the lease id, the point's grid coordinates and the latest
-	// checkpoint blob of a previously interrupted run (empty = fresh).
+	// KindLease grants one cell: coordinator -> worker, carrying the
+	// lease id, the cell's coordinates (algorithm, load, replication)
+	// and the latest checkpoint blob of a previously interrupted run
+	// (empty = fresh).
 	KindLease = 4
 	// KindWait defers a claim: coordinator -> worker. Every point is
 	// currently leased or backing off; retry after RetryMs.
@@ -104,6 +109,7 @@ type Frame struct {
 
 	LeaseID uint64 // Lease, Heartbeat, Checkpoint, Result
 	AI, LI  int    // Lease: grid coordinates (algorithm, load index)
+	Rep     int    // Lease: replication index
 
 	Slot int64 // Heartbeat, Checkpoint: current simulation slot
 
@@ -157,8 +163,8 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	case KindClaim, KindDone:
 		// empty body
 	case KindLease:
-		if f.AI < 0 || f.AI > MaxGrid || f.LI < 0 || f.LI > MaxGrid {
-			panic(fmt.Sprintf("dsweep: lease coordinates (%d,%d) out of range", f.AI, f.LI))
+		if f.AI < 0 || f.AI > MaxGrid || f.LI < 0 || f.LI > MaxGrid || f.Rep < 0 || f.Rep > MaxGrid {
+			panic(fmt.Sprintf("dsweep: lease coordinates (%d,%d,%d) out of range", f.AI, f.LI, f.Rep))
 		}
 		if len(f.Blob) > MaxBlob {
 			panic(fmt.Sprintf("dsweep: lease blob is %d bytes", len(f.Blob)))
@@ -166,6 +172,7 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, f.LeaseID)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(f.AI))
 		dst = binary.BigEndian.AppendUint32(dst, uint32(f.LI))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(f.Rep))
 		dst = binary.BigEndian.AppendUint64(dst, f.Sum)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Blob)))
 		dst = append(dst, f.Blob...)
@@ -270,18 +277,18 @@ func ParseFrame(b []byte) (Frame, error) {
 			return Frame{}, fmt.Errorf("dsweep: frame kind %d with %d trailing bytes", f.Kind, len(rest))
 		}
 	case KindLease:
-		if len(rest) < 8+4+4+8+4 {
+		if len(rest) < 8+4+4+4+8+4 {
 			return Frame{}, fmt.Errorf("dsweep: lease truncated")
 		}
 		f.LeaseID = binary.BigEndian.Uint64(rest)
-		ai, li := binary.BigEndian.Uint32(rest[8:]), binary.BigEndian.Uint32(rest[12:])
-		f.Sum = binary.BigEndian.Uint64(rest[16:])
-		n := int(binary.BigEndian.Uint32(rest[24:]))
-		rest = rest[28:]
-		if ai > MaxGrid || li > MaxGrid {
-			return Frame{}, fmt.Errorf("dsweep: lease coordinates (%d,%d) out of range", ai, li)
+		ai, li, rep := binary.BigEndian.Uint32(rest[8:]), binary.BigEndian.Uint32(rest[12:]), binary.BigEndian.Uint32(rest[16:])
+		f.Sum = binary.BigEndian.Uint64(rest[20:])
+		n := int(binary.BigEndian.Uint32(rest[28:]))
+		rest = rest[32:]
+		if ai > MaxGrid || li > MaxGrid || rep > MaxGrid {
+			return Frame{}, fmt.Errorf("dsweep: lease coordinates (%d,%d,%d) out of range", ai, li, rep)
 		}
-		f.AI, f.LI = int(ai), int(li)
+		f.AI, f.LI, f.Rep = int(ai), int(li), int(rep)
 		if n > MaxBlob {
 			return Frame{}, fmt.Errorf("dsweep: lease blob is %d bytes", n)
 		}

@@ -18,7 +18,7 @@ func exampleFrames() []Frame {
 		{Kind: KindHello, Name: "worker-1"},
 		{Kind: KindWelcome, HeartbeatMs: 500, CheckpointEvery: 200, Spec: spec},
 		{Kind: KindClaim},
-		{Kind: KindLease, LeaseID: 7, AI: 1, LI: 2, Sum: Checksum(blob), Blob: blob},
+		{Kind: KindLease, LeaseID: 7, AI: 1, LI: 2, Rep: 3, Sum: Checksum(blob), Blob: blob},
 		{Kind: KindLease, LeaseID: 8, AI: 0, LI: 0}, // fresh lease, no blob
 		{Kind: KindWait, RetryMs: 100},
 		{Kind: KindDone},
@@ -32,7 +32,7 @@ func exampleFrames() []Frame {
 func frameEqual(a, b Frame) bool {
 	return a.Kind == b.Kind && a.Name == b.Name && a.HeartbeatMs == b.HeartbeatMs &&
 		a.CheckpointEvery == b.CheckpointEvery && a.LeaseID == b.LeaseID &&
-		a.AI == b.AI && a.LI == b.LI && a.Slot == b.Slot && a.Sum == b.Sum &&
+		a.AI == b.AI && a.LI == b.LI && a.Rep == b.Rep && a.Slot == b.Slot && a.Sum == b.Sum &&
 		bytes.Equal(a.Blob, b.Blob) && bytes.Equal(a.Spec, b.Spec) &&
 		a.RetryMs == b.RetryMs && a.Msg == b.Msg
 }
@@ -95,7 +95,10 @@ func TestStreamRoundTrip(t *testing.T) {
 // silent partial decode.
 func TestParseFrameRejects(t *testing.T) {
 	hello := AppendFrame(nil, Frame{Kind: KindHello, Name: "w"})
-	lease := AppendFrame(nil, Frame{Kind: KindLease, LeaseID: 1, AI: 0, LI: 1, Sum: Checksum([]byte("b")), Blob: []byte("b")})
+	// The lease body is a 32-byte header — id 8, ai 4, li 4, rep 4, sum
+	// 8, blob length 4 — then the blob; payload offsets below add the
+	// 4-byte frame header.
+	lease := AppendFrame(nil, Frame{Kind: KindLease, LeaseID: 1, AI: 0, LI: 1, Rep: 2, Sum: Checksum([]byte("b")), Blob: []byte("b")})
 	result := AppendFrame(nil, Frame{Kind: KindResult, LeaseID: 1, Sum: 9, Blob: []byte("r")})
 	mutate := func(src []byte, fn func(b []byte) []byte) []byte {
 		cp := append([]byte(nil), src...)
@@ -106,6 +109,7 @@ func TestParseFrameRejects(t *testing.T) {
 		"short-header":        hello[:3],
 		"bad-magic":           mutate(hello, func(b []byte) []byte { b[0] = 'X'; return b }),
 		"bad-version":         mutate(hello, func(b []byte) []byte { b[2] = 9; return b }),
+		"old-version":         mutate(hello, func(b []byte) []byte { b[2] = 1; return b }),
 		"unknown-kind":        mutate(hello, func(b []byte) []byte { b[3] = 99; return b }),
 		"hello-empty-name":    {'D', 'S', Version, KindHello, 0, 0},
 		"hello-short-name":    hello[:len(hello)-1],
@@ -115,9 +119,11 @@ func TestParseFrameRejects(t *testing.T) {
 		"welcome-truncated":   {'D', 'S', Version, KindWelcome, 0, 0},
 		"welcome-zero-hb":     AppendFrameRaw(KindWelcome, put64h(put32h(nil, 0), 0), put32h(nil, 1), []byte("s")),
 		"lease-truncated":     lease[:10],
+		"lease-v1-header":     append(append([]byte(nil), lease[:20]...), lease[24:]...), // no rep field
 		"lease-huge-coords":   mutate(lease, func(b []byte) []byte { b[12] = 0xFF; return b }),
+		"lease-huge-rep":      mutate(lease, func(b []byte) []byte { b[20] = 0xFF; return b }),
 		"lease-blob-short":    lease[:len(lease)-1],
-		"lease-blob-declared": mutate(lease, func(b []byte) []byte { b[31] = 0xFF; return b }),
+		"lease-blob-declared": mutate(lease, func(b []byte) []byte { b[35] = 0xFF; return b }),
 		"wait-zero":           {'D', 'S', Version, KindWait, 0, 0, 0, 0},
 		"wait-short":          {'D', 'S', Version, KindWait, 0, 0},
 		"heartbeat-short":     {'D', 'S', Version, KindHeartbeat, 0, 0},

@@ -17,10 +17,11 @@ import (
 // so any scenario file can be served to a fleet unchanged.
 //
 // Determinism contract: a worker's point depends only on the fields
-// here — grid coordinates, N, slots, seed, unstable cap, traffic
-// parameters, algorithm roster and the check flag — so two workers
-// given the same spec produce bit-identical points, and the merged
-// table equals a single-process experiment.Sweep run.
+// here — cell coordinates, N, topology, slots, seed, unstable cap,
+// traffic parameters, algorithm roster, replication count and the
+// check and fast flags — so two workers given the same spec produce
+// bit-identical points, and the merged table equals a single-process
+// experiment.Sweep run.
 type Spec struct {
 	Scenario scenario.Scenario `json:"scenario"`
 	// UnstableCap is the backlog ceiling (experiment.Sweep.UnstableCap;
@@ -29,6 +30,12 @@ type Spec struct {
 	// Check runs every point under the runtime invariant checker; the
 	// verdict travels back inside the point.
 	Check bool `json:"check,omitempty"`
+	// Fast runs every point in the engine's fast mode
+	// (experiment.Sweep.Fast).
+	Fast bool `json:"fast,omitempty"`
+	// Replications is the number of runs per grid point
+	// (experiment.Sweep.Replications); each is leased as its own cell.
+	Replications int `json:"replications,omitempty"`
 }
 
 // ParseSpec decodes and validates a wire spec. Unknown fields are
@@ -55,6 +62,9 @@ func (sp *Spec) Validate() error {
 	if sp.UnstableCap < 0 {
 		return fmt.Errorf("dsweep: negative unstable cap %d", sp.UnstableCap)
 	}
+	if sp.Replications < 0 || sp.Replications > MaxGrid {
+		return fmt.Errorf("dsweep: replication count %d out of range", sp.Replications)
+	}
 	return nil
 }
 
@@ -77,5 +87,7 @@ func (sp *Spec) Sweep() (*experiment.Sweep, error) {
 	}
 	s.UnstableCap = sp.UnstableCap
 	s.Check = sp.Check
+	s.Fast = sp.Fast
+	s.Replications = sp.Replications
 	return s, nil
 }

@@ -33,10 +33,10 @@ type Hooks struct {
 	TamperResult func(json []byte) []byte
 	// ResultGate runs after a point is simulated, before its result is
 	// sent; tests use it to sequence multi-worker races.
-	ResultGate func(ai, li int)
+	ResultGate func(ai, li, rep int)
 	// OnLease observes every granted lease and the slot it resumes
 	// from (0 = fresh).
-	OnLease func(ai, li int, resumeSlot int64)
+	OnLease func(ai, li, rep int, resumeSlot int64)
 }
 
 // errWorkerDied marks a hook-induced crash; also used as the panic
@@ -73,7 +73,7 @@ type worker struct {
 	hbSlot  int64
 }
 
-// RunWorker connects to a coordinator, claims grid points until the
+// RunWorker connects to a coordinator, claims cells until the
 // sweep is done, and returns nil on a clean Done. It returns an error
 // on connection loss, a coordinator rejection, or a hook-induced
 // crash.
@@ -218,11 +218,11 @@ func (w *worker) runLease(f Frame, checkpointEvery int64) (err error) {
 		resumeSlot = -1 // unknown until the snapshot is restored; informational only
 	}
 	if w.cfg.Hooks.OnLease != nil {
-		w.cfg.Hooks.OnLease(f.AI, f.LI, resumeSlot)
+		w.cfg.Hooks.OnLease(f.AI, f.LI, f.Rep, resumeSlot)
 	}
 	w.setLease(f.LeaseID, 0)
 	defer w.setLease(0, 0)
-	w.logf("lease %d: point (%d,%d), resume blob %d bytes", f.LeaseID, f.AI, f.LI, len(f.Blob))
+	w.logf("lease %d: cell (%d,%d,%d), resume blob %d bytes", f.LeaseID, f.AI, f.LI, f.Rep, len(f.Blob))
 
 	pr := experiment.PointRun{
 		Resume:          f.Blob,
@@ -246,7 +246,7 @@ func (w *worker) runLease(f Frame, checkpointEvery int64) (err error) {
 		}
 	}
 
-	pt, err := w.runPoint(f.AI, f.LI, pr)
+	pt, err := w.runPoint(f.AI, f.LI, f.Rep, pr)
 	if err != nil {
 		return err
 	}
@@ -254,7 +254,7 @@ func (w *worker) runLease(f Frame, checkpointEvery int64) (err error) {
 		return fmt.Errorf("dsweep: streaming checkpoint: %w", sendErr)
 	}
 	if w.cfg.Hooks.ResultGate != nil {
-		w.cfg.Hooks.ResultGate(f.AI, f.LI)
+		w.cfg.Hooks.ResultGate(f.AI, f.LI, f.Rep)
 	}
 
 	payload, err := json.Marshal(pt)
@@ -274,7 +274,7 @@ func (w *worker) runLease(f Frame, checkpointEvery int64) (err error) {
 
 // runPoint wraps RunPointAt so a hook-induced crash panic is contained
 // to the one point.
-func (w *worker) runPoint(ai, li int, pr experiment.PointRun) (pt experiment.Point, err error) {
+func (w *worker) runPoint(ai, li, rep int, pr experiment.PointRun) (pt experiment.Point, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if fmt.Sprint(r) == errWorkerDied.Error() {
@@ -284,5 +284,5 @@ func (w *worker) runPoint(ai, li int, pr experiment.PointRun) (pt experiment.Poi
 			panic(r)
 		}
 	}()
-	return w.sweep.RunPointAt(ai, li, pr)
+	return w.sweep.RunPointAt(ai, li, rep, pr)
 }

@@ -12,16 +12,19 @@ import (
 	"voqsim/internal/switchsim"
 )
 
-// The sharded run engine behind Sweep.Run and Replicate. Both fan a
-// set of independent simulations — grid points, replications — out
-// over a worker pool; the engine owns the scheduling so that:
+// The sharded run engine behind Sweep.Run. It fans a set of
+// independent simulations — the sweep's (algorithm, load, replication)
+// cells — out over a worker pool; the engine owns the scheduling so
+// that:
 //
-//   - Work is balanced by stealing. Shards are dealt round-robin into
-//     one queue per worker, and a worker that drains its own queue
-//     claims from its neighbours'. Points differ wildly in cost (a
-//     saturated load simulates far more buffered cells per slot than a
-//     light one), so static partitioning would leave the pool idling
-//     behind one straggler.
+//   - Work is balanced by claiming. Every worker takes the next shard
+//     from one shared atomic cursor, so shards start in order (a grid
+//     point's replications together) and no worker idles while shards
+//     remain. Points differ wildly in cost (a saturated load simulates
+//     far more buffered cells per slot than a light one), so static
+//     partitioning would leave the pool idling behind one straggler;
+//     a shard is milliseconds to seconds of work, so one cursor is
+//     never contended.
 //   - Arena state is reused, not reallocated. The pool shares one
 //     mutex-guarded core.ArenaPool; a shard whose switch supports arena
 //     adoption runs on a recycled arena, so ring buffers and slab
@@ -50,27 +53,6 @@ type Progress struct {
 	ETA time.Duration
 }
 
-// shardQueue is one worker's deal of the shard indices. next claims
-// entries with an atomic cursor, so the owner and stealing workers can
-// race on the same queue without locks; a queue whose cursor passed
-// its length is permanently empty.
-type shardQueue struct {
-	head   atomic.Int64
-	shards []int
-}
-
-func (q *shardQueue) next() (int, bool) {
-	for {
-		h := q.head.Load()
-		if int(h) >= len(q.shards) {
-			return 0, false
-		}
-		if q.head.CompareAndSwap(h, h+1) {
-			return q.shards[h], true
-		}
-	}
-}
-
 // runShards executes shards 0..total-1 on a pool of workers and blocks
 // until all complete. run is called once per shard — concurrently, so
 // it must write only shard-local state — and returns the shard's label
@@ -88,42 +70,34 @@ func runShards(workers, total int, progress func(Progress), run func(shard int, 
 		return
 	}
 
-	queues := make([]shardQueue, workers)
-	for i := 0; i < total; i++ {
-		q := &queues[i%workers]
-		q.shards = append(q.shards, i)
-	}
-
 	start := time.Now()
 	pool := &core.ArenaPool{}
-	var done atomic.Int64
-	var progressMu sync.Mutex
+	var next atomic.Int64
+	var progressMu sync.Mutex // serializes sinks; guards done
+	done := 0
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			for {
-				shard, ok := queues[self].next()
-				for off := 1; !ok && off < workers; off++ {
-					shard, ok = queues[(self+off)%workers].next()
-				}
-				if !ok {
+				shard := int(next.Add(1)) - 1
+				if shard >= total {
 					return
 				}
 				label := run(shard, pool)
 				if progress == nil {
 					continue
 				}
-				d := done.Add(1)
+				progressMu.Lock()
+				done++
 				elapsed := time.Since(start)
 				var eta time.Duration
-				if rem := int64(total) - d; rem > 0 {
-					eta = elapsed / time.Duration(d) * time.Duration(rem)
+				if rem := total - done; rem > 0 {
+					eta = elapsed / time.Duration(done) * time.Duration(rem)
 				}
-				progressMu.Lock()
 				progress(Progress{
-					Done:    int(d),
+					Done:    done,
 					Total:   total,
 					Label:   label,
 					Elapsed: elapsed,
@@ -131,7 +105,7 @@ func runShards(workers, total int, progress func(Progress), run func(shard int, 
 				})
 				progressMu.Unlock()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

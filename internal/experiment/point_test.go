@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -50,7 +49,7 @@ func TestRunPointAtMatchesRun(t *testing.T) {
 	}
 	for ai := range s.Algorithms {
 		for li := range s.Loads {
-			pt, err := s.RunPointAt(ai, li, PointRun{})
+			pt, err := s.RunPointAt(ai, li, 0, PointRun{})
 			if err != nil {
 				t.Fatalf("RunPointAt(%d,%d): %v", ai, li, err)
 			}
@@ -64,7 +63,7 @@ func TestRunPointAtMatchesRun(t *testing.T) {
 			}
 		}
 	}
-	if pt, _ := s.RunPointAt(0, 2, PointRun{}); pt.Skipped == "" {
+	if pt, _ := s.RunPointAt(0, 2, 0, PointRun{}); pt.Skipped == "" {
 		t.Error("unreachable load 1.5 not marked Skipped")
 	}
 }
@@ -74,14 +73,14 @@ func TestRunPointAtMatchesRun(t *testing.T) {
 // snapshot blob equals the point run straight through.
 func TestRunPointAtResumeIdentity(t *testing.T) {
 	s := seamSweep("")
-	straight, err := s.RunPointAt(0, 1, PointRun{})
+	straight, err := s.RunPointAt(0, 1, 0, PointRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var blobs [][]byte
 	var slots []int64
-	withCkpt, err := s.RunPointAt(0, 1, PointRun{
+	withCkpt, err := s.RunPointAt(0, 1, 0, PointRun{
 		CheckpointEvery: 500,
 		Checkpoint:      func(slot int64, blob []byte) { blobs = append(blobs, blob); slots = append(slots, slot) },
 	})
@@ -96,7 +95,7 @@ func TestRunPointAtResumeIdentity(t *testing.T) {
 	}
 
 	for i, blob := range blobs {
-		resumed, err := s.RunPointAt(0, 1, PointRun{Resume: blob})
+		resumed, err := s.RunPointAt(0, 1, 0, PointRun{Resume: blob})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +105,7 @@ func TestRunPointAtResumeIdentity(t *testing.T) {
 	}
 
 	// A hostile/unusable blob silently re-runs from slot 0.
-	garbled, err := s.RunPointAt(0, 1, PointRun{Resume: []byte("not a snapshot")})
+	garbled, err := s.RunPointAt(0, 1, 0, PointRun{Resume: []byte("not a snapshot")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +118,14 @@ func TestRunPointAtResumeIdentity(t *testing.T) {
 // propagates sweep validation errors.
 func TestRunPointAtBounds(t *testing.T) {
 	s := seamSweep("")
-	for _, c := range [][2]int{{-1, 0}, {2, 0}, {0, -1}, {0, 3}} {
-		if _, err := s.RunPointAt(c[0], c[1], PointRun{}); err == nil {
-			t.Errorf("RunPointAt(%d,%d) accepted", c[0], c[1])
+	for _, c := range [][3]int{{-1, 0, 0}, {2, 0, 0}, {0, -1, 0}, {0, 3, 0}, {0, 0, -1}, {0, 0, 1}} {
+		if _, err := s.RunPointAt(c[0], c[1], c[2], PointRun{}); err == nil {
+			t.Errorf("RunPointAt(%d,%d,%d) accepted", c[0], c[1], c[2])
 		}
 	}
 	bad := seamSweep("")
 	bad.Loads = nil
-	if _, err := bad.RunPointAt(0, 0, PointRun{}); err == nil {
+	if _, err := bad.RunPointAt(0, 0, 0, PointRun{}); err == nil {
 		t.Error("empty grid accepted")
 	}
 }
@@ -138,17 +137,17 @@ func TestFinishedPointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := seamSweep(dir)
 
-	if _, ok := s.LoadFinishedPoint(0, 0); ok {
+	if _, ok := s.LoadFinishedPoint(0, 0, 0); ok {
 		t.Fatal("loaded a finished point from an empty dir")
 	}
-	pt, err := s.RunPointAt(0, 0, PointRun{})
+	pt, err := s.RunPointAt(0, 0, 0, PointRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveFinishedPoint(0, 0, pt); err != nil {
+	if err := s.SaveFinishedPoint(0, 0, 0, pt); err != nil {
 		t.Fatal(err)
 	}
-	loaded, ok := s.LoadFinishedPoint(0, 0)
+	loaded, ok := s.LoadFinishedPoint(0, 0, 0)
 	if !ok {
 		t.Fatal("saved point not loadable")
 	}
@@ -157,11 +156,7 @@ func TestFinishedPointRoundTrip(t *testing.T) {
 	}
 
 	// The file is the same one the resumable sweep writes, so a full
-	// resumable run trusts it and skips the simulation.
-	doneFile, _ := s.pointPaths(0, 0)
-	if _, err := filepath.Match("*", doneFile); err != nil {
-		t.Fatal(err)
-	}
+	// resumable run loads it and skips the simulation.
 	tbl, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -172,11 +167,53 @@ func TestFinishedPointRoundTrip(t *testing.T) {
 
 	// Without a CheckpointDir both helpers are inert.
 	bare := seamSweep("")
-	if err := bare.SaveFinishedPoint(0, 0, pt); err != nil {
+	if err := bare.SaveFinishedPoint(0, 0, 0, pt); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := bare.LoadFinishedPoint(0, 0); ok {
+	if _, ok := bare.LoadFinishedPoint(0, 0, 0); ok {
 		t.Error("dirless sweep loaded a point")
+	}
+}
+
+// TestStaleCheckpointDirReRuns is the regression for a reused resume
+// directory: a finished-point file is this sweep's cell only if its
+// seed, slot budget, port count and engine are, so a second sweep over
+// the directory with any of them changed re-runs its cells and equals
+// the same sweep run without a directory.
+func TestStaleCheckpointDirReRuns(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := seamSweep(dir).Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name, change := range map[string]func(*Sweep){
+		"seed":  func(s *Sweep) { s.Seed = 43 },
+		"slots": func(s *Sweep) { s.Slots = 3000 },
+		"fast":  func(s *Sweep) { s.Fast = true },
+		"loads": func(s *Sweep) { s.Loads = []float64{0.4, 0.6, 1.5} },
+		"reps":  func(s *Sweep) { s.Replications = 2 },
+	} {
+		fresh, stale := seamSweep(""), seamSweep(dir)
+		change(fresh)
+		change(stale)
+		want, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := stale.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("changed %s: sweep over the stale directory differs from a fresh run", name)
+		}
+		// And the directory now resumes the changed sweep.
+		again, err := stale.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, want) {
+			t.Errorf("changed %s: re-run over its own directory differs", name)
+		}
 	}
 }
 

@@ -1,10 +1,11 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
-	"strings"
 	"testing"
 
+	"voqsim/internal/analytic"
 	"voqsim/internal/traffic"
 )
 
@@ -21,10 +22,10 @@ func replicatedSweep(workers, reps int) *Sweep {
 	}
 }
 
-// TestReplicatedSweepDeterminism pins the tentpole contract: a
-// replicated sweep's merged table is byte-identical for any worker
-// count — the R runs land on the work-stealing pool in any order, but
-// each writes its own slot and the merge folds in replication order.
+// TestReplicatedSweepDeterminism pins that a replicated sweep's merged
+// table is byte-identical for any worker count — the R runs of a point
+// land on the pool in any order, but each writes its own slot and the
+// merge folds in replication order.
 func TestReplicatedSweepDeterminism(t *testing.T) {
 	mk := func(workers int) *Table {
 		tbl, err := replicatedSweep(workers, 3).Run()
@@ -85,17 +86,35 @@ func TestReplicatedSweepMergesRuns(t *testing.T) {
 	}
 }
 
-// TestReplicatedSweepRejections pins the flag interlocks: replicated
-// sweeps cannot be checkpointed/resumed and cannot run under the
-// distributed point-leasing seam.
-func TestReplicatedSweepRejections(t *testing.T) {
-	s := replicatedSweep(1, 3)
-	s.CheckpointDir = t.TempDir()
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "checkpointed") {
-		t.Fatalf("checkpointed replicated sweep accepted (err=%v)", err)
+// TestReplicateEstimates pins replicated runs against analysis: eight
+// independent replications of an output-queued switch, merged, land on
+// the Karol closed form for its delay.
+func TestReplicateEstimates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs many replications")
 	}
-	s = replicatedSweep(1, 3)
-	if _, err := s.RunPointAt(0, 0, PointRun{}); err == nil || !strings.Contains(err.Error(), "lease") {
-		t.Fatalf("replicated point lease accepted (err=%v)", err)
+	s := &Sweep{
+		Name: "karol", N: 16,
+		Loads:      []float64{0.5},
+		Algorithms: []Algorithm{OQFIFO},
+		Slots:      30_000, Seed: 13,
+		Replications: 8,
+		Pattern: func(load float64, n int) (traffic.Pattern, error) {
+			return traffic.UniformAtLoad(load, 1, n)
+		},
+	}
+	tbl, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := tbl.Points[0][0].Results
+	if res.Unstable {
+		t.Fatal("unstable replication at load 0.5")
+	}
+	if res.Slots != 8*30_000 {
+		t.Fatalf("merged %d slots, want 8 replications of 30000", res.Slots)
+	}
+	if got, want := res.InputDelay.Mean, analytic.OQDelay(16, 0.5); math.Abs(got-want) > 0.05 {
+		t.Fatalf("OQ delay over 8 replications %v misses theory %v", got, want)
 	}
 }

@@ -9,10 +9,14 @@ import (
 )
 
 // Mid-sweep resume (Sweep.CheckpointDir). A resumable sweep keeps two
-// files per grid point under the checkpoint directory:
+// files per cell under the checkpoint directory:
 //
-//	<sweep>-<algo>-l<li>.json   the finished point, verbatim
-//	<sweep>-<algo>-l<li>.snap   the running point's latest snapshot
+//	<sweep>-<algo>-l<li>[-r<rep>][-fast].json   the finished cell, verbatim
+//	<sweep>-<algo>-l<li>[-r<rep>][-fast].snap   the running cell's latest snapshot
+//
+// Replication 0 carries no -r part, so an unreplicated sweep's files
+// are the first replication of a replicated one; a Fast sweep's files
+// carry -fast, so one directory never mixes the two engines.
 //
 // A finished point is loaded from its JSON instead of re-simulated
 // (float64 survives Go's JSON round-trip exactly, so the assembled
@@ -23,36 +27,40 @@ import (
 // best-effort: a failing disk degrades the sweep to non-resumable, it
 // never changes results. Unusable artifacts (older format version,
 // corruption, a config drift that changes the point's identity) are
-// detected by the snapshot codec and the point silently re-runs from
-// slot 0.
-//
-// The directory is keyed by sweep name, algorithm and load index
-// only, so it must not be shared between sweeps with different
-// parameters: a changed grid would be caught by the snapshot identity
-// header, but a stale finished-point JSON is trusted as saved.
+// detected by the snapshot codec, and a finished-point JSON that is not
+// this sweep's cell — the directory was reused with another seed, slot
+// budget or grid — by LoadFinishedPoint; either way the cell silently
+// re-runs from slot 0. A cell that cannot be snapshotted (see
+// Runner.Snapshottable) runs whole and leaves only its JSON.
 
 // pointPaths returns the finished-result and mid-run snapshot paths
-// of one grid cell.
-func (s *Sweep) pointPaths(ai, li int) (doneFile, snapFile string) {
-	base := filepath.Join(s.CheckpointDir,
-		fmt.Sprintf("%s-%s-l%02d", s.Name, s.Algorithms[ai].Name, li))
+// of one cell.
+func (s *Sweep) pointPaths(ai, li, rep int) (doneFile, snapFile string) {
+	base := fmt.Sprintf("%s-%s-l%02d", s.Name, s.Algorithms[ai].Name, li)
+	if rep > 0 {
+		base += fmt.Sprintf("-r%02d", rep)
+	}
+	if s.Fast {
+		base += "-fast"
+	}
+	base = filepath.Join(s.CheckpointDir, base)
 	return base + ".json", base + ".snap"
 }
 
-// runPoint simulates one grid cell of Sweep.Run: runCell, behind the
-// disk protocol above when the sweep has a CheckpointDir.
-func (s *Sweep) runPoint(ai, li int, pool *core.ArenaPool) Point {
+// runPoint simulates one cell of Sweep.Run: runCell, behind the disk
+// protocol above when the sweep has a CheckpointDir.
+func (s *Sweep) runPoint(ai, li, rep int, pool *core.ArenaPool) Point {
 	if s.CheckpointDir == "" {
-		return s.runCell(ai, li, 0, PointRun{Pool: pool})
+		return s.runCell(ai, li, rep, PointRun{Pool: pool})
 	}
-	if saved, ok := s.LoadFinishedPoint(ai, li); ok {
+	if saved, ok := s.LoadFinishedPoint(ai, li, rep); ok {
 		return saved
 	}
-	// Absent or unreadable finished point: run it, resuming from the
+	// Absent or unusable finished point: run it, resuming from the
 	// snapshot file when there is one (an unreadable file is no blob).
-	_, snapFile := s.pointPaths(ai, li)
+	_, snapFile := s.pointPaths(ai, li, rep)
 	blob, _ := os.ReadFile(snapFile)
-	pt := s.runCell(ai, li, 0, PointRun{
+	pt := s.runCell(ai, li, rep, PointRun{
 		Resume:          blob,
 		CheckpointEvery: s.CheckpointEvery,
 		Checkpoint: func(_ int64, snapshot []byte) {
@@ -60,9 +68,7 @@ func (s *Sweep) runPoint(ai, li int, pool *core.ArenaPool) Point {
 		},
 		Pool: pool,
 	})
-	if pt.Skipped == "" {
-		s.SaveFinishedPoint(ai, li, pt) // best-effort, see package comment
-	}
+	s.SaveFinishedPoint(ai, li, rep, pt) // best-effort, see package comment
 	return pt
 }
 

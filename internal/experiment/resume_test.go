@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"voqsim/internal/traffic"
@@ -73,7 +72,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 	// Second run over the same directory: all points load from disk.
 	// Tampering with one saved point proves they are not re-simulated.
 	s := resumeSweep(dir)
-	doneFile, _ := s.pointPaths(0, 0)
+	doneFile, _ := s.pointPaths(0, 0, 0)
 	data, err := os.ReadFile(doneFile)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +81,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 	if err := json.Unmarshal(data, &pt); err != nil {
 		t.Fatal(err)
 	}
-	pt.Results.Seed = 12345
+	pt.Results.Delivered = 12345
 	tampered, err := json.Marshal(pt)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Points[0][0].Results.Seed != 12345 {
+	if got.Points[0][0].Results.Delivered != 12345 {
 		t.Fatal("finished point was re-simulated instead of loaded from disk")
 	}
 	if err := os.WriteFile(doneFile, data, 0o644); err != nil {
@@ -105,7 +104,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 	// genuine mid-run snapshot, as a killed sweep would leave behind.
 	// The re-run must resume it and still reproduce the table.
 	s = resumeSweep(dir)
-	doneFile, snapFile := s.pointPaths(1, 1)
+	doneFile, snapFile := s.pointPaths(1, 1, 0)
 	pat, err := s.Pattern(s.Loads[1], s.N)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +134,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 	// Corrupt snapshot scenario: the point must quietly re-run from
 	// slot 0 and still produce the exact table.
 	s = resumeSweep(dir)
-	doneFile, snapFile = s.pointPaths(0, 1)
+	doneFile, snapFile = s.pointPaths(0, 1, 0)
 	if err := os.Remove(doneFile); err != nil {
 		t.Fatal(err)
 	}
@@ -149,47 +148,4 @@ func TestSweepCheckpointDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesEqual(t, "corrupt snapshot", got, want)
-}
-
-func TestReplicateConfigDefaults(t *testing.T) {
-	cases := []struct {
-		name string
-		in   ReplicateConfig
-		want ReplicateConfig
-	}{
-		{"zeros take defaults", ReplicateConfig{},
-			ReplicateConfig{Replications: 10, Slots: 50_000, Seed: 2004}},
-		{"explicit values kept", ReplicateConfig{Replications: 3, Slots: 1234, Seed: 9, Workers: 2},
-			ReplicateConfig{Replications: 3, Slots: 1234, Seed: 9, Workers: 2}},
-		{"non-positive replications default", ReplicateConfig{Replications: -4},
-			ReplicateConfig{Replications: 10, Slots: 50_000, Seed: 2004}},
-		{"negative slots preserved for validation", ReplicateConfig{Slots: -1},
-			ReplicateConfig{Replications: 10, Slots: -1, Seed: 2004}},
-		{"negative workers preserved (GOMAXPROCS at run time)", ReplicateConfig{Workers: -3},
-			ReplicateConfig{Replications: 10, Slots: 50_000, Seed: 2004, Workers: -3}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.in.withDefaults()
-			// ReplicateConfig holds func fields, so compare the
-			// defaulted scalars individually.
-			if got.Replications != tc.want.Replications || got.Slots != tc.want.Slots ||
-				got.Seed != tc.want.Seed || got.Workers != tc.want.Workers {
-				t.Fatalf("withDefaults(%+v) = %+v, want %+v", tc.in, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestReplicateRejectsNegativeSlots(t *testing.T) {
-	_, err := Replicate(ReplicateConfig{
-		Algorithm: FIFOMS, N: 4, Slots: -5,
-		Pattern: func(load float64, n int) (traffic.Pattern, error) {
-			return traffic.BernoulliAtLoad(load, 0.25, n)
-		},
-		Load: 0.3,
-	})
-	if err == nil || !strings.Contains(err.Error(), "negative slot budget") {
-		t.Fatalf("negative Slots accepted: %v", err)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 
 	invcheck "voqsim/internal/check"
 	"voqsim/internal/core"
@@ -36,11 +37,13 @@ type Sweep struct {
 	// CheckError, and Table.CheckFailures surfaces them.
 	Check bool
 	// CheckpointDir, when non-empty, makes the sweep resumable: each
-	// completed point's results are saved there as JSON, each running
-	// point checkpoints its simulation state periodically, and a
-	// re-run of the identical sweep loads finished points from disk
+	// completed cell's results are saved there as JSON, each running
+	// cell checkpoints its simulation state periodically, and a
+	// re-run of the identical sweep loads finished cells from disk
 	// and resumes interrupted ones mid-run — reproducing the
-	// uninterrupted sweep bit for bit (see resume.go).
+	// uninterrupted sweep bit for bit (see resume.go). A cell whose
+	// engine cannot be snapshotted (a Fast run, tatra, oq, cioq) runs
+	// whole and is saved when it finishes.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in slots (default:
 	// a tenth of the point's slot budget). Only used with
@@ -53,21 +56,20 @@ type Sweep struct {
 	Progress func(Progress)
 	// Fast runs every point in the engine's relaxed-identity fast
 	// mode (DESIGN.md §12): same stochastic model, O(1) samplers,
-	// batched statistics. Incompatible with Check (the checker's
-	// oracle replays exact draw order) and with CheckpointDir (fast
-	// runs cannot be snapshotted); Run rejects the combination.
+	// batched statistics. A fast run cannot be snapshotted, so its
+	// cells run whole under CheckpointDir or a lease.
 	Fast bool
 	// Replications runs every grid point R times with independent
 	// per-replication seed substreams and merges the R runs into the
-	// point's Results with switchsim.MergeResults (counters summed,
-	// moments combined, gauges weighted by measured window). The R
-	// runs are shards of the same work-stealing pool as the points
-	// themselves, so a single point saturates the whole worker fleet;
-	// the merged table is byte-identical for any worker count.
-	// Replication 0 uses exactly the legacy point seed, so a
-	// 1-replication sweep equals a plain one. Values <= 1 mean one run
-	// per point; incompatible with CheckpointDir (the resume protocol
-	// stores one simulation per point).
+	// point's Results with MergePoints (counters summed, moments
+	// combined, gauges weighted by measured window). A replication is
+	// the third coordinate of the sweep's cells: the R runs are shards
+	// of the same pool as the points themselves, so a single point
+	// saturates the whole worker fleet, and each is checkpointed,
+	// resumed and leased like any other cell; the merged table is
+	// byte-identical for any worker count. Replication 0 uses exactly
+	// the legacy point seed, so a 1-replication sweep equals a plain
+	// one. Values <= 1 mean one run per point.
 	Replications int
 }
 
@@ -90,11 +92,10 @@ type Table struct {
 	Points [][]Point `json:"points"`
 }
 
-// Validate checks the sweep's structural constraints and flag
-// combinations without running anything; Run performs the same checks.
-// It is exported so a driver that fans the grid out itself — the
-// distributed coordinator in internal/dsweep — can reject a bad sweep
-// before leasing any point.
+// Validate checks the sweep's structural constraints without running
+// anything; Run performs the same checks. It is exported so a driver
+// that fans the grid out itself — the distributed coordinator in
+// internal/dsweep — can reject a bad sweep before leasing any cell.
 func (s *Sweep) Validate() error {
 	if s.N <= 0 {
 		return fmt.Errorf("experiment: sweep %q has no switch size", s.Name)
@@ -102,16 +103,36 @@ func (s *Sweep) Validate() error {
 	if len(s.Loads) == 0 || len(s.Algorithms) == 0 {
 		return fmt.Errorf("experiment: sweep %q has an empty grid", s.Name)
 	}
-	if s.Fast && s.Check {
-		return fmt.Errorf("experiment: sweep %q: Fast and Check are mutually exclusive", s.Name)
-	}
-	if s.Fast && s.CheckpointDir != "" {
-		return fmt.Errorf("experiment: sweep %q: Fast sweeps cannot be checkpointed or resumed", s.Name)
-	}
-	if s.Replications > 1 && s.CheckpointDir != "" {
-		return fmt.Errorf("experiment: sweep %q: replicated sweeps cannot be checkpointed or resumed", s.Name)
-	}
 	return nil
+}
+
+// A sweep's unit of work is the cell (ai, li, rep): replication rep of
+// algorithm ai at load li. Cells are numbered (ai·L+li)·R+rep — for
+// one replication, exactly the grid points in row-major order — and
+// every driver (Run's shards, the resume directory, dsweep's leases)
+// runs, stores and merges the same numbered cells.
+
+// reps is the number of replications per grid point, at least one.
+func (s *Sweep) reps() int { return max(s.Replications, 1) }
+
+// Cells returns the number of cells of the sweep.
+func (s *Sweep) Cells() int { return len(s.Algorithms) * len(s.Loads) * s.reps() }
+
+// CellAt returns the coordinates of the numbered cell.
+func (s *Sweep) CellAt(cell int) (ai, li, rep int) {
+	p, rep := cell/s.reps(), cell%s.reps()
+	return p / len(s.Loads), p % len(s.Loads), rep
+}
+
+// CellLabel names a cell for progress and log lines: "algo@load", with
+// "#rep" appended in a replicated sweep.
+func (s *Sweep) CellLabel(cell int) string {
+	ai, li, rep := s.CellAt(cell)
+	label := s.Algorithms[ai].Name + "@" + strconv.FormatFloat(s.Loads[li], 'g', -1, 64)
+	if s.reps() > 1 {
+		label += "#" + strconv.Itoa(rep)
+	}
+	return label
 }
 
 // NewTable validates the sweep and returns its empty result table,
@@ -131,11 +152,12 @@ func (s *Sweep) NewTable() (*Table, error) {
 	return tbl, nil
 }
 
-// Run executes every (algorithm, load) point of the sweep on the
-// sharded engine (see engine.go) and returns the assembled table.
-// Results are deterministic for a fixed Sweep regardless of worker
-// count: every point derives its seeds from its grid coordinates and
-// writes only its own table cell.
+// Run executes every cell of the sweep on the sharded engine (see
+// engine.go) and returns the assembled table. Results are
+// deterministic for a fixed Sweep regardless of worker count: every
+// cell derives its seeds from its coordinates and writes only its own
+// slot, and a grid point's replications are folded in replication
+// order.
 func (s *Sweep) Run() (*Table, error) {
 	tbl, err := s.NewTable()
 	if err != nil {
@@ -147,20 +169,44 @@ func (s *Sweep) Run() (*Table, error) {
 		}
 	}
 
-	if s.Replications > 1 {
-		return s.runReplicated(tbl)
-	}
-
-	total := len(s.Algorithms) * len(s.Loads)
-	runShards(s.Workers, total, s.Progress, func(shard int, pool *core.ArenaPool) string {
-		ai, li := shard/len(s.Loads), shard%len(s.Loads)
+	cells := make([]Point, s.Cells())
+	runShards(s.Workers, len(cells), s.Progress, func(cell int, pool *core.ArenaPool) string {
+		ai, li, rep := s.CellAt(cell)
 		load := strconv.FormatFloat(s.Loads[li], 'g', -1, 64)
 		withPointLabels(s.Name, s.Algorithms[ai].Name, load, func() {
-			tbl.Points[ai][li] = s.runPoint(ai, li, pool)
+			cells[cell] = s.runPoint(ai, li, rep, pool)
 		})
-		return s.Algorithms[ai].Name + "@" + load
+		return s.CellLabel(cell)
 	})
+	for first, r := 0, s.reps(); first < len(cells); first += r {
+		ai, li, _ := s.CellAt(first)
+		tbl.Points[ai][li] = MergePoints(cells[first : first+r])
+	}
 	return tbl, nil
+}
+
+// MergePoints folds one grid point's replications, in replication
+// order, into its table entry; a lone run is returned untouched. A
+// skipped load is skipped identically in every replication (the
+// pattern depends only on (load, N)), so the first run speaks for all;
+// checker verdicts are joined with their replication index so a single
+// bad replication stays attributable.
+func MergePoints(pts []Point) Point {
+	out := pts[0]
+	if len(pts) == 1 || out.Skipped != "" {
+		return out
+	}
+	rs := make([]switchsim.Results, len(pts))
+	var errs []string
+	for i := range pts {
+		rs[i] = pts[i].Results
+		if pts[i].CheckError != "" {
+			errs = append(errs, fmt.Sprintf("rep %d: %s", i, pts[i].CheckError))
+		}
+	}
+	out.Results = switchsim.MergeResults(rs)
+	out.CheckError = strings.Join(errs, "; ")
+	return out
 }
 
 // runCell simulates replication rep of grid cell (ai, li). It is the
@@ -169,7 +215,7 @@ func (s *Sweep) Run() (*Table, error) {
 // pr.Checkpoint at the default cadence, collect the checker verdict —
 // and every way a point runs is this function under a different
 // PointRun: Sweep.Run in memory or over the checkpoint directory
-// (resume.go), a replication (replications.go), a lease (RunPointAt).
+// (resume.go), or a lease (RunPointAt).
 func (s *Sweep) runCell(ai, li, rep int, pr PointRun) Point {
 	algo := s.Algorithms[ai]
 	pt := Point{Algorithm: algo.Name, Load: s.Loads[li]}
@@ -222,20 +268,24 @@ func (s *Sweep) runCell(ai, li, rep int, pr PointRun) Point {
 	return pt
 }
 
-// pointRunner builds the runner of one replication of a grid cell
-// (NewRunner under the sweep's labeling, pool and Check setting). The
-// point seed mixes the sweep seed with the grid coordinates, so every
-// point is independent and re-running the sweep — with any worker
-// count — reproduces it exactly; the derivation is pinned — checkpoint
-// blobs embed the derived seed, so changing it would orphan every saved
-// checkpoint. Replication 0 uses the point seed unchanged; higher
+// pointSeed derives a cell's seed. It mixes the sweep seed with the
+// grid coordinates, so every point is independent and re-running the
+// sweep — with any worker count — reproduces it exactly; the
+// derivation is pinned — checkpoint blobs and finished-point files
+// embed the derived seed, so changing it would orphan every saved
+// directory. Replication 0 uses the point seed unchanged; higher
 // replications mix in their index, giving every replication an
 // independent substream that is still a pure function of
 // (sweep seed, ai, li, rep).
-func (s *Sweep) pointRunner(ai, li, rep int, pat traffic.Pattern, pool *core.ArenaPool) (*switchsim.Runner, *invcheck.Checker, func()) {
+func (s *Sweep) pointSeed(ai, li, rep int) uint64 {
 	seed := s.Seed ^ (uint64(ai)+1)*0x9e3779b97f4a7c15 ^ (uint64(li)+1)*0xd6e8feb86659fd93
-	seed ^= uint64(rep) * 0x94d049bb133111eb
-	cfg := switchsim.Config{Slots: s.Slots, Seed: seed, UnstableCellLimit: s.UnstableCap, Fast: s.Fast}
+	return seed ^ uint64(rep)*0x94d049bb133111eb
+}
+
+// pointRunner builds the runner of one cell (NewRunner under the
+// sweep's labeling, pool and Check setting).
+func (s *Sweep) pointRunner(ai, li, rep int, pat traffic.Pattern, pool *core.ArenaPool) (*switchsim.Runner, *invcheck.Checker, func()) {
+	cfg := switchsim.Config{Slots: s.Slots, Seed: s.pointSeed(ai, li, rep), UnstableCellLimit: s.UnstableCap, Fast: s.Fast}
 	return pointSeeding.NewRunner(s.Algorithms[ai], s.N, pat, cfg, pool, s.Check)
 }
 

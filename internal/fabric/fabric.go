@@ -50,12 +50,6 @@ type Config struct {
 	// deliveries are merged in node order (see parallel.go). A fabric
 	// with Workers > 1 owns goroutines; Close it when done.
 	Workers int
-	// Shards is the number of work-stealing units the node set is
-	// split into when Workers > 1: shard s owns nodes s, s+Shards,
-	// s+2·Shards, … Zero (the default) means one shard per node —
-	// maximal stealing granularity. Shards never affects results, only
-	// load balance.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {

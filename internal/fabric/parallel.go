@@ -12,9 +12,10 @@ package fabric
 // The engine therefore splits every slot into three phases:
 //
 //  1. link admission — sequential, in the caller, unchanged;
-//  2. node stepping — the nodes are sharded over a persistent worker
-//     pool; each node's deliveries are appended to a per-node buffer
-//     owned by whichever worker stepped it, in emission order;
+//  2. node stepping — the nodes are claimed one at a time by a
+//     persistent worker pool; each node's deliveries are appended to
+//     a per-node buffer owned by whichever worker stepped it, in
+//     emission order;
 //  3. merge — the caller replays the buffered deliveries through
 //     handleNodeDelivery in (node order, emission order).
 //
@@ -23,9 +24,9 @@ package fabric
 // so phase 3 performs exactly the operation sequence the sequential
 // engine performs on the live window, the links, the leaf pool, the
 // hop statistics and the outer delivery callback. Delivery stream,
-// stats, and snapshots are byte-identical for any worker count, any
-// shard count, and any GOMAXPROCS; scheduling only decides which
-// goroutine fills which (private) buffer.
+// stats, and snapshots are byte-identical for any worker count and any
+// GOMAXPROCS; scheduling only decides which goroutine fills which
+// (private) buffer.
 
 import (
 	"sync"
@@ -34,13 +35,12 @@ import (
 	"voqsim/internal/cell"
 )
 
-// parPool is the persistent worker pool of a parallel fabric. Shards
+// parPool is the persistent worker pool of a parallel fabric. Nodes
 // are claimed with an atomic cursor, so a worker stuck on a heavy node
 // never blocks the others from draining the rest of the slot.
 type parPool struct {
-	shards int
 	wake   []chan int64 // one per worker; carries the slot to step
-	cursor atomic.Int64 // next unclaimed shard
+	cursor atomic.Int64 // next unclaimed node
 	wg     sync.WaitGroup
 }
 
@@ -48,14 +48,7 @@ type parPool struct {
 // worker goroutines. Called from New when cfg.Workers > 1.
 func (f *Fabric) startWorkers() {
 	n := len(f.nodes)
-	shards := f.cfg.Shards
-	if shards <= 0 || shards > n {
-		shards = n
-	}
-	workers := f.cfg.Workers
-	if workers > shards {
-		workers = shards // more workers than shards would just idle
-	}
+	workers := min(f.cfg.Workers, n) // more workers than nodes would just idle
 	f.parBuf = make([][]cell.Delivery, n)
 	f.parFns = make([]func(cell.Delivery), n)
 	for i := range f.parFns {
@@ -64,7 +57,7 @@ func (f *Fabric) startWorkers() {
 			f.parBuf[i] = append(f.parBuf[i], d)
 		}
 	}
-	p := &parPool{shards: shards, wake: make([]chan int64, workers)}
+	p := &parPool{wake: make([]chan int64, workers)}
 	f.par = p
 	for w := range p.wake {
 		// Buffered by one so the slot hand-off never blocks on a worker
@@ -75,21 +68,18 @@ func (f *Fabric) startWorkers() {
 	}
 }
 
-// parWorker steps nodes for one slot per wake-up. Shard s owns nodes
-// s, s+shards, s+2·shards, …; each node is stepped by exactly one
-// worker, and the per-node buffer its deliveries land in is touched by
-// no one else until the pool quiesces.
+// parWorker steps nodes for one slot per wake-up. Each node is stepped
+// by exactly one worker, and the per-node buffer its deliveries land in
+// is touched by no one else until the pool quiesces.
 func (f *Fabric) parWorker(wake <-chan int64) {
 	p := f.par
 	for slot := range wake {
 		for {
-			s := int(p.cursor.Add(1)) - 1
-			if s >= p.shards {
+			ni := int(p.cursor.Add(1)) - 1
+			if ni >= len(f.nodes) {
 				break
 			}
-			for ni := s; ni < len(f.nodes); ni += p.shards {
-				f.nodes[ni].Step(slot, f.parFns[ni])
-			}
+			f.nodes[ni].Step(slot, f.parFns[ni])
 		}
 		p.wg.Done()
 	}

@@ -17,8 +17,8 @@ import (
 
 // The parallel-engine contract (DESIGN.md §16): the delivery stream,
 // the final Results table, and every mid-run snapshot blob are
-// byte-identical to the sequential engine for any worker count, any
-// shard count, and any GOMAXPROCS. These tests pin that contract; the
+// byte-identical to the sequential engine for any worker count and any
+// GOMAXPROCS. These tests pin that contract; the
 // CI fabric and parallel jobs run them under the race detector, which
 // also proves the pool itself race-free.
 
@@ -97,7 +97,7 @@ func sameRun(t *testing.T, label string, got, want fabricRun) {
 }
 
 // TestParallelFabricIdentity is the full determinism battery: for a
-// fat-tree and a Clos, every (workers, shards, GOMAXPROCS) combination
+// fat-tree and a Clos, every (workers, GOMAXPROCS) combination
 // must reproduce the sequential run exactly — delivery stream, final
 // table, fabric counters, and mid-run snapshot blobs.
 func TestParallelFabricIdentity(t *testing.T) {
@@ -107,7 +107,6 @@ func TestParallelFabricIdentity(t *testing.T) {
 	)
 	specs := []string{"fattree:k=4", "clos:n=4,m=4,r=4"}
 	workerCounts := []int{2, 4}
-	shardCounts := []int{1, 3, 8}
 	maxprocs := []int{1, 2, 4}
 	if testing.Short() {
 		specs = specs[:1]
@@ -127,12 +126,9 @@ func TestParallelFabricIdentity(t *testing.T) {
 			for _, g := range maxprocs {
 				runtime.GOMAXPROCS(g)
 				for _, w := range workerCounts {
-					for _, s := range shardCounts {
-						label := fmt.Sprintf("gomaxprocs=%d/workers=%d/shards=%d", g, w, s)
-						got := runFabricPoint(t, "fifoms", spec,
-							fabric.Config{Workers: w, Shards: s}, seed, slots, slots/3)
-						sameRun(t, label, got, want)
-					}
+					label := fmt.Sprintf("gomaxprocs=%d/workers=%d", g, w)
+					got := runFabricPoint(t, "fifoms", spec, fabric.Config{Workers: w}, seed, slots, slots/3)
+					sameRun(t, label, got, want)
 				}
 			}
 		})
@@ -149,7 +145,7 @@ func TestParallelFabricResume(t *testing.T) {
 		snapSlot = 200
 		seed     = 31
 	)
-	fcfg := fabric.Config{Workers: 4, Shards: 3}
+	fcfg := fabric.Config{Workers: 4}
 
 	straight := runFabricPoint(t, "fifoms", "fattree:k=4", fcfg, seed, slots, snapSlot)
 	if len(straight.blobs) == 0 {

@@ -18,8 +18,11 @@
 //
 // Family-specific parameters: bernoulli/burst take "b"; uniform and
 // mixed take "maxFanout"; burst takes "eOn"; mixed takes
-// "multicastFrac"; hotspot takes "skew". Unknown fields are rejected,
-// so typos fail loudly instead of silently running defaults.
+// "multicastFrac"; hotspot takes "skew". An optional "topology"
+// ("fattree:k=4", "clos:n=4,m=4,r=4") sweeps a multi-stage fabric whose
+// every node runs the named algorithm, instead of a single switch; "n"
+// must then be the fabric's external port count. Unknown fields are
+// rejected, so typos fail loudly instead of silently running defaults.
 package scenario
 
 import (
@@ -41,6 +44,7 @@ type TrafficSpec = traffic.Spec
 type Scenario struct {
 	Name       string      `json:"name"`
 	N          int         `json:"n"`
+	Topology   string      `json:"topology,omitempty"`
 	Slots      int64       `json:"slots,omitempty"`
 	Seed       uint64      `json:"seed,omitempty"`
 	Workers    int         `json:"workers,omitempty"`
@@ -68,46 +72,48 @@ func Read(r io.Reader) (*Scenario, error) {
 // parameters themselves are validated when the sweep resolves each
 // load).
 func (s *Scenario) Validate() error {
+	_, err := s.roster()
+	return err
+}
+
+// roster validates the scenario and resolves its algorithm names,
+// lifted onto the topology when it has one.
+func (s *Scenario) roster() ([]experiment.Algorithm, error) {
 	if s.Name == "" {
-		return fmt.Errorf("scenario: missing name")
+		return nil, fmt.Errorf("scenario: missing name")
 	}
 	if s.N <= 0 {
-		return fmt.Errorf("scenario %q: n must be positive", s.Name)
+		return nil, fmt.Errorf("scenario %q: n must be positive", s.Name)
 	}
 	if len(s.Algorithms) == 0 {
-		return fmt.Errorf("scenario %q: no algorithms", s.Name)
+		return nil, fmt.Errorf("scenario %q: no algorithms", s.Name)
 	}
 	if len(s.Loads) == 0 {
-		return fmt.Errorf("scenario %q: no loads", s.Name)
+		return nil, fmt.Errorf("scenario %q: no loads", s.Name)
 	}
 	for _, l := range s.Loads {
 		if l <= 0 {
-			return fmt.Errorf("scenario %q: non-positive load %v", s.Name, l)
+			return nil, fmt.Errorf("scenario %q: non-positive load %v", s.Name, l)
 		}
 	}
 	if err := s.Traffic.Validate(); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	for _, a := range s.Algorithms {
-		if _, err := experiment.ByName(a); err != nil {
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
+	algos := make([]experiment.Algorithm, len(s.Algorithms))
+	for i, name := range s.Algorithms {
+		var err error
+		if algos[i], _, err = experiment.Resolve(name, s.Topology, s.N, 0); err != nil {
+			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
-	return nil
+	return algos, nil
 }
 
 // Sweep converts the scenario into a runnable experiment sweep.
 func (s *Scenario) Sweep() (*experiment.Sweep, error) {
-	if err := s.Validate(); err != nil {
+	algos, err := s.roster()
+	if err != nil {
 		return nil, err
-	}
-	algos := make([]experiment.Algorithm, 0, len(s.Algorithms))
-	for _, name := range s.Algorithms {
-		a, err := experiment.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		algos = append(algos, a)
 	}
 	return &experiment.Sweep{
 		Name:       s.Name,

@@ -130,3 +130,26 @@ func TestOccupancy(t *testing.T) {
 		t.Fatalf("Maximum = %d", o.Maximum())
 	}
 }
+
+func deliveryFor(id cell.PacketID, in, out int, slot int64) cell.Delivery {
+	return cell.Delivery{ID: id, In: in, Out: out, Slot: slot}
+}
+
+func TestDelayTrackerClassBreakdown(t *testing.T) {
+	dt := NewDelayTracker(0)
+	dt.Arrive(pkt(1, 0, 3))       // unicast
+	dt.Arrive(pkt(2, 0, 0, 1, 2)) // multicast
+	dt.Deliver(deliveryFor(1, 0, 3, 2))
+	dt.Deliver(deliveryFor(2, 0, 0, 0))
+	dt.Deliver(deliveryFor(2, 0, 1, 1))
+	dt.Deliver(deliveryFor(2, 0, 2, 5))
+	if got := dt.UnicastInputOriented().Mean(); got != 3 {
+		t.Fatalf("unicast class mean = %v", got)
+	}
+	if got := dt.MulticastInputOriented().Mean(); got != 6 {
+		t.Fatalf("multicast class mean = %v", got)
+	}
+	if dt.UnicastInputOriented().Count()+dt.MulticastInputOriented().Count() != dt.InputOriented().Count() {
+		t.Fatal("class counts do not partition completions")
+	}
+}

@@ -104,67 +104,3 @@ func TestWelfordMergeManyPartitions(t *testing.T) {
 	}
 	sameSummary(t, "reverse fold", &rev, streamed, 1e-9)
 }
-
-// TestBatchMeansMergeOrderInsensitive pins the same property for the
-// batch-means estimator: when segments split on batch boundaries, the
-// merged estimator matches streaming exactly (same batches), and the
-// merge commutes regardless of alignment.
-func TestBatchMeansMergeOrderInsensitive(t *testing.T) {
-	const batch = 50
-	xs := series(5, 40*batch)
-	cut := 17 * batch // batch-aligned split
-
-	streamed := NewBatchMeans(batch)
-	for _, x := range xs {
-		streamed.Add(x)
-	}
-
-	half := func(lo, hi int) *BatchMeans {
-		b := NewBatchMeans(batch)
-		for _, x := range xs[lo:hi] {
-			b.Add(x)
-		}
-		return b
-	}
-	ab := half(0, cut)
-	ab.Merge(half(cut, len(xs)))
-	ba := half(cut, len(xs))
-	ba.Merge(half(0, cut))
-
-	for _, tc := range []struct {
-		name string
-		got  *BatchMeans
-	}{{"merge(a,b)", ab}, {"merge(b,a)", ba}} {
-		if tc.got.Batches() != streamed.Batches() {
-			t.Fatalf("%s: %d batches, streaming has %d", tc.name, tc.got.Batches(), streamed.Batches())
-		}
-		if !relClose(tc.got.Mean(), streamed.Mean(), 1e-9) {
-			t.Errorf("%s: mean %v, streaming %v", tc.name, tc.got.Mean(), streamed.Mean())
-		}
-		if !relClose(tc.got.HalfWidth95(), streamed.HalfWidth95(), 1e-9) {
-			t.Errorf("%s: half-width %v, streaming %v", tc.name, tc.got.HalfWidth95(), streamed.HalfWidth95())
-		}
-	}
-
-	// Unaligned split: partial trailing batches are discarded (the
-	// documented contract), so only commutativity holds.
-	odd := 17*batch + 7
-	ab2 := half(0, odd)
-	ab2.Merge(half(odd, len(xs)))
-	ba2 := half(odd, len(xs))
-	ba2.Merge(half(0, odd))
-	if ab2.Batches() != ba2.Batches() || !relClose(ab2.Mean(), ba2.Mean(), 1e-9) {
-		t.Errorf("unaligned merge not commutative: %v/%d vs %v/%d",
-			ab2.Mean(), ab2.Batches(), ba2.Mean(), ba2.Batches())
-	}
-}
-
-// TestBatchMeansMergeSizeMismatch pins the panic on mixed batch sizes.
-func TestBatchMeansMergeSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected a panic merging different batch sizes")
-		}
-	}()
-	NewBatchMeans(10).Merge(NewBatchMeans(20))
-}

@@ -186,28 +186,3 @@ func (o *Occupancy) LoadState(r *snap.Reader) error {
 	}
 	return o.max.LoadState(r)
 }
-
-// SaveState appends the estimator's raw state.
-func (b *BatchMeans) SaveState(sw *snap.Writer) {
-	sw.Int(b.batchSize)
-	b.current.SaveState(sw)
-	b.means.SaveState(sw)
-}
-
-// LoadState restores state written by SaveState. The batch size
-// travels with the state (it defines what the batch means *are*), so
-// it must match the size the estimator was constructed with.
-func (b *BatchMeans) LoadState(r *snap.Reader) error {
-	size := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if size != b.batchSize {
-		r.Failf("batch size %d does not match estimator's %d", size, b.batchSize)
-		return r.Err()
-	}
-	if err := b.current.LoadState(r); err != nil {
-		return err
-	}
-	return b.means.LoadState(r)
-}

@@ -147,6 +147,17 @@ func (c Config) withDefaults(n int) Config {
 	return c
 }
 
+// WarmupSlots returns the Results.WarmupSlots of a run New builds from
+// this configuration (c as the caller wrote it, defaults not applied),
+// so a saved result can be matched to its configuration without
+// building the run.
+func (c Config) WarmupSlots() int64 { return c.withDefaults(0).warmup() }
+
+// warmup is the number of slots excluded from statistics, for a
+// configuration whose defaults are applied (withDefaults is not
+// idempotent in WarmupFrac, so it must not run twice).
+func (c Config) warmup() int64 { return int64(float64(c.Slots) * c.WarmupFrac) }
+
 // fastStatsEvery is the fast-mode batching and subsampling interval, in
 // slots (DESIGN.md §12).
 const fastStatsEvery = 16
@@ -308,7 +319,7 @@ func New(sw Switch, pat traffic.Pattern, cfg Config, root *xrand.Rand) *Runner {
 		// MeanFanout, so results and sweep keys stay comparable.
 		pat = traffic.Fast(pat)
 	}
-	warmup := int64(float64(cfg.Slots) * cfg.WarmupFrac)
+	warmup := cfg.warmup()
 	r := &Runner{
 		sw:      sw,
 		sources: traffic.BuildSources(pat, n, root),
@@ -413,9 +424,7 @@ func (r *Runner) OnMetricsEvery(every int64, fn func(slot int64, metrics []obs.M
 }
 
 // WarmupSlots returns the number of slots excluded from statistics.
-func (r *Runner) WarmupSlots() int64 {
-	return int64(float64(r.cfg.Slots) * r.cfg.WarmupFrac)
-}
+func (r *Runner) WarmupSlots() int64 { return r.cfg.warmup() }
 
 // OnDelivery registers fn to observe every delivery as it happens,
 // in delivery order, before the engine's own accounting. It makes no
