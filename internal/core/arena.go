@@ -13,95 +13,68 @@ import (
 // queue structure, laid out for the per-slot loop rather than for
 // pointer convenience:
 //
-//   - Address cells are plain values (acell: a time stamp and a data
-//     slab index) held in one power-of-two ring per VOQ. Enqueue,
-//     dequeue and HOL peeks are array arithmetic — no *AddressCell is
-//     ever allocated or chased.
+//   - Address cells are plain 16-byte values (acell: a time stamp, a
+//     data slab index and a next index) and every address cell of the
+//     switch lives in one slab, cells. A VOQ is an intrusive circular
+//     list through next, reached from a 16-byte record (voq) holding
+//     its tail, its length and the cached HOL stamp; freed cells chain
+//     through next too. Nothing here holds a pointer, so the N² records
+//     never enter the collector's scan set, and resident memory tracks
+//     the cells buffered, not the VOQs ever touched.
 //   - Data cells live in a struct-of-arrays slab: dPkt[i]/dFan[i] are
 //     packet pointer and live fanout counter of slab entry i. Address
 //     cells reference entries by index, so ModeShared's one-data-cell
 //     -per-packet sharing is an integer comparison, and freed entries
 //     are recycled through the dFree list without touching the GC.
-//   - The cached HOL mirrors the match kernels read (holTS, occIn,
-//     occOut — see switch.go) live here too, so the whole mutable
+//   - The cached HOL state the match kernels read (voq.ts, occIn,
+//     occOut — see switch.go) lives here too, so the whole mutable
 //     buffer state of a switch is one poolable object.
 //
 // An Arena is owned by exactly one Switch at a time. The sweep engine
 // reuses arenas across points through ArenaPool + Switch.AdoptArena /
-// Switch.ReleaseArena, which keeps the grown ring buffers and slab
-// capacity warm instead of reallocating them per point.
+// Switch.ReleaseArena, which keeps the grown slab capacities warm
+// instead of reallocating them per point.
 
 // acell is the arena's address cell: the paper's AddressCell with the
-// *DataCell pointer replaced by an index into the arena's data slab.
+// *DataCell pointer replaced by an index into the arena's data slab,
+// linked to the cell queued behind it.
 type acell struct {
 	ts   int64 // arrival slot of the packet (the FIFOMS time stamp)
 	data int32 // index into dPkt/dFan
+	next int32 // cells index of the next cell back; the tail's is the head
 }
 
-// voqRing is one VOQ: a power-of-two ring of value cells. The zero
-// value is an empty queue with no storage.
-type voqRing struct {
-	buf  []acell // len is 0 or a power of two
-	head uint32
+// voq is one VOQ: the tail of a circular list through acell.next whose
+// head is cells[tail].next. The zero value is an empty queue; ts and
+// tail mean something only while size > 0.
+type voq struct {
+	ts   int64 // time stamp of the HOL cell, cached for the match kernels
+	tail int32
 	size uint32
 }
 
-func (q *voqRing) push(c acell) {
-	if int(q.size) == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.size)&uint32(len(q.buf)-1)] = c
-	q.size++
-}
-
-func (q *voqRing) pop() acell {
-	c := q.buf[q.head]
-	q.head = (q.head + 1) & uint32(len(q.buf)-1)
-	q.size--
-	return c
-}
-
-func (q *voqRing) front() acell { return q.buf[q.head] }
-
-func (q *voqRing) at(i int) acell {
-	return q.buf[(q.head+uint32(i))&uint32(len(q.buf)-1)]
-}
-
-// grow doubles the ring, relaying the occupied window to the front so
-// the mask arithmetic stays valid.
-func (q *voqRing) grow() {
-	newCap := 2 * len(q.buf)
-	if newCap == 0 {
-		newCap = 8
-	}
-	nb := make([]acell, newCap)
-	if q.size > 0 {
-		mask := uint32(len(q.buf) - 1)
-		for i := uint32(0); i < q.size; i++ {
-			nb[i] = q.buf[(q.head+i)&mask]
-		}
-	}
-	q.buf = nb
-	q.head = 0
-}
-
 // Arena is the complete mutable buffer state of one n-port switch:
-// n*n VOQ rings, the data-cell slab, and the cached HOL mirrors.
+// n*n VOQ records over one address-cell slab, the data-cell slab, and
+// the cached occupancy and oldest-stamp state.
 type Arena struct {
 	n     int
 	words int // destset.WordsPerRow(n), the occ row stride
 
-	rings []voqRing // [n*n], indexed in*n+out
+	voqs []voq // [n*n], indexed in*n+out
 
-	// Cached head-of-line mirrors, documented on Switch: holTS[in*n+out]
-	// is the HOL stamp (emptyHOL when empty), occIn/occOut the
-	// occupancy bitmaps by input row / output row.
-	holTS  []int64
+	// Address-cell slab. Entry 0 is the nil index and never holds a
+	// cell; freed entries are recycled LIFO through free and their next
+	// fields, which bounds the slab length by the historical peak of
+	// concurrently buffered address cells (plus the nil entry).
+	cells []acell
+	free  int32
+
+	// Occupancy bitmaps by input row / output row, documented on Switch.
 	occIn  []uint64
 	occOut []uint64
 
 	// Per-input oldest-stamp cache, maintained on push/pop like the
-	// mirrors above: minHOL[in] is the smallest HOL stamp over input
+	// bitmaps above: minHOL[in] is the smallest HOL stamp over input
 	// in's VOQs (emptyHOL when the input is empty) and minMask[in*words
 	// ...] the bitmap of outputs whose HOL holds that stamp. FIFOMS
 	// reads it to seed its request step in O(words) per input instead
@@ -123,11 +96,8 @@ func NewArena(n int) *Arena {
 		panic("core: non-positive arena size")
 	}
 	a := &Arena{n: n, words: destset.WordsPerRow(n)}
-	a.rings = make([]voqRing, n*n)
-	a.holTS = make([]int64, n*n)
-	for i := range a.holTS {
-		a.holTS[i] = emptyHOL
-	}
+	a.voqs = make([]voq, n*n)
+	a.cells = make([]acell, 1)
 	a.occIn = make([]uint64, n*a.words)
 	a.occOut = make([]uint64, n*a.words)
 	a.minHOL = make([]int64, n)
@@ -141,17 +111,13 @@ func NewArena(n int) *Arena {
 // Ports returns the switch size the arena was built for.
 func (a *Arena) Ports() int { return a.n }
 
-// Reset empties the arena while keeping every grown ring buffer and
-// the slab capacity, so the next run's steady state allocates nothing.
-// Packet references are cleared for the garbage collector.
+// Reset empties the arena while keeping both slabs' capacity, so the
+// next run's steady state allocates nothing. Packet references are
+// cleared for the garbage collector.
 func (a *Arena) Reset() {
-	for i := range a.rings {
-		a.rings[i].head = 0
-		a.rings[i].size = 0
-	}
-	for i := range a.holTS {
-		a.holTS[i] = emptyHOL
-	}
+	clear(a.voqs)
+	a.cells = a.cells[:1]
+	a.free = 0
 	clear(a.occIn)
 	clear(a.occOut)
 	for i := range a.minHOL {
@@ -162,6 +128,34 @@ func (a *Arena) Reset() {
 	a.dPkt = a.dPkt[:0]
 	a.dFan = a.dFan[:0]
 	a.dFree = a.dFree[:0]
+}
+
+// allocCell takes an address-cell entry from the free list or extends
+// the slab, and returns its index.
+func (a *Arena) allocCell() int32 {
+	if idx := a.free; idx != 0 {
+		a.free = a.cells[idx].next
+		return idx
+	}
+	if len(a.cells) > math.MaxInt32 {
+		panic(fmt.Sprintf("core: address-cell slab exhausted (%d cells)", len(a.cells)))
+	}
+	a.cells = append(a.cells, acell{})
+	return int32(len(a.cells) - 1)
+}
+
+// front returns the head cell of VOQ qi, which must not be empty, as
+// the list holds it — the authority voq.ts caches.
+func (a *Arena) front(qi int) acell { return a.cells[a.cells[a.voqs[qi].tail].next] }
+
+// each calls fn on the cells of VOQ qi, front to back.
+func (a *Arena) each(qi int, fn func(acell)) {
+	q := &a.voqs[qi]
+	idx := q.tail
+	for i := uint32(0); i < q.size; i++ {
+		idx = a.cells[idx].next
+		fn(a.cells[idx])
+	}
 }
 
 // allocData takes a slab entry from the freelist or extends the slab,
@@ -199,16 +193,16 @@ type ArenaPool struct {
 	free []*Arena
 }
 
-// Get returns a reset arena for an n-port switch, reusing a pooled one
-// of the same size when available. The caller owns the arena
-// exclusively until it hands it back with Put.
+// Get returns an arena for an n-port switch, reusing a pooled one of
+// the same size when available. The caller owns the arena exclusively
+// until it hands it back with Put. A reused arena still holds its last
+// run's content; Switch.AdoptArena resets it.
 func (p *ArenaPool) Get(n int) *Arena {
 	p.mu.Lock()
 	for i := len(p.free) - 1; i >= 0; i-- {
 		if a := p.free[i]; a.n == n {
 			p.free = append(p.free[:i], p.free[i+1:]...)
 			p.mu.Unlock()
-			a.Reset()
 			return a
 		}
 	}
@@ -217,7 +211,7 @@ func (p *ArenaPool) Get(n int) *Arena {
 }
 
 // Put stores an arena for later reuse. The arena may hold stale
-// content; Get resets it before handing it out.
+// content; adoption resets it.
 func (p *ArenaPool) Put(a *Arena) {
 	if a == nil {
 		return

@@ -17,8 +17,8 @@ import (
 // Arena-focused snapshot tests: the checkpoint format encodes logical
 // buffer content (packet tables + VOQ index sequences, state.go), so
 // it must be insensitive to everything the arena caches for speed —
-// ring capacities, the slab freelist order, and the holTS/occ/minHOL
-// mirrors, which LoadState regenerates by re-pushing through pushCell.
+// slab capacities, the free lists' order, and the HOL stamp/occ/minHOL
+// caches, which LoadState regenerates by re-pushing through pushCell.
 
 var updateArenaGolden = flag.Bool("update-golden", false, "rewrite the golden arena snapshot in testdata/")
 
@@ -58,8 +58,8 @@ func (c *copiedStub) Match(s *Switch, slot int64, r *xrand.Rand, m *Matching) {
 }
 
 // churnSwitch drives slots of random arrivals and departures so the
-// arena's rings wrap, the slab grows, and the freelist recycles
-// entries — the states a snapshot must see through.
+// arena's slabs grow and their free lists recycle entries — the
+// states a snapshot must see through.
 func churnSwitch(s *Switch, r *xrand.Rand, fromSlot, slots int64, nextID *cell.PacketID, deliver func(cell.Delivery)) {
 	n := s.Ports()
 	for slot := fromSlot; slot < fromSlot+slots; slot++ {
@@ -95,7 +95,7 @@ func bufferedContent(s *Switch) []bufferedCell {
 }
 
 // verifyCachedState cross-checks every incremental cache against the
-// authoritative rings, exactly like TestCachedHOLStateCoherent does
+// authoritative queues, exactly like TestCachedHOLStateCoherent does
 // mid-run.
 func verifyCachedState(t *testing.T, s *Switch) {
 	t.Helper()
@@ -104,16 +104,15 @@ func verifyCachedState(t *testing.T, s *Switch) {
 		wantMin := int64(emptyHOL)
 		wantMask := make([]uint64, s.words)
 		for out := 0; out < n; out++ {
-			q := &s.arena.rings[in*s.n+out]
 			ts := s.HOLTime(in, out)
-			if q.size == 0 {
+			if s.VOQLen(in, out) == 0 {
 				if ts != emptyHOL {
 					t.Fatalf("(%d,%d): empty VOQ cached ts %d", in, out, ts)
 				}
 				continue
 			}
-			if ts != q.front().ts {
-				t.Fatalf("(%d,%d): HOL ts %d cached as %d", in, out, q.front().ts, ts)
+			if head := s.arena.front(in*n + out).ts; ts != head {
+				t.Fatalf("(%d,%d): HOL ts %d cached as %d", in, out, head, ts)
 			}
 			switch {
 			case ts < wantMin:
@@ -201,8 +200,8 @@ func TestArenaSnapshotRoundTrip(t *testing.T) {
 
 // TestArenaSnapshotIntoAdoptedArena pins that a pooled, previously
 // used arena is indistinguishable from a fresh one as a restore
-// target: Get's Reset must erase every cache (including the oldest-
-// stamp cache) or the restored run would diverge.
+// target: adoption's Reset must erase every cache (including the
+// oldest-stamp cache) or the restored run would diverge.
 func TestArenaSnapshotIntoAdoptedArena(t *testing.T) {
 	const n = 9
 	s := NewSwitch(n, &FIFOMS{}, xrand.New(21))

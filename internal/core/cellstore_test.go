@@ -1,0 +1,219 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"voqsim/internal/cell"
+	"voqsim/internal/destset"
+	"voqsim/internal/fifoq"
+	"voqsim/internal/xrand"
+)
+
+// modelCell is what the model remembers of one pushed address cell.
+type modelCell struct {
+	ts   int64
+	data int32
+	pkt  *cell.Packet
+}
+
+// visit is one ForEachBuffered callback: the VOQ and the packet seen.
+type visit struct {
+	qi  int
+	pkt *cell.Packet
+}
+
+// TestCellStoreMatchesModel drives the arena's address-cell store —
+// pushCell, popCell, Reset, release-and-adopt — with random schedules
+// and holds it to one plain fifoq.Queue per VOQ: pop order, lengths,
+// HOL accessors, iteration order, the slab length and every incremental
+// cache. Sizes cover the single VOQ, the smallest list handling, a
+// partial bitmap word and the two-word layout.
+func TestCellStoreMatchesModel(t *testing.T) {
+	for _, n := range []int{1, 2, 9, 65} {
+		n := n
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			r := xrand.New(uint64(40 + n))
+			s := NewSwitch(n, &FIFOMS{}, xrand.New(1))
+			model := make([]fifoq.Queue[modelCell], n*n)
+			live, peak := 0, 0 // buffered cells now, and their peak since the arena was last emptied
+			stamp := int64(0)
+			dests := destset.New(n)
+
+			empty := func() {
+				for i := range model {
+					model[i].Clear()
+				}
+				live, peak = 0, 0
+			}
+			// push queues one packet: the same fresh stamp on a random
+			// destination subset of one input, so argmin sets tie the way
+			// multicast makes them. Every cell gets a private data entry,
+			// which gives the accessors a distinct value to report.
+			push := func() {
+				in := r.Intn(n)
+				dests.Clear()
+				dests.RandomBernoulli(r, 0.4)
+				stamp++
+				dests.ForEach(func(out int) {
+					p := &cell.Packet{ID: cell.PacketID(stamp), Input: in, Arrival: stamp}
+					data := s.arena.allocData(p, 1)
+					s.pushCell(in, out, stamp, data)
+					model[in*n+out].Push(modelCell{stamp, data, p})
+					live++
+				})
+				peak = max(peak, live)
+			}
+			pop := func() {
+				qi := r.Intn(n * n)
+				for k := 0; k < n*n && model[qi].Empty(); k++ {
+					qi = (qi + 1) % (n * n)
+				}
+				if model[qi].Empty() {
+					return
+				}
+				want := model[qi].Pop()
+				got := s.popCell(qi/n, qi%n)
+				if got.ts != want.ts || got.data != want.data {
+					t.Fatalf("VOQ(%d,%d) popped ts %d data %d, model says ts %d data %d",
+						qi/n, qi%n, got.ts, got.data, want.ts, want.data)
+				}
+				s.arena.freeData(got.data)
+				live--
+			}
+			verify := func(step int) {
+				t.Helper()
+				if got := s.BufferedAddressCells(); got != int64(live) {
+					t.Fatalf("step %d: %d buffered address cells, model has %d", step, got, live)
+				}
+				// The slab grows only when its free list is empty, so it
+				// holds exactly the peak of live cells plus the nil entry —
+				// and so never outgrows the historical peak.
+				if got := len(s.arena.cells); got != peak+1 {
+					t.Fatalf("step %d: slab holds %d entries over a peak of %d live cells", step, got, peak)
+				}
+				for qi := range model {
+					in, out, m := qi/n, qi%n, &model[qi]
+					if got := s.VOQLen(in, out); got != m.Len() {
+						t.Fatalf("step %d: VOQLen(%d,%d) = %d, model has %d", step, in, out, got, m.Len())
+					}
+					wantTS, wantRef := int64(EmptyHOL), int32(-1)
+					if !m.Empty() {
+						wantTS, wantRef = m.Front().ts, m.Front().data
+					}
+					if got := s.HOLTime(in, out); got != wantTS {
+						t.Fatalf("step %d: HOLTime(%d,%d) = %d, model says %d", step, in, out, got, wantTS)
+					}
+					if got := s.HOLDataRef(in, out); got != wantRef {
+						t.Fatalf("step %d: HOLDataRef(%d,%d) = %d, model says %d", step, in, out, got, wantRef)
+					}
+				}
+				var want, got []visit
+				for qi := range model {
+					for k := 0; k < model[qi].Len(); k++ {
+						want = append(want, visit{qi, model[qi].At(k).pkt})
+					}
+				}
+				s.ForEachBuffered(func(in, out int, p *cell.Packet) { got = append(got, visit{in*n + out, p}) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: ForEachBuffered visited %d cells, model holds %d, or their order differs", step, len(got), len(want))
+				}
+				verifyCachedState(t, s)
+			}
+
+			for step := 0; step < 400; step++ {
+				switch op := r.Intn(40); {
+				case op == 0:
+					// Reset under a live switch: the aliased slices stay valid.
+					s.arena.Reset()
+					s.totalAddr = 0
+					empty()
+				case op == 1:
+					// A dirty arena handed straight to a fresh switch.
+					a := s.ReleaseArena()
+					s = NewSwitch(n, &FIFOMS{}, xrand.New(1))
+					if !s.AdoptArena(a) {
+						t.Fatalf("step %d: pristine switch refused the arena", step)
+					}
+					empty()
+				default:
+					// Lean towards filling in the first half of each 100-step
+					// phase and towards draining in the second, so queues get
+					// deep and also run empty.
+					fill := 0.7
+					if step%100 >= 50 {
+						fill = 0.3
+					}
+					for i := 0; i < 12; i++ {
+						if r.Bool(fill) {
+							push()
+						} else {
+							pop()
+						}
+					}
+				}
+				verify(step)
+			}
+		})
+	}
+}
+
+// TestAdoptDirtyArenaDirect pins that adoption itself resets: an arena
+// released by a loaded switch and adopted without passing through the
+// pool must behave exactly like a new one.
+func TestAdoptDirtyArenaDirect(t *testing.T) {
+	const n = 9
+	dirty := NewSwitch(n, &FIFOMS{}, xrand.New(5))
+	id := cell.PacketID(0)
+	churnSwitch(dirty, xrand.New(6), 0, 150, &id, func(cell.Delivery) {})
+	if dirty.BufferedAddressCells() == 0 {
+		t.Fatal("churn left nothing queued; the arena is not dirty")
+	}
+
+	adopted := NewSwitch(n, &FIFOMS{}, xrand.New(99))
+	if !adopted.AdoptArena(dirty.ReleaseArena()) {
+		t.Fatal("pristine switch refused the arena")
+	}
+	adopted.ForEachBuffered(func(in, out int, p *cell.Packet) {
+		t.Fatalf("adopted arena still queues packet %d at (%d,%d)", p.ID, in, out)
+	})
+	verifyCachedState(t, adopted)
+
+	fresh := NewSwitch(n, &FIFOMS{}, xrand.New(99))
+	var freshDel, adoptedDel []cell.Delivery
+	idF, idA := cell.PacketID(0), cell.PacketID(0)
+	churnSwitch(fresh, xrand.New(23), 0, 200, &idF, func(d cell.Delivery) { freshDel = append(freshDel, d) })
+	churnSwitch(adopted, xrand.New(23), 0, 200, &idA, func(d cell.Delivery) { adoptedDel = append(adoptedDel, d) })
+	verifyCachedState(t, adopted)
+	if !reflect.DeepEqual(freshDel, adoptedDel) {
+		t.Fatalf("adopted-arena run delivered %d copies, fresh %d, or they differ", len(adoptedDel), len(freshDel))
+	}
+}
+
+// TestArenaIsPointerFree keeps the N² state out of the collector's
+// scan set: neither the per-VOQ record nor the address cell may gain a
+// pointer-bearing field, and both stay 16 bytes.
+func TestArenaIsPointerFree(t *testing.T) {
+	var walk func(t *testing.T, path string, ty reflect.Type)
+	walk = func(t *testing.T, path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(t, path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(t, path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s: the collector would scan every one of them", path, ty.Kind())
+		}
+	}
+	for _, ty := range []reflect.Type{reflect.TypeOf(voq{}), reflect.TypeOf(acell{})} {
+		walk(t, ty.Name(), ty)
+		if ty.Size() != 16 {
+			t.Errorf("%s is %d bytes, want 16", ty.Name(), ty.Size())
+		}
+	}
+}

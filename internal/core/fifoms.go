@@ -27,7 +27,7 @@ import (
 //
 // The implementation is the word-parallel kernel described in
 // DESIGN.md § Match kernel: it reads the switch's cached flat HOL
-// state (Switch.holTS / occIn) instead of chasing address-cell
+// state (Switch.voqs / occIn) instead of chasing address-cell
 // pointers, keeps every port set and request set as packed uint64
 // words, and after the first round recomputes requests only for inputs
 // whose request mask intersects the outputs reserved in the previous
@@ -273,7 +273,7 @@ func (f *FIFOMS) computeRequest(s *Switch, in int) {
 		var mask uint64
 		for cand := s.occIn[in] & f.outFree[0]; cand != 0; cand &= cand - 1 {
 			out := bits.TrailingZeros64(cand)
-			switch ts := s.holTS[base+out]; {
+			switch ts := s.voqs[base+out].ts; {
 			case ts < best:
 				best = ts
 				mask = 1 << uint(out)
@@ -310,7 +310,7 @@ func (f *FIFOMS) computeRequest(s *Switch, in int) {
 		for cand != 0 {
 			out := bitsBase + bits.TrailingZeros64(cand)
 			cand &= cand - 1
-			switch ts := s.holTS[base+out]; {
+			switch ts := s.voqs[base+out].ts; {
 			case ts < best:
 				best = ts
 				for i := 0; i <= wi; i++ {

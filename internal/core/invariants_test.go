@@ -302,19 +302,18 @@ func TestCachedHOLStateCoherent(t *testing.T) {
 		for in := 0; in < n; in++ {
 			occ := s.OccInWords(in)
 			for out := 0; out < n; out++ {
-				q := &s.arena.rings[in*s.n+out]
 				ts := s.HOLTime(in, out)
 				inBit := s.occOut[out*s.words+in>>6]&(1<<uint(in&63)) != 0
 				outBit := occ[out>>6]&(1<<uint(out&63)) != 0
-				if q.size == 0 {
+				if s.VOQLen(in, out) == 0 {
 					if ts != emptyHOL || inBit || outBit {
 						t.Fatalf("slot %d (%d,%d): empty VOQ cached as ts=%d occIn=%v occOut=%v",
 							slot, in, out, ts, outBit, inBit)
 					}
 				} else {
-					if ts != q.front().ts || !inBit || !outBit {
+					if head := s.arena.front(in*n + out).ts; ts != head || !inBit || !outBit {
 						t.Fatalf("slot %d (%d,%d): HOL ts %d cached as ts=%d occIn=%v occOut=%v",
-							slot, in, out, q.front().ts, ts, outBit, inBit)
+							slot, in, out, head, ts, outBit, inBit)
 					}
 				}
 			}
@@ -323,11 +322,10 @@ func TestCachedHOLStateCoherent(t *testing.T) {
 			wantMin := int64(emptyHOL)
 			wantMask := make([]uint64, s.words)
 			for out := 0; out < n; out++ {
-				q := &s.arena.rings[in*s.n+out]
-				if q.size == 0 {
+				if s.VOQLen(in, out) == 0 {
 					continue
 				}
-				switch ts := q.front().ts; {
+				switch ts := s.arena.front(in*n + out).ts; {
 				case ts < wantMin:
 					wantMin = ts
 					clear(wantMask)

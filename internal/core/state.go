@@ -18,10 +18,11 @@ import (
 //
 // Deliberately not serialized:
 //
-//   - the arena's slab freelist and ring capacities — performance
+//   - the arena's slab free lists and capacities — performance
 //     caches, regrown on demand;
-//   - the cached holTS/occIn/occOut mirrors — LoadState rebuilds them
-//     coherently by re-pushing every cell through pushCell;
+//   - the cached HOL stamps and occIn/occOut bitmaps — LoadState
+//     rebuilds them coherently by re-pushing every cell through
+//     pushCell;
 //   - the Matching, crossbar Config and scratch slices — per-slot
 //     state, rebuilt from scratch at the next Step;
 //   - the observer and its cached metric handles — observability must
@@ -46,10 +47,7 @@ func (s *Switch) ForEachBuffered(fn func(in, out int, p *cell.Packet)) {
 	a := s.arena
 	for in := 0; in < s.n; in++ {
 		for out := 0; out < s.n; out++ {
-			q := &a.rings[in*s.n+out]
-			for i := 0; i < int(q.size); i++ {
-				fn(in, out, a.dPkt[q.at(i).data])
-			}
+			a.each(in*s.n+out, func(c acell) { fn(in, out, a.dPkt[c.data]) })
 		}
 	}
 }
@@ -93,16 +91,14 @@ func (s *Switch) savePort(w *snap.Writer, in int) {
 	var packets []*cell.Packet
 	var counters []int
 	for out := 0; out < s.n; out++ {
-		q := &a.rings[in*s.n+out]
-		for i := 0; i < int(q.size); i++ {
-			c := q.at(i)
+		a.each(in*s.n+out, func(c acell) {
 			p := a.dPkt[c.data]
 			if _, ok := index[p]; !ok {
 				index[p] = len(packets)
 				packets = append(packets, p)
 				counters = append(counters, int(a.dFan[c.data]))
 			}
-		}
+		})
 	}
 	w.Count(len(packets))
 	for i, p := range packets {
@@ -112,19 +108,16 @@ func (s *Switch) savePort(w *snap.Writer, in int) {
 		snap.WriteDests(w, p.Dests)
 	}
 	for out := 0; out < s.n; out++ {
-		q := &a.rings[in*s.n+out]
-		w.Count(int(q.size))
-		for i := 0; i < int(q.size); i++ {
-			w.Int(index[a.dPkt[q.at(i).data]])
-		}
+		w.Count(s.VOQLen(in, out))
+		a.each(in*s.n+out, func(c acell) { w.Int(index[a.dPkt[c.data]]) })
 	}
 }
 
 // LoadState restores state written by SaveState into a freshly built
 // switch of the same size, arbiter and mode. The VOQs are rebuilt by
 // re-pushing every address cell through pushCell, which regenerates
-// the cached holTS/occIn/occOut mirrors as a side effect — they
-// cannot drift from the queues they mirror.
+// the cached HOL stamps and occIn/occOut bitmaps as a side effect —
+// they cannot drift from the queues they describe.
 func (s *Switch) LoadState(r *snap.Reader) error {
 	if err := r.Section("core"); err != nil {
 		return err

@@ -16,7 +16,6 @@ import (
 // keeps the counters the queue-size metric and the arrival guard need.
 type inputPort struct {
 	dataCells int // live data cells (the paper's queue-size metric)
-	addrCells int // live address cells across all VOQs
 
 	// lastArrival guards the queue structure's core assumption in
 	// shared mode: at most one packet arrives per input per slot, so a
@@ -48,17 +47,18 @@ type Switch struct {
 	match   *Matching
 	rnd     *xrand.Rand
 
-	// Cached head-of-line state, the flat mirror of the VOQ heads that
-	// the match kernels read instead of walking the rings (DESIGN.md
+	// Cached head-of-line state, the flat view of the VOQ heads that
+	// the match kernels read instead of walking the queues (DESIGN.md
 	// § Match kernel). The slices alias the Arena's arrays and are
 	// updated incrementally on every push and pop:
 	//
-	//   holTS[in*n+out]  HOL time stamp of VOQ(in,out), emptyHOL if empty
-	//   occIn[in*w ...]  bitmap over outputs: VOQ(in,out) non-empty
-	//   occOut[out*w...] bitmap over inputs: the transpose of occIn
+	//   voqs[in*n+out].ts  HOL time stamp of VOQ(in,out), valid while
+	//                      its occupancy bit is set
+	//   occIn[in*w ...]    bitmap over outputs: VOQ(in,out) non-empty
+	//   occOut[out*w...]   bitmap over inputs: the transpose of occIn
 	//
 	// where w = destset.WordsPerRow(n) is the shared row stride.
-	holTS  []int64
+	voqs   []voq
 	occIn  []uint64
 	occOut []uint64
 	words  int
@@ -158,10 +158,10 @@ func NewSwitch(n int, arb Arbiter, root *xrand.Rand) *Switch {
 	return s
 }
 
-// installArena wires an arena in and refreshes the aliased mirrors.
+// installArena wires an arena in and refreshes the aliased slices.
 func (s *Switch) installArena(a *Arena) {
 	s.arena = a
-	s.holTS = a.holTS
+	s.voqs = a.voqs
 	s.occIn = a.occIn
 	s.occOut = a.occOut
 	s.minHOL = a.minHOL
@@ -170,10 +170,11 @@ func (s *Switch) installArena(a *Arena) {
 }
 
 // AdoptArena swaps in a pooled arena in place of the one NewSwitch
-// allocated, so a sweep's grown ring buffers and slab capacity carry
-// over from point to point. Adoption is legal only on a pristine
-// switch (nothing ever arrived, no slot ever stepped) with an empty
-// arena of the right size; it reports whether the swap happened.
+// allocated, so a sweep's grown slab capacities carry over from point
+// to point. Adoption is legal only on a pristine switch (nothing ever
+// arrived, no slot ever stepped) with an arena of the right size, and
+// it reports whether the swap happened. The arena may still hold
+// another run's content: adoption is where it is reset.
 func (s *Switch) AdoptArena(a *Arena) bool {
 	if a == nil || a.n != s.n {
 		return false
@@ -181,6 +182,7 @@ func (s *Switch) AdoptArena(a *Arena) bool {
 	if s.totalAddr != 0 || s.totalData != 0 || s.activeSlots != 0 {
 		return false
 	}
+	a.Reset()
 	s.installArena(a)
 	return true
 }
@@ -191,7 +193,7 @@ func (s *Switch) AdoptArena(a *Arena) bool {
 func (s *Switch) ReleaseArena() *Arena {
 	a := s.arena
 	s.arena = nil
-	s.holTS, s.occIn, s.occOut = nil, nil, nil
+	s.voqs, s.occIn, s.occOut = nil, nil, nil
 	s.minHOL, s.minMask = nil, nil
 	return a
 }
@@ -234,10 +236,12 @@ func (s *Switch) Observer() *obs.Observer { return s.obs }
 // pushCell appends an address cell to VOQ(in,out) and keeps the cached
 // HOL state coherent: a push onto an empty queue creates a new head.
 func (s *Switch) pushCell(in, out int, ts int64, data int32) {
-	qi := in*s.n + out
-	q := &s.arena.rings[qi]
+	a := s.arena
+	idx := a.allocCell() // may move the slab: before any pointer into it
+	q := &s.voqs[in*s.n+out]
 	if q.size == 0 {
-		s.holTS[qi] = ts
+		a.cells[idx] = acell{ts: ts, data: data, next: idx}
+		q.ts = ts
 		s.occIn[in*s.words+out>>6] |= 1 << uint(out&63)
 		s.occOut[out*s.words+in>>6] |= 1 << uint(in&63)
 		// A fresh head is the only push that can lower the input's
@@ -254,27 +258,38 @@ func (s *Switch) pushCell(in, out int, ts int64, data int32) {
 		case ts == mh:
 			s.minMask[in*s.words+out>>6] |= 1 << uint(out&63)
 		}
+	} else {
+		tail := &a.cells[q.tail]
+		a.cells[idx] = acell{ts: ts, data: data, next: tail.next}
+		tail.next = idx
 	}
-	q.push(acell{ts: ts, data: data})
-	s.ports[in].addrCells++
+	q.tail = idx
+	q.size++
 	s.totalAddr++
 }
 
 // popCell removes the head of VOQ(in,out) and keeps the cached HOL
-// state coherent: the next cell (or the empty sentinel) becomes the
-// head.
+// state coherent: the next cell becomes the head, or the occupancy
+// bits clear. Popping an empty VOQ is an arbiter bug.
 func (s *Switch) popCell(in, out int) acell {
-	qi := in*s.n + out
-	q := &s.arena.rings[qi]
-	c := q.pop()
-	s.ports[in].addrCells--
+	a := s.arena
+	q := &s.voqs[in*s.n+out]
+	if q.size == 0 {
+		panic(fmt.Sprintf("core: grant for empty VOQ (%d,%d)", in, out))
+	}
+	tail := &a.cells[q.tail]
+	head := tail.next
+	c := a.cells[head]
+	a.cells[head].next = a.free
+	a.free = head
+	q.size--
 	s.totalAddr--
 	if q.size == 0 {
-		s.holTS[qi] = emptyHOL
 		s.occIn[in*s.words+out>>6] &^= 1 << uint(out&63)
 		s.occOut[out*s.words+in>>6] &^= 1 << uint(in&63)
 	} else {
-		s.holTS[qi] = q.front().ts
+		tail.next = c.next
+		q.ts = a.cells[c.next].ts
 	}
 	if c.ts == s.minHOL[in] {
 		// The popped cell held the input's oldest stamp; stamps within
@@ -308,7 +323,7 @@ func (s *Switch) rescanMinHOL(in int) {
 		var row uint64
 		for cand := s.occIn[in]; cand != 0; cand &= cand - 1 {
 			out := bits.TrailingZeros64(cand)
-			switch ts := s.holTS[base+out]; {
+			switch ts := s.voqs[base+out].ts; {
 			case ts < best:
 				best = ts
 				row = 1 << uint(out)
@@ -336,7 +351,7 @@ func (s *Switch) rescanMinHOL(in int) {
 		for cand != 0 {
 			out := bitsBase + bits.TrailingZeros64(cand)
 			cand &= cand - 1
-			switch ts := s.holTS[base+out]; {
+			switch ts := s.voqs[base+out].ts; {
 			case ts < best:
 				best = ts
 				for i := 0; i <= wi; i++ {
@@ -435,24 +450,29 @@ func (s *Switch) observeArrival(p *cell.Packet, fanout int) {
 }
 
 // VOQLen returns the length of input in's VOQ for output out.
-func (s *Switch) VOQLen(in, out int) int { return int(s.arena.rings[in*s.n+out].size) }
+func (s *Switch) VOQLen(in, out int) int { return int(s.voqs[in*s.n+out].size) }
 
 // HOLTime returns the cached HOL time stamp of VOQ(in,out), or
 // EmptyHOL (math.MaxInt64, greater than any real arrival slot) when
 // the queue is empty. Arbiters and inspectors read the queue heads
 // exclusively through this accessor and HOLDataRef.
-func (s *Switch) HOLTime(in, out int) int64 { return s.holTS[in*s.n+out] }
+func (s *Switch) HOLTime(in, out int) int64 {
+	if q := &s.voqs[in*s.n+out]; q.size != 0 {
+		return q.ts
+	}
+	return EmptyHOL
+}
 
 // HOLDataRef returns the data-slab index referenced by the HOL address
 // cell of VOQ(in,out), or -1 when the queue is empty. Two HOL cells
 // reference the same stored payload exactly when their refs are equal
 // — the observable form of ModeShared's data-cell sharing.
 func (s *Switch) HOLDataRef(in, out int) int32 {
-	q := &s.arena.rings[in*s.n+out]
-	if q.size == 0 {
+	qi := in*s.n + out
+	if s.voqs[qi].size == 0 {
 		return -1
 	}
-	return q.front().data
+	return s.arena.front(qi).data
 }
 
 // DataFanout returns the live fanout counter of the data-slab entry
@@ -528,9 +548,6 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		port := &s.ports[in]
 		dataRef := int32(-1)
 		for _, out := range outs {
-			if a.rings[in*s.n+out].size == 0 {
-				panic(fmt.Sprintf("core: grant for empty VOQ (%d,%d)", in, out))
-			}
 			c := s.popCell(in, out)
 			switch s.mode {
 			case ModeShared:

@@ -27,10 +27,10 @@ import (
 //     never contended.
 //   - Arena state is reused, not reallocated. The pool shares one
 //     mutex-guarded core.ArenaPool; a shard whose switch supports arena
-//     adoption runs on a recycled arena, so ring buffers and slab
-//     capacity grown by one point carry over to whichever worker next
-//     runs a same-sized switch instead of being rebuilt from cold for
-//     every (algorithm, load) cell.
+//     adoption runs on a recycled arena, so the slab capacity grown by
+//     one point carries over to whichever worker next runs a same-sized
+//     switch instead of being rebuilt from cold for every (algorithm,
+//     load) cell.
 //   - Completion streams. Every finished shard produces one Progress
 //     event (serialized under a lock, so sinks may write to a
 //     terminal) carrying completed/total counts, elapsed time and a

@@ -17,7 +17,7 @@ import (
 //
 // Every case has the same form: a fixed warm-up (warmSlotsFor), then
 // testing.AllocsPerRun over a fixed window. AllocsPerRun reports whole
-// allocations per slot, so the occasional ring that still grows while
+// allocations per slot, so the occasional slab that still doubles while
 // the backlog drifts reads 0 and an allocation on every slot reads 1 or
 // more — whatever the host's load, which an adaptive testing.Benchmark
 // (whose b.N shrinks under contention) could not promise.
@@ -54,6 +54,28 @@ func TestSlotZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state slot at %s: %.0f allocs/op, want 0", name, avg)
 			}
 		})
+	}
+}
+
+// TestColdStartAllocs counts what the steady-state guard above warms
+// away: the first slots of a fresh switch, the shape a short voqsim run
+// at large N has from end to end. VOQ storage is one address-cell slab
+// that grows by doubling (DESIGN.md §11), so touching a VOQ for the
+// first time allocates nothing; what is left is the packet pool and the
+// slabs growing into the backlog — 8.36 mallocs a slot at N = 256,
+// where a private buffer per first-touched VOQ cost 117.03. The count
+// repeats exactly at a seed, so the limit needs no allowance for load.
+func TestColdStartAllocs(t *testing.T) {
+	const n, slots, limit = 256, 500, 20
+	r := slotBenchRunner(n, slots+1, false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for slot := int64(0); slot < slots; slot++ {
+		r.tick(slot, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if perSlot := float64(after.Mallocs-before.Mallocs) / slots; perSlot > limit {
+		t.Fatalf("first %d slots of a fresh n=%d switch: %.2f mallocs/slot, want <= %d", slots, n, perSlot, limit)
 	}
 }
 

@@ -54,7 +54,7 @@ func benchSlot(b *testing.B, n int, fast bool) {
 
 // warmSlotsFor is the warm-up needed for the 0.9-load backlog to reach
 // steady state: 2000 slots through N=128, but the wide sizes keep
-// growing their backlog (and with it the packet pool, ring and tracker
+// growing their backlog (and with it the packet pool, slabs and tracker
 // tables) well past that, which would bill amortized table growth to
 // the steady state.
 func warmSlotsFor(n int) int64 {
