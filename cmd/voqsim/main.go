@@ -157,7 +157,7 @@ func run() int {
 	// One run at a time: a CPU the switch does not use draws the traffic
 	// ahead (DESIGN.md §17).
 	cfg := switchsim.Config{Slots: *slots, Seed: *seed, Fast: *fast, DrawAhead: switchsim.SpareCPU(*parallel)}
-	runner, ck, release := experiment.RunSeeding.NewRunner(algo, ports, pat, cfg, nil, *checkRun)
+	runner, ck, release := experiment.RunSeeding.NewRunner(algo, ports, pat, cfg, *checkRun)
 	defer release()
 
 	// Attachments, all on the one runner and all before it runs, so an

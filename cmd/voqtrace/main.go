@@ -121,7 +121,7 @@ func run(args []string) error {
 	// algo and seed reproduces the live delivery stream draw for draw,
 	// and with -check certifies it against the full invariant catalogue
 	// (docs/OPERATIONS.md). The replayed sources draw nothing.
-	runner, ck, release := experiment.RunSeeding.NewRunner(a, tr.N, tr.Pattern(), cfg, nil, *chk)
+	runner, ck, release := experiment.RunSeeding.NewRunner(a, tr.N, tr.Pattern(), cfg, *chk)
 	defer release()
 	fmt.Println(runner.Run(a.Name).Describe())
 	if ck == nil {

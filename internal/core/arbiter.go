@@ -75,17 +75,6 @@ func (m *Matching) Clear() {
 	m.Rounds = 0
 }
 
-// Pairs returns the number of granted (input, output) pairs.
-func (m *Matching) Pairs() int {
-	c := 0
-	for _, in := range m.OutIn {
-		if in != None {
-			c++
-		}
-	}
-	return c
-}
-
 // Arbiter computes one slot's matching over the VOQ state of a Switch.
 // Implementations read the switch through its HOL accessors and must
 // not mutate queue contents; the switch performs the transfer.

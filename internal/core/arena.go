@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"voqsim/internal/cell"
 	"voqsim/internal/destset"
@@ -27,13 +26,11 @@ import (
 //     -per-packet sharing is an integer comparison, and freed entries
 //     are recycled through the dFree list without touching the GC.
 //   - The cached HOL state the match kernels read (voq.ts, occIn,
-//     occOut — see switch.go) lives here too, so the whole mutable
-//     buffer state of a switch is one poolable object.
+//     occOut — see switch.go) lives here too.
 //
-// An Arena is owned by exactly one Switch at a time. The sweep engine
-// reuses arenas across points through ArenaPool + Switch.AdoptArena /
-// Switch.ReleaseArena, which keeps the grown slab capacities warm
-// instead of reallocating them per point.
+// An arena is per-switch state with no life outside its switch: the
+// Switch embeds it by value, newArena is the one way to get storage,
+// and nothing outside this package can name it.
 
 // acell is the arena's address cell: the paper's AddressCell with the
 // *DataCell pointer replaced by an index into the arena's data slab,
@@ -53,14 +50,16 @@ type voq struct {
 	size uint32
 }
 
-// Arena is the complete mutable buffer state of one n-port switch:
+// arena is the complete mutable buffer state of one n-port switch:
 // n*n VOQ records over one address-cell slab, the data-cell slab, and
 // the cached occupancy and oldest-stamp state.
-type Arena struct {
-	n     int
-	words int // destset.WordsPerRow(n), the occ row stride
+type arena struct {
+	words int // destset.WordsPerRow(n), the shared occ/minMask row stride
 
-	voqs []voq // [n*n], indexed in*n+out
+	// voqs[in*n+out] is VOQ(in,out); its ts is the cached HOL stamp the
+	// match kernels read instead of walking the queue, valid while the
+	// occupancy bit is set.
+	voqs []voq
 
 	// Address-cell slab. Entry 0 is the nil index and never holds a
 	// cell; freed entries are recycled LIFO through free and their next
@@ -69,7 +68,9 @@ type Arena struct {
 	cells []acell
 	free  int32
 
-	// Occupancy bitmaps by input row / output row, documented on Switch.
+	// Occupancy bitmaps, updated on every push and pop (DESIGN.md
+	// § Match kernel): occIn[in*words ...] is the bitmap over outputs
+	// of input in's non-empty VOQs, occOut[out*words ...] its transpose.
 	occIn  []uint64
 	occOut []uint64
 
@@ -90,12 +91,9 @@ type Arena struct {
 	dFree []int32
 }
 
-// NewArena returns an empty arena for an n-port switch.
-func NewArena(n int) *Arena {
-	if n <= 0 {
-		panic("core: non-positive arena size")
-	}
-	a := &Arena{n: n, words: destset.WordsPerRow(n)}
+// newArena returns an empty arena for an n-port switch.
+func newArena(n int) arena {
+	a := arena{words: destset.WordsPerRow(n)}
 	a.voqs = make([]voq, n*n)
 	a.cells = make([]acell, 1)
 	a.occIn = make([]uint64, n*a.words)
@@ -108,31 +106,9 @@ func NewArena(n int) *Arena {
 	return a
 }
 
-// Ports returns the switch size the arena was built for.
-func (a *Arena) Ports() int { return a.n }
-
-// Reset empties the arena while keeping both slabs' capacity, so the
-// next run's steady state allocates nothing. Packet references are
-// cleared for the garbage collector.
-func (a *Arena) Reset() {
-	clear(a.voqs)
-	a.cells = a.cells[:1]
-	a.free = 0
-	clear(a.occIn)
-	clear(a.occOut)
-	for i := range a.minHOL {
-		a.minHOL[i] = emptyHOL
-	}
-	clear(a.minMask)
-	clear(a.dPkt) // drop packet references before truncating
-	a.dPkt = a.dPkt[:0]
-	a.dFan = a.dFan[:0]
-	a.dFree = a.dFree[:0]
-}
-
 // allocCell takes an address-cell entry from the free list or extends
 // the slab, and returns its index.
-func (a *Arena) allocCell() int32 {
+func (a *arena) allocCell() int32 {
 	if idx := a.free; idx != 0 {
 		a.free = a.cells[idx].next
 		return idx
@@ -146,10 +122,10 @@ func (a *Arena) allocCell() int32 {
 
 // front returns the head cell of VOQ qi, which must not be empty, as
 // the list holds it — the authority voq.ts caches.
-func (a *Arena) front(qi int) acell { return a.cells[a.cells[a.voqs[qi].tail].next] }
+func (a *arena) front(qi int) acell { return a.cells[a.cells[a.voqs[qi].tail].next] }
 
 // each calls fn on the cells of VOQ qi, front to back.
-func (a *Arena) each(qi int, fn func(acell)) {
+func (a *arena) each(qi int, fn func(acell)) {
 	q := &a.voqs[qi]
 	idx := q.tail
 	for i := uint32(0); i < q.size; i++ {
@@ -160,7 +136,7 @@ func (a *Arena) each(qi int, fn func(acell)) {
 
 // allocData takes a slab entry from the freelist or extends the slab,
 // and returns its index.
-func (a *Arena) allocData(p *cell.Packet, fan int32) int32 {
+func (a *arena) allocData(p *cell.Packet, fan int32) int32 {
 	if k := len(a.dFree); k > 0 {
 		idx := a.dFree[k-1]
 		a.dFree = a.dFree[:k-1]
@@ -177,46 +153,7 @@ func (a *Arena) allocData(p *cell.Packet, fan int32) int32 {
 
 // freeData recycles a fully served slab entry. The caller guarantees
 // dFan[idx] reached zero.
-func (a *Arena) freeData(idx int32) {
+func (a *arena) freeData(idx int32) {
 	a.dPkt[idx] = nil
 	a.dFree = append(a.dFree, idx)
-}
-
-// ArenaPool recycles arenas across switch lifetimes. It is safe for
-// concurrent use, so one pool can serve a whole worker fleet: the
-// sweep engine shares a single pool, and an arena grown by one point
-// is reused by whichever worker next runs a same-sized switch. Get and
-// Put are called once per run, not per slot, so the mutex is never
-// contended in any hot path.
-type ArenaPool struct {
-	mu   sync.Mutex
-	free []*Arena
-}
-
-// Get returns an arena for an n-port switch, reusing a pooled one of
-// the same size when available. The caller owns the arena exclusively
-// until it hands it back with Put. A reused arena still holds its last
-// run's content; Switch.AdoptArena resets it.
-func (p *ArenaPool) Get(n int) *Arena {
-	p.mu.Lock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if a := p.free[i]; a.n == n {
-			p.free = append(p.free[:i], p.free[i+1:]...)
-			p.mu.Unlock()
-			return a
-		}
-	}
-	p.mu.Unlock()
-	return NewArena(n)
-}
-
-// Put stores an arena for later reuse. The arena may hold stale
-// content; adoption resets it.
-func (p *ArenaPool) Put(a *Arena) {
-	if a == nil {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, a)
-	p.mu.Unlock()
 }

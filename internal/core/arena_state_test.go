@@ -198,61 +198,6 @@ func TestArenaSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArenaSnapshotIntoAdoptedArena pins that a pooled, previously
-// used arena is indistinguishable from a fresh one as a restore
-// target: adoption's Reset must erase every cache (including the
-// oldest-stamp cache) or the restored run would diverge.
-func TestArenaSnapshotIntoAdoptedArena(t *testing.T) {
-	const n = 9
-	s := NewSwitch(n, &FIFOMS{}, xrand.New(21))
-	traffic := xrand.New(22)
-	id := cell.PacketID(0)
-	churnSwitch(s, traffic, 0, 300, &id, func(cell.Delivery) {})
-	w := snap.NewWriter()
-	s.SaveState(w)
-	blob := w.Bytes()
-
-	// Dirty an arena with an unrelated run, pool it, and adopt it.
-	pool := &ArenaPool{}
-	{
-		dirty := NewSwitch(n, &FIFOMS{}, xrand.New(5))
-		dr := xrand.New(6)
-		did := cell.PacketID(0)
-		churnSwitch(dirty, dr, 0, 150, &did, func(cell.Delivery) {})
-		pool.Put(dirty.ReleaseArena())
-	}
-	adopted := NewSwitch(n, &FIFOMS{}, xrand.New(99))
-	if !adopted.AdoptArena(pool.Get(n)) {
-		t.Fatal("pristine switch refused the pooled arena")
-	}
-	fresh := NewSwitch(n, &FIFOMS{}, xrand.New(99))
-
-	for _, sw := range []*Switch{adopted, fresh} {
-		r, err := snap.NewReader(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.LoadState(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	verifyCachedState(t, adopted)
-
-	var freshDel, adoptedDel []cell.Delivery
-	contF, contA := xrand.New(23), xrand.New(23)
-	idF, idA := id, id
-	churnSwitch(fresh, contF, 300, 200, &idF, func(d cell.Delivery) { freshDel = append(freshDel, d) })
-	churnSwitch(adopted, contA, 300, 200, &idA, func(d cell.Delivery) { adoptedDel = append(adoptedDel, d) })
-	if len(freshDel) != len(adoptedDel) {
-		t.Fatalf("adopted-arena run delivered %d copies, fresh %d", len(adoptedDel), len(freshDel))
-	}
-	for i := range freshDel {
-		if freshDel[i] != adoptedDel[i] {
-			t.Fatalf("delivery %d: adopted %+v, fresh %+v", i, adoptedDel[i], freshDel[i])
-		}
-	}
-}
-
 // TestArenaSnapshotGolden pins the raw core-section bytes of a fixed
 // churned 9x9 switch. The encoding predates the cell arena; this
 // golden guards that the arena (or any future storage backend) cannot

@@ -26,8 +26,8 @@ type visit struct {
 }
 
 // TestCellStoreMatchesModel drives the arena's address-cell store —
-// pushCell, popCell, Reset, release-and-adopt — with random schedules
-// and holds it to one plain fifoq.Queue per VOQ: pop order, lengths,
+// pushCell and popCell — with random schedules and holds it to one
+// plain fifoq.Queue per VOQ: pop order, lengths,
 // HOL accessors, iteration order, the slab length and every incremental
 // cache. Sizes cover the single VOQ, the smallest list handling, a
 // partial bitmap word and the two-word layout.
@@ -38,16 +38,10 @@ func TestCellStoreMatchesModel(t *testing.T) {
 			r := xrand.New(uint64(40 + n))
 			s := NewSwitch(n, &FIFOMS{}, xrand.New(1))
 			model := make([]fifoq.Queue[modelCell], n*n)
-			live, peak := 0, 0 // buffered cells now, and their peak since the arena was last emptied
+			live, peak := 0, 0 // buffered cells now, and their peak
 			stamp := int64(0)
 			dests := destset.New(n)
 
-			empty := func() {
-				for i := range model {
-					model[i].Clear()
-				}
-				live, peak = 0, 0
-			}
 			// push queues one packet: the same fresh stamp on a random
 			// destination subset of one input, so argmin sets tie the way
 			// multicast makes them. Every cell gets a private data entry,
@@ -124,71 +118,23 @@ func TestCellStoreMatchesModel(t *testing.T) {
 			}
 
 			for step := 0; step < 400; step++ {
-				switch op := r.Intn(40); {
-				case op == 0:
-					// Reset under a live switch: the aliased slices stay valid.
-					s.arena.Reset()
-					s.totalAddr = 0
-					empty()
-				case op == 1:
-					// A dirty arena handed straight to a fresh switch.
-					a := s.ReleaseArena()
-					s = NewSwitch(n, &FIFOMS{}, xrand.New(1))
-					if !s.AdoptArena(a) {
-						t.Fatalf("step %d: pristine switch refused the arena", step)
-					}
-					empty()
-				default:
-					// Lean towards filling in the first half of each 100-step
-					// phase and towards draining in the second, so queues get
-					// deep and also run empty.
-					fill := 0.7
-					if step%100 >= 50 {
-						fill = 0.3
-					}
-					for i := 0; i < 12; i++ {
-						if r.Bool(fill) {
-							push()
-						} else {
-							pop()
-						}
+				// Lean towards filling in the first half of each 100-step
+				// phase and towards draining in the second, so queues get
+				// deep and also run empty.
+				fill := 0.7
+				if step%100 >= 50 {
+					fill = 0.3
+				}
+				for i := 0; i < 12; i++ {
+					if r.Bool(fill) {
+						push()
+					} else {
+						pop()
 					}
 				}
 				verify(step)
 			}
 		})
-	}
-}
-
-// TestAdoptDirtyArenaDirect pins that adoption itself resets: an arena
-// released by a loaded switch and adopted without passing through the
-// pool must behave exactly like a new one.
-func TestAdoptDirtyArenaDirect(t *testing.T) {
-	const n = 9
-	dirty := NewSwitch(n, &FIFOMS{}, xrand.New(5))
-	id := cell.PacketID(0)
-	churnSwitch(dirty, xrand.New(6), 0, 150, &id, func(cell.Delivery) {})
-	if dirty.BufferedAddressCells() == 0 {
-		t.Fatal("churn left nothing queued; the arena is not dirty")
-	}
-
-	adopted := NewSwitch(n, &FIFOMS{}, xrand.New(99))
-	if !adopted.AdoptArena(dirty.ReleaseArena()) {
-		t.Fatal("pristine switch refused the arena")
-	}
-	adopted.ForEachBuffered(func(in, out int, p *cell.Packet) {
-		t.Fatalf("adopted arena still queues packet %d at (%d,%d)", p.ID, in, out)
-	})
-	verifyCachedState(t, adopted)
-
-	fresh := NewSwitch(n, &FIFOMS{}, xrand.New(99))
-	var freshDel, adoptedDel []cell.Delivery
-	idF, idA := cell.PacketID(0), cell.PacketID(0)
-	churnSwitch(fresh, xrand.New(23), 0, 200, &idF, func(d cell.Delivery) { freshDel = append(freshDel, d) })
-	churnSwitch(adopted, xrand.New(23), 0, 200, &idA, func(d cell.Delivery) { adoptedDel = append(adoptedDel, d) })
-	verifyCachedState(t, adopted)
-	if !reflect.DeepEqual(freshDel, adoptedDel) {
-		t.Fatalf("adopted-arena run delivered %d copies, fresh %d, or they differ", len(adoptedDel), len(freshDel))
 	}
 }
 

@@ -44,7 +44,7 @@ type StatefulArbiter interface {
 // shadow-model priming) use it to read the buffer content without
 // reaching into the queues.
 func (s *Switch) ForEachBuffered(fn func(in, out int, p *cell.Packet)) {
-	a := s.arena
+	a := &s.arena
 	for in := 0; in < s.n; in++ {
 		for out := 0; out < s.n; out++ {
 			a.each(in*s.n+out, func(c acell) { fn(in, out, a.dPkt[c.data]) })
@@ -78,7 +78,7 @@ func (s *Switch) SaveState(w *snap.Writer) {
 // savePort appends one input port: its arrival guard, the table of
 // live packets, and each VOQ as indices into that table.
 func (s *Switch) savePort(w *snap.Writer, in int) {
-	a := s.arena
+	a := &s.arena
 	port := &s.ports[in]
 	w.I64(port.lastArrival)
 
@@ -158,7 +158,7 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 
 // loadPort restores one input port written by savePort.
 func (s *Switch) loadPort(r *snap.Reader, in int) error {
-	a := s.arena
+	a := &s.arena
 	port := &s.ports[in]
 	port.lastArrival = r.I64()
 	if r.Err() == nil && (port.lastArrival < -1 || port.lastArrival >= r.NextSlot()) {

@@ -12,7 +12,7 @@ import (
 )
 
 // inputPort is the per-port accounting of the paper's queue structure
-// (Fig. 2). The cells themselves live in the switch's Arena; the port
+// (Fig. 2). The cells themselves live in the switch's arena; the port
 // keeps the counters the queue-size metric and the arrival guard need.
 type inputPort struct {
 	dataCells int // live data cells (the paper's queue-size metric)
@@ -41,34 +41,15 @@ type Switch struct {
 	arbiter Arbiter
 	mode    PreprocessMode
 	ports   []inputPort
-	arena   *Arena
 	fabric  *crossbar.Fabric
 	cfg     *crossbar.Config
 	match   *Matching
 	rnd     *xrand.Rand
 
-	// Cached head-of-line state, the flat view of the VOQ heads that
-	// the match kernels read instead of walking the queues (DESIGN.md
-	// § Match kernel). The slices alias the Arena's arrays and are
-	// updated incrementally on every push and pop:
-	//
-	//   voqs[in*n+out].ts  HOL time stamp of VOQ(in,out), valid while
-	//                      its occupancy bit is set
-	//   occIn[in*w ...]    bitmap over outputs: VOQ(in,out) non-empty
-	//   occOut[out*w...]   bitmap over inputs: the transpose of occIn
-	//
-	// where w = destset.WordsPerRow(n) is the shared row stride.
-	voqs   []voq
-	occIn  []uint64
-	occOut []uint64
-	words  int
-
-	// Per-input oldest-stamp cache (see Arena): minHOL[in] is the
-	// smallest stamp over input in's VOQ heads, minMask the argmin
-	// output bitmap. Maintained by pushCell/popCell; read by FIFOMS to
-	// seed its request masks without scanning the HOL row.
-	minHOL  []int64
-	minMask []uint64
+	// The cell store and the cached head-of-line state the match
+	// kernels read (arena.go), held by value for the switch's whole
+	// life: s.voqs, s.occIn, s.minMask are its fields.
+	arena
 
 	// Running totals across ports, so BufferedCells and
 	// BufferedAddressCells — called every slot by the engine — are O(1).
@@ -144,11 +125,11 @@ func NewSwitch(n int, arb Arbiter, root *xrand.Rand) *Switch {
 		cfg:     crossbar.NewConfig(n),
 		match:   NewMatching(n),
 		rnd:     root.Split("arbiter", 0),
+		arena:   newArena(n),
 	}
 	for i := range s.ports {
 		s.ports[i].lastArrival = -1
 	}
-	s.installArena(NewArena(n))
 	s.grantsByIn = make([][]int, n)
 	for i := range s.grantsByIn {
 		s.grantsByIn[i] = make([]int, 0, n)
@@ -156,46 +137,6 @@ func NewSwitch(n int, arb Arbiter, root *xrand.Rand) *Switch {
 	s.usedIns = make([]int, 0, n)
 	s.sizes = make([]int, n)
 	return s
-}
-
-// installArena wires an arena in and refreshes the aliased slices.
-func (s *Switch) installArena(a *Arena) {
-	s.arena = a
-	s.voqs = a.voqs
-	s.occIn = a.occIn
-	s.occOut = a.occOut
-	s.minHOL = a.minHOL
-	s.minMask = a.minMask
-	s.words = a.words
-}
-
-// AdoptArena swaps in a pooled arena in place of the one NewSwitch
-// allocated, so a sweep's grown slab capacities carry over from point
-// to point. Adoption is legal only on a pristine switch (nothing ever
-// arrived, no slot ever stepped) with an arena of the right size, and
-// it reports whether the swap happened. The arena may still hold
-// another run's content: adoption is where it is reset.
-func (s *Switch) AdoptArena(a *Arena) bool {
-	if a == nil || a.n != s.n {
-		return false
-	}
-	if s.totalAddr != 0 || s.totalData != 0 || s.activeSlots != 0 {
-		return false
-	}
-	a.Reset()
-	s.installArena(a)
-	return true
-}
-
-// ReleaseArena detaches and returns the switch's arena for pooling.
-// The switch must not be used afterwards; call it only when the run is
-// over and the switch is about to be discarded.
-func (s *Switch) ReleaseArena() *Arena {
-	a := s.arena
-	s.arena = nil
-	s.voqs, s.occIn, s.occOut = nil, nil, nil
-	s.minHOL, s.minMask = nil, nil
-	return a
 }
 
 // Ports returns the switch size N.
@@ -236,7 +177,7 @@ func (s *Switch) Observer() *obs.Observer { return s.obs }
 // pushCell appends an address cell to VOQ(in,out) and keeps the cached
 // HOL state coherent: a push onto an empty queue creates a new head.
 func (s *Switch) pushCell(in, out int, ts int64, data int32) {
-	a := s.arena
+	a := &s.arena
 	idx := a.allocCell() // may move the slab: before any pointer into it
 	q := &s.voqs[in*s.n+out]
 	if q.size == 0 {
@@ -272,7 +213,7 @@ func (s *Switch) pushCell(in, out int, ts int64, data int32) {
 // state coherent: the next cell becomes the head, or the occupancy
 // bits clear. Popping an empty VOQ is an arbiter bug.
 func (s *Switch) popCell(in, out int) acell {
-	a := s.arena
+	a := &s.arena
 	q := &s.voqs[in*s.n+out]
 	if q.size == 0 {
 		panic(fmt.Sprintf("core: grant for empty VOQ (%d,%d)", in, out))
@@ -540,7 +481,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	s.fabric.Apply(s.cfg)
 
 	// Data transmission and post-transmission processing (Table 2).
-	a := s.arena
+	a := &s.arena
 	for in, outs := range s.grantsByIn {
 		if len(outs) == 0 {
 			continue

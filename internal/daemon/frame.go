@@ -209,7 +209,7 @@ func (d Data) Fanout() int {
 // AppendDelivery encodes an egress frame onto dst and returns the
 // extended slice.
 func AppendDelivery(dst []byte, src, out int, seq uint64, arrival, slot int64, last bool, payload []byte) []byte {
-	if src < 0 || src > MaxFramePorts || out < 0 || out > MaxFramePorts {
+	if src < 0 || src >= MaxFramePorts || out < 0 || out >= MaxFramePorts {
 		panic(fmt.Sprintf("daemon: AppendDelivery ports (%d,%d) out of range", src, out))
 	}
 	if arrival < 0 || slot < arrival {
@@ -256,7 +256,7 @@ func ParseDelivery(b []byte) (Delivery, error) {
 	flags := rest[28]
 	plen := int(binary.BigEndian.Uint16(rest[29:]))
 	rest = rest[31:]
-	if d.Src > MaxFramePorts || d.Out > MaxFramePorts {
+	if d.Src >= MaxFramePorts || d.Out >= MaxFramePorts {
 		return Delivery{}, fmt.Errorf("daemon: delivery frame ports (%d,%d) out of range", d.Src, d.Out)
 	}
 	if arr > maxSlot || slot > maxSlot {

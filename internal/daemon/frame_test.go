@@ -121,6 +121,8 @@ func TestParseDeliveryRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"short":          good[:10],
 		"data-kind":      AppendData(nil, 0, 0, 2, []byte{1}, nil),
+		"src=4096":       mutate(func(b []byte) []byte { b[4], b[5] = 0x10, 0; return b }), // one past the largest port index
+		"out=4096":       mutate(func(b []byte) []byte { b[6], b[7] = 0x10, 0; return b }),
 		"slot-overflow":  mutate(func(b []byte) []byte { b[16] = 0x80; return b }), // arrival top bit
 		"slot<arrival":   mutate(func(b []byte) []byte { b[23] = 0xFF; return b }), // arrival 10 -> huge? low byte: arrival=255 > slot=12
 		"unknown-flags":  mutate(func(b []byte) []byte { b[32] = 0x82; return b }),

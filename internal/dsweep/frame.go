@@ -21,6 +21,7 @@ package dsweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -375,15 +376,15 @@ func ParseFrame(b []byte) (Frame, error) {
 // partial frames.
 func WriteFrame(w io.Writer, f Frame) error {
 	payload := AppendFrame(make([]byte, 4, 64), f)
-	n := len(payload) - 4
-	payload[0], payload[1], payload[2], payload[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+	binary.BigEndian.PutUint32(payload, uint32(len(payload)-4))
 	_, err := w.Write(payload)
 	return err
 }
 
 // ReadFrame reads one length-prefixed frame from r. The returned
 // frame's views alias a fresh buffer, so the caller may retain them
-// until it next needs them.
+// until it next needs them. The buffer grows as body bytes arrive, so
+// a peer that declares a large frame and sends nothing costs nothing.
 func ReadFrame(r *bufio.Reader) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -393,9 +394,12 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 	if n < 4 || n > maxFrame {
 		return Frame{}, fmt.Errorf("dsweep: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the stream ended inside a frame
+		}
 		return Frame{}, fmt.Errorf("dsweep: frame body: %w", err)
 	}
-	return ParseFrame(buf)
+	return ParseFrame(buf.Bytes())
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,26 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "frame body") && err.Error() != "EOF" {
 		t.Errorf("truncated stream error: %v", err)
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive pins that memory tracks bytes
+// received, not bytes declared: a four-byte header claiming the largest
+// legal frame, followed by nothing, must error without the coordinator
+// having set the declared 64 MiB aside.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrame)
+	r := bufio.NewReader(bytes.NewReader(hdr[:]))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(r)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "frame body") {
+		t.Fatalf("header-only stream: err = %v, want a frame body error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("ReadFrame allocated %d bytes for a frame whose body never arrived", grew)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"voqsim/internal/core"
 	"voqsim/internal/experiment"
 )
 
@@ -62,7 +61,6 @@ type worker struct {
 	conn  net.Conn
 	br    *bufio.Reader
 	sweep *experiment.Sweep
-	pool  *core.ArenaPool
 
 	writeMu sync.Mutex
 
@@ -86,7 +84,7 @@ func RunWorker(cfg WorkerConfig) error {
 		return fmt.Errorf("dsweep: dialing coordinator: %w", err)
 	}
 	defer conn.Close()
-	w := &worker{cfg: cfg, conn: conn, br: bufio.NewReader(conn), pool: &core.ArenaPool{}}
+	w := &worker{cfg: cfg, conn: conn, br: bufio.NewReader(conn)}
 
 	if err := w.send(Frame{Kind: KindHello, Name: cfg.Name}); err != nil {
 		return fmt.Errorf("dsweep: hello: %w", err)
@@ -227,7 +225,6 @@ func (w *worker) runLease(f Frame, checkpointEvery int64) (err error) {
 	pr := experiment.PointRun{
 		Resume:          f.Blob,
 		CheckpointEvery: checkpointEvery,
-		Pool:            w.pool,
 	}
 	sent := 0
 	var sendErr error

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	invcheck "voqsim/internal/check"
-	"voqsim/internal/core"
 	"voqsim/internal/fabric"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
@@ -67,20 +66,16 @@ var (
 )
 
 // NewRunner builds the engine runner of one simulation: algo's n-port
-// switch on the switch substream of cfg.Seed, on an arena recycled from
-// pool when there is one and the switch can adopt it, wrapped in the
-// invariant checker when checked (ck is nil otherwise), fed by pat on
-// the traffic substream. release must be called once the run is over:
-// it returns the arena and stops any goroutines the switch owns (a
-// parallel fabric's workers).
+// switch on the switch substream of cfg.Seed, wrapped in the invariant
+// checker when checked (ck is nil otherwise), fed by pat on the traffic
+// substream. release must be called once the run is over: it stops any
+// goroutines the switch owns (a parallel fabric's workers).
 func (s Seeding) NewRunner(algo Algorithm, n int, pat traffic.Pattern, cfg switchsim.Config,
-	pool *core.ArenaPool, checked bool) (r *switchsim.Runner, ck *invcheck.Checker, release func()) {
+	checked bool) (r *switchsim.Runner, ck *invcheck.Checker, release func()) {
 
 	root := xrand.New(cfg.Seed)
 	sw := algo.New(n, root.Split(s.sw, 0))
-	putArena := adoptPooledArena(sw, n, pool)
 	release = func() {
-		putArena()
 		if c, ok := sw.(interface{ Close() error }); ok {
 			c.Close()
 		}

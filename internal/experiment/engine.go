@@ -7,9 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"voqsim/internal/core"
-	"voqsim/internal/switchsim"
 )
 
 // The sharded run engine behind Sweep.Run. It fans a set of
@@ -25,19 +22,14 @@ import (
 //     partitioning would leave the pool idling behind one straggler;
 //     a shard is milliseconds to seconds of work, so one cursor is
 //     never contended.
-//   - Arena state is reused, not reallocated. The pool shares one
-//     mutex-guarded core.ArenaPool; a shard whose switch supports arena
-//     adoption runs on a recycled arena, so the slab capacity grown by
-//     one point carries over to whichever worker next runs a same-sized
-//     switch instead of being rebuilt from cold for every (algorithm,
-//     load) cell.
 //   - Completion streams. Every finished shard produces one Progress
 //     event (serialized under a lock, so sinks may write to a
 //     terminal) carrying completed/total counts, elapsed time and a
 //     naive proportional ETA.
 //
 // Scheduling never influences results: every shard derives its seeds
-// from its own coordinates, and each writes to its own result slot.
+// from its own coordinates, builds its own switch and writes to its own
+// result slot, so the workers share nothing but the cursor.
 
 // Progress describes the state of a sharded run after one more shard
 // completed. Events arrive from worker goroutines but are serialized:
@@ -56,10 +48,8 @@ type Progress struct {
 // runShards executes shards 0..total-1 on a pool of workers and blocks
 // until all complete. run is called once per shard — concurrently, so
 // it must write only shard-local state — and returns the shard's label
-// for progress reporting. The arena pool is shared by the whole worker
-// fleet (ArenaPool is concurrency-safe); an arena checked out for one
-// shard is private to it until released.
-func runShards(workers, total int, progress func(Progress), run func(shard int, pool *core.ArenaPool) string) {
+// for progress reporting.
+func runShards(workers, total int, progress func(Progress), run func(shard int) string) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -71,7 +61,6 @@ func runShards(workers, total int, progress func(Progress), run func(shard int, 
 	}
 
 	start := time.Now()
-	pool := &core.ArenaPool{}
 	var next atomic.Int64
 	var progressMu sync.Mutex // serializes sinks; guards done
 	done := 0
@@ -85,7 +74,7 @@ func runShards(workers, total int, progress func(Progress), run func(shard int, 
 				if shard >= total {
 					return
 				}
-				label := run(shard, pool)
+				label := run(shard)
 				if progress == nil {
 					continue
 				}
@@ -117,22 +106,4 @@ func withPointLabels(sweep, algo, load string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels(
 		"sweep", sweep, "algorithm", algo, "load", load,
 	), func(context.Context) { fn() })
-}
-
-// adoptPooledArena swaps a recycled arena into sw when the underlying
-// switch supports adoption (it is pristine and the sizes match). The
-// returned release function hands the arena back to the pool once the
-// run is over; it must be called exactly once, after the switch's last
-// use.
-func adoptPooledArena(sw switchsim.Switch, n int, pool *core.ArenaPool) (release func()) {
-	cs, ok := sw.(*core.Switch)
-	if !ok || pool == nil {
-		return func() {}
-	}
-	a := pool.Get(n)
-	if !cs.AdoptArena(a) {
-		pool.Put(a)
-		return func() {}
-	}
-	return func() { pool.Put(cs.ReleaseArena()) }
 }

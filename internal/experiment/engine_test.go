@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"voqsim/internal/core"
 	"voqsim/internal/traffic"
 )
 
@@ -18,10 +17,7 @@ func TestRunShardsRunsEachShardOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 16} {
 		const total = 53
 		var counts [total]atomic.Int64
-		runShards(workers, total, nil, func(shard int, pool *core.ArenaPool) string {
-			if pool == nil {
-				t.Error("nil arena pool")
-			}
+		runShards(workers, total, nil, func(shard int) string {
 			counts[shard].Add(1)
 			return ""
 		})
@@ -44,7 +40,7 @@ func TestRunShardsStealsFromSlowWorkers(t *testing.T) {
 	go func() {
 		defer done.Done()
 		var stolen atomic.Int64
-		runShards(2, 8, nil, func(shard int, _ *core.ArenaPool) string {
+		runShards(2, 8, nil, func(shard int) string {
 			if shard == 0 {
 				<-release
 				return ""
@@ -68,7 +64,7 @@ func TestRunShardsProgress(t *testing.T) {
 	var events []Progress
 	runShards(3, total, func(p Progress) {
 		events = append(events, p) // serialized by the engine
-	}, func(shard int, _ *core.ArenaPool) string {
+	}, func(shard int) string {
 		return "shard"
 	})
 	if len(events) != total {
@@ -170,30 +166,5 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 				t.Errorf("workers=%d: artifact %s differs", o.workers, name)
 			}
 		}
-	}
-}
-
-// TestSweepArenaReuseMatchesFresh pins that recycled arenas are
-// invisible: a sweep without checkpointing (pure pooled path) equals
-// one whose pool is never primed, point for point.
-func TestSweepArenaReuseMatchesFresh(t *testing.T) {
-	run := func(workers int) []byte {
-		s := determinismSweep(workers, "")
-		tbl, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(tbl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	// workers=1 funnels every point through one worker's pool — maximal
-	// reuse; workers=total gives every point a cold pool — no reuse.
-	reused := run(1)
-	fresh := run(9)
-	if string(reused) != string(fresh) {
-		t.Fatal("arena reuse changed sweep results")
 	}
 }

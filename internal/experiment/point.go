@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 
-	"voqsim/internal/core"
 	"voqsim/internal/switchsim"
 )
 
@@ -36,9 +35,6 @@ type PointRun struct {
 	// and may be retained. Architectures without snapshot support run
 	// whole without checkpointing, exactly as in a resumable sweep.
 	Checkpoint func(slot int64, blob []byte)
-	// Pool optionally recycles arenas across points run by the same
-	// worker, as the sharded engine does.
-	Pool *core.ArenaPool
 }
 
 // RunPointAt simulates the single cell (ai, li, rep) and returns its

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"voqsim/internal/core"
 )
 
 // Mid-sweep resume (Sweep.CheckpointDir). A resumable sweep keeps two
@@ -49,9 +47,9 @@ func (s *Sweep) pointPaths(ai, li, rep int) (doneFile, snapFile string) {
 
 // runPoint simulates one cell of Sweep.Run: runCell, behind the disk
 // protocol above when the sweep has a CheckpointDir.
-func (s *Sweep) runPoint(ai, li, rep int, pool *core.ArenaPool) Point {
+func (s *Sweep) runPoint(ai, li, rep int) Point {
 	if s.CheckpointDir == "" {
-		return s.runCell(ai, li, rep, PointRun{Pool: pool})
+		return s.runCell(ai, li, rep, PointRun{})
 	}
 	if saved, ok := s.LoadFinishedPoint(ai, li, rep); ok {
 		return saved
@@ -66,7 +64,6 @@ func (s *Sweep) runPoint(ai, li, rep int, pool *core.ArenaPool) Point {
 		Checkpoint: func(_ int64, snapshot []byte) {
 			WriteFileAtomic(snapFile, snapshot) // best-effort, see package comment
 		},
-		Pool: pool,
 	})
 	s.SaveFinishedPoint(ai, li, rep, pt) // best-effort, see package comment
 	return pt

@@ -109,7 +109,7 @@ func TestSweepCheckpointDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, _ := s.pointRunner(1, 1, 0, pat, nil)
+	r, _, _ := s.pointRunner(1, 1, 0, pat)
 	var blob []byte
 	if _, err := r.RunWithCheckpoints(s.Algorithms[1].Name, 1000, func(next int64, b []byte) error {
 		if blob == nil {

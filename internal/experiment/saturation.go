@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"voqsim/internal/core"
 	"voqsim/internal/switchsim"
 )
 
@@ -56,7 +55,7 @@ func Saturation(cfg SaturationConfig) ([]SaturationResult, error) {
 		return nil, fmt.Errorf("experiment: incomplete saturation config")
 	}
 	results := make([]SaturationResult, len(cfg.Algorithms))
-	runShards(cfg.Workers, len(cfg.Algorithms), nil, func(i int, _ *core.ArenaPool) string {
+	runShards(cfg.Workers, len(cfg.Algorithms), nil, func(i int) string {
 		results[i] = saturate(cfg, cfg.Algorithms[i])
 		return cfg.Algorithms[i].Name
 	})
@@ -72,7 +71,7 @@ func stableProbe(cfg SaturationConfig, algo Algorithm, load float64) bool {
 	}
 	seed := cfg.Seed ^ uint64(load*1e6)
 	r, _, release := RunSeeding.NewRunner(algo, cfg.N, pat,
-		switchsim.Config{Slots: cfg.Slots, Seed: seed}, nil, false)
+		switchsim.Config{Slots: cfg.Slots, Seed: seed}, false)
 	defer release()
 	return !r.Run(algo.Name).Unstable
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"voqsim/internal/core"
 	"voqsim/internal/hw"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
@@ -67,7 +66,7 @@ func Scaling(cfg ScalingConfig) ([]ScalingPoint, error) {
 	cfg = cfg.withDefaults()
 	points := make([]ScalingPoint, len(cfg.Sizes))
 	errs := make([]error, len(cfg.Sizes))
-	runShards(cfg.Workers, len(cfg.Sizes), nil, func(i int, _ *core.ArenaPool) string {
+	runShards(cfg.Workers, len(cfg.Sizes), nil, func(i int) string {
 		points[i], errs[i] = scalingPoint(cfg, cfg.Sizes[i], uint64(i))
 		return fmt.Sprintf("N=%d", cfg.Sizes[i])
 	})
@@ -86,7 +85,7 @@ func scalingPoint(cfg ScalingConfig, n int, idx uint64) (ScalingPoint, error) {
 	}
 	seed := cfg.Seed ^ (idx+1)*0x9e3779b97f4a7c15
 	r, _, release := RunSeeding.NewRunner(FIFOMS, n, pat,
-		switchsim.Config{Slots: cfg.Slots, Seed: seed}, nil, false)
+		switchsim.Config{Slots: cfg.Slots, Seed: seed}, false)
 	defer release()
 	res := r.Run(FIFOMS.Name)
 

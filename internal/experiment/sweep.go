@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	invcheck "voqsim/internal/check"
-	"voqsim/internal/core"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
 )
@@ -170,11 +169,11 @@ func (s *Sweep) Run() (*Table, error) {
 	}
 
 	cells := make([]Point, s.Cells())
-	runShards(s.Workers, len(cells), s.Progress, func(cell int, pool *core.ArenaPool) string {
+	runShards(s.Workers, len(cells), s.Progress, func(cell int) string {
 		ai, li, rep := s.CellAt(cell)
 		load := strconv.FormatFloat(s.Loads[li], 'g', -1, 64)
 		withPointLabels(s.Name, s.Algorithms[ai].Name, load, func() {
-			cells[cell] = s.runPoint(ai, li, rep, pool)
+			cells[cell] = s.runPoint(ai, li, rep)
 		})
 		return s.CellLabel(cell)
 	})
@@ -225,14 +224,13 @@ func (s *Sweep) runCell(ai, li, rep int, pr PointRun) Point {
 		return pt
 	}
 
-	r, ck, release := s.pointRunner(ai, li, rep, pat, pr.Pool)
+	r, ck, release := s.pointRunner(ai, li, rep, pat)
 	if len(pr.Resume) > 0 {
 		if err := r.Restore(algo.Name, pr.Resume); err != nil {
 			// A failed restore may leave the runner partially loaded;
-			// rebuild it — recycling the arena, which Get resets — and
-			// run the point from slot 0.
+			// rebuild it and run the point from slot 0.
 			release()
-			r, ck, release = s.pointRunner(ai, li, rep, pat, pr.Pool)
+			r, ck, release = s.pointRunner(ai, li, rep, pat)
 		}
 	}
 	defer release()
@@ -283,10 +281,10 @@ func (s *Sweep) pointSeed(ai, li, rep int) uint64 {
 }
 
 // pointRunner builds the runner of one cell (NewRunner under the
-// sweep's labeling, pool and Check setting).
-func (s *Sweep) pointRunner(ai, li, rep int, pat traffic.Pattern, pool *core.ArenaPool) (*switchsim.Runner, *invcheck.Checker, func()) {
+// sweep's labeling and Check setting).
+func (s *Sweep) pointRunner(ai, li, rep int, pat traffic.Pattern) (*switchsim.Runner, *invcheck.Checker, func()) {
 	cfg := switchsim.Config{Slots: s.Slots, Seed: s.pointSeed(ai, li, rep), UnstableCellLimit: s.UnstableCap, Fast: s.Fast}
-	return pointSeeding.NewRunner(s.Algorithms[ai], s.N, pat, cfg, pool, s.Check)
+	return pointSeeding.NewRunner(s.Algorithms[ai], s.N, pat, cfg, s.Check)
 }
 
 // CheckFailures lists every point of a checked sweep that drew an

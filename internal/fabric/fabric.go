@@ -5,6 +5,7 @@ import (
 
 	"voqsim/internal/cell"
 	"voqsim/internal/destset"
+	"voqsim/internal/idwin"
 	"voqsim/internal/obs"
 	"voqsim/internal/stats"
 	"voqsim/internal/xrand"
@@ -140,9 +141,9 @@ type Fabric struct {
 	nodeFns   []func(cell.Delivery)
 
 	links     []linkRing
-	ctxs      []pidWindow[ctxInfo] // per node, keyed by local packet ID
+	ctxs      []idwin.Window[ctxInfo] // per node, keyed by local packet ID
 	nextLocal []int64
-	live      pidWindow[liveInfo] // keyed by fabric packet ID
+	live      idwin.Window[liveInfo] // keyed by fabric packet ID
 
 	pools    [][]*cell.Packet // per node local-packet pool
 	leafPool []*destset.Set   // egress-universe set pool
@@ -181,7 +182,7 @@ func New(top *Topology, cfg Config, newNode func(ports int, root *xrand.Rand) No
 		scratchAt:  make([]int64, top.Nodes()),
 		nodeFns:    make([]func(cell.Delivery), top.Nodes()),
 		links:      make([]linkRing, top.NumLinks()),
-		ctxs:       make([]pidWindow[ctxInfo], top.Nodes()),
+		ctxs:       make([]idwin.Window[ctxInfo], top.Nodes()),
 		nextLocal:  make([]int64, top.Nodes()),
 		pools:      make([][]*cell.Packet, top.Nodes()),
 		dropsByHop: make([]int64, top.MaxHops()+1),
@@ -285,11 +286,11 @@ func (f *Fabric) Arrive(p *cell.Packet) {
 	if fanout == 0 {
 		panic("fabric: arrival with no destinations")
 	}
-	e, dup := f.live.ensure(p.ID)
+	lv, dup := f.live.Ensure(p.ID)
 	if dup {
 		panic(fmt.Sprintf("fabric: duplicate arrival of packet %d", p.ID))
 	}
-	e.v = liveInfo{input: int32(p.Input), arrival: p.Arrival, remain: int32(fanout)}
+	*lv = liveInfo{input: int32(p.Input), arrival: p.Arrival, remain: int32(fanout)}
 	f.admitted++
 	f.admittedCopies += int64(fanout)
 	if f.obs.TraceOn() {
@@ -317,11 +318,11 @@ func (f *Fabric) admitLocal(ni int, fabID cell.PacketID, leaves *destset.Set, ho
 	id := cell.PacketID(f.nextLocal[ni])
 	local.ID, local.Input, local.Arrival = id, in, slot
 	f.top.LocalDests(ni, leaves, local.Dests)
-	e, dup := f.ctxs[ni].ensure(id)
+	ctx, dup := f.ctxs[ni].Ensure(id)
 	if dup {
 		panic(fmt.Sprintf("fabric: node %d local packet id %d reused", ni, id))
 	}
-	e.v = ctxInfo{fab: fabID, leaves: leaves, hops: hops, remain: int32(local.Dests.Count())}
+	*ctx = ctxInfo{fab: fabID, leaves: leaves, hops: hops, remain: int32(local.Dests.Count())}
 	f.nodes[ni].Arrive(local)
 }
 
@@ -348,10 +349,10 @@ func (f *Fabric) Step(slot int64, deliver func(cell.Delivery)) {
 			continue // backpressure: retry next slot
 		}
 		if f.obs.TraceOn() {
-			lv := f.live.lookup(head.fabID)
+			lv := f.live.Lookup(head.fabID)
 			f.obs.Trace.Emit(obs.Event{
-				Slot: slot, Type: obs.EvHop, In: int32(lv.v.input), Out: int32(to.Node),
-				Round: -1, Aux: int32(head.hops), TS: lv.v.arrival, Packet: int64(head.fabID),
+				Slot: slot, Type: obs.EvHop, In: int32(lv.input), Out: int32(to.Node),
+				Round: -1, Aux: int32(head.hops), TS: lv.arrival, Packet: int64(head.fabID),
 			})
 		}
 		f.admitLocal(to.Node, head.fabID, head.leaves, head.hops, to.Port, slot)
@@ -387,23 +388,22 @@ func (f *Fabric) inBacklog(node, port int) int {
 // off the child leaf subset and pushes it onto the link (or drops it,
 // counted, when the link is full).
 func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
-	e := f.ctxs[ni].lookup(d.ID)
-	if e == nil {
+	ctx := f.ctxs[ni].Lookup(d.ID)
+	if ctx == nil {
 		panic(fmt.Sprintf("fabric: node %d delivered unknown local packet %d", ni, d.ID))
 	}
-	ctx := &e.v
 	switch {
 	case f.top.outLeaf[ni][d.Out] >= 0:
 		leaf := int(f.top.outLeaf[ni][d.Out])
-		lv := f.live.lookup(ctx.fab)
+		lv := f.live.Lookup(ctx.fab)
 		if lv == nil {
 			panic(fmt.Sprintf("fabric: delivery of retired packet %d", ctx.fab))
 		}
-		lv.v.remain--
-		if lv.v.remain < 0 {
+		lv.remain--
+		if lv.remain < 0 {
 			panic(fmt.Sprintf("fabric: packet %d over-delivered", ctx.fab))
 		}
-		last := lv.v.remain == 0
+		last := lv.remain == 0
 		f.delivered++
 		f.hops.Add(float64(ctx.hops) + 1)
 		if f.obs.TraceOn() {
@@ -412,16 +412,16 @@ func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
 				aux = 1
 			}
 			f.obs.Trace.Emit(obs.Event{
-				Slot: f.slot, Type: obs.EvDeparture, In: lv.v.input, Out: int32(leaf),
-				Round: -1, Aux: aux, TS: lv.v.arrival, Packet: int64(ctx.fab),
+				Slot: f.slot, Type: obs.EvDeparture, In: lv.input, Out: int32(leaf),
+				Round: -1, Aux: aux, TS: lv.arrival, Packet: int64(ctx.fab),
 			})
 		}
 		fd := cell.Delivery{
-			ID: ctx.fab, In: int(lv.v.input), Out: leaf,
-			Slot: f.slot, Arrival: lv.v.arrival, Last: last,
+			ID: ctx.fab, In: int(lv.input), Out: leaf,
+			Slot: f.slot, Arrival: lv.arrival, Last: last,
 		}
 		if last {
-			f.live.release(lv)
+			f.live.Release(ctx.fab)
 		}
 		if f.outer != nil {
 			f.outer(fd)
@@ -447,7 +447,7 @@ func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
 	if ctx.remain == 0 {
 		f.putLeafSet(ctx.leaves)
 		ctx.leaves = nil
-		f.ctxs[ni].release(e)
+		f.ctxs[ni].Release(d.ID)
 	}
 }
 
@@ -460,16 +460,16 @@ func (f *Fabric) dropCopy(ctx *ctxInfo, sub *destset.Set) {
 	cnt := sub.Count()
 	f.dropped += int64(cnt)
 	f.dropsByHop[ctx.hops] += int64(cnt)
-	lv := f.live.lookup(ctx.fab)
+	lv := f.live.Lookup(ctx.fab)
 	if lv == nil {
 		panic(fmt.Sprintf("fabric: drop of retired packet %d", ctx.fab))
 	}
-	lv.v.remain -= int32(cnt)
-	if lv.v.remain < 0 {
+	lv.remain -= int32(cnt)
+	if lv.remain < 0 {
 		panic(fmt.Sprintf("fabric: packet %d over-dropped", ctx.fab))
 	}
 	if f.obs.TraceOn() {
-		in, arr := lv.v.input, lv.v.arrival
+		in, arr := lv.input, lv.arrival
 		sub.ForEach(func(leaf int) {
 			f.obs.Trace.Emit(obs.Event{
 				Slot: f.slot, Type: obs.EvDrop, In: in, Out: int32(leaf),
@@ -478,10 +478,10 @@ func (f *Fabric) dropCopy(ctx *ctxInfo, sub *destset.Set) {
 		})
 	}
 	if f.onDrop != nil {
-		f.onDrop(Drop{ID: ctx.fab, In: int(lv.v.input), Slot: f.slot, Hops: int(ctx.hops), Leaves: sub})
+		f.onDrop(Drop{ID: ctx.fab, In: int(lv.input), Slot: f.slot, Hops: int(ctx.hops), Leaves: sub})
 	}
-	if lv.v.remain == 0 {
-		f.live.release(lv)
+	if lv.remain == 0 {
+		f.live.Release(ctx.fab)
 	}
 	f.putLeafSet(sub)
 }
@@ -520,7 +520,7 @@ func (f *Fabric) BufferedCells() int64 {
 // ForEachLive calls fn for every admitted fabric packet with copies
 // still owed, in ascending packet ID order.
 func (f *Fabric) ForEachLive(fn func(id cell.PacketID, input int, arrival int64, remain int)) {
-	f.live.forEachAscending(func(id cell.PacketID, v *liveInfo) {
+	f.live.Ascending(func(id cell.PacketID, v *liveInfo) {
 		fn(id, int(v.input), v.arrival, int(v.remain))
 	})
 }
@@ -556,19 +556,19 @@ func (f *Fabric) ForEachPending(fn func(id cell.PacketID, leaf int)) bool {
 		switch b := nd.(type) {
 		case coreBuffered:
 			b.ForEachBuffered(func(in, out int, p *cell.Packet) {
-				e := ctxs.lookup(p.ID)
-				if e == nil {
+				ctx := ctxs.Lookup(p.ID)
+				if ctx == nil {
 					panic(fmt.Sprintf("fabric: node %d buffers unknown local packet %d", ni, p.ID))
 				}
-				emit(ni, &e.v, out)
+				emit(ni, ctx, out)
 			})
 		case residueBuffered:
 			b.ForEachBuffered(func(in int, p *cell.Packet, remaining *destset.Set) {
-				e := ctxs.lookup(p.ID)
-				if e == nil {
+				ctx := ctxs.Lookup(p.ID)
+				if ctx == nil {
 					panic(fmt.Sprintf("fabric: node %d buffers unknown local packet %d", ni, p.ID))
 				}
-				remaining.ForEach(func(out int) { emit(ni, &e.v, out) })
+				remaining.ForEach(func(out int) { emit(ni, ctx, out) })
 			})
 		default:
 			if nd.BufferedCells() > 0 {
@@ -584,107 +584,4 @@ func (f *Fabric) ForEachPending(fn func(id cell.PacketID, leaf int)) bool {
 		}
 	}
 	return true
-}
-
-// pidWindow is an open-addressed table keyed by sequentially-issued
-// packet IDs, the same structure as the delay tracker's in-flight
-// window (internal/stats): IDs retire roughly in issue order, so one
-// indexed load finds an entry and the table only grows when the live
-// ID span outgrows it.
-type pidWindow[T any] struct {
-	entries []pidEntry[T]
-	n       int
-}
-
-type pidEntry[T any] struct {
-	id   cell.PacketID
-	v    T
-	live bool
-}
-
-func (w *pidWindow[T]) lookup(id cell.PacketID) *pidEntry[T] {
-	if len(w.entries) == 0 {
-		return nil
-	}
-	e := &w.entries[uint64(id)&uint64(len(w.entries)-1)]
-	if !e.live || e.id != id {
-		return nil
-	}
-	return e
-}
-
-func (w *pidWindow[T]) ensure(id cell.PacketID) (*pidEntry[T], bool) {
-	for {
-		if len(w.entries) == 0 {
-			w.entries = make([]pidEntry[T], 64)
-		}
-		e := &w.entries[uint64(id)&uint64(len(w.entries)-1)]
-		if e.live {
-			if e.id == id {
-				return e, true
-			}
-			w.grow()
-			continue
-		}
-		var zero T
-		e.id, e.v, e.live = id, zero, true
-		w.n++
-		return e, false
-	}
-}
-
-func (w *pidWindow[T]) release(e *pidEntry[T]) {
-	var zero T
-	e.v, e.live = zero, false
-	w.n--
-}
-
-func (w *pidWindow[T]) grow() {
-	newLen := 2 * len(w.entries)
-rehash:
-	for {
-		next := make([]pidEntry[T], newLen)
-		mask := uint64(newLen - 1)
-		for i := range w.entries {
-			e := w.entries[i]
-			if !e.live {
-				continue
-			}
-			d := &next[uint64(e.id)&mask]
-			if d.live {
-				newLen *= 2
-				continue rehash
-			}
-			*d = e
-		}
-		w.entries = next
-		return
-	}
-}
-
-// forEachAscending visits live entries in ascending ID order. It
-// allocates (sort scratch) and is only used by inspectors and the
-// snapshot path, never per slot.
-func (w *pidWindow[T]) forEachAscending(fn func(id cell.PacketID, v *T)) {
-	ids := make([]cell.PacketID, 0, w.n)
-	for i := range w.entries {
-		if w.entries[i].live {
-			ids = append(ids, w.entries[i].id)
-		}
-	}
-	sortPacketIDs(ids)
-	for _, id := range ids {
-		fn(id, &w.lookup(id).v)
-	}
-}
-
-func sortPacketIDs(ids []cell.PacketID) {
-	// Insertion sort over an almost-sorted id list (window iteration
-	// yields ids in hash order, which is nearly ascending for dense
-	// sequential ids); fine for snapshot/inspection cadence.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"voqsim/internal/cell"
+	"voqsim/internal/idwin"
 	"voqsim/internal/snap"
 )
 
@@ -50,8 +51,8 @@ func (f *Fabric) SaveState(w *snap.Writer) {
 	w.I64s(f.dropsByHop)
 	f.hops.SaveState(w)
 
-	w.Count(f.live.n)
-	f.live.forEachAscending(func(id cell.PacketID, v *liveInfo) {
+	w.Count(f.live.Len())
+	f.live.Ascending(func(id cell.PacketID, v *liveInfo) {
 		w.I64(int64(id))
 		w.Int(int(v.input))
 		w.I64(v.arrival)
@@ -60,8 +61,8 @@ func (f *Fabric) SaveState(w *snap.Writer) {
 
 	for ni := range f.nodes {
 		w.I64(f.nextLocal[ni])
-		w.Count(f.ctxs[ni].n)
-		f.ctxs[ni].forEachAscending(func(id cell.PacketID, v *ctxInfo) {
+		w.Count(f.ctxs[ni].Len())
+		f.ctxs[ni].Ascending(func(id cell.PacketID, v *ctxInfo) {
 			w.I64(int64(id))
 			w.I64(int64(v.fab))
 			w.Int(int(v.hops))
@@ -144,7 +145,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 
 	// 8(id) + 8(input) + 8(arrival) + 8(remain) bytes per live entry.
 	nLive := r.Count(8 * 4)
-	f.live = pidWindow[liveInfo]{}
+	f.live = idwin.Window[liveInfo]{}
 	for i := 0; i < nLive; i++ {
 		id := cell.PacketID(r.I64())
 		input := r.Int()
@@ -159,12 +160,12 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 				id, input, arrival, remain)
 			return r.Err()
 		}
-		e, dup := f.live.ensure(id)
+		lv, dup := f.live.Ensure(id)
 		if dup {
 			r.Failf("live packet %d appears twice", id)
 			return r.Err()
 		}
-		e.v = liveInfo{input: int32(input), arrival: arrival, remain: int32(remain)}
+		*lv = liveInfo{input: int32(input), arrival: arrival, remain: int32(remain)}
 	}
 
 	for ni := range f.nodes {
@@ -174,7 +175,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 		}
 		// 8(local) + 8(fab) + 8(hops) + 8(remain) + 1(presence) + 4(member count).
 		nCtx := r.Count(37)
-		f.ctxs[ni] = pidWindow[ctxInfo]{}
+		f.ctxs[ni] = idwin.Window[ctxInfo]{}
 		for i := 0; i < nCtx; i++ {
 			local := cell.PacketID(r.I64())
 			fab := cell.PacketID(r.I64())
@@ -188,7 +189,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 				r.Failf("node %d copy context has local id %d outside [1,%d]", ni, local, f.nextLocal[ni])
 				return r.Err()
 			}
-			if f.live.lookup(fab) == nil {
+			if f.live.Lookup(fab) == nil {
 				r.Failf("node %d copy context references retired packet %d", ni, fab)
 				return r.Err()
 			}
@@ -204,12 +205,12 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 				r.Failf("node %d copy context for packet %d has no leaves", ni, fab)
 				return r.Err()
 			}
-			e, dup := f.ctxs[ni].ensure(local)
+			ctx, dup := f.ctxs[ni].Ensure(local)
 			if dup {
 				r.Failf("node %d local packet %d appears twice", ni, local)
 				return r.Err()
 			}
-			e.v = ctxInfo{fab: fab, leaves: leaves, hops: int32(hops), remain: int32(remain)}
+			*ctx = ctxInfo{fab: fab, leaves: leaves, hops: int32(hops), remain: int32(remain)}
 		}
 	}
 
@@ -236,7 +237,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 			if r.Err() != nil {
 				return r.Err()
 			}
-			if f.live.lookup(fab) == nil {
+			if f.live.Lookup(fab) == nil {
 				r.Failf("link %d entry references retired packet %d", li, fab)
 				return r.Err()
 			}

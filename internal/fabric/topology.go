@@ -81,9 +81,6 @@ func (t *Topology) NodePorts(i int) int { return t.ports[i] }
 // NumLinks returns the number of inter-stage links.
 func (t *Topology) NumLinks() int { return len(t.links) }
 
-// LinkAt returns link l.
-func (t *Topology) LinkAt(l int) Link { return t.links[l] }
-
 // Ingress returns the number of fabric ingress ports.
 func (t *Topology) Ingress() int { return len(t.ingress) }
 

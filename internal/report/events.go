@@ -95,28 +95,3 @@ type MetricsSnapshot struct {
 func WriteMetricsJSONL(w io.Writer, slot int64, metrics []obs.Metric) error {
 	return json.NewEncoder(w).Encode(MetricsSnapshot{Slot: slot, Metrics: metrics})
 }
-
-// WriteMetricsCSV writes one snapshot to w as CSV rows
-// (slot,name,kind,value), emitting the header only when header is
-// true — pass true for the first snapshot of a file.
-func WriteMetricsCSV(w io.Writer, slot int64, metrics []obs.Metric, header bool) error {
-	cw := csv.NewWriter(w)
-	if header {
-		if err := cw.Write([]string{"slot", "name", "kind", "value"}); err != nil {
-			return err
-		}
-	}
-	for _, m := range metrics {
-		rec := []string{
-			strconv.FormatInt(slot, 10),
-			m.Name,
-			m.Kind.String(),
-			strconv.FormatInt(m.Value, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

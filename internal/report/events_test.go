@@ -30,7 +30,7 @@ func tracedRun(t *testing.T, slots int64, checked bool) ([]byte, switchsim.Resul
 		t.Fatal(err)
 	}
 	cfg := switchsim.Config{Slots: slots, WarmupFrac: -1, Seed: seed}
-	runner, ck, release := experiment.RunSeeding.NewRunner(experiment.FIFOMS, n, pat, cfg, nil, checked)
+	runner, ck, release := experiment.RunSeeding.NewRunner(experiment.FIFOMS, n, pat, cfg, checked)
 	defer release()
 
 	var buf bytes.Buffer

@@ -34,15 +34,6 @@ func NewDeferred(target *Welford, every int64) *Deferred {
 	return d
 }
 
-// Bind points d at a target, keeping the batch cadence. It panics if
-// unflushed samples are pending.
-func (d *Deferred) Bind(target *Welford) {
-	if d.n != 0 {
-		panic("stats: rebinding a Deferred with pending samples")
-	}
-	d.target = target
-}
-
 func (d *Deferred) reset() {
 	d.n, d.sum, d.sumsq = 0, 0, 0
 	d.min, d.max = math.Inf(1), math.Inf(-1)

@@ -2,9 +2,9 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/idwin"
 )
 
 // DelayTracker aggregates multicast transmission delay exactly as
@@ -41,7 +41,7 @@ type DelayTracker struct {
 	// outstanding holds packets with undelivered copies. Completed
 	// packets are removed, so its size is bounded by the number of
 	// packets in flight, not the run length.
-	outstanding pktWindow
+	outstanding idwin.Window[packetState]
 
 	delivered int64 // copies counted (post-warmup packets only)
 	completed int64 // packets fully delivered
@@ -68,102 +68,6 @@ type packetState struct {
 	fanout   int
 	remain   int
 	maxDelay int64
-}
-
-// pktWindow is the in-flight packet table: open addressing over a
-// power-of-two entry array indexed by ID bits, no probing. Packet IDs
-// are issued sequentially and packets retire in roughly arrival order,
-// so the span of live IDs stays close to the in-flight count; while
-// the span is below the table length no two live IDs can share a slot,
-// and every operation is one indexed load. When the span does outgrow
-// the table (a collision on insert), the table doubles — the same
-// amortized growth a map would pay, without its hashing or bucket
-// chasing on the per-copy Deliver path.
-type pktWindow struct {
-	entries []pktEntry
-	n       int // live entries
-}
-
-type pktEntry struct {
-	id   cell.PacketID
-	st   packetState
-	live bool
-}
-
-// lookup returns the live entry for id, or nil.
-func (w *pktWindow) lookup(id cell.PacketID) *pktEntry {
-	if len(w.entries) == 0 {
-		return nil
-	}
-	e := &w.entries[uint64(id)&uint64(len(w.entries)-1)]
-	if !e.live || e.id != id {
-		return nil
-	}
-	return e
-}
-
-// ensure returns the entry for id — inserting a live one if absent,
-// growing the table as needed — and whether id was already live. The
-// returned pointer is invalidated by the next ensure call.
-func (w *pktWindow) ensure(id cell.PacketID) (*pktEntry, bool) {
-	for {
-		if len(w.entries) == 0 {
-			w.entries = make([]pktEntry, 256)
-		}
-		e := &w.entries[uint64(id)&uint64(len(w.entries)-1)]
-		if e.live {
-			if e.id == id {
-				return e, true
-			}
-			w.grow()
-			continue
-		}
-		e.id, e.st, e.live = id, packetState{}, true
-		w.n++
-		return e, false
-	}
-}
-
-// release frees an entry obtained from lookup or ensure.
-func (w *pktWindow) release(e *pktEntry) {
-	e.live = false
-	w.n--
-}
-
-// grow rehashes into a table at least twice as large, doubling further
-// until every live ID lands in its own slot.
-func (w *pktWindow) grow() {
-	newLen := 2 * len(w.entries)
-rehash:
-	for {
-		next := make([]pktEntry, newLen)
-		mask := uint64(newLen - 1)
-		for i := range w.entries {
-			e := w.entries[i]
-			if !e.live {
-				continue
-			}
-			d := &next[uint64(e.id)&mask]
-			if d.live {
-				newLen *= 2
-				continue rehash
-			}
-			*d = e
-		}
-		w.entries = next
-		return
-	}
-}
-
-// liveIDs appends every live packet ID in ascending order.
-func (w *pktWindow) liveIDs(dst []cell.PacketID) []cell.PacketID {
-	for i := range w.entries {
-		if w.entries[i].live {
-			dst = append(dst, w.entries[i].id)
-		}
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-	return dst
 }
 
 // NewDelayTracker returns a tracker counting packets that arrive at or
@@ -242,12 +146,12 @@ func (t *DelayTracker) Arrive(p *cell.Packet) {
 	if t.sampleEvery > 1 && uint64(p.ID)%t.sampleEvery != 0 {
 		return // unsampled in fast mode: no window entry at all
 	}
-	e, dup := t.outstanding.ensure(p.ID)
+	st, dup := t.outstanding.Ensure(p.ID)
 	if dup {
 		panic(fmt.Sprintf("stats: duplicate arrival of packet %d", p.ID))
 	}
 	fanout := p.Fanout()
-	e.st = packetState{arrival: p.Arrival, fanout: fanout, remain: fanout}
+	*st = packetState{arrival: p.Arrival, fanout: fanout, remain: fanout}
 }
 
 // Deliver registers the delivery of one copy. Deliveries of unknown
@@ -259,11 +163,10 @@ func (t *DelayTracker) Deliver(d cell.Delivery) {
 		t.deliverSampled(d)
 		return
 	}
-	e := t.outstanding.lookup(d.ID)
-	if e == nil {
+	st := t.outstanding.Lookup(d.ID)
+	if st == nil {
 		return
 	}
-	st := &e.st
 	delay := d.CopyDelay(st.arrival)
 	if delay < 1 {
 		panic(fmt.Sprintf("stats: packet %d delivered before arrival (delay %d)", d.ID, delay))
@@ -291,7 +194,7 @@ func (t *DelayTracker) Deliver(d cell.Delivery) {
 		if st.fanout == 0 {
 			// Tainted by Drop: some copy never arrived, so the packet
 			// has no input-oriented delay and does not complete.
-			t.outstanding.release(e)
+			t.outstanding.Release(d.ID)
 			return
 		}
 		if t.dIn != nil {
@@ -311,7 +214,7 @@ func (t *DelayTracker) Deliver(d cell.Delivery) {
 		}
 		t.inHist.Observe(st.maxDelay)
 		t.completed++
-		t.outstanding.release(e)
+		t.outstanding.Release(d.ID)
 	}
 }
 
@@ -328,18 +231,17 @@ func (t *DelayTracker) Drop(id cell.PacketID, copies int) {
 	if copies <= 0 {
 		return
 	}
-	e := t.outstanding.lookup(id)
-	if e == nil {
+	st := t.outstanding.Lookup(id)
+	if st == nil {
 		return
 	}
-	st := &e.st
 	st.remain -= copies
 	if st.remain < 0 {
 		panic(fmt.Sprintf("stats: packet %d over-dropped", id))
 	}
 	st.fanout = 0 // taint: this packet never completes
 	if st.remain == 0 {
-		t.outstanding.release(e)
+		t.outstanding.Release(id)
 	}
 }
 
@@ -358,11 +260,10 @@ func (t *DelayTracker) deliverSampled(d cell.Delivery) {
 	if uint64(d.ID)%t.sampleEvery != 0 {
 		return
 	}
-	e := t.outstanding.lookup(d.ID)
-	if e == nil {
+	st := t.outstanding.Lookup(d.ID)
+	if st == nil {
 		return
 	}
-	st := &e.st
 	delay := d.CopyDelay(st.arrival)
 	if delay < 1 {
 		panic(fmt.Sprintf("stats: packet %d delivered before arrival (delay %d)", d.ID, delay))
@@ -379,7 +280,7 @@ func (t *DelayTracker) deliverSampled(d cell.Delivery) {
 	}
 	if st.remain == 0 {
 		if st.fanout == 0 {
-			t.outstanding.release(e)
+			t.outstanding.Release(d.ID)
 			return
 		}
 		t.dIn.Add(float64(st.maxDelay))
@@ -390,7 +291,7 @@ func (t *DelayTracker) deliverSampled(d cell.Delivery) {
 		}
 		t.inHist.Observe(st.maxDelay)
 		t.completed++
-		t.outstanding.release(e)
+		t.outstanding.Release(d.ID)
 	}
 }
 
@@ -436,7 +337,7 @@ func (t *DelayTracker) DeliveredCopies() int64 { return t.delivered }
 
 // InFlight returns the number of tracked packets not yet fully
 // delivered.
-func (t *DelayTracker) InFlight() int { return t.outstanding.n }
+func (t *DelayTracker) InFlight() int { return t.outstanding.Len() }
 
 // Occupancy samples per-port queue sizes once per measured slot and
 // tracks their running mean (over slots x ports, the paper's "average

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"voqsim/internal/cell"
+	"voqsim/internal/idwin"
 	"voqsim/internal/snap"
 )
 
@@ -94,16 +95,14 @@ func (t *DelayTracker) SaveState(sw *snap.Writer) {
 	for i := range t.perOutput {
 		t.perOutput[i].SaveState(sw)
 	}
-	ids := t.outstanding.liveIDs(make([]cell.PacketID, 0, t.outstanding.n))
-	sw.Count(len(ids))
-	for _, id := range ids {
-		st := t.outstanding.lookup(id).st
+	sw.Count(t.outstanding.Len())
+	t.outstanding.Ascending(func(id cell.PacketID, st *packetState) {
 		sw.I64(int64(id))
 		sw.I64(st.arrival)
 		sw.Int(st.fanout)
 		sw.Int(st.remain)
 		sw.I64(st.maxDelay)
-	}
+	})
 	sw.I64(t.delivered)
 	sw.I64(t.completed)
 }
@@ -137,7 +136,7 @@ func (t *DelayTracker) LoadState(r *snap.Reader) error {
 		}
 	}
 	nPkts := r.Count(8 * 5)
-	t.outstanding = pktWindow{}
+	t.outstanding = idwin.Window[packetState]{}
 	for i := 0; i < nPkts; i++ {
 		id := cell.PacketID(r.I64())
 		st := packetState{
@@ -161,12 +160,12 @@ func (t *DelayTracker) LoadState(r *snap.Reader) error {
 			r.Failf("outstanding packet %d arrival %d at or past resume slot %d", id, st.arrival, r.NextSlot())
 			return r.Err()
 		}
-		e, dup := t.outstanding.ensure(id)
+		dst, dup := t.outstanding.Ensure(id)
 		if dup {
 			r.Failf("outstanding packet %d appears twice", id)
 			return r.Err()
 		}
-		e.st = st
+		*dst = st
 	}
 	t.delivered = r.I64()
 	t.completed = r.I64()

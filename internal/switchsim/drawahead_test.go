@@ -64,7 +64,7 @@ func (p aheadPoint) run(tb testing.TB, ahead bool, tailFrom int64, resume []byte
 		tb.Fatal(err)
 	}
 	cfg := switchsim.Config{Slots: p.slots, Seed: seed, WarmupFrac: 0.25, Fast: p.fast, DrawAhead: ahead}
-	r, _, release := experiment.RunSeeding.NewRunner(alg, p.n, p.pat, cfg, nil, false)
+	r, _, release := experiment.RunSeeding.NewRunner(alg, p.n, p.pat, cfg, false)
 	defer release()
 	if resume != nil {
 		if err := r.Restore(alg.Name, resume); err != nil {
@@ -247,7 +247,7 @@ func TestDrawAheadCheckedObserved(t *testing.T) {
 			run := func(composed bool) observed {
 				cfg := switchsim.Config{Slots: 1500, Seed: seed, WarmupFrac: 0.25, DrawAhead: composed}
 				r, ck, release := experiment.RunSeeding.NewRunner(alg, n,
-					traffic.Uniform{P: 0.24, MaxFanout: 4}, cfg, nil, composed)
+					traffic.Uniform{P: 0.24, MaxFanout: 4}, cfg, composed)
 				defer release()
 
 				var got observed

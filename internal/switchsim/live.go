@@ -85,9 +85,6 @@ func (l *LiveRunner) Borrow() *cell.Packet {
 	return &cell.Packet{Dests: destset.New(l.sw.Ports())}
 }
 
-// Return hands an un-admitted borrowed packet back to the pool.
-func (l *LiveRunner) Return(p *cell.Packet) { l.putPacket(p) }
-
 func (l *LiveRunner) putPacket(p *cell.Packet) { l.freePkts = append(l.freePkts, p) }
 
 // Admit enqueues p — with Dests already filled — as the arrival of

@@ -362,7 +362,7 @@ func buildRunner(cfg Config) (r *switchsim.Runner, name string, release func(), 
 		// One run at a time: a CPU the switch does not use draws the
 		// traffic ahead (DESIGN.md §17).
 		DrawAhead: switchsim.SpareCPU(cfg.Parallel)}
-	r, _, release = experiment.RunSeeding.NewRunner(algo, n, pat, engineCfg, nil, false)
+	r, _, release = experiment.RunSeeding.NewRunner(algo, n, pat, engineCfg, false)
 	return r, algo.Name, release, nil
 }
 
