@@ -37,8 +37,13 @@ import (
 // publication-grade runs.
 const benchSlots = 10_000
 
-func benchOptions() experiment.Options {
-	return experiment.Options{Slots: benchSlots, Seed: 2004}
+func benchSweep(b *testing.B, figure string) *experiment.Sweep {
+	b.Helper()
+	fig, err := experiment.FigureByName(figure)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fig.Sweep(experiment.Options{Slots: benchSlots, Seed: 2004})
 }
 
 // runFigureBench executes the sweep once per b.N iteration and reports
@@ -81,74 +86,74 @@ func nearestLoad(loads []float64, want float64) int {
 // Bernoulli traffic with b=0.2, all four algorithms over the load
 // axis; the headline metric is the input-oriented delay at load 0.7.
 func BenchmarkFig4BernoulliSweep(b *testing.B) {
-	runFigureBench(b, experiment.Fig4(benchOptions()), experiment.InputDelay, 0.7,
+	runFigureBench(b, benchSweep(b, "fig4"), experiment.InputDelay, 0.7,
 		"fifoms", "tatra", "islip", "oqfifo")
 }
 
 // BenchmarkFig5ConvergenceRounds regenerates Figure 5: average
 // convergence rounds of FIFOMS vs iSLIP under Figure 4's traffic.
 func BenchmarkFig5ConvergenceRounds(b *testing.B) {
-	runFigureBench(b, experiment.Fig5(benchOptions()), experiment.Rounds, 0.7,
+	runFigureBench(b, benchSweep(b, "fig5"), experiment.Rounds, 0.7,
 		"fifoms", "islip")
 }
 
 // BenchmarkFig6UnicastSweep regenerates Figure 6: pure unicast traffic
 // (uniform, maxFanout=1).
 func BenchmarkFig6UnicastSweep(b *testing.B) {
-	runFigureBench(b, experiment.Fig6(benchOptions()), experiment.InputDelay, 0.5,
+	runFigureBench(b, benchSweep(b, "fig6"), experiment.InputDelay, 0.5,
 		"fifoms", "tatra", "islip", "oqfifo")
 }
 
 // BenchmarkFig7UniformFanout8Sweep regenerates Figure 7: uniform
 // traffic with maxFanout=8.
 func BenchmarkFig7UniformFanout8Sweep(b *testing.B) {
-	runFigureBench(b, experiment.Fig7(benchOptions()), experiment.InputDelay, 0.7,
+	runFigureBench(b, benchSweep(b, "fig7"), experiment.InputDelay, 0.7,
 		"fifoms", "tatra", "islip", "oqfifo")
 }
 
 // BenchmarkFig8BurstSweep regenerates Figure 8: bursty traffic with
 // b=0.5 and Eon=16.
 func BenchmarkFig8BurstSweep(b *testing.B) {
-	runFigureBench(b, experiment.Fig8(benchOptions()), experiment.InputDelay, 0.5,
+	runFigureBench(b, benchSweep(b, "fig8"), experiment.InputDelay, 0.5,
 		"fifoms", "tatra", "islip", "oqfifo")
 }
 
 // BenchmarkAblationRounds sweeps the FIFOMS iteration-cap ablation.
 func BenchmarkAblationRounds(b *testing.B) {
-	runFigureBench(b, experiment.AblationRounds(benchOptions()), experiment.InputDelay, 0.8,
+	runFigureBench(b, benchSweep(b, "ablation-rounds"), experiment.InputDelay, 0.8,
 		"fifoms-r1", "fifoms")
 }
 
 // BenchmarkAblationSplitting sweeps the fanout-splitting ablation.
 func BenchmarkAblationSplitting(b *testing.B) {
-	runFigureBench(b, experiment.AblationSplitting(benchOptions()), experiment.InputDelay, 0.8,
+	runFigureBench(b, benchSweep(b, "ablation-splitting"), experiment.InputDelay, 0.8,
 		"fifoms", "fifoms-nosplit")
 }
 
 // BenchmarkAblationCriterion sweeps the FIFO-vs-longest-queue
 // criterion ablation.
 func BenchmarkAblationCriterion(b *testing.B) {
-	runFigureBench(b, experiment.AblationCriterion(benchOptions()), experiment.InputDelay, 0.8,
+	runFigureBench(b, benchSweep(b, "ablation-criterion"), experiment.InputDelay, 0.8,
 		"fifoms", "lqfms")
 }
 
 // BenchmarkSpeedupSweep sweeps CIOQ fabric speedups against the pure
 // input-queued and output-queued designs.
 func BenchmarkSpeedupSweep(b *testing.B) {
-	runFigureBench(b, experiment.Speedup(benchOptions()), experiment.InputDelay, 0.9,
+	runFigureBench(b, benchSweep(b, "speedup"), experiment.InputDelay, 0.9,
 		"fifoms", "cioq-s2", "oqfifo")
 }
 
 // BenchmarkIndustrySweep compares FIFOMS with the industrial ESLIP
 // scheduler under the paper's Bernoulli traffic.
 func BenchmarkIndustrySweep(b *testing.B) {
-	runFigureBench(b, experiment.Industry(benchOptions()), experiment.InputDelay, 0.6,
+	runFigureBench(b, benchSweep(b, "industry"), experiment.InputDelay, 0.6,
 		"fifoms", "eslip")
 }
 
 // BenchmarkHotspotSweep sweeps the non-uniform hotspot pattern.
 func BenchmarkHotspotSweep(b *testing.B) {
-	runFigureBench(b, experiment.HotspotTraffic(benchOptions()), experiment.InputDelay, 0.7,
+	runFigureBench(b, benchSweep(b, "hotspot"), experiment.InputDelay, 0.7,
 		"fifoms", "oqfifo")
 }
 

@@ -12,7 +12,7 @@
 //	-slots 1000000      slots per point (default 200000; paper: 1e6)
 //	-n 16               switch size
 //	-seed 2004          base seed
-//	-extended           add PIM/WBA/no-split baselines
+//	-extended           add every extension baseline to the roster
 //	-plots              render ASCII plots alongside tables
 //	-out DIR            also write <fig>.csv and <fig>.json into DIR
 //	-workers K          parallel simulations (default: all cores)
@@ -23,20 +23,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
-	"voqsim/internal/asciiplot"
 	"voqsim/internal/experiment"
 )
 
 func main() {
+	// AllAlgorithms lists the paper's four first; -extended adds the rest.
+	var extension []string
+	for _, a := range experiment.AllAlgorithms()[len(experiment.PaperAlgorithms()):] {
+		extension = append(extension, a.Name)
+	}
 	var (
-		figsFlag = flag.String("figs", "fig4,fig5,fig6,fig7,fig8", "comma-separated sweeps to run (fig4..fig8, ablation-rounds, ablation-splitting, ablation-criterion, speedup, hotspot, industry, memory, mixed, all)")
+		figsFlag = flag.String("figs", "fig4,fig5,fig6,fig7,fig8", "comma-separated sweeps to run ("+strings.Join(experiment.FigureNames(), ", ")+", or all)")
 		slots    = flag.Int64("slots", 0, "slots per point (0 = 200000; the paper uses 1000000)")
 		n        = flag.Int("n", 16, "switch size N")
 		seed     = flag.Uint64("seed", 2004, "base seed")
-		extended = flag.Bool("extended", false, "include extension baselines (pim, wba, fifoms-nosplit)")
+		extended = flag.Bool("extended", false, "include extension baselines ("+strings.Join(extension, ", ")+")")
 		plots    = flag.Bool("plots", false, "render ASCII plots")
 		outDir   = flag.String("out", "", "directory for CSV/JSON exports")
 		workers  = flag.Int("workers", 0, "parallel simulations (0 = all cores)")
@@ -46,31 +49,19 @@ func main() {
 	opts := experiment.Options{
 		N: *n, Slots: *slots, Seed: *seed, Extended: *extended, Workers: *workers,
 	}
-	available := experiment.Figures(opts)
-	for name, sw := range experiment.Extensions(opts) {
-		available[name] = sw
-	}
 
-	var names []string
+	names := strings.Split(*figsFlag, ",")
 	if *figsFlag == "all" {
-		for name := range available {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-	} else {
-		names = strings.Split(*figsFlag, ",")
+		names = experiment.FigureNames()
 	}
 
 	failed := false
 	for _, name := range names {
-		name = strings.TrimSpace(name)
-		sweep, ok := available[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "voqfigs: unknown sweep %q\n", name)
-			failed = true
-			continue
+		fig, err := experiment.FigureByName(strings.TrimSpace(name))
+		if err == nil {
+			err = runFigure(fig, opts, *plots, *outDir)
 		}
-		if err := runSweep(sweep, *plots, *outDir); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "voqfigs: %v\n", err)
 			failed = true
 		}
@@ -80,41 +71,18 @@ func main() {
 	}
 }
 
-func runSweep(sweep *experiment.Sweep, plots bool, outDir string) error {
+func runFigure(fig experiment.Figure, opts experiment.Options, plots bool, outDir string) error {
+	sweep := fig.Sweep(opts)
 	fmt.Printf("==> %s: %s (slots=%d per point)\n", sweep.Name, sweep.Title, effectiveSlots(sweep.Slots))
 	tbl, err := sweep.Run()
 	if err != nil {
 		return err
 	}
-
-	metrics := experiment.FigureMetrics()
-	switch sweep.Name {
-	case "fig5":
-		metrics = []experiment.Metric{experiment.Rounds}
-	case "memory":
-		metrics = []experiment.Metric{experiment.BufferBytes, experiment.AvgQueue}
+	text, err := fig.Render(tbl, plots)
+	if err != nil {
+		return err
 	}
-	fmt.Println(tbl.Format(metrics...))
-
-	if plots {
-		for _, m := range metrics {
-			p := asciiplot.Plot{
-				Title:  fmt.Sprintf("%s — %s", tbl.Title, m.Label),
-				XLabel: "effective load",
-				YLabel: m.Name,
-				Xs:     tbl.Loads,
-				LogY:   m.Saturating,
-			}
-			for _, algo := range tbl.Algos {
-				ys, err := tbl.Series(algo, m)
-				if err != nil {
-					return err
-				}
-				p.Series = append(p.Series, asciiplot.Series{Name: algo, Ys: ys})
-			}
-			fmt.Println(p.Render())
-		}
-	}
+	fmt.Println(text)
 
 	if violations := tbl.Check(); len(violations) == 0 {
 		fmt.Printf("shape check: PASS (paper's qualitative claims hold)\n\n")

@@ -1,11 +1,8 @@
 package voqsim
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
-	"voqsim/internal/asciiplot"
 	"voqsim/internal/experiment"
 )
 
@@ -17,7 +14,9 @@ type FigureOptions struct {
 	Seed uint64
 	// Ports overrides the switch size (zero means the paper's 16).
 	Ports int
-	// Extended adds the PIM/WBA/no-split baselines to the roster.
+	// Extended adds every extension baseline — each Schedulers() entry
+	// beyond the paper's fifoms, tatra, islip and oqfifo — to the
+	// figures that compare the paper's roster, and pim to fig5.
 	Extended bool
 	// Plots adds ASCII plots to the rendered text.
 	Plots bool
@@ -42,79 +41,40 @@ type FigureResult struct {
 	Series map[string][]float64
 }
 
-// FigureNames lists the available figure and extension sweeps.
-func FigureNames() []string {
-	names := make([]string, 0)
-	for name := range experiment.Figures(experiment.Options{}) {
-		names = append(names, name)
-	}
-	for name := range experiment.Extensions(experiment.Options{}) {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// FigureNames lists the available figure and extension sweeps, sorted.
+func FigureNames() []string { return experiment.FigureNames() }
 
-// Figure regenerates one of the paper's evaluation figures (fig4,
-// fig5, fig6, fig7, fig8) or extension sweeps (ablation-rounds,
-// ablation-splitting, mixed) and checks it against the paper's
-// qualitative claims.
+// Figure regenerates one of the paper's evaluation figures (fig4 ...
+// fig8) or one of the extension sweeps — FigureNames lists them all —
+// and checks it against the claims recorded for it.
 func Figure(name string, opts FigureOptions) (*FigureResult, error) {
-	eo := experiment.Options{
-		N: opts.Ports, Slots: opts.Slots, Seed: opts.Seed,
-		Extended: opts.Extended, Workers: opts.Workers,
-	}
-	sweeps := experiment.Figures(eo)
-	for n, sw := range experiment.Extensions(eo) {
-		sweeps[n] = sw
-	}
-	sweep, ok := sweeps[name]
-	if !ok {
-		return nil, fmt.Errorf("voqsim: unknown figure %q (have %s)", name, strings.Join(FigureNames(), ", "))
-	}
-	tbl, err := sweep.Run()
+	fig, err := experiment.FigureByName(name)
 	if err != nil {
 		return nil, err
 	}
-
-	metrics := experiment.FigureMetrics()
-	if name == "fig5" {
-		metrics = []experiment.Metric{experiment.Rounds}
+	tbl, err := fig.Sweep(experiment.Options{
+		N: opts.Ports, Slots: opts.Slots, Seed: opts.Seed,
+		Extended: opts.Extended, Workers: opts.Workers,
+	}).Run()
+	if err != nil {
+		return nil, err
 	}
-
-	var text strings.Builder
-	text.WriteString(tbl.Format(metrics...))
-	if opts.Plots {
-		for _, m := range metrics {
-			p := asciiplot.Plot{
-				Title:  fmt.Sprintf("%s — %s", tbl.Title, m.Label),
-				XLabel: "effective load",
-				YLabel: m.Name,
-				Xs:     tbl.Loads,
-				LogY:   m.Saturating,
-			}
-			for _, algo := range tbl.Algos {
-				ys, err := tbl.Series(algo, m)
-				if err != nil {
-					return nil, err
-				}
-				p.Series = append(p.Series, asciiplot.Series{Name: algo, Ys: ys})
-			}
-			text.WriteByte('\n')
-			text.WriteString(p.Render())
-		}
+	text, err := fig.Render(tbl, opts.Plots)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &FigureResult{
 		Name:       tbl.Name,
 		Title:      tbl.Title,
-		Text:       text.String(),
+		Text:       text,
 		Violations: tbl.Check(),
 		Loads:      tbl.Loads,
 		Series:     make(map[string][]float64),
 	}
+	metrics := slices.Concat(fig.Headline(), []experiment.Metric{experiment.Throughput})
 	for _, algo := range tbl.Algos {
-		for _, m := range append(metrics, experiment.Throughput) {
+		for _, m := range metrics {
 			ys, err := tbl.Series(algo, m)
 			if err != nil {
 				return nil, err

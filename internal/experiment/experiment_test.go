@@ -225,29 +225,6 @@ func TestReadTableJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestFigureDefinitions(t *testing.T) {
-	o := quick()
-	figs := Figures(o)
-	for _, name := range []string{"fig4", "fig5", "fig6", "fig7", "fig8"} {
-		sw, ok := figs[name]
-		if !ok {
-			t.Fatalf("missing %s", name)
-		}
-		if sw.N != 16 || len(sw.Loads) == 0 || len(sw.Algorithms) == 0 {
-			t.Fatalf("%s misconfigured: %+v", name, sw)
-		}
-		if _, err := sw.Pattern(0.5, sw.N); err != nil {
-			t.Fatalf("%s pattern at 0.5: %v", name, err)
-		}
-	}
-	exts := Extensions(o)
-	for _, name := range []string{"ablation-rounds", "ablation-splitting", "mixed"} {
-		if _, ok := exts[name]; !ok {
-			t.Fatalf("missing extension %s", name)
-		}
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.N != 16 || o.Seed != 2004 {
@@ -258,16 +235,5 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if got := (Options{Loads: []float64{0.5}}).loads(defaultLoads); len(got) != 1 {
 		t.Fatal("load override ignored")
-	}
-}
-
-func TestFig5UsesRoundsAlgorithms(t *testing.T) {
-	sw := Fig5(quick())
-	if len(sw.Algorithms) != 2 || sw.Algorithms[0].Name != "fifoms" || sw.Algorithms[1].Name != "islip" {
-		t.Fatalf("fig5 roster: %+v", sw.Algorithms)
-	}
-	ext := Fig5(Options{Extended: true})
-	if len(ext.Algorithms) != 3 {
-		t.Fatalf("extended fig5 roster: %d algorithms", len(ext.Algorithms))
 	}
 }

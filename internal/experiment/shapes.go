@@ -175,37 +175,12 @@ func (t *Table) CheckFig8() []string {
 	return v
 }
 
-// Check dispatches to the figure's checker by sweep name; unknown
-// sweeps have no claims and always pass.
+// Check runs the checker of the figure the table's sweep was named
+// after; other sweeps have no claims and always pass.
 func (t *Table) Check() []string {
-	switch t.Name {
-	case "fig4":
-		return t.CheckFig4()
-	case "fig5":
-		return t.CheckFig5()
-	case "fig6":
-		return t.CheckFig6()
-	case "fig7":
-		return t.CheckFig7()
-	case "fig8":
-		return t.CheckFig8()
-	case "ablation-rounds":
-		return t.CheckAblationRounds()
-	case "ablation-splitting":
-		return t.CheckAblationSplitting()
-	case "ablation-criterion":
-		return t.CheckAblationCriterion()
-	case "speedup":
-		return t.CheckSpeedup()
-	case "industry":
-		return t.CheckIndustry()
-	case "hotspot":
-		return t.CheckHotspot()
-	case "memory":
-		return t.CheckMemory()
-	case "mixed":
-		return t.CheckMixed()
-	default:
+	f, err := FigureByName(t.Name)
+	if err != nil {
 		return nil
 	}
+	return f.Check(t)
 }

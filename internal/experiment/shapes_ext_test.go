@@ -6,50 +6,40 @@ func TestSpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, Speedup(shapeOptions())))
+	assertShape(t, runShape(t, "speedup"))
 }
 
 func TestIndustryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, Industry(shapeOptions())))
+	assertShape(t, runShape(t, "industry"))
 }
 
 func TestMemoryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, Memory(shapeOptions())))
+	assertShape(t, runShape(t, "memory"))
 }
 
 func TestMixedShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, MixedTraffic(shapeOptions())))
+	assertShape(t, runShape(t, "mixed"))
 }
 
 func TestAblationCriterionShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, AblationCriterion(shapeOptions())))
-}
-
-// The original per-function ablation tests cover rounds/splitting
-// claims directly; exercise the new dispatch path for them too.
-func TestAblationDispatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure shape checks take seconds")
-	}
-	assertShape(t, runShape(t, AblationRounds(shapeOptions())))
-	assertShape(t, runShape(t, AblationSplitting(shapeOptions())))
+	assertShape(t, runShape(t, "ablation-criterion"))
 }
 
 func TestHotspotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, HotspotTraffic(shapeOptions())))
+	assertShape(t, runShape(t, "hotspot"))
 }

@@ -18,9 +18,13 @@ func shapeOptions() Options {
 	return Options{Slots: 20_000, Seed: 2004}
 }
 
-func runShape(t *testing.T, sw *Sweep) *Table {
+func runShape(t *testing.T, figure string) *Table {
 	t.Helper()
-	tbl, err := sw.Run()
+	fig, err := FigureByName(figure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := fig.Sweep(shapeOptions()).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,35 +42,35 @@ func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, Fig4(shapeOptions())))
+	assertShape(t, runShape(t, "fig4"))
 }
 
 func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, Fig5(shapeOptions())))
+	assertShape(t, runShape(t, "fig5"))
 }
 
 func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, Fig6(shapeOptions())))
+	assertShape(t, runShape(t, "fig6"))
 }
 
 func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, Fig7(shapeOptions())))
+	assertShape(t, runShape(t, "fig7"))
 }
 
 func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, Fig8(shapeOptions())))
+	assertShape(t, runShape(t, "fig8"))
 }
 
 func TestAblationSplittingShape(t *testing.T) {
@@ -76,7 +80,8 @@ func TestAblationSplittingShape(t *testing.T) {
 	// Fanout splitting must not hurt, and the no-splitting variant must
 	// saturate earlier or queue more at high load (the conclusion's
 	// "necessary for high throughput" claim).
-	tbl := runShape(t, AblationSplitting(shapeOptions()))
+	tbl := runShape(t, "ablation-splitting")
+	assertShape(t, tbl)
 	split := tbl.metricAt("fifoms", InputDelay, 0.8)
 	whole := tbl.metricAt("fifoms-nosplit", InputDelay, 0.8)
 	if !(whole >= split || math.IsInf(whole, 1)) {
@@ -93,7 +98,8 @@ func TestAblationRoundsShape(t *testing.T) {
 	}
 	// More rounds never hurt: delay at load 0.8 must be non-increasing
 	// in the iteration budget (within noise).
-	tbl := runShape(t, AblationRounds(shapeOptions()))
+	tbl := runShape(t, "ablation-rounds")
+	assertShape(t, tbl)
 	r1 := tbl.metricAt("fifoms-r1", InputDelay, 0.8)
 	full := tbl.metricAt("fifoms", InputDelay, 0.8)
 	if full > r1*1.1+0.2 {

@@ -2,11 +2,9 @@ package report
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"voqsim/internal/obs"
 )
@@ -55,33 +53,6 @@ func ReadEventsJSONL(r io.Reader) ([]obs.Event, error) {
 		return nil, fmt.Errorf("report: reading trace: %w", err)
 	}
 	return events, nil
-}
-
-// WriteEventsCSV writes events to w as CSV with a header row, columns
-// matching the JSONL field order.
-func WriteEventsCSV(w io.Writer, events []obs.Event) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"slot", "ev", "in", "out", "round", "aux", "ts", "pkt"}); err != nil {
-		return err
-	}
-	for i := range events {
-		e := &events[i]
-		rec := []string{
-			strconv.FormatInt(e.Slot, 10),
-			e.Type.String(),
-			strconv.FormatInt(int64(e.In), 10),
-			strconv.FormatInt(int64(e.Out), 10),
-			strconv.FormatInt(int64(e.Round), 10),
-			strconv.FormatInt(int64(e.Aux), 10),
-			strconv.FormatInt(e.TS, 10),
-			strconv.FormatInt(e.Packet, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // MetricsSnapshot is one timestamped registry snapshot, as emitted by

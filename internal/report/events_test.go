@@ -127,24 +127,3 @@ func TestTraceReplaysToDeliveredCount(t *testing.T) {
 		t.Fatal("trace recorded no departures; the run cannot have been empty")
 	}
 }
-
-// TestEventsCSVRoundTrip sanity-checks the CSV exporter against the
-// same run.
-func TestEventsCSV(t *testing.T) {
-	raw, _ := tracedRun(t, 20, false)
-	events, err := ReadEventsJSONL(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteEventsCSV(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(events)+1 {
-		t.Fatalf("CSV has %d lines, want header + %d events", len(lines), len(events))
-	}
-	if lines[0] != "slot,ev,in,out,round,aux,ts,pkt" {
-		t.Fatalf("unexpected CSV header %q", lines[0])
-	}
-}

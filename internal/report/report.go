@@ -27,62 +27,6 @@ type Options struct {
 	SkipExtensions bool
 }
 
-// paperClaims holds, per figure, the qualitative statements of
-// Section V that the shape checkers verify.
-var paperClaims = map[string][]string{
-	"fig4": {
-		"FIFOMS closely matches OQFIFO in input- and output-oriented delay",
-		"FIFOMS has the smallest average and maximum queue size of all four algorithms",
-		"TATRA's delay blows up and it goes unstable beyond ~0.8 load (HOL blocking)",
-		"iSLIP has much longer delay than all other algorithms (multicast as unicast copies)",
-	},
-	"fig5": {
-		"both FIFOMS and iSLIP converge in far fewer than N rounds",
-		"convergence rounds are insensitive to load while the scheduler is stable",
-		"FIFOMS and iSLIP take roughly the same number of rounds",
-	},
-	"fig6": {
-		"TATRA reaches only ~55% load under pure unicast (theory: 0.586)",
-		"FIFOMS matches (or beats) iSLIP's delay despite being a multicast design",
-		"FIFOMS needs the least buffer space",
-	},
-	"fig7": {
-		"FIFOMS has the shortest delay among the input-queued algorithms",
-		"FIFOMS beats even OQFIFO on buffer requirement at maxFanout=8",
-		"TATRA performs better than under unicast (more placement choices)",
-	},
-	"fig8": {
-		"all algorithms saturate earlier under bursts",
-		"iSLIP saturates at a load too small to be seen in the delay plots",
-		"FIFOMS outperforms TATRA on delay but not OQFIFO",
-		"FIFOMS keeps the smallest queues",
-	},
-	"ablation-rounds": {
-		"(extension) capping FIFOMS iterations costs delay only near saturation",
-	},
-	"ablation-splitting": {
-		"(extension) disabling fanout splitting collapses throughput (paper SVI: splitting is necessary)",
-	},
-	"ablation-criterion": {
-		"(extension) swapping the FIFO time stamp for longest-queue weighting loses multicast latency, not throughput",
-	},
-	"speedup": {
-		"(extension) CIOQ fabric speedup 2 brings FIFOMS's delay curve essentially onto OQFIFO's",
-	},
-	"hotspot": {
-		"(extension) non-uniform hotspot traffic: the load axis is the hot output's load; uniform-traffic throughput guarantees do not transfer verbatim",
-	},
-	"industry": {
-		"(extension) ESLIP (industrial: unicast VOQs + one multicast FIFO, shared pointer) beats iSLIP's copies but reintroduces HOL blocking among multicast packets, which FIFOMS's per-output address queues avoid",
-	},
-	"memory": {
-		"(extension, Section IV.B) the shared data cell keeps FIFOMS's buffer bytes a small fraction of iSLIP's copied cells and at or below OQ's per-queue copies",
-	},
-	"mixed": {
-		"(extension) mixed unicast/multicast traffic: single-FIFO schedulers lose throughput to HOL blocking",
-	},
-}
-
 // Generate runs the experiments and writes the Markdown report.
 func Generate(o Options, w io.Writer) error {
 	eo := experiment.Options{Slots: o.Slots, Seed: o.Seed, Workers: o.Workers}
@@ -101,25 +45,16 @@ func Generate(o Options, w io.Writer) error {
 	fmt.Fprintf(w, "    go run ./cmd/voqreport -slots %d\n\n", slots)
 	writeReproductionGuide(w, slots, eoSeed(eo))
 
-	sweeps := experiment.Figures(eo)
-	names := []string{"fig4", "fig5", "fig6", "fig7", "fig8"}
-	if !o.SkipExtensions {
-		for n, s := range experiment.Extensions(eo) {
-			sweeps[n] = s
-		}
-		names = append(names, "ablation-rounds", "ablation-splitting", "ablation-criterion",
-			"speedup", "hotspot", "industry", "memory", "mixed")
+	figures := experiment.FigureTable()
+	if o.SkipExtensions {
+		figures = figures[:experiment.PaperFigures]
 	}
-
-	for _, name := range names {
-		sweep := sweeps[name]
-		tbl, err := sweep.Run()
+	for _, fig := range figures {
+		tbl, err := fig.Sweep(eo).Run()
 		if err != nil {
-			return fmt.Errorf("report: running %s: %w", name, err)
+			return fmt.Errorf("report: running %s: %w", fig.Name, err)
 		}
-		if err := writeFigure(w, name, tbl); err != nil {
-			return err
-		}
+		writeFigure(w, fig, tbl)
 	}
 
 	if !o.SkipExtensions {
@@ -227,26 +162,17 @@ func eoSeed(eo experiment.Options) uint64 {
 	return eo.Seed
 }
 
-func writeFigure(w io.Writer, name string, tbl *experiment.Table) error {
-	fmt.Fprintf(w, "## %s — %s\n\n", name, tbl.Title)
+func writeFigure(w io.Writer, fig experiment.Figure, tbl *experiment.Table) {
+	fmt.Fprintf(w, "## %s — %s\n\n", fig.Name, tbl.Title)
 
-	if claims := paperClaims[name]; len(claims) > 0 {
-		fmt.Fprintf(w, "Paper claims:\n\n")
-		for _, c := range claims {
-			fmt.Fprintf(w, "- %s\n", c)
-		}
-		fmt.Fprintln(w)
+	fmt.Fprintf(w, "Paper claims:\n\n")
+	for _, c := range fig.Claims {
+		fmt.Fprintf(w, "- %s\n", c)
 	}
+	fmt.Fprintln(w)
 
-	metrics := experiment.FigureMetrics()
-	switch name {
-	case "fig5":
-		metrics = []experiment.Metric{experiment.Rounds}
-	case "memory":
-		metrics = []experiment.Metric{experiment.BufferBytes, experiment.AvgQueue}
-	}
 	fmt.Fprintf(w, "Measured (`sat` marks saturated/unstable points):\n\n")
-	fmt.Fprintf(w, "```\n%s```\n\n", tbl.Format(metrics...))
+	fmt.Fprintf(w, "```\n%s```\n\n", tbl.Format(fig.Headline()...))
 
 	violations := tbl.Check()
 	if len(violations) == 0 {
@@ -258,7 +184,6 @@ func writeFigure(w io.Writer, name string, tbl *experiment.Table) error {
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
 }
 
 func writeSaturation(w io.Writer, eo experiment.Options, slots int64) error {

@@ -34,11 +34,3 @@ func TestGenerateSmall(t *testing.T) {
 		}
 	}
 }
-
-func TestClaimsCoverEveryFigure(t *testing.T) {
-	for _, name := range []string{"fig4", "fig5", "fig6", "fig7", "fig8"} {
-		if len(paperClaims[name]) == 0 {
-			t.Errorf("no paper claims recorded for %s", name)
-		}
-	}
-}

@@ -47,16 +47,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// AddN records the same observation n times in O(1) — used when a
-// whole slot's worth of identical per-port samples is folded in.
-func (w *Welford) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	other := Welford{n: n, mean: x, min: x, max: x}
-	w.Merge(&other)
-}
-
 // Merge folds the observations of o into w (Chan et al. parallel
 // variance combination). o is unchanged.
 func (w *Welford) Merge(o *Welford) {

@@ -105,23 +105,6 @@ func TestWelfordMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	a.Add(2)
-	for i := 0; i < 5; i++ {
-		a.Add(7)
-	}
-	b.Add(2)
-	b.AddN(7, 5)
-	if !almostEqual(a.Mean(), b.Mean(), 1e-12) || !almostEqual(a.Variance(), b.Variance(), 1e-9) {
-		t.Fatalf("AddN mismatch: %v vs %v", a.String(), b.String())
-	}
-	b.AddN(9, 0) // no-op
-	if b.Count() != 6 {
-		t.Fatal("AddN with n=0 changed count")
-	}
-}
-
 func TestMaxInt64(t *testing.T) {
 	var m MaxInt64
 	if m.Value() != 0 {

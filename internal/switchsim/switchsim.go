@@ -624,7 +624,3 @@ func (res Results) Describe() string {
 		res.InputDelay.Mean, res.OutputDelay.Mean, res.AvgQueue, res.MaxQueue,
 		res.Throughput, res.Rounds.Mean, state)
 }
-
-// SaturatedDelay is the delay value reported in tables for unstable
-// points, where the true expectation is unbounded.
-func SaturatedDelay() float64 { return math.Inf(1) }

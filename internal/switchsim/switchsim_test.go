@@ -164,9 +164,3 @@ func TestDescribe(t *testing.T) {
 		t.Fatalf("Describe = %q", res.Describe())
 	}
 }
-
-func TestSaturatedDelayIsInf(t *testing.T) {
-	if !math.IsInf(SaturatedDelay(), 1) {
-		t.Fatal("SaturatedDelay not +Inf")
-	}
-}

@@ -179,16 +179,6 @@ func (r *Rand) Intn(n int) int {
 	return int(hi)
 }
 
-// Perm fills dst with a uniform random permutation of 0..len(dst)-1
-// using the inside-out Fisher-Yates shuffle.
-func (r *Rand) Perm(dst []int) {
-	for i := range dst {
-		j := r.Intn(i + 1)
-		dst[i] = dst[j]
-		dst[j] = i
-	}
-}
-
 // Sample writes a uniform random k-subset of 0..n-1 into dst[:k] in
 // ascending order and returns it. It panics if k > n or k > cap(dst).
 // The implementation is Vitter's selection-sampling (Algorithm S),

@@ -157,21 +157,6 @@ func TestBoolRate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(29)
-	for trial := 0; trial < 50; trial++ {
-		p := make([]int, 10)
-		r.Perm(p)
-		seen := make([]bool, len(p))
-		for _, v := range p {
-			if v < 0 || v >= len(p) || seen[v] {
-				t.Fatalf("not a permutation: %v", p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSampleProperties(t *testing.T) {
 	r := New(31)
 	f := func(nRaw, kRaw uint8) bool {

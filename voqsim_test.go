@@ -220,21 +220,28 @@ func TestFigureSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a reduced sweep")
 	}
-	res, err := Figure("fig5", FigureOptions{Slots: 3000, Seed: 7, Plots: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Name != "fig5" || !strings.Contains(res.Text, "fifoms") {
-		t.Fatalf("figure text:\n%s", res.Text)
-	}
-	if len(res.Loads) == 0 {
-		t.Fatal("no loads")
-	}
-	if _, ok := res.Series["fifoms/rounds"]; !ok {
-		t.Fatalf("series keys: %v", keys(res.Series))
-	}
-	if !strings.Contains(res.Text, "|") {
-		t.Fatal("plots requested but not rendered")
+	// Each figure renders and exports its own headline metrics, the
+	// ones voqfigs and voqreport show for it.
+	for _, tc := range []struct{ name, metric string }{
+		{"fig5", "rounds"},
+		{"memory", "buffer_bytes"},
+	} {
+		res, err := Figure(tc.name, FigureOptions{Slots: 3000, Seed: 7, Plots: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Name != tc.name || !strings.Contains(res.Text, "fifoms") {
+			t.Fatalf("%s text:\n%s", tc.name, res.Text)
+		}
+		if len(res.Loads) == 0 {
+			t.Fatalf("%s: no loads", tc.name)
+		}
+		if _, ok := res.Series["fifoms/"+tc.metric]; !ok {
+			t.Fatalf("%s series keys: %v", tc.name, keys(res.Series))
+		}
+		if !strings.Contains(res.Text, "y: "+tc.metric) {
+			t.Fatalf("%s: no %s plot rendered:\n%s", tc.name, tc.metric, res.Text)
+		}
 	}
 }
 
