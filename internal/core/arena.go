@@ -25,6 +25,11 @@ import (
 //     cells reference entries by index, so ModeShared's one-data-cell
 //     -per-packet sharing is an integer comparison, and freed entries
 //     are recycled through the dFree list without touching the GC.
+//   - In ModeCopied every copy has its own fanout-1 data entry, so a
+//     packet outlives each of them. dOwn[i] names the owner entry of
+//     data entry i, and owed[own] counts the packet's copies still
+//     buffered; the switch hands the packet back when it reaches zero.
+//     Owner entries recycle through ownFree like the data entries.
 //   - The cached HOL state the match kernels read (voq.ts, occIn,
 //     occOut — see switch.go) lives here too.
 //
@@ -89,6 +94,12 @@ type arena struct {
 	dPkt  []*cell.Packet
 	dFan  []int32
 	dFree []int32
+
+	// ModeCopied owner slab: dOwn is indexed like dPkt (and grown only
+	// by allocCopy), owed[own] is live while positive.
+	dOwn    []int32
+	owed    []int32
+	ownFree []int32
 }
 
 // newArena returns an empty arena for an n-port switch.
@@ -156,4 +167,40 @@ func (a *arena) allocData(p *cell.Packet, fan int32) int32 {
 func (a *arena) freeData(idx int32) {
 	a.dPkt[idx] = nil
 	a.dFree = append(a.dFree, idx)
+}
+
+// allocCopy takes a fanout-1 data entry for one copy of p, owned by
+// owner entry own.
+func (a *arena) allocCopy(p *cell.Packet, own int32) int32 {
+	idx := a.allocData(p, 1)
+	if int(idx) == len(a.dOwn) {
+		a.dOwn = append(a.dOwn, own)
+	} else {
+		a.dOwn[idx] = own
+	}
+	return idx
+}
+
+// allocOwner takes an owner entry owing copies copies.
+func (a *arena) allocOwner(copies int32) int32 {
+	if k := len(a.ownFree); k > 0 {
+		own := a.ownFree[k-1]
+		a.ownFree = a.ownFree[:k-1]
+		a.owed[own] = copies
+		return own
+	}
+	a.owed = append(a.owed, copies)
+	return int32(len(a.owed) - 1)
+}
+
+// departCopy records that one copy of owner entry own left the switch,
+// and reports whether it was the packet's last buffered copy; the entry
+// is then recycled.
+func (a *arena) departCopy(own int32) bool {
+	a.owed[own]--
+	if a.owed[own] > 0 {
+		return false
+	}
+	a.ownFree = append(a.ownFree, own)
+	return true
 }

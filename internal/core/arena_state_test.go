@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"voqsim/internal/cell"
@@ -242,4 +243,123 @@ func TestArenaSnapshotGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyCachedState(t, restored)
+}
+
+// Hand-encoded core sections for the rejection table below: the same
+// layout SaveState writes (state.go), with every field a row may want
+// to get wrong exposed.
+type snapPacket struct {
+	id, arrival int64
+	counter     int
+	dests       []int
+}
+
+type snapPort struct {
+	packets []snapPacket
+	voqs    map[int][]int // out -> packet-table indices, front to back
+}
+
+// encodeCore writes one core section of an n-port switch seeded like
+// NewSwitch(n, arb, xrand.New(1)) that has never stepped, holding ports
+// (inputs past len(ports) are empty).
+func encodeCore(n int, mode PreprocessMode, ports []snapPort) []byte {
+	w := snap.NewWriter()
+	w.Begin("core")
+	w.Int(n)
+	w.U8(uint8(mode))
+	snap.WriteRand(w, xrand.New(1).Split("arbiter", 0))
+	w.Int(0) // lastRounds
+	w.I64(0) // totalRounds
+	w.I64(0) // activeSlots
+	for i := 0; i < 4; i++ {
+		w.I64(0) // crossbar counters
+	}
+	for in := 0; in < n; in++ {
+		var p snapPort
+		if in < len(ports) {
+			p = ports[in]
+		}
+		last := int64(-1) // the arrival guard, which only ModeShared's Arrive sets
+		for _, pk := range p.packets {
+			if mode == ModeShared {
+				last = max(last, pk.arrival)
+			}
+		}
+		w.I64(last)
+		w.Count(len(p.packets))
+		for _, pk := range p.packets {
+			w.I64(pk.id)
+			w.I64(pk.arrival)
+			w.Int(pk.counter)
+			snap.WriteDests(w, destset.FromMembers(n, pk.dests...))
+		}
+		for out := 0; out < n; out++ {
+			w.Count(len(p.voqs[out]))
+			for _, idx := range p.voqs[out] {
+				w.Int(idx)
+			}
+		}
+	}
+	w.Bool(false) // neither FIFOMS nor copiedStub keeps arbiter state
+	w.End()
+	return w.Bytes()
+}
+
+// TestLoadStateRejects pins LoadState's refusals: every row is a
+// well-framed core section whose content no SaveState could write, and
+// it must fail with its reason, not load into a switch whose transfer
+// loop would then mis-time a release. Each mode's untampered row loads,
+// and is byte-equal to what a real switch holding it saves.
+func TestLoadStateRejects(t *testing.T) {
+	const n = 4
+	multicast := func(counter int, voqs map[int][]int) []snapPort {
+		return []snapPort{{packets: []snapPacket{{id: 1, arrival: 0, counter: counter, dests: []int{0, 1}}}, voqs: voqs}}
+	}
+	both := map[int][]int{0: {0}, 1: {0}}
+	arbiter := map[PreprocessMode]func() Arbiter{
+		ModeShared: func() Arbiter { return &FIFOMS{} },
+		ModeCopied: func() Arbiter { return &copiedStub{} },
+	}
+	for _, tc := range []struct {
+		name  string
+		mode  PreprocessMode
+		ports []snapPort
+		want  string // "" loads
+	}{
+		{"shared valid", ModeShared, multicast(2, both), ""},
+		{"copied valid", ModeCopied, multicast(1, both), ""},
+		{"copied counter 2", ModeCopied, multicast(2, both), "counter 2 in copied mode"},
+		{"shared counter above queued cells", ModeShared, multicast(2, map[int][]int{0: {0}}), "1 queued cells but fanout counter 2"},
+		{"counter zero", ModeShared, multicast(0, both), "fanout counter 0 outside [1,2]"},
+		{"counter above fanout", ModeShared, multicast(3, both), "fanout counter 3 outside [1,2]"},
+		{"copied packet with no cells", ModeCopied, multicast(1, nil), "has no queued cells"},
+		{"index out of range", ModeCopied, multicast(1, map[int][]int{0: {1}}), "references packet index 1 of 1"},
+		{"cell for an output not addressed", ModeCopied, multicast(1, map[int][]int{2: {0}}), "not addressed to 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := encodeCore(n, tc.mode, tc.ports)
+			r, err := snap.NewReader(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSwitch(n, arbiter[tc.mode](), xrand.New(1))
+			err = s.LoadState(r)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid section rejected: %v", err)
+				}
+				real := NewSwitch(n, arbiter[tc.mode](), xrand.New(1))
+				real.Arrive(&cell.Packet{ID: 1, Input: 0, Arrival: 0, Dests: destset.FromMembers(n, 0, 1)})
+				w := snap.NewWriter()
+				real.SaveState(w)
+				if !bytes.Equal(blob, w.Bytes()) {
+					t.Fatal("encodeCore no longer writes SaveState's layout")
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -20,6 +20,8 @@ import (
 //
 //   - the arena's slab free lists and capacities — performance
 //     caches, regrown on demand;
+//   - ModeCopied's owner counts — the number of copies of a packet
+//     still queued, which loadPort recounts from the VOQ references;
 //   - the cached HOL stamps and occIn/occOut bitmaps — LoadState
 //     rebuilds them coherently by re-pushing every cell through
 //     pushCell;
@@ -173,7 +175,7 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 	// dests presence(1)+count(4) = 29 bytes.
 	nPkts := r.Count(29)
 	packets := make([]*cell.Packet, nPkts)
-	dataIdx := make([]int32, nPkts)
+	dataIdx := make([]int32, nPkts) // ModeShared: the data entry; ModeCopied: the owner entry
 	refs := make([]int, nPkts)
 	for i := 0; i < nPkts; i++ {
 		id := cell.PacketID(r.I64())
@@ -191,6 +193,11 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 			r.Failf("buffered packet %d fanout counter %d outside [1,%d]", id, counter, dests.Count())
 			return r.Err()
 		}
+		if s.mode == ModeCopied && counter != 1 {
+			// savePort writes a copy's private fanout-1 entry, nothing else.
+			r.Failf("buffered packet %d fanout counter %d in copied mode, want 1", id, counter)
+			return r.Err()
+		}
 		if arrival < 0 || arrival >= r.NextSlot() {
 			r.Failf("buffered packet %d arrival %d outside [0,%d)", id, arrival, r.NextSlot())
 			return r.Err()
@@ -200,6 +207,8 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 			dataIdx[i] = a.allocData(packets[i], int32(counter))
 			port.dataCells++
 			s.totalData++
+		} else {
+			dataIdx[i] = a.allocOwner(0) // counted up per queued copy below
 		}
 	}
 	for out := 0; out < s.n; out++ {
@@ -221,7 +230,8 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 			refs[idx]++
 			data := dataIdx[idx]
 			if s.mode == ModeCopied {
-				data = a.allocData(p, 1)
+				a.owed[data]++
+				data = a.allocCopy(p, data)
 				port.dataCells++
 				s.totalData++
 			}

@@ -349,12 +349,13 @@ func (s *Switch) Arrive(p *cell.Packet) {
 			}
 		}
 	case ModeCopied:
+		own := s.arena.allocOwner(int32(fanout))
 		for wi, wv := range words {
 			base := wi << 6
 			for wv != 0 {
 				out := base + bits.TrailingZeros64(wv)
 				wv &= wv - 1
-				data := s.arena.allocData(p, 1)
+				data := s.arena.allocCopy(p, own)
 				port.dataCells++
 				s.totalData++
 				s.pushCell(p.Input, out, p.Arrival, data)
@@ -510,8 +511,9 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			}
 			// In ModeShared the data cell is exhausted exactly when the
 			// packet's last copy leaves; in ModeCopied each copy has a
-			// private fanout-1 data cell, so Last is per-cell and packet
-			// completion is tracked by the statistics layer.
+			// private fanout-1 data cell, so Last is per-cell, packet
+			// completion is tracked by the statistics layer, and the
+			// owner entry knows when the packet itself is done.
 			a.dFan[c.data]--
 			last := a.dFan[c.data] == 0
 			pkt := a.dPkt[c.data]
@@ -525,12 +527,14 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			}
 			// The delivery is out the door; the data slab entry is
 			// recycled on its last copy (in ModeShared its siblings in
-			// this very loop still reference it until then), and in
-			// shared mode the packet itself is handed back for reuse —
-			// the slab entry was its last internal reference.
+			// this very loop still reference it until then), and the
+			// packet itself is handed back for reuse once no buffered
+			// copy references it: at once in ModeShared, where the slab
+			// entry was its last internal reference, and with its last
+			// owed copy in ModeCopied.
 			if last {
 				a.freeData(c.data)
-				if s.release != nil && s.mode == ModeShared {
+				if (s.mode == ModeShared || a.departCopy(a.dOwn[c.data])) && s.release != nil {
 					s.release(pkt)
 				}
 			}
@@ -612,16 +616,17 @@ func (s *Switch) InputBacklog(in int) int { return s.ports[in].dataCells }
 func (s *Switch) BufferedAddressCells() int64 { return s.totalAddr }
 
 // SetReleaseHook registers fn to receive each packet as soon as the
-// switch drops its last reference to it: in ModeShared that is the
-// moment the data-slab entry is freed after the delivery of the final
-// copy. The switch never touches the packet (or its destination set)
-// again, so the receiver may recycle it — the engine pools packets
-// this way to keep the steady-state slot loop allocation-free. In
-// ModeCopied the per-destination slab entries share one packet and the
-// hook never fires. Wrappers that retain packets beyond delivery (the
-// invariant checker keeps them for conservation accounting)
-// deliberately do not forward this method, which disables recycling
-// under them.
+// switch drops its last reference to it, which is always from Step,
+// never from Arrive: after the delivery of the packet's final buffered
+// copy. In ModeShared that is the moment its one data-slab entry is
+// freed; in ModeCopied, where every copy has a private slab entry, it
+// is when the owner count of the packet's copies still buffered
+// reaches zero. The switch never touches the packet (or its destination
+// set) again, so the receiver may recycle it — the engine pools packets
+// this way to keep the steady-state slot loop allocation-free.
+// Wrappers that retain packets beyond delivery (the invariant checker
+// keeps them for conservation accounting) deliberately do not forward
+// this method, which disables recycling under them.
 func (s *Switch) SetReleaseHook(fn func(*cell.Packet)) { s.release = fn }
 
 // BufferedBytes returns the total buffer memory in use across the

@@ -30,6 +30,13 @@ type queuedCopy struct {
 type Switch struct {
 	n      int
 	queues []fifoq.Queue[queuedCopy] // one FIFO per output
+
+	// Packets that arrived since the last Step. The copies hold all
+	// the switch needs, so the packets go back to the release hook at
+	// the end of the next Step — not from Arrive, whose caller may
+	// still read them.
+	arrived []*cell.Packet
+	release func(*cell.Packet)
 }
 
 // New returns an n x n output-queued switch.
@@ -58,7 +65,15 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	p.Dests.ForEach(func(out int) {
 		s.queues[out].Push(queuedCopy{id: p.ID, in: p.Input, arrival: p.Arrival})
 	})
+	if s.release != nil {
+		s.arrived = append(s.arrived, p)
+	}
 }
+
+// SetReleaseHook registers fn to receive each packet at the end of the
+// Step after its arrival — from Step, never from Arrive. Its copies
+// were taken at Arrive, so the switch holds no reference afterwards.
+func (s *Switch) SetReleaseHook(fn func(*cell.Packet)) { s.release = fn }
 
 // Step transmits the head-of-line cell of every non-empty output queue.
 func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
@@ -69,6 +84,12 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		c := s.queues[out].Pop()
 		deliver(cell.Delivery{ID: c.id, In: c.in, Out: out, Slot: slot, Arrival: c.arrival})
 	}
+	if s.release != nil {
+		for _, p := range s.arrived {
+			s.release(p)
+		}
+	}
+	s.arrived = s.arrived[:0]
 }
 
 // QueueSizes fills dst with the per-*output* queue lengths, the

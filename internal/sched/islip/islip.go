@@ -20,12 +20,22 @@
 package islip
 
 import (
+	"math/bits"
+
 	"voqsim/internal/core"
+	"voqsim/internal/destset"
 	"voqsim/internal/xrand"
 )
 
 // Arbiter is the iSLIP matcher. Its pointer state persists across
 // slots; create one per switch with New.
+//
+// The matcher is Tiny Tera's round-robin priority encoders over request
+// bitmaps (DESIGN.md §7): an output's requests are the switch's cached
+// occupancy column (Switch.OccOutWords) masked by the free-input set,
+// and its grant is the first set bit at or after its grant pointer,
+// wrapping around. An input's accept is the same rotated scan of the
+// row of outputs that granted it.
 type Arbiter struct {
 	// Iterations, if positive, caps the iterations per slot; zero
 	// iterates to convergence, which for iSLIP takes at most N rounds
@@ -35,9 +45,11 @@ type Arbiter struct {
 	grantPtr  []int
 	acceptPtr []int
 
-	inputFree  []bool
-	outputFree []bool
-	grantTo    []int
+	// Per-slot scratch, sized with the pointers by ensure.
+	inFree    []uint64 // bitmap over inputs not yet matched
+	outFree   []uint64 // bitmap over outputs not yet matched
+	grantedBy []uint64 // per input, a row over the outputs that granted it
+	granted   []int    // inputs with a non-empty grantedBy row
 }
 
 // New returns an iSLIP arbiter that iterates to convergence.
@@ -54,21 +66,22 @@ func (a *Arbiter) ensure(n int) {
 	if len(a.grantPtr) == n {
 		return
 	}
+	w := destset.WordsPerRow(n)
 	a.grantPtr = make([]int, n)
 	a.acceptPtr = make([]int, n)
-	a.inputFree = make([]bool, n)
-	a.outputFree = make([]bool, n)
-	a.grantTo = make([]int, n)
+	a.inFree = make([]uint64, w)
+	a.outFree = make([]uint64, w)
+	a.grantedBy = make([]uint64, n*w)
+	a.granted = make([]int, 0, n)
 }
 
 // Match implements core.Arbiter.
 func (a *Arbiter) Match(s *core.Switch, _ int64, _ *xrand.Rand, m *core.Matching) {
 	n := s.Ports()
 	a.ensure(n)
-	for i := 0; i < n; i++ {
-		a.inputFree[i] = true
-		a.outputFree[i] = true
-	}
+	w := len(a.inFree)
+	fillPorts(a.inFree, n)
+	fillPorts(a.outFree, n)
 	maxIter := a.Iterations
 	if maxIter <= 0 {
 		maxIter = n
@@ -79,46 +92,83 @@ func (a *Arbiter) Match(s *core.Switch, _ int64, _ *xrand.Rand, m *core.Matching
 		// grant pointer, the first unmatched input with a cell for it.
 		// (Requests are implicit: input i requests output j iff VOQ(i,j)
 		// is non-empty.)
-		for out := 0; out < n; out++ {
-			a.grantTo[out] = core.None
-			if !a.outputFree[out] {
-				continue
-			}
-			for k := 0; k < n; k++ {
-				in := (a.grantPtr[out] + k) % n
-				if a.inputFree[in] && s.VOQLen(in, out) > 0 {
-					a.grantTo[out] = in
-					break
-				}
-			}
-		}
-
-		// Accept step: each unmatched input picks, round-robin from its
-		// accept pointer, the first output that granted it.
-		matched := false
-		for in := 0; in < n; in++ {
-			if !a.inputFree[in] {
-				continue
-			}
-			for k := 0; k < n; k++ {
-				out := (a.acceptPtr[in] + k) % n
-				if a.grantTo[out] != in {
+		for wi, ov := range a.outFree {
+			for ov != 0 {
+				out := wi<<6 + bits.TrailingZeros64(ov)
+				ov &= ov - 1
+				in := rotatedFirst(s.OccOutWords(out), a.inFree, a.grantPtr[out])
+				if in < 0 {
 					continue
 				}
-				m.OutIn[out] = in
-				a.inputFree[in] = false
-				a.outputFree[out] = false
-				matched = true
-				if iter == 0 {
-					a.grantPtr[out] = (in + 1) % n
-					a.acceptPtr[in] = (out + 1) % n
+				row := a.grantedBy[in*w : in*w+w]
+				if isZero(row) {
+					a.granted = append(a.granted, in)
 				}
-				break
+				row[out>>6] |= 1 << uint(out&63)
 			}
 		}
-		if !matched {
+		if len(a.granted) == 0 {
 			break
 		}
+
+		// Accept step: each granted input picks, round-robin from its
+		// accept pointer, the first output that granted it. Every grant
+		// went to a distinct free input's row, so the accepts are
+		// independent and their order is immaterial.
+		for _, in := range a.granted {
+			row := a.grantedBy[in*w : in*w+w]
+			out := rotatedFirst(row, row, a.acceptPtr[in])
+			clear(row)
+			m.OutIn[out] = in
+			a.inFree[in>>6] &^= 1 << uint(in&63)
+			a.outFree[out>>6] &^= 1 << uint(out&63)
+			if iter == 0 {
+				a.grantPtr[out] = (in + 1) % n
+				a.acceptPtr[in] = (out + 1) % n
+			}
+		}
+		a.granted = a.granted[:0]
 		m.Rounds++
 	}
+}
+
+// fillPorts sets bits [0, n) of a bitmap and clears the rest.
+func fillPorts(set []uint64, n int) {
+	for i := range set {
+		set[i] = ^uint64(0)
+	}
+	if rem := n & 63; rem != 0 {
+		set[len(set)-1] = 1<<uint(rem) - 1
+	}
+}
+
+func isZero(row []uint64) bool {
+	for _, v := range row {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rotatedFirst returns the first port at or after p, wrapping around
+// once, whose bit is set in both x and y, or -1 when x & y is empty:
+// a round-robin priority encoder whose highest priority is p.
+func rotatedFirst(x, y []uint64, p int) int {
+	wi := p >> 6
+	if v := x[wi] & y[wi] & (^uint64(0) << uint(p&63)); v != 0 {
+		return wi<<6 + bits.TrailingZeros64(v)
+	}
+	for i := wi + 1; i < len(x); i++ {
+		if v := x[i] & y[i]; v != 0 {
+			return i<<6 + bits.TrailingZeros64(v)
+		}
+	}
+	// Wrapped: word wi's bits at or above p are known clear.
+	for i := 0; i <= wi; i++ {
+		if v := x[i] & y[i]; v != 0 {
+			return i<<6 + bits.TrailingZeros64(v)
+		}
+	}
+	return -1
 }

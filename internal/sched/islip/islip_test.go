@@ -1,6 +1,8 @@
 package islip
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"voqsim/internal/cell"
@@ -146,5 +148,223 @@ func TestNoStarvationUnderContention(t *testing.T) {
 	}
 	if served[0] != 20 || served[1] != 20 {
 		t.Fatalf("service shares %v, want 20/20", served)
+	}
+}
+
+// refArbiter is the O(N²) iSLIP scan the bitmap Match replaced, kept
+// verbatim as the differential's reference: every output probes every
+// input from its grant pointer with a modulo per probe, every input
+// probes every output from its accept pointer.
+type refArbiter struct {
+	Iterations int
+
+	grantPtr  []int
+	acceptPtr []int
+
+	inputFree  []bool
+	outputFree []bool
+	grantTo    []int
+}
+
+func (a *refArbiter) Name() string              { return "islip-ref" }
+func (a *refArbiter) Mode() core.PreprocessMode { return core.ModeCopied }
+
+func (a *refArbiter) ensure(n int) {
+	if len(a.grantPtr) == n {
+		return
+	}
+	a.grantPtr = make([]int, n)
+	a.acceptPtr = make([]int, n)
+	a.inputFree = make([]bool, n)
+	a.outputFree = make([]bool, n)
+	a.grantTo = make([]int, n)
+}
+
+func (a *refArbiter) Match(s *core.Switch, _ int64, _ *xrand.Rand, m *core.Matching) {
+	n := s.Ports()
+	a.ensure(n)
+	for i := 0; i < n; i++ {
+		a.inputFree[i] = true
+		a.outputFree[i] = true
+	}
+	maxIter := a.Iterations
+	if maxIter <= 0 {
+		maxIter = n
+	}
+
+	for iter := 0; iter < maxIter; iter++ {
+		// Grant step: each unmatched output picks, round-robin from its
+		// grant pointer, the first unmatched input with a cell for it.
+		// (Requests are implicit: input i requests output j iff VOQ(i,j)
+		// is non-empty.)
+		for out := 0; out < n; out++ {
+			a.grantTo[out] = core.None
+			if !a.outputFree[out] {
+				continue
+			}
+			for k := 0; k < n; k++ {
+				in := (a.grantPtr[out] + k) % n
+				if a.inputFree[in] && s.VOQLen(in, out) > 0 {
+					a.grantTo[out] = in
+					break
+				}
+			}
+		}
+
+		// Accept step: each unmatched input picks, round-robin from its
+		// accept pointer, the first output that granted it.
+		matched := false
+		for in := 0; in < n; in++ {
+			if !a.inputFree[in] {
+				continue
+			}
+			for k := 0; k < n; k++ {
+				out := (a.acceptPtr[in] + k) % n
+				if a.grantTo[out] != in {
+					continue
+				}
+				m.OutIn[out] = in
+				a.inputFree[in] = false
+				a.outputFree[out] = false
+				matched = true
+				if iter == 0 {
+					a.grantPtr[out] = (in + 1) % n
+					a.acceptPtr[in] = (out + 1) % n
+				}
+				break
+			}
+		}
+		if !matched {
+			break
+		}
+		m.Rounds++
+	}
+}
+
+// lockstep is the switch's arbiter in the differential: every slot it
+// runs the reference on a private matching and the candidate on the
+// switch's, and records the first slot where the matchings or the
+// pointer states part. The switch then transfers the candidate's
+// matching, so both arbiters see the same evolving VOQs.
+type lockstep struct {
+	ref       *refArbiter
+	cand      core.Arbiter
+	ptrs      func() (grant, accept []int)
+	refM      *core.Matching
+	diverged  string
+	slotsSeen int
+}
+
+func (l *lockstep) Name() string              { return "islip-lockstep" }
+func (l *lockstep) Mode() core.PreprocessMode { return core.ModeCopied }
+
+func (l *lockstep) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Matching) {
+	if l.refM == nil {
+		l.refM = core.NewMatching(s.Ports())
+	}
+	l.refM.Clear()
+	l.ref.Match(s, slot, r, l.refM)
+	l.cand.Match(s, slot, r, m)
+	l.slotsSeen++
+	if l.diverged != "" {
+		return
+	}
+	grant, accept := l.ptrs()
+	switch {
+	case !slices.Equal(m.OutIn, l.refM.OutIn):
+		l.diverged = fmt.Sprintf("slot %d: OutIn %v, reference %v", slot, m.OutIn, l.refM.OutIn)
+	case m.Rounds != l.refM.Rounds:
+		l.diverged = fmt.Sprintf("slot %d: Rounds %d, reference %d", slot, m.Rounds, l.refM.Rounds)
+	case !slices.Equal(grant, l.ref.grantPtr):
+		l.diverged = fmt.Sprintf("slot %d: grantPtr %v, reference %v", slot, grant, l.ref.grantPtr)
+	case !slices.Equal(accept, l.ref.acceptPtr):
+		l.diverged = fmt.Sprintf("slot %d: acceptPtr %v, reference %v", slot, accept, l.ref.acceptPtr)
+	}
+}
+
+// runLockstep drives a switch under cand and the reference in lockstep
+// over random multicast arrivals — dense enough that VOQs back up and
+// several iterations compete — and returns the first divergence, or "".
+func runLockstep(t *testing.T, n, iterations int, cand core.Arbiter, ptrs func() (grant, accept []int)) string {
+	t.Helper()
+	l := &lockstep{ref: &refArbiter{Iterations: iterations}, cand: cand, ptrs: ptrs}
+	s := core.NewSwitch(n, l, xrand.New(1))
+	r := xrand.New(uint64(n*10 + iterations))
+	slots := int64(max(60, 6000/n))
+	id := cell.PacketID(0)
+	for slot := int64(0); slot < slots; slot++ {
+		for in := 0; in < n; in++ {
+			if !r.Bool(0.7) {
+				continue
+			}
+			d := destset.New(n)
+			d.RandomBernoulli(r, 1.5/float64(n))
+			if d.Empty() {
+				d.Add(r.Intn(n))
+			}
+			id++
+			s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
+		}
+		s.Step(slot, func(cell.Delivery) {})
+	}
+	if l.slotsSeen == 0 {
+		t.Fatal("the arbiter never ran")
+	}
+	return l.diverged
+}
+
+// TestBitmapMatchesReference pins the bitmap Match to the O(N²) scan
+// decision for decision — matching, rounds and both pointer arrays
+// after every slot — across word boundaries (63, 64, 65, 130, 256) and
+// every iteration cap. The delivery golden stops at N = 64; this is the
+// multi-word pin.
+func TestBitmapMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 16, 63, 64, 65, 130, 256} {
+		for iterations := 0; iterations <= 3; iterations++ {
+			t.Run(fmt.Sprintf("n=%d/iter=%d", n, iterations), func(t *testing.T) {
+				a := &Arbiter{Iterations: iterations}
+				if d := runLockstep(t, n, iterations, a, func() ([]int, []int) { return a.grantPtr, a.acceptPtr }); d != "" {
+					t.Fatal(d)
+				}
+			})
+		}
+	}
+}
+
+// skewedGrant is the bitmap arbiter with one mutation: every output's
+// grant scan starts one past its grant pointer. It shifts the pointers
+// before Match and restores those iteration 0 did not update, which it
+// learns from a one-iteration probe on the same shifted pointers.
+type skewedGrant struct{ *Arbiter }
+
+func (k skewedGrant) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Matching) {
+	n := s.Ports()
+	k.ensure(n)
+	saved := slices.Clone(k.grantPtr)
+	for i := range k.grantPtr {
+		k.grantPtr[i] = (saved[i] + 1) % n
+	}
+	probe := &Arbiter{Iterations: 1}
+	probe.ensure(n)
+	copy(probe.grantPtr, k.grantPtr)
+	copy(probe.acceptPtr, k.acceptPtr)
+	first := core.NewMatching(n)
+	probe.Match(s, slot, r, first)
+	k.Arbiter.Match(s, slot, r, m)
+	for out, in := range first.OutIn {
+		if in == core.None {
+			k.grantPtr[out] = saved[out]
+		}
+	}
+}
+
+// TestDifferentialCatchesSkewedGrant is the differential's own check: a
+// grant scan that starts at ptr+1 must be caught.
+func TestDifferentialCatchesSkewedGrant(t *testing.T) {
+	for _, n := range []int{5, 16, 65} {
+		a := &Arbiter{}
+		if d := runLockstep(t, n, 0, skewedGrant{a}, func() ([]int, []int) { return a.grantPtr, a.acceptPtr }); d == "" {
+			t.Fatalf("n=%d: the ptr+1 grant mutant survived the differential", n)
+		}
 	}
 }

@@ -6,6 +6,12 @@ import (
 	"testing"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/core"
+	"voqsim/internal/oq"
+	"voqsim/internal/sched/islip"
+	"voqsim/internal/tatra"
+	"voqsim/internal/traffic"
+	"voqsim/internal/xrand"
 )
 
 // TestSlotZeroAllocs guards the whole steady-state slot loop — traffic
@@ -13,7 +19,9 @@ import (
 // and statistics, with obs/check off — at the sizes BENCH_e2e.json
 // quotes. The arena, the pooled packets and the tracker's in-flight
 // window make a warm slot allocation-free; any regression here puts GC
-// pressure back into every sweep.
+// pressure back into every sweep. The paper's three baselines hold the
+// same line at the sizes sweep-paper runs and one above: iSLIP on the
+// copied-mode arena, TATRA and OQFIFO through their own release hooks.
 //
 // Every case has the same form: a fixed warm-up (warmSlotsFor), then
 // testing.AllocsPerRun over a fixed window. AllocsPerRun reports whole
@@ -27,21 +35,32 @@ func TestSlotZeroAllocs(t *testing.T) {
 	}
 	const measured = 1000
 	for _, tc := range []struct {
+		algo string // "" is FIFOMS at load 0.9, the BENCH_e2e.json runner
 		n    int
 		fast bool
 	}{
-		{64, false}, {128, false}, {256, false}, {1024, false},
-		{64, true}, {256, true}, {1024, true},
+		{"", 64, false}, {"", 128, false}, {"", 256, false}, {"", 1024, false},
+		{"", 64, true}, {"", 256, true}, {"", 1024, true},
+		{"islip", 16, false}, {"islip", 64, false},
+		{"tatra", 16, false}, {"tatra", 64, false},
+		{"oqfifo", 16, false}, {"oqfifo", 64, false},
 	} {
 		name := fmt.Sprintf("n=%d", tc.n)
 		if tc.fast {
 			name = "fast/" + name
 		}
+		if tc.algo != "" {
+			name = tc.algo + "/" + name
+		}
 		tc := tc
 		t.Run(name, func(t *testing.T) {
 			warm := warmSlotsFor(tc.n)
 			// +1 for the call AllocsPerRun makes before it measures.
-			r := slotBenchRunner(tc.n, warm+measured+2, tc.fast)
+			slots := warm + measured + 2
+			r := slotBenchRunner(tc.n, slots, tc.fast)
+			if tc.algo != "" {
+				r = baselineRunner(tc.algo, tc.n, slots)
+			}
 			slot := int64(0)
 			for ; slot < warm; slot++ {
 				r.tick(slot, 0)
@@ -55,6 +74,27 @@ func TestSlotZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// baselineRunner runs one of the paper's baselines under the
+// slotBenchRunner traffic at load 0.5, where TATRA's head-of-line
+// blocking still leaves it stable: a steadily growing backlog would
+// allocate for its growth, not for its slot loop.
+func baselineRunner(algo string, n int, slots int64) *Runner {
+	var sw Switch
+	root := xrand.New(7).Split("switch", 0)
+	switch algo {
+	case "islip":
+		sw = core.NewSwitch(n, islip.New(), root)
+	case "tatra":
+		sw = tatra.New(n)
+	case "oqfifo":
+		sw = oq.New(n)
+	default:
+		panic("baselineRunner: unknown algorithm " + algo)
+	}
+	pat := traffic.Uniform{P: 2 * 0.5 / (1 + 4), MaxFanout: 4}
+	return New(sw, pat, Config{Slots: slots, WarmupFrac: -1, Seed: 7}, xrand.New(7).Split("traffic", 0))
 }
 
 // TestColdStartAllocs counts what the steady-state guard above warms

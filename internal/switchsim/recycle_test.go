@@ -1,0 +1,284 @@
+package switchsim
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"voqsim/internal/cell"
+	"voqsim/internal/core"
+	"voqsim/internal/oq"
+	"voqsim/internal/sched/islip"
+	"voqsim/internal/sched/lqfms"
+	"voqsim/internal/sched/pim"
+	"voqsim/internal/sched/tdrr"
+	"voqsim/internal/tatra"
+	"voqsim/internal/traffic"
+	"voqsim/internal/xrand"
+)
+
+// Recycling must be invisible. Every architecture that hands packets
+// back through PacketReleaser is run twice: once with a release hook
+// that scribbles over each released packet — ID, input, arrival and
+// every destination word — before pooling it, and once with the hook
+// removed, so nothing is ever reused. A switch that still reads a
+// packet after releasing it, or an engine that reuses one too early,
+// makes the two runs differ. The poisoning hook also keeps the release
+// ledger: each packet is released once, and (outside OQFIFO, which
+// copies what it needs at Arrive and releases at the end of the next
+// Step) only with its last copy delivered.
+
+var recycleAlgos = []string{"fifoms", "islip", "pim", "2drr", "lqfms", "tatra", "oqfifo"}
+
+func recycleSwitch(algo string, n int, root *xrand.Rand) Switch {
+	switch algo {
+	case "fifoms":
+		return core.NewSwitch(n, &core.FIFOMS{}, root)
+	case "islip":
+		return core.NewSwitch(n, islip.New(), root)
+	case "pim":
+		return core.NewSwitch(n, pim.New(), root)
+	case "2drr":
+		return core.NewSwitch(n, tdrr.New(), root)
+	case "lqfms":
+		return core.NewSwitch(n, lqfms.New(), root)
+	case "tatra":
+		return tatra.New(n)
+	case "oqfifo":
+		return oq.New(n)
+	}
+	panic("recycleSwitch: unknown algorithm " + algo)
+}
+
+// releaseLedger checks and poisons released packets.
+type releaseLedger struct {
+	tb           testing.TB
+	afterLast    bool                    // a release must follow the packet's last delivery
+	delivered    map[cell.PacketID]int   // copies delivered per packet
+	lastDelivery map[cell.PacketID]int64 // slot of each packet's latest delivery
+	released     map[cell.PacketID]int64 // released packets, by the slot of their latest delivery
+}
+
+func newLedger(tb testing.TB, algo string) *releaseLedger {
+	return &releaseLedger{
+		tb:           tb,
+		afterLast:    algo != "oqfifo",
+		delivered:    map[cell.PacketID]int{},
+		lastDelivery: map[cell.PacketID]int64{},
+		released:     map[cell.PacketID]int64{},
+	}
+}
+
+func (l *releaseLedger) deliver(d cell.Delivery) {
+	l.delivered[d.ID]++
+	l.lastDelivery[d.ID] = d.Slot
+}
+
+// poison returns a release hook that checks p against the ledger,
+// scribbles over it and passes it on to pool.
+func (l *releaseLedger) poison(pool func(*cell.Packet)) func(*cell.Packet) {
+	return func(p *cell.Packet) {
+		if _, twice := l.released[p.ID]; twice {
+			l.tb.Fatalf("packet %d released twice", p.ID)
+		}
+		if got, want := l.delivered[p.ID], p.Fanout(); l.afterLast && got != want {
+			l.tb.Fatalf("packet %d released with %d of %d copies delivered", p.ID, got, want)
+		}
+		l.released[p.ID] = l.lastDelivery[p.ID]
+		p.ID, p.Input, p.Arrival = -7, -7, -7
+		w := p.Dests.Words()
+		for i := range w {
+			w[i] = 0xdeadbeefdeadbeef
+		}
+		pool(p)
+	}
+}
+
+func recycleSlots(n int) int64 {
+	if n >= 64 {
+		return 600
+	}
+	return 2000
+}
+
+// recycleRunner builds the run both legs of a comparison share.
+func recycleRunner(algo string, n int) (*Runner, Switch) {
+	root := xrand.New(uint64(n) + 11)
+	sw := recycleSwitch(algo, n, root.Split("switch", 0))
+	pat := traffic.Uniform{P: 0.24, MaxFanout: 4} // load 0.6, fanouts 1..4
+	cfg := Config{Slots: recycleSlots(n), WarmupFrac: -1, Seed: 11}
+	return New(sw, pat, cfg, root.Split("traffic", 0)), sw
+}
+
+// recycleRun runs algo at n with the release hook poisoned (ledger set)
+// or removed (ledger nil), and returns the results with the hash of the
+// delivery stream.
+func recycleRun(tb testing.TB, algo string, n int, l *releaseLedger) (Results, uint64) {
+	r, sw := recycleRunner(algo, n)
+	pr, ok := sw.(PacketReleaser)
+	if !ok {
+		tb.Fatalf("%s does not hand packets back", algo)
+	}
+	if l != nil {
+		pr.SetReleaseHook(l.poison(r.putPacket))
+	} else {
+		pr.SetReleaseHook(nil)
+	}
+	h := fnv.New64a()
+	r.OnDelivery(func(d cell.Delivery) {
+		if l != nil {
+			l.deliver(d)
+		}
+		fmt.Fprintf(h, "%d %d %d %d %v;", d.ID, d.In, d.Out, d.Slot, d.Last)
+	})
+	return r.Run(algo), h.Sum64()
+}
+
+func TestRecyclingInvisible(t *testing.T) {
+	for _, algo := range recycleAlgos {
+		for _, n := range []int{4, 16, 64} {
+			t.Run(fmt.Sprintf("%s/n=%d", algo, n), func(t *testing.T) {
+				l := newLedger(t, algo)
+				poisoned, ph := recycleRun(t, algo, n, l)
+				clean, ch := recycleRun(t, algo, n, nil)
+				if poisoned != clean {
+					t.Fatalf("poisoned pool changed the results:\n got %+v\nwant %+v", poisoned, clean)
+				}
+				if ph != ch {
+					t.Fatal("poisoned pool changed the delivery stream")
+				}
+				// Released exactly once: every completed packet (every
+				// arrival, for OQFIFO, whose last Step releases all).
+				want := clean.Completed
+				if algo == "oqfifo" {
+					want = clean.OfferedPackets
+				}
+				if int64(len(l.released)) != want {
+					t.Fatalf("%d packets released, want %d", len(l.released), want)
+				}
+			})
+		}
+	}
+}
+
+// TestRecyclingAcrossResume restores an islip run from a mid-run
+// snapshot: the restored switch rebuilds its owner counts from the VOQ
+// references, and must go on releasing exactly the packets whose last
+// copy leaves after the snapshot — each once, only after that copy —
+// while replaying the straight run's results.
+func TestRecyclingAcrossResume(t *testing.T) {
+	const algo, n, snapSlot = "islip", 16, 700
+	build := func(l *releaseLedger) *Runner {
+		r, sw := recycleRunner(algo, n)
+		sw.(PacketReleaser).SetReleaseHook(l.poison(r.putPacket))
+		r.OnDelivery(l.deliver)
+		return r
+	}
+
+	// The straight run takes the checkpoint (checkpointing is passive)
+	// and counts the copies delivered before it.
+	straight := newLedger(t, algo)
+	pre := map[cell.PacketID]int{}
+	r := build(straight)
+	r.OnDelivery(func(d cell.Delivery) {
+		straight.deliver(d)
+		if d.Slot < snapSlot {
+			pre[d.ID]++
+		}
+	})
+	var blob []byte
+	want, err := r.RunWithCheckpoints(algo, snapSlot, func(_ int64, b []byte) error {
+		if blob == nil {
+			blob = append([]byte(nil), b...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The resumed ledger starts from those counts, so "only after the
+	// last copy" spans the snapshot.
+	resumed := newLedger(t, algo)
+	resumed.delivered = pre
+	got, err := build(resumed).ResumeRun(algo, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("resumed run diverged:\n got %+v\nwant %+v", got, want)
+	}
+	wantReleased := 0
+	for id, last := range straight.released {
+		if last >= snapSlot {
+			wantReleased++
+			if _, ok := resumed.released[id]; !ok {
+				t.Fatalf("packet %d completed after the snapshot but was not released", id)
+			}
+		}
+	}
+	if len(resumed.released) != wantReleased || wantReleased == 0 {
+		t.Fatalf("resumed run released %d packets, want %d (> 0)", len(resumed.released), wantReleased)
+	}
+}
+
+// TestLiveRecyclingInvisible is the poisoned pool under LiveRunner,
+// which — like voqd — reads the packet's ID and destinations after
+// Admit returns: no switch may release from Arrive.
+func TestLiveRecyclingInvisible(t *testing.T) {
+	const n, slots = 16, 1500
+	for _, algo := range []string{"oqfifo", "islip"} {
+		t.Run(algo, func(t *testing.T) {
+			run := func(l *releaseLedger) (uint64, [3]int64) {
+				sw := recycleSwitch(algo, n, xrand.New(3).Split("switch", 0))
+				live := NewLive(sw)
+				if l != nil {
+					sw.(PacketReleaser).SetReleaseHook(l.poison(live.putPacket))
+				} else {
+					sw.(PacketReleaser).SetReleaseHook(nil)
+				}
+				h := fnv.New64a()
+				onDeliver := func(d cell.Delivery) {
+					if l != nil {
+						l.deliver(d)
+					}
+					fmt.Fprintf(h, "%d %d %d %d %v;", d.ID, d.In, d.Out, d.Slot, d.Last)
+				}
+				rnd := xrand.New(5)
+				for slot := int64(0); slot < slots; slot++ {
+					for in := 0; in < n; in++ {
+						if !rnd.Bool(0.3) {
+							continue
+						}
+						p := live.Borrow()
+						p.Dests.Clear()
+						p.Dests.RandomBernoulli(rnd, 2.0/n)
+						if p.Dests.Empty() {
+							p.Dests.Add(rnd.Intn(n))
+						}
+						fanout := p.Dests.Count()
+						id, err := live.Admit(p, in, slot)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if p.ID != id || p.Dests.Count() != fanout {
+							t.Fatalf("slot %d: packet %d changed inside Admit (ID %d, fanout %d of %d)",
+								slot, id, p.ID, p.Dests.Count(), fanout)
+						}
+					}
+					live.Step(slot, onDeliver)
+				}
+				return h.Sum64(), [3]int64{live.Admitted(), live.Delivered(), live.Completed()}
+			}
+			l := newLedger(t, algo)
+			ph, pc := run(l)
+			ch, cc := run(nil)
+			if ph != ch || pc != cc {
+				t.Fatalf("poisoned pool changed the live run: counters %v, want %v", pc, cc)
+			}
+			if len(l.released) == 0 {
+				t.Fatal("no packet was released")
+			}
+		})
+	}
+}

@@ -2,11 +2,15 @@ package switchsim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"voqsim/internal/cell"
+	"voqsim/internal/core"
 	"voqsim/internal/experiment"
 	"voqsim/internal/snap"
 	"voqsim/internal/switchsim"
@@ -93,13 +97,15 @@ func TestSnapshotGolden(t *testing.T) {
 // stats, traffic sources, switch buffers, arbiter — with adversarial
 // blobs. Any input must either restore cleanly or return an error;
 // panics and unbounded allocations are bugs. The corpus is seeded with
-// a valid snapshot plus truncated and bit-flipped variants of it.
+// a valid snapshot plus truncated and bit-flipped variants of it, and
+// with an islip snapshot — copied mode, stateful arbiter — valid and
+// with a copy's fanout counter raised to 2, which no SaveState writes.
 func FuzzRestore(f *testing.F) {
 	// A short dedicated run (300 slots) keeps the post-restore
 	// simulation cheap, so the fuzzer gets real throughput.
-	build := func(tb testing.TB) *switchsim.Runner {
+	build := func(tb testing.TB, algo string) *switchsim.Runner {
 		tb.Helper()
-		alg, err := experiment.ByName(goldenAlgo)
+		alg, err := experiment.ByName(algo)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -108,20 +114,25 @@ func FuzzRestore(f *testing.F) {
 		cfg := switchsim.Config{Slots: 300, Seed: goldenSeed, WarmupFrac: 0.25}
 		return switchsim.New(sw, resumePattern(), cfg, root.Split("traffic", 0))
 	}
-	var seedBlob []byte
-	{
-		r := build(f)
+	// blobAt returns the first checkpoint, taken every `every` slots,
+	// at which the switch buffers at least minCells cells.
+	blobAt := func(algo string, every, minCells int64) []byte {
 		var blob []byte
-		if _, err := r.RunWithCheckpoints(goldenAlgo, 100, func(_ int64, b []byte) error {
-			if blob == nil {
+		r := build(f, algo)
+		if _, err := r.RunWithCheckpoints(algo, every, func(_ int64, b []byte) error {
+			if blob == nil && r.Switch().BufferedCells() >= minCells {
 				blob = append([]byte(nil), b...)
 			}
 			return nil
 		}); err != nil {
 			f.Fatal(err)
 		}
-		seedBlob = blob
+		if blob == nil {
+			f.Fatalf("%s never buffered %d cells at a checkpoint", algo, minCells)
+		}
+		return blob
 	}
+	seedBlob := blobAt(goldenAlgo, 100, 0)
 	f.Add([]byte(nil))
 	f.Add(seedBlob)
 	f.Add(seedBlob[:len(seedBlob)/2])
@@ -131,12 +142,55 @@ func FuzzRestore(f *testing.F) {
 		mut[pos] ^= 0x40
 		f.Add(mut)
 	}
+	islipBlob := blobAt("islip", 10, 1)
+	f.Add(islipBlob)
+	f.Add(raiseCopiedCounter(f, islipBlob, func() *switchsim.Runner { return build(f, "islip") }))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := build(t)
-		if err := r.Restore(goldenAlgo, data); err != nil {
+		algo := goldenAlgo
+		if m, err := snap.ReadMeta(data); err == nil && m.Algorithm == "islip" {
+			algo = "islip"
+		}
+		r := build(t, algo)
+		if err := r.Restore(algo, data); err != nil {
 			return
 		}
 		// A blob that restores must also run to completion.
-		r.Run(goldenAlgo)
+		r.Run(algo)
 	})
+}
+
+// raiseCopiedCounter returns an islip blob with the fanout counter of
+// one buffered copy set to 2,
+// after checking that a fresh runner restores the original and rejects
+// the result.
+func raiseCopiedCounter(tb testing.TB, blob []byte, fresh func() *switchsim.Runner) []byte {
+	tb.Helper()
+	r := fresh()
+	if err := r.Restore("islip", blob); err != nil {
+		tb.Fatal(err)
+	}
+	var first *cell.Packet
+	r.Switch().(*core.Switch).ForEachBuffered(func(_, _ int, p *cell.Packet) {
+		if first == nil {
+			first = p
+		}
+	})
+	if first == nil {
+		tb.Fatal("nothing buffered at the checkpoint")
+	}
+	// The table entry is id, arrival, counter (= 1), little-endian.
+	entry := binary.LittleEndian.AppendUint64(nil, uint64(first.ID))
+	entry = binary.LittleEndian.AppendUint64(entry, uint64(first.Arrival))
+	entry = binary.LittleEndian.AppendUint64(entry, 1)
+	at := bytes.Index(blob, entry)
+	if at < 0 || bytes.Contains(blob[at+1:], entry) {
+		tb.Fatalf("no unique table entry for packet %d", first.ID)
+	}
+	mut := append([]byte(nil), blob...)
+	mut[at+16] = 2
+	if err := fresh().Restore("islip", mut); err == nil || !strings.Contains(err.Error(), "copied mode") {
+		tb.Fatalf("raised copied-mode counter: Restore = %v, want a rejection", err)
+	}
+	return mut
 }

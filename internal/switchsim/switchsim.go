@@ -71,12 +71,18 @@ type Observable interface {
 
 // PacketReleaser is implemented by switches that can hand back each
 // packet once they hold no reference to it — or to its destination
-// set — any more (core.Switch, after the last copy's data-slab entry
-// is freed). The engine registers its packet pool as the hook, making
-// the steady-state slot loop allocation-free. Wrappers that retain
-// packets beyond delivery (such as the invariant checker, which keeps
-// them for conservation accounting) must not forward the method; the
-// engine then simply never reuses a packet.
+// set — any more: core.Switch after the packet's last buffered copy
+// leaves (in ModeShared its one data-slab entry, in ModeCopied the last
+// of its private ones), tatra.Switch when the packet leaves the head
+// of its queue, oq.Switch at the end of the Step after its arrival,
+// and the fabric as soon as it has copied the destinations. A packet
+// is released from Step, never from Arrive: callers read it after
+// Arrive returns (LiveRunner.Admit its ID, voqd's -record its
+// destinations). The engine registers its packet pool as the hook,
+// making the steady-state slot loop allocation-free. Wrappers that
+// retain packets beyond delivery (such as the invariant checker, which
+// keeps them for conservation accounting) must not forward the method;
+// the engine then simply never reuses a packet.
 type PacketReleaser interface {
 	SetReleaseHook(fn func(*cell.Packet))
 }

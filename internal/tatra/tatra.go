@@ -32,7 +32,8 @@ import (
 )
 
 // entry is a queued packet together with its not-yet-served
-// destinations.
+// destinations. Entries are pooled: one leaves its queue with an
+// empty remaining set and serves the next arrival.
 type entry struct {
 	p         *cell.Packet
 	remaining *destset.Set
@@ -45,6 +46,9 @@ type Switch struct {
 	queues  []fifoq.Queue[*entry] // one FIFO per input
 	columns []fifoq.Queue[int]    // Tetris board: per output, inputs in departure order
 	placed  []bool                // whether input i's HOL packet is on the board
+
+	free    []*entry           // served entries, reused by Arrive
+	release func(*cell.Packet) // SetReleaseHook; nil leaves packets to the GC
 }
 
 // New returns an n x n TATRA switch.
@@ -74,8 +78,21 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	if p.Dests.Count() == 0 {
 		panic("tatra: arrival with empty destination set")
 	}
-	s.queues[p.Input].Push(&entry{p: p, remaining: p.Dests.Clone()})
+	var e *entry
+	if k := len(s.free) - 1; k >= 0 {
+		e, s.free = s.free[k], s.free[:k]
+	} else {
+		e = &entry{remaining: destset.New(s.n)}
+	}
+	e.p = p
+	e.remaining.CopyFrom(p.Dests)
+	s.queues[p.Input].Push(e)
 }
+
+// SetReleaseHook registers fn to receive each packet when it leaves the
+// head of its queue with every copy delivered — from Step, never from
+// Arrive. The switch holds no reference to it afterwards.
+func (s *Switch) SetReleaseHook(fn func(*cell.Packet)) { s.release = fn }
 
 // Step runs one time slot: place newly head-of-line packets on the
 // board, let the bottom row depart, and advance fully-served packets.
@@ -114,8 +131,12 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	// their successors are placed at the start of the next slot.
 	for in := 0; in < s.n; in++ {
 		if s.placed[in] && s.queues[in].Front().remaining.Empty() {
-			s.queues[in].Pop()
+			e := s.queues[in].Pop()
 			s.placed[in] = false
+			if s.release != nil {
+				s.release(e.p)
+			}
+			s.free = append(s.free, e)
 		}
 	}
 }
