@@ -272,7 +272,7 @@ func encodeCore(n int, mode PreprocessMode, ports []snapPort) []byte {
 	w.I64(0) // totalRounds
 	w.I64(0) // activeSlots
 	for i := 0; i < 4; i++ {
-		w.I64(0) // crossbar counters
+		w.I64(0) // transfer counters
 	}
 	for in := 0; in < n; in++ {
 		var p snapPort

@@ -25,8 +25,8 @@ import (
 //   - the cached HOL stamps and occIn/occOut bitmaps — LoadState
 //     rebuilds them coherently by re-pushing every cell through
 //     pushCell;
-//   - the Matching, crossbar Config and scratch slices — per-slot
-//     state, rebuilt from scratch at the next Step;
+//   - the Matching and scratch slices — per-slot state, rebuilt from
+//     scratch at the next Step;
 //   - the observer and its cached metric handles — observability must
 //     never influence a run, so it is reattached, not restored.
 
@@ -64,7 +64,10 @@ func (s *Switch) SaveState(w *snap.Writer) {
 	w.Int(s.lastRounds)
 	w.I64(s.totalRounds)
 	w.I64(s.activeSlots)
-	s.fabric.SaveState(w)
+	w.I64(s.slots)
+	w.I64(s.copies)
+	w.I64(s.cells)
+	w.I64(s.multicastSlots)
 	for in := 0; in < s.n; in++ {
 		s.savePort(w, in)
 	}
@@ -134,7 +137,11 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 	s.lastRounds = r.Int()
 	s.totalRounds = r.I64()
 	s.activeSlots = r.I64()
-	if err := s.fabric.LoadState(r); err != nil {
+	s.slots, s.copies, s.cells, s.multicastSlots = r.I64(), r.I64(), r.I64(), r.I64()
+	if r.Err() == nil && min(s.slots, s.copies, s.cells, s.multicastSlots) < 0 {
+		r.Failf("negative transfer counter")
+	}
+	if err := r.Err(); err != nil {
 		return err
 	}
 	for in := 0; in < s.n; in++ {

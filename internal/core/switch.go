@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"voqsim/internal/cell"
-	"voqsim/internal/crossbar"
 	"voqsim/internal/obs"
 	"voqsim/internal/xrand"
 )
@@ -41,8 +40,6 @@ type Switch struct {
 	arbiter Arbiter
 	mode    PreprocessMode
 	ports   []inputPort
-	fabric  *crossbar.Fabric
-	cfg     *crossbar.Config
 	match   *Matching
 	rnd     *xrand.Rand
 
@@ -59,6 +56,11 @@ type Switch struct {
 	lastRounds  int
 	totalRounds int64
 	activeSlots int64 // slots in which any cell was queued at arbitration time
+
+	// Transfer accounting, kept for the snapshot: slots stepped, copies
+	// and distinct cells carried, and slots in which some input sent
+	// more than one copy.
+	slots, copies, cells, multicastSlots int64
 
 	// release, when set, receives each packet the switch is done with
 	// (SetReleaseHook); nil means completed packets are left to the GC.
@@ -121,8 +123,6 @@ func NewSwitch(n int, arb Arbiter, root *xrand.Rand) *Switch {
 		arbiter: arb,
 		mode:    arb.Mode(),
 		ports:   make([]inputPort, n),
-		fabric:  crossbar.NewFabric(n),
-		cfg:     crossbar.NewConfig(n),
 		match:   NewMatching(n),
 		rnd:     root.Split("arbiter", 0),
 		arena:   newArena(n),
@@ -144,9 +144,6 @@ func (s *Switch) Ports() int { return s.n }
 
 // Arbiter returns the scheduling algorithm in use.
 func (s *Switch) Arbiter() Arbiter { return s.arbiter }
-
-// Fabric exposes the crossbar for utilisation reporting.
-func (s *Switch) Fabric() *crossbar.Fabric { return s.fabric }
 
 // SetObserver attaches (or, with nil, detaches) the observability
 // layer. Call it before the run starts: counters assume they saw
@@ -438,9 +435,8 @@ func (s *Switch) OccOutWords(out int) []uint64 {
 }
 
 // Step runs one time slot after arrivals have been delivered with
-// Arrive: arbitration, crossbar configuration, data transfer and
-// post-transmission processing. Every transferred copy is reported
-// through deliver.
+// Arrive: arbitration, data transfer and post-transmission processing.
+// Every transferred copy is reported through deliver.
 func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	anyQueued := s.totalAddr > 0
 
@@ -456,16 +452,17 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	}
 	s.lastRounds = s.match.Rounds
 
-	// Set the crosspoints (validates one-driver-per-output). Only the
-	// inputs granted last slot have non-empty grantsByIn entries, so
-	// resetting just those beats an O(N) sweep; the transmission loop
-	// below still iterates inputs in ascending order, which fixes the
-	// delivery order the golden streams pin.
-	s.cfg.Reset()
+	// Set the crosspoints: OutIn holds one input per output, so no
+	// output is ever driven twice. Only the inputs granted last slot
+	// have non-empty grantsByIn entries, so resetting just those beats
+	// an O(N) sweep; the transmission loop below still iterates inputs
+	// in ascending order, which fixes the delivery order the golden
+	// streams pin.
 	for _, in := range s.usedIns {
 		s.grantsByIn[in] = s.grantsByIn[in][:0]
 	}
 	s.usedIns = s.usedIns[:0]
+	multicast := false
 	for out, in := range s.match.OutIn {
 		if in == None {
 			continue
@@ -473,13 +470,19 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		if in < 0 || in >= s.n {
 			panic(fmt.Sprintf("core: arbiter granted invalid input %d", in))
 		}
-		s.cfg.Connect(in, out)
 		if len(s.grantsByIn[in]) == 0 {
 			s.usedIns = append(s.usedIns, in)
+		} else {
+			multicast = true
 		}
 		s.grantsByIn[in] = append(s.grantsByIn[in], out)
+		s.copies++
 	}
-	s.fabric.Apply(s.cfg)
+	s.slots++
+	s.cells += int64(len(s.usedIns))
+	if multicast {
+		s.multicastSlots++
+	}
 
 	// Data transmission and post-transmission processing (Table 2).
 	a := &s.arena

@@ -83,7 +83,11 @@ func TestLoopbackThroughput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Daemon.RecvFrames >= rep.FramesSent &&
+		// Every received frame must have left its ingress ring, admitted
+		// or counted out: a frame still waiting in a ring is neither
+		// buffered nor in flight, yet it will be delivered later.
+		settled := m.Daemon.Admitted+m.Daemon.AdmitErrors+m.Daemon.RingDrops+m.Daemon.BadFrames >= m.Daemon.RecvFrames
+		if m.Daemon.RecvFrames >= rep.FramesSent && settled &&
 			m.Daemon.BufferedCells == 0 && m.Daemon.InFlightPackets == 0 {
 			break
 		}

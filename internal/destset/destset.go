@@ -39,6 +39,23 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// NewSlab returns k empty sets over {0..n-1} that share one words
+// allocation, for pools that refill many sets at a time. Each set's
+// words are capped at its own row, so no set can grow into its
+// neighbour's.
+func NewSlab(n, k int) []Set {
+	if n <= 0 {
+		panic("destset: non-positive universe size")
+	}
+	w := WordsPerRow(n)
+	words := make([]uint64, k*w)
+	sets := make([]Set, k)
+	for i := range sets {
+		sets[i] = Set{n: n, words: words[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return sets
+}
+
 // FromMembers returns a set over {0..n-1} containing exactly the given
 // members. It panics on out-of-range members.
 func FromMembers(n int, members ...int) *Set {
@@ -263,29 +280,16 @@ func (s *Set) String() string {
 // contents are discarded. The result may be empty; callers that need a
 // non-empty fanout must handle that case (see the traffic package for
 // why empty draws are mapped to "no arrival").
-func (s *Set) RandomBernoulli(r *xrand.Rand, b float64) {
-	s.Clear()
-	for p := 0; p < s.n; p++ {
-		if r.Bool(b) {
-			s.Add(p)
-		}
-	}
-}
+func (s *Set) RandomBernoulli(r *xrand.Rand, b float64) { r.BernoulliBits(s.words, s.n, b) }
 
 // RandomKSubset fills s with a uniform random k-subset of the universe.
 // The previous contents are discarded. It panics if k is outside
-// [0, n]. scratch, if non-nil and large enough, avoids an allocation.
-func (s *Set) RandomKSubset(r *xrand.Rand, k int, scratch []int) {
+// [0, n].
+func (s *Set) RandomKSubset(r *xrand.Rand, k int) {
 	if k < 0 || k > s.n {
 		panic(fmt.Sprintf("destset: k-subset size %d outside [0,%d]", k, s.n))
 	}
-	s.Clear()
-	if scratch == nil || cap(scratch) < k {
-		scratch = make([]int, 0, k)
-	}
-	for _, p := range r.Sample(scratch, s.n, k) {
-		s.Add(p)
-	}
+	r.SampleBits(s.words, s.n, k)
 }
 
 // RandomKSubsetFloyd fills s with a uniform random k-subset of the

@@ -382,9 +382,8 @@ func TestRandomBernoulliRate(t *testing.T) {
 func TestRandomKSubset(t *testing.T) {
 	r := xrand.New(8)
 	s := New(40)
-	scratch := make([]int, 0, 40)
 	for k := 0; k <= 40; k += 5 {
-		s.RandomKSubset(r, k, scratch)
+		s.RandomKSubset(r, k)
 		if s.Count() != k {
 			t.Fatalf("k-subset of size %d has %d members", k, s.Count())
 		}
@@ -397,7 +396,39 @@ func TestRandomKSubsetPanics(t *testing.T) {
 			t.Fatal("oversized k did not panic")
 		}
 	}()
-	New(4).RandomKSubset(xrand.New(1), 5, nil)
+	New(4).RandomKSubset(xrand.New(1), 5)
+}
+
+// TestNewSlab: a slab of sets costs the same two allocations whatever
+// its size, yet its sets share no words. Writing every word of one set,
+// and appending past its row, leaves its neighbours untouched.
+func TestNewSlab(t *testing.T) {
+	if a := testing.AllocsPerRun(10, func() { NewSlab(130, 64) }); a != 2 {
+		t.Fatalf("NewSlab: %.0f allocations, want 2 (the sets and their words)", a)
+	}
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		sets := NewSlab(n, 5)
+		for i := range sets {
+			if sets[i].Universe() != n || !sets[i].Empty() || cap(sets[i].Words()) != WordsPerRow(n) {
+				t.Fatalf("n=%d: slab set %d is not an empty, row-capped set over %d ports", n, i, n)
+			}
+		}
+		mid := sets[2].Words()
+		for i := range mid {
+			mid[i] = ^uint64(0)
+		}
+		_ = append(mid, ^uint64(0))
+		for i := range sets {
+			if i == 2 {
+				continue
+			}
+			for wi, w := range sets[i].Words() {
+				if w != 0 {
+					t.Fatalf("n=%d: writing set 2 changed word %d of set %d to %#x", n, wi, i, w)
+				}
+			}
+		}
+	}
 }
 
 func BenchmarkForEach16(b *testing.B) {

@@ -101,12 +101,13 @@ func baselineRunner(algo string, n int, slots int64) *Runner {
 // away: the first slots of a fresh switch, the shape a short voqsim run
 // at large N has from end to end. VOQ storage is one address-cell slab
 // that grows by doubling (DESIGN.md §11), so touching a VOQ for the
-// first time allocates nothing; what is left is the packet pool and the
-// slabs growing into the backlog — 8.36 mallocs a slot at N = 256,
-// where a private buffer per first-touched VOQ cost 117.03. The count
-// repeats exactly at a seed, so the limit needs no allowance for load.
+// first time allocates nothing, and the packet pool refills 64 packets
+// at a time; what is left is the slabs growing into the backlog — 0.30
+// mallocs a slot at N = 256, where a packet at a time cost 8.36 and a
+// private buffer per first-touched VOQ 117.03. The count repeats
+// exactly at a seed, so the limit needs no allowance for load.
 func TestColdStartAllocs(t *testing.T) {
-	const n, slots, limit = 256, 500, 20
+	const n, slots, limit = 256, 500, 1
 	r := slotBenchRunner(n, slots+1, false)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -122,13 +123,17 @@ func TestColdStartAllocs(t *testing.T) {
 // TestDrawAheadZeroAllocs extends the guard to a draw-ahead Run: over
 // a warmed window, producer and consumer together — batch hand-offs
 // included — allocate nothing, and the batches, allocated once in New,
-// stay within their footprint budget (DESIGN.md §17).
+// stay within their footprint budget (DESIGN.md §17). The packet pool
+// grows a 64-packet slab at a time and its free list by doubling, each
+// only when the backlog reaches a new high, so the warm-up is four
+// times the steady-state one: past the pool's last slab and its free
+// list's last doubling at this seed.
 func TestDrawAheadZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed guard")
 	}
 	const n = 64
-	warm := warmSlotsFor(n)
+	warm := 4 * warmSlotsFor(n)
 	measured := warm + 3000
 	r := slotBenchRunnerWith(n, Config{Slots: measured + 1, DrawAhead: true})
 
@@ -150,6 +155,9 @@ func TestDrawAheadZeroAllocs(t *testing.T) {
 	}
 	if d := after.Mallocs - before.Mallocs; d != 0 {
 		t.Fatalf("%d mallocs over %d warmed draw-ahead slots, want 0", d, measured-warm)
+	}
+	if cap(r.freePkts) <= packetSlab {
+		t.Fatalf("the packet pool holds %d packets, want more than one slab", cap(r.freePkts))
 	}
 
 	for _, tc := range []struct{ n, limit int }{

@@ -362,16 +362,27 @@ func New(sw Switch, pat traffic.Pattern, cfg Config, root *xrand.Rand) *Runner {
 	return r
 }
 
+// packetSlab is how many packets an empty pool is refilled with at a
+// time: a cold run pays three allocations per slab, not three per
+// packet.
+const packetSlab = 64
+
 // getPacket returns a packet whose Dests set exists but holds
 // arbitrary stale content; every NextInto implementation overwrites it
 // completely.
 func (r *Runner) getPacket() *cell.Packet {
-	if k := len(r.freePkts) - 1; k >= 0 {
-		p := r.freePkts[k]
-		r.freePkts = r.freePkts[:k]
-		return p
+	if len(r.freePkts) == 0 {
+		pkts := make([]cell.Packet, packetSlab)
+		sets := destset.NewSlab(r.sw.Ports(), packetSlab)
+		for i := range pkts {
+			pkts[i].Dests = &sets[i]
+			r.freePkts = append(r.freePkts, &pkts[i])
+		}
 	}
-	return &cell.Packet{Dests: destset.New(r.sw.Ports())}
+	k := len(r.freePkts) - 1
+	p := r.freePkts[k]
+	r.freePkts = r.freePkts[:k]
+	return p
 }
 
 func (r *Runner) putPacket(p *cell.Packet) { r.freePkts = append(r.freePkts, p) }

@@ -39,6 +39,9 @@ type entry struct {
 	remaining *destset.Set
 }
 
+// entrySlab is how many entries an empty pool is refilled with.
+const entrySlab = 64
+
 // Switch is a single-input-queued switch scheduled by TATRA. It
 // satisfies the simulation engine's Switch interface.
 type Switch struct {
@@ -78,12 +81,19 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	if p.Dests.Count() == 0 {
 		panic("tatra: arrival with empty destination set")
 	}
-	var e *entry
-	if k := len(s.free) - 1; k >= 0 {
-		e, s.free = s.free[k], s.free[:k]
-	} else {
-		e = &entry{remaining: destset.New(s.n)}
+	if len(s.free) == 0 {
+		// Refill a slab at a time: an unstable point backs up to 1000*N
+		// entries, and one allocation each would dominate its run.
+		entries := make([]entry, entrySlab)
+		sets := destset.NewSlab(s.n, entrySlab)
+		for i := range entries {
+			entries[i].remaining = &sets[i]
+			s.free = append(s.free, &entries[i])
+		}
 	}
+	k := len(s.free) - 1
+	e := s.free[k]
+	s.free = s.free[:k]
 	e.p = p
 	e.remaining.CopyFrom(p.Dests)
 	s.queues[p.Input].Push(e)

@@ -185,11 +185,10 @@ func TestFloydSubsetMatchesReservoir(t *testing.T) {
 		return c
 	}
 	rf, rv := xrand.New(17), xrand.New(23)
-	scratch := make([]int, 0, k)
 	for i := 0; i < draws; i++ {
 		s.RandomKSubsetFloyd(rf, k)
 		floyd = grow(floyd, index())
-		s.RandomKSubset(rv, k, scratch)
+		s.RandomKSubset(rv, k)
 		vitter = grow(vitter, index())
 	}
 	if len(cells) != nCells {

@@ -142,8 +142,7 @@ func (t Uniform) NewSource(n, input int, r *xrand.Rand) Source {
 	if t.MaxFanout < 1 || t.MaxFanout > n {
 		panic(fmt.Sprintf("traffic: maxFanout %d outside [1,%d]", t.MaxFanout, n))
 	}
-	return &uniformSource{p: t.P, maxFanout: t.MaxFanout, n: n, r: r,
-		scratch: make([]int, 0, t.MaxFanout)}
+	return &uniformSource{p: t.P, maxFanout: t.MaxFanout, n: n, r: r}
 }
 
 // EffectiveLoad implements Pattern: p*(1+maxFanout)/2.
@@ -161,7 +160,6 @@ type uniformSource struct {
 	maxFanout int
 	n         int
 	r         *xrand.Rand
-	scratch   []int
 }
 
 func (s *uniformSource) NextInto(_ int64, d *destset.Set) bool {
@@ -169,7 +167,7 @@ func (s *uniformSource) NextInto(_ int64, d *destset.Set) bool {
 		return false
 	}
 	k := 1 + s.r.Intn(s.maxFanout)
-	d.RandomKSubset(s.r, k, s.scratch)
+	d.RandomKSubset(s.r, k)
 	return true
 }
 
@@ -303,8 +301,7 @@ func (t Mixed) NewSource(n, input int, r *xrand.Rand) Source {
 	if t.MaxFanout < 2 || t.MaxFanout > n {
 		panic(fmt.Sprintf("traffic: mixed maxFanout %d outside [2,%d]", t.MaxFanout, n))
 	}
-	return &mixedSource{p: t.P, frac: t.MulticastFrac, maxFanout: t.MaxFanout, n: n, r: r,
-		scratch: make([]int, 0, t.MaxFanout)}
+	return &mixedSource{p: t.P, frac: t.MulticastFrac, maxFanout: t.MaxFanout, n: n, r: r}
 }
 
 // MeanFanout implements Pattern.
@@ -325,7 +322,6 @@ type mixedSource struct {
 	maxFanout int
 	n         int
 	r         *xrand.Rand
-	scratch   []int
 }
 
 func (s *mixedSource) NextInto(_ int64, d *destset.Set) bool {
@@ -334,7 +330,7 @@ func (s *mixedSource) NextInto(_ int64, d *destset.Set) bool {
 	}
 	if s.r.Bool(s.frac) {
 		k := 2 + s.r.Intn(s.maxFanout-1)
-		d.RandomKSubset(s.r, k, s.scratch)
+		d.RandomKSubset(s.r, k)
 	} else {
 		d.Clear()
 		d.Add(s.r.Intn(s.n))

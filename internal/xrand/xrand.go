@@ -179,23 +179,68 @@ func (r *Rand) Intn(n int) int {
 	return int(hi)
 }
 
-// Sample writes a uniform random k-subset of 0..n-1 into dst[:k] in
-// ascending order and returns it. It panics if k > n or k > cap(dst).
-// The implementation is Vitter's selection-sampling (Algorithm S),
-// which runs in O(n) time and O(1) extra space and is unbiased.
-func (r *Rand) Sample(dst []int, n, k int) []int {
-	if k > n {
-		panic("xrand: Sample with k > n")
+// The two bitmap draws below keep the generator state in locals (one
+// store-back at the end) and fold Float64's exact /2^53 into the other
+// side of the comparison. Both transforms are draw-for-draw and
+// bit-for-bit identical to the plain Float64 forms: the state update is
+// Uint64 verbatim, and u>>11 < 2^53 makes the division exact, so
+// scaling both sides by 2^53 flips no comparison.
+// TestBernoulliBitsMatchesBool and TestSampleMatchesReference pin the
+// equivalence.
+
+// BernoulliBits writes n Bernoulli(p) trials into the words of
+// dst[:(n+63)/64]: bit i is set exactly when the i-th of n successive
+// Bool(p) calls would return true, and the generator ends where those
+// calls would leave it. Bits past n are cleared.
+func (r *Rand) BernoulliBits(dst []uint64, n int, p float64) {
+	words := dst[:(n+63)/64]
+	if p <= 0 || p >= 1 {
+		// Bool's shortcuts, which draw nothing.
+		clear(words)
+		for i := 0; p >= 1 && i < n; i++ {
+			words[i>>6] |= 1 << uint(i&63)
+		}
+		return
 	}
-	dst = dst[:0]
-	// Hot loop: the generator state lives in locals (one store-back at
-	// the end) and the acceptance test folds Float64's exact /2^53 to
-	// the right-hand side. Both transforms are draw-for-draw and
-	// bit-for-bit identical to the plain
-	//	r.Float64()*float64(remaining) < float64(needed)
-	// form: the state update is Uint64 verbatim, and u>>11 < 2^53 makes
-	// the division exact, so scaling both sides by 2^53 flips no
-	// comparison. TestSampleMatchesReference pins the equivalence.
+	// x/2^53 < p  <=>  x < p*2^53  <=>  x < ceil(p*2^53) for the integer
+	// x = u>>11 < 2^53. A NaN p fails every comparison in Bool, so it
+	// draws and reads false: threshold 0.
+	var t uint64
+	if !math.IsNaN(p) {
+		t = uint64(math.Ceil(p * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for wi := range words {
+		var w uint64
+		for b := range min(64, n-wi<<6) {
+			u := rotl(s1*5, 7) * 9
+			t1 := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t1
+			s3 = rotl(s3, 45)
+			// Both operands are below 2^63, so the difference wraps into
+			// the sign bit exactly when u>>11 < t.
+			w |= (u>>11 - t) >> 63 << uint(b)
+		}
+		words[wi] = w
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+}
+
+// SampleBits writes a uniform random k-subset of 0..n-1 into the words
+// of dst[:(n+63)/64], one bit per member, clearing every other bit. It
+// panics if k > n. The implementation is Vitter's selection-sampling
+// (Algorithm S): one draw per candidate until k are chosen, O(n) time,
+// O(1) extra space, unbiased.
+func (r *Rand) SampleBits(dst []uint64, n, k int) {
+	if k > n {
+		panic("xrand: SampleBits with k > n")
+	}
+	words := dst[:(n+63)/64]
+	clear(words)
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	remaining, needed := float64(n), float64(k)*(1<<53)
 	for i := 0; needed > 0; i++ {
@@ -208,13 +253,12 @@ func (r *Rand) Sample(dst []int, n, k int) []int {
 		s2 ^= t
 		s3 = rotl(s3, 45)
 		if float64(u>>11)*remaining < needed {
-			dst = append(dst, i)
+			words[i>>6] |= 1 << uint(i&63)
 			needed -= 1 << 53
 		}
 		remaining--
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-	return dst
 }
 
 // Geometric returns a sample from the geometric distribution on

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -157,21 +158,31 @@ func TestBoolRate(t *testing.T) {
 	}
 }
 
+// members lists the set bits of a bitmap in ascending order.
+func members(words []uint64) []int {
+	var out []int
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, wi<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
 func TestSampleProperties(t *testing.T) {
 	r := New(31)
 	f := func(nRaw, kRaw uint8) bool {
 		n := int(nRaw%50) + 1
 		k := int(kRaw) % (n + 1)
-		dst := r.Sample(make([]int, 0, k), n, k)
-		if len(dst) != k {
+		dst := []uint64{^uint64(0)} // stale bits must go
+		r.SampleBits(dst, n, k)
+		picks := members(dst)
+		if len(picks) != k {
 			return false
 		}
-		for i, v := range dst {
+		for _, v := range picks {
 			if v < 0 || v >= n {
 				return false
-			}
-			if i > 0 && dst[i-1] >= v {
-				return false // must be strictly ascending (distinct)
 			}
 		}
 		return true
@@ -186,9 +197,10 @@ func TestSampleUniform(t *testing.T) {
 	r := New(37)
 	const draws = 60000
 	counts := make([]int, 10)
-	buf := make([]int, 0, 3)
+	buf := make([]uint64, 1)
 	for i := 0; i < draws; i++ {
-		for _, v := range r.Sample(buf, 10, 3) {
+		r.SampleBits(buf, 10, 3)
+		for _, v := range members(buf) {
 			counts[v]++
 		}
 	}
@@ -278,8 +290,9 @@ func BenchmarkIntn16(b *testing.B) {
 	_ = sink
 }
 
-// sampleReference is the textbook selection-sampling loop Sample's
-// optimized body must stay draw-for-draw and bit-for-bit identical to.
+// sampleReference is the textbook selection-sampling loop the
+// index-returning Sample ran, and that SampleBits must stay
+// draw-for-draw and bit-for-bit identical to.
 func sampleReference(r *Rand, dst []int, n, k int) []int {
 	dst = dst[:0]
 	remaining, needed := n, k
@@ -293,28 +306,150 @@ func sampleReference(r *Rand, dst []int, n, k int) []int {
 	return dst
 }
 
+// identityNs are the universe sizes of the draw identity pins: word
+// boundaries on both sides, several words, and the widest switch.
+var identityNs = []int{1, 16, 63, 64, 65, 130, 1024}
+
 func TestSampleMatchesReference(t *testing.T) {
+	check := func(a, b *Rand, n, k int, what string) {
+		t.Helper()
+		got := make([]uint64, (n+63)/64)
+		for i := range got {
+			got[i] = 0x5555555555555555 // stale content
+		}
+		a.SampleBits(got, n, k)
+		want := sampleReference(b, nil, n, k)
+		picks := members(got)
+		if len(picks) != len(want) {
+			t.Fatalf("%s (n=%d k=%d): got %d picks, want %d", what, n, k, len(picks), len(want))
+		}
+		for i := range picks {
+			if picks[i] != want[i] {
+				t.Fatalf("%s (n=%d k=%d): pick %d is %d, want %d", what, n, k, i, picks[i], want[i])
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("%s (n=%d k=%d): generator states diverged", what, n, k)
+		}
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, n := range identityNs {
+			for _, k := range []int{0, 1, n / 2, n} {
+				a := New(seed)
+				check(a, &Rand{s: a.s}, n, k, fmt.Sprintf("seed %d", seed))
+			}
+		}
+	}
 	for seed := uint64(1); seed <= 40; seed++ {
 		a, b := New(seed), New(seed)
-		var got, want []int
 		for trial := 0; trial < 200; trial++ {
 			n := 1 + int(a.Uint64()%1024)
 			b.Uint64() // keep the two streams aligned
 			k := int(a.Uint64() % uint64(n+1))
 			b.Uint64()
-			got = a.Sample(got, n, k)
-			want = sampleReference(b, want, n, k)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d trial %d (n=%d k=%d): got %d picks, want %d", seed, trial, n, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d trial %d (n=%d k=%d): pick %d is %d, want %d", seed, trial, n, k, i, got[i], want[i])
+			check(a, b, n, k, fmt.Sprintf("seed %d trial %d", seed, trial))
+		}
+	}
+}
+
+// TestBernoulliBitsMatchesBool pins BernoulliBits to n successive Bool
+// calls on a clone of the generator: the same bits, no stale bits past
+// n, and the same final state — including the p <= 0 and p >= 1
+// shortcuts, which draw nothing, and a NaN p, which draws and reads
+// false.
+func TestBernoulliBitsMatchesBool(t *testing.T) {
+	ps := []float64{0, math.Ldexp(1, -60), 0.2, 0.5, math.Nextafter(1, 0), 1, math.NaN()}
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, n := range identityNs {
+			for _, p := range ps {
+				r := New(seed)
+				ref := &Rand{s: r.s}
+				got := make([]uint64, (n+63)/64)
+				for i := range got {
+					got[i] = 0xaaaaaaaaaaaaaaaa // stale content
+				}
+				r.BernoulliBits(got, n, p)
+				want := make([]uint64, len(got))
+				for i := 0; i < n; i++ {
+					if ref.Bool(p) {
+						want[i>>6] |= 1 << uint(i&63)
+					}
+				}
+				for wi := range want {
+					if got[wi] != want[wi] {
+						t.Fatalf("seed %d n=%d p=%v: word %d is %#x, Bool says %#x", seed, n, p, wi, got[wi], want[wi])
+					}
+				}
+				if r.s != ref.s {
+					t.Fatalf("seed %d n=%d p=%v: generator states diverged", seed, n, p)
 				}
 			}
-			if a.s != b.s {
-				t.Fatalf("seed %d trial %d: generator states diverged", seed, trial)
+		}
+	}
+}
+
+// TestBernoulliBitsThreshold puts p on the next draw's own grid point:
+// with x the draw's 53 bits, Float64() is exactly x/2^53, so p = x/2^53
+// must read false and p = (x+0.5)/2^53 true. A threshold rounded down
+// instead of up reads the second one false.
+func TestBernoulliBitsThreshold(t *testing.T) {
+	r := New(47)
+	tested := 0
+	for tested < 200 {
+		x := (&Rand{s: r.s}).Uint64() >> 11
+		if x == 0 || x >= 1<<52 {
+			r.Uint64() // x+0.5 must be exact, and x/2^53 a real p
+			continue
+		}
+		for _, tc := range []struct {
+			p    float64
+			want uint64
+		}{
+			{float64(x) / (1 << 53), 0},
+			{(float64(x) + 0.5) / (1 << 53), 1},
+		} {
+			viaBool := (&Rand{s: r.s}).Bool(tc.p)
+			var w [1]uint64
+			(&Rand{s: r.s}).BernoulliBits(w[:], 1, tc.p)
+			if w[0] != tc.want || viaBool != (tc.want == 1) {
+				t.Fatalf("x=%d p=%v: BernoulliBits %d, Bool %v, want %d", x, tc.p, w[0], viaBool, tc.want)
 			}
 		}
+		r.Uint64()
+		tested++
+	}
+}
+
+func BenchmarkBernoulliBits16(b *testing.B) {
+	r := New(1)
+	var w [1]uint64
+	for i := 0; i < b.N; i++ {
+		r.BernoulliBits(w[:], 16, 0.2)
+	}
+}
+
+func BenchmarkBernoulliBool16(b *testing.B) {
+	r := New(1)
+	var w uint64
+	for i := 0; i < b.N; i++ {
+		w = 0
+		for j := 0; j < 16; j++ {
+			if r.Bool(0.2) {
+				w |= 1 << uint(j)
+			}
+		}
+	}
+	_ = w
+}
+
+func BenchmarkSampleBits(b *testing.B) {
+	for _, n := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := New(1)
+			w := make([]uint64, (n+63)/64)
+			for i := 0; i < b.N; i++ {
+				r.SampleBits(w, n, 4)
+			}
+		})
 	}
 }
