@@ -159,12 +159,11 @@ func (f *FIFOMS) Match(s *Switch, slot int64, r *xrand.Rand, m *Matching) {
 			res := f.reserved[0]
 			for fw := f.inFree[0]; fw != 0; fw &= fw - 1 {
 				in := bits.TrailingZeros64(fw)
-				if f.minTS[in] < 0 {
-					continue // no candidates before, none now
-				}
 				row := f.reqMask[in]
 				if row&res == 0 {
-					continue // mask untouched by last round's grants
+					// Mask untouched by last round's grants — or empty: an
+					// input without candidates has a zero row.
+					continue
 				}
 				row &^= res
 				f.reqMask[in] = row
@@ -263,68 +262,19 @@ func (f *FIFOMS) seedRequests(s *Switch, n int) {
 // computeRequest fills input in's request state for the splitting
 // discipline: the smallest HOL stamp over its non-empty VOQs whose
 // outputs are still free, and the mask of outputs holding that stamp
-// (Table 2's smallest_time_stamp). Candidates are enumerated word by
-// word from the occupancy-AND-free intersection.
+// (Table 2's smallest_time_stamp, computed by argminHOL over the
+// occupancy-AND-free intersection).
 func (f *FIFOMS) computeRequest(s *Switch, in int) {
 	w := f.words
+	row := s.voqs[in*s.n : in*s.n+s.n]
+	var best int64
 	if w == 1 {
-		base := in * s.n
-		best := emptyHOL
-		var mask uint64
-		for cand := s.occIn[in] & f.outFree[0]; cand != 0; cand &= cand - 1 {
-			out := bits.TrailingZeros64(cand)
-			switch ts := s.voqs[base+out].ts; {
-			case ts < best:
-				best = ts
-				mask = 1 << uint(out)
-			case ts == best:
-				mask |= 1 << uint(out)
-			}
-		}
-		f.reqMask[in] = mask
-		if best == emptyHOL {
-			f.minTS[in] = -1
-			return
-		}
-		f.minTS[in] = best
-		return
-	}
-	occ := s.occIn[in*w : in*w+w]
-	of := f.outFree
-	mask := f.reqMask[in*w : in*w+w]
-	base := in * s.n
-	best := emptyHOL
-	for i := range mask {
-		mask[i] = 0
-	}
-	for wi := 0; wi < w; wi++ {
-		// Unrolled four-word early exit over the occupancy ∩ free
-		// intersection: most of a wide row is empty, and the candidate
-		// visit order (ascending output) is unchanged.
-		if wi+4 <= w && occ[wi]&of[wi]|occ[wi+1]&of[wi+1]|occ[wi+2]&of[wi+2]|occ[wi+3]&of[wi+3] == 0 {
-			wi += 3
-			continue
-		}
-		cand := occ[wi] & of[wi]
-		bitsBase := wi << 6
-		for cand != 0 {
-			out := bitsBase + bits.TrailingZeros64(cand)
-			cand &= cand - 1
-			switch ts := s.voqs[base+out].ts; {
-			case ts < best:
-				best = ts
-				for i := 0; i <= wi; i++ {
-					mask[i] = 0
-				}
-				mask[wi] = 1 << uint(out&63)
-			case ts == best:
-				mask[wi] |= 1 << uint(out&63)
-			}
-		}
+		f.reqMask[in], best = argminHOL(row, s.occIn[in]&f.outFree[0])
+	} else {
+		best = argminHOLWide(row, s.occIn[in*w:in*w+w], f.outFree, f.reqMask[in*w:in*w+w])
 	}
 	if best == emptyHOL {
-		f.minTS[in] = -1
-		return
+		best = -1
 	}
 	f.minTS[in] = best
 }
@@ -339,15 +289,12 @@ func (f *FIFOMS) buildTranspose() bool {
 	clear(f.reqOut)
 	if w == 1 {
 		// Single-word layout: row masks are scalars and the requester
-		// bit scatter indexes reqT directly.
+		// bit scatter indexes reqT directly. An input without a request
+		// has a zero row and scatters nothing.
 		reqT := f.reqT
-		minTS := f.minTS
 		var reqOut uint64
 		for fw := f.inFree[0]; fw != 0; fw &= fw - 1 {
 			in := bits.TrailingZeros64(fw)
-			if minTS[in] < 0 {
-				continue
-			}
 			row := f.reqMask[in]
 			reqOut |= row
 			ibit := uint64(1) << uint(in)
@@ -486,17 +433,21 @@ func (f *FIFOMS) grantStepW1(r *xrand.Rand) {
 		ties := 0
 		for ; cv != 0; cv &= cv - 1 {
 			in := bits.TrailingZeros64(cv)
-			switch ts := minTS[in]; {
-			case ts < bestTS:
-				bestTS, g, ties = ts, in, 1
-			case ts == bestTS:
-				if !detTies {
-					ties++
-					if r.Intn(ties) == 0 {
-						g = in
-					}
+			ts := minTS[in]
+			// The tie draw runs first, against the minimum so far, so
+			// the generator is consulted at exactly the requesters and
+			// with exactly the arguments of the reservoir loop; a new
+			// minimum then folds in with conditional moves.
+			if ts == bestTS && !detTies {
+				ties++
+				if r.Intn(ties) == 0 {
+					g = in
 				}
 			}
+			if ts < bestTS {
+				g, ties = in, 1
+			}
+			bestTS = min(bestTS, ts)
 		}
 		// A requested output always finds a requester: reqOut[0] has
 		// out's bit only because some row scattered into reqT[out].

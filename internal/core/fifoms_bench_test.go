@@ -10,6 +10,15 @@ package core_test
 // kernel on a constant backlogged switch — this isolates the
 // arbitration cost that dominates every sweep behind Figures 4–7.
 // Headline numbers are recorded in BENCH_fifoms.json at the repo root.
+//
+// The constant state is also this matrix's blind spot: rerun, it lets
+// the branch predictor learn every compare outcome, so a change that
+// removes mispredicted branches cannot show here (the branch-free HOL
+// argmin and grant fold of DESIGN.md §7 read slower at N = 64 and
+// faster at N = 16, and gain 1.08–1.11× end to end). The witnesses on
+// live, evolving queue state are BenchmarkSlot/n=16 and /n=64 in
+// internal/switchsim; BenchmarkArgminHOL (argmin_test.go) times the
+// argmin alone over 4096 pre-drawn rows.
 
 import (
 	"fmt"

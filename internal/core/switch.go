@@ -251,57 +251,83 @@ func (s *Switch) popCell(in, out int) acell {
 
 // rescanMinHOL recomputes input in's oldest-stamp cache from the HOL
 // row. Called only when the argmin set drains — at most once per
-// departing packet — with the minMask row already zeroed.
+// departing packet.
 func (s *Switch) rescanMinHOL(in int) {
 	w := s.words
+	row := s.voqs[in*s.n : in*s.n+s.n]
 	if w == 1 {
-		// Single-word layout (n <= 64): the argmin mask is a scalar.
-		base := in * s.n
-		best := emptyHOL
-		var row uint64
-		for cand := s.occIn[in]; cand != 0; cand &= cand - 1 {
-			out := bits.TrailingZeros64(cand)
-			switch ts := s.voqs[base+out].ts; {
-			case ts < best:
-				best = ts
-				row = 1 << uint(out)
-			case ts == best:
-				row |= 1 << uint(out)
-			}
-		}
-		s.minMask[in] = row
-		s.minHOL[in] = best
+		s.minMask[in], s.minHOL[in] = argminHOL(row, s.occIn[in])
 		return
 	}
-	occ := s.occIn[in*w : in*w+w]
-	row := s.minMask[in*w : in*w+w]
-	base := in * s.n
-	best := emptyHOL
+	s.minHOL[in] = argminHOLWide(row, s.occIn[in*w:in*w+w], nil, s.minMask[in*w:in*w+w])
+}
+
+// argminHOL is Table 2's smallest_time_stamp over one input's HOL row
+// (row[out] is VOQ(in,out)) on a single-word layout (n <= 64): the
+// smallest stamp among the non-empty VOQs in cand and the mask of those
+// holding it, or emptyHOL and 0 for an empty cand. Like the comparator
+// tree of Section IV.A it selects and never branches on a stamp: each
+// candidate folds into (mask, best) through conditional moves
+// (CMOVQNE/CMOVQGT under go build -gcflags=-S), because the three-way
+// compare it replaced was mispredicted on live queue state.
+func argminHOL(row []voq, cand uint64) (mask uint64, best int64) {
+	best = emptyHOL
+	for ; cand != 0; cand &= cand - 1 {
+		out := bits.TrailingZeros64(cand)
+		ts, bit := row[out].ts, uint64(1)<<uint(out)
+		m := mask | bit
+		if ts != best {
+			m = mask
+		}
+		if ts < best {
+			m = bit
+		}
+		mask, best = m, min(best, ts)
+	}
+	return mask, best
+}
+
+// argminHOLWide is argminHOL over a multi-word row: candidates are
+// occ ∩ free (occ alone when free is nil), the mask goes to mask and
+// the minimum is returned. It is one pass: every word folds against the
+// running minimum, and first records the word where the final minimum
+// first appears. The words before first hold only stale, larger
+// minima, and every later word was folded against the final one, so
+// clearing mask[:first] leaves exactly the argmin set.
+func argminHOLWide(row []voq, occ, free, mask []uint64) int64 {
+	if free == nil {
+		free = occ
+	}
+	w := len(mask)
+	best, first := emptyHOL, 0
 	for wi := 0; wi < w; wi++ {
-		// Four-word unrolled early exit: wide occupancy rows are mostly
-		// empty words, and the visit order of set bits is unchanged.
-		if wi+4 <= w && occ[wi]|occ[wi+1]|occ[wi+2]|occ[wi+3] == 0 {
+		// Four-word unrolled early exit: wide rows are mostly empty
+		// words, and the visit order of set bits is unchanged.
+		if wi+4 <= w && occ[wi]&free[wi]|occ[wi+1]&free[wi+1]|occ[wi+2]&free[wi+2]|occ[wi+3]&free[wi+3] == 0 {
+			mask[wi], mask[wi+1], mask[wi+2], mask[wi+3] = 0, 0, 0, 0
 			wi += 3
 			continue
 		}
-		cand := occ[wi]
-		bitsBase := wi << 6
-		for cand != 0 {
-			out := bitsBase + bits.TrailingZeros64(cand)
-			cand &= cand - 1
-			switch ts := s.voqs[base+out].ts; {
-			case ts < best:
-				best = ts
-				for i := 0; i <= wi; i++ {
-					row[i] = 0
-				}
-				row[wi] = 1 << uint(out&63)
-			case ts == best:
-				row[wi] |= 1 << uint(out&63)
+		prev, m := best, uint64(0)
+		for cand := occ[wi] & free[wi]; cand != 0; cand &= cand - 1 {
+			out := wi<<6 + bits.TrailingZeros64(cand)
+			ts, bit := row[out].ts, uint64(1)<<uint(out&63)
+			mm := m | bit
+			if ts != best {
+				mm = m
 			}
+			if ts < best {
+				mm = bit
+			}
+			m, best = mm, min(best, ts)
+		}
+		mask[wi] = m
+		if best < prev {
+			first = wi
 		}
 	}
-	s.minHOL[in] = best
+	clear(mask[:first])
+	return best
 }
 
 // Arrive preprocesses a packet into the input buffers following

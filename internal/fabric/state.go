@@ -146,6 +146,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 	// 8(id) + 8(input) + 8(arrival) + 8(remain) bytes per live entry.
 	nLive := r.Count(8 * 4)
 	f.live = idwin.Window[liveInfo]{}
+	var liveSpan idwin.Span
 	for i := 0; i < nLive; i++ {
 		id := cell.PacketID(r.I64())
 		input := r.Int()
@@ -158,6 +159,10 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 			arrival < 0 || arrival >= r.NextSlot() {
 			r.Failf("live packet %d has impossible state input=%d arrival=%d remain=%d",
 				id, input, arrival, remain)
+			return r.Err()
+		}
+		if !liveSpan.Admit(id) {
+			r.Failf("live packet %d widens the live ID span past %d", id, idwin.MaxSpan)
 			return r.Err()
 		}
 		lv, dup := f.live.Ensure(id)
@@ -176,6 +181,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 		// 8(local) + 8(fab) + 8(hops) + 8(remain) + 1(presence) + 4(member count).
 		nCtx := r.Count(37)
 		f.ctxs[ni] = idwin.Window[ctxInfo]{}
+		var ctxSpan idwin.Span
 		for i := 0; i < nCtx; i++ {
 			local := cell.PacketID(r.I64())
 			fab := cell.PacketID(r.I64())
@@ -203,6 +209,10 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 			}
 			if leaves == nil || leaves.Empty() {
 				r.Failf("node %d copy context for packet %d has no leaves", ni, fab)
+				return r.Err()
+			}
+			if !ctxSpan.Admit(local) {
+				r.Failf("node %d local packet %d widens the live ID span past %d", ni, local, idwin.MaxSpan)
 				return r.Err()
 			}
 			ctx, dup := f.ctxs[ni].Ensure(local)

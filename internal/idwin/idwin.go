@@ -94,6 +94,36 @@ func (w *Window[T]) grow() {
 	w.entries = next
 }
 
+// MaxSpan bounds the live-ID span — highest live ID minus lowest — that
+// a snapshot may restore into one window. Two live IDs share a slot only
+// while the table is no longer than their distance, so a span below
+// MaxSpan keeps the table at most MaxSpan entries (192 MiB at the delay
+// tracker's 48-byte entry) now and for as long as the span lasts; an
+// unchecked span is unbounded: live IDs 1 and 1<<44 drive the table to
+// 2^45 entries as soon as ID 1<<44+1 is issued. A run reaches 2^22 only
+// by keeping one packet in flight while four million younger ones are
+// issued: at N = 1024 and load 0.9 that is at least 4,500 slots of one
+// packet's sojourn (unicast, the most IDs a slot), where the
+// benchmark's N = 1024 workload delays a packet 12 slots on average.
+const MaxSpan = 1 << 22
+
+// Span is the range of the IDs a snapshot load has restored into one
+// window so far. The zero value is empty.
+type Span struct {
+	lo, hi cell.PacketID
+	any    bool
+}
+
+// Admit widens the span to id and reports whether it is still below
+// MaxSpan.
+func (s *Span) Admit(id cell.PacketID) bool {
+	if !s.any {
+		s.lo, s.hi, s.any = id, id, true
+	}
+	s.lo, s.hi = min(s.lo, id), max(s.hi, id)
+	return uint64(s.hi-s.lo) < MaxSpan // the true difference, even across zero
+}
+
 // Ascending visits the live IDs in ascending order. It allocates (the
 // sorted ID list) and is for snapshots and inspectors, never per slot.
 func (w *Window[T]) Ascending(fn func(id cell.PacketID, v *T)) {

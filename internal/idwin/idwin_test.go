@@ -105,3 +105,29 @@ func TestWindowMatchesMap(t *testing.T) {
 	}
 	verify(4001)
 }
+
+// TestSpanAdmit pins Span's boundary: a span of MaxSpan-1 is admitted
+// in either insertion order, MaxSpan is not, and neither is a span
+// that only wraps around as a signed difference.
+func TestSpanAdmit(t *testing.T) {
+	for _, tc := range []struct {
+		ids []cell.PacketID
+		ok  bool
+	}{
+		{[]cell.PacketID{7}, true},
+		{[]cell.PacketID{5, 5 + MaxSpan - 1, 9}, true},
+		{[]cell.PacketID{5 + MaxSpan - 1, 9, 5}, true},
+		{[]cell.PacketID{5, 5 + MaxSpan}, false},
+		{[]cell.PacketID{5 + MaxSpan, 6, 5}, false},
+		{[]cell.PacketID{-1 << 63, 1<<63 - 1}, false},
+	} {
+		var s Span
+		ok := true
+		for _, id := range tc.ids {
+			ok = s.Admit(id)
+		}
+		if ok != tc.ok {
+			t.Errorf("Admit over %v ends %v, want %v", tc.ids, ok, tc.ok)
+		}
+	}
+}

@@ -137,6 +137,7 @@ func (t *DelayTracker) LoadState(r *snap.Reader) error {
 	}
 	nPkts := r.Count(8 * 5)
 	t.outstanding = idwin.Window[packetState]{}
+	var span idwin.Span
 	for i := 0; i < nPkts; i++ {
 		id := cell.PacketID(r.I64())
 		st := packetState{
@@ -158,6 +159,10 @@ func (t *DelayTracker) LoadState(r *snap.Reader) error {
 			// Deliver panics on a copy delay < 1, so an outstanding
 			// arrival at or past the resume slot is an input error.
 			r.Failf("outstanding packet %d arrival %d at or past resume slot %d", id, st.arrival, r.NextSlot())
+			return r.Err()
+		}
+		if !span.Admit(id) {
+			r.Failf("outstanding packet %d widens the live ID span past %d", id, idwin.MaxSpan)
 			return r.Err()
 		}
 		dst, dup := t.outstanding.Ensure(id)

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,6 +146,7 @@ func FuzzRestore(f *testing.F) {
 	islipBlob := blobAt("islip", 10, 1)
 	f.Add(islipBlob)
 	f.Add(raiseCopiedCounter(f, islipBlob, func() *switchsim.Runner { return build(f, "islip") }))
+	f.Add(widenOutstanding(f, blobAt(goldenAlgo, 100, 2), func() *switchsim.Runner { return build(f, goldenAlgo) }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		algo := goldenAlgo
@@ -158,6 +160,47 @@ func FuzzRestore(f *testing.F) {
 		// A blob that restores must also run to completion.
 		r.Run(algo)
 	})
+}
+
+// widenOutstanding returns a fifoms blob whose delay tracker holds
+// outstanding packets 1 and 1<<44 — its lowest and highest outstanding
+// IDs rewritten — after checking that a fresh runner restores the
+// original and rejects the result for its ID span: a window holding both
+// would double toward 2^45 entries once the IDs next to either are live.
+func widenOutstanding(tb testing.TB, blob []byte, fresh func() *switchsim.Runner) []byte {
+	tb.Helper()
+	r := fresh()
+	if err := r.Restore(goldenAlgo, blob); err != nil {
+		tb.Fatal(err)
+	}
+	// The tracker's entry for a packet starts with its id and arrival,
+	// little-endian, and the engine section it lives in comes first, so
+	// the first match is the tracker's. Packets that arrived before the
+	// warm-up ended have no entry.
+	var at []int
+	seen := map[cell.PacketID]bool{}
+	r.Switch().(*core.Switch).ForEachBuffered(func(_, _ int, p *cell.Packet) {
+		if seen[p.ID] {
+			return
+		}
+		seen[p.ID] = true
+		entry := binary.LittleEndian.AppendUint64(nil, uint64(p.ID))
+		entry = binary.LittleEndian.AppendUint64(entry, uint64(p.Arrival))
+		if i := bytes.Index(blob, entry); i >= 0 {
+			at = append(at, i)
+		}
+	})
+	if len(at) < 2 {
+		tb.Fatalf("%d outstanding packets at the checkpoint, want 2", len(at))
+	}
+	slices.Sort(at) // the tracker writes its entries in ascending ID order
+	mut := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(mut[at[0]:], 1)
+	binary.LittleEndian.PutUint64(mut[at[len(at)-1]:], 1<<44)
+	if err := fresh().Restore(goldenAlgo, mut); err == nil || !strings.Contains(err.Error(), "span") {
+		tb.Fatalf("outstanding IDs 1 and 1<<44: Restore = %v, want a span rejection", err)
+	}
+	return mut
 }
 
 // raiseCopiedCounter returns an islip blob with the fanout counter of
