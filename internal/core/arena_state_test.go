@@ -257,6 +257,7 @@ type snapPacket struct {
 type snapPort struct {
 	packets []snapPacket
 	voqs    map[int][]int // out -> packet-table indices, front to back
+	guard   int64         // when non-zero, the arrival guard written instead of the derived one
 }
 
 // encodeCore writes one core section of an n-port switch seeded like
@@ -284,6 +285,9 @@ func encodeCore(n int, mode PreprocessMode, ports []snapPort) []byte {
 			if mode == ModeShared {
 				last = max(last, pk.arrival)
 			}
+		}
+		if p.guard != 0 {
+			last = p.guard
 		}
 		w.I64(last)
 		w.Count(len(p.packets))
@@ -335,6 +339,19 @@ func TestLoadStateRejects(t *testing.T) {
 		{"copied packet with no cells", ModeCopied, multicast(1, nil), "has no queued cells"},
 		{"index out of range", ModeCopied, multicast(1, map[int][]int{0: {1}}), "references packet index 1 of 1"},
 		{"cell for an output not addressed", ModeCopied, multicast(1, map[int][]int{2: {0}}), "not addressed to 2"},
+		{"shared two packets of one slot", ModeShared, []snapPort{{
+			packets: []snapPacket{{id: 1, arrival: 0, counter: 1, dests: []int{0}}, {id: 2, arrival: 0, counter: 1, dests: []int{1}}},
+			voqs:    map[int][]int{0: {0}, 1: {1}},
+		}}, "input 0 buffers two packets of slot 0"},
+		{"shared stamps decreasing along a VOQ", ModeShared, []snapPort{{
+			packets: []snapPacket{{id: 1, arrival: 1, counter: 1, dests: []int{0}}, {id: 2, arrival: 0, counter: 1, dests: []int{0}}},
+			voqs:    map[int][]int{0: {0, 1}},
+		}}, "VOQ(0,0) queues slot 0 behind slot 1"},
+		{"shared guard below a buffered arrival", ModeShared, []snapPort{{
+			packets: []snapPacket{{id: 1, arrival: 2, counter: 1, dests: []int{0}}},
+			voqs:    map[int][]int{0: {0}},
+			guard:   1,
+		}}, "input 0 buffers packet 1 of slot 2 past its last arrival 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blob := encodeCore(n, tc.mode, tc.ports)

@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"voqsim/internal/cell"
 	"voqsim/internal/destset"
@@ -160,6 +163,42 @@ func TestArenaIsPointerFree(t *testing.T) {
 		walk(t, ty.Name(), ty)
 		if ty.Size() != 16 {
 			t.Errorf("%s is %d bytes, want 16", ty.Name(), ty.Size())
+		}
+	}
+}
+
+// TestNewSwitchFootprint keeps a switch's O(N²) state to its VOQ table:
+// NewSwitch makes the same number of allocations at every size, and
+// everything beside the table is at most rowBytes per (input, bitmap
+// word) plus a constant. Per-input grant lists of capacity N, which
+// the transfer once reserved, are 512 bytes per (input, word).
+func TestNewSwitchFootprint(t *testing.T) {
+	const rowBytes, constBytes = 96, 4096
+	// One P and no collection while measuring: a cycle the 16 MiB
+	// table starts would count the runtime's own allocations.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cost := func(n int) (allocs, bytes uint64) {
+		arb, root := &FIFOMS{}, xrand.New(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := NewSwitch(n, arb, root)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	want, _ := cost(1)
+	for _, n := range []int{64, 1024} {
+		allocs, bytes := cost(n)
+		table := uint64(n*n) * uint64(unsafe.Sizeof(voq{}))
+		limit := table + uint64(rowBytes*n*destset.WordsPerRow(n)+constBytes)
+		t.Logf("n=%d: %d allocations, %d bytes (VOQ table %d, limit %d)", n, allocs, bytes, table, limit)
+		if allocs != want {
+			t.Errorf("n=%d: NewSwitch made %d allocations, %d at n=1", n, allocs, want)
+		}
+		if bytes > limit {
+			t.Errorf("n=%d: NewSwitch allocated %d bytes, over the VOQ table's %d plus %d per (input, word) and %d",
+				n, bytes, table, rowBytes, constBytes)
 		}
 	}
 }

@@ -29,10 +29,10 @@ import (
 // DESIGN.md § Match kernel: it reads the switch's cached flat HOL
 // state (Switch.voqs / occIn) instead of chasing address-cell
 // pointers, keeps every port set and request set as packed uint64
-// words, and after the first round recomputes requests only for inputs
-// whose request mask intersects the outputs reserved in the previous
-// round. The grant step visits only actual requesters of each output
-// via the transposed request bitmap. internal/check/oracle is the O(N³)
+// words, seeds the first round from the switch's oldest-stamp cache and
+// after it recomputes requests only for the free inputs that had one.
+// The grant step visits only actual requesters of each output via the
+// transposed request bitmap. internal/check/oracle is the O(N³)
 // reference kernel, and the differential test pins this one to it bit
 // for bit.
 //
@@ -72,7 +72,6 @@ type FIFOMS struct {
 	reqOut   []uint64 // [words] outputs with at least one requester
 	inFree   []uint64 // [words] free-input set
 	outFree  []uint64 // [words] free-output set
-	reserved []uint64 // [words] outputs reserved in the previous round
 	granted  []int    // per-output provisional grant within a round
 	grants   []int    // outputs granted in the current round
 }
@@ -104,7 +103,6 @@ func (f *FIFOMS) ensure(n int) {
 	f.reqOut = make([]uint64, f.words)
 	f.inFree = make([]uint64, f.words)
 	f.outFree = make([]uint64, f.words)
-	f.reserved = make([]uint64, f.words)
 	f.granted = make([]int, n)
 	f.grants = make([]int, 0, n)
 }
@@ -142,67 +140,21 @@ func (f *FIFOMS) Match(s *Switch, slot int64, r *xrand.Rand, m *Matching) {
 
 	w := f.words
 	for round := 0; round < maxRounds; round++ {
-		// Request step. Round 0 computes every input's request mask
-		// from the cached HOL state. Later rounds are incremental: VOQ
-		// occupancy cannot change inside Match and the free-output set
-		// only shrinks, so a still-free input's smallest stamp — and
-		// therefore its mask — changes only if the previous round
-		// reserved one of the outputs it was requesting.
+		// Request step. Round 0 copies the switch's oldest-stamp cache:
+		// with every output free, the smallest stamp over free outputs
+		// is the smallest over all VOQ heads. In a later round every
+		// still-free input that requested lost every output it asked
+		// for — a requested output always grants, since its column
+		// holds a requester — so each one falls back to its
+		// next-smallest stamp over the outputs still free. An input
+		// without a request stays without one: occupancy cannot change
+		// inside Match and the free-output set only shrinks.
 		if round == 0 {
-			// Every output is free at round 0, so the smallest stamp
-			// over free outputs is exactly the switch's maintained
-			// oldest-stamp cache: copy it instead of scanning HOL rows.
 			f.seedRequests(s, n)
-		} else if w == 1 {
-			// Single-word layout (n <= 64): masks are scalars, so the
-			// incremental update is pure register arithmetic.
-			res := f.reserved[0]
-			for fw := f.inFree[0]; fw != 0; fw &= fw - 1 {
-				in := bits.TrailingZeros64(fw)
-				row := f.reqMask[in]
-				if row&res == 0 {
-					// Mask untouched by last round's grants — or empty: an
-					// input without candidates has a zero row.
-					continue
-				}
-				row &^= res
-				f.reqMask[in] = row
-				if row == 0 {
-					// Every requested output was taken; the input
-					// falls back to its next-smallest stamp.
-					f.computeRequest(s, in)
-				}
-			}
 		} else {
 			for wi := 0; wi < w; wi++ {
-				fw := f.inFree[wi]
-				for fw != 0 {
-					in := wi<<6 + bits.TrailingZeros64(fw)
-					fw &= fw - 1
-					if f.minTS[in] < 0 {
-						continue // no candidates before, none now
-					}
-					row := f.reqMask[in*w : in*w+w]
-					hit := false
-					for i := range row {
-						if row[i]&f.reserved[i] != 0 {
-							hit = true
-							break
-						}
-					}
-					if !hit {
-						continue // mask untouched by last round's grants
-					}
-					nonzero := false
-					for i := range row {
-						row[i] &^= f.reserved[i]
-						if row[i] != 0 {
-							nonzero = true
-						}
-					}
-					if !nonzero {
-						// Every requested output was taken; the input
-						// falls back to its next-smallest stamp.
+				for fw := f.inFree[wi]; fw != 0; fw &= fw - 1 {
+					if in := wi<<6 + bits.TrailingZeros64(fw); f.minTS[in] >= 0 {
 						f.computeRequest(s, in)
 					}
 				}
@@ -226,12 +178,10 @@ func (f *FIFOMS) Match(s *Switch, slot int64, r *xrand.Rand, m *Matching) {
 		}
 
 		// Reserve the matched ports and record the grants.
-		clear(f.reserved)
 		for _, out := range f.grants {
 			in := f.granted[out]
 			m.OutIn[out] = in
 			f.outFree[out>>6] &^= 1 << uint(out&63)
-			f.reserved[out>>6] |= 1 << uint(out&63)
 			f.inFree[in>>6] &^= 1 << uint(in&63)
 		}
 		m.Rounds++

@@ -38,7 +38,7 @@ func TestFIFOMSMatchesLegacyKernel(t *testing.T) {
 }
 
 // TestFIFOMSMatchesLegacyWithRoundCap covers the MaxRounds ablation
-// path, whose early exit interacts with the incremental request
+// path, whose early exit interacts with the later rounds' request
 // recomputation.
 func TestFIFOMSMatchesLegacyWithRoundCap(t *testing.T) {
 	for _, cap := range []int{1, 2, 3} {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"voqsim/internal/cell"
@@ -355,5 +356,55 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestSplittingRoundReservesEveryRequest pins why a later round of the
+// splitting discipline recomputes every free requester's mask without
+// consulting the previous one: every output any input requested grants
+// (its requester column is never empty), so after each round every
+// request mask lies inside the reserved outputs — an input that
+// requested and lost always has an emptied mask — and a free input
+// without a request has no occupied VOQ at a free output, so it never
+// gains one. It steps evolving random states one round at a time (a
+// round cap of k on a fresh copy of one generator) at one, two and
+// three bitmap words.
+func TestSplittingRoundReservesEveryRequest(t *testing.T) {
+	for _, n := range []int{9, 64, 130} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			s := NewSwitch(n, &FIFOMS{}, xrand.New(5))
+			traffic := xrand.New(6)
+			id := cell.PacketID(0)
+			lost := 0
+			for slot := int64(0); slot < 200; slot++ {
+				churnSwitch(s, traffic, slot, 1, &id, func(cell.Delivery) {})
+				for k := 1; ; k++ {
+					f := &FIFOMS{MaxRounds: k}
+					m := NewMatching(n)
+					f.Match(s, slot, xrand.New(uint64(slot)), m)
+					if m.Rounds < k {
+						break
+					}
+					w := f.words
+					for in := 0; in < n; in++ {
+						free := f.inFree[in>>6]&(1<<uint(in&63)) != 0
+						for i, rv := range f.reqMask[in*w : in*w+w] {
+							if rv&f.outFree[i] != 0 {
+								t.Fatalf("slot %d round %d: input %d requested output word %d %#x, still free", slot, k, in, i, rv&f.outFree[i])
+							}
+							if free && f.minTS[in] < 0 && s.occIn[in*w+i]&f.outFree[i] != 0 {
+								t.Fatalf("slot %d round %d: input %d has no request but a queued cell for a free output", slot, k, in)
+							}
+						}
+						if free && f.minTS[in] >= 0 {
+							lost++
+						}
+					}
+				}
+			}
+			if lost == 0 {
+				t.Fatal("no input requested and lost: the run never reaches a later round's request step")
+			}
+		})
 	}
 }

@@ -184,6 +184,7 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 	packets := make([]*cell.Packet, nPkts)
 	dataIdx := make([]int32, nPkts) // ModeShared: the data entry; ModeCopied: the owner entry
 	refs := make([]int, nPkts)
+	stamps := make(map[int64]bool) // ModeShared: arrival slots seen in the table
 	for i := 0; i < nPkts; i++ {
 		id := cell.PacketID(r.I64())
 		arrival := r.I64()
@@ -211,6 +212,17 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 		}
 		packets[i] = &cell.Packet{ID: id, Input: in, Arrival: arrival, Dests: dests}
 		if s.mode == ModeShared {
+			// Arrive's guard admits one packet per input per slot, each
+			// after the last, so a stamp names one packet of the input.
+			if arrival > port.lastArrival {
+				r.Failf("input %d buffers packet %d of slot %d past its last arrival %d", in, id, arrival, port.lastArrival)
+				return r.Err()
+			}
+			if stamps[arrival] {
+				r.Failf("input %d buffers two packets of slot %d", in, arrival)
+				return r.Err()
+			}
+			stamps[arrival] = true
 			dataIdx[i] = a.allocData(packets[i], int32(counter))
 			port.dataCells++
 			s.totalData++
@@ -220,6 +232,7 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 	}
 	for out := 0; out < s.n; out++ {
 		qLen := r.Count(8)
+		prev := int64(-1) // the stamp queued ahead
 		for k := 0; k < qLen; k++ {
 			idx := r.Int()
 			if r.Err() != nil {
@@ -234,6 +247,14 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 				r.Failf("VOQ(%d,%d) holds packet %d that is not addressed to %d", in, out, p.ID, out)
 				return r.Err()
 			}
+			// A VOQ is a FIFO of arrivals: stamps never decrease along it,
+			// and in ModeShared, where a stamp names one packet, they
+			// strictly increase (popCell relies on it).
+			if p.Arrival < prev || s.mode == ModeShared && p.Arrival == prev {
+				r.Failf("VOQ(%d,%d) queues slot %d behind slot %d", in, out, p.Arrival, prev)
+				return r.Err()
+			}
+			prev = p.Arrival
 			refs[idx]++
 			data := dataIdx[idx]
 			if s.mode == ModeCopied {

@@ -81,10 +81,12 @@ type Switch struct {
 	cActive     *obs.Counter
 	occHWM      []*obs.Gauge
 
-	// scratch reused every slot
-	grantsByIn [][]int
-	usedIns    []int // inputs with a non-empty grantsByIn entry to reset
-	sizes      []int
+	// The slot's crossbar configuration, reused every slot: grantW[in*
+	// words ...] is the bitmap of outputs granted to input in, usedW the
+	// bitmap of inputs with any grant. Step clears each word as it
+	// consumes it, so both are all-zero between slots.
+	grantW []uint64
+	usedW  []uint64
 }
 
 // QueueCountTraditional returns the number of queues a traditional
@@ -130,12 +132,8 @@ func NewSwitch(n int, arb Arbiter, root *xrand.Rand) *Switch {
 	for i := range s.ports {
 		s.ports[i].lastArrival = -1
 	}
-	s.grantsByIn = make([][]int, n)
-	for i := range s.grantsByIn {
-		s.grantsByIn[i] = make([]int, 0, n)
-	}
-	s.usedIns = make([]int, 0, n)
-	s.sizes = make([]int, n)
+	s.grantW = make([]uint64, n*s.words)
+	s.usedW = make([]uint64, s.words)
 	return s
 }
 
@@ -478,16 +476,11 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	}
 	s.lastRounds = s.match.Rounds
 
-	// Set the crosspoints: OutIn holds one input per output, so no
-	// output is ever driven twice. Only the inputs granted last slot
-	// have non-empty grantsByIn entries, so resetting just those beats
-	// an O(N) sweep; the transmission loop below still iterates inputs
-	// in ascending order, which fixes the delivery order the golden
-	// streams pin.
-	for _, in := range s.usedIns {
-		s.grantsByIn[in] = s.grantsByIn[in][:0]
-	}
-	s.usedIns = s.usedIns[:0]
+	// Set the crosspoints: one output bitmap per input. OutIn holds one
+	// input per output, so no output is ever driven twice. An input's
+	// first grant is one cell sent, a repeat grant makes the slot a
+	// multicast one.
+	w := s.words
 	multicast := false
 	for out, in := range s.match.OutIn {
 		if in == None {
@@ -496,91 +489,99 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		if in < 0 || in >= s.n {
 			panic(fmt.Sprintf("core: arbiter granted invalid input %d", in))
 		}
-		if len(s.grantsByIn[in]) == 0 {
-			s.usedIns = append(s.usedIns, in)
+		if ibit := uint64(1) << uint(in&63); s.usedW[in>>6]&ibit == 0 {
+			s.usedW[in>>6] |= ibit
+			s.cells++
 		} else {
 			multicast = true
 		}
-		s.grantsByIn[in] = append(s.grantsByIn[in], out)
+		s.grantW[in*w+out>>6] |= 1 << uint(out&63)
 		s.copies++
 	}
 	s.slots++
-	s.cells += int64(len(s.usedIns))
 	if multicast {
 		s.multicastSlots++
 	}
 
-	// Data transmission and post-transmission processing (Table 2).
+	// Data transmission and post-transmission processing (Table 2), in
+	// ascending (input, output) order — the delivery order the golden
+	// streams pin — clearing each bitmap word as it is consumed.
 	a := &s.arena
-	for in, outs := range s.grantsByIn {
-		if len(outs) == 0 {
-			continue
-		}
-		port := &s.ports[in]
-		dataRef := int32(-1)
-		for _, out := range outs {
-			c := s.popCell(in, out)
-			switch s.mode {
-			case ModeShared:
-				// Invariant (Section III.B): every address cell an input
-				// sends in one slot must point at the same data cell,
-				// because the crossbar can replicate only one cell.
-				if dataRef < 0 {
-					dataRef = c.data
-				} else if dataRef != c.data {
-					panic(fmt.Sprintf("core: arbiter %s granted two data cells to input %d in one slot",
-						s.arbiter.Name(), in))
+	for uw, ins := range s.usedW {
+		s.usedW[uw] = 0
+		for ; ins != 0; ins &= ins - 1 {
+			in := uw<<6 + bits.TrailingZeros64(ins)
+			port := &s.ports[in]
+			dataRef := int32(-1)
+			row := s.grantW[in*w : in*w+w]
+			for gw, outs := range row {
+				row[gw] = 0
+				for ; outs != 0; outs &= outs - 1 {
+					out := gw<<6 + bits.TrailingZeros64(outs)
+					c := s.popCell(in, out)
+					switch s.mode {
+					case ModeShared:
+						// Invariant (Section III.B): every address cell an input
+						// sends in one slot must point at the same data cell,
+						// because the crossbar can replicate only one cell.
+						if dataRef < 0 {
+							dataRef = c.data
+						} else if dataRef != c.data {
+							panic(fmt.Sprintf("core: arbiter %s granted two data cells to input %d in one slot",
+								s.arbiter.Name(), in))
+						}
+					case ModeCopied:
+						// Independent unicast copies: at most one grant per input.
+						if dataRef >= 0 {
+							panic(fmt.Sprintf("core: copied-mode arbiter %s granted input %d twice", s.arbiter.Name(), in))
+						}
+						dataRef = c.data
+					}
+					// In ModeShared the data cell is exhausted exactly when the
+					// packet's last copy leaves; in ModeCopied each copy has a
+					// private fanout-1 data cell, so Last is per-cell, packet
+					// completion is tracked by the statistics layer, and the
+					// owner entry knows when the packet itself is done.
+					a.dFan[c.data]--
+					last := a.dFan[c.data] == 0
+					pkt := a.dPkt[c.data]
+					if last {
+						port.dataCells--
+						s.totalData--
+					}
+					deliver(cell.Delivery{ID: pkt.ID, In: in, Out: out, Slot: slot, Arrival: pkt.Arrival, Last: last})
+					if s.obs != nil {
+						s.observeDeparture(slot, in, out, c.ts, pkt.ID, last)
+					}
+					// The delivery is out the door; the data slab entry is
+					// recycled on its last copy (in ModeShared its siblings in
+					// this very loop still reference it until then), and the
+					// packet itself is handed back for reuse once no buffered
+					// copy references it: at once in ModeShared, where the slab
+					// entry was its last internal reference, and with its last
+					// owed copy in ModeCopied.
+					if last {
+						a.freeData(c.data)
+						if (s.mode == ModeShared || a.departCopy(a.dOwn[c.data])) && s.release != nil {
+							s.release(pkt)
+						}
+					}
 				}
-			case ModeCopied:
-				// Independent unicast copies: at most one grant per input.
-				if dataRef >= 0 {
-					panic(fmt.Sprintf("core: copied-mode arbiter %s granted input %d twice", s.arbiter.Name(), in))
+			}
+			// Fanout splitting (Section III): the packet's data cell still
+			// has unserved destinations after this slot's copies left, so
+			// its residue stays queued and competes again — an event only
+			// contention can cause, hence worth tracing.
+			if s.obs != nil && s.mode == ModeShared && dataRef >= 0 && a.dFan[dataRef] > 0 {
+				if s.obs.TraceOn() {
+					pkt := a.dPkt[dataRef]
+					s.obs.Trace.Emit(obs.Event{
+						Slot: slot, Type: obs.EvFanoutSplit, In: int32(in), Out: -1, Round: -1,
+						Aux: int32(a.dFan[dataRef]), TS: pkt.Arrival, Packet: int64(pkt.ID),
+					})
 				}
-				dataRef = c.data
+				s.cSplits.Inc()
 			}
-			// In ModeShared the data cell is exhausted exactly when the
-			// packet's last copy leaves; in ModeCopied each copy has a
-			// private fanout-1 data cell, so Last is per-cell, packet
-			// completion is tracked by the statistics layer, and the
-			// owner entry knows when the packet itself is done.
-			a.dFan[c.data]--
-			last := a.dFan[c.data] == 0
-			pkt := a.dPkt[c.data]
-			if last {
-				port.dataCells--
-				s.totalData--
-			}
-			deliver(cell.Delivery{ID: pkt.ID, In: in, Out: out, Slot: slot, Arrival: pkt.Arrival, Last: last})
-			if s.obs != nil {
-				s.observeDeparture(slot, in, out, c.ts, pkt.ID, last)
-			}
-			// The delivery is out the door; the data slab entry is
-			// recycled on its last copy (in ModeShared its siblings in
-			// this very loop still reference it until then), and the
-			// packet itself is handed back for reuse once no buffered
-			// copy references it: at once in ModeShared, where the slab
-			// entry was its last internal reference, and with its last
-			// owed copy in ModeCopied.
-			if last {
-				a.freeData(c.data)
-				if (s.mode == ModeShared || a.departCopy(a.dOwn[c.data])) && s.release != nil {
-					s.release(pkt)
-				}
-			}
-		}
-		// Fanout splitting (Section III): the packet's data cell still
-		// has unserved destinations after this slot's copies left, so
-		// its residue stays queued and competes again — an event only
-		// contention can cause, hence worth tracing.
-		if s.obs != nil && s.mode == ModeShared && dataRef >= 0 && a.dFan[dataRef] > 0 {
-			if s.obs.TraceOn() {
-				pkt := a.dPkt[dataRef]
-				s.obs.Trace.Emit(obs.Event{
-					Slot: slot, Type: obs.EvFanoutSplit, In: int32(in), Out: -1, Round: -1,
-					Aux: int32(a.dFan[dataRef]), TS: pkt.Arrival, Packet: int64(pkt.ID),
-				})
-			}
-			s.cSplits.Inc()
 		}
 	}
 }

@@ -43,15 +43,17 @@ func transferCounters(t *testing.T, s *core.Switch) [4]int64 {
 // TestTransferCounters recounts the transfer counters from the delivery
 // stream of random runs: copies are deliveries, cells are distinct
 // (slot, input) pairs, and a multicast slot is one in which some input
-// sent more than one copy. FIFOMS sends multicast cells, iSLIP one copy
-// per input, and N = 65 spans two bitmap words.
+// sent more than one copy. It also holds each slot's deliveries to
+// ascending (input, output) order, the order the golden streams pin.
+// FIFOMS sends multicast cells, iSLIP one copy per input, and N = 65
+// and 130 span two and three bitmap words.
 func TestTransferCounters(t *testing.T) {
 	arbiters := map[string]func() core.Arbiter{
 		"fifoms": func() core.Arbiter { return &core.FIFOMS{} },
 		"islip":  func() core.Arbiter { return islip.New() },
 	}
 	for _, name := range []string{"fifoms", "islip"} {
-		for _, n := range []int{4, 16, 65} {
+		for _, n := range []int{4, 16, 65, 130} {
 			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
 				const slots = 400
 				s := core.NewSwitch(n, arbiters[name](), xrand.New(uint64(n)))
@@ -73,7 +75,15 @@ func TestTransferCounters(t *testing.T) {
 						s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
 					}
 					clear(sent)
-					s.Step(slot, func(d cell.Delivery) { sent[d.In]++ })
+					prev := -1 // in*n+out of the slot's previous delivery
+					s.Step(slot, func(d cell.Delivery) {
+						at := d.In*n + d.Out
+						if at <= prev {
+							t.Fatalf("slot %d: delivery (%d,%d) after (%d,%d)", slot, d.In, d.Out, prev/n, prev%n)
+						}
+						prev = at
+						sent[d.In]++
+					})
 					want[0]++
 					multicast := false
 					for _, copies := range sent {

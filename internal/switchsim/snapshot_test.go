@@ -147,6 +147,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(islipBlob)
 	f.Add(raiseCopiedCounter(f, islipBlob, func() *switchsim.Runner { return build(f, "islip") }))
 	f.Add(widenOutstanding(f, blobAt(goldenAlgo, 100, 2), func() *switchsim.Runner { return build(f, goldenAlgo) }))
+	f.Add(sameSlotPackets(f, blobAt(goldenAlgo, 10, goldenN+1), func() *switchsim.Runner { return build(f, goldenAlgo) }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		algo := goldenAlgo
@@ -199,6 +200,45 @@ func widenOutstanding(tb testing.TB, blob []byte, fresh func() *switchsim.Runner
 	binary.LittleEndian.PutUint64(mut[at[len(at)-1]:], 1<<44)
 	if err := fresh().Restore(goldenAlgo, mut); err == nil || !strings.Contains(err.Error(), "span") {
 		tb.Fatalf("outstanding IDs 1 and 1<<44: Restore = %v, want a span rejection", err)
+	}
+	return mut
+}
+
+// sameSlotPackets returns a fifoms blob in which one input buffers two
+// packets of one arrival slot, after checking that a fresh runner
+// restores the original and rejects the result. Loaded, it would make
+// the first Step grant two data cells to that input.
+func sameSlotPackets(tb testing.TB, blob []byte, fresh func() *switchsim.Runner) []byte {
+	tb.Helper()
+	r := fresh()
+	if err := r.Restore(goldenAlgo, blob); err != nil {
+		tb.Fatal(err)
+	}
+	first := map[int]*cell.Packet{} // per input, the first packet visited
+	var a, b *cell.Packet
+	r.Switch().(*core.Switch).ForEachBuffered(func(in, _ int, p *cell.Packet) {
+		switch f := first[in]; {
+		case f == nil:
+			first[in] = p
+		case b == nil && f != p:
+			a, b = f, p
+		}
+	})
+	if b == nil {
+		tb.Fatal("no input buffers two packets at the checkpoint")
+	}
+	// The switch's section comes last, and its table entry for a packet
+	// starts with the id and the arrival, little-endian.
+	entry := binary.LittleEndian.AppendUint64(nil, uint64(b.ID))
+	entry = binary.LittleEndian.AppendUint64(entry, uint64(b.Arrival))
+	at := bytes.LastIndex(blob, entry)
+	if at < 0 {
+		tb.Fatalf("no table entry for packet %d", b.ID)
+	}
+	mut := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(mut[at+8:], uint64(a.Arrival))
+	if err := fresh().Restore(goldenAlgo, mut); err == nil || !strings.Contains(err.Error(), "two packets of slot") {
+		tb.Fatalf("packets %d and %d in one slot: Restore = %v, want a rejection", a.ID, b.ID, err)
 	}
 	return mut
 }
