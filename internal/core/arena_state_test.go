@@ -374,8 +374,8 @@ func TestLoadStateRejects(t *testing.T) {
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("LoadState = %v, want an error containing %q", err, tc.want)
+			if err == nil || !strings.HasPrefix(err.Error(), "snap: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState = %v, want a snap: error containing %q", err, tc.want)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -730,23 +729,7 @@ func (d *Daemon) meta(nextSlot int64) snap.Meta {
 }
 
 func (d *Daemon) writeCheckpoint() error {
-	blob := snap.Snapshot(d.meta(d.curSlot), d)
-	dir := filepath.Dir(d.cfg.CheckpointPath)
-	tmp, err := os.CreateTemp(dir, ".voqd-ckpt-*")
-	if err != nil {
-		return fmt.Errorf("daemon: checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("daemon: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("daemon: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), d.cfg.CheckpointPath); err != nil {
-		os.Remove(tmp.Name())
+	if err := experiment.WriteFileAtomic(d.cfg.CheckpointPath, snap.Snapshot(d.meta(d.curSlot), d)); err != nil {
 		return fmt.Errorf("daemon: checkpoint: %w", err)
 	}
 	d.checkpoints++

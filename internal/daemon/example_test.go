@@ -39,7 +39,7 @@ func ExampleParseData_hostile() {
 	_, err := daemon.ParseData([]byte{'V', 'Q', 1, 1, 0xFF})
 	fmt.Println(err)
 	// Output:
-	// daemon: data frame header truncated (5 bytes)
+	// daemon: data frame: offset 4: need 2 bytes, 1 remain
 }
 
 func ExampleParseDelivery() {

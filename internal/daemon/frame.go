@@ -16,8 +16,9 @@ package daemon
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
+
+	"voqsim/internal/wire"
 )
 
 // Wire format (docs/OPERATIONS.md has the operator-facing spec). All
@@ -43,9 +44,6 @@ const (
 	// deliveryLast is the flags bit marking the copy that exhausted
 	// the packet's fanout (cell.Delivery.Last).
 	deliveryLast = 0x01
-	// maxSlot bounds slot fields so they always fit a non-negative
-	// int64.
-	maxSlot = math.MaxInt64
 )
 
 // Data is a parsed ingress frame: one fixed-size packet entering input
@@ -84,19 +82,16 @@ func bitmapLen(n int) int { return (n + 7) / 8 }
 // FrameKind sniffs the header of a datagram and returns its kind byte
 // (KindData or KindDelivery) without parsing the body.
 func FrameKind(b []byte) (byte, error) {
-	if len(b) < 4 {
-		return 0, fmt.Errorf("daemon: frame too short (%d bytes)", len(b))
+	r := wire.NewBigEndian(b)
+	r.Header("VQ", 1, FrameVersion)
+	kind := r.U8()
+	if kind != KindData && kind != KindDelivery {
+		r.Failf("unknown frame kind %d", kind)
 	}
-	if b[0] != 'V' || b[1] != 'Q' {
-		return 0, fmt.Errorf("daemon: bad frame magic %#02x %#02x", b[0], b[1])
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("daemon: %w", err)
 	}
-	if b[2] != FrameVersion {
-		return 0, fmt.Errorf("daemon: unsupported frame version %d", b[2])
-	}
-	if b[3] != KindData && b[3] != KindDelivery {
-		return 0, fmt.Errorf("daemon: unknown frame kind %d", b[3])
-	}
-	return b[3], nil
+	return kind, nil
 }
 
 // AppendData encodes a data frame onto dst and returns the extended
@@ -126,63 +121,43 @@ func AppendData(dst []byte, src int, seq uint64, nports int, bitmap, payload []b
 }
 
 // ParseData decodes a data frame. The returned views alias b. Hostile
-// input errors, never panics: every length is bounds-checked, the
-// declared universe is validated, padding bits beyond NPorts must be
-// zero (a frame claiming outputs outside its own universe is
-// malformed, not truncated), and trailing bytes are rejected.
+// input errors, never panics (DESIGN.md §10): besides the reader's
+// bounds, the declared universe is validated, padding bits beyond
+// NPorts must be zero (a frame claiming outputs outside its own
+// universe is malformed, not truncated), and the destination set must
+// not be empty.
 func ParseData(b []byte) (Data, error) {
-	var d Data
-	kind, err := FrameKind(b)
-	if err != nil {
-		return d, err
+	r := wire.NewBigEndian(b)
+	r.Header("VQ", 1, FrameVersion)
+	if kind := r.U8(); kind != KindData {
+		r.Failf("got a kind %d frame", kind)
 	}
-	if kind != KindData {
-		return d, fmt.Errorf("daemon: expected data frame, got kind %d", kind)
+	d := Data{Src: int(r.U16()), Seq: r.U64(), NPorts: int(r.U16())}
+	d.Bitmap = r.Bytes(bitmapLen(d.NPorts))
+	d.Payload = r.Sized(int(r.U16()), 0, MaxPayload)
+	switch pad := len(d.Bitmap)*8 - d.NPorts; {
+	case d.NPorts == 0 || d.NPorts > MaxFramePorts:
+		r.Failf("declares %d ports", d.NPorts)
+	case d.Src >= d.NPorts:
+		r.Failf("source %d outside %d-port universe", d.Src, d.NPorts)
+	case pad > 0 && d.Bitmap[len(d.Bitmap)-1]>>(8-pad) != 0:
+		r.Failf("sets destination bits beyond %d ports", d.NPorts)
+	case isZero(d.Bitmap):
+		r.Failf("empty destination set")
 	}
-	rest := b[4:]
-	if len(rest) < 2+8+2 {
-		return d, fmt.Errorf("daemon: data frame header truncated (%d bytes)", len(b))
+	if err := r.Done(); err != nil {
+		return Data{}, fmt.Errorf("daemon: data frame: %w", err)
 	}
-	d.Src = int(binary.BigEndian.Uint16(rest))
-	d.Seq = binary.BigEndian.Uint64(rest[2:])
-	d.NPorts = int(binary.BigEndian.Uint16(rest[10:]))
-	rest = rest[12:]
-	if d.NPorts == 0 || d.NPorts > MaxFramePorts {
-		return Data{}, fmt.Errorf("daemon: data frame declares %d ports", d.NPorts)
-	}
-	if d.Src >= d.NPorts {
-		return Data{}, fmt.Errorf("daemon: data frame source %d outside %d-port universe", d.Src, d.NPorts)
-	}
-	bl := bitmapLen(d.NPorts)
-	if len(rest) < bl+2 {
-		return Data{}, fmt.Errorf("daemon: data frame bitmap truncated")
-	}
-	d.Bitmap = rest[:bl]
-	if pad := bl*8 - d.NPorts; pad > 0 {
-		if d.Bitmap[bl-1]>>(8-pad) != 0 {
-			return Data{}, fmt.Errorf("daemon: data frame sets destination bits beyond %d ports", d.NPorts)
-		}
-	}
-	empty := true
-	for _, by := range d.Bitmap {
-		if by != 0 {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		return Data{}, fmt.Errorf("daemon: data frame with empty destination set")
-	}
-	plen := int(binary.BigEndian.Uint16(rest[bl:]))
-	rest = rest[bl+2:]
-	if plen > MaxPayload {
-		return Data{}, fmt.Errorf("daemon: data frame payload %d exceeds %d", plen, MaxPayload)
-	}
-	if len(rest) != plen {
-		return Data{}, fmt.Errorf("daemon: data frame payload is %d bytes, declared %d", len(rest), plen)
-	}
-	d.Payload = rest
 	return d, nil
+}
+
+func isZero(b []byte) bool {
+	for _, by := range b {
+		if by != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ForEachDest calls fn with every output set in the frame's bitmap,
@@ -234,48 +209,27 @@ func AppendDelivery(dst []byte, src, out int, seq uint64, arrival, slot int64, l
 }
 
 // ParseDelivery decodes an egress frame; the payload view aliases b.
-// Hostile input errors, never panics.
+// Hostile input errors, never panics (DESIGN.md §10).
 func ParseDelivery(b []byte) (Delivery, error) {
-	var d Delivery
-	kind, err := FrameKind(b)
-	if err != nil {
-		return d, err
+	r := wire.NewBigEndian(b)
+	r.Header("VQ", 1, FrameVersion)
+	if kind := r.U8(); kind != KindDelivery {
+		r.Failf("got a kind %d frame", kind)
 	}
-	if kind != KindDelivery {
-		return d, fmt.Errorf("daemon: expected delivery frame, got kind %d", kind)
-	}
-	rest := b[4:]
-	if len(rest) < 2+2+8+8+8+1+2 {
-		return d, fmt.Errorf("daemon: delivery frame truncated (%d bytes)", len(b))
-	}
-	d.Src = int(binary.BigEndian.Uint16(rest))
-	d.Out = int(binary.BigEndian.Uint16(rest[2:]))
-	d.Seq = binary.BigEndian.Uint64(rest[4:])
-	arr := binary.BigEndian.Uint64(rest[12:])
-	slot := binary.BigEndian.Uint64(rest[20:])
-	flags := rest[28]
-	plen := int(binary.BigEndian.Uint16(rest[29:]))
-	rest = rest[31:]
-	if d.Src >= MaxFramePorts || d.Out >= MaxFramePorts {
-		return Delivery{}, fmt.Errorf("daemon: delivery frame ports (%d,%d) out of range", d.Src, d.Out)
-	}
-	if arr > maxSlot || slot > maxSlot {
-		return Delivery{}, fmt.Errorf("daemon: delivery frame slot overflow")
-	}
-	d.Arrival, d.Slot = int64(arr), int64(slot)
-	if d.Slot < d.Arrival {
-		return Delivery{}, fmt.Errorf("daemon: delivery frame delivered at slot %d before arrival %d", d.Slot, d.Arrival)
-	}
-	if flags&^deliveryLast != 0 {
-		return Delivery{}, fmt.Errorf("daemon: delivery frame with unknown flags %#02x", flags)
-	}
+	d := Delivery{Src: int(r.U16()), Out: int(r.U16()), Seq: r.U64(), Arrival: r.NonNeg(), Slot: r.NonNeg()}
+	flags := r.U8()
 	d.Last = flags&deliveryLast != 0
-	if plen > MaxPayload {
-		return Delivery{}, fmt.Errorf("daemon: delivery frame payload %d exceeds %d", plen, MaxPayload)
+	d.Payload = r.Sized(int(r.U16()), 0, MaxPayload)
+	switch {
+	case d.Src >= MaxFramePorts || d.Out >= MaxFramePorts:
+		r.Failf("ports (%d,%d) out of range", d.Src, d.Out)
+	case d.Slot < d.Arrival:
+		r.Failf("delivered at slot %d before arrival %d", d.Slot, d.Arrival)
+	case flags&^deliveryLast != 0:
+		r.Failf("unknown flags %#02x", flags)
 	}
-	if len(rest) != plen {
-		return Delivery{}, fmt.Errorf("daemon: delivery frame payload is %d bytes, declared %d", len(rest), plen)
+	if err := r.Done(); err != nil {
+		return Delivery{}, fmt.Errorf("daemon: delivery frame: %w", err)
 	}
-	d.Payload = rest
 	return d, nil
 }

@@ -25,7 +25,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"voqsim/internal/wire"
 )
 
 // Wire format. A dsweep connection is a TCP stream of length-prefixed
@@ -91,9 +92,6 @@ const (
 	// maxFrame bounds a whole frame on the stream, covering the
 	// largest legal payload plus headers.
 	maxFrame = MaxBlob + 4096
-	// maxSlot bounds slot fields so they always fit a non-negative
-	// int64.
-	maxSlot = math.MaxInt64
 )
 
 // Frame is one parsed protocol frame. Kind selects which other fields
@@ -221,152 +219,50 @@ func AppendFrame(dst []byte, f Frame) []byte {
 }
 
 // ParseFrame decodes one frame payload. Hostile input errors, never
-// panics: every length is bounds-checked against the actual bytes
-// present before use, and trailing bytes are rejected. The returned
-// views (Spec, Blob) alias b.
+// panics (DESIGN.md §10). The returned views (Spec, Blob) alias b.
 func ParseFrame(b []byte) (Frame, error) {
-	var f Frame
-	if len(b) < 4 {
-		return f, fmt.Errorf("dsweep: frame too short (%d bytes)", len(b))
-	}
-	if b[0] != 'D' || b[1] != 'S' {
-		return f, fmt.Errorf("dsweep: bad frame magic %#02x %#02x", b[0], b[1])
-	}
-	if b[2] != Version {
-		return f, fmt.Errorf("dsweep: unsupported protocol version %d", b[2])
-	}
-	f.Kind = b[3]
-	rest := b[4:]
+	r := wire.NewBigEndian(b)
+	r.Header("DS", 1, Version)
+	f := Frame{Kind: r.U8()}
 	switch f.Kind {
 	case KindHello:
-		if len(rest) < 2 {
-			return Frame{}, fmt.Errorf("dsweep: hello truncated")
-		}
-		n := int(binary.BigEndian.Uint16(rest))
-		rest = rest[2:]
-		if n == 0 || n > MaxName {
-			return Frame{}, fmt.Errorf("dsweep: hello name is %d bytes", n)
-		}
-		if len(rest) != n {
-			return Frame{}, fmt.Errorf("dsweep: hello name is %d bytes, declared %d", len(rest), n)
-		}
-		f.Name = string(rest)
+		f.Name = string(r.Sized(int(r.U16()), 1, MaxName))
 	case KindWelcome:
-		if len(rest) < 4+8+4 {
-			return Frame{}, fmt.Errorf("dsweep: welcome truncated")
-		}
-		f.HeartbeatMs = binary.BigEndian.Uint32(rest)
-		every := binary.BigEndian.Uint64(rest[4:])
-		n := int(binary.BigEndian.Uint32(rest[12:]))
-		rest = rest[16:]
+		f.HeartbeatMs, f.CheckpointEvery = r.U32(), r.NonNeg()
+		f.Spec = r.Sized(int(r.U32()), 1, MaxBlob)
 		if f.HeartbeatMs == 0 {
-			return Frame{}, fmt.Errorf("dsweep: welcome with zero heartbeat interval")
+			r.Failf("welcome with zero heartbeat interval")
 		}
-		if every > maxSlot {
-			return Frame{}, fmt.Errorf("dsweep: welcome checkpoint cadence overflows")
-		}
-		f.CheckpointEvery = int64(every)
-		if n == 0 || n > MaxBlob {
-			return Frame{}, fmt.Errorf("dsweep: welcome spec is %d bytes", n)
-		}
-		if len(rest) != n {
-			return Frame{}, fmt.Errorf("dsweep: welcome spec is %d bytes, declared %d", len(rest), n)
-		}
-		f.Spec = rest
 	case KindClaim, KindDone:
-		if len(rest) != 0 {
-			return Frame{}, fmt.Errorf("dsweep: frame kind %d with %d trailing bytes", f.Kind, len(rest))
-		}
+		// empty body
 	case KindLease:
-		if len(rest) < 8+4+4+4+8+4 {
-			return Frame{}, fmt.Errorf("dsweep: lease truncated")
-		}
-		f.LeaseID = binary.BigEndian.Uint64(rest)
-		ai, li, rep := binary.BigEndian.Uint32(rest[8:]), binary.BigEndian.Uint32(rest[12:]), binary.BigEndian.Uint32(rest[16:])
-		f.Sum = binary.BigEndian.Uint64(rest[20:])
-		n := int(binary.BigEndian.Uint32(rest[28:]))
-		rest = rest[32:]
-		if ai > MaxGrid || li > MaxGrid || rep > MaxGrid {
-			return Frame{}, fmt.Errorf("dsweep: lease coordinates (%d,%d,%d) out of range", ai, li, rep)
+		f.LeaseID = r.U64()
+		ai, li, rep := r.U32(), r.U32(), r.U32()
+		f.Sum = r.U64()
+		f.Blob = r.Sized(int(r.U32()), 0, MaxBlob)
+		if max(ai, li, rep) > MaxGrid {
+			r.Failf("lease coordinates (%d,%d,%d) out of range", ai, li, rep)
 		}
 		f.AI, f.LI, f.Rep = int(ai), int(li), int(rep)
-		if n > MaxBlob {
-			return Frame{}, fmt.Errorf("dsweep: lease blob is %d bytes", n)
-		}
-		if len(rest) != n {
-			return Frame{}, fmt.Errorf("dsweep: lease blob is %d bytes, declared %d", len(rest), n)
-		}
-		if n > 0 {
-			f.Blob = rest
-		}
 	case KindWait:
-		if len(rest) != 4 {
-			return Frame{}, fmt.Errorf("dsweep: wait is %d bytes", len(rest))
-		}
-		f.RetryMs = binary.BigEndian.Uint32(rest)
-		if f.RetryMs == 0 {
-			return Frame{}, fmt.Errorf("dsweep: wait with zero retry delay")
+		if f.RetryMs = r.U32(); f.RetryMs == 0 {
+			r.Failf("wait with zero retry delay")
 		}
 	case KindHeartbeat:
-		if len(rest) != 16 {
-			return Frame{}, fmt.Errorf("dsweep: heartbeat is %d bytes", len(rest))
-		}
-		f.LeaseID = binary.BigEndian.Uint64(rest)
-		slot := binary.BigEndian.Uint64(rest[8:])
-		if slot > maxSlot {
-			return Frame{}, fmt.Errorf("dsweep: heartbeat slot overflows")
-		}
-		f.Slot = int64(slot)
+		f.LeaseID, f.Slot = r.U64(), r.NonNeg()
 	case KindCheckpoint:
-		if len(rest) < 8+8+8+4 {
-			return Frame{}, fmt.Errorf("dsweep: checkpoint truncated")
-		}
-		f.LeaseID = binary.BigEndian.Uint64(rest)
-		slot := binary.BigEndian.Uint64(rest[8:])
-		f.Sum = binary.BigEndian.Uint64(rest[16:])
-		n := int(binary.BigEndian.Uint32(rest[24:]))
-		rest = rest[28:]
-		if slot > maxSlot {
-			return Frame{}, fmt.Errorf("dsweep: checkpoint slot overflows")
-		}
-		f.Slot = int64(slot)
-		if n == 0 || n > MaxBlob {
-			return Frame{}, fmt.Errorf("dsweep: checkpoint blob is %d bytes", n)
-		}
-		if len(rest) != n {
-			return Frame{}, fmt.Errorf("dsweep: checkpoint blob is %d bytes, declared %d", len(rest), n)
-		}
-		f.Blob = rest
+		f.LeaseID, f.Slot, f.Sum = r.U64(), r.NonNeg(), r.U64()
+		f.Blob = r.Sized(int(r.U32()), 1, MaxBlob)
 	case KindResult:
-		if len(rest) < 8+8+4 {
-			return Frame{}, fmt.Errorf("dsweep: result truncated")
-		}
-		f.LeaseID = binary.BigEndian.Uint64(rest)
-		f.Sum = binary.BigEndian.Uint64(rest[8:])
-		n := int(binary.BigEndian.Uint32(rest[16:]))
-		rest = rest[20:]
-		if n == 0 || n > MaxBlob {
-			return Frame{}, fmt.Errorf("dsweep: result payload is %d bytes", n)
-		}
-		if len(rest) != n {
-			return Frame{}, fmt.Errorf("dsweep: result payload is %d bytes, declared %d", len(rest), n)
-		}
-		f.Blob = rest
+		f.LeaseID, f.Sum = r.U64(), r.U64()
+		f.Blob = r.Sized(int(r.U32()), 1, MaxBlob)
 	case KindError:
-		if len(rest) < 2 {
-			return Frame{}, fmt.Errorf("dsweep: error frame truncated")
-		}
-		n := int(binary.BigEndian.Uint16(rest))
-		rest = rest[2:]
-		if n == 0 || n > MaxMsg {
-			return Frame{}, fmt.Errorf("dsweep: error message is %d bytes", n)
-		}
-		if len(rest) != n {
-			return Frame{}, fmt.Errorf("dsweep: error message is %d bytes, declared %d", len(rest), n)
-		}
-		f.Msg = string(rest)
+		f.Msg = string(r.Sized(int(r.U16()), 1, MaxMsg))
 	default:
-		return Frame{}, fmt.Errorf("dsweep: unknown frame kind %d", f.Kind)
+		r.Failf("unknown frame kind %d", f.Kind)
+	}
+	if err := r.Done(); err != nil {
+		return Frame{}, fmt.Errorf("dsweep: %w", err)
 	}
 	return f, nil
 }
@@ -390,7 +286,8 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	hr := wire.NewBigEndian(hdr[:])
+	n := int(hr.U32())
 	if n < 4 || n > maxFrame {
 		return Frame{}, fmt.Errorf("dsweep: frame length %d out of range", n)
 	}

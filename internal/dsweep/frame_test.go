@@ -111,55 +111,74 @@ func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
 	}
 }
 
+// reject is one hostile input of the parser's catalogue.
+type reject struct {
+	name  string
+	frame []byte
+}
+
+// frameRejects is ParseFrame's validation catalogue: every hostile
+// shape it must refuse. TestParseFrameRejects asserts it and
+// FuzzDSweepFrame seeds from it. The mutations are meaningful only
+// relative to the baselines rejectBaselines returns.
+func frameRejects() []reject {
+	hello, lease, result := rejectBaselines()
+	mutate := func(src []byte, fn func(b []byte) []byte) []byte {
+		return fn(append([]byte(nil), src...))
+	}
+	return []reject{
+		{"empty", []byte{}},
+		{"short-header", hello[:3]},
+		{"bad-magic", mutate(hello, func(b []byte) []byte { b[0] = 'X'; return b })},
+		{"bad-version", mutate(hello, func(b []byte) []byte { b[2] = 9; return b })},
+		{"old-version", mutate(hello, func(b []byte) []byte { b[2] = 1; return b })},
+		{"unknown-kind", mutate(hello, func(b []byte) []byte { b[3] = 99; return b })},
+		{"zero-kind", []byte{'D', 'S', Version, 0}},
+		{"hello-empty-name", []byte{'D', 'S', Version, KindHello, 0, 0}},
+		{"hello-short-name", hello[:len(hello)-1]},
+		{"hello-trailing", append(append([]byte(nil), hello...), 'x')},
+		{"claim-trailing", []byte{'D', 'S', Version, KindClaim, 0}},
+		{"done-trailing", []byte{'D', 'S', Version, KindDone, 0}},
+		{"welcome-truncated", []byte{'D', 'S', Version, KindWelcome, 0, 0}},
+		{"welcome-zero-hb", AppendFrameRaw(KindWelcome, put64h(put32h(nil, 0), 0), put32h(nil, 1), []byte("s"))},
+		{"welcome-cadence-overflow", AppendFrameRaw(KindWelcome, put64h(put32h(nil, 1), 1<<63), put32h(nil, 1), []byte("s"))},
+		{"lease-truncated", lease[:10]},
+		{"lease-v1-header", append(append([]byte(nil), lease[:20]...), lease[24:]...)}, // no rep field
+		{"lease-huge-coords", mutate(lease, func(b []byte) []byte { b[12] = 0xFF; return b })},
+		{"lease-huge-rep", mutate(lease, func(b []byte) []byte { b[20] = 0xFF; return b })},
+		{"lease-blob-short", lease[:len(lease)-1]},
+		{"lease-blob-declared", mutate(lease, func(b []byte) []byte { b[35] = 0xFF; return b })},
+		{"wait-zero", []byte{'D', 'S', Version, KindWait, 0, 0, 0, 0}},
+		{"wait-short", []byte{'D', 'S', Version, KindWait, 0, 0}},
+		{"heartbeat-short", []byte{'D', 'S', Version, KindHeartbeat, 0, 0}},
+		{"heartbeat-overflow", AppendFrameRaw(KindHeartbeat, put64h(nil, 1), put64h(nil, 1<<63), nil)},
+		{"checkpoint-empty", AppendFrameRaw(KindCheckpoint, put64h(put64h(nil, 1), 2), make([]byte, 12))}, // sum=0, blobLen=0
+		{"result-empty", AppendFrameRaw(KindResult, put64h(put64h(nil, 1), 2), put32h(nil, 0), nil)},
+		{"result-short", result[:len(result)-1]},
+		{"error-empty", []byte{'D', 'S', Version, KindError, 0, 0}},
+	}
+}
+
+// rejectBaselines returns the valid frames frameRejects mutates. The
+// lease body is a 32-byte header — id 8, ai 4, li 4, rep 4, sum 8, blob
+// length 4 — then the blob; payload offsets in frameRejects add the
+// 4-byte frame header.
+func rejectBaselines() (hello, lease, result []byte) {
+	return AppendFrame(nil, Frame{Kind: KindHello, Name: "w"}),
+		AppendFrame(nil, Frame{Kind: KindLease, LeaseID: 1, AI: 0, LI: 1, Rep: 2, Sum: Checksum([]byte("b")), Blob: []byte("b")}),
+		AppendFrame(nil, Frame{Kind: KindResult, LeaseID: 1, Sum: 9, Blob: []byte("r")})
+}
+
 // TestParseFrameRejects pins the validation catalogue: every hostile
 // shape errors with the parser's own message, never a panic or a
 // silent partial decode.
 func TestParseFrameRejects(t *testing.T) {
-	hello := AppendFrame(nil, Frame{Kind: KindHello, Name: "w"})
-	// The lease body is a 32-byte header — id 8, ai 4, li 4, rep 4, sum
-	// 8, blob length 4 — then the blob; payload offsets below add the
-	// 4-byte frame header.
-	lease := AppendFrame(nil, Frame{Kind: KindLease, LeaseID: 1, AI: 0, LI: 1, Rep: 2, Sum: Checksum([]byte("b")), Blob: []byte("b")})
-	result := AppendFrame(nil, Frame{Kind: KindResult, LeaseID: 1, Sum: 9, Blob: []byte("r")})
-	mutate := func(src []byte, fn func(b []byte) []byte) []byte {
-		cp := append([]byte(nil), src...)
-		return fn(cp)
-	}
-	cases := map[string][]byte{
-		"empty":               {},
-		"short-header":        hello[:3],
-		"bad-magic":           mutate(hello, func(b []byte) []byte { b[0] = 'X'; return b }),
-		"bad-version":         mutate(hello, func(b []byte) []byte { b[2] = 9; return b }),
-		"old-version":         mutate(hello, func(b []byte) []byte { b[2] = 1; return b }),
-		"unknown-kind":        mutate(hello, func(b []byte) []byte { b[3] = 99; return b }),
-		"hello-empty-name":    {'D', 'S', Version, KindHello, 0, 0},
-		"hello-short-name":    hello[:len(hello)-1],
-		"hello-trailing":      append(append([]byte(nil), hello...), 'x'),
-		"claim-trailing":      {'D', 'S', Version, KindClaim, 0},
-		"done-trailing":       {'D', 'S', Version, KindDone, 0},
-		"welcome-truncated":   {'D', 'S', Version, KindWelcome, 0, 0},
-		"welcome-zero-hb":     AppendFrameRaw(KindWelcome, put64h(put32h(nil, 0), 0), put32h(nil, 1), []byte("s")),
-		"lease-truncated":     lease[:10],
-		"lease-v1-header":     append(append([]byte(nil), lease[:20]...), lease[24:]...), // no rep field
-		"lease-huge-coords":   mutate(lease, func(b []byte) []byte { b[12] = 0xFF; return b }),
-		"lease-huge-rep":      mutate(lease, func(b []byte) []byte { b[20] = 0xFF; return b }),
-		"lease-blob-short":    lease[:len(lease)-1],
-		"lease-blob-declared": mutate(lease, func(b []byte) []byte { b[35] = 0xFF; return b }),
-		"wait-zero":           {'D', 'S', Version, KindWait, 0, 0, 0, 0},
-		"wait-short":          {'D', 'S', Version, KindWait, 0, 0},
-		"heartbeat-short":     {'D', 'S', Version, KindHeartbeat, 0, 0},
-		"heartbeat-overflow":  AppendFrameRaw(KindHeartbeat, put64h(nil, 1), put64h(nil, 1<<63), nil),
-		"checkpoint-empty":    AppendFrameRaw(KindCheckpoint, put64h(put64h(nil, 1), 2), make([]byte, 12)), // sum=0, blobLen=0
-		"result-empty":        AppendFrameRaw(KindResult, put64h(put64h(nil, 1), 2), put32h(nil, 0), nil),
-		"result-short":        result[:len(result)-1],
-		"error-empty":         {'D', 'S', Version, KindError, 0, 0},
-	}
-	for name, frame := range cases {
-		if _, err := ParseFrame(frame); err == nil {
-			t.Errorf("%s: accepted %x", name, frame)
+	for _, c := range frameRejects() {
+		if _, err := ParseFrame(c.frame); err == nil || !strings.HasPrefix(err.Error(), "dsweep: ") {
+			t.Errorf("%s: %x gave %v, want a dsweep: error", c.name, c.frame, err)
 		}
 	}
-	// The unmutated baselines still parse.
+	hello, lease, result := rejectBaselines()
 	for _, good := range [][]byte{hello, lease, result} {
 		if _, err := ParseFrame(good); err != nil {
 			t.Fatalf("baseline rejected: %v", err)
@@ -203,6 +222,9 @@ func FuzzDSweepFrame(f *testing.F) {
 	f.Add([]byte{'D', 'S', Version, KindClaim})
 	for _, fr := range exampleFrames() {
 		f.Add(AppendFrame(nil, fr))
+	}
+	for _, c := range frameRejects() {
+		f.Add(c.frame)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := ParseFrame(b)

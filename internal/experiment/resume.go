@@ -69,12 +69,27 @@ func (s *Sweep) runPoint(ai, li, rep int) Point {
 	return pt
 }
 
-// WriteFileAtomic writes data under a temporary name and renames it
-// into place, so readers never observe a half-written file.
+// WriteFileAtomic writes data, mode 0644, under a fresh temporary name
+// in path's directory and renames it into place, so readers never
+// observe a half-written file and two writers of one path never share
+// a temporary. On any failure the temporary is removed.
 func WriteFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

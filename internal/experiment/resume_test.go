@@ -149,3 +149,51 @@ func TestSweepCheckpointDir(t *testing.T) {
 	}
 	tablesEqual(t, "corrupt snapshot", got, want)
 }
+
+// TestWriteFileAtomicLeavesNoTemp pins that a write leaves nothing but
+// its target behind: on success the file, mode 0644, holding the data;
+// on a failed rename (the target is a directory) nothing new at all.
+func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
+	names := func(dir string) []string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	t.Run("success", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "x.snap")
+		for _, data := range []string{"first", "second"} {
+			if err := WriteFileAtomic(path, []byte(data)); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != data {
+				t.Fatalf("read back %q, %v; want %q", got, err, data)
+			}
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+			t.Errorf("mode %v, %v; want 0644", fi.Mode().Perm(), err)
+		}
+		if got := names(dir); len(got) != 1 {
+			t.Errorf("directory holds %q, want only x.snap", got)
+		}
+	})
+	t.Run("rename fails", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "x.snap")
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(path, []byte("data")); err == nil {
+			t.Fatal("renaming over a directory succeeded")
+		}
+		if got := names(dir); len(got) != 1 {
+			t.Errorf("directory holds %q, want only x.snap", got)
+		}
+	})
+}

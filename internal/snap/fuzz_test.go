@@ -14,6 +14,7 @@ import (
 // The higher-level FuzzRestore in internal/switchsim drives the same
 // decoder through the full component LoadState chain.
 func FuzzReader(f *testing.F) {
+	const headerLen = len(magic) + 2 // magic, then the u16 version
 	f.Add([]byte{})
 	f.Add(appendHeader(nil))
 	valid := Snapshot(testMeta(), &testState{a: 1, b: 2})

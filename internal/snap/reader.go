@@ -1,29 +1,29 @@
 package snap
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
+
+	"voqsim/internal/wire"
 )
 
 // Reader decodes a snapshot blob. It is the input-facing half of the
-// format and is written to survive hostile input: every read is
-// bounds-checked against the bytes actually present, every count is
-// validated against the bytes remaining in its section before any
-// allocation, and every failure is reported as an error — the fuzz
-// target FuzzReader holds the decoder to "no panic, no unbounded
-// allocation" on arbitrary blobs.
+// format: the embedded wire.Reader bounds-checks every read against the
+// bytes present (and, inside a section, against the section's end),
+// Count validates every element count against the bytes remaining
+// before any allocation, and every failure is reported as an error —
+// the fuzz target FuzzReader holds the decoder to "no panic, no
+// unbounded allocation" on arbitrary blobs.
 //
 // Errors are sticky: after the first failure every subsequent read
 // returns a zero value and Err() reports the original cause, so
-// LoadState hooks can decode straight-line and check once.
+// LoadState hooks can decode straight-line and check once. Failf
+// records a failure a LoadState hook finds (an out-of-range index, an
+// impossible state value); the first failure wins.
 type Reader struct {
-	data   []byte
-	pos    int
-	secEnd int    // exclusive end of the open section, or -1
-	sec    string // name of the open section, for error context
-	err    error
+	wire.Reader
+	sec string // name of the open section, for error context
+	err error  // the wire error, wrapped once
 
 	nextSlot    int64 // validated Meta.NextSlot, once known
 	hasNextSlot bool
@@ -49,55 +49,27 @@ func (r *Reader) setNextSlot(s int64) {
 // NewReader validates the format header and returns a reader
 // positioned at the first section.
 func NewReader(blob []byte) (*Reader, error) {
-	if err := checkHeader(blob); err != nil {
+	r := &Reader{Reader: wire.NewLittleEndian(blob)}
+	r.Header(magic, 2, Version)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return &Reader{data: blob, pos: headerLen, secEnd: -1}, nil
+	return r, nil
 }
 
-// Err returns the first decoding error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Failf records a decoding failure found by a LoadState hook (an
-// out-of-range index, an impossible state value). The first failure
-// wins.
-func (r *Reader) Failf(format string, args ...any) {
+// Err returns the first decoding error, if any, naming the section it
+// occurred in.
+func (r *Reader) Err() error {
 	if r.err == nil {
-		r.err = fmt.Errorf("snap: section %q: %s", r.sec, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *Reader) fail(msg string) {
-	if r.err == nil {
-		if r.sec != "" {
-			r.err = fmt.Errorf("snap: section %q at offset %d: %s", r.sec, r.pos, msg)
-		} else {
-			r.err = fmt.Errorf("snap: offset %d: %s", r.pos, msg)
+		if err := r.Reader.Err(); err != nil {
+			if r.sec != "" {
+				r.err = fmt.Errorf("snap: section %q: %w", r.sec, err)
+			} else {
+				r.err = fmt.Errorf("snap: %w", err)
+			}
 		}
 	}
-}
-
-// limit returns the exclusive bound reads may reach: the section end
-// while a section is open, the blob end otherwise.
-func (r *Reader) limit() int {
-	if r.secEnd >= 0 {
-		return r.secEnd
-	}
-	return len(r.data)
-}
-
-// take returns the next n bytes, or nil after recording an error.
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > r.limit()-r.pos {
-		r.fail(fmt.Sprintf("need %d bytes, %d remain", n, r.limit()-r.pos))
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
+	return r.err
 }
 
 // Section opens the next section, which must be named name: the
@@ -105,41 +77,21 @@ func (r *Reader) take(n int) []byte {
 // was written by a different layout (or corrupted) and decoding must
 // stop before misinterpreting bytes.
 func (r *Reader) Section(name string) error {
-	if r.err != nil {
-		return r.err
+	switch {
+	case r.sec != "":
+		r.Failf("section %q opened inside section %q", name, r.sec)
+	case r.Remaining() == 0:
+		r.Failf("expected section %q, blob ends", name)
+	default:
+		if got := r.Bytes(int(r.U8())); got != nil && string(got) != name {
+			r.Failf("expected section %q, found %q", name, got)
+		}
+		r.Limit(int(r.U32()))
 	}
-	if r.secEnd >= 0 {
-		r.fail("Section inside open section")
-		return r.err
-	}
-	if r.pos >= len(r.data) {
-		r.fail(fmt.Sprintf("expected section %q, blob ends", name))
-		return r.err
-	}
-	nameLen := int(r.data[r.pos])
-	r.pos++
-	if nameLen == 0 || nameLen > len(r.data)-r.pos {
-		r.fail("bad section name length")
-		return r.err
-	}
-	got := string(r.data[r.pos : r.pos+nameLen])
-	r.pos += nameLen
-	if got != name {
-		r.fail(fmt.Sprintf("expected section %q, found %q", name, got))
-		return r.err
-	}
-	if len(r.data)-r.pos < 4 {
-		r.fail("section header truncated")
-		return r.err
-	}
-	payload := int(binary.LittleEndian.Uint32(r.data[r.pos:]))
-	r.pos += 4
-	if payload > len(r.data)-r.pos {
-		r.fail(fmt.Sprintf("section %q claims %d bytes, %d remain", name, payload, len(r.data)-r.pos))
-		return r.err
+	if err := r.Err(); err != nil {
+		return err
 	}
 	r.sec = name
-	r.secEnd = r.pos + payload
 	return nil
 }
 
@@ -147,77 +99,17 @@ func (r *Reader) Section(name string) error {
 // consumed exactly — leftover bytes mean reader and writer disagree
 // about the layout.
 func (r *Reader) EndSection() error {
-	if r.err != nil {
-		return r.err
+	if r.sec == "" {
+		r.Failf("EndSection without Section")
+	} else if n := r.Remaining(); n > 0 {
+		r.Failf("%d unconsumed bytes at section end", n)
 	}
-	if r.secEnd < 0 {
-		r.fail("EndSection without Section")
-		return r.err
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if r.pos != r.secEnd {
-		r.fail(fmt.Sprintf("%d unconsumed bytes at section end", r.secEnd-r.pos))
-		return r.err
-	}
+	r.Lift()
 	r.sec = ""
-	r.secEnd = -1
 	return nil
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int64 and narrows it to int, failing if it does not
-// fit (only possible on 32-bit builds or corrupt blobs).
-func (r *Reader) Int() int {
-	v := r.I64()
-	if int64(int(v)) != v {
-		r.fail(fmt.Sprintf("int64 %d overflows int", v))
-		return 0
-	}
-	return int(v)
-}
-
-// F64 reads an IEEE-754 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bool reads one byte, requiring 0 or 1.
-func (r *Reader) Bool() bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail("bool byte not 0 or 1")
-		return false
-	}
 }
 
 // Count reads an element count and validates it against the bytes
@@ -226,69 +118,38 @@ func (r *Reader) Bool() bool {
 // from driving a multi-gigabyte make(): callers size allocations by
 // the returned value only.
 func (r *Reader) Count(elemMin int) int {
-	if elemMin < 1 {
-		elemMin = 1
-	}
-	v := r.U32()
-	if r.err != nil {
-		return 0
-	}
-	n := int(v)
-	if n > (r.limit()-r.pos)/elemMin {
-		r.fail(fmt.Sprintf("count %d exceeds remaining payload", n))
+	n := int(r.U32())
+	if n > r.Remaining()/max(elemMin, 1) {
+		r.Failf("count %d exceeds remaining payload", n)
 		return 0
 	}
 	return n
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Count(1)
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
+func (r *Reader) String() string { return string(r.Bytes(r.Count(1))) }
 
 // U64s reads a length-prefixed []uint64. A zero-length slice decodes
 // as nil.
-func (r *Reader) U64s() []uint64 {
-	n := r.Count(8)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = r.U64()
-	}
-	return vs
-}
+func (r *Reader) U64s() []uint64 { return readSlice(r, r.U64) }
 
 // I64s reads a length-prefixed []int64. A zero-length slice decodes
 // as nil.
-func (r *Reader) I64s() []int64 {
-	n := r.Count(8)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = r.I64()
-	}
-	return vs
-}
+func (r *Reader) I64s() []int64 { return readSlice(r, r.I64) }
 
 // Ints reads a length-prefixed []int. A zero-length slice decodes as
 // nil.
-func (r *Reader) Ints() []int {
+func (r *Reader) Ints() []int { return readSlice(r, r.Int) }
+
+// readSlice reads a count of eight-byte elements, then the elements.
+func readSlice[T any](r *Reader, elem func() T) []T {
 	n := r.Count(8)
-	if r.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
-	vs := make([]int, n)
+	vs := make([]T, n)
 	for i := range vs {
-		vs[i] = r.Int()
+		vs[i] = elem()
 	}
 	return vs
 }
@@ -296,14 +157,11 @@ func (r *Reader) Ints() []int {
 // Done verifies the whole blob was consumed: no open section, no
 // trailing sections, no sticky error.
 func (r *Reader) Done() error {
-	if r.err != nil {
-		return r.err
+	if r.sec != "" {
+		r.Failf("Done with section %q open", r.sec)
 	}
-	if r.secEnd >= 0 {
-		return errors.New("snap: Done with open section")
-	}
-	if r.pos != len(r.data) {
-		return fmt.Errorf("snap: %d trailing bytes after last section", len(r.data)-r.pos)
+	if r.Reader.Done() != nil {
+		return r.Err()
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ const Version = 1
 
 // magic identifies a snapshot blob. Six bytes so the fixed header is
 // eight bytes with the version.
-var magic = [6]byte{'v', 'o', 'q', 's', 'n', 'p'}
+const magic = "voqsnp"
 
 // Stater is implemented by anything whose state can round-trip
 // through a snapshot. SaveState appends one or more sections to w;
@@ -170,26 +170,7 @@ func Restore(blob []byte, want Meta, s Stater) (Meta, error) {
 	return m, nil
 }
 
-// header emission/validation shared by Writer and Reader.
-
-const headerLen = len("voqsnp") + 2
-
 func appendHeader(buf []byte) []byte {
-	buf = append(buf, magic[:]...)
+	buf = append(buf, magic...)
 	return binary.LittleEndian.AppendUint16(buf, Version)
-}
-
-func checkHeader(data []byte) error {
-	if len(data) < headerLen {
-		return fmt.Errorf("snap: blob too short for header (%d bytes)", len(data))
-	}
-	for i, c := range magic {
-		if data[i] != c {
-			return fmt.Errorf("snap: bad magic %q", string(data[:len(magic)]))
-		}
-	}
-	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != Version {
-		return fmt.Errorf("snap: format version %d, this build reads only %d", v, Version)
-	}
-	return nil
 }
