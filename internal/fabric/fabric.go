@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 
 	"voqsim/internal/cell"
 	"voqsim/internal/destset"
@@ -65,7 +66,7 @@ func (c Config) withDefaults() Config {
 
 // Drop reports one discarded copy bundle: the leaves of packet ID that
 // were lost when a full link refused the copy. Leaves is only valid
-// during the callback (the set returns to the fabric's pool).
+// during the callback (it is a view of a row the fabric then reuses).
 type Drop struct {
 	ID     cell.PacketID
 	In     int   // fabric ingress the packet arrived at
@@ -82,7 +83,7 @@ type Drop struct {
 // a ModeCopied architecture marks every fanout-1 copy as last.
 type ctxInfo struct {
 	fab    cell.PacketID
-	leaves *destset.Set
+	leaves int32 // leaf-slab row
 	hops   int32
 	remain int32
 }
@@ -97,7 +98,7 @@ type liveInfo struct {
 // linkEntry is one buffered copy on an inter-stage link.
 type linkEntry struct {
 	fabID  cell.PacketID
-	leaves *destset.Set
+	leaves int32 // leaf-slab row
 	hops   int32 // links crossed including this one
 	enq    int64 // slot the entry was pushed; admissible when slot > enq
 }
@@ -114,7 +115,6 @@ func (l *linkRing) push(e linkEntry) {
 }
 
 func (l *linkRing) pop() {
-	l.buf[l.head] = linkEntry{}
 	l.head = (l.head + 1) % len(l.buf)
 	l.size--
 }
@@ -145,8 +145,15 @@ type Fabric struct {
 	nextLocal []int64
 	live      idwin.Window[liveInfo] // keyed by fabric packet ID
 
-	pools    [][]*cell.Packet // per node local-packet pool
-	leafPool []*destset.Set   // egress-universe set pool
+	pools [][]*cell.Packet // per node local-packet pool
+
+	// Leaf slab (DESIGN.md §14): copy contexts and link entries name
+	// their leaf sets by row, top.words long; freed rows recycle LIFO
+	// through leafFree. leafView is aliased over a row wherever a
+	// *destset.Set is wanted.
+	leafRows []uint64
+	leafFree []int32
+	leafView *destset.Set
 
 	// Parallel stepping (nil/empty when cfg.Workers <= 1); parallel.go.
 	par    *parPool
@@ -185,6 +192,7 @@ func New(top *Topology, cfg Config, newNode func(ports int, root *xrand.Rand) No
 		ctxs:       make([]idwin.Window[ctxInfo], top.Nodes()),
 		nextLocal:  make([]int64, top.Nodes()),
 		pools:      make([][]*cell.Packet, top.Nodes()),
+		leafView:   destset.New(top.Egress()),
 		dropsByHop: make([]int64, top.MaxHops()+1),
 	}
 	for i := range f.nodes {
@@ -257,17 +265,46 @@ func (f *Fabric) getLocal(ni int) *cell.Packet {
 	return &cell.Packet{Dests: destset.New(f.top.NodePorts(ni))}
 }
 
-// getLeafSet returns a pooled egress-universe destination set.
-func (f *Fabric) getLeafSet() *destset.Set {
-	if k := len(f.leafPool) - 1; k >= 0 {
-		s := f.leafPool[k]
-		f.leafPool = f.leafPool[:k]
-		return s
+// getRow takes a leaf row from the free list or grows the slab. Growing
+// moves the slab: take row slices only after the last getRow.
+func (f *Fabric) getRow() int32 {
+	if k := len(f.leafFree) - 1; k >= 0 {
+		r := f.leafFree[k]
+		f.leafFree = f.leafFree[:k]
+		return r
 	}
-	return destset.New(f.top.Egress())
+	f.leafRows = append(f.leafRows, make([]uint64, f.top.words)...)
+	return int32(len(f.leafRows)/f.top.words - 1)
 }
 
-func (f *Fabric) putLeafSet(s *destset.Set) { f.leafPool = append(f.leafPool, s) }
+func (f *Fabric) putRow(r int32) { f.leafFree = append(f.leafFree, r) }
+
+// storeRow copies a leaf set's words into a fresh row.
+func (f *Fabric) storeRow(leaves []uint64) int32 {
+	r := f.getRow()
+	copy(f.row(r), leaves)
+	return r
+}
+
+// row returns the words of leaf row r.
+func (f *Fabric) row(r int32) []uint64 {
+	return f.leafRows[int(r)*f.top.words : int(r+1)*f.top.words]
+}
+
+// viewRow aliases the fabric's one leaf view over row r.
+func (f *Fabric) viewRow(r int32) *destset.Set {
+	f.leafView.Alias(f.row(r))
+	return f.leafView
+}
+
+// eachBit calls fn for every set bit of words, in ascending order.
+func eachBit(words []uint64, fn func(i int)) {
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			fn(wi<<6 | bits.TrailingZeros64(w))
+		}
+	}
+}
 
 // Arrive admits one fabric packet at fabric ingress p.Input. The
 // destination universe must be the fabric's egress leaf count; the
@@ -299,10 +336,8 @@ func (f *Fabric) Arrive(p *cell.Packet) {
 			Round: -1, Aux: int32(fanout), TS: p.Arrival, Packet: int64(p.ID),
 		})
 	}
-	leaves := f.getLeafSet()
-	leaves.CopyFrom(p.Dests)
 	ep := f.top.IngressAt(p.Input)
-	f.admitLocal(ep.Node, p.ID, leaves, 0, ep.Port, p.Arrival)
+	f.admitLocal(ep.Node, p.ID, f.storeRow(p.Dests.Words()), 0, ep.Port, p.Arrival)
 	if f.release != nil {
 		f.release(p)
 	}
@@ -310,14 +345,14 @@ func (f *Fabric) Arrive(p *cell.Packet) {
 
 // admitLocal hands one copy (fabric packet fabID, responsible for
 // leaves, hops links deep) to node ni as a fresh node-local packet
-// arriving at input port in this slot. Ownership of leaves moves to
-// the copy context.
-func (f *Fabric) admitLocal(ni int, fabID cell.PacketID, leaves *destset.Set, hops int32, in int, slot int64) {
+// arriving at input port in this slot. Ownership of the leaves row
+// moves to the copy context.
+func (f *Fabric) admitLocal(ni int, fabID cell.PacketID, leaves int32, hops int32, in int, slot int64) {
 	local := f.getLocal(ni)
 	f.nextLocal[ni]++
 	id := cell.PacketID(f.nextLocal[ni])
 	local.ID, local.Input, local.Arrival = id, in, slot
-	f.top.LocalDests(ni, leaves, local.Dests)
+	f.top.LocalDests(ni, f.viewRow(leaves), local.Dests)
 	ctx, dup := f.ctxs[ni].Ensure(id)
 	if dup {
 		panic(fmt.Sprintf("fabric: node %d local packet id %d reused", ni, id))
@@ -366,12 +401,16 @@ func (f *Fabric) Step(slot int64, deliver func(cell.Delivery)) {
 		}
 	}
 	f.outer = nil
+	// The nodes have moved cells since admission read their queues.
+	for i := range f.scratchAt {
+		f.scratchAt[i] = -1
+	}
 }
 
 // inBacklog returns the number of cells buffered at one node input
 // port, through the exact accessor when the architecture has one
-// (core's InputBacklog) or a once-per-slot QueueSizes snapshot
-// otherwise.
+// (core's InputBacklog) or a QueueSizes snapshot otherwise, taken once
+// for admission and once more for reads after the nodes step.
 func (f *Fabric) inBacklog(node, port int) int {
 	if fn := f.backlog[node]; fn != nil {
 		return fn(port)
@@ -428,9 +467,8 @@ func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
 		}
 	case f.top.outLink[ni][d.Out] >= 0:
 		li := int(f.top.outLink[ni][d.Out])
-		sub := f.getLeafSet()
-		f.top.ChildLeaves(ni, d.Out, ctx.leaves, sub)
-		if sub.Empty() {
+		sub := f.getRow() // may move the slab: before any row slice
+		if !f.top.childLeaves(ni, d.Out, f.row(ctx.leaves), f.row(sub)) {
 			panic(fmt.Sprintf("fabric: node %d delivered port %d with no routed leaves for packet %d",
 				ni, d.Out, ctx.fab))
 		}
@@ -445,8 +483,7 @@ func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
 	}
 	ctx.remain--
 	if ctx.remain == 0 {
-		f.putLeafSet(ctx.leaves)
-		ctx.leaves = nil
+		f.putRow(ctx.leaves)
 		f.ctxs[ni].Release(d.ID)
 	}
 }
@@ -455,9 +492,10 @@ func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
 // policy, per hop): the leaves never arrive, the fabric packet's
 // outstanding count shrinks accordingly, and the drop hook and tracer
 // see exactly what was lost. Queue structure is untouched, which is
-// why every per-stage invariant survives a drop.
-func (f *Fabric) dropCopy(ctx *ctxInfo, sub *destset.Set) {
-	cnt := sub.Count()
+// why every per-stage invariant survives a drop. The sub row is freed.
+func (f *Fabric) dropCopy(ctx *ctxInfo, sub int32) {
+	lost := f.viewRow(sub)
+	cnt := lost.Count()
 	f.dropped += int64(cnt)
 	f.dropsByHop[ctx.hops] += int64(cnt)
 	lv := f.live.Lookup(ctx.fab)
@@ -470,7 +508,7 @@ func (f *Fabric) dropCopy(ctx *ctxInfo, sub *destset.Set) {
 	}
 	if f.obs.TraceOn() {
 		in, arr := lv.input, lv.arrival
-		sub.ForEach(func(leaf int) {
+		eachBit(f.row(sub), func(leaf int) {
 			f.obs.Trace.Emit(obs.Event{
 				Slot: f.slot, Type: obs.EvDrop, In: in, Out: int32(leaf),
 				Round: -1, Aux: int32(ctx.hops), TS: arr, Packet: int64(ctx.fab),
@@ -478,12 +516,12 @@ func (f *Fabric) dropCopy(ctx *ctxInfo, sub *destset.Set) {
 		})
 	}
 	if f.onDrop != nil {
-		f.onDrop(Drop{ID: ctx.fab, In: int(lv.input), Slot: f.slot, Hops: int(ctx.hops), Leaves: sub})
+		f.onDrop(Drop{ID: ctx.fab, In: int(lv.input), Slot: f.slot, Hops: int(ctx.hops), Leaves: lost})
 	}
 	if lv.remain == 0 {
 		f.live.Release(ctx.fab)
 	}
-	f.putLeafSet(sub)
+	f.putRow(sub)
 }
 
 // QueueSizes implements the engine's Switch surface: per fabric
@@ -493,10 +531,6 @@ func (f *Fabric) dropCopy(ctx *ctxInfo, sub *destset.Set) {
 // policy).
 func (f *Fabric) QueueSizes(dst []int) []int {
 	for i, ep := range f.top.ingress {
-		if f.backlog[ep.Node] == nil && f.scratchAt[ep.Node] != f.slot {
-			f.nodes[ep.Node].QueueSizes(f.scratch[ep.Node])
-			f.scratchAt[ep.Node] = f.slot
-		}
 		dst[i] = f.inBacklog(ep.Node, ep.Port)
 	}
 	return dst
@@ -545,11 +579,13 @@ type (
 // dropped. Returns false when a node architecture supports no buffer
 // iteration (the structural pass then degrades to counter checks).
 func (f *Fabric) ForEachPending(fn func(id cell.PacketID, leaf int)) bool {
-	scratch := f.getLeafSet()
-	defer f.putLeafSet(scratch)
 	emit := func(ni int, ctx *ctxInfo, out int) {
-		f.top.ChildLeaves(ni, out, ctx.leaves, scratch)
-		scratch.ForEach(func(leaf int) { fn(ctx.fab, leaf) })
+		mask := f.top.leafRow(ni, out)
+		for wi, w := range f.row(ctx.leaves) {
+			for w &= mask[wi]; w != 0; w &= w - 1 {
+				fn(ctx.fab, wi<<6|bits.TrailingZeros64(w))
+			}
+		}
 	}
 	for ni, nd := range f.nodes {
 		ctxs := &f.ctxs[ni]
@@ -568,7 +604,7 @@ func (f *Fabric) ForEachPending(fn func(id cell.PacketID, leaf int)) bool {
 				if ctx == nil {
 					panic(fmt.Sprintf("fabric: node %d buffers unknown local packet %d", ni, p.ID))
 				}
-				remaining.ForEach(func(out int) { emit(ni, ctx, out) })
+				eachBit(remaining.Words(), func(out int) { emit(ni, ctx, out) })
 			})
 		default:
 			if nd.BufferedCells() > 0 {
@@ -580,7 +616,7 @@ func (f *Fabric) ForEachPending(fn func(id cell.PacketID, leaf int)) bool {
 		lk := &f.links[li]
 		for i := 0; i < lk.size; i++ {
 			ent := lk.at(i)
-			ent.leaves.ForEach(func(leaf int) { fn(ent.fabID, leaf) })
+			eachBit(f.row(ent.leaves), func(leaf int) { fn(ent.fabID, leaf) })
 		}
 	}
 	return true

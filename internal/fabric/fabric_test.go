@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -353,14 +354,16 @@ func TestFabricLiveRunner(t *testing.T) {
 	}
 }
 
-// fabricStepper drives a fat-tree at a fixed deterministic load with
-// recycled packets, for the allocation guard and the benchmark.
+// fabricStepper drives a fat-tree with recycled packets, for the
+// allocation guard and the benchmark: at a fixed deterministic load, or
+// from one traffic source per ingress.
 type fabricStepper struct {
 	f      *fabric.Fabric
 	free   []*cell.Packet
 	nextID cell.PacketID
 	slot   int64
 	n      int
+	srcs   []traffic.Source // nil: the fixed two-arrival pattern
 }
 
 func newFabricStepper(tb testing.TB, algo string) *fabricStepper {
@@ -377,6 +380,25 @@ func newFabricStepperCfg(tb testing.TB, algo string, fcfg fabric.Config) *fabric
 	return s
 }
 
+// newUniformStepper drives the named fabric with the paper's uniform
+// traffic (fanout uniform on 1..maxFanout) at the given load, the
+// traffic fab-fattree8 runs.
+func newUniformStepper(tb testing.TB, spec, algo string, fcfg fabric.Config, load float64, maxFanout int) *fabricStepper {
+	tb.Helper()
+	top := mustTop(tb, spec)
+	pat, err := traffic.UniformAtLoad(load, maxFanout, top.Ingress())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := &fabricStepper{
+		f:    newFabric(tb, top, algo, fcfg, 41),
+		n:    top.Ingress(),
+		srcs: traffic.BuildSources(pat, top.Ingress(), xrand.New(41).Split("traffic", 0)),
+	}
+	s.f.SetReleaseHook(func(p *cell.Packet) { s.free = append(s.free, p) })
+	return s
+}
+
 func (s *fabricStepper) packet() *cell.Packet {
 	if k := len(s.free) - 1; k >= 0 {
 		p := s.free[k]
@@ -386,10 +408,21 @@ func (s *fabricStepper) packet() *cell.Packet {
 	return &cell.Packet{Dests: destset.New(s.n)}
 }
 
-// step simulates one slot: two arrivals at rotating inputs, each a
-// two-leaf multicast (one local, one cross-pod), then one fabric step.
+// step simulates one slot: each source's draw or, without sources, two
+// arrivals at rotating inputs, each a two-leaf multicast (one local,
+// one cross-pod); then one fabric step.
 func (s *fabricStepper) step() {
-	for a := 0; a < 2; a++ {
+	for in, src := range s.srcs {
+		p := s.packet()
+		if !src.(traffic.IntoSource).NextInto(s.slot, p.Dests) {
+			s.free = append(s.free, p)
+			continue
+		}
+		s.nextID++
+		p.ID, p.Input, p.Arrival = s.nextID, in, s.slot
+		s.f.Arrive(p)
+	}
+	for a := 0; a < 2 && s.srcs == nil; a++ {
 		in := (int(s.slot) + a*7) % s.n
 		p := s.packet()
 		s.nextID++
@@ -424,16 +457,74 @@ func TestFabricSlotAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkFabricSlot is the CI-gated per-slot cost of a 20-switch
-// fat-tree under a light deterministic multicast load.
-func BenchmarkFabricSlot(b *testing.B) {
-	s := newFabricStepper(b, "fifoms")
-	for i := 0; i < 500; i++ {
-		s.step()
+// TestFabricQueueSizesAfterStep pins when a fabric samples its queue
+// sizes: the engine reads QueueSizes after Step, so for node
+// architectures without an exact backlog accessor (eslip, wba) it must
+// report the ingress queues as the nodes left them, not the snapshot
+// the admission loop took before they stepped — sequential or parallel.
+func TestFabricQueueSizesAfterStep(t *testing.T) {
+	for _, algo := range []string{"eslip", "wba"} {
+		for _, workers := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", algo, workers), func(t *testing.T) {
+				s := newUniformStepper(t, "fattree:k=4", algo, fabric.Config{Workers: workers}, 0.8, 4)
+				defer s.f.Close()
+				top := s.f.Topology()
+				got, node := make([]int, top.Ingress()), make([][]int, top.Nodes())
+				for i := range node {
+					node[i] = make([]int, top.NodePorts(i))
+				}
+				busy := 0
+				for slot := 0; slot < 2000; slot++ {
+					s.step()
+					s.f.QueueSizes(got)
+					for i := range node {
+						s.f.Node(i).QueueSizes(node[i])
+					}
+					for in, q := range got {
+						ep := top.IngressAt(in)
+						if want := node[ep.Node][ep.Port]; q != want {
+							t.Fatalf("slot %d ingress %d: fabric reports %d cells, node %d input %d holds %d",
+								slot, in, q, ep.Node, ep.Port, want)
+						}
+						if q > 0 {
+							busy++
+						}
+					}
+				}
+				if busy == 0 {
+					t.Fatal("no ingress ever held a cell; the comparison proves nothing")
+				}
+			})
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.step()
+}
+
+// BenchmarkFabricSlot is the CI-gated per-slot cost of a fat tree: k=4
+// is the 20-switch tree under a light deterministic multicast load, k=8
+// the 80-switch tree under fab-fattree8's uniform load 0.9 with fanout
+// up to 4. A constant light state can read flat where the live workload
+// moves, so k=8 is the witness for the cost of splitting trees.
+func BenchmarkFabricSlot(b *testing.B) {
+	for _, leg := range []struct {
+		name string
+		new  func(b *testing.B) *fabricStepper
+		warm int
+	}{
+		{"k=4", func(b *testing.B) *fabricStepper { return newFabricStepper(b, "fifoms") }, 500},
+		{"k=8", func(b *testing.B) *fabricStepper {
+			return newUniformStepper(b, "fattree:k=8", "fifoms", fabric.Config{}, 0.9, 4)
+		}, 3000},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			s := leg.new(b)
+			for i := 0; i < leg.warm; i++ {
+				s.step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.step()
+			}
+		})
 	}
 }

@@ -67,7 +67,7 @@ func (f *Fabric) SaveState(w *snap.Writer) {
 			w.I64(int64(v.fab))
 			w.Int(int(v.hops))
 			w.Int(int(v.remain))
-			snap.WriteDests(w, v.leaves)
+			snap.WriteDests(w, f.viewRow(v.leaves))
 		})
 	}
 
@@ -79,7 +79,7 @@ func (f *Fabric) SaveState(w *snap.Writer) {
 			w.I64(int64(ent.fabID))
 			w.Int(int(ent.hops))
 			w.I64(ent.enq)
-			snap.WriteDests(w, ent.leaves)
+			snap.WriteDests(w, f.viewRow(ent.leaves))
 		}
 	}
 	w.End()
@@ -220,7 +220,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 				r.Failf("node %d local packet %d appears twice", ni, local)
 				return r.Err()
 			}
-			*ctx = ctxInfo{fab: fab, leaves: leaves, hops: int32(hops), remain: int32(remain)}
+			*ctx = ctxInfo{fab: fab, leaves: f.storeRow(leaves.Words()), hops: int32(hops), remain: int32(remain)}
 		}
 	}
 
@@ -236,9 +236,6 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 		}
 		lk := &f.links[li]
 		lk.head, lk.size = 0, 0
-		for i := range lk.buf {
-			lk.buf[i] = linkEntry{}
-		}
 		for i := 0; i < size; i++ {
 			fab := cell.PacketID(r.I64())
 			hops := r.Int()
@@ -263,7 +260,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 				r.Failf("link %d entry for packet %d has no leaves", li, fab)
 				return r.Err()
 			}
-			lk.push(linkEntry{fabID: fab, leaves: leaves, hops: int32(hops), enq: enq})
+			lk.push(linkEntry{fabID: fab, leaves: f.storeRow(leaves.Words()), hops: int32(hops), enq: enq})
 		}
 	}
 	if err := r.Err(); err != nil {

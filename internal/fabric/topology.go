@@ -32,6 +32,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,6 +68,11 @@ type Topology struct {
 	outLink [][]int32  // [node][outPort] -> link index, -1
 	outLeaf [][]int32  // [node][outPort] -> leaf index, -1
 	maxHops int        // longest route path, in links crossed
+
+	// leafMask[node][out*words ...] has bit leaf set exactly when
+	// route[node][leaf] == out; words = destset.WordsPerRow(leaves).
+	leafMask [][]uint64
+	words    int
 }
 
 // Name returns the topology's spec-style name, e.g. "fattree:k=4".
@@ -105,12 +111,16 @@ func (t *Topology) RouteOut(node, leaf int) int { return int(t.route[node][leaf]
 // output ports node uses for the given leaves. This is the fabric's
 // tree-splitting primitive: several leaves routed through one output
 // collapse into a single local destination, to be re-split downstream.
+// Each leaf's output is set straight into dst's words.
 func (t *Topology) LocalDests(node int, leaves *destset.Set, dst *destset.Set) {
 	dst.Clear()
-	r := t.route[node]
-	leaves.ForEach(func(leaf int) {
-		dst.Add(int(r[leaf]))
-	})
+	r, dw := t.route[node], dst.Words()
+	for wi, w := range leaves.Words() {
+		for ; w != 0; w &= w - 1 {
+			out := r[wi<<6|bits.TrailingZeros64(w)]
+			dw[out>>6] |= 1 << uint(out&63)
+		}
+	}
 }
 
 // ChildLeaves fills dst with the members of leaves that node routes
@@ -118,13 +128,24 @@ func (t *Topology) LocalDests(node int, leaves *destset.Set, dst *destset.Set) {
 // Over all outputs the children partition the parent set (the split
 // property test pins this).
 func (t *Topology) ChildLeaves(node, out int, leaves, dst *destset.Set) {
-	dst.Clear()
-	r := t.route[node]
-	leaves.ForEach(func(leaf int) {
-		if int(r[leaf]) == out {
-			dst.Add(leaf)
-		}
-	})
+	t.childLeaves(node, out, leaves.Words(), dst.Words())
+}
+
+// childLeaves is ChildLeaves over rows of leaf words, one AND per word,
+// and reports whether the child subset is non-empty.
+func (t *Topology) childLeaves(node, out int, leaves, dst []uint64) bool {
+	mask := t.leafRow(node, out)
+	var nz uint64
+	for i, w := range leaves {
+		dst[i] = w & mask[i]
+		nz |= dst[i]
+	}
+	return nz != 0
+}
+
+// leafRow returns the leaves node routes through local output out.
+func (t *Topology) leafRow(node, out int) []uint64 {
+	return t.leafMask[node][out*t.words : (out+1)*t.words]
 }
 
 // Builder assembles an arbitrary fabric graph. Calls record the
@@ -272,7 +293,9 @@ func (b *Builder) Build() (*Topology, error) {
 		egress:  append([]Endpoint(nil), b.egress...),
 	}
 	nLeaves := len(t.egress)
+	t.words = destset.WordsPerRow(nLeaves)
 	t.route = make([][]int32, len(t.ports))
+	t.leafMask = make([][]uint64, len(t.ports))
 	t.outLink = make([][]int32, len(t.ports))
 	t.outLeaf = make([][]int32, len(t.ports))
 	for n, p := range t.ports {
@@ -280,6 +303,7 @@ func (b *Builder) Build() (*Topology, error) {
 		for i := range t.route[n] {
 			t.route[n][i] = -1
 		}
+		t.leafMask[n] = make([]uint64, p*t.words)
 		t.outLink[n] = make([]int32, p)
 		t.outLeaf[n] = make([]int32, p)
 		for i := 0; i < p; i++ {
@@ -313,6 +337,7 @@ func (b *Builder) Build() (*Topology, error) {
 			continue
 		}
 		t.route[r.node][r.leaf] = int32(r.out)
+		t.leafMask[r.node][r.out*t.words+r.leaf>>6] |= 1 << uint(r.leaf&63)
 	}
 	if len(b.errs) > 0 {
 		return nil, b.buildError()

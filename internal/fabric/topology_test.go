@@ -234,6 +234,123 @@ func TestSplitPartition(t *testing.T) {
 	}
 }
 
+// refLocalDests and refChildLeaves are the per-leaf route-table loops
+// that the word forms replaced, kept as their reference.
+func refLocalDests(top *Topology, node int, leaves, dst *destset.Set) {
+	dst.Clear()
+	leaves.ForEach(func(leaf int) { dst.Add(top.RouteOut(node, leaf)) })
+}
+
+func refChildLeaves(top *Topology, node, out int, leaves, dst *destset.Set) {
+	dst.Clear()
+	leaves.ForEach(func(leaf int) {
+		if top.RouteOut(node, leaf) == out {
+			dst.Add(leaf)
+		}
+	})
+}
+
+// checkRouteWords pins LocalDests and ChildLeaves to the reference
+// loops at every node of top, until budget leaf visits are spent: on
+// the empty set, the node's routed leaves, random subsets of them and,
+// with singletons, each routed leaf alone. ChildLeaves also gets the
+// full leaf set, whose unrouted members it must leave out. Every
+// destination starts full, so a word form that fails to clear shows.
+func checkRouteWords(t *testing.T, top *Topology, rng *xrand.Rand, random int, singletons bool, budget int) {
+	t.Helper()
+	nl := top.Egress()
+	full, routed, leaves := destset.New(nl), destset.New(nl), destset.New(nl)
+	got, want := destset.New(nl), destset.New(nl)
+	for leaf := 0; leaf < nl; leaf++ {
+		full.Add(leaf)
+	}
+	for node := 0; node < top.Nodes() && budget > 0; node++ {
+		ports := top.NodePorts(node)
+		budget -= nl * (ports + 1)
+		allOut := destset.New(ports)
+		for out := 0; out < ports; out++ {
+			allOut.Add(out)
+		}
+		gotOut, wantOut := destset.New(ports), destset.New(ports)
+		routed.Clear()
+		for leaf := 0; leaf < nl; leaf++ {
+			if top.RouteOut(node, leaf) >= 0 {
+				routed.Add(leaf)
+			}
+		}
+		same := func(what string, localDests bool) {
+			if localDests {
+				gotOut.CopyFrom(allOut)
+				top.LocalDests(node, leaves, gotOut)
+				refLocalDests(top, node, leaves, wantOut)
+				if !gotOut.Equal(wantOut) {
+					t.Fatalf("%s node %d, %s leaves %v: LocalDests %v, route table says %v",
+						top.Name(), node, what, leaves, gotOut, wantOut)
+				}
+			}
+			for out := 0; out < ports; out++ {
+				got.CopyFrom(full)
+				top.ChildLeaves(node, out, leaves, got)
+				refChildLeaves(top, node, out, leaves, want)
+				if !got.Equal(want) {
+					t.Fatalf("%s node %d port %d, %s leaves %v: ChildLeaves %v, route table says %v",
+						top.Name(), node, out, what, leaves, got, want)
+				}
+			}
+		}
+		leaves.Clear()
+		same("empty", true)
+		leaves.CopyFrom(routed)
+		same("routed", true)
+		leaves.CopyFrom(full)
+		same("full", false)
+		for i := 0; i < random; i++ {
+			p := rng.Float64()
+			leaves.Clear()
+			routed.ForEach(func(leaf int) {
+				if rng.Bool(p) {
+					leaves.Add(leaf)
+				}
+			})
+			same("random", true)
+		}
+		if singletons {
+			routed.ForEach(func(leaf int) {
+				leaves.Clear()
+				leaves.Add(leaf)
+				same("singleton", true)
+			})
+		}
+	}
+}
+
+// TestRouteWordsMatchRouteTable pins the per-output leaf masks Build
+// derives to the route table they encode: the word forms of LocalDests
+// and ChildLeaves agree with the per-leaf loops on every node of fat
+// trees up to k = 16 (1024 leaves, sixteen words) and of Clos shapes
+// from one port to 64.
+func TestRouteWordsMatchRouteTable(t *testing.T) {
+	tops := []*Topology{}
+	for _, k := range []int{2, 4, 8, 16} {
+		top, err := FatTree(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, top)
+	}
+	for _, c := range []struct{ n, m, r int }{{1, 1, 1}, {8, 8, 8}, {4, 2, 16}} {
+		top, err := Clos(c.n, c.m, c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, top)
+	}
+	rng := xrand.New(29)
+	for _, top := range tops {
+		checkRouteWords(t, top, rng, 8, true, 1<<62)
+	}
+}
+
 // chain builds the minimal valid two-node pipeline used as the base for
 // builder-misuse tests: node0 input 0 is the ingress, node0 output 0
 // links to node1 input 0, node1 output 0 is the single leaf.
@@ -385,7 +502,7 @@ func TestParseSpec(t *testing.T) {
 // FuzzRouteTable feeds hostile topology specs and raw builder wirings
 // to the construction path: everything must surface as an error, never
 // a panic, and a topology that does build must have a loop-free,
-// partition-consistent route table.
+// partition-consistent route table whose leaf masks encode it.
 func FuzzRouteTable(f *testing.F) {
 	f.Add("fattree:k=4", uint64(1))
 	f.Add("clos:n=2,m=3,r=2", uint64(2))
@@ -457,4 +574,7 @@ func checkTopology(t *testing.T, top *Topology) {
 			}
 		}
 	}
+	// The same bound keeps the word-form cross-check to a few million
+	// word operations on the largest Clos a spec can ask for.
+	checkRouteWords(t, top, xrand.New(uint64(top.Egress())), 2, false, 1<<16)
 }
