@@ -42,6 +42,7 @@ type Switch struct {
 	speedup int
 	outq    []fifoq.Queue[queuedCopy]
 	name    string
+	enqueue func(cell.Delivery) // the input stage's delivery sink, built once
 }
 
 // New returns an n x n CIOQ switch with the given fabric speedup,
@@ -54,12 +55,16 @@ func New(n, speedup int, arb core.Arbiter, root *xrand.Rand) *Switch {
 	if speedup > n {
 		speedup = n // more phases than outputs cannot transfer more
 	}
-	return &Switch{
+	s := &Switch{
 		inner:   core.NewSwitch(n, arb, root),
 		speedup: speedup,
 		outq:    make([]fifoq.Queue[queuedCopy], n),
 		name:    fmt.Sprintf("cioq-s%d-%s", speedup, arb.Name()),
 	}
+	s.enqueue = func(d cell.Delivery) {
+		s.outq[d.Out].Push(queuedCopy{id: d.ID, in: d.In, arrival: d.Arrival})
+	}
+	return s
 }
 
 // Ports returns the switch size N.
@@ -78,9 +83,7 @@ func (s *Switch) Arrive(p *cell.Packet) { s.inner.Arrive(p) }
 // output queues, then one line transmission per output.
 func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	for phase := 0; phase < s.speedup; phase++ {
-		s.inner.Step(slot, func(d cell.Delivery) {
-			s.outq[d.Out].Push(queuedCopy{id: d.ID, in: d.In, arrival: d.Arrival})
-		})
+		s.inner.Step(slot, s.enqueue)
 	}
 	for out := range s.outq {
 		if s.outq[out].Empty() {
@@ -90,6 +93,12 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		deliver(cell.Delivery{ID: c.id, In: c.in, Out: out, Slot: slot, Arrival: c.arrival})
 	}
 }
+
+// SetReleaseHook forwards to the input stage: an output-queue entry
+// keeps only the copy's ID, input and arrival, so a packet may be
+// recycled as soon as its last copy has crossed the fabric, before the
+// output lines have sent every copy.
+func (s *Switch) SetReleaseHook(fn func(*cell.Packet)) { s.inner.SetReleaseHook(fn) }
 
 // LastRounds reports the input stage's most recent arbitration rounds
 // (of the final phase), so the engine can track convergence.

@@ -107,22 +107,12 @@ func (f *FIFOMS) ensure(n int) {
 	f.grants = make([]int, 0, n)
 }
 
-// fillOnes sets the first n bits of the word slice.
-func fillOnes(ws []uint64, n int) {
-	for i := range ws {
-		ws[i] = ^uint64(0)
-	}
-	if r := n & 63; r != 0 {
-		ws[len(ws)-1] = 1<<uint(r) - 1
-	}
-}
-
 // Match implements Arbiter.
 func (f *FIFOMS) Match(s *Switch, slot int64, r *xrand.Rand, m *Matching) {
 	n := s.Ports()
 	f.ensure(n)
-	fillOnes(f.inFree, n)
-	fillOnes(f.outFree, n)
+	destset.FillPorts(f.inFree, n)
+	destset.FillPorts(f.outFree, n)
 
 	// o is nil in ordinary runs; every observation below hides behind
 	// one predictable branch so the kernel's hot loops are untouched.

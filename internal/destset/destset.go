@@ -216,6 +216,42 @@ func (s *Set) Words() []uint64 { return s.words }
 // bitmap over the same universe.
 func WordsPerRow(n int) int { return (n + 63) / 64 }
 
+// FillPorts sets bits [0, n) of words and clears the rest: the
+// all-ports-free mask every arbiter starts a slot from. words must be
+// WordsPerRow(n) long.
+func FillPorts(words []uint64, n int) {
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	if rem := n & 63; rem != 0 {
+		words[len(words)-1] = 1<<uint(rem) - 1
+	}
+}
+
+// RotatedFirst returns the first port at or after p, wrapping around
+// once, whose bit is set in both x and y, or -1 when x & y is empty:
+// the round-robin priority encoder (DESIGN.md §7) whose highest
+// priority is p, with p in [0, 64·len(x)). x and y are equally long
+// word bitmaps; pass one row twice to scan it alone.
+func RotatedFirst(x, y []uint64, p int) int {
+	wi := p >> 6
+	if v := x[wi] & y[wi] & (^uint64(0) << uint(p&63)); v != 0 {
+		return wi<<6 + bits.TrailingZeros64(v)
+	}
+	for i := wi + 1; i < len(x); i++ {
+		if v := x[i] & y[i]; v != 0 {
+			return i<<6 + bits.TrailingZeros64(v)
+		}
+	}
+	// Wrapped: word wi's bits at or above p are known clear.
+	for i := 0; i <= wi; i++ {
+		if v := x[i] & y[i]; v != 0 {
+			return i<<6 + bits.TrailingZeros64(v)
+		}
+	}
+	return -1
+}
+
 // NextOneFrom returns the smallest member >= from, or -1 when no such
 // member exists. from may lie outside [0, n): negative values scan
 // from 0 and values >= n always return -1. Together with Words it

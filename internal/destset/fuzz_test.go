@@ -43,3 +43,30 @@ func FuzzNextOneFrom(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRotatedFirst drives RotatedFirst with arbitrary universes, mask
+// densities and priority positions: its answer must match the plain
+// modular scan. Run indefinitely with
+// `go test -fuzz FuzzRotatedFirst ./internal/destset`.
+func FuzzRotatedFirst(f *testing.F) {
+	// Seeds cover a lone word, both sides of a word boundary, a
+	// partial last word and an empty intersection.
+	f.Add(uint64(1), uint16(1), uint16(0), uint8(255))
+	f.Add(uint64(2), uint16(64), uint16(63), uint8(10))
+	f.Add(uint64(3), uint16(65), uint16(64), uint8(3))
+	f.Add(uint64(4), uint16(130), uint16(127), uint8(1))
+	f.Add(uint64(5), uint16(1024), uint16(1000), uint8(0))
+
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, pRaw uint16, density uint8) {
+		n := int(nRaw%1024) + 1
+		p := int(pRaw) % n
+		r := xrand.New(seed)
+		x, y := New(n), New(n)
+		x.RandomBernoulli(r, float64(density)/255)
+		y.RandomBernoulli(r, 0.5)
+
+		if got, want := RotatedFirst(x.Words(), y.Words(), p), modularFirst(x, y, p); got != want {
+			t.Fatalf("n=%d p=%d: RotatedFirst = %d, want %d (x %v, y %v)", n, p, got, want, x, y)
+		}
+	})
+}

@@ -34,6 +34,7 @@ package eslip
 
 import (
 	"fmt"
+	"math/bits"
 
 	"voqsim/internal/cell"
 	"voqsim/internal/destset"
@@ -77,7 +78,8 @@ type Switch struct {
 
 	// payloads counts buffered payloads per input (unicast cells plus
 	// multicast packets), kept incrementally so the occupancy
-	// high-water gauge costs O(1) per arrival instead of an O(N) scan.
+	// high-water gauge costs O(1) per arrival and QueueSizes and
+	// BufferedCells O(N) per call instead of an O(N²) rescan.
 	payloads []int
 
 	// Observability (DESIGN.md §8); obs is nil in ordinary runs and
@@ -94,15 +96,15 @@ type Switch struct {
 	cActive     *obs.Counter
 	occHWM      []*obs.Gauge
 
-	// scratch
-	inputFree  []bool
-	outputFree []bool
-	freeIn     *destset.Set // bitset mirror of inputFree
-	mcCand     *destset.Set // mcOcc ∩ freeIn, per grant phase
-	uniCand    *destset.Set // uniOcc[out] ∩ freeIn, per output
-	uniGrant   []int        // per output: provisionally granted input (unicast)
-	mcGrant    []int        // per output: provisionally granted input (multicast)
-	served     []int        // per input: multicast copies served this slot
+	// Per-slot scratch: free-port masks and, per input, a row over the
+	// outputs that granted it in the current iteration, one row slab
+	// per traffic class.
+	freeIn  []uint64 // inputs not yet matched
+	freeOut []uint64 // outputs not yet matched
+	mcBy    []uint64 // [n×words] multicast grants to each input's HOL packet
+	uniBy   []uint64 // [n×words] unicast grants to each input
+	granted []uint64 // inputs holding at least one grant
+	served  []int    // per input: multicast copies served this slot
 }
 
 // New returns an n x n ESLIP switch.
@@ -110,41 +112,28 @@ func New(n int) *Switch {
 	if n <= 0 {
 		panic("eslip: non-positive switch size")
 	}
+	w := destset.WordsPerRow(n)
 	s := &Switch{
-		n:          n,
-		uniVOQ:     make([][]fifoq.Queue[uniCell], n),
-		mcQ:        make([]fifoq.Queue[*mcEntry], n),
-		grantPtr:   make([]int, n),
-		acceptPtr:  make([]int, n),
-		uniOcc:     make([]*destset.Set, n),
-		mcOcc:      destset.New(n),
-		inputFree:  make([]bool, n),
-		outputFree: make([]bool, n),
-		freeIn:     destset.New(n),
-		mcCand:     destset.New(n),
-		uniCand:    destset.New(n),
-		uniGrant:   make([]int, n),
-		mcGrant:    make([]int, n),
-		served:     make([]int, n),
-		payloads:   make([]int, n),
+		n:         n,
+		uniVOQ:    make([][]fifoq.Queue[uniCell], n),
+		mcQ:       make([]fifoq.Queue[*mcEntry], n),
+		grantPtr:  make([]int, n),
+		acceptPtr: make([]int, n),
+		uniOcc:    make([]*destset.Set, n),
+		mcOcc:     destset.New(n),
+		freeIn:    make([]uint64, w),
+		freeOut:   make([]uint64, w),
+		mcBy:      make([]uint64, n*w),
+		uniBy:     make([]uint64, n*w),
+		granted:   make([]uint64, w),
+		served:    make([]int, n),
+		payloads:  make([]int, n),
 	}
 	for i := range s.uniVOQ {
 		s.uniVOQ[i] = make([]fifoq.Queue[uniCell], n)
 		s.uniOcc[i] = destset.New(n)
 	}
 	return s
-}
-
-// firstRotating returns the first member of cand in rotating order
-// starting at start, or -1 when cand is empty.
-func firstRotating(cand *destset.Set, start int) int {
-	if in := cand.NextOneFrom(start); in >= 0 {
-		return in
-	}
-	if in := cand.NextOneFrom(0); in >= 0 && in < start {
-		return in
-	}
-	return -1
 }
 
 // Ports returns the switch size N.
@@ -221,69 +210,37 @@ func (s *Switch) Arrive(p *cell.Packet) {
 
 // Step runs one slot of iterative scheduling and transfer.
 func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
-	n := s.n
-	for i := 0; i < n; i++ {
-		s.inputFree[i] = true
-		s.outputFree[i] = true
-		s.served[i] = 0
-	}
-	s.freeIn.Clear()
-	for i := 0; i < n; i++ {
-		s.freeIn.Add(i)
-	}
+	n, w := s.n, len(s.freeIn)
+	destset.FillPorts(s.freeIn, n)
+	destset.FillPorts(s.freeOut, n)
+	clear(s.served)
 	preferMulticast := slot%2 == 0
 	rounds := 0
 	busy := s.BufferedCells() > 0
 
 	for iter := 0; ; iter++ {
-		// Grant phase. Candidate sets are occupancy ∩ free-input
-		// intersections, so the rotating scans below touch only inputs
-		// that could actually be granted; the rotating order itself is
-		// unchanged from the plain modular scans.
-		s.mcCand.Clear()
-		s.mcCand.UnionWith(s.mcOcc)
-		s.mcCand.IntersectWith(s.freeIn)
 		if s.obs != nil {
 			s.observeRequests(slot, iter)
 		}
+		// Grant phase: each free output finds its multicast candidate
+		// (the shared pointer) and its unicast candidate (its own
+		// pointer, the round-robin priority encoder over occupancy ∩
+		// free inputs), keeps the class this slot prefers when it has
+		// both, and marks its grant in the granted input's row.
 		anyGrant := false
-		for out := 0; out < n; out++ {
-			s.uniGrant[out] = -1
-			s.mcGrant[out] = -1
-			if !s.outputFree[out] {
-				continue
-			}
-			// Multicast candidate: the requesting input closest to the
-			// shared pointer.
-			for in := s.mcCand.NextOneFrom(s.mcPtr); in >= 0; in = s.mcCand.NextOneFrom(in + 1) {
-				if s.mcQ[in].Front().remaining.Contains(out) {
-					s.mcGrant[out] = in
-					break
+		for wo, ov := range s.freeOut {
+			for ; ov != 0; ov &= ov - 1 {
+				out := wo<<6 + bits.TrailingZeros64(ov)
+				rows, in := s.mcBy, s.mcGrant(out)
+				uni := destset.RotatedFirst(s.uniOcc[out].Words(), s.freeIn, s.grantPtr[out])
+				if uni >= 0 && (in < 0 || !preferMulticast) {
+					rows, in = s.uniBy, uni
 				}
-			}
-			if s.mcGrant[out] < 0 {
-				for in := s.mcCand.NextOneFrom(0); in >= 0 && in < s.mcPtr; in = s.mcCand.NextOneFrom(in + 1) {
-					if s.mcQ[in].Front().remaining.Contains(out) {
-						s.mcGrant[out] = in
-						break
-					}
+				if in < 0 {
+					continue
 				}
-			}
-			// Unicast candidate: iSLIP-style per-output pointer.
-			s.uniCand.Clear()
-			s.uniCand.UnionWith(s.uniOcc[out])
-			s.uniCand.IntersectWith(s.freeIn)
-			s.uniGrant[out] = firstRotating(s.uniCand, s.grantPtr[out])
-			// Class preference: keep only one grant per output.
-			mc, uni := s.mcGrant[out], s.uniGrant[out]
-			if mc >= 0 && uni >= 0 {
-				if preferMulticast {
-					s.uniGrant[out] = -1
-				} else {
-					s.mcGrant[out] = -1
-				}
-			}
-			if mc >= 0 || uni >= 0 {
+				rows[in*w+wo] |= 1 << uint(out&63)
+				s.granted[in>>6] |= 1 << uint(in&63)
 				anyGrant = true
 			}
 		}
@@ -291,63 +248,31 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			break
 		}
 
-		// Accept phase.
-		matched := false
-		for in := 0; in < n; in++ {
-			if !s.inputFree[in] {
-				continue
+		// Accept phase, granted inputs in ascending order: an input with
+		// multicast grants for its HOL packet takes all of them (one
+		// payload, fanout splitting for the rest); otherwise it accepts
+		// one unicast grant round-robin from its accept pointer. Grants
+		// an input leaves untaken keep their outputs free.
+		for wi, gv := range s.granted {
+			for ; gv != 0; gv &= gv - 1 {
+				in := wi<<6 + bits.TrailingZeros64(gv)
+				s.freeIn[wi] &^= 1 << uint(in&63)
+				took := false
+				mrow := s.mcBy[in*w : in*w+w]
+				for wo, ov := range mrow {
+					for ; ov != 0; ov &= ov - 1 {
+						s.acceptMulticast(slot, iter, in, wo<<6+bits.TrailingZeros64(ov), deliver)
+						took = true
+					}
+				}
+				clear(mrow)
+				urow := s.uniBy[in*w : in*w+w]
+				if !took {
+					s.acceptUnicast(slot, iter, in, destset.RotatedFirst(urow, urow, s.acceptPtr[in]), deliver)
+				}
+				clear(urow)
 			}
-			// Collect multicast grants for this input's HOL packet.
-			tookMulticast := false
-			for out := 0; out < n; out++ {
-				if s.mcGrant[out] != in {
-					continue
-				}
-				e := s.mcQ[in].Front()
-				e.remaining.Remove(out)
-				last := e.remaining.Empty()
-				s.outputFree[out] = false
-				deliver(cell.Delivery{ID: e.p.ID, In: in, Out: out, Slot: slot, Arrival: e.p.Arrival, Last: last})
-				s.served[in]++
-				tookMulticast = true
-				matched = true
-				if s.obs != nil {
-					s.observeDelivery(slot, iter, in, out, e.p, last)
-				}
-			}
-			if tookMulticast {
-				s.inputFree[in] = false
-				s.freeIn.Remove(in)
-				continue
-			}
-			// Otherwise accept one unicast grant round-robin.
-			for k := 0; k < n; k++ {
-				out := (s.acceptPtr[in] + k) % n
-				if s.uniGrant[out] != in || !s.outputFree[out] {
-					continue
-				}
-				c := s.uniVOQ[in][out].Pop()
-				if s.uniVOQ[in][out].Empty() {
-					s.uniOcc[out].Remove(in)
-				}
-				s.payloads[in]--
-				s.outputFree[out] = false
-				s.inputFree[in] = false
-				s.freeIn.Remove(in)
-				deliver(cell.Delivery{ID: c.p.ID, In: in, Out: out, Slot: slot, Arrival: c.p.Arrival, Last: true})
-				matched = true
-				if s.obs != nil {
-					s.observeDelivery(slot, iter, in, out, c.p, true)
-				}
-				if iter == 0 {
-					s.grantPtr[out] = (in + 1) % n
-					s.acceptPtr[in] = (out + 1) % n
-				}
-				break
-			}
-		}
-		if !matched {
-			break
+			s.granted[wi] = 0
 		}
 		rounds++
 	}
@@ -392,6 +317,65 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	}
 }
 
+// mcGrant returns the free input closest to the shared multicast
+// pointer, wrapping around, whose HOL multicast packet still wants out,
+// or -1.
+func (s *Switch) mcGrant(out int) int {
+	for in := s.mcOcc.NextOneFrom(s.mcPtr); in >= 0; in = s.mcOcc.NextOneFrom(in + 1) {
+		if s.mcWants(in, out) {
+			return in
+		}
+	}
+	for in := s.mcOcc.NextOneFrom(0); in >= 0 && in < s.mcPtr; in = s.mcOcc.NextOneFrom(in + 1) {
+		if s.mcWants(in, out) {
+			return in
+		}
+	}
+	return -1
+}
+
+// mcWants reports whether input in, holding a multicast packet, is
+// free and its HOL packet's residual fanout includes out.
+func (s *Switch) mcWants(in, out int) bool {
+	return has(s.freeIn, in) && s.mcQ[in].Front().remaining.Contains(out)
+}
+
+// acceptMulticast delivers the copy for out of input in's HOL multicast
+// packet.
+func (s *Switch) acceptMulticast(slot int64, iter, in, out int, deliver func(cell.Delivery)) {
+	e := s.mcQ[in].Front()
+	e.remaining.Remove(out)
+	last := e.remaining.Empty()
+	s.freeOut[out>>6] &^= 1 << uint(out&63)
+	deliver(cell.Delivery{ID: e.p.ID, In: in, Out: out, Slot: slot, Arrival: e.p.Arrival, Last: last})
+	s.served[in]++
+	if s.obs != nil {
+		s.observeDelivery(slot, iter, in, out, e.p, last)
+	}
+}
+
+// acceptUnicast delivers the HOL cell of VOQ(in, out) and, on the
+// first iteration, moves both pointers past the match.
+func (s *Switch) acceptUnicast(slot int64, iter, in, out int, deliver func(cell.Delivery)) {
+	c := s.uniVOQ[in][out].Pop()
+	if s.uniVOQ[in][out].Empty() {
+		s.uniOcc[out].Remove(in)
+	}
+	s.payloads[in]--
+	s.freeOut[out>>6] &^= 1 << uint(out&63)
+	deliver(cell.Delivery{ID: c.p.ID, In: in, Out: out, Slot: slot, Arrival: c.p.Arrival, Last: true})
+	if s.obs != nil {
+		s.observeDelivery(slot, iter, in, out, c.p, true)
+	}
+	if iter == 0 {
+		s.grantPtr[out] = (in + 1) % s.n
+		s.acceptPtr[in] = (out + 1) % s.n
+	}
+}
+
+// has reports whether bit i is set in a port bitmap.
+func has(words []uint64, i int) bool { return words[i>>6]&(1<<uint(i&63)) != 0 }
+
 // observeRequests emits this iteration's implicit ESLIP requests —
 // every free input's HOL multicast packet requests its remaining free
 // outputs, and every non-empty unicast VOQ with a free input and free
@@ -400,10 +384,13 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 func (s *Switch) observeRequests(slot int64, iter int) {
 	traceOn := s.obs.TraceOn()
 	var pairs int64
-	s.mcCand.ForEach(func(in int) {
+	s.mcOcc.ForEach(func(in int) {
+		if !has(s.freeIn, in) {
+			return
+		}
 		e := s.mcQ[in].Front()
 		e.remaining.ForEach(func(out int) {
-			if !s.outputFree[out] {
+			if !has(s.freeOut, out) {
 				return
 			}
 			pairs++
@@ -415,23 +402,23 @@ func (s *Switch) observeRequests(slot int64, iter int) {
 			}
 		})
 	})
-	for out := 0; out < s.n; out++ {
-		if !s.outputFree[out] {
-			continue
-		}
-		s.uniCand.Clear()
-		s.uniCand.UnionWith(s.uniOcc[out])
-		s.uniCand.IntersectWith(s.freeIn)
-		s.uniCand.ForEach(func(in int) {
-			pairs++
-			if traceOn {
-				p := s.uniVOQ[in][out].Front().p
-				s.obs.Trace.Emit(obs.Event{
-					Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
-					Round: int32(iter), TS: p.Arrival, Packet: int64(p.ID),
-				})
+	for wo, ov := range s.freeOut {
+		for ; ov != 0; ov &= ov - 1 {
+			out := wo<<6 + bits.TrailingZeros64(ov)
+			for wi, iv := range s.uniOcc[out].Words() {
+				for iv &= s.freeIn[wi]; iv != 0; iv &= iv - 1 {
+					pairs++
+					if traceOn {
+						in := wi<<6 + bits.TrailingZeros64(iv)
+						p := s.uniVOQ[in][out].Front().p
+						s.obs.Trace.Emit(obs.Event{
+							Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
+							Round: int32(iter), TS: p.Arrival, Packet: int64(p.ID),
+						})
+					}
+				}
 			}
-		})
+		}
 	}
 	s.cRequests.Add(pairs)
 }
@@ -470,24 +457,15 @@ func (s *Switch) LastRounds() int { return s.lastRounds }
 // (stored once) plus unicast cells — comparable to the paper's
 // data-cell metric.
 func (s *Switch) QueueSizes(dst []int) []int {
-	for in := 0; in < s.n; in++ {
-		total := s.mcQ[in].Len()
-		for out := 0; out < s.n; out++ {
-			total += s.uniVOQ[in][out].Len()
-		}
-		dst[in] = total
-	}
+	copy(dst, s.payloads)
 	return dst
 }
 
 // BufferedCells returns the total buffered payloads.
 func (s *Switch) BufferedCells() int64 {
 	var total int64
-	for in := 0; in < s.n; in++ {
-		total += int64(s.mcQ[in].Len())
-		for out := 0; out < s.n; out++ {
-			total += int64(s.uniVOQ[in][out].Len())
-		}
+	for _, p := range s.payloads {
+		total += int64(p)
 	}
 	return total
 }

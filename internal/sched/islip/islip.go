@@ -80,8 +80,8 @@ func (a *Arbiter) Match(s *core.Switch, _ int64, _ *xrand.Rand, m *core.Matching
 	n := s.Ports()
 	a.ensure(n)
 	w := len(a.inFree)
-	fillPorts(a.inFree, n)
-	fillPorts(a.outFree, n)
+	destset.FillPorts(a.inFree, n)
+	destset.FillPorts(a.outFree, n)
 	maxIter := a.Iterations
 	if maxIter <= 0 {
 		maxIter = n
@@ -96,7 +96,7 @@ func (a *Arbiter) Match(s *core.Switch, _ int64, _ *xrand.Rand, m *core.Matching
 			for ov != 0 {
 				out := wi<<6 + bits.TrailingZeros64(ov)
 				ov &= ov - 1
-				in := rotatedFirst(s.OccOutWords(out), a.inFree, a.grantPtr[out])
+				in := destset.RotatedFirst(s.OccOutWords(out), a.inFree, a.grantPtr[out])
 				if in < 0 {
 					continue
 				}
@@ -117,7 +117,7 @@ func (a *Arbiter) Match(s *core.Switch, _ int64, _ *xrand.Rand, m *core.Matching
 		// independent and their order is immaterial.
 		for _, in := range a.granted {
 			row := a.grantedBy[in*w : in*w+w]
-			out := rotatedFirst(row, row, a.acceptPtr[in])
+			out := destset.RotatedFirst(row, row, a.acceptPtr[in])
 			clear(row)
 			m.OutIn[out] = in
 			a.inFree[in>>6] &^= 1 << uint(in&63)
@@ -132,16 +132,6 @@ func (a *Arbiter) Match(s *core.Switch, _ int64, _ *xrand.Rand, m *core.Matching
 	}
 }
 
-// fillPorts sets bits [0, n) of a bitmap and clears the rest.
-func fillPorts(set []uint64, n int) {
-	for i := range set {
-		set[i] = ^uint64(0)
-	}
-	if rem := n & 63; rem != 0 {
-		set[len(set)-1] = 1<<uint(rem) - 1
-	}
-}
-
 func isZero(row []uint64) bool {
 	for _, v := range row {
 		if v != 0 {
@@ -149,26 +139,4 @@ func isZero(row []uint64) bool {
 		}
 	}
 	return true
-}
-
-// rotatedFirst returns the first port at or after p, wrapping around
-// once, whose bit is set in both x and y, or -1 when x & y is empty:
-// a round-robin priority encoder whose highest priority is p.
-func rotatedFirst(x, y []uint64, p int) int {
-	wi := p >> 6
-	if v := x[wi] & y[wi] & (^uint64(0) << uint(p&63)); v != 0 {
-		return wi<<6 + bits.TrailingZeros64(v)
-	}
-	for i := wi + 1; i < len(x); i++ {
-		if v := x[i] & y[i]; v != 0 {
-			return i<<6 + bits.TrailingZeros64(v)
-		}
-	}
-	// Wrapped: word wi's bits at or above p are known clear.
-	for i := 0; i <= wi; i++ {
-		if v := x[i] & y[i]; v != 0 {
-			return i<<6 + bits.TrailingZeros64(v)
-		}
-	}
-	return -1
 }

@@ -25,7 +25,10 @@
 package lqfms
 
 import (
+	"math/bits"
+
 	"voqsim/internal/core"
+	"voqsim/internal/destset"
 	"voqsim/internal/xrand"
 )
 
@@ -36,11 +39,10 @@ type Arbiter struct {
 	// zero iterates to convergence.
 	MaxRounds int
 
-	inputFree  []bool
-	outputFree []bool
-	chosenTS   []int64 // per input: time stamp of the selected packet, -1 = none
-	granted    []int
-	tieCount   []int
+	inFree   []uint64 // bitmap over inputs not yet matched
+	outFree  []uint64 // bitmap over outputs not yet matched
+	req      []uint64 // bitmap over inputs requesting this round
+	chosenTS []int64  // per requesting input: time stamp of the selected packet
 }
 
 // New returns an LQFMS arbiter.
@@ -53,24 +55,26 @@ func (a *Arbiter) Name() string { return "lqfms" }
 func (a *Arbiter) Mode() core.PreprocessMode { return core.ModeShared }
 
 func (a *Arbiter) ensure(n int) {
-	if len(a.inputFree) == n {
+	if len(a.chosenTS) == n {
 		return
 	}
-	a.inputFree = make([]bool, n)
-	a.outputFree = make([]bool, n)
+	w := destset.WordsPerRow(n)
+	a.inFree = make([]uint64, w)
+	a.outFree = make([]uint64, w)
+	a.req = make([]uint64, w)
 	a.chosenTS = make([]int64, n)
-	a.granted = make([]int, n)
-	a.tieCount = make([]int, n)
 }
 
-// Match implements core.Arbiter.
+// Match implements core.Arbiter. Both steps scan occupancy bitmaps
+// (Switch.OccInWords, Switch.OccOutWords) masked by the free ports, in
+// ascending order: an empty VOQ can neither become an input's longest
+// queue nor back a grant, so skipping it changes no decision and no
+// tie draw.
 func (a *Arbiter) Match(s *core.Switch, _ int64, r *xrand.Rand, m *core.Matching) {
 	n := s.Ports()
 	a.ensure(n)
-	for i := 0; i < n; i++ {
-		a.inputFree[i] = true
-		a.outputFree[i] = true
-	}
+	destset.FillPorts(a.inFree, n)
+	destset.FillPorts(a.outFree, n)
 	maxRounds := a.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = n
@@ -80,67 +84,62 @@ func (a *Arbiter) Match(s *core.Switch, _ int64, r *xrand.Rand, m *core.Matching
 		// Request step: each free input picks the packet at the HOL of
 		// its longest free-output VOQ (ties to the lower output index)
 		// and requests every free output whose HOL is that packet.
-		for in := 0; in < n; in++ {
-			a.chosenTS[in] = -1
-			if !a.inputFree[in] {
-				continue
-			}
-			bestLen := 0
-			for out := 0; out < n; out++ {
-				if !a.outputFree[out] {
-					continue
+		clear(a.req)
+		for wi, iv := range a.inFree {
+			for ; iv != 0; iv &= iv - 1 {
+				in := wi<<6 + bits.TrailingZeros64(iv)
+				bestLen := 0
+				for wo, ov := range s.OccInWords(in) {
+					for ov &= a.outFree[wo]; ov != 0; ov &= ov - 1 {
+						out := wo<<6 + bits.TrailingZeros64(ov)
+						if l := s.VOQLen(in, out); l > bestLen {
+							bestLen = l
+							a.chosenTS[in] = s.HOLTime(in, out)
+						}
+					}
 				}
-				if l := s.VOQLen(in, out); l > bestLen {
-					bestLen = l
-					a.chosenTS[in] = s.HOLTime(in, out)
+				if bestLen > 0 {
+					a.req[wi] |= 1 << uint(in&63)
 				}
 			}
 		}
 
 		// Grant step: each free output grants the request backed by the
-		// longest VOQ, ties uniform.
+		// longest VOQ, ties uniform. The step reads only the requests
+		// fixed above, so each grant is committed as it is made.
 		anyGrant := false
-		for out := 0; out < n; out++ {
-			a.granted[out] = core.None
-			if !a.outputFree[out] {
-				continue
-			}
-			bestLen := 0
-			for in := 0; in < n; in++ {
-				if a.chosenTS[in] < 0 {
-					continue
-				}
-				if s.HOLTime(in, out) != a.chosenTS[in] {
-					continue // this input's packet has no cell here
-				}
-				l := s.VOQLen(in, out)
-				switch {
-				case l > bestLen:
-					bestLen = l
-					a.granted[out] = in
-					a.tieCount[out] = 1
-				case l == bestLen && l > 0:
-					a.tieCount[out]++
-					if r.Intn(a.tieCount[out]) == 0 {
-						a.granted[out] = in
+		for wo, ov := range a.outFree {
+			for ; ov != 0; ov &= ov - 1 {
+				out := wo<<6 + bits.TrailingZeros64(ov)
+				granted, bestLen, ties := core.None, 0, 0
+				for wi, iv := range s.OccOutWords(out) {
+					for iv &= a.req[wi]; iv != 0; iv &= iv - 1 {
+						in := wi<<6 + bits.TrailingZeros64(iv)
+						if s.HOLTime(in, out) != a.chosenTS[in] {
+							continue // this input's packet has no cell here
+						}
+						switch l := s.VOQLen(in, out); {
+						case l > bestLen:
+							bestLen, granted, ties = l, in, 1
+						case l == bestLen:
+							ties++
+							if r.Intn(ties) == 0 {
+								granted = in
+							}
+						}
 					}
 				}
-			}
-			if a.granted[out] != core.None {
+				if granted == core.None {
+					continue
+				}
+				m.OutIn[out] = granted
+				a.outFree[wo] &^= 1 << uint(out&63)
+				a.inFree[granted>>6] &^= 1 << uint(granted&63)
 				anyGrant = true
 			}
 		}
 		if !anyGrant {
 			break
-		}
-		for out := 0; out < n; out++ {
-			in := a.granted[out]
-			if in == core.None {
-				continue
-			}
-			m.OutIn[out] = in
-			a.outputFree[out] = false
-			a.inputFree[in] = false
 		}
 		m.Rounds++
 	}

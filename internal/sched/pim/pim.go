@@ -34,7 +34,7 @@ type Arbiter struct {
 	// Scratch, sized together under the single scratchN guard.
 	scratchN   int
 	inFree     []uint64 // free-input word set
-	outputFree []bool
+	outFree    []uint64 // free-output word set
 	grantTo    []int
 	acceptPick []int
 	acceptTies []int
@@ -55,7 +55,7 @@ func (a *Arbiter) ensure(n int) {
 	}
 	a.scratchN = n
 	a.inFree = make([]uint64, destset.WordsPerRow(n))
-	a.outputFree = make([]bool, n)
+	a.outFree = make([]uint64, destset.WordsPerRow(n))
 	a.grantTo = make([]int, n)
 	a.acceptPick = make([]int, n)
 	a.acceptTies = make([]int, n)
@@ -66,15 +66,8 @@ func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Match
 	n := s.Ports()
 	o := s.Observer() // nil in ordinary runs
 	a.ensure(n)
-	for i := range a.inFree {
-		a.inFree[i] = ^uint64(0)
-	}
-	if rem := n & 63; rem != 0 {
-		a.inFree[len(a.inFree)-1] = 1<<uint(rem) - 1
-	}
-	for i := 0; i < n; i++ {
-		a.outputFree[i] = true
-	}
+	destset.FillPorts(a.inFree, n)
+	destset.FillPorts(a.outFree, n)
 	maxIter := a.Iterations
 	if maxIter <= 0 {
 		maxIter = n
@@ -88,22 +81,19 @@ func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Match
 		// with a queued cell for it (single-pass reservoir sampling
 		// over the occupancy ∩ free-input words; the ascending scan
 		// preserves the RNG draw order of the plain loop).
-		for out := 0; out < n; out++ {
+		for out := range a.grantTo {
 			a.grantTo[out] = core.None
-			if !a.outputFree[out] {
-				continue
-			}
-			occ := s.OccOutWords(out)
-			seen := 0
-			for wi, wv := range occ {
-				wv &= a.inFree[wi]
-				base := wi << 6
-				for wv != 0 {
-					in := base + bits.TrailingZeros64(wv)
-					wv &= wv - 1
-					seen++
-					if r.Intn(seen) == 0 {
-						a.grantTo[out] = in
+		}
+		for wo, ov := range a.outFree {
+			for ; ov != 0; ov &= ov - 1 {
+				out := wo<<6 + bits.TrailingZeros64(ov)
+				seen := 0
+				for wi, wv := range s.OccOutWords(out) {
+					for wv &= a.inFree[wi]; wv != 0; wv &= wv - 1 {
+						seen++
+						if r.Intn(seen) == 0 {
+							a.grantTo[out] = wi<<6 + bits.TrailingZeros64(wv)
+						}
 					}
 				}
 			}
@@ -135,7 +125,7 @@ func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Match
 			}
 			m.OutIn[out] = in
 			a.inFree[in>>6] &^= 1 << uint(in&63)
-			a.outputFree[out] = false
+			a.outFree[out>>6] &^= 1 << uint(out&63)
 			matched = true
 			if o != nil {
 				granted++
@@ -166,23 +156,18 @@ func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Match
 func (a *Arbiter) observeRequests(s *core.Switch, o *obs.Observer, slot int64, iter int) {
 	traceOn := o.TraceOn()
 	var pairs int64
-	for out := 0; out < s.Ports(); out++ {
-		if !a.outputFree[out] {
-			continue
-		}
-		occ := s.OccOutWords(out)
-		for wi, wv := range occ {
-			wv &= a.inFree[wi]
-			base := wi << 6
-			for wv != 0 {
-				in := base + bits.TrailingZeros64(wv)
-				wv &= wv - 1
-				pairs++
-				if traceOn {
-					o.Trace.Emit(obs.Event{
-						Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
-						Round: int32(iter), TS: -1, Packet: -1,
-					})
+	for wo, ov := range a.outFree {
+		for ; ov != 0; ov &= ov - 1 {
+			out := wo<<6 + bits.TrailingZeros64(ov)
+			for wi, wv := range s.OccOutWords(out) {
+				for wv &= a.inFree[wi]; wv != 0; wv &= wv - 1 {
+					pairs++
+					if traceOn {
+						o.Trace.Emit(obs.Event{
+							Slot: slot, Type: obs.EvRequest, In: int32(wi<<6 + bits.TrailingZeros64(wv)),
+							Out: int32(out), Round: int32(iter), TS: -1, Packet: -1,
+						})
+					}
 				}
 			}
 		}

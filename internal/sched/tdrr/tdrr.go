@@ -18,14 +18,17 @@
 package tdrr
 
 import (
+	"math/bits"
+
 	"voqsim/internal/core"
+	"voqsim/internal/destset"
 	"voqsim/internal/xrand"
 )
 
 // Arbiter is the 2DRR matcher. Create one per switch with New.
 type Arbiter struct {
-	inputFree  []bool
-	outputFree []bool
+	inFree  []uint64 // bitmap over inputs not yet matched
+	outFree []uint64 // bitmap over outputs not yet matched
 }
 
 // New returns a 2DRR arbiter.
@@ -38,42 +41,54 @@ func (a *Arbiter) Name() string { return "2drr" }
 func (a *Arbiter) Mode() core.PreprocessMode { return core.ModeCopied }
 
 func (a *Arbiter) ensure(n int) {
-	if len(a.inputFree) == n {
-		return
+	if w := destset.WordsPerRow(n); len(a.inFree) != w {
+		a.inFree = make([]uint64, w)
+		a.outFree = make([]uint64, w)
 	}
-	a.inputFree = make([]bool, n)
-	a.outputFree = make([]bool, n)
 }
 
 // Match implements core.Arbiter. Rounds reports the number of
 // diagonals that contributed at least one grant this slot.
+//
+// Diagonal d visits only the inputs still free, in ascending order,
+// and probes the one cell (in, in+d mod N) against the free-output
+// set and the input's occupancy row. The cells of one diagonal never
+// conflict, so granting during the walk cannot change it; once every
+// input is matched, later diagonals could grant nothing, and the scan
+// stops.
 func (a *Arbiter) Match(s *core.Switch, slot int64, _ *xrand.Rand, m *core.Matching) {
 	n := s.Ports()
 	a.ensure(n)
-	for i := 0; i < n; i++ {
-		a.inputFree[i] = true
-		a.outputFree[i] = true
-	}
+	destset.FillPorts(a.inFree, n)
+	destset.FillPorts(a.outFree, n)
 
-	offset := int(slot % int64(n))
-	for k := 0; k < n; k++ {
-		d := (offset + k) % n
+	free := n
+	d := int(slot % int64(n))
+	for k := 0; k < n && free > 0; k++ {
 		granted := false
-		for in := 0; in < n; in++ {
-			out := (in + d) % n
-			if !a.inputFree[in] || !a.outputFree[out] {
-				continue
+		for wi, iv := range a.inFree {
+			for ; iv != 0; iv &= iv - 1 {
+				in := wi<<6 + bits.TrailingZeros64(iv)
+				out := in + d
+				if out >= n {
+					out -= n
+				}
+				bit := uint64(1) << uint(out&63)
+				if a.outFree[out>>6]&bit == 0 || s.OccInWords(in)[out>>6]&bit == 0 {
+					continue
+				}
+				m.OutIn[out] = in
+				a.inFree[wi] &^= 1 << uint(in&63)
+				a.outFree[out>>6] &^= bit
+				free--
+				granted = true
 			}
-			if s.VOQLen(in, out) == 0 {
-				continue
-			}
-			m.OutIn[out] = in
-			a.inputFree[in] = false
-			a.outputFree[out] = false
-			granted = true
 		}
 		if granted {
 			m.Rounds++
+		}
+		if d++; d == n {
+			d = 0
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/cioq"
 	"voqsim/internal/core"
 	"voqsim/internal/oq"
 	"voqsim/internal/sched/islip"
@@ -21,7 +22,8 @@ import (
 // window make a warm slot allocation-free; any regression here puts GC
 // pressure back into every sweep. The paper's three baselines hold the
 // same line at the sizes sweep-paper runs and one above: iSLIP on the
-// copied-mode arena, TATRA and OQFIFO through their own release hooks.
+// copied-mode arena, TATRA and OQFIFO through their own release hooks,
+// and CIOQ at speedup 2 through its input stage's.
 //
 // Every case has the same form: a fixed warm-up (warmSlotsFor), then
 // testing.AllocsPerRun over a fixed window. AllocsPerRun reports whole
@@ -44,6 +46,7 @@ func TestSlotZeroAllocs(t *testing.T) {
 		{"islip", 16, false}, {"islip", 64, false},
 		{"tatra", 16, false}, {"tatra", 64, false},
 		{"oqfifo", 16, false}, {"oqfifo", 64, false},
+		{"cioq-s2", 16, false}, {"cioq-s2", 64, false},
 	} {
 		name := fmt.Sprintf("n=%d", tc.n)
 		if tc.fast {
@@ -90,6 +93,8 @@ func baselineRunner(algo string, n int, slots int64) *Runner {
 		sw = tatra.New(n)
 	case "oqfifo":
 		sw = oq.New(n)
+	case "cioq-s2":
+		sw = cioq.New(n, 2, &core.FIFOMS{}, root)
 	default:
 		panic("baselineRunner: unknown algorithm " + algo)
 	}

@@ -75,7 +75,9 @@ type Observable interface {
 // leaves (in ModeShared its one data-slab entry, in ModeCopied the last
 // of its private ones), tatra.Switch when the packet leaves the head
 // of its queue, oq.Switch at the end of the Step after its arrival,
-// and the fabric as soon as it has copied the destinations. A packet
+// cioq.Switch through its input stage once the last copy has crossed
+// into the output queues, and the fabric as soon as it has copied the
+// destinations. A packet
 // is released from Step, never from Arrive: callers read it after
 // Arrive returns (LiveRunner.Admit its ID, voqd's -record its
 // destinations). The engine registers its packet pool as the hook,
