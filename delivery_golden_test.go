@@ -29,9 +29,11 @@ import (
 	"voqsim/internal/xrand"
 )
 
-// The grid mirrors the resume-equals-straight-run roster in
-// internal/switchsim: the seven snapshot-capable architectures.
-var deliveryGoldenAlgos = []string{"fifoms", "pim", "islip", "eslip", "wba", "lqfms", "2drr"}
+// The grid is the resume-equals-straight-run roster in internal/switchsim
+// (the seven snapshot-capable architectures) plus TATRA, the paper's
+// multicast baseline, which cannot checkpoint: without its rows only
+// aggregate tables and the bench digest would see its delivery stream.
+var deliveryGoldenAlgos = []string{"fifoms", "pim", "islip", "eslip", "wba", "lqfms", "2drr", "tatra"}
 
 // 65 and 130 give every arbiter's port bitmaps a second and a third
 // word, so a scan that mishandles a word boundary shows here.
