@@ -15,7 +15,7 @@ import (
 func rescanPayloads(s *Switch) []int {
 	counts := make([]int, s.n)
 	for in := range counts {
-		counts[in] = s.mcQ[in].Len()
+		counts[in] = s.mc.Len(in)
 		for out := 0; out < s.n; out++ {
 			counts[in] += s.uniVOQ[in][out].Len()
 		}

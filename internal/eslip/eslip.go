@@ -5,9 +5,9 @@
 // paper's FIFOMS.
 //
 // Queue structure: each input keeps N unicast VOQs plus ONE multicast
-// FIFO queue whose head packet carries a residual fanout. Multicast
-// payloads are stored once (like the paper's data cells); unicast
-// cells one each.
+// FIFO queue whose head packet carries a residual fanout — the
+// inq.Store TATRA and WBA queue in. Multicast payloads are stored once
+// (like the paper's data cells); unicast cells one each.
 //
 // Scheduling (per slot, iterative):
 //
@@ -39,27 +39,17 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/destset"
 	"voqsim/internal/fifoq"
+	"voqsim/internal/inq"
 	"voqsim/internal/obs"
 )
-
-// mcEntry is a queued multicast packet with its unserved destinations.
-type mcEntry struct {
-	p         *cell.Packet
-	remaining *destset.Set
-}
-
-// uniCell is one queued unicast cell.
-type uniCell struct {
-	p *cell.Packet
-}
 
 // Switch is the ESLIP switch. It satisfies the simulation engine's
 // Switch interface.
 type Switch struct {
 	n int
 
-	uniVOQ [][]fifoq.Queue[uniCell] // [input][output]
-	mcQ    []fifoq.Queue[*mcEntry]  // one multicast queue per input
+	uniVOQ [][]fifoq.Queue[*cell.Packet] // [input][output]
+	mc     *inq.Store                    // one multicast queue per input
 
 	grantPtr  []int // per output, unicast RR
 	acceptPtr []int // per input, unicast RR
@@ -68,9 +58,11 @@ type Switch struct {
 	// Occupancy bitsets, maintained on push/pop, so the rotating grant
 	// scans visit only inputs that actually hold traffic instead of
 	// probing N queues per output per iteration (the cached-HOL fast
-	// path; see DESIGN.md § Match kernel).
+	// path; see DESIGN.md § Match kernel). The multicast one is the
+	// store's.
 	uniOcc []*destset.Set // per output: inputs with a queued unicast cell
-	mcOcc  *destset.Set   // inputs with a queued multicast packet
+
+	release func(*cell.Packet) // SetReleaseHook; nil leaves packets to the GC
 
 	lastRounds  int
 	totalRounds int64
@@ -115,12 +107,11 @@ func New(n int) *Switch {
 	w := destset.WordsPerRow(n)
 	s := &Switch{
 		n:         n,
-		uniVOQ:    make([][]fifoq.Queue[uniCell], n),
-		mcQ:       make([]fifoq.Queue[*mcEntry], n),
+		uniVOQ:    make([][]fifoq.Queue[*cell.Packet], n),
+		mc:        inq.New(n),
 		grantPtr:  make([]int, n),
 		acceptPtr: make([]int, n),
 		uniOcc:    make([]*destset.Set, n),
-		mcOcc:     destset.New(n),
 		freeIn:    make([]uint64, w),
 		freeOut:   make([]uint64, w),
 		mcBy:      make([]uint64, n*w),
@@ -130,7 +121,7 @@ func New(n int) *Switch {
 		payloads:  make([]int, n),
 	}
 	for i := range s.uniVOQ {
-		s.uniVOQ[i] = make([]fifoq.Queue[uniCell], n)
+		s.uniVOQ[i] = make([]fifoq.Queue[*cell.Packet], n)
 		s.uniOcc[i] = destset.New(n)
 	}
 	return s
@@ -181,12 +172,9 @@ func (s *Switch) Arrive(p *cell.Packet) {
 		if s.uniVOQ[p.Input][out].Empty() {
 			s.uniOcc[out].Add(p.Input)
 		}
-		s.uniVOQ[p.Input][out].Push(uniCell{p: p})
+		s.uniVOQ[p.Input][out].Push(p)
 	default:
-		if s.mcQ[p.Input].Empty() {
-			s.mcOcc.Add(p.Input)
-		}
-		s.mcQ[p.Input].Push(&mcEntry{p: p, remaining: p.Dests.Clone()})
+		s.mc.Push(p)
 	}
 	s.payloads[p.Input]++
 	if s.obs != nil {
@@ -278,28 +266,25 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	}
 
 	// Post-transmission: fully-served multicast packets leave their
-	// queues (a residue stays at HOL for fanout splitting), and the
-	// shared pointer advances past its input only when that input's
-	// packet completed — ESLIP's completion rule, which lets a split
-	// packet keep top priority until its residue drains.
+	// queues and are released (a residue stays at HOL for fanout
+	// splitting), and the shared pointer advances past its input only
+	// when that input's packet completed — ESLIP's completion rule,
+	// which lets a split packet keep top priority until its residue
+	// drains.
 	for in := 0; in < n; in++ {
-		if !s.mcQ[in].Empty() && s.mcQ[in].Front().remaining.Empty() {
-			s.mcQ[in].Pop()
+		if s.mc.Advance(in) {
 			s.payloads[in]--
-			if s.mcQ[in].Empty() {
-				s.mcOcc.Remove(in)
-			}
 			if in == s.mcPtr {
 				s.mcPtr = (s.mcPtr + 1) % n
 			}
-		} else if s.obs != nil && s.served[in] > 0 && !s.mcQ[in].Empty() {
+		} else if s.obs != nil && s.served[in] > 0 {
 			// Partially served: the residue stays at HOL (fanout
 			// splitting) and competes again next slot.
-			e := s.mcQ[in].Front()
+			e := s.mc.Front(in)
 			if s.obs.TraceOn() {
 				s.obs.Trace.Emit(obs.Event{
 					Slot: slot, Type: obs.EvFanoutSplit, In: int32(in), Out: -1, Round: -1,
-					Aux: int32(e.remaining.Count()), TS: e.p.Arrival, Packet: int64(e.p.ID),
+					Aux: int32(e.Remaining.Count()), TS: e.P.Arrival, Packet: int64(e.P.ID),
 				})
 			}
 			s.cSplits.Inc()
@@ -321,12 +306,13 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 // pointer, wrapping around, whose HOL multicast packet still wants out,
 // or -1.
 func (s *Switch) mcGrant(out int) int {
-	for in := s.mcOcc.NextOneFrom(s.mcPtr); in >= 0; in = s.mcOcc.NextOneFrom(in + 1) {
+	occ := s.mc.Occupied()
+	for in := occ.NextOneFrom(s.mcPtr); in >= 0; in = occ.NextOneFrom(in + 1) {
 		if s.mcWants(in, out) {
 			return in
 		}
 	}
-	for in := s.mcOcc.NextOneFrom(0); in >= 0 && in < s.mcPtr; in = s.mcOcc.NextOneFrom(in + 1) {
+	for in := occ.NextOneFrom(0); in >= 0 && in < s.mcPtr; in = occ.NextOneFrom(in + 1) {
 		if s.mcWants(in, out) {
 			return in
 		}
@@ -337,35 +323,38 @@ func (s *Switch) mcGrant(out int) int {
 // mcWants reports whether input in, holding a multicast packet, is
 // free and its HOL packet's residual fanout includes out.
 func (s *Switch) mcWants(in, out int) bool {
-	return has(s.freeIn, in) && s.mcQ[in].Front().remaining.Contains(out)
+	return has(s.freeIn, in) && s.mc.Front(in).Remaining.Contains(out)
 }
 
 // acceptMulticast delivers the copy for out of input in's HOL multicast
 // packet.
 func (s *Switch) acceptMulticast(slot int64, iter, in, out int, deliver func(cell.Delivery)) {
-	e := s.mcQ[in].Front()
-	e.remaining.Remove(out)
-	last := e.remaining.Empty()
+	e := s.mc.Front(in)
+	e.Remaining.Remove(out)
+	last := e.Remaining.Empty()
 	s.freeOut[out>>6] &^= 1 << uint(out&63)
-	deliver(cell.Delivery{ID: e.p.ID, In: in, Out: out, Slot: slot, Arrival: e.p.Arrival, Last: last})
+	deliver(cell.Delivery{ID: e.P.ID, In: in, Out: out, Slot: slot, Arrival: e.P.Arrival, Last: last})
 	s.served[in]++
 	if s.obs != nil {
-		s.observeDelivery(slot, iter, in, out, e.p, last)
+		s.observeDelivery(slot, iter, in, out, e.P, last)
 	}
 }
 
-// acceptUnicast delivers the HOL cell of VOQ(in, out) and, on the
-// first iteration, moves both pointers past the match.
+// acceptUnicast delivers and releases the HOL cell of VOQ(in, out)
+// and, on the first iteration, moves both pointers past the match.
 func (s *Switch) acceptUnicast(slot int64, iter, in, out int, deliver func(cell.Delivery)) {
-	c := s.uniVOQ[in][out].Pop()
+	p := s.uniVOQ[in][out].Pop()
 	if s.uniVOQ[in][out].Empty() {
 		s.uniOcc[out].Remove(in)
 	}
 	s.payloads[in]--
 	s.freeOut[out>>6] &^= 1 << uint(out&63)
-	deliver(cell.Delivery{ID: c.p.ID, In: in, Out: out, Slot: slot, Arrival: c.p.Arrival, Last: true})
+	deliver(cell.Delivery{ID: p.ID, In: in, Out: out, Slot: slot, Arrival: p.Arrival, Last: true})
 	if s.obs != nil {
-		s.observeDelivery(slot, iter, in, out, c.p, true)
+		s.observeDelivery(slot, iter, in, out, p, true)
+	}
+	if s.release != nil {
+		s.release(p)
 	}
 	if iter == 0 {
 		s.grantPtr[out] = (in + 1) % s.n
@@ -384,12 +373,12 @@ func has(words []uint64, i int) bool { return words[i>>6]&(1<<uint(i&63)) != 0 }
 func (s *Switch) observeRequests(slot int64, iter int) {
 	traceOn := s.obs.TraceOn()
 	var pairs int64
-	s.mcOcc.ForEach(func(in int) {
+	s.mc.Occupied().ForEach(func(in int) {
 		if !has(s.freeIn, in) {
 			return
 		}
-		e := s.mcQ[in].Front()
-		e.remaining.ForEach(func(out int) {
+		e := s.mc.Front(in)
+		e.Remaining.ForEach(func(out int) {
 			if !has(s.freeOut, out) {
 				return
 			}
@@ -397,7 +386,7 @@ func (s *Switch) observeRequests(slot int64, iter int) {
 			if traceOn {
 				s.obs.Trace.Emit(obs.Event{
 					Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
-					Round: int32(iter), TS: e.p.Arrival, Packet: int64(e.p.ID),
+					Round: int32(iter), TS: e.P.Arrival, Packet: int64(e.P.ID),
 				})
 			}
 		})
@@ -410,7 +399,7 @@ func (s *Switch) observeRequests(slot int64, iter int) {
 					pairs++
 					if traceOn {
 						in := wi<<6 + bits.TrailingZeros64(iv)
-						p := s.uniVOQ[in][out].Front().p
+						p := s.uniVOQ[in][out].Front()
 						s.obs.Trace.Emit(obs.Event{
 							Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
 							Round: int32(iter), TS: p.Arrival, Packet: int64(p.ID),
@@ -450,6 +439,15 @@ func (s *Switch) observeDelivery(slot int64, iter, in, out int, p *cell.Packet, 
 	}
 }
 
+// SetReleaseHook registers fn to receive each packet once its last copy
+// has left — a unicast cell's as it crosses, a multicast packet's when
+// it leaves the head of its queue — from Step, never from Arrive. The
+// switch holds no reference to it afterwards.
+func (s *Switch) SetReleaseHook(fn func(*cell.Packet)) {
+	s.release = fn
+	s.mc.SetReleaseHook(fn)
+}
+
 // LastRounds reports the previous slot's iteration count.
 func (s *Switch) LastRounds() int { return s.lastRounds }
 
@@ -475,11 +473,11 @@ func (s *Switch) BufferedCells() int64 {
 // destination.
 func (s *Switch) BufferedBytes() int64 {
 	var payloads, pending int64
+	s.mc.ForEachBuffered(func(_ int, _ *cell.Packet, remaining *destset.Set) {
+		payloads++
+		pending += int64(remaining.Count())
+	})
 	for in := 0; in < s.n; in++ {
-		s.mcQ[in].ForEach(func(e *mcEntry) {
-			payloads++
-			pending += int64(e.remaining.Count())
-		})
 		for out := 0; out < s.n; out++ {
 			payloads += int64(s.uniVOQ[in][out].Len())
 			pending += int64(s.uniVOQ[in][out].Len())

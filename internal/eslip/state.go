@@ -7,30 +7,27 @@ import (
 )
 
 // Checkpoint hooks. Serialized state: the unicast VOQs, the multicast
-// queues with each entry's residual destination set (fanout splitting
-// mutates it in place, so a packet's remaining set differs from its
-// original destinations mid-service), the three scheduler pointers
-// and the rounds accounting. The occupancy bitsets (uniOcc, mcOcc)
-// and payload counts are derived caches, rebuilt while loading; the
-// scratch sets and observability handles are per-slot or reattached.
+// queues through the store's per-input codec (each entry carries its
+// residual destination set: fanout splitting mutates it in place, so a
+// packet's remaining set differs from its original destinations
+// mid-service), the three scheduler pointers and the rounds
+// accounting. The occupancy bitsets and payload counts are derived
+// caches, rebuilt while loading; the scratch sets and observability
+// handles are per-slot or reattached.
 
 // ForEachBuffered calls fn for every buffered packet with its residual
-// destination set (not a copy — do not mutate): multicast entries from
-// the shared per-input queues, then each unicast VOQ front to back.
-// External inspectors (the invariant checker's shadow-model priming)
-// use it to read the buffer content.
+// destination set (not a copy — do not mutate): the multicast entries
+// of every input, then each unicast VOQ front to back. External
+// inspectors (the invariant checker's shadow-model priming) use it to
+// read the buffer content.
 func (s *Switch) ForEachBuffered(fn func(in int, p *cell.Packet, remaining *destset.Set)) {
+	s.mc.ForEachBuffered(fn)
 	for in := 0; in < s.n; in++ {
-		q := &s.mcQ[in]
-		for i := 0; i < q.Len(); i++ {
-			e := q.At(i)
-			fn(in, e.p, e.remaining)
-		}
 		for out := 0; out < s.n; out++ {
 			uq := &s.uniVOQ[in][out]
 			for i := 0; i < uq.Len(); i++ {
-				c := uq.At(i)
-				fn(in, c.p, c.p.Dests)
+				p := uq.At(i)
+				fn(in, p, p.Dests)
 			}
 		}
 	}
@@ -48,22 +45,14 @@ func (s *Switch) SaveState(w *snap.Writer) {
 	w.I64(s.totalRounds)
 	w.I64(s.activeSlots)
 	for in := 0; in < s.n; in++ {
-		q := &s.mcQ[in]
-		w.Count(q.Len())
-		for i := 0; i < q.Len(); i++ {
-			e := q.At(i)
-			w.I64(int64(e.p.ID))
-			w.I64(e.p.Arrival)
-			snap.WriteDests(w, e.p.Dests)
-			snap.WriteDests(w, e.remaining)
-		}
+		s.mc.SaveInput(w, in)
 		for out := 0; out < s.n; out++ {
 			uq := &s.uniVOQ[in][out]
 			w.Count(uq.Len())
 			for i := 0; i < uq.Len(); i++ {
-				c := uq.At(i)
-				w.I64(int64(c.p.ID))
-				w.I64(c.p.Arrival)
+				p := uq.At(i)
+				w.I64(int64(p.ID))
+				w.I64(p.Arrival)
 			}
 		}
 	}
@@ -107,38 +96,12 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 	s.totalRounds = r.I64()
 	s.activeSlots = r.I64()
 	for in := 0; in < s.n; in++ {
-		// Multicast entries cost at least id(8)+arrival(8)+2 dest sets
-		// (5 each) = 26 bytes.
-		mcLen := r.Count(26)
-		for i := 0; i < mcLen; i++ {
-			id := cell.PacketID(r.I64())
-			arrival := r.I64()
-			dests := snap.ReadDests(r, s.n)
-			remaining := snap.ReadDests(r, s.n)
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if dests == nil || dests.Count() < 2 || remaining == nil || remaining.Empty() {
-				r.Failf("multicast entry %d at input %d has invalid destination sets", id, in)
-				return r.Err()
-			}
-			if arrival < 0 || arrival >= r.NextSlot() {
-				r.Failf("multicast entry %d at input %d arrival %d outside [0,%d)", id, in, arrival, r.NextSlot())
-				return r.Err()
-			}
-			sub := remaining.Clone()
-			sub.SubtractWith(dests)
-			if !sub.Empty() {
-				r.Failf("multicast entry %d at input %d has remaining outside its destinations", id, in)
-				return r.Err()
-			}
-			p := &cell.Packet{ID: id, Input: in, Arrival: arrival, Dests: dests}
-			if s.mcQ[in].Empty() {
-				s.mcOcc.Add(in)
-			}
-			s.mcQ[in].Push(&mcEntry{p: p, remaining: remaining})
-			s.payloads[in]++
+		// A multicast entry has at least two destinations: Arrive
+		// queues a single one as a unicast cell.
+		if err := s.mc.LoadInput(r, in, 2); err != nil {
+			return err
 		}
+		s.payloads[in] += s.mc.Len(in)
 		for out := 0; out < s.n; out++ {
 			uqLen := r.Count(16)
 			for i := 0; i < uqLen; i++ {
@@ -155,7 +118,7 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 				if s.uniVOQ[in][out].Empty() {
 					s.uniOcc[out].Add(in)
 				}
-				s.uniVOQ[in][out].Push(uniCell{p: p})
+				s.uniVOQ[in][out].Push(p)
 				s.payloads[in]++
 			}
 		}

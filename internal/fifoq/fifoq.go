@@ -1,20 +1,20 @@
 // Package fifoq provides a growable ring-buffer FIFO queue.
 //
-// Every queue in the simulator — the N virtual output queues of address
-// cells at each input port, the single input FIFOs of the TATRA/WBA
-// switches, and the output queues of the OQ switch — is strictly
-// first-in-first-out and is hit on every time slot, so the
-// implementation favours O(1) amortised operations with no per-element
-// allocation: elements live in a circular slice that doubles when full.
+// The simulator's plain queues — the per-input FIFOs of the input-queue
+// store (internal/inq), TATRA's board columns, eSLIP's unicast VOQs, the
+// output queues of the OQ and CIOQ switches and the invariant checker's
+// shadow queues — are strictly first-in-first-out and hit on every time
+// slot, so the implementation favours O(1) amortised operations with no
+// per-element allocation: elements live in a circular slice that
+// doubles when full. (The VOQs of address cells live in core's slab.)
 package fifoq
 
 // Queue is a FIFO queue of T. The zero value is an empty queue ready
 // for use. Queue is not safe for concurrent use.
 type Queue[T any] struct {
-	buf   []T
-	head  int // index of the front element when n > 0
-	n     int // number of queued elements
-	total int64
+	buf  []T
+	head int // index of the front element when n > 0
+	n    int // number of queued elements
 }
 
 // Len returns the number of queued elements.
@@ -23,10 +23,6 @@ func (q *Queue[T]) Len() int { return q.n }
 // Empty reports whether the queue holds no elements.
 func (q *Queue[T]) Empty() bool { return q.n == 0 }
 
-// TotalPushed returns the number of Push calls over the queue's
-// lifetime, a cheap arrival counter for statistics.
-func (q *Queue[T]) TotalPushed() int64 { return q.total }
-
 // Push appends v to the back of the queue.
 func (q *Queue[T]) Push(v T) {
 	if q.n == len(q.buf) {
@@ -34,7 +30,6 @@ func (q *Queue[T]) Push(v T) {
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = v
 	q.n++
-	q.total++
 }
 
 // Pop removes and returns the front element. It panics on an empty
@@ -69,22 +64,6 @@ func (q *Queue[T]) At(i int) T {
 		panic("fifoq: At out of range")
 	}
 	return q.buf[(q.head+i)%len(q.buf)]
-}
-
-// Clear discards all elements but keeps the allocated capacity.
-func (q *Queue[T]) Clear() {
-	var zero T
-	for i := 0; i < q.n; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = zero
-	}
-	q.head, q.n = 0, 0
-}
-
-// ForEach calls fn on each element from front to back.
-func (q *Queue[T]) ForEach(fn func(v T)) {
-	for i := 0; i < q.n; i++ {
-		fn(q.buf[(q.head+i)%len(q.buf)])
-	}
 }
 
 func (q *Queue[T]) grow() {

@@ -87,52 +87,6 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-func TestClearKeepsWorking(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 20; i++ {
-		q.Push(i)
-	}
-	q.Pop()
-	q.Clear()
-	if !q.Empty() {
-		t.Fatal("Clear left elements")
-	}
-	q.Push(42)
-	if q.Pop() != 42 {
-		t.Fatal("queue broken after Clear")
-	}
-}
-
-func TestForEachOrder(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 10; i++ {
-		q.Push(i)
-	}
-	q.Pop()
-	q.Pop()
-	want := 2
-	q.ForEach(func(v int) {
-		if v != want {
-			t.Fatalf("ForEach visited %d, want %d", v, want)
-		}
-		want++
-	})
-	if want != 10 {
-		t.Fatalf("ForEach visited %d elements, want 8", want-2)
-	}
-}
-
-func TestTotalPushed(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 5; i++ {
-		q.Push(i)
-	}
-	q.Pop()
-	if q.TotalPushed() != 5 {
-		t.Fatalf("TotalPushed = %d", q.TotalPushed())
-	}
-}
-
 // Property: any sequence of pushes and pops preserves FIFO order; the
 // queue behaves exactly like a reference slice implementation.
 func TestQuickAgainstReference(t *testing.T) {

@@ -8,10 +8,12 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/cioq"
 	"voqsim/internal/core"
+	"voqsim/internal/eslip"
 	"voqsim/internal/oq"
 	"voqsim/internal/sched/islip"
 	"voqsim/internal/tatra"
 	"voqsim/internal/traffic"
+	"voqsim/internal/wba"
 	"voqsim/internal/xrand"
 )
 
@@ -23,7 +25,9 @@ import (
 // pressure back into every sweep. The paper's three baselines hold the
 // same line at the sizes sweep-paper runs and one above: iSLIP on the
 // copied-mode arena, TATRA and OQFIFO through their own release hooks,
-// and CIOQ at speedup 2 through its input stage's.
+// and CIOQ at speedup 2 through its input stage's. So do the extension
+// baselines eSLIP and WBA, whose multicast packets wait in the pooled
+// entries of the input-queue store (internal/inq).
 //
 // Every case has the same form: a fixed warm-up (warmSlotsFor), then
 // testing.AllocsPerRun over a fixed window. AllocsPerRun reports whole
@@ -47,6 +51,8 @@ func TestSlotZeroAllocs(t *testing.T) {
 		{"tatra", 16, false}, {"tatra", 64, false},
 		{"oqfifo", 16, false}, {"oqfifo", 64, false},
 		{"cioq-s2", 16, false}, {"cioq-s2", 64, false},
+		{"eslip", 16, false}, {"eslip", 64, false},
+		{"wba", 16, false}, {"wba", 64, false},
 	} {
 		name := fmt.Sprintf("n=%d", tc.n)
 		if tc.fast {
@@ -79,7 +85,7 @@ func TestSlotZeroAllocs(t *testing.T) {
 	}
 }
 
-// baselineRunner runs one of the paper's baselines under the
+// baselineRunner runs one of the baselines under the
 // slotBenchRunner traffic at load 0.5, where TATRA's head-of-line
 // blocking still leaves it stable: a steadily growing backlog would
 // allocate for its growth, not for its slot loop.
@@ -95,6 +101,10 @@ func baselineRunner(algo string, n int, slots int64) *Runner {
 		sw = oq.New(n)
 	case "cioq-s2":
 		sw = cioq.New(n, 2, &core.FIFOMS{}, root)
+	case "eslip":
+		sw = eslip.New(n)
+	case "wba":
+		sw = wba.New(n, root)
 	default:
 		panic("baselineRunner: unknown algorithm " + algo)
 	}

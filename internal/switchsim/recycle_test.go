@@ -8,6 +8,7 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/cioq"
 	"voqsim/internal/core"
+	"voqsim/internal/eslip"
 	"voqsim/internal/oq"
 	"voqsim/internal/sched/islip"
 	"voqsim/internal/sched/lqfms"
@@ -15,6 +16,7 @@ import (
 	"voqsim/internal/sched/tdrr"
 	"voqsim/internal/tatra"
 	"voqsim/internal/traffic"
+	"voqsim/internal/wba"
 	"voqsim/internal/xrand"
 )
 
@@ -30,7 +32,7 @@ import (
 // Step, and CIOQ, which releases once the last copy has crossed into
 // its output queues) only with its last copy delivered.
 
-var recycleAlgos = []string{"fifoms", "islip", "pim", "2drr", "lqfms", "tatra", "oqfifo", "cioq-s2"}
+var recycleAlgos = []string{"fifoms", "islip", "pim", "2drr", "lqfms", "tatra", "oqfifo", "cioq-s2", "eslip", "wba"}
 
 func recycleSwitch(algo string, n int, root *xrand.Rand) Switch {
 	switch algo {
@@ -50,6 +52,10 @@ func recycleSwitch(algo string, n int, root *xrand.Rand) Switch {
 		return oq.New(n)
 	case "cioq-s2":
 		return cioq.New(n, 2, &core.FIFOMS{}, root)
+	case "eslip":
+		return eslip.New(n)
+	case "wba":
+		return wba.New(n, root)
 	}
 	panic("recycleSwitch: unknown algorithm " + algo)
 }
@@ -169,13 +175,20 @@ func TestRecyclingInvisible(t *testing.T) {
 	}
 }
 
-// TestRecyclingAcrossResume restores an islip run from a mid-run
-// snapshot: the restored switch rebuilds its owner counts from the VOQ
-// references, and must go on releasing exactly the packets whose last
-// copy leaves after the snapshot — each once, only after that copy —
-// while replaying the straight run's results.
+// TestRecyclingAcrossResume restores a run from a mid-run snapshot —
+// islip, whose restored switch rebuilds its owner counts from the VOQ
+// references, and eslip and wba, whose restored queues hold packets the
+// snapshot rebuilt — and each must go on releasing exactly the packets
+// whose last copy leaves after the snapshot — each once, only after
+// that copy — while replaying the straight run's results.
 func TestRecyclingAcrossResume(t *testing.T) {
-	const algo, n, snapSlot = "islip", 16, 700
+	for _, algo := range []string{"islip", "eslip", "wba"} {
+		t.Run(algo, func(t *testing.T) { recyclingAcrossResume(t, algo) })
+	}
+}
+
+func recyclingAcrossResume(t *testing.T, algo string) {
+	const n, snapSlot = 16, 700
 	build := func(l *releaseLedger) *Runner {
 		r, sw := recycleRunner(algo, n)
 		sw.(PacketReleaser).SetReleaseHook(l.poison(r.putPacket))
@@ -235,7 +248,7 @@ func TestRecyclingAcrossResume(t *testing.T) {
 // Admit returns: no switch may release from Arrive.
 func TestLiveRecyclingInvisible(t *testing.T) {
 	const n, slots = 16, 1500
-	for _, algo := range []string{"oqfifo", "islip"} {
+	for _, algo := range []string{"oqfifo", "islip", "eslip"} {
 		t.Run(algo, func(t *testing.T) {
 			run := func(l *releaseLedger) (uint64, [3]int64) {
 				sw := recycleSwitch(algo, n, xrand.New(3).Split("switch", 0))

@@ -73,8 +73,10 @@ type Observable interface {
 // packet once they hold no reference to it — or to its destination
 // set — any more: core.Switch after the packet's last buffered copy
 // leaves (in ModeShared its one data-slab entry, in ModeCopied the last
-// of its private ones), tatra.Switch when the packet leaves the head
-// of its queue, oq.Switch at the end of the Step after its arrival,
+// of its private ones), tatra.Switch and wba.Switch when the packet
+// leaves the head of its queue, eslip.Switch there for a multicast
+// packet and as it pops a unicast cell, oq.Switch at the end of the
+// Step after its arrival,
 // cioq.Switch through its input stage once the last copy has crossed
 // into the output queues, and the fabric as soon as it has copied the
 // destinations. A packet

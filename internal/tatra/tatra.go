@@ -27,31 +27,19 @@ import (
 	"fmt"
 
 	"voqsim/internal/cell"
-	"voqsim/internal/destset"
 	"voqsim/internal/fifoq"
+	"voqsim/internal/inq"
 )
 
-// entry is a queued packet together with its not-yet-served
-// destinations. Entries are pooled: one leaves its queue with an
-// empty remaining set and serves the next arrival.
-type entry struct {
-	p         *cell.Packet
-	remaining *destset.Set
-}
-
-// entrySlab is how many entries an empty pool is refilled with.
-const entrySlab = 64
-
 // Switch is a single-input-queued switch scheduled by TATRA. It
-// satisfies the simulation engine's Switch interface.
+// satisfies the simulation engine's Switch interface. Its input FIFOs
+// are an inq.Store, which also supplies QueueSizes, BufferedCells,
+// BufferedBytes, ForEachBuffered and the release hook.
 type Switch struct {
+	*inq.Store
 	n       int
-	queues  []fifoq.Queue[*entry] // one FIFO per input
-	columns []fifoq.Queue[int]    // Tetris board: per output, inputs in departure order
-	placed  []bool                // whether input i's HOL packet is on the board
-
-	free    []*entry           // served entries, reused by Arrive
-	release func(*cell.Packet) // SetReleaseHook; nil leaves packets to the GC
+	columns []fifoq.Queue[int] // Tetris board: per output, inputs in departure order
+	placed  []bool             // whether input i's HOL packet is on the board
 }
 
 // New returns an n x n TATRA switch.
@@ -60,8 +48,8 @@ func New(n int) *Switch {
 		panic("tatra: non-positive switch size")
 	}
 	return &Switch{
+		Store:   inq.New(n),
 		n:       n,
-		queues:  make([]fifoq.Queue[*entry], n),
 		columns: make([]fifoq.Queue[int], n),
 		placed:  make([]bool, n),
 	}
@@ -74,35 +62,7 @@ func (s *Switch) Ports() int { return s.n }
 func (s *Switch) Name() string { return "tatra" }
 
 // Arrive appends a packet to its input's FIFO queue.
-func (s *Switch) Arrive(p *cell.Packet) {
-	if p.Input < 0 || p.Input >= s.n {
-		panic(fmt.Sprintf("tatra: arrival at invalid input %d", p.Input))
-	}
-	if p.Dests.Count() == 0 {
-		panic("tatra: arrival with empty destination set")
-	}
-	if len(s.free) == 0 {
-		// Refill a slab at a time: an unstable point backs up to 1000*N
-		// entries, and one allocation each would dominate its run.
-		entries := make([]entry, entrySlab)
-		sets := destset.NewSlab(s.n, entrySlab)
-		for i := range entries {
-			entries[i].remaining = &sets[i]
-			s.free = append(s.free, &entries[i])
-		}
-	}
-	k := len(s.free) - 1
-	e := s.free[k]
-	s.free = s.free[:k]
-	e.p = p
-	e.remaining.CopyFrom(p.Dests)
-	s.queues[p.Input].Push(e)
-}
-
-// SetReleaseHook registers fn to receive each packet when it leaves the
-// head of its queue with every copy delivered — from Step, never from
-// Arrive. The switch holds no reference to it afterwards.
-func (s *Switch) SetReleaseHook(fn func(*cell.Packet)) { s.release = fn }
+func (s *Switch) Arrive(p *cell.Packet) { s.Push(p) }
 
 // Step runs one time slot: place newly head-of-line packets on the
 // board, let the bottom row depart, and advance fully-served packets.
@@ -113,11 +73,10 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	start := int(slot % int64(s.n))
 	for k := 0; k < s.n; k++ {
 		in := (start + k) % s.n
-		if s.placed[in] || s.queues[in].Empty() {
+		if s.placed[in] || s.Len(in) == 0 {
 			continue
 		}
-		e := s.queues[in].Front()
-		e.remaining.ForEach(func(out int) {
+		s.Front(in).Remaining.ForEach(func(out int) {
 			s.columns[out].Push(in)
 		})
 		s.placed[in] = true
@@ -129,50 +88,20 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			continue
 		}
 		in := s.columns[out].Pop()
-		e := s.queues[in].Front()
-		if !e.remaining.Contains(out) {
+		e := s.Front(in)
+		if !e.Remaining.Contains(out) {
 			panic(fmt.Sprintf("tatra: board block (%d,%d) not in packet's remaining fanout", in, out))
 		}
-		e.remaining.Remove(out)
-		deliver(cell.Delivery{ID: e.p.ID, In: in, Out: out, Slot: slot, Arrival: e.p.Arrival, Last: e.remaining.Empty()})
+		e.Remaining.Remove(out)
+		deliver(cell.Delivery{ID: e.P.ID, In: in, Out: out, Slot: slot, Arrival: e.P.Arrival, Last: e.Remaining.Empty()})
 	}
 
-	// Advance: fully served head-of-line packets leave their queues;
-	// their successors are placed at the start of the next slot.
+	// Advance: fully served head-of-line packets leave their queues and
+	// are released; their successors are placed at the start of the
+	// next slot.
 	for in := 0; in < s.n; in++ {
-		if s.placed[in] && s.queues[in].Front().remaining.Empty() {
-			e := s.queues[in].Pop()
+		if s.placed[in] && s.Advance(in) {
 			s.placed[in] = false
-			if s.release != nil {
-				s.release(e.p)
-			}
-			s.free = append(s.free, e)
 		}
 	}
-}
-
-// QueueSizes fills dst with the per-input packet counts, the queue-size
-// metric the paper reports for single-input-queued switches.
-func (s *Switch) QueueSizes(dst []int) []int {
-	for i := range s.queues {
-		dst[i] = s.queues[i].Len()
-	}
-	return dst
-}
-
-// BufferedCells returns the total queued packets across inputs.
-func (s *Switch) BufferedCells() int64 {
-	var total int64
-	for i := range s.queues {
-		total += int64(s.queues[i].Len())
-	}
-	return total
-}
-
-// BufferedBytes returns the buffer memory in use: one payload block
-// per queued packet (the single-queue structure stores no address
-// cells; residual fanout state is a per-HOL-packet bitmap whose cost
-// is counted like one address cell per packet).
-func (s *Switch) BufferedBytes() int64 {
-	return s.BufferedCells() * (cell.PayloadSize + cell.AddressCellSize)
 }

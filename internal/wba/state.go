@@ -1,29 +1,12 @@
 package wba
 
-import (
-	"voqsim/internal/cell"
-	"voqsim/internal/destset"
-	"voqsim/internal/snap"
-)
+import "voqsim/internal/snap"
 
-// Checkpoint hooks. Serialized state: each input's FIFO of entries
-// (packet plus residual destination set — fanout splitting shrinks it
-// in place) and the tie-break PRNG. The occupancy bitset is a derived
-// cache rebuilt while loading; heads and served are per-slot scratch.
-
-// ForEachBuffered calls fn for every buffered packet, input by input,
-// FIFO front to back, with its residual destination set (not a copy —
-// do not mutate). External inspectors (the invariant checker's
-// shadow-model priming) use it to read the buffer content.
-func (s *Switch) ForEachBuffered(fn func(in int, p *cell.Packet, remaining *destset.Set)) {
-	for in := range s.queues {
-		q := &s.queues[in]
-		for i := 0; i < q.Len(); i++ {
-			e := q.At(i)
-			fn(in, e.p, e.remaining)
-		}
-	}
-}
+// Checkpoint hooks. Serialized state: the tie-break PRNG and each
+// input's FIFO through the store's per-input codec (packet plus
+// residual destination set — fanout splitting shrinks it in place).
+// The occupancy bitset is rebuilt while loading; heads and served are
+// per-slot scratch.
 
 // SaveState appends the switch's complete evolving state as one
 // "wba" section.
@@ -32,15 +15,7 @@ func (s *Switch) SaveState(w *snap.Writer) {
 	w.Int(s.n)
 	snap.WriteRand(w, s.rnd)
 	for in := 0; in < s.n; in++ {
-		q := &s.queues[in]
-		w.Count(q.Len())
-		for i := 0; i < q.Len(); i++ {
-			e := q.At(i)
-			w.I64(int64(e.p.ID))
-			w.I64(e.p.Arrival)
-			snap.WriteDests(w, e.p.Dests)
-			snap.WriteDests(w, e.remaining)
-		}
+		s.SaveInput(w, in)
 	}
 	w.End()
 }
@@ -56,35 +31,8 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 	}
 	snap.ReadRand(r, s.rnd)
 	for in := 0; in < s.n; in++ {
-		// Entries cost at least id(8)+arrival(8)+2 dest sets (5 each).
-		qLen := r.Count(26)
-		for i := 0; i < qLen; i++ {
-			id := cell.PacketID(r.I64())
-			arrival := r.I64()
-			dests := snap.ReadDests(r, s.n)
-			remaining := snap.ReadDests(r, s.n)
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if dests == nil || dests.Empty() || remaining == nil || remaining.Empty() {
-				r.Failf("entry %d at input %d has invalid destination sets", id, in)
-				return r.Err()
-			}
-			if arrival < 0 || arrival >= r.NextSlot() {
-				r.Failf("entry %d at input %d arrival %d outside [0,%d)", id, in, arrival, r.NextSlot())
-				return r.Err()
-			}
-			sub := remaining.Clone()
-			sub.SubtractWith(dests)
-			if !sub.Empty() {
-				r.Failf("entry %d at input %d has remaining outside its destinations", id, in)
-				return r.Err()
-			}
-			p := &cell.Packet{ID: id, Input: in, Arrival: arrival, Dests: dests}
-			if s.queues[in].Empty() {
-				s.occ.Add(in)
-			}
-			s.queues[in].Push(&entry{p: p, remaining: remaining})
+		if err := s.LoadInput(r, in, 1); err != nil {
+			return err
 		}
 	}
 	return r.EndSection()

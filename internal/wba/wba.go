@@ -17,34 +17,28 @@
 package wba
 
 import (
-	"fmt"
 	"math/bits"
 
 	"voqsim/internal/cell"
-	"voqsim/internal/destset"
-	"voqsim/internal/fifoq"
+	"voqsim/internal/inq"
 	"voqsim/internal/obs"
 	"voqsim/internal/xrand"
 )
 
-type entry struct {
-	p         *cell.Packet
-	remaining *destset.Set
-}
-
 // Switch is a single-input-queued switch scheduled by weight-based
 // arbitration. It satisfies the simulation engine's Switch interface.
+// Its input FIFOs are an inq.Store, which also supplies QueueSizes,
+// BufferedCells, BufferedBytes, ForEachBuffered and the release hook.
 type Switch struct {
-	n      int
-	queues []fifoq.Queue[*entry]
-	rnd    *xrand.Rand
+	*inq.Store
+	n   int
+	rnd *xrand.Rand
 
-	// occ tracks inputs with a non-empty queue, and heads caches their
-	// HOL entries for the duration of one Step: the grant scan then
-	// touches only live inputs via word iteration instead of probing
-	// all N queues per output.
-	occ   *destset.Set
-	heads []*entry
+	// heads caches the HOL entries of the occupied inputs for the
+	// duration of one Step: the grant scan then touches only live
+	// inputs via word iteration instead of probing all N queues per
+	// output.
+	heads []*inq.Entry
 
 	// Observability (DESIGN.md §8); obs is nil in ordinary runs and
 	// the metric handles are nil-safe no-ops.
@@ -67,11 +61,10 @@ func New(n int, root *xrand.Rand) *Switch {
 		panic("wba: non-positive switch size")
 	}
 	return &Switch{
-		n:      n,
-		queues: make([]fifoq.Queue[*entry], n),
-		rnd:    root.Split("wba", 0),
-		occ:    destset.New(n),
-		heads:  make([]*entry, n),
+		Store: inq.New(n),
+		n:     n,
+		rnd:   root.Split("wba", 0),
+		heads: make([]*inq.Entry, n),
 	}
 }
 
@@ -107,16 +100,7 @@ func (s *Switch) SetObserver(o *obs.Observer) {
 
 // Arrive appends a packet to its input's FIFO queue.
 func (s *Switch) Arrive(p *cell.Packet) {
-	if p.Input < 0 || p.Input >= s.n {
-		panic(fmt.Sprintf("wba: arrival at invalid input %d", p.Input))
-	}
-	if p.Dests.Count() == 0 {
-		panic("wba: arrival with empty destination set")
-	}
-	if s.queues[p.Input].Empty() {
-		s.occ.Add(p.Input)
-	}
-	s.queues[p.Input].Push(&entry{p: p, remaining: p.Dests.Clone()})
+	s.Push(p)
 	if s.obs != nil {
 		if s.obs.TraceOn() {
 			s.obs.Trace.Emit(obs.Event{
@@ -132,7 +116,7 @@ func (s *Switch) Arrive(p *cell.Packet) {
 		s.cArrivals.Inc()
 		s.cEnqueues.Inc()
 		if s.occHWM != nil {
-			s.occHWM[p.Input].Max(int64(s.queues[p.Input].Len()))
+			s.occHWM[p.Input].Max(int64(s.Len(p.Input)))
 		}
 	}
 }
@@ -141,8 +125,8 @@ func (s *Switch) Arrive(p *cell.Packet) {
 func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	// Cache the HOL entry of every live input once per slot; grants
 	// mutate remaining in place, never the head pointer.
-	occWords := s.occ.Words()
-	s.occ.ForEach(func(in int) { s.heads[in] = s.queues[in].Front() })
+	occWords := s.Occupied().Words()
+	s.Occupied().ForEach(func(in int) { s.heads[in] = s.Front(in) })
 	if s.obs != nil {
 		s.observeRequests(slot)
 	}
@@ -161,10 +145,10 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 				in := base + bits.TrailingZeros64(wv)
 				wv &= wv - 1
 				e := s.heads[in]
-				if !e.remaining.Contains(out) {
+				if !e.Remaining.Contains(out) {
 					continue
 				}
-				age := slot - e.p.Arrival
+				age := slot - e.P.Arrival
 				switch {
 				case age > best:
 					best, chosen, ties = age, in, 1
@@ -180,9 +164,9 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			continue
 		}
 		e := s.heads[chosen]
-		e.remaining.Remove(out)
-		last := e.remaining.Empty()
-		deliver(cell.Delivery{ID: e.p.ID, In: chosen, Out: out, Slot: slot, Arrival: e.p.Arrival, Last: last})
+		e.Remaining.Remove(out)
+		last := e.Remaining.Empty()
+		deliver(cell.Delivery{ID: e.P.ID, In: chosen, Out: out, Slot: slot, Arrival: e.P.Arrival, Last: last})
 		if s.obs != nil {
 			s.served[chosen]++
 			if s.obs.TraceOn() {
@@ -190,7 +174,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 				// the winning packet's arrival (its age is its weight).
 				s.obs.Trace.Emit(obs.Event{
 					Slot: slot, Type: obs.EvGrant, In: int32(chosen), Out: int32(out),
-					Round: 0, TS: e.p.Arrival, Packet: int64(e.p.ID),
+					Round: 0, TS: e.P.Arrival, Packet: int64(e.P.ID),
 				})
 				aux := int32(0)
 				if last {
@@ -198,7 +182,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 				}
 				s.obs.Trace.Emit(obs.Event{
 					Slot: slot, Type: obs.EvDeparture, In: int32(chosen), Out: int32(out),
-					Round: -1, Aux: aux, TS: e.p.Arrival, Packet: int64(e.p.ID),
+					Round: -1, Aux: aux, TS: e.P.Arrival, Packet: int64(e.P.ID),
 				})
 			}
 			s.cGrants.Inc()
@@ -209,16 +193,17 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		}
 	}
 
-	// Advance fully served head-of-line packets.
+	// Advance and release fully served head-of-line packets, after the
+	// last trace event that reads them.
 	for in := 0; in < s.n; in++ {
 		if s.obs != nil && s.served[in] > 0 {
-			if e := s.heads[in]; !e.remaining.Empty() {
+			if e := s.heads[in]; !e.Remaining.Empty() {
 				// Partially served: the residue stays at HOL (fanout
 				// splitting) and competes again next slot, older.
 				if s.obs.TraceOn() {
 					s.obs.Trace.Emit(obs.Event{
 						Slot: slot, Type: obs.EvFanoutSplit, In: int32(in), Out: -1, Round: -1,
-						Aux: int32(e.remaining.Count()), TS: e.p.Arrival, Packet: int64(e.p.ID),
+						Aux: int32(e.Remaining.Count()), TS: e.P.Arrival, Packet: int64(e.P.ID),
 					})
 				}
 				s.cSplits.Inc()
@@ -226,12 +211,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			s.served[in] = 0
 		}
 		s.heads[in] = nil
-		if !s.queues[in].Empty() && s.queues[in].Front().remaining.Empty() {
-			s.queues[in].Pop()
-			if s.queues[in].Empty() {
-				s.occ.Remove(in)
-			}
-		}
+		s.Advance(in)
 	}
 }
 
@@ -241,40 +221,17 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 func (s *Switch) observeRequests(slot int64) {
 	traceOn := s.obs.TraceOn()
 	var pairs int64
-	s.occ.ForEach(func(in int) {
+	s.Occupied().ForEach(func(in int) {
 		e := s.heads[in]
-		pairs += int64(e.remaining.Count())
+		pairs += int64(e.Remaining.Count())
 		if traceOn {
-			e.remaining.ForEach(func(out int) {
+			e.Remaining.ForEach(func(out int) {
 				s.obs.Trace.Emit(obs.Event{
 					Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
-					Round: 0, TS: e.p.Arrival, Packet: int64(e.p.ID),
+					Round: 0, TS: e.P.Arrival, Packet: int64(e.P.ID),
 				})
 			})
 		}
 	})
 	s.cRequests.Add(pairs)
-}
-
-// QueueSizes fills dst with the per-input packet counts.
-func (s *Switch) QueueSizes(dst []int) []int {
-	for i := range s.queues {
-		dst[i] = s.queues[i].Len()
-	}
-	return dst
-}
-
-// BufferedCells returns the total queued packets across inputs.
-func (s *Switch) BufferedCells() int64 {
-	var total int64
-	for i := range s.queues {
-		total += int64(s.queues[i].Len())
-	}
-	return total
-}
-
-// BufferedBytes returns the buffer memory in use (see tatra's
-// accounting; the structures are identical).
-func (s *Switch) BufferedBytes() int64 {
-	return s.BufferedCells() * (cell.PayloadSize + cell.AddressCellSize)
 }
