@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -31,22 +32,41 @@ type sweepServer struct {
 }
 
 // lineTee buffers a stream while letting tests wait for marker lines.
+// eof closes once the stream has been read to its end: exec.Cmd.Wait
+// closes a StderrPipe, so the process may be waited for only after
+// that.
 type lineTee struct {
+	mu    sync.Mutex
 	buf   bytes.Buffer
 	lines chan string
+	eof   chan struct{}
+}
+
+func newLineTee() *lineTee {
+	return &lineTee{lines: make(chan string, 64), eof: make(chan struct{})}
 }
 
 func (lt *lineTee) run(r io.Reader) {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
+		lt.mu.Lock()
 		lt.buf.WriteString(line + "\n")
+		lt.mu.Unlock()
 		select {
 		case lt.lines <- line:
 		default: // no listener; keep only the buffer
 		}
 	}
 	close(lt.lines)
+	close(lt.eof)
+}
+
+// String returns everything read so far.
+func (lt *lineTee) String() string {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	return lt.buf.String()
 }
 
 // waitLine blocks until a stderr line containing marker arrives.
@@ -57,13 +77,13 @@ func (lt *lineTee) waitLine(t *testing.T, marker string, timeout time.Duration) 
 		select {
 		case line, ok := <-lt.lines:
 			if !ok {
-				t.Fatalf("stderr closed before %q; so far:\n%s", marker, lt.buf.String())
+				t.Fatalf("stderr closed before %q; so far:\n%s", marker, lt.String())
 			}
 			if strings.Contains(line, marker) {
 				return line
 			}
 		case <-deadline:
-			t.Fatalf("no %q line within %v; so far:\n%s", marker, timeout, lt.buf.String())
+			t.Fatalf("no %q line within %v; so far:\n%s", marker, timeout, lt.String())
 		}
 	}
 }
@@ -72,7 +92,7 @@ func (lt *lineTee) waitLine(t *testing.T, marker string, timeout time.Duration) 
 // waits for its READY line.
 func startSweepServer(t *testing.T, args ...string) *sweepServer {
 	t.Helper()
-	s := &sweepServer{stderr: &lineTee{lines: make(chan string, 64)}, done: make(chan error, 1)}
+	s := &sweepServer{stderr: newLineTee(), done: make(chan error, 1)}
 	full := append([]string{"-serve", "127.0.0.1:0"}, args...)
 	s.cmd = exec.Command(filepath.Join(buildTools(t), "voqsweep"), full...)
 	s.cmd.Stdout = &s.stdout
@@ -84,7 +104,10 @@ func startSweepServer(t *testing.T, args ...string) *sweepServer {
 		t.Fatal(err)
 	}
 	go s.stderr.run(ep)
-	go func() { s.done <- s.cmd.Wait() }()
+	go func() {
+		<-s.stderr.eof
+		s.done <- s.cmd.Wait()
+	}()
 	t.Cleanup(func() { s.cmd.Process.Kill() })
 
 	ready := s.stderr.waitLine(t, "DSWEEP READY", 30*time.Second)
@@ -93,17 +116,18 @@ func startSweepServer(t *testing.T, args ...string) *sweepServer {
 	return s
 }
 
-// wait blocks until the coordinator exits and returns its stdout.
+// wait blocks until the coordinator exits and its stderr is drained,
+// and returns its stdout.
 func (s *sweepServer) wait(t *testing.T) string {
 	t.Helper()
 	select {
 	case err := <-s.done:
 		if err != nil {
-			t.Fatalf("coordinator exit: %v\nstderr:\n%s", err, s.stderr.buf.String())
+			t.Fatalf("coordinator exit: %v\nstderr:\n%s", err, s.stderr.String())
 		}
 	case <-time.After(120 * time.Second):
 		s.cmd.Process.Kill()
-		t.Fatalf("coordinator did not exit\nstderr:\n%s", s.stderr.buf.String())
+		t.Fatalf("coordinator did not exit\nstderr:\n%s", s.stderr.String())
 	}
 	return s.stdout.String()
 }
@@ -222,7 +246,7 @@ func TestCLIDSweepWorkerKill(t *testing.T) {
 	if out != want {
 		t.Fatalf("distributed table after SIGKILL differs from local run\ngot:\n%s\nwant:\n%s", out, want)
 	}
-	logs := srv.stderr.buf.String()
+	logs := srv.stderr.String()
 	if !strings.Contains(logs, "dsweep_workers_lost_total=1") {
 		t.Errorf("fleet summary does not count the killed worker:\n%s", logs)
 	}
