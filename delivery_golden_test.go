@@ -29,11 +29,10 @@ import (
 	"voqsim/internal/xrand"
 )
 
-// The grid is the resume-equals-straight-run roster in internal/switchsim
-// (the seven snapshot-capable architectures) plus TATRA, the paper's
-// multicast baseline, which cannot checkpoint: without its rows only
-// aggregate tables and the bench digest would see its delivery stream.
-var deliveryGoldenAlgos = []string{"fifoms", "pim", "islip", "eslip", "wba", "lqfms", "2drr", "tatra"}
+// The grid is every architecture the engine drives: the core family,
+// eSLIP and WBA, TATRA (the paper's multicast baseline), OQFIFO, and
+// CIOQ at speedup 2, whose output stage is an OQFIFO switch.
+var deliveryGoldenAlgos = []string{"fifoms", "pim", "islip", "eslip", "wba", "lqfms", "2drr", "tatra", "oqfifo", "cioq-s2"}
 
 // 65 and 130 give every arbiter's port bitmaps a second and a third
 // word, so a scan that mishandles a word boundary shows here.

@@ -23,7 +23,7 @@ import (
 	"voqsim/internal/cell"
 )
 
-var fabricGoldenAlgos = []Scheduler{FIFOMS, PIM, ESLIP}
+var fabricGoldenAlgos = []Scheduler{FIFOMS, PIM, ESLIP, TATRA, OQFIFO}
 
 var fabricGoldenSeeds = []uint64{1, 42}
 
