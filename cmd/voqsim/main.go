@@ -36,8 +36,7 @@
 //	                    (DESIGN.md §12); statistically equivalent to the
 //	                    default, but not bit-comparable. A fast run cannot
 //	                    be snapshotted: the engine refuses -checkpoint and
-//	                    -resume before simulating, as it does for tatra
-//	                    and oqfifo.
+//	                    -resume before simulating. Every architecture can.
 //	-checkpoint FILE    atomically save a resume snapshot to FILE during the run
 //	-checkpoint-every K snapshot cadence in slots (default slots/10 with -checkpoint)
 //	-resume FILE        resume a run from a snapshot written by -checkpoint

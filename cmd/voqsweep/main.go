@@ -35,8 +35,8 @@
 //	-resume-dir DIR                    make the sweep resumable: finished points and
 //	                                   mid-run checkpoints live in DIR, and a re-run
 //	                                   with the same flags picks up where it stopped
-//	                                   (a point whose engine cannot be snapshotted —
-//	                                   -fast, tatra, oqfifo — runs whole)
+//	                                   (a -fast point, which cannot be snapshotted,
+//	                                   runs whole)
 //	-checkpoint-every K                checkpoint cadence in slots (with -resume-dir)
 //	-csv FILE / -json FILE             exports
 //	-cpuprofile FILE / -memprofile FILE  pprof profiles of the sweep

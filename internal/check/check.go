@@ -46,6 +46,7 @@ import (
 	"voqsim/internal/fifoq"
 	"voqsim/internal/obs"
 	"voqsim/internal/sched/pim"
+	"voqsim/internal/snap"
 	"voqsim/internal/wba"
 )
 
@@ -53,15 +54,19 @@ import (
 // the fabric conservation invariant F1).
 const NumInvariants = 9
 
-// Switch is the minimal structural surface the checker needs. It is a
-// subset of switchsim.Switch, declared here so that switchsim can
-// import check without a cycle.
+// Switch is the structural surface the checker needs: switchsim.Switch,
+// declared here so that switchsim can import check without a cycle.
+// ForEachCopy is what the checker primes its shadow model from after a
+// restore.
 type Switch interface {
 	Ports() int
 	Arrive(p *cell.Packet)
 	Step(slot int64, deliver func(cell.Delivery))
 	QueueSizes(into []int) []int
 	BufferedCells() int64
+	SaveState(w *snap.Writer)
+	LoadState(r *snap.Reader) error
+	ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64))
 }
 
 // Unwrapper is implemented by test shims that wrap a real switch (for
@@ -698,11 +703,7 @@ func (c *Checker) deepCheckFabric(slot int64) {
 		leaf int
 	}
 	counts := make(map[pend]int)
-	if !f.ForEachPending(func(id cell.PacketID, leaf int) { counts[pend{id, leaf}]++ }) {
-		// A node architecture without buffer iteration: only the
-		// counter identities above are checkable.
-		return
-	}
+	f.ForEachPending(func(id cell.PacketID, leaf int) { counts[pend{id, leaf}]++ })
 	for id, ps := range c.pkts {
 		ps.remaining.ForEach(func(leaf int) {
 			k := pend{id, leaf}

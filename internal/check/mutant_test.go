@@ -6,6 +6,7 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/core"
 	"voqsim/internal/obs"
+	"voqsim/internal/snap"
 	"voqsim/internal/traffic"
 	"voqsim/internal/xrand"
 )
@@ -33,6 +34,13 @@ func (t *tamper) Arrive(p *cell.Packet)      { t.inner.Arrive(p) }
 func (t *tamper) QueueSizes(dst []int) []int { return t.inner.QueueSizes(dst) }
 func (t *tamper) BufferedCells() int64       { return t.inner.BufferedCells() }
 func (t *tamper) CheckUnwrap() Switch        { return t.inner }
+func (t *tamper) SaveState(w *snap.Writer)   { t.inner.SaveState(w) }
+func (t *tamper) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
+	t.inner.ForEachCopy(fn)
+}
+func (t *tamper) LoadState(r *snap.Reader) error {
+	return t.inner.LoadState(r)
+}
 func (t *tamper) Step(slot int64, deliver func(cell.Delivery)) {
 	t.inner.Step(slot, func(d cell.Delivery) { t.fn(d, deliver) })
 }

@@ -11,10 +11,10 @@ import (
 // Restoring a snapshot breaks that assumption: the switch comes back
 // mid-run with buffered packets the checker never saw, and invariants
 // I3/I4/I6 would fire immediately. Priming reads the restored buffer
-// content through each architecture's ForEachBuffered iterator and
-// seeds the shadow model as if the checker had watched those packets
-// arrive — after which all eight invariants hold for the rest of the
-// run exactly as in an unbroken checked run.
+// content through the switch's ForEachCopy walk (a fabric's walks its
+// nodes and links) and seeds the shadow model as if the checker had
+// watched those packets arrive — after which all eight invariants hold
+// for the rest of the run exactly as in an unbroken checked run.
 //
 // Two paths reach it:
 //
@@ -24,121 +24,52 @@ import (
 //     switch, so a checked runner can itself be restored) primes after
 //     the inner switch has loaded.
 
-// snapshotter matches switchsim.SnapshottableSwitch's state hooks
-// without importing switchsim.
-type snapshotter interface {
-	SaveState(w *snap.Writer)
-	LoadState(r *snap.Reader) error
-}
-
-// CanSnapshot reports whether the wrapped architecture supports the
-// snapshot hooks. The checker satisfies the hook interface statically
-// regardless of its base, so callers deciding snapshottability must
-// probe this instead of a type assertion.
-func (c *Checker) CanSnapshot() bool {
-	_, ok := c.base.(snapshotter)
-	return ok
-}
-
-// SaveState forwards to the wrapped switch, so a checked switch can be
-// snapshotted transparently. It panics if the wrapped architecture has
-// no snapshot support — the same configurations that can call it on
-// the bare switch can call it on the checked one.
-func (c *Checker) SaveState(w *snap.Writer) {
-	s, ok := c.base.(snapshotter)
-	if !ok {
-		panic("check: wrapped switch does not support snapshots")
-	}
-	s.SaveState(w)
-}
+// SaveState forwards to the wrapped switch, so a checked switch is
+// snapshotted exactly like the bare one.
+func (c *Checker) SaveState(w *snap.Writer) { c.base.SaveState(w) }
 
 // LoadState forwards to the wrapped switch, then primes the shadow
 // model from the restored buffer content. The checker must be fresh
 // (wrapped around an empty switch, no slots stepped).
 func (c *Checker) LoadState(r *snap.Reader) error {
-	s, ok := c.base.(snapshotter)
-	if !ok {
-		r.Failf("check: wrapped switch does not support snapshots")
-		return r.Err()
-	}
-	if err := s.LoadState(r); err != nil {
+	if err := c.base.LoadState(r); err != nil {
 		return err
 	}
 	c.prime()
 	return nil
 }
 
+// ForEachCopy forwards to the wrapped switch.
+func (c *Checker) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
+	c.base.ForEachCopy(fn)
+}
+
 // prime seeds the shadow model from the wrapped switch's current
-// buffer content. It is a no-op for an empty switch and for the
-// generic profile (whose deep checks don't inspect buffered state).
+// buffer content. It is a no-op for an empty switch.
 func (c *Checker) prime() {
-	switch {
-	case c.prof.core != nil:
-		c.prof.core.ForEachBuffered(func(in, out int, p *cell.Packet) {
-			st := c.pkts[p.ID]
-			if st == nil {
-				st = &pktState{input: in, arrival: p.Arrival, remaining: destset.New(c.n)}
-				c.pkts[p.ID] = st
-				c.offeredPackets++
-				c.resident++
-				c.perInResident[in]++
-			}
-			st.remaining.Add(out)
-			c.offeredCopies++
-			c.outstanding++
-			c.perInOutstanding[in]++
-			c.voq[in*c.n+out].Push(shadowCell{id: p.ID, ts: p.Arrival})
-		})
-	case c.prof.wba != nil:
-		c.prof.wba.ForEachBuffered(func(in int, p *cell.Packet, remaining *destset.Set) {
-			c.primePacket(in, p, remaining)
-			c.inq[in].Push(p.ID)
-		})
-	case c.prof.eslip != nil:
-		c.prof.eslip.ForEachBuffered(c.primePacket)
-	case c.prof.fab != nil:
-		f := c.prof.fab
-		f.ForEachLive(func(id cell.PacketID, input int, arrival int64, remain int) {
-			c.pkts[id] = &pktState{input: input, arrival: arrival, remaining: destset.New(c.n)}
+	c.base.ForEachCopy(func(in, out int, id cell.PacketID, arrival int64) {
+		st := c.pkts[id]
+		if st == nil {
+			st = &pktState{input: in, arrival: arrival, remaining: destset.New(c.n)}
+			c.pkts[id] = st
 			c.offeredPackets++
 			c.resident++
-			if input >= 0 && input < c.n {
-				c.perInResident[input]++
+			c.perInResident[in]++
+			if c.prof.wba != nil {
+				c.inq[in].Push(id)
 			}
-		})
-		// The leaf sets come from the buffered copies themselves, so
-		// the shadow model starts exactly where the first F1 pass will
-		// look. (Fabrics restored from snapshots always have iterable
-		// nodes — only snapshot-capable architectures reach prime.)
-		f.ForEachPending(func(id cell.PacketID, leaf int) {
-			st := c.pkts[id]
-			if st == nil || st.remaining.Contains(leaf) {
-				// Orphaned or duplicated buffered copy in the restored
-				// state; leave it for the first F1 pass to report.
-				return
-			}
-			st.remaining.Add(leaf)
-			c.offeredCopies++
-			c.outstanding++
-			if st.input >= 0 && st.input < c.n {
-				c.perInOutstanding[st.input]++
-			}
-		})
+		}
+		st.remaining.Add(out)
+		c.offeredCopies++
+		c.outstanding++
+		c.perInOutstanding[in]++
+		if c.prof.core != nil {
+			c.voq[in*c.n+out].Push(shadowCell{id: id, ts: arrival})
+		}
+	})
+	if f := c.prof.fab; f != nil {
 		st := f.FabricStats()
 		c.fabDelivered0 = st.DeliveredCopies
 		c.fabDropped0 = st.DroppedCopies
 	}
-}
-
-// primePacket seeds one whole buffered packet (wba/eslip shapes, where
-// the iterator reports each packet once with its residual set).
-func (c *Checker) primePacket(in int, p *cell.Packet, remaining *destset.Set) {
-	copies := int64(remaining.Count())
-	c.pkts[p.ID] = &pktState{input: in, arrival: p.Arrival, remaining: remaining.Clone()}
-	c.offeredPackets++
-	c.offeredCopies += copies
-	c.outstanding += copies
-	c.resident++
-	c.perInResident[in]++
-	c.perInOutstanding[in] += copies
 }

@@ -23,26 +23,19 @@ import (
 
 	"voqsim/internal/cell"
 	"voqsim/internal/core"
-	"voqsim/internal/fifoq"
+	"voqsim/internal/oq"
+	"voqsim/internal/snap"
 	"voqsim/internal/xrand"
 )
 
-// queuedCopy is a cell resident in an output queue, retaining its
-// origin for the final Delivery record.
-type queuedCopy struct {
-	id      cell.PacketID
-	in      int
-	arrival int64
-}
-
-// Switch is the CIOQ switch. It satisfies the simulation engine's
-// Switch interface.
+// Switch is the CIOQ switch: a core input stage feeding an OQFIFO
+// output stage. It satisfies the simulation engine's Switch interface.
 type Switch struct {
 	inner   *core.Switch
+	out     *oq.Switch
 	speedup int
-	outq    []fifoq.Queue[queuedCopy]
 	name    string
-	enqueue func(cell.Delivery) // the input stage's delivery sink, built once
+	enqueue func(cell.Delivery) // out.Push, the input stage's delivery sink, built once
 }
 
 // New returns an n x n CIOQ switch with the given fabric speedup,
@@ -55,16 +48,14 @@ func New(n, speedup int, arb core.Arbiter, root *xrand.Rand) *Switch {
 	if speedup > n {
 		speedup = n // more phases than outputs cannot transfer more
 	}
-	s := &Switch{
+	out := oq.New(n)
+	return &Switch{
 		inner:   core.NewSwitch(n, arb, root),
+		out:     out,
 		speedup: speedup,
-		outq:    make([]fifoq.Queue[queuedCopy], n),
 		name:    fmt.Sprintf("cioq-s%d-%s", speedup, arb.Name()),
+		enqueue: out.Push,
 	}
-	s.enqueue = func(d cell.Delivery) {
-		s.outq[d.Out].Push(queuedCopy{id: d.ID, in: d.In, arrival: d.Arrival})
-	}
-	return s
 }
 
 // Ports returns the switch size N.
@@ -85,13 +76,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	for phase := 0; phase < s.speedup; phase++ {
 		s.inner.Step(slot, s.enqueue)
 	}
-	for out := range s.outq {
-		if s.outq[out].Empty() {
-			continue
-		}
-		c := s.outq[out].Pop()
-		deliver(cell.Delivery{ID: c.id, In: c.in, Out: out, Slot: slot, Arrival: c.arrival})
-	}
+	s.out.Step(slot, deliver)
 }
 
 // SetReleaseHook forwards to the input stage: an output-queue entry
@@ -109,32 +94,41 @@ func (s *Switch) LastRounds() int { return s.inner.LastRounds() }
 // queue depth is available via OutputQueueSizes.
 func (s *Switch) QueueSizes(dst []int) []int { return s.inner.QueueSizes(dst) }
 
+// InputBacklog returns QueueSizes' value for one input.
+func (s *Switch) InputBacklog(in int) int { return s.inner.InputBacklog(in) }
+
 // OutputQueueSizes fills dst with the per-output queue depths.
-func (s *Switch) OutputQueueSizes(dst []int) []int {
-	for i := range s.outq {
-		dst[i] = s.outq[i].Len()
-	}
-	return dst
-}
+func (s *Switch) OutputQueueSizes(dst []int) []int { return s.out.QueueSizes(dst) }
 
 // BufferedCells counts cells anywhere in the switch (input data cells
 // plus output-queue copies), the backlog signal for instability
 // detection.
-func (s *Switch) BufferedCells() int64 {
-	total := s.inner.BufferedCells()
-	for i := range s.outq {
-		total += int64(s.outq[i].Len())
-	}
-	return total
-}
+func (s *Switch) BufferedCells() int64 { return s.inner.BufferedCells() + s.out.BufferedCells() }
 
 // BufferedBytes returns the buffer memory in use across both stages:
 // the input stage's shared-cell accounting plus one payload copy per
 // output-queue entry.
-func (s *Switch) BufferedBytes() int64 {
-	total := s.inner.BufferedBytes()
-	for i := range s.outq {
-		total += int64(s.outq[i].Len()) * cell.PayloadSize
+func (s *Switch) BufferedBytes() int64 { return s.inner.BufferedBytes() + s.out.BufferedBytes() }
+
+// ForEachCopy calls fn for every buffered copy: the input stage's,
+// then the output stage's.
+func (s *Switch) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
+	s.inner.ForEachCopy(fn)
+	s.out.ForEachCopy(fn)
+}
+
+// SaveState appends the input stage's "core" section, then the output
+// stage's "oq" section.
+func (s *Switch) SaveState(w *snap.Writer) {
+	s.inner.SaveState(w)
+	s.out.SaveState(w)
+}
+
+// LoadState restores state written by SaveState into a fresh switch of
+// the same size, speedup and arbiter.
+func (s *Switch) LoadState(r *snap.Reader) error {
+	if err := s.inner.LoadState(r); err != nil {
+		return err
 	}
-	return total
+	return s.out.LoadState(r)
 }

@@ -54,6 +54,12 @@ func (s *Switch) ForEachBuffered(fn func(in, out int, p *cell.Packet)) {
 	}
 }
 
+// ForEachCopy calls fn for every buffered address cell, in
+// ForEachBuffered's order.
+func (s *Switch) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
+	s.ForEachBuffered(func(in, out int, p *cell.Packet) { fn(in, out, p.ID, p.Arrival) })
+}
+
 // SaveState appends the switch's complete evolving state as one
 // "core" section.
 func (s *Switch) SaveState(w *snap.Writer) {

@@ -26,8 +26,7 @@ type Config struct {
 	Ports int
 	// Algo selects the scheduling algorithm (experiment roster names:
 	// fifoms, islip, pim, 2drr, lqfms, eslip, wba, ...). Default
-	// "fifoms". Checkpointing requires a snapshottable architecture
-	// (the core VOQ family, eslip, wba).
+	// "fifoms". Every architecture can checkpoint.
 	Algo string
 	// Seed drives the arbiter's tie-breaking randomness. A mirrored
 	// simulator replay of the daemon's arrival transcript with the
@@ -252,11 +251,6 @@ func New(cfg Config) (*Daemon, error) {
 	d.observer = &obs.Observer{Metrics: obs.NewRegistry()}
 	d.live.Instrument(d.observer)
 
-	if cfg.CheckpointPath != "" {
-		if err := d.live.Snapshottable(); err != nil {
-			return nil, fmt.Errorf("daemon: -checkpoint needs a snapshottable scheduler: %w", err)
-		}
-	}
 	if cfg.Resume {
 		if cfg.CheckpointPath == "" {
 			return nil, fmt.Errorf("daemon: Resume requires CheckpointPath")

@@ -6,7 +6,7 @@
 // per-cell results. When a worker dies — connection drop, kill -9,
 // heartbeat loss — the coordinator re-leases the cell, handing the
 // replacement worker the latest checkpoint blob so it resumes mid-run
-// instead of restarting (a cell whose engine cannot be snapshotted
+// instead of restarting (a fast cell, which cannot be snapshotted,
 // restarts). Because every cell derives its seeds
 // from its own coordinates and a resumed cell is bit-identical to a
 // straight run (the PR 4 contract pinned in internal/switchsim), the

@@ -19,9 +19,12 @@ import (
 // fabric — must assemble the same table. One table of rows times one
 // list of drivers replaces a battery per mode.
 
-// modeRows are the sweeps. Each roster pairs a snapshottable engine
-// with one that runs whole (tatra), and the single-switch grids keep
+// modeRows are the sweeps. Each single-switch roster pairs FIFOMS with
+// TATRA, which checkpoints through its board codec, and keeps
 // testSpec's unreachable load so skipped cells travel every path too.
+// The fast rows are the named exercisers of the whole-cell path: a
+// fast engine cannot be snapshotted, so its cells run whole under a
+// resume directory and a lease.
 func modeRows() map[string]Spec {
 	base := func() Spec {
 		sp := testSpec()
@@ -71,7 +74,7 @@ func cellFile(s *experiment.Sweep, cell int, ext string) string {
 
 // halfFinished leaves dir as a sweep killed mid-run leaves it: every
 // other cell finished, and each remaining cell either untouched or —
-// when its engine can be snapshotted — stopped at a mid-run checkpoint.
+// unless it is fast — stopped at a mid-run checkpoint.
 func halfFinished(t *testing.T, sp Spec, dir string) {
 	t.Helper()
 	s := mustSweep(t, sp)
@@ -88,15 +91,20 @@ func halfFinished(t *testing.T, sp Spec, dir string) {
 		}
 		ai, li, rep := s.CellAt(cell)
 		var first []byte
-		if _, err := s.RunPointAt(ai, li, rep, experiment.PointRun{
+		pt, err := s.RunPointAt(ai, li, rep, experiment.PointRun{
 			CheckpointEvery: s.Slots / 4,
 			Checkpoint: func(_ int64, blob []byte) {
 				if first == nil {
 					first = blob
 				}
 			},
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
+		}
+		// Every architecture checkpoints; only a fast cell runs whole.
+		if pt.Skipped == "" && (first == nil) != s.Fast {
+			t.Fatalf("cell %s checkpointed %v with Fast=%v", s.CellLabel(cell), first != nil, s.Fast)
 		}
 		if first != nil {
 			if err := os.WriteFile(cellFile(s, cell, ".snap"), first, 0o644); err != nil {

@@ -459,6 +459,9 @@ func (s *Switch) QueueSizes(dst []int) []int {
 	return dst
 }
 
+// InputBacklog returns QueueSizes' value for one input.
+func (s *Switch) InputBacklog(in int) int { return s.payloads[in] }
+
 // BufferedCells returns the total buffered payloads.
 func (s *Switch) BufferedCells() int64 {
 	var total int64
@@ -472,16 +475,7 @@ func (s *Switch) BufferedCells() int64 {
 // (unicast) plus an address-cell-sized bookkeeping entry per pending
 // destination.
 func (s *Switch) BufferedBytes() int64 {
-	var payloads, pending int64
-	s.mc.ForEachBuffered(func(_ int, _ *cell.Packet, remaining *destset.Set) {
-		payloads++
-		pending += int64(remaining.Count())
-	})
-	for in := 0; in < s.n; in++ {
-		for out := 0; out < s.n; out++ {
-			payloads += int64(s.uniVOQ[in][out].Len())
-			pending += int64(s.uniVOQ[in][out].Len())
-		}
-	}
-	return payloads*cell.PayloadSize + pending*cell.AddressCellSize
+	var pending int64
+	s.ForEachCopy(func(int, int, cell.PacketID, int64) { pending++ })
+	return s.BufferedCells()*cell.PayloadSize + pending*cell.AddressCellSize
 }

@@ -15,19 +15,18 @@ import (
 // caches, rebuilt while loading; the scratch sets and observability
 // handles are per-slot or reattached.
 
-// ForEachBuffered calls fn for every buffered packet with its residual
-// destination set (not a copy — do not mutate): the multicast entries
-// of every input, then each unicast VOQ front to back. External
-// inspectors (the invariant checker's shadow-model priming) use it to
-// read the buffer content.
-func (s *Switch) ForEachBuffered(fn func(in int, p *cell.Packet, remaining *destset.Set)) {
-	s.mc.ForEachBuffered(fn)
+// ForEachCopy calls fn for every copy still owed: the multicast
+// entries of every input, then each unicast VOQ front to back.
+// External inspectors (the invariant checker's shadow-model priming,
+// the fabric's conservation pass) use it to read the buffer content.
+func (s *Switch) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
+	s.mc.ForEachCopy(fn)
 	for in := 0; in < s.n; in++ {
 		for out := 0; out < s.n; out++ {
 			uq := &s.uniVOQ[in][out]
 			for i := 0; i < uq.Len(); i++ {
 				p := uq.At(i)
-				fn(in, p, p.Dests)
+				fn(in, out, p.ID, p.Arrival)
 			}
 		}
 	}

@@ -32,7 +32,8 @@ func WithTopology(algo Algorithm, top *fabric.Topology, cfg fabric.Config) (Algo
 					n, top.Ingress(), top.Name()))
 			}
 			f, err := fabric.New(top, cfg, func(ports int, r *xrand.Rand) fabric.Node {
-				return inner(ports, r)
+				// Every single-switch architecture is a fabric node.
+				return inner(ports, r).(fabric.Node)
 			}, root)
 			if err != nil {
 				// New validates only the node factory's port counts,

@@ -28,8 +28,8 @@ import (
 // detected by the snapshot codec, and a finished-point JSON that is not
 // this sweep's cell — the directory was reused with another seed, slot
 // budget or grid — by LoadFinishedPoint; either way the cell silently
-// re-runs from slot 0. A cell that cannot be snapshotted (see
-// Runner.Snapshottable) runs whole and leaves only its JSON.
+// re-runs from slot 0. A Fast cell cannot be snapshotted (see
+// Runner.Snapshottable): it runs whole and leaves only its JSON.
 
 // pointPaths returns the finished-result and mid-run snapshot paths
 // of one cell.

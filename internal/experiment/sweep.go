@@ -40,9 +40,9 @@ type Sweep struct {
 	// cell checkpoints its simulation state periodically, and a
 	// re-run of the identical sweep loads finished cells from disk
 	// and resumes interrupted ones mid-run — reproducing the
-	// uninterrupted sweep bit for bit (see resume.go). A cell whose
-	// engine cannot be snapshotted (a Fast run, tatra, oq, cioq) runs
-	// whole and is saved when it finishes.
+	// uninterrupted sweep bit for bit (see resume.go). A Fast cell,
+	// which cannot be snapshotted, runs whole and is saved when it
+	// finishes.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint cadence in slots (default:
 	// a tenth of the point's slot budget). Only used with
@@ -235,9 +235,8 @@ func (s *Sweep) runCell(ai, li, rep int, pr PointRun) Point {
 	}
 	defer release()
 
-	// Architectures without snapshot support still run under a
-	// checkpointing caller: their points run whole, they just cannot
-	// be interrupted mid-run.
+	// A Fast point still runs under a checkpointing caller: it runs
+	// whole, it just cannot be interrupted mid-run.
 	var every int64
 	var sink switchsim.CheckpointFunc
 	if pr.Checkpoint != nil && r.Snapshottable() == nil {

@@ -8,28 +8,28 @@ import (
 	"voqsim/internal/destset"
 	"voqsim/internal/idwin"
 	"voqsim/internal/obs"
+	"voqsim/internal/snap"
 	"voqsim/internal/stats"
 	"voqsim/internal/xrand"
 )
 
-// Node is what the fabric needs from a switch architecture — the same
-// structural surface as switchsim.Switch, declared here so that
-// switchsim can import fabric without a cycle. Any switch the engine
-// can drive can be a fabric node.
+// Node is what the fabric needs from a switch architecture:
+// switchsim.Switch (declared structurally, so that switchsim can import
+// fabric without a cycle) plus the release hook and the live backlog
+// of one input port. Every single-switch architecture the engine can
+// drive is a Node.
 type Node interface {
 	Ports() int
 	Arrive(p *cell.Packet)
 	Step(slot int64, deliver func(cell.Delivery))
 	QueueSizes(dst []int) []int
 	BufferedCells() int64
+	SaveState(w *snap.Writer)
+	LoadState(r *snap.Reader) error
+	ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64))
+	SetReleaseHook(fn func(*cell.Packet))
+	InputBacklog(port int) int // QueueSizes' current value for one port
 }
-
-// Optional node capabilities, matched structurally.
-type (
-	releaser   interface{ SetReleaseHook(fn func(*cell.Packet)) }
-	backlogger interface{ InputBacklog(in int) int }
-	observable interface{ SetObserver(o *obs.Observer) }
-)
 
 // Config tunes the fabric's inter-stage behaviour. The zero value asks
 // for defaults.
@@ -134,11 +134,8 @@ type Fabric struct {
 	top *Topology
 	cfg Config
 
-	nodes     []Node
-	backlog   []func(in int) int // per node, nil -> QueueSizes fallback
-	scratch   [][]int            // per node QueueSizes scratch
-	scratchAt []int64            // slot the scratch was filled for, -1 never
-	nodeFns   []func(cell.Delivery)
+	nodes   []Node
+	nodeFns []func(cell.Delivery)
 
 	links     []linkRing
 	ctxs      []idwin.Window[ctxInfo] // per node, keyed by local packet ID
@@ -184,9 +181,6 @@ func New(top *Topology, cfg Config, newNode func(ports int, root *xrand.Rand) No
 		top:        top,
 		cfg:        cfg,
 		nodes:      make([]Node, top.Nodes()),
-		backlog:    make([]func(int) int, top.Nodes()),
-		scratch:    make([][]int, top.Nodes()),
-		scratchAt:  make([]int64, top.Nodes()),
 		nodeFns:    make([]func(cell.Delivery), top.Nodes()),
 		links:      make([]linkRing, top.NumLinks()),
 		ctxs:       make([]idwin.Window[ctxInfo], top.Nodes()),
@@ -205,18 +199,8 @@ func New(top *Topology, cfg Config, newNode func(ports int, root *xrand.Rand) No
 				i, nd.Ports(), top.NodePorts(i))
 		}
 		f.nodes[i] = nd
-		f.scratch[i] = make([]int, nd.Ports())
-		f.scratchAt[i] = -1
-		if bl, ok := nd.(backlogger); ok {
-			f.backlog[i] = bl.InputBacklog
-		}
-		if pr, ok := nd.(releaser); ok {
-			i := i
-			pr.SetReleaseHook(func(p *cell.Packet) {
-				f.pools[i] = append(f.pools[i], p)
-			})
-		}
 		i := i
+		nd.SetReleaseHook(func(p *cell.Packet) { f.pools[i] = append(f.pools[i], p) })
 		f.nodeFns[i] = func(d cell.Delivery) { f.handleNodeDelivery(i, d) }
 	}
 	for i := range f.links {
@@ -380,7 +364,7 @@ func (f *Fabric) Step(slot int64, deliver func(cell.Delivery)) {
 			continue
 		}
 		to := f.top.links[li].To
-		if f.inBacklog(to.Node, to.Port) >= f.cfg.MaxInputCells {
+		if f.nodes[to.Node].InputBacklog(to.Port) >= f.cfg.MaxInputCells {
 			continue // backpressure: retry next slot
 		}
 		if f.obs.TraceOn() {
@@ -401,25 +385,6 @@ func (f *Fabric) Step(slot int64, deliver func(cell.Delivery)) {
 		}
 	}
 	f.outer = nil
-	// The nodes have moved cells since admission read their queues.
-	for i := range f.scratchAt {
-		f.scratchAt[i] = -1
-	}
-}
-
-// inBacklog returns the number of cells buffered at one node input
-// port, through the exact accessor when the architecture has one
-// (core's InputBacklog) or a QueueSizes snapshot otherwise, taken once
-// for admission and once more for reads after the nodes step.
-func (f *Fabric) inBacklog(node, port int) int {
-	if fn := f.backlog[node]; fn != nil {
-		return fn(port)
-	}
-	if f.scratchAt[node] != f.slot {
-		f.nodes[node].QueueSizes(f.scratch[node])
-		f.scratchAt[node] = f.slot
-	}
-	return f.scratch[node][port]
 }
 
 // handleNodeDelivery resolves one node-level delivery: an egress leaf
@@ -531,7 +496,7 @@ func (f *Fabric) dropCopy(ctx *ctxInfo, sub int32) {
 // policy).
 func (f *Fabric) QueueSizes(dst []int) []int {
 	for i, ep := range f.top.ingress {
-		dst[i] = f.inBacklog(ep.Node, ep.Port)
+		dst[i] = f.nodes[ep.Node].InputBacklog(ep.Port)
 	}
 	return dst
 }
@@ -551,24 +516,15 @@ func (f *Fabric) BufferedCells() int64 {
 	return total
 }
 
-// ForEachLive calls fn for every admitted fabric packet with copies
-// still owed, in ascending packet ID order.
-func (f *Fabric) ForEachLive(fn func(id cell.PacketID, input int, arrival int64, remain int)) {
-	f.live.Ascending(func(id cell.PacketID, v *liveInfo) {
-		fn(id, int(v.input), v.arrival, int(v.remain))
+// ForEachCopy calls fn for every copy ForEachPending visits, with the
+// fabric packet's ingress and arrival slot: the fabric's buffer walk,
+// in the shape of its nodes'.
+func (f *Fabric) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
+	f.ForEachPending(func(id cell.PacketID, leaf int) {
+		lv := f.live.Lookup(id)
+		fn(int(lv.input), leaf, id, lv.arrival)
 	})
 }
-
-// Buffer-iteration shapes of the node architectures (core's
-// per-address-cell walk; wba/eslip's per-packet residue walk).
-type (
-	coreBuffered interface {
-		ForEachBuffered(fn func(in, out int, p *cell.Packet))
-	}
-	residueBuffered interface {
-		ForEachBuffered(fn func(in int, p *cell.Packet, remaining *destset.Set))
-	}
-)
 
 // ForEachPending calls fn once for every (fabric packet, leaf) copy
 // still buffered somewhere in the fabric — in node buffers (where one
@@ -576,41 +532,21 @@ type (
 // through that output) or on inter-stage links. The invariant
 // checker's conservation pass compares this against its shadow model:
 // every admitted copy is here exactly once, or delivered, or counted
-// dropped. Returns false when a node architecture supports no buffer
-// iteration (the structural pass then degrades to counter checks).
+// dropped. It always returns true: every node walks its buffer.
 func (f *Fabric) ForEachPending(fn func(id cell.PacketID, leaf int)) bool {
-	emit := func(ni int, ctx *ctxInfo, out int) {
-		mask := f.top.leafRow(ni, out)
-		for wi, w := range f.row(ctx.leaves) {
-			for w &= mask[wi]; w != 0; w &= w - 1 {
-				fn(ctx.fab, wi<<6|bits.TrailingZeros64(w))
-			}
-		}
-	}
 	for ni, nd := range f.nodes {
-		ctxs := &f.ctxs[ni]
-		switch b := nd.(type) {
-		case coreBuffered:
-			b.ForEachBuffered(func(in, out int, p *cell.Packet) {
-				ctx := ctxs.Lookup(p.ID)
-				if ctx == nil {
-					panic(fmt.Sprintf("fabric: node %d buffers unknown local packet %d", ni, p.ID))
-				}
-				emit(ni, ctx, out)
-			})
-		case residueBuffered:
-			b.ForEachBuffered(func(in int, p *cell.Packet, remaining *destset.Set) {
-				ctx := ctxs.Lookup(p.ID)
-				if ctx == nil {
-					panic(fmt.Sprintf("fabric: node %d buffers unknown local packet %d", ni, p.ID))
-				}
-				eachBit(remaining.Words(), func(out int) { emit(ni, ctx, out) })
-			})
-		default:
-			if nd.BufferedCells() > 0 {
-				return false
+		nd.ForEachCopy(func(_, out int, id cell.PacketID, _ int64) {
+			ctx := f.ctxs[ni].Lookup(id)
+			if ctx == nil {
+				panic(fmt.Sprintf("fabric: node %d buffers unknown local packet %d", ni, id))
 			}
-		}
+			mask := f.top.leafRow(ni, out)
+			for wi, w := range f.row(ctx.leaves) {
+				for w &= mask[wi]; w != 0; w &= w - 1 {
+					fn(ctx.fab, wi<<6|bits.TrailingZeros64(w))
+				}
+			}
+		})
 	}
 	for li := range f.links {
 		lk := &f.links[li]

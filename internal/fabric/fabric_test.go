@@ -34,7 +34,7 @@ func newFabric(tb testing.TB, top *fabric.Topology, algo string, fcfg fabric.Con
 		tb.Fatal(err)
 	}
 	f, err := fabric.New(top, fcfg, func(ports int, r *xrand.Rand) fabric.Node {
-		return alg.New(ports, r)
+		return alg.New(ports, r).(fabric.Node)
 	}, xrand.New(seed).Split("switch", 0))
 	if err != nil {
 		tb.Fatal(err)
@@ -253,7 +253,7 @@ func TestFabricDifferential(t *testing.T) {
 				top := passThroughTop(t, sz.n)
 				fab, err := fabric.New(top, fabric.Config{}, func(ports int, r *xrand.Rand) fabric.Node {
 					if ports == sz.n {
-						return alg.New(ports, r)
+						return alg.New(ports, r).(fabric.Node)
 					}
 					return core.NewSwitch(1, &core.FIFOMS{}, r)
 				}, xrand.New(seed).Split("switch", 0))
@@ -457,13 +457,64 @@ func TestFabricSlotAllocs(t *testing.T) {
 	}
 }
 
+// nodeAlgos is every single-switch architecture, each a fabric node.
+var nodeAlgos = []string{"fifoms", "pim", "islip", "2drr", "lqfms", "eslip", "wba", "tatra", "oqfifo", "cioq-s2"}
+
+// TestInputBacklogMatchesQueueSizes pins the value the fabric's
+// admission reads to the queue metric the engine samples: for every
+// architecture, after every arrival and every slot, each port's
+// InputBacklog equals its QueueSizes entry.
+func TestInputBacklogMatchesQueueSizes(t *testing.T) {
+	const n, slots = 8, 800
+	for _, algo := range nodeAlgos {
+		t.Run(algo, func(t *testing.T) {
+			alg, err := experiment.ByName(algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nd := alg.New(n, xrand.New(3).Split("switch", 0)).(fabric.Node)
+			sources := traffic.BuildSources(traffic.Uniform{P: 0.3, MaxFanout: 4}, n, xrand.New(3).Split("traffic", 0))
+			sizes := make([]int, n)
+			busy := 0
+			compare := func(slot int64, after string) {
+				nd.QueueSizes(sizes)
+				for port, want := range sizes {
+					if got := nd.InputBacklog(port); got != want {
+						t.Fatalf("slot %d after %s: port %d InputBacklog %d, QueueSizes %d", slot, after, port, got, want)
+					}
+					if want > 0 {
+						busy++
+					}
+				}
+			}
+			var id cell.PacketID
+			for slot := int64(0); slot < slots; slot++ {
+				for in, src := range sources {
+					dests := src.Next(slot)
+					if dests == nil {
+						continue
+					}
+					id++
+					nd.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: dests.Clone()})
+					compare(slot, "an arrival")
+				}
+				nd.Step(slot, func(cell.Delivery) {})
+				compare(slot, "the step")
+			}
+			if busy == 0 {
+				t.Fatal("no port ever held a cell; the comparison proves nothing")
+			}
+		})
+	}
+}
+
 // TestFabricQueueSizesAfterStep pins when a fabric samples its queue
-// sizes: the engine reads QueueSizes after Step, so for node
-// architectures without an exact backlog accessor (eslip, wba) it must
-// report the ingress queues as the nodes left them, not the snapshot
-// the admission loop took before they stepped — sequential or parallel.
+// sizes: the engine reads QueueSizes after Step, so for every node
+// architecture it must report the ingress queues as the nodes left
+// them, not as the admission loop saw them before they stepped —
+// sequential or parallel.
 func TestFabricQueueSizesAfterStep(t *testing.T) {
-	for _, algo := range []string{"eslip", "wba"} {
+	for _, algo := range nodeAlgos {
 		for _, workers := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", algo, workers), func(t *testing.T) {
 				s := newUniformStepper(t, "fattree:k=4", algo, fabric.Config{Workers: workers}, 0.8, 4)

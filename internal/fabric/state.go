@@ -14,28 +14,6 @@ import (
 // IDs are issued, the same link heads become admissible on the same
 // slots, and the same leaf subsets ride every buffered copy.
 
-// nodeSnapshotter is the per-node face of checkpointing (the same
-// method pair as switchsim.SnapshottableSwitch, declared structurally
-// to keep the import direction fabric <- switchsim).
-type nodeSnapshotter interface {
-	SaveState(w *snap.Writer)
-	LoadState(r *snap.Reader) error
-}
-
-// CanSnapshot reports whether every node architecture in the fabric
-// supports checkpointing right now.
-func (f *Fabric) CanSnapshot() bool {
-	for _, nd := range f.nodes {
-		if _, ok := nd.(nodeSnapshotter); !ok {
-			return false
-		}
-		if cs, ok := nd.(interface{ CanSnapshot() bool }); ok && !cs.CanSnapshot() {
-			return false
-		}
-	}
-	return true
-}
-
 // SaveState appends the fabric section and then every node's state.
 func (f *Fabric) SaveState(w *snap.Writer) {
 	w.Begin("fabric")
@@ -85,7 +63,7 @@ func (f *Fabric) SaveState(w *snap.Writer) {
 	w.End()
 
 	for _, nd := range f.nodes {
-		nd.(nodeSnapshotter).SaveState(w)
+		nd.SaveState(w)
 	}
 }
 
@@ -271,7 +249,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 	}
 
 	for _, nd := range f.nodes {
-		if err := nd.(nodeSnapshotter).LoadState(r); err != nil {
+		if err := nd.LoadState(r); err != nil {
 			return err
 		}
 	}

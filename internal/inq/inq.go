@@ -123,6 +123,9 @@ func (s *Store) QueueSizes(dst []int) []int {
 	return dst
 }
 
+// InputBacklog returns the packets queued at input in.
+func (s *Store) InputBacklog(in int) int { return s.queues[in].Len() }
+
 // BufferedCells returns the total queued packets across inputs.
 func (s *Store) BufferedCells() int64 {
 	var total int64
@@ -140,17 +143,16 @@ func (s *Store) BufferedBytes() int64 {
 	return s.BufferedCells() * (cell.PayloadSize + cell.AddressCellSize)
 }
 
-// ForEachBuffered calls fn for every queued packet, input by input,
-// front to back, with its residual destination set (not a copy — do
-// not mutate). External inspectors (the invariant checker's
-// shadow-model priming, the fabric's conservation pass) use it to read
-// the buffer content.
-func (s *Store) ForEachBuffered(fn func(in int, p *cell.Packet, remaining *destset.Set)) {
+// ForEachCopy calls fn for every copy still owed, input by input,
+// front to back, each packet's outputs in ascending order. External
+// inspectors (the invariant checker's shadow-model priming, the
+// fabric's conservation pass) use it to read the buffer content.
+func (s *Store) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
 	for in := range s.queues {
 		q := &s.queues[in]
 		for i := 0; i < q.Len(); i++ {
 			e := q.At(i)
-			fn(in, e.P, e.Remaining)
+			e.Remaining.ForEach(func(out int) { fn(in, out, e.P.ID, e.P.Arrival) })
 		}
 	}
 }

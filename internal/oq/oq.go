@@ -62,12 +62,16 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	if p.Dests.Count() == 0 {
 		panic("oq: arrival with empty destination set")
 	}
-	p.Dests.ForEach(func(out int) {
-		s.queues[out].Push(queuedCopy{id: p.ID, in: p.Input, arrival: p.Arrival})
-	})
+	p.Dests.ForEach(func(out int) { s.Push(cell.Delivery{ID: p.ID, In: p.Input, Out: out, Arrival: p.Arrival}) })
 	if s.release != nil {
 		s.arrived = append(s.arrived, p)
 	}
+}
+
+// Push queues the copy d names at output d.Out; only its ID, input
+// and arrival are kept.
+func (s *Switch) Push(d cell.Delivery) {
+	s.queues[d.Out].Push(queuedCopy{id: d.ID, in: d.In, arrival: d.Arrival})
 }
 
 // SetReleaseHook registers fn to receive each packet at the end of the
@@ -100,6 +104,10 @@ func (s *Switch) QueueSizes(dst []int) []int {
 	}
 	return dst
 }
+
+// InputBacklog returns QueueSizes' value for one port: the length of
+// output queue port.
+func (s *Switch) InputBacklog(port int) int { return s.queues[port].Len() }
 
 // BufferedCells returns the total cells across output queues.
 func (s *Switch) BufferedCells() int64 {

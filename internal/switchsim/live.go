@@ -177,19 +177,6 @@ func (l *LiveRunner) Instrument(o *obs.Observer) bool {
 	return true
 }
 
-// Snapshottable reports why this runner cannot be checkpointed, or
-// nil. Only architectures implementing SnapshottableSwitch (the core
-// VOQ family, eslip, wba) can.
-func (l *LiveRunner) Snapshottable() error {
-	if _, ok := l.sw.(SnapshottableSwitch); !ok {
-		return fmt.Errorf("switchsim: architecture %T does not support snapshots", l.sw)
-	}
-	if c, ok := l.sw.(interface{ CanSnapshot() bool }); ok && !c.CanSnapshot() {
-		return fmt.Errorf("switchsim: wrapped architecture does not support snapshots")
-	}
-	return nil
-}
-
 // SaveState implements snap.Stater: the runner's admission and
 // delivery accounting, then the switch (buffered cells, arbiter
 // state). Borrowed-but-unadmitted packets and the pool are scratch
@@ -204,15 +191,12 @@ func (l *LiveRunner) SaveState(w *snap.Writer) {
 	w.I64(l.completed)
 	l.delay.SaveState(w)
 	w.End()
-	l.sw.(SnapshottableSwitch).SaveState(w)
+	l.sw.SaveState(w)
 }
 
 // LoadState implements snap.Stater; the runner must be freshly built
 // around a fresh switch of the same configuration.
 func (l *LiveRunner) LoadState(r *snap.Reader) error {
-	if err := l.Snapshottable(); err != nil {
-		return err
-	}
 	if l.sw.BufferedCells() != 0 || l.nextID != 0 {
 		return fmt.Errorf("switchsim: LoadState needs a freshly built LiveRunner")
 	}
@@ -240,5 +224,5 @@ func (l *LiveRunner) LoadState(r *snap.Reader) error {
 	if err := r.EndSection(); err != nil {
 		return err
 	}
-	return l.sw.(SnapshottableSwitch).LoadState(r)
+	return l.sw.LoadState(r)
 }

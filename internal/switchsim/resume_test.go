@@ -13,14 +13,14 @@ import (
 )
 
 // The resume-equals-straight-run differential grid: for every
-// snapshottable architecture, switch size and seed, a run that is
+// architecture, switch size and seed, a run that is
 // snapshotted at a pseudo-random mid-run slot and resumed in a fresh
 // process context must be bit-identical to the uninterrupted run —
 // delivery for delivery and statistic for statistic — and a restored
 // switch wrapped in the invariant checker must hold all 8 invariants
 // for the remainder of the run.
 
-var resumeAlgos = []string{"fifoms", "pim", "islip", "eslip", "wba", "lqfms", "2drr"}
+var resumeAlgos = []string{"fifoms", "pim", "islip", "eslip", "wba", "lqfms", "2drr", "tatra", "oqfifo", "cioq-s2"}
 
 var resumeSeeds = []uint64{1, 42, 0xfeedface}
 
@@ -36,8 +36,8 @@ func resumeSlots(n int) int64 {
 }
 
 func resumePattern() traffic.Pattern {
-	// Load 0.6 per output with fanouts 1..4: stable for every grid
-	// architecture, with both unicast and multicast packets in flight.
+	// Load 0.6 per output with fanouts 1..4: both unicast and
+	// multicast packets in flight.
 	return traffic.Uniform{P: 0.24, MaxFanout: 4}
 }
 

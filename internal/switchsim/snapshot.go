@@ -19,16 +19,6 @@ import (
 // layer (observation must never influence a run, so it is reattached
 // rather than restored) and the engine's scratch (sizes).
 
-// SnapshottableSwitch is the optional interface a switch architecture
-// implements to support checkpointing. The core family (fifoms, pim,
-// islip, lqfms, 2drr), eslip and wba implement it; architectures that
-// do not (tatra, oq, cioq) make Snapshot return an error.
-type SnapshottableSwitch interface {
-	Switch
-	SaveState(w *snap.Writer)
-	LoadState(r *snap.Reader) error
-}
-
 // CheckpointFunc receives each periodic snapshot during
 // RunWithCheckpoints: the blob restores a run that continues at
 // nextSlot. A non-nil error aborts the run.
@@ -50,23 +40,15 @@ func (r *Runner) meta(name string, nextSlot int64) snap.Meta {
 	}
 }
 
-// Snapshottable reports why this run cannot be checkpointed, or nil.
-// Callers that degrade gracefully (a resumable sweep over a mixed
-// algorithm roster) probe it before asking for snapshots.
+// Snapshottable reports why this run cannot be checkpointed, or nil:
+// every architecture can, a fast run and a traffic source without
+// snapshot hooks cannot.
 func (r *Runner) Snapshottable() error {
 	if r.cfg.Fast {
 		// Fast mode relaxes draw-order identity, which the whole
 		// checkpoint contract (resume == straight run, bit for bit)
 		// is built on; its sources are not Snapshottable either.
 		return fmt.Errorf("switchsim: fast mode cannot be checkpointed or resumed")
-	}
-	if _, ok := r.sw.(SnapshottableSwitch); !ok {
-		return fmt.Errorf("switchsim: architecture %T does not support snapshots", r.sw)
-	}
-	// Wrappers (the invariant checker) satisfy the hook interface
-	// statically whatever they wrap; they report the truth dynamically.
-	if c, ok := r.sw.(interface{ CanSnapshot() bool }); ok && !c.CanSnapshot() {
-		return fmt.Errorf("switchsim: wrapped architecture does not support snapshots")
 	}
 	for i, s := range r.sources {
 		if _, ok := s.(traffic.Snapshottable); !ok {
@@ -136,7 +118,7 @@ func (r *Runner) SaveState(w *snap.Writer) {
 	r.peak.SaveState(w)
 	w.End()
 	traffic.SaveSources(w, r.sources)
-	r.sw.(SnapshottableSwitch).SaveState(w)
+	r.sw.SaveState(w)
 }
 
 // LoadState implements snap.Stater.
@@ -172,5 +154,5 @@ func (r *Runner) LoadState(rd *snap.Reader) error {
 	if err := traffic.LoadSources(rd, r.sources); err != nil {
 		return err
 	}
-	return r.sw.(SnapshottableSwitch).LoadState(rd)
+	return r.sw.LoadState(rd)
 }

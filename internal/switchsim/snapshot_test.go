@@ -12,11 +12,14 @@ import (
 	"testing"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/cioq"
 	"voqsim/internal/core"
 	"voqsim/internal/destset"
 	"voqsim/internal/experiment"
+	"voqsim/internal/oq"
 	"voqsim/internal/snap"
 	"voqsim/internal/switchsim"
+	"voqsim/internal/tatra"
 	"voqsim/internal/xrand"
 )
 
@@ -32,33 +35,79 @@ const (
 	goldenSeed = 7
 )
 
-// goldenSnaps lists the pinned blobs. The eSLIP and WBA snapshots are
-// taken while some multicast packet has left part of its fanout, so the
-// pinned bytes hold a residue smaller than its destination set.
+// goldenSnaps lists the pinned blobs. Each is taken in a state ready
+// asserts after restore: the input-queued switches with a multicast
+// packet that has left part of its fanout (so the pinned bytes hold a
+// residue smaller than its destination set, and TATRA's board holds
+// the rest), OQFIFO with copies queued, and CIOQ with both stages
+// non-empty.
 var goldenSnaps = []struct {
-	algo string
-	slot int64 // the snapshot resumes at this slot
+	algo  string
+	slot  int64 // the snapshot resumes at this slot
+	ready func(sw switchsim.Switch, delivered map[cell.PacketID]bool) bool
 }{
-	{"fifoms", 200},
-	{"eslip", 200},
-	{"wba", 200},
+	{"fifoms", 200, nil},
+	{"eslip", 200, partServed},
+	{"wba", 200, partServed},
+	{"tatra", 200, servedOnBoard},
+	{"oqfifo", 200, buffers},
+	{"cioq-s2", 200, bothStages},
 }
 
-// residueBuffered is the buffer iterator of the input-queued switches.
-type residueBuffered interface {
-	ForEachBuffered(fn func(in int, p *cell.Packet, remaining *destset.Set))
+// bufferedCopy is one visit of a switch's buffer walk.
+type bufferedCopy struct {
+	in, out int
+	id      cell.PacketID
+	arrival int64
 }
 
-// partServed reports whether sw buffers a packet that has left part of
-// its fanout.
-func partServed(sw switchsim.Switch) bool {
-	split := false
-	if rb, ok := sw.(residueBuffered); ok {
-		rb.ForEachBuffered(func(_ int, p *cell.Packet, remaining *destset.Set) {
-			split = split || remaining.Count() < p.Dests.Count()
-		})
+// bufferedCopies returns every copy sw buffers, in walk order.
+func bufferedCopies(sw switchsim.Switch) []bufferedCopy {
+	var cs []bufferedCopy
+	sw.ForEachCopy(func(in, out int, id cell.PacketID, arrival int64) {
+		cs = append(cs, bufferedCopy{in, out, id, arrival})
+	})
+	return cs
+}
+
+// partServed reports whether sw buffers a copy of a packet that has
+// already delivered one, given the IDs delivered so far.
+func partServed(sw switchsim.Switch, delivered map[cell.PacketID]bool) bool {
+	for _, c := range bufferedCopies(sw) {
+		if delivered[c.id] {
+			return true
+		}
 	}
-	return split
+	return false
+}
+
+// servedOnBoard reports whether a TATRA head that has delivered a copy
+// still has blocks on the board.
+func servedOnBoard(sw switchsim.Switch, delivered map[cell.PacketID]bool) bool {
+	cols, _, _ := tatraBoard(sw.(*tatra.Switch))
+	blocks, _ := placedHeads(cols)
+	for _, c := range bufferedCopies(sw) {
+		if delivered[c.id] && blocks[c.in] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// buffers reports whether sw buffers anything.
+func buffers(sw switchsim.Switch, _ map[cell.PacketID]bool) bool { return sw.BufferedCells() > 0 }
+
+// bothStages reports whether a CIOQ switch buffers cells at its inputs
+// and copies at its outputs.
+func bothStages(sw switchsim.Switch, _ map[cell.PacketID]bool) bool {
+	c := sw.(*cioq.Switch)
+	sum := func(v []int) (t int) {
+		for _, x := range v {
+			t += x
+		}
+		return t
+	}
+	return sum(c.QueueSizes(make([]int, c.Ports()))) > 0 && sum(c.OutputQueueSizes(make([]int, c.Ports()))) > 0
 }
 
 // goldenBlob runs algo's golden simulation and returns its snapshot at
@@ -114,13 +163,19 @@ func TestSnapshotGolden(t *testing.T) {
 				t.Fatalf("golden blob meta %+v does not match the pinned run", m)
 			}
 			straight, _ := buildRunner(t, g.algo, goldenN, goldenSeed, 0)
+			delivered := map[cell.PacketID]bool{}
+			straight.OnDelivery(func(d cell.Delivery) {
+				if d.Slot < g.slot {
+					delivered[d.ID] = true
+				}
+			})
 			wantRes := straight.Run(g.algo)
 			resumed, _ := buildRunner(t, g.algo, goldenN, goldenSeed, 0)
 			if err := resumed.Restore(g.algo, want); err != nil {
 				t.Fatalf("restoring golden blob: %v", err)
 			}
-			if _, ok := resumed.Switch().(residueBuffered); ok && !partServed(resumed.Switch()) {
-				t.Fatal("no buffered packet is part-served at the pinned slot")
+			if g.ready != nil && !g.ready(resumed.Switch(), delivered) {
+				t.Fatal("the restored switch is not in the state the row pins")
 			}
 			if gotRes := resumed.Run(g.algo); gotRes != wantRes {
 				t.Fatalf("golden blob resume diverged:\n got %+v\nwant %+v", gotRes, wantRes)
@@ -156,16 +211,48 @@ func TestLoadStateRejectsRepeatedArrival(t *testing.T) {
 	}
 }
 
+// TestLoadStateRejectsBoard checks that Restore refuses each of
+// tatraMutants' board defects, any of which Step would panic on.
+func TestLoadStateRejectsBoard(t *testing.T) {
+	fresh := func() *switchsim.Runner {
+		r, _ := buildRunner(t, "tatra", goldenN, goldenSeed, 0)
+		return r
+	}
+	blob := checkpointWhen(t, fresh(), "tatra", 10, func(sw switchsim.Switch, _ map[cell.PacketID]bool) bool {
+		return tatraShaped(sw.(*tatra.Switch))
+	})
+	tatraMutants(t, blob, fresh)
+}
+
+// TestLoadStateRejectsOutputCopy checks that Restore refuses each of
+// oqMutants' impossible output-queue copies.
+func TestLoadStateRejectsOutputCopy(t *testing.T) {
+	fresh := func() *switchsim.Runner {
+		r, _ := buildRunner(t, "oqfifo", goldenN, goldenSeed, 0)
+		return r
+	}
+	blob := checkpointWhen(t, fresh(), "oqfifo", 10, buffers)
+	oqMutants(t, blob, fresh)
+}
+
+// fuzzAlgos are the architectures FuzzRestore builds when a blob's
+// meta names one; any other blob is restored into fifoms.
+var fuzzAlgos = []string{"islip", "eslip", "wba", "tatra", "oqfifo", "cioq-s2"}
+
 // FuzzRestore drives the full restore chain — header, meta, engine
 // stats, traffic sources, switch buffers, arbiter — with adversarial
 // blobs. Any input must either restore cleanly or return an error;
 // panics and unbounded allocations are bugs. The corpus is seeded with
 // a valid snapshot plus truncated and bit-flipped variants of it; with
 // an islip snapshot — copied mode, stateful arbiter — valid and with a
-// copy's fanout counter raised to 2, which no SaveState writes; and
+// copy's fanout counter raised to 2, which no SaveState writes;
 // with eslip and wba snapshots holding a part-served multicast packet,
-// valid and with an input's head packet queued twice. The blob's meta
-// picks the algorithm.
+// valid and with an input's head packet queued twice; with a tatra
+// snapshot, valid and with each of four board defects (tatraMutants);
+// with an oqfifo snapshot, valid and with a copy from an input, at an
+// output or with an arrival outside the switch or the run (oqMutants);
+// and with a cioq-s2 snapshot whose two stages both hold copies. The
+// blob's meta picks the algorithm.
 func FuzzRestore(f *testing.F) {
 	// A short dedicated run (300 slots) keeps the post-restore
 	// simulation cheap, so the fuzzer gets real throughput.
@@ -180,28 +267,15 @@ func FuzzRestore(f *testing.F) {
 		cfg := switchsim.Config{Slots: 300, Seed: goldenSeed, WarmupFrac: 0.25}
 		return switchsim.New(sw, resumePattern(), cfg, root.Split("traffic", 0))
 	}
-	// blobWhen returns the first checkpoint, taken every `every` slots,
-	// at which ready holds for the switch.
-	blobWhen := func(algo string, every int64, ready func(switchsim.Switch) bool) []byte {
-		var blob []byte
-		r := build(f, algo)
-		if _, err := r.RunWithCheckpoints(algo, every, func(_ int64, b []byte) error {
-			if blob == nil && ready(r.Switch()) {
-				blob = append([]byte(nil), b...)
-			}
-			return nil
-		}); err != nil {
-			f.Fatal(err)
-		}
-		if blob == nil {
-			f.Fatalf("%s never reached the wanted state at a checkpoint", algo)
-		}
-		return blob
+	blobWhen := func(algo string, every int64, ready func(switchsim.Switch, map[cell.PacketID]bool) bool) []byte {
+		return checkpointWhen(f, build(f, algo), algo, every, ready)
 	}
 	// blobAt returns the first checkpoint at which the switch buffers
 	// at least minCells cells.
 	blobAt := func(algo string, every, minCells int64) []byte {
-		return blobWhen(algo, every, func(sw switchsim.Switch) bool { return sw.BufferedCells() >= minCells })
+		return blobWhen(algo, every, func(sw switchsim.Switch, _ map[cell.PacketID]bool) bool {
+			return sw.BufferedCells() >= minCells
+		})
 	}
 	seedBlob := blobAt(goldenAlgo, 100, 0)
 	f.Add([]byte(nil))
@@ -223,10 +297,24 @@ func FuzzRestore(f *testing.F) {
 		f.Add(split)
 		f.Add(repeatHead(f, algo, split, func() *switchsim.Runner { return build(f, algo) }))
 	}
+	tatraFresh := func() *switchsim.Runner { return build(f, "tatra") }
+	tatraBlob := blobWhen("tatra", 10, func(sw switchsim.Switch, _ map[cell.PacketID]bool) bool {
+		return tatraShaped(sw.(*tatra.Switch))
+	})
+	f.Add(tatraBlob)
+	for _, mut := range tatraMutants(f, tatraBlob, tatraFresh) {
+		f.Add(mut)
+	}
+	oqBlob := blobAt("oqfifo", 10, 1)
+	f.Add(oqBlob)
+	for _, mut := range oqMutants(f, oqBlob, func() *switchsim.Runner { return build(f, "oqfifo") }) {
+		f.Add(mut)
+	}
+	f.Add(blobWhen("cioq-s2", 10, bothStages))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		algo := goldenAlgo
-		if m, err := snap.ReadMeta(data); err == nil && slices.Contains([]string{"islip", "eslip", "wba"}, m.Algorithm) {
+		if m, err := snap.ReadMeta(data); err == nil && slices.Contains(fuzzAlgos, m.Algorithm) {
 			algo = m.Algorithm
 		}
 		r := build(t, algo)
@@ -236,6 +324,28 @@ func FuzzRestore(f *testing.F) {
 		// A blob that restores must also run to completion.
 		r.Run(algo)
 	})
+}
+
+// checkpointWhen runs r with a checkpoint every `every` slots and
+// returns the first at which ready holds for the switch, given the IDs
+// of the packets that have delivered a copy.
+func checkpointWhen(tb testing.TB, r *switchsim.Runner, algo string, every int64, ready func(switchsim.Switch, map[cell.PacketID]bool) bool) []byte {
+	tb.Helper()
+	var blob []byte
+	delivered := map[cell.PacketID]bool{}
+	r.OnDelivery(func(d cell.Delivery) { delivered[d.ID] = true })
+	if _, err := r.RunWithCheckpoints(algo, every, func(_ int64, b []byte) error {
+		if blob == nil && ready(r.Switch(), delivered) {
+			blob = append([]byte(nil), b...)
+		}
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	if blob == nil {
+		tb.Fatalf("%s never reached the wanted state at a checkpoint", algo)
+	}
+	return blob
 }
 
 // widenOutstanding returns a fifoms blob whose delay tracker holds
@@ -318,9 +428,9 @@ func sameSlotPackets(tb testing.TB, blob []byte, fresh func() *switchsim.Runner)
 	return mut
 }
 
-// repeatHead returns an eslip or wba blob in which one input queues its
-// head multicast packet a second time, after checking that a fresh
-// runner restores the original and rejects the result for the repeated
+// repeatHead returns an eslip or wba blob in which one input queues
+// its head packet a second time, after checking that a fresh runner
+// restores the original and rejects the result for the repeated
 // arrival stamp.
 func repeatHead(tb testing.TB, algo string, blob []byte, fresh func() *switchsim.Runner) []byte {
 	tb.Helper()
@@ -328,18 +438,16 @@ func repeatHead(tb testing.TB, algo string, blob []byte, fresh func() *switchsim
 	if err := r.Restore(algo, blob); err != nil {
 		tb.Fatal(err)
 	}
-	// Both iterators visit an input's multicast head before anything
-	// else it buffers.
-	var head *cell.Packet
-	seen := map[int]bool{}
-	r.Switch().(residueBuffered).ForEachBuffered(func(in int, p *cell.Packet, _ *destset.Set) {
-		if head == nil && !seen[in] && p.Dests.Count() > 1 {
-			head = p
-		}
-		seen[in] = true
-	})
-	if head == nil {
-		tb.Fatal("no input has a multicast packet at its head at the checkpoint")
+	// Both walks visit the input-queue store first, input by input and
+	// each queue from its head; eSLIP's unicast VOQs follow. The copy
+	// arrives again as a multicast packet to every output.
+	cs := bufferedCopies(r.Switch())
+	if len(cs) == 0 {
+		tb.Fatal("nothing buffered at the checkpoint")
+	}
+	head := &cell.Packet{ID: cs[0].id, Input: cs[0].in, Arrival: cs[0].arrival, Dests: destset.New(goldenN)}
+	for out := 0; out < goldenN; out++ {
+		head.Dests.Add(out)
 	}
 	r.Switch().Arrive(head)
 	m, err := snap.ReadMeta(blob)
@@ -389,4 +497,219 @@ func raiseCopiedCounter(tb testing.TB, blob []byte, fresh func() *switchsim.Runn
 		tb.Fatalf("raised copied-mode counter: Restore = %v, want a rejection", err)
 	}
 	return mut
+}
+
+// tatraBoard returns sw's board columns, bottom to top, read from its
+// own snapshot section: the section's length and the offset of the
+// board within it, after the input queues.
+func tatraBoard(sw *tatra.Switch) (cols [][]int, sectionLen, boardAt int) {
+	hdr := len(snap.NewWriter().Bytes())
+	w := snap.NewWriter()
+	sw.SaveState(w)
+	sec := w.Bytes()[hdr:]
+	q := snap.NewWriter()
+	q.Begin("tatra")
+	q.Int(sw.Ports())
+	for in := 0; in < sw.Ports(); in++ {
+		sw.SaveInput(q, in)
+	}
+	q.End()
+	boardAt = len(q.Bytes()) - hdr
+	board := sec[boardAt:]
+	for out := 0; out < sw.Ports(); out++ {
+		col := make([]int, binary.LittleEndian.Uint32(board))
+		board = board[4:]
+		for i := range col {
+			col[i] = int(binary.LittleEndian.Uint64(board))
+			board = board[8:]
+		}
+		cols = append(cols, col)
+	}
+	return cols, len(sec), boardAt
+}
+
+// withBoard returns a copy of the tatra runner blob with its board
+// replaced by cols.
+func withBoard(blob []byte, sectionLen, boardAt int, cols [][]int) []byte {
+	start := len(blob) - sectionLen
+	out := append([]byte(nil), blob[:start+boardAt]...)
+	for _, col := range cols {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(col)))
+		for _, in := range col {
+			out = binary.LittleEndian.AppendUint64(out, uint64(in))
+		}
+	}
+	lenAt := start + 1 + len("tatra")
+	binary.LittleEndian.PutUint32(out[lenAt:], uint32(len(out)-lenAt-4))
+	return out
+}
+
+// placedHeads returns, per input with a block on the board, its block
+// count, and the inputs in ascending order.
+func placedHeads(cols [][]int) (map[int]int, []int) {
+	blocks := map[int]int{}
+	for _, col := range cols {
+		for _, in := range col {
+			blocks[in]++
+		}
+	}
+	ins := make([]int, 0, len(blocks))
+	for in := range blocks {
+		ins = append(ins, in)
+	}
+	slices.Sort(ins)
+	return blocks, ins
+}
+
+// tatraShaped reports whether sw's board has what each of
+// tatraMutants' defects starts from: a placed head that does not owe
+// every output, a placed head with two blocks, and an empty input.
+func tatraShaped(sw *tatra.Switch) bool {
+	cols, _, _ := tatraBoard(sw)
+	blocks, ins := placedHeads(cols)
+	var short, two, empty bool
+	for _, in := range ins {
+		short = short || sw.Front(in).Remaining.Count() < sw.Ports()
+		two = two || blocks[in] >= 2
+	}
+	for in := 0; in < sw.Ports(); in++ {
+		empty = empty || sw.Len(in) == 0
+	}
+	return short && two && empty
+}
+
+// tatraMutants returns four tatra blobs, each with one board defect
+// that would reach Step's panic — a block for an output its input's
+// head does not owe, a placed head missing a block, an input twice in
+// one column, a block for an empty input — after checking that a fresh
+// runner restores the original and refuses each mutant for its defect.
+func tatraMutants(tb testing.TB, blob []byte, fresh func() *switchsim.Runner) [][]byte {
+	tb.Helper()
+	r := fresh()
+	if err := r.Restore("tatra", blob); err != nil {
+		tb.Fatal(err)
+	}
+	sw := r.Switch().(*tatra.Switch)
+	if !tatraShaped(sw) {
+		tb.Fatal("the tatra checkpoint's board lacks a shape the mutants start from")
+	}
+	cols, sectionLen, boardAt := tatraBoard(sw)
+	blocks, ins := placedHeads(cols)
+	edit := func(fn func(cols [][]int) bool) [][]int {
+		c := make([][]int, len(cols))
+		for i := range cols {
+			c[i] = slices.Clone(cols[i])
+		}
+		if !fn(c) {
+			tb.Fatalf("board %v has no place for the defect", cols)
+		}
+		return c
+	}
+	cases := []struct {
+		want string
+		cols [][]int
+	}{
+		{"does not owe", edit(func(c [][]int) bool {
+			for _, in := range ins {
+				for out := range c {
+					if !sw.Front(in).Remaining.Contains(out) {
+						c[out] = append(c[out], in)
+						return true
+					}
+				}
+			}
+			return false
+		})},
+		{"without a block", edit(func(c [][]int) bool {
+			for out, col := range c {
+				for i, in := range col {
+					if blocks[in] >= 2 {
+						c[out] = slices.Delete(col, i, i+1)
+						return true
+					}
+				}
+			}
+			return false
+		})},
+		{"twice", edit(func(c [][]int) bool {
+			for out, col := range c {
+				if len(col) > 0 {
+					c[out] = append(col, col[0])
+					return true
+				}
+			}
+			return false
+		})},
+		{"empty or absent", edit(func(c [][]int) bool {
+			for in := 0; in < sw.Ports(); in++ {
+				if sw.Len(in) == 0 {
+					c[0] = append(c[0], in)
+					return true
+				}
+			}
+			return false
+		})},
+	}
+	var muts [][]byte
+	for _, tc := range cases {
+		mut := withBoard(blob, sectionLen, boardAt, tc.cols)
+		if err := fresh().Restore("tatra", mut); err == nil || !strings.Contains(err.Error(), tc.want) {
+			tb.Fatalf("board %v: Restore = %v, want a %q rejection", tc.cols, err, tc.want)
+		}
+		muts = append(muts, mut)
+	}
+	return muts
+}
+
+// oqMutants returns three oqfifo blobs, each with one queued copy the
+// switch could not hold — from input N, at output N, with an arrival
+// at the resume slot — after checking that a fresh runner restores the
+// original and refuses each mutant.
+func oqMutants(tb testing.TB, blob []byte, fresh func() *switchsim.Runner) [][]byte {
+	tb.Helper()
+	r := fresh()
+	if err := r.Restore("oqfifo", blob); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := snap.ReadMeta(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sw := r.Switch().(*oq.Switch)
+	hdr := len(snap.NewWriter().Bytes())
+	w := snap.NewWriter()
+	sw.SaveState(w)
+	start := len(blob) - (len(w.Bytes()) - hdr)
+	lenAt := start + 1 + len("oq")
+	// The payload is the port count, then per output a count and one
+	// (id, input, arrival) triple per copy.
+	at := lenAt + 4 + 8
+	for binary.LittleEndian.Uint32(blob[at:]) == 0 {
+		at += 4
+	}
+	first := at + 4
+	patch := func(off int, v uint64) []byte {
+		mut := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(mut[first+off:], v)
+		return mut
+	}
+	extra := binary.LittleEndian.AppendUint32(append([]byte(nil), blob...), 1)
+	extra = append(extra, blob[first:first+24]...)
+	binary.LittleEndian.PutUint32(extra[lenAt:], uint32(len(extra)-lenAt-4))
+	cases := []struct {
+		want string
+		blob []byte
+	}{
+		{"from input", patch(8, uint64(sw.Ports()))},
+		{"unconsumed", extra},
+		{"arrival", patch(16, uint64(m.NextSlot))},
+	}
+	var muts [][]byte
+	for _, tc := range cases {
+		if err := fresh().Restore("oqfifo", tc.blob); err == nil || !strings.Contains(err.Error(), tc.want) {
+			tb.Fatalf("Restore = %v, want a %q rejection", err, tc.want)
+		}
+		muts = append(muts, tc.blob)
+	}
+	return muts
 }

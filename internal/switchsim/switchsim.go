@@ -22,6 +22,7 @@ import (
 	"voqsim/internal/destset"
 	"voqsim/internal/fabric"
 	"voqsim/internal/obs"
+	"voqsim/internal/snap"
 	"voqsim/internal/stats"
 	"voqsim/internal/traffic"
 	"voqsim/internal/xrand"
@@ -30,7 +31,8 @@ import (
 // Switch is what the engine needs from a switch architecture. It is
 // satisfied by core.Switch (FIFOMS/iSLIP/PIM/2DRR/LQFMS on the
 // multicast VOQ structure), tatra.Switch, wba.Switch, oq.Switch,
-// cioq.Switch and eslip.Switch.
+// cioq.Switch and eslip.Switch, and by the fabric and the invariant
+// checker that wrap them.
 type Switch interface {
 	// Ports returns the port count N.
 	Ports() int
@@ -46,6 +48,13 @@ type Switch interface {
 	// BufferedCells returns the backlog used for instability
 	// detection.
 	BufferedCells() int64
+	// SaveState and LoadState checkpoint the switch (DESIGN.md §10).
+	SaveState(w *snap.Writer)
+	LoadState(r *snap.Reader) error
+	// ForEachCopy calls fn for every copy the switch buffers: from
+	// input in to output out, of packet id, which arrived in slot
+	// arrival. The invariant checker primes itself from it.
+	ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64))
 }
 
 // RoundsReporter is optionally implemented by switches whose scheduler
@@ -69,17 +78,18 @@ type Observable interface {
 	SetObserver(o *obs.Observer)
 }
 
-// PacketReleaser is implemented by switches that can hand back each
-// packet once they hold no reference to it — or to its destination
-// set — any more: core.Switch after the packet's last buffered copy
-// leaves (in ModeShared its one data-slab entry, in ModeCopied the last
-// of its private ones), tatra.Switch and wba.Switch when the packet
-// leaves the head of its queue, eslip.Switch there for a multicast
-// packet and as it pops a unicast cell, oq.Switch at the end of the
-// Step after its arrival,
-// cioq.Switch through its input stage once the last copy has crossed
-// into the output queues, and the fabric as soon as it has copied the
-// destinations. A packet
+// PacketReleaser is implemented by every architecture (it is part of
+// the fabric.Node contract) and by the fabric: each hands back a packet
+// once it holds no reference to it — or to its destination set — any
+// more: core.Switch after the packet's last buffered copy leaves (in
+// ModeShared its one data-slab entry, in ModeCopied the last of its
+// private ones), tatra.Switch and wba.Switch when the packet leaves the
+// head of its queue, eslip.Switch there for a multicast packet and as
+// it pops a unicast cell, oq.Switch at the end of the Step after its
+// arrival, cioq.Switch through its input stage once the last copy has
+// crossed into its OQFIFO output stage, and the fabric as soon as it
+// has copied the destinations. Packets a restored switch rebuilt from
+// a snapshot are released the same way. A packet
 // is released from Step, never from Arrive: callers read it after
 // Arrive returns (LiveRunner.Admit its ID, voqd's -record its
 // destinations). The engine registers its packet pool as the hook,

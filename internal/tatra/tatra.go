@@ -33,8 +33,8 @@ import (
 
 // Switch is a single-input-queued switch scheduled by TATRA. It
 // satisfies the simulation engine's Switch interface. Its input FIFOs
-// are an inq.Store, which also supplies QueueSizes, BufferedCells,
-// BufferedBytes, ForEachBuffered and the release hook.
+// are an inq.Store, which also supplies QueueSizes, InputBacklog,
+// BufferedCells, BufferedBytes, ForEachCopy and the release hook.
 type Switch struct {
 	*inq.Store
 	n       int

@@ -388,9 +388,8 @@ type CheckpointFunc func(nextSlot int64, blob []byte) error
 // continues from the checkpointed slot; the report is bit-identical to
 // a run that was never interrupted. When every > 0, sink receives a
 // self-contained snapshot of the simulation state after each block of
-// `every` slots. Snapshots require a checkpointable scheduler (the
-// core VOQ family, eslip and wba) and the default engine, not Fast; the
-// engine refuses anything else before it simulates a slot.
+// `every` slots. Every scheduler can be snapshotted; Fast cannot, and
+// the engine refuses it before it simulates a slot.
 func RunResumable(cfg Config, resumeFrom []byte, every int64, sink CheckpointFunc) (Report, error) {
 	runner, name, release, err := buildRunner(cfg)
 	if err != nil {
