@@ -20,19 +20,16 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"voqsim/internal/cell"
 	"voqsim/internal/experiment"
+	"voqsim/internal/roster"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
 	"voqsim/internal/xrand"
 )
-
-// The grid is every architecture the engine drives: the core family,
-// eSLIP and WBA, TATRA (the paper's multicast baseline), OQFIFO, and
-// CIOQ at speedup 2, whose output stage is an OQFIFO switch.
-var deliveryGoldenAlgos = []string{"fifoms", "pim", "islip", "eslip", "wba", "lqfms", "2drr", "tatra", "oqfifo", "cioq-s2"}
 
 // 65 and 130 give every arbiter's port bitmaps a second and a third
 // word, so a scan that mishandles a word boundary shows here.
@@ -49,14 +46,9 @@ func deliveryGoldenSlots(n int) int64 {
 
 // deliveryHash runs one grid cell and returns the FNV-64a hash of its
 // delivery stream together with the delivered-copy count.
-func deliveryHash(tb testing.TB, algo string, n int, seed uint64) (uint64, int64) {
-	tb.Helper()
-	alg, err := experiment.ByName(algo)
-	if err != nil {
-		tb.Fatal(err)
-	}
+func deliveryHash(algo experiment.Algorithm, n int, seed uint64) (uint64, int64) {
 	pat := traffic.Bernoulli{P: 0.6, B: 2.0 / float64(n)}
-	sw := alg.New(n, xrand.New(seed).Split("switch", 0))
+	sw := algo.New(n, xrand.New(seed).Split("switch", 0))
 	r := switchsim.New(sw, pat,
 		switchsim.Config{Slots: deliveryGoldenSlots(n), Seed: seed},
 		xrand.New(seed).Split("traffic", 0))
@@ -80,7 +72,7 @@ func deliveryHash(tb testing.TB, algo string, n int, seed uint64) (uint64, int64
 		h.Write(buf[:])
 		copies++
 	})
-	res := r.Run(algo)
+	res := r.Run(algo.Name)
 	// Fold the headline results in too, so statistics changes that do
 	// not touch the stream itself are still caught.
 	fmt.Fprintf(h, "|%d|%d|%v|%.17g|%.17g|%.17g|%d",
@@ -95,7 +87,8 @@ type deliveryGoldenEntry struct {
 }
 
 // TestDeliveryStreamGolden pins the delivery stream of every roster
-// architecture to the recorded hashes.
+// architecture (internal/roster) to the recorded hashes. The rows run
+// in parallel; the golden is rewritten once they have all finished.
 func TestDeliveryStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-architecture grid")
@@ -111,15 +104,21 @@ func TestDeliveryStreamGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var mu sync.Mutex
 	got := map[string]deliveryGoldenEntry{}
-	for _, algo := range deliveryGoldenAlgos {
+	if *updateGolden {
+		t.Cleanup(func() { writeGolden(t, path, got) })
+	}
+	for _, algo := range roster.For(roster.DeliveryGolden) {
 		for _, n := range deliveryGoldenSizes {
 			for _, seed := range deliveryGoldenSeeds {
-				algo, n, seed := algo, n, seed
-				key := fmt.Sprintf("%s/n=%d/seed=%d", algo, n, seed)
+				key := fmt.Sprintf("%s/n=%d/seed=%d", algo.Name, n, seed)
 				t.Run(key, func(t *testing.T) {
-					hash, copies := deliveryHash(t, algo, n, seed)
+					t.Parallel()
+					hash, copies := deliveryHash(algo, n, seed)
+					mu.Lock()
 					got[key] = deliveryGoldenEntry{Hash: hash, Copies: copies}
+					mu.Unlock()
 					if *updateGolden {
 						return
 					}
@@ -127,7 +126,7 @@ func TestDeliveryStreamGolden(t *testing.T) {
 					if !ok {
 						t.Fatalf("no golden entry for %s", key)
 					}
-					if w != got[key] {
+					if w != (deliveryGoldenEntry{Hash: hash, Copies: copies}) {
 						t.Errorf("delivery stream diverged from the pre-arena simulator: got {hash:%d copies:%d}, want {hash:%d copies:%d}",
 							hash, copies, w.Hash, w.Copies)
 					}
@@ -135,13 +134,15 @@ func TestDeliveryStreamGolden(t *testing.T) {
 			}
 		}
 	}
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+}
+
+// writeGolden rewrites a golden file with got, keys sorted.
+func writeGolden[E any](t *testing.T, path string, got map[string]E) {
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,12 +18,12 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/roster"
 )
-
-var fabricGoldenAlgos = []Scheduler{FIFOMS, PIM, ESLIP, TATRA, OQFIFO}
 
 var fabricGoldenSeeds = []uint64{1, 42}
 
@@ -87,7 +87,9 @@ type fabricGoldenEntry struct {
 }
 
 // TestFabricDeliveryGolden pins the fat-tree delivery stream of each
-// roster architecture to the recorded hashes.
+// roster architecture (internal/roster) to the recorded hashes. The
+// rows run in parallel; the golden is rewritten once they have all
+// finished.
 func TestFabricDeliveryGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-architecture fabric grid")
@@ -103,14 +105,20 @@ func TestFabricDeliveryGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var mu sync.Mutex
 	got := map[string]fabricGoldenEntry{}
-	for _, algo := range fabricGoldenAlgos {
+	if *updateGolden {
+		t.Cleanup(func() { writeGolden(t, path, got) })
+	}
+	for _, algo := range roster.For(roster.FabricGolden) {
 		for _, seed := range fabricGoldenSeeds {
-			algo, seed := algo, seed
-			key := fmt.Sprintf("%s/fattree:k=4/seed=%d", algo, seed)
+			key := fmt.Sprintf("%s/fattree:k=4/seed=%d", algo.Name, seed)
 			t.Run(key, func(t *testing.T) {
-				hash, copies := fabricDeliveryHash(t, algo, seed)
+				t.Parallel()
+				hash, copies := fabricDeliveryHash(t, Scheduler(algo.Name), seed)
+				mu.Lock()
 				got[key] = fabricGoldenEntry{Hash: hash, Copies: copies}
+				mu.Unlock()
 				if *updateGolden {
 					return
 				}
@@ -118,20 +126,11 @@ func TestFabricDeliveryGolden(t *testing.T) {
 				if !ok {
 					t.Fatalf("no golden entry for %s", key)
 				}
-				if w != got[key] {
+				if w != (fabricGoldenEntry{Hash: hash, Copies: copies}) {
 					t.Errorf("fabric delivery stream diverged: got {hash:%d copies:%d}, want {hash:%d copies:%d}",
 						hash, copies, w.Hash, w.Copies)
 				}
 			})
-		}
-	}
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

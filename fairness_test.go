@@ -11,10 +11,9 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/core"
 	"voqsim/internal/destset"
-	"voqsim/internal/sched/islip"
+	"voqsim/internal/roster"
 	"voqsim/internal/stats"
 	"voqsim/internal/switchsim"
-	"voqsim/internal/wba"
 	"voqsim/internal/xrand"
 )
 
@@ -49,27 +48,28 @@ func saturatedShares(t *testing.T, sw switchsim.Switch, slots int64) []int64 {
 	return shares
 }
 
+// TestSaturationFairnessAcrossInputs holds every roster architecture
+// (internal/roster) to an equal share per input, and every output busy,
+// under symmetric saturation.
 func TestSaturationFairnessAcrossInputs(t *testing.T) {
 	const n, slots = 8, 6000
-	for name, sw := range map[string]switchsim.Switch{
-		"fifoms": core.NewSwitch(n, &core.FIFOMS{}, xrand.New(31)),
-		"islip":  core.NewSwitch(n, islip.New(), xrand.New(31)),
-		"wba":    wba.New(n, xrand.New(31)),
-	} {
-		shares := saturatedShares(t, sw, slots)
-		j := stats.JainIndexInts(shares)
-		if j < 0.99 {
-			t.Errorf("%s: Jain index %.4f under symmetric saturation (shares %v)", name, j, shares)
-		}
-		var total int64
-		for _, s := range shares {
-			total += s
-		}
-		// Full backlog must keep every output busy: n copies per slot
-		// over the measured half.
-		if want := int64(n) * (slots - slots/2); total < want*95/100 {
-			t.Errorf("%s: served %d of %d possible copies at saturation", name, total, want)
-		}
+	for _, algo := range roster.For(roster.SaturationFairness) {
+		t.Run(algo.Name, func(t *testing.T) {
+			shares := saturatedShares(t, algo.New(n, xrand.New(31)), slots)
+			j := stats.JainIndexInts(shares)
+			if j < 0.99 {
+				t.Errorf("Jain index %.4f under symmetric saturation (shares %v)", j, shares)
+			}
+			var total int64
+			for _, s := range shares {
+				total += s
+			}
+			// Full backlog must keep every output busy: n copies per slot
+			// over the measured half.
+			if want := int64(n) * (slots - slots/2); total < want*95/100 {
+				t.Errorf("served %d of %d possible copies at saturation", total, want)
+			}
+		})
 	}
 }
 

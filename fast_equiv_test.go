@@ -6,7 +6,7 @@ package voqsim
 // estimates must agree with the exact run up to sampling error. This
 // is the fast-mode analogue of TestDeliveryStreamGolden: instead of
 // hashing the delivery stream (which fast mode deliberately perturbs)
-// it runs the same 7-algorithm × N × seed grid twice — exact and fast
+// it runs the same roster × N × seed grid twice — exact and fast
 // — and requires confidence-interval overlap of the estimates.
 //
 // The z factor is inflated far beyond the i.i.d. value because the
@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"voqsim/internal/experiment"
+	"voqsim/internal/roster"
 	"voqsim/internal/stats"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
@@ -46,17 +47,12 @@ func fastEquivSlots(n int) int64 {
 
 // fastEquivRun executes one grid cell with the facade's exact seed
 // derivation, in the exact or the fast engine mode.
-func fastEquivRun(tb testing.TB, algo string, n int, seed uint64, pat traffic.Pattern, fast bool) switchsim.Results {
-	tb.Helper()
-	alg, err := experiment.ByName(algo)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sw := alg.New(n, xrand.New(seed).Split("switch", 0))
+func fastEquivRun(algo experiment.Algorithm, n int, seed uint64, pat traffic.Pattern, fast bool) switchsim.Results {
+	sw := algo.New(n, xrand.New(seed).Split("switch", 0))
 	r := switchsim.New(sw, pat,
 		switchsim.Config{Slots: fastEquivSlots(n), Seed: seed, Fast: fast},
 		xrand.New(seed).Split("traffic", 0))
-	return r.Run(algo)
+	return r.Run(algo.Name)
 }
 
 // assertFastEquivalent applies the CI-overlap criteria to one pair of
@@ -84,21 +80,21 @@ func assertFastEquivalent(t *testing.T, exact, fast switchsim.Results) {
 	}
 }
 
-// TestFastModeEquivalence runs the full architecture grid under
-// Bernoulli traffic, exact versus fast, and checks CI overlap.
+// TestFastModeEquivalence runs the roster (internal/roster) over the
+// delivery golden's sizes and seeds under Bernoulli traffic, exact
+// versus fast, and checks CI overlap.
 func TestFastModeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-architecture grid")
 	}
-	for _, algo := range deliveryGoldenAlgos {
+	for _, algo := range roster.For(roster.FastEquivalence) {
 		for _, n := range deliveryGoldenSizes {
 			for _, seed := range deliveryGoldenSeeds {
-				algo, n, seed := algo, n, seed
-				t.Run(fmt.Sprintf("%s/n=%d/seed=%d", algo, n, seed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/n=%d/seed=%d", algo.Name, n, seed), func(t *testing.T) {
 					t.Parallel()
 					pat := traffic.Bernoulli{P: 0.3, B: 2.0 / float64(n)}
-					exact := fastEquivRun(t, algo, n, seed, pat, false)
-					fast := fastEquivRun(t, algo, n, seed, pat, true)
+					exact := fastEquivRun(algo, n, seed, pat, false)
+					fast := fastEquivRun(algo, n, seed, pat, true)
 					assertFastEquivalent(t, exact, fast)
 				})
 			}
@@ -122,11 +118,10 @@ func TestFastModeEquivalenceFamilies(t *testing.T) {
 	}
 	for _, pat := range patterns {
 		for _, seed := range deliveryGoldenSeeds {
-			pat, seed := pat, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", pat.String(), seed), func(t *testing.T) {
 				t.Parallel()
-				exact := fastEquivRun(t, "fifoms", n, seed, pat, false)
-				fast := fastEquivRun(t, "fifoms", n, seed, pat, true)
+				exact := fastEquivRun(experiment.FIFOMS, n, seed, pat, false)
+				fast := fastEquivRun(experiment.FIFOMS, n, seed, pat, true)
 				assertFastEquivalent(t, exact, fast)
 			})
 		}

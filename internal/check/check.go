@@ -83,23 +83,21 @@ type observable interface {
 	SetObserver(o *obs.Observer)
 }
 
-// GrantRule says how request/grant events from the wrapped switch are
+// grantRule says how request/grant events from the wrapped switch are
 // judged under I8.
-type GrantRule uint8
+type grantRule uint8
 
 const (
-	// GrantAuto selects a rule from the detected architecture profile.
-	GrantAuto GrantRule = iota
-	// GrantNone disables I8 (the architecture emits no request/grant
+	// grantNone disables I8 (the architecture emits no request/grant
 	// events, or emits them with semantics the checker does not model).
-	GrantNone
-	// GrantRequesters checks only that every grant goes to an input
+	grantNone grantRule = iota
+	// grantRequesters checks only that every grant goes to an input
 	// that requested that output in the same arbitration round.
-	GrantRequesters
-	// GrantMinTS additionally checks the FIFOMS property (§III Table 2):
+	grantRequesters
+	// grantMinTS additionally checks the FIFOMS property (§III Table 2):
 	// a grant carries the minimum timestamp requested at its output in
 	// that round.
-	GrantMinTS
+	grantMinTS
 )
 
 // Options tunes a Checker. The zero value asks for full checking with
@@ -112,11 +110,6 @@ type Options struct {
 	// MaxViolations caps how many violations are recorded verbatim
 	// (further ones are only counted). Default 32.
 	MaxViolations int
-	// NoEvents disables attaching an observer, turning off I7/I8.
-	// Deliveries and shadow state are still checked.
-	NoEvents bool
-	// Grant overrides the I8 rule; GrantAuto uses the detected profile.
-	Grant GrantRule
 }
 
 // Violation is one detected invariant breakage.
@@ -182,7 +175,7 @@ type profile struct {
 	fab       *fabric.Fabric // non-nil for multi-stage fabrics
 	input     inputRule
 	last      lastRule
-	grant     GrantRule
+	grant     grantRule
 	fifoOrder bool // per-(in,out) timestamp monotonicity holds
 	pairsEq   bool // grant events ↔ delivered pairs are a bijection
 	name      string
@@ -200,11 +193,11 @@ func detect(sw Switch) profile {
 		}
 		switch s.Arbiter().(type) {
 		case *core.FIFOMS:
-			p.grant, p.pairsEq = GrantMinTS, true
+			p.grant, p.pairsEq = grantMinTS, true
 		case *pim.Arbiter:
-			p.grant, p.pairsEq = GrantRequesters, true
+			p.grant, p.pairsEq = grantRequesters, true
 		default:
-			p.grant = GrantNone
+			p.grant = grantNone
 		}
 		return p
 	case *wba.Switch:
@@ -212,13 +205,13 @@ func detect(sw Switch) profile {
 		// is the arrival slot, so grants carry the minimum requested
 		// timestamp, like FIFOMS.
 		return profile{wba: s, input: inputSharedPacket, last: lastPacket,
-			grant: GrantMinTS, fifoOrder: true, pairsEq: true, name: "wba"}
+			grant: grantMinTS, fifoOrder: true, pairsEq: true, name: "wba"}
 	case *eslip.Switch:
 		// ESLIP's multicast queue bypasses the unicast VOQs, so
 		// per-(in,out) timestamp monotonicity does not hold; grants are
 		// only checked against the round's requesters.
 		return profile{eslip: s, input: inputSharedPacket, last: lastPacket,
-			grant: GrantRequesters, pairsEq: true, name: "eslip"}
+			grant: grantRequesters, pairsEq: true, name: "eslip"}
 	case *fabric.Fabric:
 		// Fabric deliveries are end-to-end: In is the fabric ingress,
 		// Out the egress leaf, and Last fires on the final surviving
@@ -230,9 +223,9 @@ func detect(sw Switch) profile {
 		// applies; I1 still holds because each leaf is one last-stage
 		// output port.
 		return profile{fab: s, input: inputAny, last: lastPacket,
-			grant: GrantNone, name: "fabric/" + s.Topology().Name()}
+			grant: grantNone, name: "fabric/" + s.Topology().Name()}
 	default:
-		return profile{input: inputAny, last: lastUnknown, grant: GrantNone, name: "generic"}
+		return profile{input: inputAny, last: lastUnknown, grant: grantNone, name: "generic"}
 	}
 }
 
@@ -311,8 +304,8 @@ type Checker struct {
 
 // Wrap returns a Checker around sw. The checker detects the switch's
 // architecture (unwrapping any Unwrapper shims first), fills Options
-// defaults, and — unless opt.NoEvents — attaches an observer to
-// capture arbitration and lifecycle events for I7/I8.
+// defaults, and attaches an observer to capture arbitration and
+// lifecycle events for I7/I8.
 func Wrap(sw Switch, opt Options) *Checker {
 	if opt.Every <= 0 {
 		opt.Every = 1
@@ -329,12 +322,6 @@ func Wrap(sw Switch, opt Options) *Checker {
 		base = u.CheckUnwrap()
 	}
 	prof := detect(base)
-	if opt.Grant != GrantAuto {
-		prof.grant = opt.Grant
-		if prof.grant == GrantNone {
-			prof.pairsEq = false
-		}
-	}
 	n := sw.Ports()
 	c := &Checker{
 		inner:            sw,
@@ -365,15 +352,13 @@ func Wrap(sw Switch, opt Options) *Checker {
 	if prof.fab != nil {
 		prof.fab.SetDropHook(c.handleDrop)
 	}
-	if !opt.NoEvents {
-		if ob, ok := base.(observable); ok {
-			c.tracer = obs.NewTracer(1 << 12)
-			c.tracer.OnFull(func(batch []obs.Event) error {
-				c.events = append(c.events, batch...)
-				return nil
-			})
-			ob.SetObserver(&obs.Observer{Trace: c.tracer})
-		}
+	if ob, ok := base.(observable); ok {
+		c.tracer = obs.NewTracer(1 << 12)
+		c.tracer.OnFull(func(batch []obs.Event) error {
+			c.events = append(c.events, batch...)
+			return nil
+		})
+		ob.SetObserver(&obs.Observer{Trace: c.tracer})
 	}
 	if base.BufferedCells() > 0 {
 		// Wrapping a switch restored from a snapshot: seed the shadow
@@ -406,11 +391,6 @@ func (c *Checker) Inner() Switch { return c.inner }
 func (c *Checker) SetObserver(o *obs.Observer) {
 	ob, ok := c.base.(observable)
 	if !ok {
-		return
-	}
-	if c.tracer == nil {
-		// Options.NoEvents: the checker holds no slot to share.
-		ob.SetObserver(o)
 		return
 	}
 	inner := &obs.Observer{Trace: c.tracer}
@@ -804,7 +784,7 @@ func (c *Checker) verifyEvents(slot int64) {
 			}
 			di++
 		case obs.EvRequest:
-			if c.prof.grant == GrantNone {
+			if c.prof.grant == grantNone {
 				break
 			}
 			if reqs == nil {
@@ -818,7 +798,7 @@ func (c *Checker) verifyEvents(slot int64) {
 			}
 			m[e.In] = e.TS
 		case obs.EvGrant:
-			if c.prof.grant == GrantNone {
+			if c.prof.grant == grantNone {
 				break
 			}
 			m := reqs[reqKey{e.Round, e.Out}]
@@ -826,7 +806,7 @@ func (c *Checker) verifyEvents(slot int64) {
 			if !ok {
 				c.violatef(slot, "I8", "output %d granted non-requester input %d in round %d",
 					e.Out, e.In, e.Round)
-			} else if c.prof.grant == GrantMinTS {
+			} else if c.prof.grant == grantMinTS {
 				if e.TS != ts {
 					c.violatef(slot, "I8", "grant (%d->%d) carries ts %d, request said %d",
 						e.In, e.Out, e.TS, ts)

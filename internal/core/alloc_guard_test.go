@@ -16,16 +16,23 @@ import (
 // the wide sizes (256, 1024) whose multi-word chunked scans never run
 // at N = 64.
 func TestMatchZeroAllocsTracingDisabled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed guard")
-	}
 	for _, n := range []int{64, 256, 1024} {
-		res := testing.Benchmark(func(b *testing.B) { benchMatch(b, n, "uniform", &core.FIFOMS{}) })
-		if a := res.AllocsPerOp(); a != 0 {
-			t.Fatalf("FIFOMS match n=%d with tracing disabled: %d allocs/op (%d B/op), want 0",
-				n, a, res.AllocedBytesPerOp())
+		arb := &core.FIFOMS{}
+		if a := matchAllocs(loadedMatchSwitch(n, "uniform", arb), arb); a != 0 {
+			t.Fatalf("FIFOMS match n=%d with tracing disabled: %.0f allocs/op, want 0", n, a)
 		}
 	}
+}
+
+// matchAllocs returns the allocations per Match of arb on s, as
+// benchMatch runs it: the first, scratch-sizing call is not counted.
+func matchAllocs(s *core.Switch, arb core.Arbiter) float64 {
+	r := xrand.New(11)
+	m := core.NewMatching(s.Ports())
+	return testing.AllocsPerRun(200, func() {
+		m.Clear()
+		arb.Match(s, 100, r, m)
+	})
 }
 
 // TestReferenceMatchAllocsScratchOnly bounds what the reference kernel
@@ -35,14 +42,10 @@ func TestMatchZeroAllocsTracingDisabled(t *testing.T) {
 // garbage collector otherwise. Covers the sizes the satellite
 // benchmarks quote.
 func TestReferenceMatchAllocsScratchOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed guard")
-	}
 	for _, n := range []int{64, 128} {
-		res := testing.Benchmark(func(b *testing.B) { benchMatch(b, n, "uniform", oracle.New()) })
-		if a := res.AllocsPerOp(); a > 4 {
-			t.Fatalf("reference match n=%d: %d allocs/op (%d B/op), want its 4 scratch slices",
-				n, a, res.AllocedBytesPerOp())
+		arb := oracle.New()
+		if a := matchAllocs(loadedMatchSwitch(n, "uniform", arb), arb); a > 4 {
+			t.Fatalf("reference match n=%d: %.0f allocs/op, want its 4 scratch slices", n, a)
 		}
 	}
 }
@@ -53,27 +56,13 @@ func TestReferenceMatchAllocsScratchOnly(t *testing.T) {
 // allocate either (in flight-recorder mode, where nothing streams to a
 // sink).
 func TestMatchZeroAllocsTracingEnabled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed guard")
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		arb := &core.FIFOMS{}
-		s := loadedMatchSwitch(64, "uniform", arb)
-		s.SetObserver(&obs.Observer{
-			Trace:   obs.NewTracer(obs.DefaultTracerCap),
-			Metrics: obs.NewRegistry(),
-		})
-		r := xrand.New(11)
-		m := core.NewMatching(64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Clear()
-			arb.Match(s, 100, r, m)
-		}
+	arb := &core.FIFOMS{}
+	s := loadedMatchSwitch(64, "uniform", arb)
+	s.SetObserver(&obs.Observer{
+		Trace:   obs.NewTracer(obs.DefaultTracerCap),
+		Metrics: obs.NewRegistry(),
 	})
-	if a := res.AllocsPerOp(); a != 0 {
-		t.Fatalf("FIFOMS match with tracing enabled: %d allocs/op (%d B/op), want 0",
-			a, res.AllocedBytesPerOp())
+	if a := matchAllocs(s, arb); a != 0 {
+		t.Fatalf("FIFOMS match with tracing enabled: %.0f allocs/op, want 0", a)
 	}
 }

@@ -49,6 +49,16 @@ func TestFIFOMSMatchesLegacyWithRoundCap(t *testing.T) {
 	}
 }
 
+// TestFIFOMSMatchesTable2Reference is the oracle against the kernel in
+// the deterministic-tie mode, where the lowest index wins and no draw
+// is made, over 3000 slots of a 6-port switch.
+func TestFIFOMSMatchesTable2Reference(t *testing.T) {
+	arb := &core.FIFOMS{DeterministicTies: true}
+	ref := &oracle.Arbiter{DeterministicTies: true}
+	s := core.NewSwitch(6, arb, xrand.New(81))
+	lockstep(t, s, arb, ref, 82, 83, 0.5, 0.35, 3000)
+}
+
 // TestFIFOMSReuseAcrossSizes is the regression test for the scratch
 // sizing bug: ensure used to compare only len(inputFree), so an
 // arbiter whose slices had ever diverged in size could silently alias

@@ -59,7 +59,7 @@ type Seeding struct{ sw, traffic string }
 var (
 	// RunSeeding is the labeling of single runs: the facade, the voqsim
 	// and voqtrace CLIs, replications and probes (and, outside this
-	// package, voqd and the check.Differential harness).
+	// package, voqd and the checker's differential test).
 	RunSeeding = Seeding{"switch", "traffic"}
 	// pointSeeding is the labeling of a Sweep's grid points.
 	pointSeeding = Seeding{"run-switch", "run-traffic"}

@@ -11,6 +11,7 @@ import (
 	"voqsim/internal/destset"
 	"voqsim/internal/experiment"
 	"voqsim/internal/fabric"
+	"voqsim/internal/roster"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
 	"voqsim/internal/xrand"
@@ -238,11 +239,8 @@ func TestFabricDifferential(t *testing.T) {
 		{4, 3000, traffic.Bernoulli{P: 0.5, B: 0.3}},
 		{16, 1200, traffic.Bernoulli{P: 0.3, B: 0.1}},
 	}
-	for _, algoName := range []string{"fifoms", "pim", "eslip"} {
-		alg, err := experiment.ByName(algoName)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, alg := range roster.For(roster.FabricDifferential) {
+		algoName := alg.Name
 		for _, sz := range sizes {
 			for seed := uint64(1); seed <= 3; seed++ {
 				// The standalone switch must draw the same randomness as
@@ -443,8 +441,9 @@ func (s *fabricStepper) step() {
 // loop it extends. The pim leg holds copied-mode nodes to it: their
 // local packets come back through the per-node release hook once the
 // last copy leaves, instead of being allocated afresh at every hop.
+// Every roster architecture (internal/roster) is a node here.
 func TestFabricSlotAllocs(t *testing.T) {
-	for _, algo := range []string{"fifoms", "pim"} {
+	for _, algo := range roster.Names(roster.FabricAllocs) {
 		t.Run(algo, func(t *testing.T) {
 			s := newFabricStepper(t, algo)
 			for i := 0; i < 500; i++ {
@@ -457,21 +456,14 @@ func TestFabricSlotAllocs(t *testing.T) {
 	}
 }
 
-// nodeAlgos is every single-switch architecture, each a fabric node.
-var nodeAlgos = []string{"fifoms", "pim", "islip", "2drr", "lqfms", "eslip", "wba", "tatra", "oqfifo", "cioq-s2"}
-
 // TestInputBacklogMatchesQueueSizes pins the value the fabric's
 // admission reads to the queue metric the engine samples: for every
-// architecture, after every arrival and every slot, each port's
+// roster architecture (internal/roster), after every arrival and every slot, each port's
 // InputBacklog equals its QueueSizes entry.
 func TestInputBacklogMatchesQueueSizes(t *testing.T) {
 	const n, slots = 8, 800
-	for _, algo := range nodeAlgos {
-		t.Run(algo, func(t *testing.T) {
-			alg, err := experiment.ByName(algo)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, alg := range roster.For(roster.FabricNode) {
+		t.Run(alg.Name, func(t *testing.T) {
 			nd := alg.New(n, xrand.New(3).Split("switch", 0)).(fabric.Node)
 			sources := traffic.BuildSources(traffic.Uniform{P: 0.3, MaxFanout: 4}, n, xrand.New(3).Split("traffic", 0))
 			sizes := make([]int, n)
@@ -509,12 +501,12 @@ func TestInputBacklogMatchesQueueSizes(t *testing.T) {
 }
 
 // TestFabricQueueSizesAfterStep pins when a fabric samples its queue
-// sizes: the engine reads QueueSizes after Step, so for every node
-// architecture it must report the ingress queues as the nodes left
+// sizes: the engine reads QueueSizes after Step, so for every roster
+// architecture as the node it must report the ingress queues as the nodes left
 // them, not as the admission loop saw them before they stepped —
 // sequential or parallel.
 func TestFabricQueueSizesAfterStep(t *testing.T) {
-	for _, algo := range nodeAlgos {
+	for _, algo := range roster.Names(roster.FabricNode) {
 		for _, workers := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", algo, workers), func(t *testing.T) {
 				s := newUniformStepper(t, "fattree:k=4", algo, fabric.Config{Workers: workers}, 0.8, 4)

@@ -7,111 +7,7 @@ import (
 	"testing"
 
 	"voqsim/internal/cell"
-	"voqsim/internal/cioq"
-	"voqsim/internal/core"
-	"voqsim/internal/eslip"
-	"voqsim/internal/oq"
-	"voqsim/internal/sched/islip"
-	"voqsim/internal/tatra"
-	"voqsim/internal/traffic"
-	"voqsim/internal/wba"
-	"voqsim/internal/xrand"
 )
-
-// TestSlotZeroAllocs guards the whole steady-state slot loop — traffic
-// generation, preprocessing, arbitration, transfer, delivery recording
-// and statistics, with obs/check off — at the sizes BENCH_e2e.json
-// quotes. The arena, the pooled packets and the tracker's in-flight
-// window make a warm slot allocation-free; any regression here puts GC
-// pressure back into every sweep. The paper's three baselines hold the
-// same line at the sizes sweep-paper runs and one above: iSLIP on the
-// copied-mode arena, TATRA and OQFIFO through their own release hooks,
-// and CIOQ at speedup 2 through its input stage's. So do the extension
-// baselines eSLIP and WBA, whose multicast packets wait in the pooled
-// entries of the input-queue store (internal/inq).
-//
-// Every case has the same form: a fixed warm-up (warmSlotsFor), then
-// testing.AllocsPerRun over a fixed window. AllocsPerRun reports whole
-// allocations per slot, so the occasional slab that still doubles while
-// the backlog drifts reads 0 and an allocation on every slot reads 1 or
-// more — whatever the host's load, which an adaptive testing.Benchmark
-// (whose b.N shrinks under contention) could not promise.
-func TestSlotZeroAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long warm-up")
-	}
-	const measured = 1000
-	for _, tc := range []struct {
-		algo string // "" is FIFOMS at load 0.9, the BENCH_e2e.json runner
-		n    int
-		fast bool
-	}{
-		{"", 64, false}, {"", 128, false}, {"", 256, false}, {"", 1024, false},
-		{"", 64, true}, {"", 256, true}, {"", 1024, true},
-		{"islip", 16, false}, {"islip", 64, false},
-		{"tatra", 16, false}, {"tatra", 64, false},
-		{"oqfifo", 16, false}, {"oqfifo", 64, false},
-		{"cioq-s2", 16, false}, {"cioq-s2", 64, false},
-		{"eslip", 16, false}, {"eslip", 64, false},
-		{"wba", 16, false}, {"wba", 64, false},
-	} {
-		name := fmt.Sprintf("n=%d", tc.n)
-		if tc.fast {
-			name = "fast/" + name
-		}
-		if tc.algo != "" {
-			name = tc.algo + "/" + name
-		}
-		tc := tc
-		t.Run(name, func(t *testing.T) {
-			warm := warmSlotsFor(tc.n)
-			// +1 for the call AllocsPerRun makes before it measures.
-			slots := warm + measured + 2
-			r := slotBenchRunner(tc.n, slots, tc.fast)
-			if tc.algo != "" {
-				r = baselineRunner(tc.algo, tc.n, slots)
-			}
-			slot := int64(0)
-			for ; slot < warm; slot++ {
-				r.tick(slot, 0)
-			}
-			avg := testing.AllocsPerRun(measured, func() {
-				r.tick(slot, 0)
-				slot++
-			})
-			if avg != 0 {
-				t.Fatalf("steady-state slot at %s: %.0f allocs/op, want 0", name, avg)
-			}
-		})
-	}
-}
-
-// baselineRunner runs one of the baselines under the
-// slotBenchRunner traffic at load 0.5, where TATRA's head-of-line
-// blocking still leaves it stable: a steadily growing backlog would
-// allocate for its growth, not for its slot loop.
-func baselineRunner(algo string, n int, slots int64) *Runner {
-	var sw Switch
-	root := xrand.New(7).Split("switch", 0)
-	switch algo {
-	case "islip":
-		sw = core.NewSwitch(n, islip.New(), root)
-	case "tatra":
-		sw = tatra.New(n)
-	case "oqfifo":
-		sw = oq.New(n)
-	case "cioq-s2":
-		sw = cioq.New(n, 2, &core.FIFOMS{}, root)
-	case "eslip":
-		sw = eslip.New(n)
-	case "wba":
-		sw = wba.New(n, root)
-	default:
-		panic("baselineRunner: unknown algorithm " + algo)
-	}
-	pat := traffic.Uniform{P: 2 * 0.5 / (1 + 4), MaxFanout: 4}
-	return New(sw, pat, Config{Slots: slots, WarmupFrac: -1, Seed: 7}, xrand.New(7).Split("traffic", 0))
-}
 
 // simMallocs returns the objects the simulator allocated between two
 // allocation profiles, with their stacks: those whose stack holds a
@@ -152,8 +48,8 @@ func simMallocs(before, after []runtime.MemProfileRecord) (int64, string) {
 	return total, stacks.String()
 }
 
-// TestColdStartAllocs counts what the steady-state guard above warms
-// away: the first slots of a fresh switch, the shape a short voqsim run
+// TestColdStartAllocs counts what the steady-state guard
+// (TestSlotZeroAllocs) warms away: the first slots of a fresh switch, the shape a short voqsim run
 // at large N has from end to end. VOQ storage is one address-cell slab
 // that grows by doubling (DESIGN.md §11), so touching a VOQ for the
 // first time allocates nothing, and the packet pool refills 64 packets

@@ -11,32 +11,10 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/core"
 	"voqsim/internal/destset"
-	"voqsim/internal/oq"
 	"voqsim/internal/sched/islip"
-	"voqsim/internal/tatra"
 	"voqsim/internal/traffic"
 	"voqsim/internal/xrand"
 )
-
-func TestBufferBytesRecorded(t *testing.T) {
-	pat := traffic.Uniform{P: 0.2, MaxFanout: 8} // load 0.9
-	for name, sw := range map[string]Switch{
-		"fifoms": core.NewSwitch(8, &core.FIFOMS{}, xrand.New(1)),
-		"tatra":  tatra.New(8),
-		"oqfifo": oq.New(8),
-	} {
-		res := New(sw, pat, Config{Slots: 10_000, Seed: 1}, xrand.New(1)).Run(name)
-		if res.AvgBufferBytes <= 0 {
-			t.Errorf("%s: AvgBufferBytes = %v", name, res.AvgBufferBytes)
-		}
-		if res.PeakBufferBytes <= 0 {
-			t.Errorf("%s: PeakBufferBytes = %v", name, res.PeakBufferBytes)
-		}
-		if float64(res.PeakBufferBytes) < res.AvgBufferBytes {
-			t.Errorf("%s: peak %d below per-port average %v", name, res.PeakBufferBytes, res.AvgBufferBytes)
-		}
-	}
-}
 
 func TestSharedCellSavesMemoryVsCopies(t *testing.T) {
 	// Section IV.B: at mean fanout 4.5 the copied representation

@@ -12,6 +12,7 @@ import (
 	"voqsim/internal/check"
 	"voqsim/internal/experiment"
 	"voqsim/internal/fabric"
+	"voqsim/internal/roster"
 	"voqsim/internal/snap"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
@@ -130,39 +131,29 @@ func TestFabricSnapshotGolden(t *testing.T) {
 }
 
 // TestFabricResumeEqualsStraightRun is the resume differential at
-// fabric scope: for each (algorithm, topology, seed) point, a run
-// checkpointed mid-flight and resumed in a fresh runner must replay
-// the remainder delivery-for-delivery and end with identical
-// statistics, and a checked resume must hold every invariant. TATRA
-// and OQFIFO nodes join on the fat tree: their checked resume primes
-// the F1 pass through their buffer walks.
+// fabric scope: for each roster architecture (internal/roster) as the
+// node of every switch, topology and seed, a run checkpointed
+// mid-flight and resumed in a fresh runner must replay the remainder
+// delivery-for-delivery and end with identical statistics, and a
+// checked resume must hold every invariant; for TATRA and OQFIFO nodes
+// the checked resume primes the F1 pass through their buffer walks.
 func TestFabricResumeEqualsStraightRun(t *testing.T) {
 	const slots = 500
-	type point struct {
-		algo, spec string
-		seed       uint64
-	}
 	specs := []string{"fattree:k=4", "clos:n=4,m=4,r=4"}
 	seeds := []uint64{1, 42}
 	if testing.Short() {
 		specs = specs[:1]
 		seeds = seeds[:1]
 	}
-	var points []point
-	for _, algo := range []string{"fifoms", "pim"} {
+	for _, algo := range roster.Names(roster.FabricResume) {
 		for _, spec := range specs {
 			for _, seed := range seeds {
-				points = append(points, point{algo, spec, seed})
+				t.Run(fmt.Sprintf("%s/%s/seed=%d", algo, spec, seed), func(t *testing.T) {
+					t.Parallel()
+					testFabricResumePoint(t, algo, spec, seed, slots)
+				})
 			}
 		}
-	}
-	points = append(points, point{"tatra", "fattree:k=4", 1}, point{"oqfifo", "fattree:k=4", 1})
-	for _, p := range points {
-		p := p
-		t.Run(fmt.Sprintf("%s/%s/seed=%d", p.algo, p.spec, p.seed), func(t *testing.T) {
-			t.Parallel()
-			testFabricResumePoint(t, p.algo, p.spec, p.seed, slots)
-		})
 	}
 }
 

@@ -1,4 +1,4 @@
-package switchsim
+package switchsim_test
 
 import (
 	"fmt"
@@ -7,22 +7,16 @@ import (
 	"testing"
 
 	"voqsim/internal/cell"
-	"voqsim/internal/cioq"
-	"voqsim/internal/core"
-	"voqsim/internal/eslip"
-	"voqsim/internal/oq"
-	"voqsim/internal/sched/islip"
-	"voqsim/internal/sched/lqfms"
-	"voqsim/internal/sched/pim"
-	"voqsim/internal/sched/tdrr"
-	"voqsim/internal/tatra"
+	"voqsim/internal/experiment"
+	"voqsim/internal/roster"
+	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
-	"voqsim/internal/wba"
 	"voqsim/internal/xrand"
 )
 
-// Recycling must be invisible. Every architecture that hands packets
-// back through PacketReleaser is run twice: once with a release hook
+// Recycling must be invisible. Every roster architecture
+// (internal/roster) hands packets back through PacketReleaser, and
+// each is run twice: once with a release hook
 // that scribbles over each released packet — ID, input, arrival and
 // every destination word — before pooling it, and once with the hook
 // removed, so nothing is ever reused. A switch that still reads a
@@ -32,34 +26,6 @@ import (
 // copies what it needs at Arrive and releases at the end of the next
 // Step, and CIOQ, which releases once the last copy has crossed into
 // its output queues) only with its last copy delivered.
-
-var recycleAlgos = []string{"fifoms", "islip", "pim", "2drr", "lqfms", "tatra", "oqfifo", "cioq-s2", "eslip", "wba"}
-
-func recycleSwitch(algo string, n int, root *xrand.Rand) Switch {
-	switch algo {
-	case "fifoms":
-		return core.NewSwitch(n, &core.FIFOMS{}, root)
-	case "islip":
-		return core.NewSwitch(n, islip.New(), root)
-	case "pim":
-		return core.NewSwitch(n, pim.New(), root)
-	case "2drr":
-		return core.NewSwitch(n, tdrr.New(), root)
-	case "lqfms":
-		return core.NewSwitch(n, lqfms.New(), root)
-	case "tatra":
-		return tatra.New(n)
-	case "oqfifo":
-		return oq.New(n)
-	case "cioq-s2":
-		return cioq.New(n, 2, &core.FIFOMS{}, root)
-	case "eslip":
-		return eslip.New(n)
-	case "wba":
-		return wba.New(n, root)
-	}
-	panic("recycleSwitch: unknown algorithm " + algo)
-}
 
 // releaseLedger checks and poisons released packets.
 type releaseLedger struct {
@@ -108,25 +74,25 @@ func recycleSlots(n int) int64 {
 }
 
 // recycleRunner builds the run both legs of a comparison share.
-func recycleRunner(algo string, n int) (*Runner, Switch) {
+func recycleRunner(algo experiment.Algorithm, n int) (*switchsim.Runner, switchsim.Switch) {
 	root := xrand.New(uint64(n) + 11)
-	sw := recycleSwitch(algo, n, root.Split("switch", 0))
+	sw := algo.New(n, root.Split("switch", 0))
 	pat := traffic.Uniform{P: 0.24, MaxFanout: 4} // load 0.6, fanouts 1..4
-	cfg := Config{Slots: recycleSlots(n), WarmupFrac: -1, Seed: 11}
-	return New(sw, pat, cfg, root.Split("traffic", 0)), sw
+	cfg := switchsim.Config{Slots: recycleSlots(n), WarmupFrac: -1, Seed: 11}
+	return switchsim.New(sw, pat, cfg, root.Split("traffic", 0)), sw
 }
 
 // recycleRun runs algo at n with the release hook poisoned (ledger set)
 // or removed (ledger nil), and returns the results with the hash of the
 // delivery stream.
-func recycleRun(tb testing.TB, algo string, n int, l *releaseLedger) (Results, uint64) {
+func recycleRun(tb testing.TB, algo experiment.Algorithm, n int, l *releaseLedger) (switchsim.Results, uint64) {
 	r, sw := recycleRunner(algo, n)
-	pr, ok := sw.(PacketReleaser)
+	pr, ok := sw.(switchsim.PacketReleaser)
 	if !ok {
-		tb.Fatalf("%s does not hand packets back", algo)
+		tb.Fatalf("%s does not hand packets back", algo.Name)
 	}
 	if l != nil {
-		pr.SetReleaseHook(l.poison(r.putPacket))
+		pr.SetReleaseHook(l.poison(r.PutPacket))
 	} else {
 		pr.SetReleaseHook(nil)
 	}
@@ -137,14 +103,14 @@ func recycleRun(tb testing.TB, algo string, n int, l *releaseLedger) (Results, u
 		}
 		fmt.Fprintf(h, "%d %d %d %d %v;", d.ID, d.In, d.Out, d.Slot, d.Last)
 	})
-	return r.Run(algo), h.Sum64()
+	return r.Run(algo.Name), h.Sum64()
 }
 
 func TestRecyclingInvisible(t *testing.T) {
-	for _, algo := range recycleAlgos {
+	for _, algo := range roster.For(roster.Recycling) {
 		for _, n := range []int{4, 16, 64} {
-			t.Run(fmt.Sprintf("%s/n=%d", algo, n), func(t *testing.T) {
-				l := newLedger(t, algo)
+			t.Run(fmt.Sprintf("%s/n=%d", algo.Name, n), func(t *testing.T) {
+				l := newLedger(t, algo.Name)
 				poisoned, ph := recycleRun(t, algo, n, l)
 				clean, ch := recycleRun(t, algo, n, nil)
 				if poisoned != clean {
@@ -157,7 +123,7 @@ func TestRecyclingInvisible(t *testing.T) {
 				// arrival, for OQFIFO, whose last Step releases all; for
 				// CIOQ, also those whose copies still wait at an output).
 				lo, hi := clean.Completed, clean.Completed
-				switch algo {
+				switch algo.Name {
 				case "oqfifo":
 					lo, hi = clean.OfferedPackets, clean.OfferedPackets
 				case "cioq-s2":
@@ -171,7 +137,7 @@ func TestRecyclingInvisible(t *testing.T) {
 	}
 }
 
-// TestRecyclingAcrossResume restores every recycling architecture from
+// TestRecyclingAcrossResume restores every roster architecture from
 // a mid-run snapshot — islip's restored switch rebuilds its owner counts
 // from the VOQ references, the input-queued switches hold packets the
 // snapshot rebuilt, CIOQ both — and each must go on releasing exactly
@@ -179,16 +145,16 @@ func TestRecyclingInvisible(t *testing.T) {
 // (and, outside OQFIFO and CIOQ, only after its last copy), while
 // replaying the straight run's results.
 func TestRecyclingAcrossResume(t *testing.T) {
-	for _, algo := range recycleAlgos {
-		t.Run(algo, func(t *testing.T) { recyclingAcrossResume(t, algo) })
+	for _, algo := range roster.For(roster.Recycling) {
+		t.Run(algo.Name, func(t *testing.T) { recyclingAcrossResume(t, algo) })
 	}
 }
 
-func recyclingAcrossResume(t *testing.T, algo string) {
+func recyclingAcrossResume(t *testing.T, algo experiment.Algorithm) {
 	const n, snapSlot = 16, 700
-	build := func(l *releaseLedger) *Runner {
+	build := func(l *releaseLedger) *switchsim.Runner {
 		r, sw := recycleRunner(algo, n)
-		sw.(PacketReleaser).SetReleaseHook(l.poison(r.putPacket))
+		sw.(switchsim.PacketReleaser).SetReleaseHook(l.poison(r.PutPacket))
 		r.OnDelivery(l.deliver)
 		return r
 	}
@@ -196,7 +162,7 @@ func recyclingAcrossResume(t *testing.T, algo string) {
 	// The straight run takes the checkpoint (checkpointing is passive)
 	// and counts the copies delivered and the packets released before
 	// it.
-	straight := newLedger(t, algo)
+	straight := newLedger(t, algo.Name)
 	pre := map[cell.PacketID]int{}
 	r := build(straight)
 	r.OnDelivery(func(d cell.Delivery) {
@@ -207,7 +173,7 @@ func recyclingAcrossResume(t *testing.T, algo string) {
 	})
 	var blob []byte
 	var before map[cell.PacketID]bool
-	want, err := r.RunWithCheckpoints(algo, snapSlot, func(_ int64, b []byte) error {
+	want, err := r.RunWithCheckpoints(algo.Name, snapSlot, func(_ int64, b []byte) error {
 		if blob == nil {
 			blob = append([]byte(nil), b...)
 			before = maps.Clone(straight.released)
@@ -220,9 +186,9 @@ func recyclingAcrossResume(t *testing.T, algo string) {
 
 	// The resumed ledger starts from those counts, so "only after the
 	// last copy" spans the snapshot.
-	resumed := newLedger(t, algo)
+	resumed := newLedger(t, algo.Name)
 	resumed.delivered = pre
-	got, err := build(resumed).ResumeRun(algo, blob)
+	got, err := build(resumed).ResumeRun(algo.Name, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,19 +210,19 @@ func recyclingAcrossResume(t *testing.T, algo string) {
 }
 
 // TestLiveRecyclingInvisible is the poisoned pool under LiveRunner for
-// every architecture. LiveRunner — like voqd — reads the packet's ID and
+// every roster architecture. LiveRunner — like voqd — reads the packet's ID and
 // destinations after Admit returns: no switch may release from Arrive.
 func TestLiveRecyclingInvisible(t *testing.T) {
 	const n, slots = 16, 1500
-	for _, algo := range recycleAlgos {
-		t.Run(algo, func(t *testing.T) {
+	for _, algo := range roster.For(roster.Recycling) {
+		t.Run(algo.Name, func(t *testing.T) {
 			run := func(l *releaseLedger) (uint64, [3]int64) {
-				sw := recycleSwitch(algo, n, xrand.New(3).Split("switch", 0))
-				live := NewLive(sw)
+				sw := algo.New(n, xrand.New(3).Split("switch", 0))
+				live := switchsim.NewLive(sw)
 				if l != nil {
-					sw.(PacketReleaser).SetReleaseHook(l.poison(live.putPacket))
+					sw.(switchsim.PacketReleaser).SetReleaseHook(l.poison(live.PutPacket))
 				} else {
-					sw.(PacketReleaser).SetReleaseHook(nil)
+					sw.(switchsim.PacketReleaser).SetReleaseHook(nil)
 				}
 				h := fnv.New64a()
 				onDeliver := func(d cell.Delivery) {
@@ -291,7 +257,7 @@ func TestLiveRecyclingInvisible(t *testing.T) {
 				}
 				return h.Sum64(), [3]int64{live.Admitted(), live.Delivered(), live.Completed()}
 			}
-			l := newLedger(t, algo)
+			l := newLedger(t, algo.Name)
 			ph, pc := run(l)
 			ch, cc := run(nil)
 			if ph != ch || pc != cc {

@@ -7,20 +7,19 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/check"
 	"voqsim/internal/experiment"
+	"voqsim/internal/roster"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
 	"voqsim/internal/xrand"
 )
 
-// The resume-equals-straight-run differential grid: for every
-// architecture, switch size and seed, a run that is
+// The resume-equals-straight-run differential grid: for every roster
+// architecture (internal/roster), switch size and seed, a run that is
 // snapshotted at a pseudo-random mid-run slot and resumed in a fresh
 // process context must be bit-identical to the uninterrupted run —
 // delivery for delivery and statistic for statistic — and a restored
 // switch wrapped in the invariant checker must hold all 8 invariants
 // for the remainder of the run.
-
-var resumeAlgos = []string{"fifoms", "pim", "islip", "eslip", "wba", "lqfms", "2drr", "tatra", "oqfifo", "cioq-s2"}
 
 var resumeSeeds = []uint64{1, 42, 0xfeedface}
 
@@ -83,10 +82,9 @@ func TestResumeEqualsStraightRun(t *testing.T) {
 		sizes = []int{4, 16}
 		seeds = seeds[:1]
 	}
-	for _, algo := range resumeAlgos {
+	for _, algo := range roster.Names(roster.Resume) {
 		for _, n := range sizes {
 			for _, seed := range seeds {
-				algo, n, seed := algo, n, seed
 				name := fmt.Sprintf("%s/n=%d/seed=%d", algo, n, seed)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()

@@ -17,6 +17,7 @@ import (
 	"voqsim/internal/destset"
 	"voqsim/internal/experiment"
 	"voqsim/internal/oq"
+	"voqsim/internal/roster"
 	"voqsim/internal/snap"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/tatra"
@@ -25,33 +26,30 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden snapshot blobs in testdata/")
 
-// The golden runs: 4x4 simulations snapshotted mid-run, one per row of
-// goldenSnaps. Their blobs are pinned in testdata/ so that any change
-// to the checkpoint format — intended or not — fails the test until
-// the format version is bumped and the goldens regenerated.
+// The golden runs: 4x4 simulations snapshotted at goldenSlot, one per
+// roster architecture (internal/roster). Their blobs are pinned in
+// testdata/ so that any change to the checkpoint format — intended or
+// not — fails the test until the format version is bumped and the
+// goldens regenerated.
 const (
 	goldenAlgo = "fifoms" // the FuzzRestore default
 	goldenN    = 4
 	goldenSeed = 7
+	goldenSlot = 200 // the snapshot resumes at this slot
 )
 
-// goldenSnaps lists the pinned blobs. Each is taken in a state ready
-// asserts after restore: the input-queued switches with a multicast
-// packet that has left part of its fanout (so the pinned bytes hold a
-// residue smaller than its destination set, and TATRA's board holds
-// the rest), OQFIFO with copies queued, and CIOQ with both stages
-// non-empty.
-var goldenSnaps = []struct {
-	algo  string
-	slot  int64 // the snapshot resumes at this slot
-	ready func(sw switchsim.Switch, delivered map[cell.PacketID]bool) bool
-}{
-	{"fifoms", 200, nil},
-	{"eslip", 200, partServed},
-	{"wba", 200, partServed},
-	{"tatra", 200, servedOnBoard},
-	{"oqfifo", 200, buffers},
-	{"cioq-s2", 200, bothStages},
+// goldenReady holds, for the blobs pinned in a particular state, the
+// state ready asserts after restore: the input-queued switches with a
+// multicast packet that has left part of its fanout (so the pinned
+// bytes hold a residue smaller than its destination set, and TATRA's
+// board holds the rest), OQFIFO with copies queued, and CIOQ with both
+// stages non-empty.
+var goldenReady = map[string]func(sw switchsim.Switch, delivered map[cell.PacketID]bool) bool{
+	"eslip":   partServed,
+	"wba":     partServed,
+	"tatra":   servedOnBoard,
+	"oqfifo":  buffers,
+	"cioq-s2": bothStages,
 }
 
 // bufferedCopy is one visit of a switch's buffer walk.
@@ -131,10 +129,10 @@ func goldenBlob(t *testing.T, algo string, slot int64) []byte {
 }
 
 func TestSnapshotGolden(t *testing.T) {
-	for _, g := range goldenSnaps {
-		t.Run(g.algo, func(t *testing.T) {
-			path := filepath.Join("testdata", fmt.Sprintf("%s_%dx%d.snap", g.algo, goldenN, goldenN))
-			blob := goldenBlob(t, g.algo, g.slot)
+	for _, algo := range roster.Names(roster.SnapshotGolden) {
+		t.Run(algo, func(t *testing.T) {
+			path := filepath.Join("testdata", fmt.Sprintf("%s_%dx%d.snap", algo, goldenN, goldenN))
+			blob := goldenBlob(t, algo, goldenSlot)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -159,25 +157,25 @@ func TestSnapshotGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("golden blob meta: %v", err)
 			}
-			if m.Algorithm != g.algo || m.Ports != goldenN || m.NextSlot != g.slot {
+			if m.Algorithm != algo || m.Ports != goldenN || m.NextSlot != goldenSlot {
 				t.Fatalf("golden blob meta %+v does not match the pinned run", m)
 			}
-			straight, _ := buildRunner(t, g.algo, goldenN, goldenSeed, 0)
+			straight, _ := buildRunner(t, algo, goldenN, goldenSeed, 0)
 			delivered := map[cell.PacketID]bool{}
 			straight.OnDelivery(func(d cell.Delivery) {
-				if d.Slot < g.slot {
+				if d.Slot < goldenSlot {
 					delivered[d.ID] = true
 				}
 			})
-			wantRes := straight.Run(g.algo)
-			resumed, _ := buildRunner(t, g.algo, goldenN, goldenSeed, 0)
-			if err := resumed.Restore(g.algo, want); err != nil {
+			wantRes := straight.Run(algo)
+			resumed, _ := buildRunner(t, algo, goldenN, goldenSeed, 0)
+			if err := resumed.Restore(algo, want); err != nil {
 				t.Fatalf("restoring golden blob: %v", err)
 			}
-			if g.ready != nil && !g.ready(resumed.Switch(), delivered) {
+			if ready := goldenReady[algo]; ready != nil && !ready(resumed.Switch(), delivered) {
 				t.Fatal("the restored switch is not in the state the row pins")
 			}
-			if gotRes := resumed.Run(g.algo); gotRes != wantRes {
+			if gotRes := resumed.Run(algo); gotRes != wantRes {
 				t.Fatalf("golden blob resume diverged:\n got %+v\nwant %+v", gotRes, wantRes)
 			}
 		})
@@ -235,25 +233,25 @@ func TestLoadStateRejectsOutputCopy(t *testing.T) {
 	oqMutants(t, blob, fresh)
 }
 
-// fuzzAlgos are the architectures FuzzRestore builds when a blob's
-// meta names one; any other blob is restored into fifoms.
-var fuzzAlgos = []string{"islip", "eslip", "wba", "tatra", "oqfifo", "cioq-s2"}
-
 // FuzzRestore drives the full restore chain — header, meta, engine
 // stats, traffic sources, switch buffers, arbiter — with adversarial
 // blobs. Any input must either restore cleanly or return an error;
 // panics and unbounded allocations are bugs. The corpus is seeded with
 // a valid snapshot plus truncated and bit-flipped variants of it; with
-// an islip snapshot — copied mode, stateful arbiter — valid and with a
-// copy's fanout counter raised to 2, which no SaveState writes;
+// a valid snapshot of every roster architecture (internal/roster)
+// holding at least one cell; with the islip one — copied mode, stateful
+// arbiter — with a copy's fanout counter raised to 2, which no
+// SaveState writes;
 // with eslip and wba snapshots holding a part-served multicast packet,
 // valid and with an input's head packet queued twice; with a tatra
 // snapshot, valid and with each of four board defects (tatraMutants);
 // with an oqfifo snapshot, valid and with a copy from an input, at an
 // output or with an arrival outside the switch or the run (oqMutants);
 // and with a cioq-s2 snapshot whose two stages both hold copies. The
-// blob's meta picks the algorithm.
+// blob's meta picks the algorithm when it names a roster entry; any
+// other blob is restored into fifoms.
 func FuzzRestore(f *testing.F) {
+	algos := roster.Names(roster.RestoreFuzz)
 	// A short dedicated run (300 slots) keeps the post-restore
 	// simulation cheap, so the fuzzer gets real throughput.
 	build := func(tb testing.TB, algo string) *switchsim.Runner {
@@ -287,8 +285,12 @@ func FuzzRestore(f *testing.F) {
 		mut[pos] ^= 0x40
 		f.Add(mut)
 	}
-	islipBlob := blobAt("islip", 10, 1)
-	f.Add(islipBlob)
+	plain := map[string][]byte{}
+	for _, algo := range algos {
+		plain[algo] = blobAt(algo, 10, 1)
+		f.Add(plain[algo])
+	}
+	islipBlob := plain["islip"]
 	f.Add(raiseCopiedCounter(f, islipBlob, func() *switchsim.Runner { return build(f, "islip") }))
 	f.Add(widenOutstanding(f, blobAt(goldenAlgo, 100, 2), func() *switchsim.Runner { return build(f, goldenAlgo) }))
 	f.Add(sameSlotPackets(f, blobAt(goldenAlgo, 10, goldenN+1), func() *switchsim.Runner { return build(f, goldenAlgo) }))
@@ -305,16 +307,14 @@ func FuzzRestore(f *testing.F) {
 	for _, mut := range tatraMutants(f, tatraBlob, tatraFresh) {
 		f.Add(mut)
 	}
-	oqBlob := blobAt("oqfifo", 10, 1)
-	f.Add(oqBlob)
-	for _, mut := range oqMutants(f, oqBlob, func() *switchsim.Runner { return build(f, "oqfifo") }) {
+	for _, mut := range oqMutants(f, plain["oqfifo"], func() *switchsim.Runner { return build(f, "oqfifo") }) {
 		f.Add(mut)
 	}
 	f.Add(blobWhen("cioq-s2", 10, bothStages))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		algo := goldenAlgo
-		if m, err := snap.ReadMeta(data); err == nil && slices.Contains(fuzzAlgos, m.Algorithm) {
+		if m, err := snap.ReadMeta(data); err == nil && slices.Contains(algos, m.Algorithm) {
 			algo = m.Algorithm
 		}
 		r := build(t, algo)

@@ -1,16 +1,12 @@
 package switchsim
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"voqsim/internal/core"
 	"voqsim/internal/oq"
-	"voqsim/internal/sched/islip"
-	"voqsim/internal/tatra"
 	"voqsim/internal/traffic"
-	"voqsim/internal/wba"
 	"voqsim/internal/xrand"
 )
 
@@ -65,36 +61,6 @@ func TestOverloadFlagsUnstable(t *testing.T) {
 	}
 	if res.UnstableAt <= 0 {
 		t.Fatalf("UnstableAt = %d", res.UnstableAt)
-	}
-}
-
-func TestAllArchitecturesRunStable(t *testing.T) {
-	pat := traffic.Bernoulli{P: 0.3, B: 0.25} // load 0.6
-	mk := map[string]func() Switch{
-		"fifoms": func() Switch { return core.NewSwitch(8, &core.FIFOMS{}, xrand.New(4)) },
-		"islip":  func() Switch { return core.NewSwitch(8, islip.New(), xrand.New(4)) },
-		"tatra":  func() Switch { return tatra.New(8) },
-		"wba":    func() Switch { return wba.New(8, xrand.New(4)) },
-		"oqfifo": func() Switch { return oq.New(8) },
-	}
-	for name, f := range mk {
-		res := New(f(), pat, Config{Slots: 20000, Seed: 4}, xrand.New(4)).Run(name)
-		if res.Unstable {
-			t.Errorf("%s unstable at load 0.6", name)
-		}
-		if res.Completed == 0 {
-			t.Errorf("%s completed no packets", name)
-		}
-		if res.Throughput <= 0.3 || res.Throughput > 1.0 {
-			t.Errorf("%s throughput %v implausible", name, res.Throughput)
-		}
-		if math.IsNaN(res.InputDelay.Mean) {
-			t.Errorf("%s has NaN delay", name)
-		}
-		// Output-oriented delay never exceeds input-oriented mean.
-		if res.OutputDelay.Mean > res.InputDelay.Mean+1e-9 {
-			t.Errorf("%s: output delay %v above input delay %v", name, res.OutputDelay.Mean, res.InputDelay.Mean)
-		}
 	}
 }
 
