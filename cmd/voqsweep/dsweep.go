@@ -29,8 +29,7 @@ type serveOpts struct {
 
 // serveSweep runs the sweep as a fleet coordinator and emits the
 // merged table exactly as a local run would.
-func serveSweep(sweep *experiment.Sweep, spec dsweep.Spec, opts serveOpts,
-	metrics []experiment.Metric, csvPath, jsonPath string, checked bool,
+func serveSweep(sweep *experiment.Sweep, spec dsweep.Spec, opts serveOpts, out output,
 	progress func(experiment.Progress), stdout, stderr io.Writer) int {
 
 	cfg := dsweep.Config{
@@ -65,7 +64,7 @@ func serveSweep(sweep *experiment.Sweep, spec dsweep.Spec, opts serveOpts,
 			fmt.Fprintf(stderr, "voqsweep: fleet: %s=%d\n", m.Name, m.Value)
 		}
 	}
-	return emit(tbl, metrics, csvPath, jsonPath, checked, stdout, stderr)
+	return out.emit(tbl, stdout, stderr)
 }
 
 // runWorkerMode runs the process as one fleet worker until the

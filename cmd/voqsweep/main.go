@@ -1,11 +1,18 @@
-// Command voqsweep runs a custom load sweep — any traffic family, any
-// subset of algorithms — and prints the measured series as tables,
-// optionally as CSV/JSON.
+// Command voqsweep runs a load sweep — any traffic family, any subset
+// of algorithms, or one of the paper's figure rows — and prints the
+// measured series as tables, optionally as ASCII plots and CSV/JSON.
 //
 // Usage:
 //
 //	voqsweep [flags]
 //
+//	-figure fig5                       sweep a named figure row (Figures 4-8
+//	                                   of the paper or an extension sweep):
+//	                                   its traffic, roster, loads and headline
+//	                                   metrics, followed by its claim verdict;
+//	                                   -algos, -loads and -metrics replace the
+//	                                   row's, -config, -topology and the
+//	                                   traffic flags are errors
 //	-algos fifoms,tatra,islip,oqfifo   algorithms to compare
 //	-traffic bernoulli                 bernoulli | uniform | burst | mixed |
 //	                                   hotspot | diagonal
@@ -26,6 +33,7 @@
 //	                                   a single switch; -n is forced to the
 //	                                   fabric's external port count
 //	-metrics in_delay,avg_queue        metrics to print (fabric runs add hops, drops)
+//	-plots                             add one ASCII plot per printed metric
 //	-fast                              relaxed-identity fast mode: O(1) traffic
 //	                                   sampling and batched statistics (DESIGN.md
 //	                                   §12); statistically equivalent, not
@@ -49,9 +57,9 @@
 //	-lease-ttl 10s                     with -serve: reclaim a point whose worker is
 //	                                   silent this long
 //
-// Example — reproduce Figure 7's delay panel with extension baselines:
+// Example — reproduce Figure 7 with an extension baseline added:
 //
-//	voqsweep -traffic uniform -maxfanout 8 -algos fifoms,tatra,islip,oqfifo,wba
+//	voqsweep -figure fig7 -algos fifoms,tatra,islip,oqfifo,wba -plots
 package main
 
 import (
@@ -77,12 +85,13 @@ func main() {
 
 // run is the whole command with its streams injected, so tests can pin
 // stdout byte for byte. It returns the process exit code. Measured
-// output (tables, check verdict) goes to stdout; diagnostics and
-// -progress reporting go to stderr only.
+// output (tables, plots, claim and check verdicts) goes to stdout;
+// diagnostics and -progress reporting go to stderr only.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("voqsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
+		figureName  = fs.String("figure", "", "sweep a named figure row ("+strings.Join(experiment.FigureNames(), ", ")+") and judge its claims")
 		algosFlag   = fs.String("algos", "fifoms,tatra,islip,oqfifo", "comma-separated algorithms")
 		spec        = traffic.RegisterFlags(fs)
 		loadsFlag   = fs.String("loads", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.95", "comma-separated effective loads")
@@ -93,6 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers     = fs.Int("workers", 0, "parallel simulations (0 = all cores)")
 		parallelR   = fs.Int("parallel", 0, "independent replications per point, merged into one measurement (0/1 = single run)")
 		metricsFlag = fs.String("metrics", "in_delay,out_delay,avg_queue,max_queue", "metrics to print")
+		plots       = fs.Bool("plots", false, "add one ASCII plot per printed metric")
 		csvPath     = fs.String("csv", "", "write long-form CSV to this file")
 		jsonPath    = fs.String("json", "", "write the full table as JSON to this file")
 		configPath  = fs.String("config", "", "run a scenario file instead of flag-built traffic (see internal/scenario)")
@@ -131,13 +141,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = progressPrinter(stderr)
 	}
 
-	// The scenario comes from a file or from the flags; everything after
-	// that is the same.
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	out := output{plots: *plots, csv: *csvPath, json: *jsonPath, checked: *checkRun}
+	if *figureName != "" {
+		fig, err := experiment.FigureByName(*figureName)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		out.figure = &fig
+	}
+
+	// The scenario comes from a figure row, a file or the flags;
+	// everything after that is the same.
 	var sc *scenario.Scenario
 	var sweep *experiment.Sweep
-	if *configPath != "" {
+	switch {
+	case out.figure != nil:
+		sc, sweep, err = figureScenario(*out.figure, explicit, *algosFlag, *loadsFlag, *n, *slots, *seed, *workers)
+	case *configPath != "":
 		sc, sweep, err = fileScenario(*configPath)
-	} else {
+	default:
 		sc, sweep, err = flagScenario(*algosFlag, *loadsFlag, *spec, *n, *topoFlag, *slots, *seed, *workers)
 	}
 	if err != nil {
@@ -149,21 +173,60 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sweep.Replications = *parallelR
 	sweep.Progress = progress
 	sweep.Fast = *fastRun
-	metrics, err := parseMetrics(*metricsFlag)
-	if err != nil {
+	if out.metrics, err = parseMetrics(*metricsFlag); err != nil {
 		return fail(stderr, err)
+	}
+	if out.figure != nil && !explicit["metrics"] {
+		out.metrics = out.figure.Headline()
 	}
 	if serve.addr != "" {
 		// The scenario itself is the wire spec the workers rebuild the
 		// points from.
 		wire := dsweep.Spec{Scenario: *sc, Check: *checkRun, Fast: *fastRun, Replications: *parallelR}
-		return serveSweep(sweep, wire, serve, metrics, *csvPath, *jsonPath, *checkRun, progress, stdout, stderr)
+		return serveSweep(sweep, wire, serve, out, progress, stdout, stderr)
 	}
 	tbl, err := sweep.Run()
 	if err != nil {
 		return fail(stderr, err)
 	}
-	return emit(tbl, metrics, *csvPath, *jsonPath, *checkRun, stdout, stderr)
+	return out.emit(tbl, stdout, stderr)
+}
+
+// figureScenario writes the scenario of a figure row — its name,
+// traffic, roster names and loads under the run setup flags — and
+// builds its sweep under the row's title. An explicitly set -algos or
+// -loads replaces the row's; -config, -topology or a traffic flag
+// would change what the row's claims are about, so each is an error.
+func figureScenario(fig experiment.Figure, explicit map[string]bool, algos, loads string, n int, slots int64, seed uint64, workers int) (*scenario.Scenario, *experiment.Sweep, error) {
+	fixed := []string{"config", "topology"}
+	tf := flag.NewFlagSet("", flag.ContinueOnError)
+	traffic.RegisterFlags(tf)
+	tf.VisitAll(func(f *flag.Flag) { fixed = append(fixed, f.Name) })
+	for _, name := range fixed {
+		if explicit[name] {
+			return nil, nil, fmt.Errorf("-figure %s fixes its traffic and switch; -%s cannot be combined with it", fig.Name, name)
+		}
+	}
+	row := fig.Sweep(experiment.Options{N: n, Slots: slots, Seed: seed})
+	sc := &scenario.Scenario{Name: fig.Name, N: n, Slots: slots, Seed: seed, Traffic: fig.Traffic, Loads: row.Loads}
+	for _, a := range row.Algorithms {
+		sc.Algorithms = append(sc.Algorithms, a.Name)
+	}
+	if explicit["algos"] {
+		sc.Algorithms = splitList(algos)
+	}
+	if explicit["loads"] {
+		var err error
+		if sc.Loads, err = parseLoads(loads); err != nil {
+			return nil, nil, err
+		}
+	}
+	sweep, err := sc.Sweep()
+	if err != nil {
+		return nil, nil, err
+	}
+	sweep.Title, sweep.Workers = row.Title, workers
+	return sc, sweep, nil
 }
 
 // fileScenario reads a version-controlled scenario file.
@@ -191,9 +254,7 @@ func flagScenario(algos, loads string, spec traffic.Spec, n int, topology string
 	if sc.Loads, err = parseLoads(loads); err != nil {
 		return nil, nil, err
 	}
-	for _, tok := range strings.Split(algos, ",") {
-		sc.Algorithms = append(sc.Algorithms, strings.TrimSpace(tok))
-	}
+	sc.Algorithms = splitList(algos)
 	sizeLabel := fmt.Sprintf("%dx%d", n, n)
 	if topology != "" {
 		top, err := fabric.ParseSpec(topology)
@@ -214,26 +275,51 @@ func flagScenario(algos, loads string, spec traffic.Spec, n int, topology string
 	return sc, sweep, nil
 }
 
-// emit renders the finished table: formatted metrics to stdout, then
-// the optional CSV/JSON exports and the invariant-check verdict.
-func emit(tbl *experiment.Table, metrics []experiment.Metric, csvPath, jsonPath string, checked bool, stdout, stderr io.Writer) int {
-	fmt.Fprint(stdout, tbl.Format(metrics...))
+// output is what the command does with a finished table, wherever it
+// was simulated.
+type output struct {
+	metrics   []experiment.Metric
+	plots     bool
+	figure    *experiment.Figure // -figure's row, whose claims judge the table
+	csv, json string
+	checked   bool
+}
 
-	if csvPath != "" {
-		if err := writeFile(csvPath, func(f *os.File) error {
-			return tbl.WriteCSV(f, metrics...)
+// emit renders the finished table: formatted metrics (and plots) to
+// stdout, the figure row's claim verdict, then the optional CSV/JSON
+// exports and the invariant-check verdict. A violated claim is
+// reported, not failed.
+func (o output) emit(tbl *experiment.Table, stdout, stderr io.Writer) int {
+	fmt.Fprint(stdout, tbl.Format(o.metrics...))
+	if o.plots {
+		fmt.Fprint(stdout, tbl.Plots(o.metrics...))
+	}
+	if o.figure != nil {
+		if violations := o.figure.Check(tbl); len(violations) == 0 {
+			fmt.Fprintf(stdout, "\nshape check: PASS (paper's qualitative claims hold)\n")
+		} else {
+			fmt.Fprintf(stdout, "\nshape check: %d violation(s):\n", len(violations))
+			for _, v := range violations {
+				fmt.Fprintf(stdout, "  - %s\n", v)
+			}
+		}
+	}
+
+	if o.csv != "" {
+		if err := writeFile(o.csv, func(f *os.File) error {
+			return tbl.WriteCSV(f, o.metrics...)
 		}); err != nil {
 			return fail(stderr, err)
 		}
 	}
-	if jsonPath != "" {
-		if err := writeFile(jsonPath, func(f *os.File) error {
+	if o.json != "" {
+		if err := writeFile(o.json, func(f *os.File) error {
 			return tbl.WriteJSON(f)
 		}); err != nil {
 			return fail(stderr, err)
 		}
 	}
-	return reportCheck(tbl, checked, stdout, stderr)
+	return reportCheck(tbl, o.checked, stdout, stderr)
 }
 
 // progressPrinter renders engine progress events, one line each, to
@@ -262,6 +348,14 @@ func reportCheck(tbl *experiment.Table, checked bool, stdout, stderr io.Writer) 
 	}
 	fmt.Fprintln(stdout, "check: all points passed the invariant checker")
 	return 0
+}
+
+func splitList(s string) []string {
+	var out []string
+	for _, tok := range strings.Split(s, ",") {
+		out = append(out, strings.TrimSpace(tok))
+	}
+	return out
 }
 
 func parseLoads(s string) ([]float64, error) {

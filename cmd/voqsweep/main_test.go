@@ -104,32 +104,47 @@ func TestParallelReplicationsDeterministic(t *testing.T) {
 // TestParallelComposes pins that replications are ordinary units of
 // work: a replicated sweep over a resume directory — first filling it,
 // then loading every replication back from it — prints the plain
-// replicated table, as does the fast engine under the checker.
+// replicated table, as does the fast engine under the checker and a
+// figure row with its claim verdict.
 func TestParallelComposes(t *testing.T) {
-	for _, mode := range [][]string{
-		{"-parallel", "2"},
-		{"-parallel", "2", "-fast", "-check"},
+	for _, args := range [][]string{
+		append([]string{"-parallel", "2"}, sweepArgs...),
+		append([]string{"-parallel", "2", "-fast", "-check"}, sweepArgs...),
+		{"-parallel", "2", "-figure", "fig5", "-loads", "0.5,0.9", "-slots", "1000"},
 	} {
-		args := append(mode, sweepArgs...)
 		want, _ := runCmd(t, args...)
 		resumable := append([]string{"-resume-dir", t.TempDir()}, args...)
 		for _, leg := range []string{"filling", "resuming"} {
 			if got, _ := runCmd(t, resumable...); got != want {
-				t.Errorf("%v: %s the resume directory changed stdout\ngot:  %q\nwant: %q", mode, leg, got, want)
+				t.Errorf("%v: %s the resume directory changed stdout\ngot:  %q\nwant: %q", args, leg, got, want)
 			}
 		}
 	}
 }
 
+// TestBadFlagFails: a bad flag value, or a flag that would change the
+// traffic or switch a figure row fixes, fails with a message naming it
+// and prints nothing on stdout.
 func TestBadFlagFails(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"-algos", "nosuch"}, &out, &errBuf); code == 0 {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if out.Len() != 0 {
-		t.Errorf("failure wrote to stdout: %q", out.String())
-	}
-	if !strings.Contains(errBuf.String(), "nosuch") {
-		t.Errorf("stderr does not name the bad algorithm: %q", errBuf.String())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algos", "nosuch"}, "nosuch"},
+		{[]string{"-figure", "fig4", "-config", "s.json"}, "-config"},
+		{[]string{"-figure", "fig4", "-topology", "fattree:k=4"}, "-topology"},
+		{[]string{"-figure", "fig4", "-b", "0.3"}, "-b"},
+		{[]string{"-figure", "fig9"}, `unknown figure "fig9" (have ablation-criterion`},
+	} {
+		var out, errBuf bytes.Buffer
+		if code := run(tc.args, &out, &errBuf); code == 0 {
+			t.Errorf("%v accepted", tc.args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v wrote to stdout: %q", tc.args, out.String())
+		}
+		if !strings.Contains(errBuf.String(), tc.want) {
+			t.Errorf("%v: stderr %q does not name %q", tc.args, errBuf.String(), tc.want)
+		}
 	}
 }

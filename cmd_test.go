@@ -158,24 +158,6 @@ func TestCLIVoqsweepScenario(t *testing.T) {
 	}
 }
 
-func TestCLIVoqfigs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs binaries")
-	}
-	outDir := t.TempDir()
-	out := runTool(t, "voqfigs", "", "-figs", "fig5", "-slots", "3000", "-plots", "-out", outDir)
-	for _, want := range []string{"fig5", "convergence", "shape check"} {
-		if !strings.Contains(strings.ToLower(out), want) {
-			t.Fatalf("voqfigs output missing %q:\n%s", want, out)
-		}
-	}
-	for _, f := range []string{"fig5.csv", "fig5.json"} {
-		if _, err := os.Stat(filepath.Join(outDir, f)); err != nil {
-			t.Fatalf("export %s missing: %v", f, err)
-		}
-	}
-}
-
 func TestCLIVoqtracePipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")

@@ -176,6 +176,34 @@ func TestCLIDSweepGoldenFleets(t *testing.T) {
 	}
 }
 
+// TestCLIDSweepFigureRows serves figure rows to a two-worker fleet:
+// the coordinator sends the row as an ordinary scenario, so the
+// workers resolve its roster names (cioq-sK, fifoms-rK) with no figure
+// knowledge, and stdout — tables and claim verdict — equals a local
+// run byte for byte.
+func TestCLIDSweepFigureRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	for _, row := range []string{"speedup", "ablation-rounds"} {
+		t.Run(row, func(t *testing.T) {
+			args := []string{"-figure", row, "-slots", "2000"}
+			want := runTool(t, "voqsweep", "", args...)
+			srv := startSweepServer(t, args...)
+			procs := []*exec.Cmd{startSweepWorker(t, srv.addr, "w0"), startSweepWorker(t, srv.addr, "w1")}
+			out := srv.wait(t)
+			for i, p := range procs {
+				if err := p.Wait(); err != nil {
+					t.Errorf("worker %d exit: %v", i, err)
+				}
+			}
+			if out != want {
+				t.Fatalf("served -figure %s differs from the local run\ngot:\n%s\nwant:\n%s", row, out, want)
+			}
+		})
+	}
+}
+
 // TestCLIDSweepResumeDirGolden runs the distributed sweep against a
 // resume directory twice: the second serve preloads every finished
 // point from disk, completes without simulating, and still renders the

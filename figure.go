@@ -59,16 +59,16 @@ func Figure(name string, opts FigureOptions) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	text, err := fig.Render(tbl, opts.Plots)
-	if err != nil {
-		return nil, err
+	text := tbl.Format(fig.Headline()...)
+	if opts.Plots {
+		text += tbl.Plots(fig.Headline()...)
 	}
 
 	res := &FigureResult{
 		Name:       tbl.Name,
 		Title:      tbl.Title,
 		Text:       text,
-		Violations: tbl.Check(),
+		Violations: fig.Check(tbl),
 		Loads:      tbl.Loads,
 		Series:     make(map[string][]float64),
 	}

@@ -1,6 +1,6 @@
 // Package asciiplot renders simple multi-series line charts as text,
-// so `voqfigs` can show the shape of each reproduced figure directly
-// in the terminal next to its numeric table.
+// so `voqsweep -plots` can show the shape of each reproduced figure
+// directly in the terminal next to its numeric table.
 package asciiplot
 
 import (

@@ -213,10 +213,10 @@ func checkSpecAgainstSweep(sp *Spec, s *experiment.Sweep) error {
 		return err
 	}
 	if ss.N != s.N || ss.Slots != s.Slots || ss.Seed != s.Seed ||
-		ss.UnstableCap != s.UnstableCap || ss.Check != s.Check || ss.Fast != s.Fast ||
+		ss.Check != s.Check || ss.Fast != s.Fast ||
 		ss.Cells() != s.Cells() ||
 		len(ss.Loads) != len(s.Loads) || len(ss.Algorithms) != len(s.Algorithms) {
-		return fmt.Errorf("dsweep: spec and sweep disagree (n/slots/seed/cap/check/fast/grid shape)")
+		return fmt.Errorf("dsweep: spec and sweep disagree (n/slots/seed/check/fast/grid shape)")
 	}
 	for i := range s.Loads {
 		if ss.Loads[i] != s.Loads[i] {

@@ -17,16 +17,13 @@ import (
 // so any scenario file can be served to a fleet unchanged.
 //
 // Determinism contract: a worker's point depends only on the fields
-// here — cell coordinates, N, topology, slots, seed, unstable cap,
-// traffic parameters, algorithm roster, replication count and the
-// check and fast flags — so two workers given the same spec produce
+// here — cell coordinates, N, topology, slots, seed, traffic
+// parameters, algorithm roster, replication count and the check and
+// fast flags — so two workers given the same spec produce
 // bit-identical points, and the merged table equals a single-process
 // experiment.Sweep run.
 type Spec struct {
 	Scenario scenario.Scenario `json:"scenario"`
-	// UnstableCap is the backlog ceiling (experiment.Sweep.UnstableCap;
-	// 0 selects the engine default).
-	UnstableCap int64 `json:"unstable_cap,omitempty"`
 	// Check runs every point under the runtime invariant checker; the
 	// verdict travels back inside the point.
 	Check bool `json:"check,omitempty"`
@@ -59,9 +56,6 @@ func (sp *Spec) Validate() error {
 	if err := sp.Scenario.Validate(); err != nil {
 		return fmt.Errorf("dsweep: %w", err)
 	}
-	if sp.UnstableCap < 0 {
-		return fmt.Errorf("dsweep: negative unstable cap %d", sp.UnstableCap)
-	}
 	if sp.Replications < 0 || sp.Replications > MaxGrid {
 		return fmt.Errorf("dsweep: replication count %d out of range", sp.Replications)
 	}
@@ -85,7 +79,6 @@ func (sp *Spec) Sweep() (*experiment.Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.UnstableCap = sp.UnstableCap
 	s.Check = sp.Check
 	s.Fast = sp.Fast
 	s.Replications = sp.Replications

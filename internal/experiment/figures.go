@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"voqsim/internal/asciiplot"
 	"voqsim/internal/traffic"
 )
 
@@ -64,10 +63,10 @@ var defaultLoads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
 // extension's premise) claims, and the checker that holds a measured
 // table to those claims. figureTable below is the only place a name
 // such as "fig5" or "memory" is given meaning; reports, the facade and
-// voqfigs look a name up or range over the rows.
+// `voqsweep -figure` look a name up or range over the rows.
 type Figure struct {
 	// Name is the short id ("fig4", "memory"): the sweep's Name, the
-	// report heading and the -figs argument.
+	// report heading and the `voqsweep -figure` argument.
 	Name string
 	// Title describes the workload; the sweep's title appends the
 	// switch size.
@@ -232,8 +231,9 @@ var figureTable = []Figure{
 // first PaperFigures rows are the paper's own.
 func FigureTable() []Figure { return figureTable }
 
-// FigureNames returns every experiment's name, sorted: the order
-// `voqfigs -figs all` runs them in and the facade lists them in.
+// FigureNames returns every experiment's name, sorted: the order the
+// facade, `voqsweep -figure`'s help and FigureByName's error list them
+// in.
 func FigureNames() []string {
 	names := make([]string, len(figureTable))
 	for i, f := range figureTable {
@@ -279,37 +279,6 @@ func (f Figure) Headline() []Metric {
 		return FigureMetrics()
 	}
 	return f.Metrics
-}
-
-// Render returns the figure's text for a measured table: one grid per
-// headline metric and, with plots, one ASCII plot per metric after
-// them.
-func (f Figure) Render(tbl *Table, plots bool) (string, error) {
-	metrics := f.Headline()
-	var text strings.Builder
-	text.WriteString(tbl.Format(metrics...))
-	if !plots {
-		return text.String(), nil
-	}
-	for _, m := range metrics {
-		p := asciiplot.Plot{
-			Title:  fmt.Sprintf("%s — %s", tbl.Title, m.Label),
-			XLabel: "effective load",
-			YLabel: m.Name,
-			Xs:     tbl.Loads,
-			LogY:   m.Saturating,
-		}
-		for _, algo := range tbl.Algos {
-			ys, err := tbl.Series(algo, m)
-			if err != nil {
-				return "", err
-			}
-			p.Series = append(p.Series, asciiplot.Series{Name: algo, Ys: ys})
-		}
-		text.WriteByte('\n')
-		text.WriteString(p.Render())
-	}
-	return text.String(), nil
 }
 
 // Figures returns the five paper sweeps keyed by name.

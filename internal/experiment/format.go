@@ -8,6 +8,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"voqsim/internal/asciiplot"
 )
 
 // formatValue renders one metric value; unstable/unreachable points
@@ -73,6 +75,32 @@ func (t *Table) Format(metrics ...Metric) string {
 			b.WriteByte('\n')
 		}
 		b.WriteString(t.FormatMetric(m))
+	}
+	return b.String()
+}
+
+// Plots renders one ASCII plot per metric against the swept load, one
+// curve per algorithm, each preceded by a blank line so the text
+// follows Format's grids directly.
+func (t *Table) Plots(metrics ...Metric) string {
+	var b strings.Builder
+	for _, m := range metrics {
+		p := asciiplot.Plot{
+			Title:  fmt.Sprintf("%s — %s", t.Title, m.Label),
+			XLabel: "effective load",
+			YLabel: m.Name,
+			Xs:     t.Loads,
+			LogY:   m.Saturating,
+		}
+		for ai, algo := range t.Algos {
+			ys := make([]float64, len(t.Loads))
+			for li, pt := range t.Points[ai] {
+				ys[li] = m.ValueOf(pt)
+			}
+			p.Series = append(p.Series, asciiplot.Series{Name: algo, Ys: ys})
+		}
+		b.WriteByte('\n')
+		b.WriteString(p.Render())
 	}
 	return b.String()
 }

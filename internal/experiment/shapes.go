@@ -10,8 +10,9 @@ import (
 // but the qualitative claims of Section V — who wins, where the
 // saturation knees fall — must hold. Each figure has a checker that
 // returns a list of violated claims (empty means the shape holds).
-// The checkers are used by the integration tests and by `voqfigs`,
-// which records their verdicts in EXPERIMENTS.md form.
+// Each figureTable row holds its checker as Figure.Check; the tests,
+// `voqsweep -figure`, the facade and `voqreport` (which records the
+// verdicts in EXPERIMENTS.md form) call it with the row in hand.
 
 // pointAt returns the point of algo at the load closest to want.
 func (t *Table) pointAt(algo string, want float64) (Point, error) {
@@ -173,14 +174,4 @@ func (t *Table) CheckFig8() []string {
 		check(&v, fq <= oq*1.2+0.5, "fifoms burst avg queue %.2f above %s %.2f", fq, other, oq)
 	}
 	return v
-}
-
-// Check runs the checker of the figure the table's sweep was named
-// after; other sweeps have no claims and always pass.
-func (t *Table) Check() []string {
-	f, err := FigureByName(t.Name)
-	if err != nil {
-		return nil
-	}
-	return f.Check(t)
 }

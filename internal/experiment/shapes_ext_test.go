@@ -6,40 +6,40 @@ func TestSpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "speedup"))
+	runShape(t, "speedup")
 }
 
 func TestIndustryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "industry"))
+	runShape(t, "industry")
 }
 
 func TestMemoryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "memory"))
+	runShape(t, "memory")
 }
 
 func TestMixedShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "mixed"))
+	runShape(t, "mixed")
 }
 
 func TestAblationCriterionShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "ablation-criterion"))
+	runShape(t, "ablation-criterion")
 }
 
 func TestHotspotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "hotspot"))
+	runShape(t, "hotspot")
 }

@@ -13,11 +13,13 @@ func testRoot() *xrand.Rand { return xrand.New(1) }
 // shapeOptions are the reduced budgets at which the full figure shape
 // checks are exercised in tests. 20k slots is enough for every
 // qualitative claim to hold with margin (calibrated empirically); the
-// full-budget runs live in `voqfigs` and the benchmarks.
+// full-budget runs live in `voqsweep -figure` and the benchmarks.
 func shapeOptions() Options {
 	return Options{Slots: 20_000, Seed: 2004}
 }
 
+// runShape runs the named row at the test budget, reports every claim
+// its checker finds violated, and returns the table.
 func runShape(t *testing.T, figure string) *Table {
 	t.Helper()
 	fig, err := FigureByName(figure)
@@ -28,49 +30,45 @@ func runShape(t *testing.T, figure string) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl
-}
-
-func assertShape(t *testing.T, tbl *Table) {
-	t.Helper()
-	for _, v := range tbl.Check() {
+	for _, v := range fig.Check(tbl) {
 		t.Errorf("%s: %s", tbl.Name, v)
 	}
+	return tbl
 }
 
 func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "fig4"))
+	runShape(t, "fig4")
 }
 
 func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "fig5"))
+	runShape(t, "fig5")
 }
 
 func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "fig6"))
+	runShape(t, "fig6")
 }
 
 func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "fig7"))
+	runShape(t, "fig7")
 }
 
 func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure shape checks take seconds")
 	}
-	assertShape(t, runShape(t, "fig8"))
+	runShape(t, "fig8")
 }
 
 func TestAblationSplittingShape(t *testing.T) {
@@ -81,7 +79,6 @@ func TestAblationSplittingShape(t *testing.T) {
 	// saturate earlier or queue more at high load (the conclusion's
 	// "necessary for high throughput" claim).
 	tbl := runShape(t, "ablation-splitting")
-	assertShape(t, tbl)
 	split := tbl.metricAt("fifoms", InputDelay, 0.8)
 	whole := tbl.metricAt("fifoms-nosplit", InputDelay, 0.8)
 	if !(whole >= split || math.IsInf(whole, 1)) {
@@ -99,7 +96,6 @@ func TestAblationRoundsShape(t *testing.T) {
 	// More rounds never hurt: delay at load 0.8 must be non-increasing
 	// in the iteration budget (within noise).
 	tbl := runShape(t, "ablation-rounds")
-	assertShape(t, tbl)
 	r1 := tbl.metricAt("fifoms-r1", InputDelay, 0.8)
 	full := tbl.metricAt("fifoms", InputDelay, 0.8)
 	if full > r1*1.1+0.2 {

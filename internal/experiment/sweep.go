@@ -17,19 +17,18 @@ import (
 type PatternFunc func(load float64, n int) (traffic.Pattern, error)
 
 // Sweep is one experiment: a traffic family swept over loads and run
-// under several algorithms. The zero values of Slots, Workers and
-// UnstableCellLimit select sensible defaults.
+// under several algorithms. The zero values of Slots and Workers
+// select sensible defaults.
 type Sweep struct {
-	Name        string // short id, e.g. "fig4"
-	Title       string // human description for report headers
-	N           int    // switch size (the paper: 16)
-	Loads       []float64
-	Pattern     PatternFunc
-	Algorithms  []Algorithm
-	Slots       int64  // slots per point (default 200k)
-	Seed        uint64 // base seed; every point derives its own
-	Workers     int    // parallel points (default GOMAXPROCS)
-	UnstableCap int64  // backlog ceiling (default 1000*N)
+	Name       string // short id, e.g. "fig4"
+	Title      string // human description for report headers
+	N          int    // switch size (the paper: 16)
+	Loads      []float64
+	Pattern    PatternFunc
+	Algorithms []Algorithm
+	Slots      int64  // slots per point (default 200k)
+	Seed       uint64 // base seed; every point derives its own
+	Workers    int    // parallel points (default GOMAXPROCS)
 	// Check runs every point under the runtime invariant checker
 	// (internal/check). Measurements are unchanged — the checker is
 	// passive — but any violation is recorded in the point's
@@ -282,7 +281,7 @@ func (s *Sweep) pointSeed(ai, li, rep int) uint64 {
 // pointRunner builds the runner of one cell (NewRunner under the
 // sweep's labeling and Check setting).
 func (s *Sweep) pointRunner(ai, li, rep int, pat traffic.Pattern) (*switchsim.Runner, *invcheck.Checker, func()) {
-	cfg := switchsim.Config{Slots: s.Slots, Seed: s.pointSeed(ai, li, rep), UnstableCellLimit: s.UnstableCap, Fast: s.Fast}
+	cfg := switchsim.Config{Slots: s.Slots, Seed: s.pointSeed(ai, li, rep), Fast: s.Fast}
 	return pointSeeding.NewRunner(s.Algorithms[ai], s.N, pat, cfg, s.Check)
 }
 

@@ -174,7 +174,7 @@ func writeFigure(w io.Writer, fig experiment.Figure, tbl *experiment.Table) {
 	fmt.Fprintf(w, "Measured (`sat` marks saturated/unstable points):\n\n")
 	fmt.Fprintf(w, "```\n%s```\n\n", tbl.Format(fig.Headline()...))
 
-	violations := tbl.Check()
+	violations := fig.Check(tbl)
 	if len(violations) == 0 {
 		fmt.Fprintf(w, "**Verdict: REPRODUCED** — every checked claim holds.\n\n")
 	} else {

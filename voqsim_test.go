@@ -221,7 +221,7 @@ func TestFigureSmall(t *testing.T) {
 		t.Skip("runs a reduced sweep")
 	}
 	// Each figure renders and exports its own headline metrics, the
-	// ones voqfigs and voqreport show for it.
+	// ones `voqsweep -figure` and voqreport show for it.
 	for _, tc := range []struct{ name, metric string }{
 		{"fig5", "rounds"},
 		{"memory", "buffer_bytes"},
