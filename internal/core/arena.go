@@ -15,11 +15,12 @@ import (
 //   - Address cells are plain 16-byte values (acell: a time stamp, a
 //     data slab index and a next index) and every address cell of the
 //     switch lives in one slab, cells. A VOQ is an intrusive circular
-//     list through next, reached from a 16-byte record (voq) holding
-//     its tail, its length and the cached HOL stamp; freed cells chain
-//     through next too. Nothing here holds a pointer, so the N² records
-//     never enter the collector's scan set, and resident memory tracks
-//     the cells buffered, not the VOQs ever touched.
+//     list through next, reached from an 8-byte record (voq) holding
+//     its tail and its length, so its HOL stamp is the head cell's, one
+//     hop from the tail; freed cells chain through next too. Nothing
+//     here holds a pointer, so the N² records never enter the
+//     collector's scan set, and resident memory tracks the cells
+//     buffered, not the VOQs ever touched.
 //   - Data cells live in a struct-of-arrays slab: dPkt[i]/dFan[i] are
 //     packet pointer and live fanout counter of slab entry i. Address
 //     cells reference entries by index, so ModeShared's one-data-cell
@@ -30,8 +31,8 @@ import (
 //     data entry i, and owed[own] counts the packet's copies still
 //     buffered; the switch hands the packet back when it reaches zero.
 //     Owner entries recycle through ownFree like the data entries.
-//   - The cached HOL state the match kernels read (voq.ts, occIn,
-//     occOut — see switch.go) lives here too.
+//   - The cached HOL state the match kernels read (occIn, occOut,
+//     minHOL, minMask — see switch.go) lives here too.
 //
 // An arena is per-switch state with no life outside its switch: the
 // Switch embeds it by value, newArena is the one way to get storage,
@@ -47,10 +48,9 @@ type acell struct {
 }
 
 // voq is one VOQ: the tail of a circular list through acell.next whose
-// head is cells[tail].next. The zero value is an empty queue; ts and
-// tail mean something only while size > 0.
+// head, and so whose HOL stamp, is cells[tail].next. The zero value is
+// an empty queue; tail means something only while size > 0.
 type voq struct {
-	ts   int64 // time stamp of the HOL cell, cached for the match kernels
 	tail int32
 	size uint32
 }
@@ -61,9 +61,8 @@ type voq struct {
 type arena struct {
 	words int // destset.WordsPerRow(n), the shared occ/minMask row stride
 
-	// voqs[in*n+out] is VOQ(in,out); its ts is the cached HOL stamp the
-	// match kernels read instead of walking the queue, valid while the
-	// occupancy bit is set.
+	// voqs[in*n+out] is VOQ(in,out), valid while the occupancy bit is
+	// set.
 	voqs []voq
 
 	// Address-cell slab. Entry 0 is the nil index and never holds a
@@ -131,8 +130,7 @@ func (a *arena) allocCell() int32 {
 	return int32(len(a.cells) - 1)
 }
 
-// front returns the head cell of VOQ qi, which must not be empty, as
-// the list holds it — the authority voq.ts caches.
+// front returns the head cell of VOQ qi, which must not be empty.
 func (a *arena) front(qi int) acell { return a.cells[a.cells[a.voqs[qi].tail].next] }
 
 // each calls fn on the cells of VOQ qi, front to back.

@@ -17,13 +17,13 @@ import (
 
 // refArgminHOL is the single-word argmin loop computeRequest and
 // rescanMinHOL ran before argminHOL, verbatim but for its inputs and
-// outputs.
-func refArgminHOL(row []voq, cand uint64) (uint64, int64) {
+// outputs; stamps[out] is VOQ(in,out)'s HOL stamp.
+func refArgminHOL(stamps []int64, cand uint64) (uint64, int64) {
 	best := emptyHOL
 	var mask uint64
 	for ; cand != 0; cand &= cand - 1 {
 		out := bits.TrailingZeros64(cand)
-		switch ts := row[out].ts; {
+		switch ts := stamps[out]; {
 		case ts < best:
 			best = ts
 			mask = 1 << uint(out)
@@ -37,7 +37,7 @@ func refArgminHOL(row []voq, cand uint64) (uint64, int64) {
 // refArgminHOLWide is the multi-word argmin loop of the same two
 // functions, verbatim; rescanMinHOL's copy ran over occ alone, which is
 // free == nil here.
-func refArgminHOLWide(row []voq, occ, of, mask []uint64) int64 {
+func refArgminHOLWide(stamps []int64, occ, of, mask []uint64) int64 {
 	if of == nil {
 		of = occ
 	}
@@ -56,7 +56,7 @@ func refArgminHOLWide(row []voq, occ, of, mask []uint64) int64 {
 		for cand != 0 {
 			out := bitsBase + bits.TrailingZeros64(cand)
 			cand &= cand - 1
-			switch ts := row[out].ts; {
+			switch ts := stamps[out]; {
 			case ts < best:
 				best = ts
 				for i := 0; i <= wi; i++ {
@@ -83,15 +83,37 @@ func randomBits(r *xrand.Rand, n int) []uint64 {
 	return ws
 }
 
-// randomRow returns n VOQ records whose stamps come from a small range,
-// so equal stamps are common.
-func randomRow(r *xrand.Rand, n int) []voq {
-	row := make([]voq, n)
-	span := 1 + r.Intn(5)
-	for i := range row {
-		row[i].ts = int64(100 + r.Intn(span))
+// holRow links one circular list per stamp onto the cell slab, in the
+// shape pushCell builds: stamps[out] at the head of VOQ out, one to
+// two later stamps behind it at random, so a kernel that read the tail
+// instead of the head would see a later stamp. It returns the row of
+// VOQ records and the grown slab, whose entry 0 stays the nil index.
+func holRow(r *xrand.Rand, cells []acell, stamps []int64) ([]voq, []acell) {
+	if len(cells) == 0 {
+		cells = append(cells, acell{})
 	}
-	return row
+	row := make([]voq, len(stamps))
+	for out, ts := range stamps {
+		head, depth := int32(len(cells)), 1+r.Intn(3)
+		for k := 0; k < depth; k++ {
+			cells = append(cells, acell{ts: ts + int64(k), next: int32(len(cells)) + 1})
+		}
+		tail := int32(len(cells) - 1)
+		cells[tail].next = head
+		row[out] = voq{tail: tail, size: uint32(depth)}
+	}
+	return row, cells
+}
+
+// randomStamps returns n HOL stamps from a small range, so equal stamps
+// are common.
+func randomStamps(r *xrand.Rand, n int) []int64 {
+	stamps := make([]int64, n)
+	span := 1 + r.Intn(5)
+	for i := range stamps {
+		stamps[i] = int64(100 + r.Intn(span))
+	}
+	return stamps
 }
 
 // TestArgminHOLMatchesReference holds both branch-free argmins to the
@@ -104,7 +126,8 @@ func TestArgminHOLMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 2, 9, 16, 63, 64, 65, 128, 256, 1024} {
 		w := (n + 63) / 64
 		for trial := 0; trial < 400; trial++ {
-			row := randomRow(r, n)
+			stamps := randomStamps(r, n)
+			row, cells := holRow(r, nil, stamps)
 			occ := randomBits(r, n)
 			var free []uint64
 			if trial%2 == 1 {
@@ -114,12 +137,12 @@ func TestArgminHOLMatchesReference(t *testing.T) {
 				clear(occ) // no candidates at all
 			}
 			want := make([]uint64, w)
-			wantMin := refArgminHOLWide(row, occ, free, want)
+			wantMin := refArgminHOLWide(stamps, occ, free, want)
 			got := make([]uint64, w)
 			for i := range got {
 				got[i] = r.Uint64() // stale words the helper must overwrite
 			}
-			if gotMin := argminHOLWide(row, occ, free, got); gotMin != wantMin || !slices.Equal(got, want) {
+			if gotMin := argminHOLWide(row, cells, occ, free, got); gotMin != wantMin || !slices.Equal(got, want) {
 				t.Fatalf("n=%d trial %d: argminHOLWide = %d %x, reference %d %x", n, trial, gotMin, got, wantMin, want)
 			}
 			if wantMin == emptyHOL && slices.ContainsFunc(want, func(v uint64) bool { return v != 0 }) {
@@ -132,11 +155,11 @@ func TestArgminHOLMatchesReference(t *testing.T) {
 			if free != nil {
 				cand &= free[0]
 			}
-			wantMask, wantMin1 := refArgminHOL(row, cand)
+			wantMask, wantMin1 := refArgminHOL(stamps, cand)
 			if wantMask != want[0] || wantMin1 != wantMin {
 				t.Fatalf("n=%d trial %d: the two reference loops disagree", n, trial)
 			}
-			if gotMask, gotMin := argminHOL(row, cand); gotMask != wantMask || gotMin != wantMin1 {
+			if gotMask, gotMin := argminHOL(row, cells, cand); gotMask != wantMask || gotMin != wantMin1 {
 				t.Fatalf("n=%d trial %d: argminHOL = %d %x, reference %d %x", n, trial, gotMin, gotMask, wantMin1, wantMask)
 			}
 		}
@@ -279,11 +302,14 @@ func BenchmarkArgminHOL(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		r := xrand.New(uint64(n))
 		rows := make([][]voq, n)
+		stamps := make([][]int64, n)
+		var cells []acell
 		for in := range rows {
-			rows[in] = make([]voq, n)
-			for out := range rows[in] {
-				rows[in][out].ts = int64(r.Intn(16))
+			stamps[in] = make([]int64, n)
+			for out := range stamps[in] {
+				stamps[in][out] = int64(r.Intn(16))
 			}
+			rows[in], cells = holRow(r, cells, stamps[in])
 		}
 		ins := make([]int, pairs)
 		cands := make([]uint64, pairs)
@@ -302,9 +328,9 @@ func BenchmarkArgminHOL(b *testing.B) {
 					var m uint64
 					var best int64
 					if branchFree {
-						m, best = argminHOL(rows[ins[k]], cands[k])
+						m, best = argminHOL(rows[ins[k]], cells, cands[k])
 					} else {
-						m, best = refArgminHOL(rows[ins[k]], cands[k])
+						m, best = refArgminHOL(stamps[ins[k]], cands[k])
 					}
 					sink += m ^ uint64(best)
 				}

@@ -26,9 +26,9 @@ import (
 // round compared to iSLIP/PIM.
 //
 // The implementation is the word-parallel kernel described in
-// DESIGN.md § Match kernel: it reads the switch's cached flat HOL
-// state (Switch.voqs / occIn) instead of chasing address-cell
-// pointers, keeps every port set and request set as packed uint64
+// DESIGN.md § Match kernel: it visits the non-empty VOQs through the
+// switch's occupancy bitmaps (Switch.occIn), reads each HOL stamp from
+// its head cell, keeps every port set and request set as packed uint64
 // words, seeds the first round from the switch's oldest-stamp cache and
 // after it recomputes requests only for the free inputs that had one.
 // The grant step visits only actual requesters of each output via the
@@ -209,9 +209,9 @@ func (f *FIFOMS) computeRequest(s *Switch, in int) {
 	row := s.voqs[in*s.n : in*s.n+s.n]
 	var best int64
 	if w == 1 {
-		f.reqMask[in], best = argminHOL(row, s.occIn[in]&f.outFree[0])
+		f.reqMask[in], best = argminHOL(row, s.arena.cells, s.occIn[in]&f.outFree[0])
 	} else {
-		best = argminHOLWide(row, s.occIn[in*w:in*w+w], f.outFree, f.reqMask[in*w:in*w+w])
+		best = argminHOLWide(row, s.arena.cells, s.occIn[in*w:in*w+w], f.outFree, f.reqMask[in*w:in*w+w])
 	}
 	if best == emptyHOL {
 		best = -1

@@ -22,9 +22,9 @@ import (
 //     caches, regrown on demand;
 //   - ModeCopied's owner counts — the number of copies of a packet
 //     still queued, which loadPort recounts from the VOQ references;
-//   - the cached HOL stamps and occIn/occOut bitmaps — LoadState
-//     rebuilds them coherently by re-pushing every cell through
-//     pushCell;
+//   - the occIn/occOut bitmaps and the minHOL/minMask oldest-stamp
+//     cache — LoadState rebuilds them coherently by re-pushing every
+//     cell through pushCell, and each cell carries its own stamp;
 //   - the Matching and scratch slices — per-slot state, rebuilt from
 //     scratch at the next Step;
 //   - the observer and its cached metric handles — observability must
@@ -127,7 +127,7 @@ func (s *Switch) savePort(w *snap.Writer, in int) {
 // LoadState restores state written by SaveState into a freshly built
 // switch of the same size, arbiter and mode. The VOQs are rebuilt by
 // re-pushing every address cell through pushCell, which regenerates
-// the cached HOL stamps and occIn/occOut bitmaps as a side effect —
+// the occupancy bitmaps and the oldest-stamp cache as a side effect —
 // they cannot drift from the queues they describe.
 func (s *Switch) LoadState(r *snap.Reader) error {
 	if err := r.Section("core"); err != nil {

@@ -177,7 +177,6 @@ func (s *Switch) pushCell(in, out int, ts int64, data int32) {
 	q := &s.voqs[in*s.n+out]
 	if q.size == 0 {
 		a.cells[idx] = acell{ts: ts, data: data, next: idx}
-		q.ts = ts
 		s.occIn[in*s.words+out>>6] |= 1 << uint(out&63)
 		s.occOut[out*s.words+in>>6] |= 1 << uint(in&63)
 		// A fresh head is the only push that can lower the input's
@@ -205,8 +204,8 @@ func (s *Switch) pushCell(in, out int, ts int64, data int32) {
 }
 
 // popCell removes the head of VOQ(in,out) and keeps the cached HOL
-// state coherent: the next cell becomes the head, or the occupancy
-// bits clear. Popping an empty VOQ is an arbiter bug.
+// state coherent: the next cell, with its stamp, becomes the head, or
+// the occupancy bits clear. Popping an empty VOQ is an arbiter bug.
 func (s *Switch) popCell(in, out int) acell {
 	a := &s.arena
 	q := &s.voqs[in*s.n+out]
@@ -225,7 +224,6 @@ func (s *Switch) popCell(in, out int) acell {
 		s.occOut[out*s.words+in>>6] &^= 1 << uint(in&63)
 	} else {
 		tail.next = c.next
-		q.ts = a.cells[c.next].ts
 	}
 	if c.ts == s.minHOL[in] {
 		// The popped cell held the input's oldest stamp; stamps within
@@ -254,25 +252,25 @@ func (s *Switch) rescanMinHOL(in int) {
 	w := s.words
 	row := s.voqs[in*s.n : in*s.n+s.n]
 	if w == 1 {
-		s.minMask[in], s.minHOL[in] = argminHOL(row, s.occIn[in])
+		s.minMask[in], s.minHOL[in] = argminHOL(row, s.arena.cells, s.occIn[in])
 		return
 	}
-	s.minHOL[in] = argminHOLWide(row, s.occIn[in*w:in*w+w], nil, s.minMask[in*w:in*w+w])
+	s.minHOL[in] = argminHOLWide(row, s.arena.cells, s.occIn[in*w:in*w+w], nil, s.minMask[in*w:in*w+w])
 }
 
 // argminHOL is Table 2's smallest_time_stamp over one input's HOL row
-// (row[out] is VOQ(in,out)) on a single-word layout (n <= 64): the
-// smallest stamp among the non-empty VOQs in cand and the mask of those
-// holding it, or emptyHOL and 0 for an empty cand. Like the comparator
+// (row[out] is VOQ(in,out), its cells in cells) on a single-word layout
+// (n <= 64): the smallest stamp among the non-empty VOQs in cand and
+// the mask of those holding it, or emptyHOL and 0 for an empty cand. Like the comparator
 // tree of Section IV.A it selects and never branches on a stamp: each
 // candidate folds into (mask, best) through conditional moves
 // (CMOVQNE/CMOVQGT under go build -gcflags=-S), because the three-way
 // compare it replaced was mispredicted on live queue state.
-func argminHOL(row []voq, cand uint64) (mask uint64, best int64) {
+func argminHOL(row []voq, cells []acell, cand uint64) (mask uint64, best int64) {
 	best = emptyHOL
 	for ; cand != 0; cand &= cand - 1 {
 		out := bits.TrailingZeros64(cand)
-		ts, bit := row[out].ts, uint64(1)<<uint(out)
+		ts, bit := cells[cells[row[out].tail].next].ts, uint64(1)<<uint(out)
 		m := mask | bit
 		if ts != best {
 			m = mask
@@ -292,7 +290,7 @@ func argminHOL(row []voq, cand uint64) (mask uint64, best int64) {
 // first appears. The words before first hold only stale, larger
 // minima, and every later word was folded against the final one, so
 // clearing mask[:first] leaves exactly the argmin set.
-func argminHOLWide(row []voq, occ, free, mask []uint64) int64 {
+func argminHOLWide(row []voq, cells []acell, occ, free, mask []uint64) int64 {
 	if free == nil {
 		free = occ
 	}
@@ -309,7 +307,7 @@ func argminHOLWide(row []voq, occ, free, mask []uint64) int64 {
 		prev, m := best, uint64(0)
 		for cand := occ[wi] & free[wi]; cand != 0; cand &= cand - 1 {
 			out := wi<<6 + bits.TrailingZeros64(cand)
-			ts, bit := row[out].ts, uint64(1)<<uint(out&63)
+			ts, bit := cells[cells[row[out].tail].next].ts, uint64(1)<<uint(out&63)
 			mm := m | bit
 			if ts != best {
 				mm = m
@@ -415,13 +413,13 @@ func (s *Switch) observeArrival(p *cell.Packet, fanout int) {
 // VOQLen returns the length of input in's VOQ for output out.
 func (s *Switch) VOQLen(in, out int) int { return int(s.voqs[in*s.n+out].size) }
 
-// HOLTime returns the cached HOL time stamp of VOQ(in,out), or
+// HOLTime returns the time stamp of VOQ(in,out)'s HOL cell, or
 // EmptyHOL (math.MaxInt64, greater than any real arrival slot) when
 // the queue is empty. Arbiters and inspectors read the queue heads
 // exclusively through this accessor and HOLDataRef.
 func (s *Switch) HOLTime(in, out int) int64 {
-	if q := &s.voqs[in*s.n+out]; q.size != 0 {
-		return q.ts
+	if qi := in*s.n + out; s.voqs[qi].size != 0 {
+		return s.arena.front(qi).ts
 	}
 	return EmptyHOL
 }

@@ -30,7 +30,8 @@ type batch struct {
 	// Where record i's destination set is drawn. A draw-ahead batch
 	// packs the sets into words, stride each, and points view at one
 	// row at a time: the producer cannot reach the packet pool, so the
-	// consumer copies each row into a packet. The inline batch never
+	// consumer copies each row's words into a packet, never through
+	// view, which shares a cache line with the other batch's. The inline batch never
 	// leaves the caller's goroutine and keeps a pooled packet per record
 	// instead, so the draw lands where the old in-tick draw put it.
 	words  []uint64
@@ -128,7 +129,7 @@ func (r *Runner) arrive(b *batch, k int, slot, warmup int64) {
 			p, b.pkts[i] = b.pkts[i], r.getPacket()
 		} else {
 			p = r.getPacket()
-			p.Dests.CopyFrom(b.record(i))
+			copy(p.Dests.Words(), b.words[i*b.stride:(i+1)*b.stride])
 		}
 		r.nextID++
 		p.ID, p.Input, p.Arrival = r.nextID, int(b.inputs[i]), slot
