@@ -37,8 +37,18 @@ var deliveryGoldenSizes = []int{4, 16, 64, 65, 130}
 
 var deliveryGoldenSeeds = []uint64{1, 42, 0xfeedface}
 
+// deliveryGoldenWide is the size of the rows that reach the core VOQ
+// store's layout above N = 256: five bitmap words, so the four-word
+// early exit of the wide kernels runs and a remainder word follows it.
+// Only the architectures on that store run it (roster.DeliveryGoldenWide),
+// for 500 slots at the first seed.
+const deliveryGoldenWide = 300
+
 func deliveryGoldenSlots(n int) int64 {
-	if n >= 64 {
+	switch {
+	case n >= deliveryGoldenWide:
+		return 500
+	case n >= 64:
 		return 1_500
 	}
 	return 4_000
@@ -87,8 +97,9 @@ type deliveryGoldenEntry struct {
 }
 
 // TestDeliveryStreamGolden pins the delivery stream of every roster
-// architecture (internal/roster) to the recorded hashes. The rows run
-// in parallel; the golden is rewritten once they have all finished.
+// architecture (internal/roster) to the recorded hashes, and of the
+// core VOQ store's architectures at deliveryGoldenWide too. The rows
+// run in parallel; the golden is rewritten once they have all finished.
 func TestDeliveryStreamGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-architecture grid")
@@ -109,30 +120,43 @@ func TestDeliveryStreamGolden(t *testing.T) {
 	if *updateGolden {
 		t.Cleanup(func() { writeGolden(t, path, got) })
 	}
+	type row struct {
+		algo experiment.Algorithm
+		n    int
+		seed uint64
+	}
+	var rows []row
 	for _, algo := range roster.For(roster.DeliveryGolden) {
 		for _, n := range deliveryGoldenSizes {
 			for _, seed := range deliveryGoldenSeeds {
-				key := fmt.Sprintf("%s/n=%d/seed=%d", algo.Name, n, seed)
-				t.Run(key, func(t *testing.T) {
-					t.Parallel()
-					hash, copies := deliveryHash(algo, n, seed)
-					mu.Lock()
-					got[key] = deliveryGoldenEntry{Hash: hash, Copies: copies}
-					mu.Unlock()
-					if *updateGolden {
-						return
-					}
-					w, ok := want[key]
-					if !ok {
-						t.Fatalf("no golden entry for %s", key)
-					}
-					if w != (deliveryGoldenEntry{Hash: hash, Copies: copies}) {
-						t.Errorf("delivery stream diverged from the pre-arena simulator: got {hash:%d copies:%d}, want {hash:%d copies:%d}",
-							hash, copies, w.Hash, w.Copies)
-					}
-				})
+				rows = append(rows, row{algo, n, seed})
 			}
 		}
+	}
+	for _, algo := range roster.For(roster.DeliveryGoldenWide) {
+		rows = append(rows, row{algo, deliveryGoldenWide, deliveryGoldenSeeds[0]})
+	}
+	for _, c := range rows {
+		algo, n, seed := c.algo, c.n, c.seed
+		key := fmt.Sprintf("%s/n=%d/seed=%d", algo.Name, n, seed)
+		t.Run(key, func(t *testing.T) {
+			t.Parallel()
+			hash, copies := deliveryHash(algo, n, seed)
+			mu.Lock()
+			got[key] = deliveryGoldenEntry{Hash: hash, Copies: copies}
+			mu.Unlock()
+			if *updateGolden {
+				return
+			}
+			w, ok := want[key]
+			if !ok {
+				t.Fatalf("no golden entry for %s", key)
+			}
+			if w != (deliveryGoldenEntry{Hash: hash, Copies: copies}) {
+				t.Errorf("delivery stream diverged from the pre-arena simulator: got {hash:%d copies:%d}, want {hash:%d copies:%d}",
+					hash, copies, w.Hash, w.Copies)
+			}
+		})
 	}
 }
 
