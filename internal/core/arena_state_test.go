@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,7 +113,7 @@ func verifyCachedState(t *testing.T, s *Switch) {
 				}
 				continue
 			}
-			if head := s.arena.front(in*n + out).ts; ts != head {
+			if head := s.front(s.queue(in, out)).ts; ts != head {
 				t.Fatalf("(%d,%d): HOL ts %d cached as %d", in, out, head, ts)
 			}
 			switch {
@@ -126,6 +127,14 @@ func verifyCachedState(t *testing.T, s *Switch) {
 		}
 		if s.minHOL[in] != wantMin {
 			t.Fatalf("input %d: minHOL %d, scan says %d", in, s.minHOL[in], wantMin)
+		}
+		if open := 0; s.ranked {
+			for _, wv := range s.OccInWords(in) {
+				open += bits.OnesCount64(wv)
+			}
+			if len(s.rows[in]) != open {
+				t.Fatalf("input %d: ranked row holds %d records for %d non-empty VOQs", in, len(s.rows[in]), open)
+			}
 		}
 		for wi := 0; wi < s.words; wi++ {
 			if s.minMask[in*s.words+wi] != wantMask[wi] {

@@ -34,9 +34,12 @@ type visit struct {
 // plain fifoq.Queue per VOQ: pop order, lengths,
 // HOL accessors, iteration order, the slab length and every incremental
 // cache. Sizes cover the single VOQ, the smallest list handling, a
-// partial bitmap word and the two-word layout.
+// partial bitmap word, the two-word layout and, at n = 300, ranked
+// rows (arena.go): there one input takes a broadcast burst, so its row
+// outgrows rankedRowCap, and the store is drained to empty at the end,
+// which must close every record it opened.
 func TestCellStoreMatchesModel(t *testing.T) {
-	for _, n := range []int{1, 2, 9, 65} {
+	for _, n := range []int{1, 2, 9, 65, 300} {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			r := xrand.New(uint64(40 + n))
@@ -45,15 +48,24 @@ func TestCellStoreMatchesModel(t *testing.T) {
 			live, peak := 0, 0 // buffered cells now, and their peak
 			stamp := int64(0)
 			dests := destset.New(n)
+			// Ranked sizes draw sparse destination sets: n²-cell backlogs
+			// would only slow the checks down.
+			pDest := 0.4
+			if s.ranked {
+				pDest = 3 / float64(n)
+			}
 
 			// push queues one packet: the same fresh stamp on a random
 			// destination subset of one input, so argmin sets tie the way
 			// multicast makes them. Every cell gets a private data entry,
 			// which gives the accessors a distinct value to report.
+			var pushTo func(in int)
 			push := func() {
-				in := r.Intn(n)
 				dests.Clear()
-				dests.RandomBernoulli(r, 0.4)
+				dests.RandomBernoulli(r, pDest)
+				pushTo(r.Intn(n))
+			}
+			pushTo = func(in int) {
 				stamp++
 				dests.ForEach(func(out int) {
 					p := &cell.Packet{ID: cell.PacketID(stamp), Input: in, Arrival: stamp}
@@ -64,14 +76,7 @@ func TestCellStoreMatchesModel(t *testing.T) {
 				})
 				peak = max(peak, live)
 			}
-			pop := func() {
-				qi := r.Intn(n * n)
-				for k := 0; k < n*n && model[qi].Empty(); k++ {
-					qi = (qi + 1) % (n * n)
-				}
-				if model[qi].Empty() {
-					return
-				}
+			popAt := func(qi int) {
 				want := model[qi].Pop()
 				got := s.popCell(qi/n, qi%n)
 				if got.ts != want.ts || got.data != want.data {
@@ -80,6 +85,15 @@ func TestCellStoreMatchesModel(t *testing.T) {
 				}
 				s.arena.freeData(got.data)
 				live--
+			}
+			pop := func() {
+				qi := r.Intn(n * n)
+				for k := 0; k < n*n && model[qi].Empty(); k++ {
+					qi = (qi + 1) % (n * n)
+				}
+				if !model[qi].Empty() {
+					popAt(qi)
+				}
 			}
 			verify := func(step int) {
 				t.Helper()
@@ -136,7 +150,108 @@ func TestCellStoreMatchesModel(t *testing.T) {
 						pop()
 					}
 				}
+				if s.ranked && step == 20 {
+					destset.FillPorts(dests.Words(), n) // a broadcast burst
+					pushTo(0)
+					if len(s.rows[0]) <= rankedRowCap {
+						t.Fatalf("a broadcast left input 0 with %d VOQ records, want more than %d", len(s.rows[0]), rankedRowCap)
+					}
+				}
 				verify(step)
+			}
+			if !s.ranked {
+				return
+			}
+			for qi := range model {
+				for !model[qi].Empty() {
+					popAt(qi)
+				}
+				if qi%n == n-1 && qi/n%100 == 0 {
+					verify(400 + qi/n)
+				}
+			}
+			verify(400 + n)
+			for in, row := range s.rows {
+				if len(row) != 0 {
+					t.Fatalf("drained input %d still holds %d VOQ records", in, len(row))
+				}
+			}
+		})
+	}
+}
+
+// TestRankedRowsLockstep runs identical arrivals through a switch with
+// dense VOQ rows and one with ranked rows (arena.go) and holds them
+// equal after every slot: the deliveries, and per VOQ its length, HOL
+// stamp and HOL data reference, and per input its oldest-stamp cache.
+// The sizes cover one bitmap word, two, and the five of the smallest
+// size NewSwitch ranks; input 0 takes a broadcast burst, so above
+// rankedRowCap ports its ranked row outgrows its place in the slab,
+// and after 300 slots of arrivals both
+// switches drain to empty, which must close every ranked record.
+func TestRankedRowsLockstep(t *testing.T) {
+	for _, n := range []int{16, 65, 300} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			dense := newSwitch(n, &FIFOMS{}, xrand.New(3), false)
+			ranked := newSwitch(n, &FIFOMS{}, xrand.New(3), true)
+			r := xrand.New(uint64(n))
+			var gotDense, gotRanked []cell.Delivery
+			id := cell.PacketID(0)
+			grown := false
+			compare := func(slot int64) {
+				t.Helper()
+				if !slices.Equal(gotDense, gotRanked) {
+					t.Fatalf("slot %d: dense rows delivered %v, ranked rows %v", slot, gotDense, gotRanked)
+				}
+				for in := range n {
+					for out := range n {
+						if d, k := dense.VOQLen(in, out), ranked.VOQLen(in, out); d != k {
+							t.Fatalf("slot %d: VOQLen(%d,%d) dense %d, ranked %d", slot, in, out, d, k)
+						}
+						if d, k := dense.HOLTime(in, out), ranked.HOLTime(in, out); d != k {
+							t.Fatalf("slot %d: HOLTime(%d,%d) dense %d, ranked %d", slot, in, out, d, k)
+						}
+						if d, k := dense.HOLDataRef(in, out), ranked.HOLDataRef(in, out); d != k {
+							t.Fatalf("slot %d: HOLDataRef(%d,%d) dense %d, ranked %d", slot, in, out, d, k)
+						}
+					}
+				}
+				if !slices.Equal(dense.minHOL, ranked.minHOL) || !slices.Equal(dense.minMask, ranked.minMask) {
+					t.Fatalf("slot %d: oldest-stamp caches differ between dense and ranked rows", slot)
+				}
+				grown = grown || len(ranked.rows[0]) > rankedRowCap
+			}
+			for slot := int64(0); slot < 300 || ranked.BufferedAddressCells() > 0; slot++ {
+				if slot == 2000 {
+					t.Fatalf("%d address cells still buffered after 1700 slots without arrivals", ranked.BufferedAddressCells())
+				}
+				for in := 0; in < n && slot < 300; in++ {
+					d := destset.New(n)
+					switch {
+					case in == 0 && slot == 10:
+						destset.FillPorts(d.Words(), n)
+					case r.Bool(0.4): // about two copies a packet: load 0.8
+						d.RandomKSubset(r, 1+r.Intn(3))
+					default:
+						continue
+					}
+					id++
+					p := &cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d}
+					dense.Arrive(p)
+					ranked.Arrive(p)
+				}
+				gotDense, gotRanked = gotDense[:0], gotRanked[:0]
+				dense.Step(slot, func(d cell.Delivery) { gotDense = append(gotDense, d) })
+				ranked.Step(slot, func(d cell.Delivery) { gotRanked = append(gotRanked, d) })
+				compare(slot)
+			}
+			if n > rankedRowCap && !grown {
+				t.Fatalf("input 0's ranked row never outgrew %d records", rankedRowCap)
+			}
+			for in, row := range ranked.rows {
+				if len(row) != 0 {
+					t.Fatalf("drained input %d still holds %d VOQ records", in, len(row))
+				}
 			}
 		})
 	}
@@ -169,14 +284,16 @@ func TestArenaIsPointerFree(t *testing.T) {
 	}
 }
 
-// TestNewSwitchFootprint keeps a switch's O(N²) state to its VOQ table:
-// NewSwitch makes the same number of allocations at every size, and
-// everything beside the table is at most rowBytes per (input, bitmap
-// word) plus a constant. Per-input grant lists of capacity N, which
-// the transfer once reserved, are 512 bytes per (input, word).
+// TestNewSwitchFootprint keeps a switch's O(N²) state to the dense VOQ
+// table of N <= denseMaxPorts: NewSwitch makes the same number of
+// allocations at every size, and everything beside the VOQ rows is at
+// most rowBytes per (input, bitmap word) plus a constant. Above
+// denseMaxPorts the rows are ranked and start at rankedRowCap records
+// each, so nothing is O(N²) there. Per-input grant lists of capacity
+// N, which the transfer once reserved, are 512 bytes per (input, word).
 func TestNewSwitchFootprint(t *testing.T) {
 	const rowBytes, constBytes, windows = 96, 4096, 5
-	// One P and no collection while measuring: a cycle the 8 MiB table
+	// One P and no collection while measuring: a cycle a large switch
 	// starts would count the runtime's own allocations.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -201,15 +318,19 @@ func TestNewSwitchFootprint(t *testing.T) {
 	want, _ := cost(1)
 	for _, n := range []int{64, 1024} {
 		allocs, bytes := cost(n)
-		table := uint64(n*n) * uint64(unsafe.Sizeof(voq{}))
-		limit := table + uint64(rowBytes*n*destset.WordsPerRow(n)+constBytes)
-		t.Logf("n=%d: %d allocations, %d bytes (VOQ table %d, limit %d)", n, allocs, bytes, table, limit)
+		recs := n * n // dense rows
+		if n > denseMaxPorts {
+			recs = n * rankedRowCap
+		}
+		rows := uint64(recs) * uint64(unsafe.Sizeof(voq{}))
+		limit := rows + uint64(rowBytes*n*destset.WordsPerRow(n)+constBytes)
+		t.Logf("n=%d: %d allocations, %d bytes (VOQ rows %d, limit %d)", n, allocs, bytes, rows, limit)
 		if allocs != want {
 			t.Errorf("n=%d: NewSwitch made %d allocations, %d at n=1", n, allocs, want)
 		}
 		if bytes > limit {
-			t.Errorf("n=%d: NewSwitch allocated %d bytes, over the VOQ table's %d plus %d per (input, word) and %d",
-				n, bytes, table, rowBytes, constBytes)
+			t.Errorf("n=%d: NewSwitch allocated %d bytes, over the VOQ rows' %d plus %d per (input, word) and %d",
+				n, bytes, rows, rowBytes, constBytes)
 		}
 	}
 }

@@ -311,7 +311,7 @@ func TestCachedHOLStateCoherent(t *testing.T) {
 							slot, in, out, ts, outBit, inBit)
 					}
 				} else {
-					if head := s.arena.front(in*n + out).ts; ts != head || !inBit || !outBit {
+					if head := s.front(s.queue(in, out)).ts; ts != head || !inBit || !outBit {
 						t.Fatalf("slot %d (%d,%d): HOL ts %d cached as ts=%d occIn=%v occOut=%v",
 							slot, in, out, head, ts, outBit, inBit)
 					}
@@ -325,7 +325,7 @@ func TestCachedHOLStateCoherent(t *testing.T) {
 				if s.VOQLen(in, out) == 0 {
 					continue
 				}
-				switch ts := s.arena.front(in*n + out).ts; {
+				switch ts := s.front(s.queue(in, out)).ts; {
 				case ts < wantMin:
 					wantMin = ts
 					clear(wantMask)

@@ -49,7 +49,7 @@ func (s *Switch) ForEachBuffered(fn func(in, out int, p *cell.Packet)) {
 	a := &s.arena
 	for in := 0; in < s.n; in++ {
 		for out := 0; out < s.n; out++ {
-			a.each(in*s.n+out, func(c acell) { fn(in, out, a.dPkt[c.data]) })
+			a.each(in, out, func(c acell) { fn(in, out, a.dPkt[c.data]) })
 		}
 	}
 }
@@ -102,7 +102,7 @@ func (s *Switch) savePort(w *snap.Writer, in int) {
 	var packets []*cell.Packet
 	var counters []int
 	for out := 0; out < s.n; out++ {
-		a.each(in*s.n+out, func(c acell) {
+		a.each(in, out, func(c acell) {
 			p := a.dPkt[c.data]
 			if _, ok := index[p]; !ok {
 				index[p] = len(packets)
@@ -120,7 +120,7 @@ func (s *Switch) savePort(w *snap.Writer, in int) {
 	}
 	for out := 0; out < s.n; out++ {
 		w.Count(s.VOQLen(in, out))
-		a.each(in*s.n+out, func(c acell) { w.Int(index[a.dPkt[c.data]]) })
+		a.each(in, out, func(c acell) { w.Int(index[a.dPkt[c.data]]) })
 	}
 }
 

@@ -97,8 +97,8 @@ func (w *Window[T]) grow() {
 // MaxSpan bounds the live-ID span — highest live ID minus lowest — that
 // a snapshot may restore into one window. Two live IDs share a slot only
 // while the table is no longer than their distance, so a span below
-// MaxSpan keeps the table at most MaxSpan entries (192 MiB at the delay
-// tracker's 48-byte entry) now and for as long as the span lasts; an
+// MaxSpan keeps the table at most MaxSpan entries (160 MiB at the delay
+// tracker's 40-byte entry) now and for as long as the span lasts; an
 // unchecked span is unbounded: live IDs 1 and 1<<44 drive the table to
 // 2^45 entries as soon as ID 1<<44+1 is issued. A run reaches 2^22 only
 // by keeping one packet in flight while four million younger ones are

@@ -63,10 +63,13 @@ type DelayTracker struct {
 	sampleEvery uint64
 }
 
+// packetState is one in-flight packet of the delay tracker. A fanout
+// is at most the switch size, so int32 counters keep the window entry
+// at 40 bytes.
 type packetState struct {
 	arrival  int64
-	fanout   int
-	remain   int
+	fanout   int32
+	remain   int32
 	maxDelay int64
 }
 
@@ -150,7 +153,7 @@ func (t *DelayTracker) Arrive(p *cell.Packet) {
 	if dup {
 		panic(fmt.Sprintf("stats: duplicate arrival of packet %d", p.ID))
 	}
-	fanout := p.Fanout()
+	fanout := int32(p.Fanout())
 	*st = packetState{arrival: p.Arrival, fanout: fanout, remain: fanout}
 }
 
@@ -235,7 +238,7 @@ func (t *DelayTracker) Drop(id cell.PacketID, copies int) {
 	if st == nil {
 		return
 	}
-	st.remain -= copies
+	st.remain -= int32(copies)
 	if st.remain < 0 {
 		panic(fmt.Sprintf("stats: packet %d over-dropped", id))
 	}

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+
 	"voqsim/internal/cell"
 	"voqsim/internal/idwin"
 	"voqsim/internal/snap"
@@ -99,8 +101,8 @@ func (t *DelayTracker) SaveState(sw *snap.Writer) {
 	t.outstanding.Ascending(func(id cell.PacketID, st *packetState) {
 		sw.I64(int64(id))
 		sw.I64(st.arrival)
-		sw.Int(st.fanout)
-		sw.Int(st.remain)
+		sw.Int(int(st.fanout))
+		sw.Int(int(st.remain))
 		sw.I64(st.maxDelay)
 	})
 	sw.I64(t.delivered)
@@ -140,21 +142,20 @@ func (t *DelayTracker) LoadState(r *snap.Reader) error {
 	var span idwin.Span
 	for i := 0; i < nPkts; i++ {
 		id := cell.PacketID(r.I64())
-		st := packetState{
-			arrival:  r.I64(),
-			fanout:   r.Int(),
-			remain:   r.Int(),
-			maxDelay: r.I64(),
-		}
+		arrival, fanout, remain, maxDelay := r.I64(), r.Int(), r.Int(), r.I64()
 		if r.Err() != nil {
 			return r.Err()
 		}
 		// fanout == 0 marks a packet tainted by Drop (a copy was
 		// discarded in transit); its remain no longer relates to fanout.
-		if st.remain < 1 || (st.fanout != 0 && st.fanout < st.remain) || st.arrival < 0 || st.maxDelay < 0 {
-			r.Failf("outstanding packet %d has impossible state %+v", id, st)
+		// Both counters are int32 in the window.
+		if remain < 1 || remain > math.MaxInt32 || fanout < 0 || fanout > math.MaxInt32 ||
+			(fanout != 0 && fanout < remain) || arrival < 0 || maxDelay < 0 {
+			r.Failf("outstanding packet %d has impossible state {arrival:%d fanout:%d remain:%d maxDelay:%d}",
+				id, arrival, fanout, remain, maxDelay)
 			return r.Err()
 		}
+		st := packetState{arrival: arrival, fanout: int32(fanout), remain: int32(remain), maxDelay: maxDelay}
 		if st.arrival >= r.NextSlot() {
 			// Deliver panics on a copy delay < 1, so an outstanding
 			// arrival at or past the resume slot is an input error.

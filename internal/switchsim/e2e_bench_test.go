@@ -69,12 +69,14 @@ func warmSlotsFor(n int) int64 {
 
 const warmSlots = 2000
 
-// slotBenchSizes are the sizes both BenchmarkSlot and BENCH_e2e.json
-// quote; 256 and 1024 exercise the multi-word chunked kernels.
-var slotBenchSizes = []int{16, 64, 128, 256, 1024}
+// slotBenchSizes are the sizes BenchmarkSlot runs, BENCH_e2e.json
+// quotes all but 512; 256 and 1024 exercise the multi-word chunked
+// kernels, and 256 and 512 sit either side of the core's switch from
+// dense to ranked VOQ rows.
+var slotBenchSizes = []int{16, 64, 128, 256, 512, 1024}
 
 // BenchmarkSlot is the end-to-end steady-state slot cost at N ∈
-// {16, 64, 128, 256, 1024} under uniform maxFanout-4 traffic at load
+// {16, 64, 128, 256, 512, 1024} under uniform maxFanout-4 traffic at load
 // 0.9, in the bit-exact default and under fast/ in the
 // relaxed-identity fast mode.
 func BenchmarkSlot(b *testing.B) {
