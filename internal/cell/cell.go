@@ -94,12 +94,17 @@ type AddressCell struct {
 
 // Delivery reports that one copy of a packet crossed the fabric: the
 // cell of packet ID was delivered from input In to output Out in slot
-// Slot. Last marks the delivery that exhausted the data cell's fanout
-// (in shared-cell mode, the packet's). Arrival carries the packet's
-// arrival slot so per-copy consumers need no side table; the core
-// switch always populates it, simpler reference models may leave it
-// zero (stats.DelayTracker relies on it only in sampled fast mode,
-// which only the core engine drives).
+// Slot. Arrival carries the packet's arrival slot and Fanout its
+// destination count, so per-copy consumers need no side table.
+//
+// Last marks the delivery that exhausted the data cell's fanout; in
+// shared-cell mode that is the packet's final copy, in copied mode
+// every copy. Done marks packet completion: it is set on the one copy
+// after which no destination of the packet is still owed, the moment
+// the paper's fanoutCounter reaches zero (Section II), by every
+// architecture. A multi-stage fabric never sets it on a packet that
+// lost a copy to a drop. Copies leave in slot order, so the Done copy
+// carries the packet's input-oriented delay (Section V).
 type Delivery struct {
 	ID      PacketID
 	In      int
@@ -107,9 +112,10 @@ type Delivery struct {
 	Slot    int64
 	Arrival int64
 	Last    bool
+	Done    bool
+	Fanout  int32
 }
 
-// CopyDelay returns the per-copy delay of the delivery given the
-// packet's arrival slot, under the convention that a cell delivered in
-// its arrival slot has delay 1.
-func (d Delivery) CopyDelay(arrival int64) int64 { return d.Slot - arrival + 1 }
+// CopyDelay returns the per-copy delay of the delivery, under the
+// convention that a cell delivered in its arrival slot has delay 1.
+func (d Delivery) CopyDelay() int64 { return d.Slot - d.Arrival + 1 }

@@ -3,6 +3,7 @@ package cell
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"voqsim/internal/destset"
 )
@@ -47,11 +48,10 @@ func TestDataCellServed(t *testing.T) {
 }
 
 func TestCopyDelayConvention(t *testing.T) {
-	d := Delivery{Slot: 10}
-	if got := d.CopyDelay(10); got != 1 {
+	if got := (Delivery{Slot: 10, Arrival: 10}).CopyDelay(); got != 1 {
 		t.Fatalf("same-slot delay = %d, want 1", got)
 	}
-	if got := d.CopyDelay(7); got != 4 {
+	if got := (Delivery{Slot: 10, Arrival: 7}).CopyDelay(); got != 4 {
 		t.Fatalf("delay = %d, want 4", got)
 	}
 }
@@ -66,5 +66,13 @@ func TestAddressCellSharesData(t *testing.T) {
 	}
 	if a0.TimeStamp != a5.TimeStamp {
 		t.Fatal("siblings must share the time stamp")
+	}
+}
+
+// TestDeliverySize pins the delivery record at 48 bytes: Done and
+// Fanout sit in the padding after Last.
+func TestDeliverySize(t *testing.T) {
+	if got := unsafe.Sizeof(Delivery{}); got != 48 {
+		t.Fatalf("Delivery is %d bytes, want 48", got)
 	}
 }

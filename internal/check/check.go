@@ -16,7 +16,9 @@
 //	I2 input discipline      — per-slot input grants obey the queue mode
 //	I3 delivery validity     — deliveries name real, owed (in,out,pkt)
 //	I4 FIFO order            — per-queue FIFO and timestamp monotonicity
-//	I5 fanout accounting     — Last ⇔ final copy of the packet
+//	I5 fanout accounting     — Last ⇔ final copy of the data cell;
+//	                           Done ⇔ final copy of the packet, never
+//	                           on a fabric packet that lost a copy
 //	I6 conservation          — offered = delivered + buffered, counters
 //	                           agree with the shadow model
 //	I7 event consistency     — obs events ↔ arrivals/deliveries 1:1
@@ -159,7 +161,8 @@ const (
 type lastRule uint8
 
 const (
-	// lastUnknown skips I5 (architecture's Last semantics not modelled).
+	// lastUnknown skips I5's Last half (the architecture's Last
+	// semantics are not modelled); its Done half holds in every profile.
 	lastUnknown lastRule = iota
 	// lastPacket: Last is set exactly on the final copy of the packet.
 	lastPacket
@@ -233,7 +236,9 @@ func detect(sw Switch) profile {
 type pktState struct {
 	input     int
 	arrival   int64
+	fanout    int          // 0 when primed from a restored switch: unknown
 	remaining *destset.Set // destinations not yet delivered
+	tainted   bool         // a fabric dropped one of its copies
 }
 
 // shadowCell mirrors one address cell in a shadow VOQ.
@@ -286,10 +291,6 @@ type Checker struct {
 	deliveries []cell.Delivery
 
 	sizes []int // scratch for QueueSizes
-
-	// outerDrop chains the engine's drop hook behind the checker's own
-	// (the fabric has a single hook slot; the checker interposes).
-	outerDrop func(fabric.Drop)
 
 	// Fabric counter baselines: a restored fabric resumes with non-zero
 	// delivery/drop counters the checker never witnessed, so the F1
@@ -408,7 +409,7 @@ func (c *Checker) Arrive(p *cell.Packet) {
 		c.violatef(slot, "I3", "duplicate arrival of packet %d", p.ID)
 	}
 	fanout := p.Fanout()
-	st := &pktState{input: p.Input, arrival: p.Arrival, remaining: p.Dests.Clone()}
+	st := &pktState{input: p.Input, arrival: p.Arrival, fanout: fanout, remaining: p.Dests.Clone()}
 	c.pkts[p.ID] = st
 	c.offeredPackets++
 	c.offeredCopies += int64(fanout)
@@ -479,6 +480,14 @@ func (c *Checker) checkDelivery(slot int64, d cell.Delivery) {
 	if st.input != d.In {
 		c.violatef(slot, "I3", "packet %d arrived at input %d, delivered from %d",
 			d.ID, st.input, d.In)
+	}
+	if st.arrival != d.Arrival {
+		c.violatef(slot, "I3", "packet %d arrived in slot %d, its copy carries %d",
+			d.ID, st.arrival, d.Arrival)
+	}
+	if st.fanout != 0 && int(d.Fanout) != st.fanout {
+		c.violatef(slot, "I3", "packet %d has fanout %d, its copy carries %d",
+			d.ID, st.fanout, d.Fanout)
 	}
 
 	// I2: input-side discipline for this queue mode.
@@ -552,6 +561,19 @@ func (c *Checker) checkDelivery(slot int64, d cell.Delivery) {
 			c.violatef(slot, "I5", "copied-mode delivery of packet %d without Last", d.ID)
 		}
 	}
+	// I5, in every profile: Done marks the copy that leaves the packet
+	// nothing owed (the paper's fanoutCounter reaching zero), and never
+	// a fabric packet that lost a copy. A restored fabric packet may
+	// have lost one before the checkpoint, so its final copy may lack
+	// Done.
+	switch {
+	case d.Done && !final:
+		c.violatef(slot, "I5", "packet %d Done with %d copies outstanding", d.ID, st.remaining.Count())
+	case d.Done && st.tainted:
+		c.violatef(slot, "I5", "packet %d Done after losing a copy", d.ID)
+	case final && !d.Done && !st.tainted && !(st.fanout == 0 && c.prof.fab != nil):
+		c.violatef(slot, "I5", "packet %d final copy without Done", d.ID)
+	}
 
 	if final {
 		c.completedPackets++
@@ -566,13 +588,6 @@ func (c *Checker) checkDelivery(slot int64, d cell.Delivery) {
 		delete(c.pkts, d.ID)
 	}
 }
-
-// SetDropHook implements the engine's DropReporter surface for checked
-// fabrics: the checker keeps its own interposed hook on the fabric (it
-// must retire dropped copies from the shadow model) and chains fn
-// behind it. For non-fabric profiles fn never fires, exactly as the
-// bare switch would behave.
-func (c *Checker) SetDropHook(fn func(fabric.Drop)) { c.outerDrop = fn }
 
 // FabricStats implements the engine's FabricReporter surface by
 // forwarding to the wrapped fabric; nil for non-fabric profiles.
@@ -602,6 +617,7 @@ func (c *Checker) handleDrop(d fabric.Drop) {
 			st.remaining.Remove(leaf)
 			dropped++
 		})
+		st.tainted = true
 		c.outstanding -= dropped
 		c.droppedCopies += dropped
 		if st.input >= 0 && st.input < c.n {
@@ -616,9 +632,6 @@ func (c *Checker) handleDrop(d fabric.Drop) {
 			}
 			delete(c.pkts, d.ID)
 		}
-	}
-	if c.outerDrop != nil {
-		c.outerDrop(d)
 	}
 }
 

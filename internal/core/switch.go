@@ -545,6 +545,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			in := uw<<6 + bits.TrailingZeros64(ins)
 			port := &s.ports[in]
 			dataRef := int32(-1)
+			fanout := int32(0) // the packet's; one packet per input per slot
 			row := s.grantW[in*w : in*w+w]
 			for gw, outs := range row {
 				row[gw] = 0
@@ -570,18 +571,22 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 						dataRef = c.data
 					}
 					// In ModeShared the data cell is exhausted exactly when the
-					// packet's last copy leaves; in ModeCopied each copy has a
-					// private fanout-1 data cell, so Last is per-cell, packet
-					// completion is tracked by the statistics layer, and the
-					// owner entry knows when the packet itself is done.
+					// packet's last copy leaves, so Done is Last; in ModeCopied
+					// each copy has a private fanout-1 data cell, so Last is
+					// per-cell and the owner entry says when the packet is done.
 					a.dFan[c.data]--
 					last := a.dFan[c.data] == 0
 					pkt := a.dPkt[c.data]
+					done := last && (s.mode == ModeShared || a.departCopy(a.dOwn[c.data]))
 					if last {
 						port.dataCells--
 						s.totalData--
 					}
-					deliver(cell.Delivery{ID: pkt.ID, In: in, Out: out, Slot: slot, Arrival: pkt.Arrival, Last: last})
+					if fanout == 0 {
+						fanout = int32(pkt.Fanout())
+					}
+					deliver(cell.Delivery{ID: pkt.ID, In: in, Out: out, Slot: slot, Arrival: pkt.Arrival,
+						Last: last, Done: done, Fanout: fanout})
 					if s.obs != nil {
 						s.observeDeparture(slot, in, out, c.ts, pkt.ID, last)
 					}
@@ -594,9 +599,9 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 					// owed copy in ModeCopied.
 					if last {
 						a.freeData(c.data)
-						if (s.mode == ModeShared || a.departCopy(a.dOwn[c.data])) && s.release != nil {
-							s.release(pkt)
-						}
+					}
+					if done && s.release != nil {
+						s.release(pkt)
 					}
 				}
 			}

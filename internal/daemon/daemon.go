@@ -548,11 +548,12 @@ func (d *Daemon) runSlot() {
 
 // dispatch is the slot loop's delivery callback: it encodes one
 // egress frame per delivered copy and queues it for the sender,
-// dropping (counted) when the egress queue is full.
+// dropping (counted) when the egress queue is full. The packet's
+// in-flight entry goes with its Done copy, the last one it sends.
 func (d *Daemon) dispatch(dv cell.Delivery) {
 	meta, ok := d.inflight[dv.ID]
 	if ok {
-		buf := AppendDelivery(d.takeBuf(), dv.In, dv.Out, meta.seq, dv.Arrival, dv.Slot, dv.Last, meta.payload)
+		buf := AppendDelivery(d.takeBuf(), dv.In, dv.Out, meta.seq, dv.Arrival, dv.Slot, dv.Done, meta.payload)
 		select {
 		case d.egressCh <- outFrame{out: dv.Out, buf: buf}:
 			d.egressFrames++
@@ -560,7 +561,7 @@ func (d *Daemon) dispatch(dv cell.Delivery) {
 			d.egressDrops++
 			d.putBuf(buf)
 		}
-		if dv.Last {
+		if dv.Done {
 			delete(d.inflight, dv.ID)
 		}
 	}

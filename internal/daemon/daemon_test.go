@@ -110,7 +110,7 @@ func drain(t *testing.T, d *daemon.Daemon) {
 // batch simulator with the same algorithm and seed — under the full
 // invariant checker — and require the delivery streams to agree frame
 // for frame: same copies, same outputs, same arrival and delivery
-// slots, same Last marks, valid payloads.
+// slots, same completion flags, valid payloads.
 func TestLoopbackMirrorsSimulator(t *testing.T) {
 	const n, modelSlots, seed = 4, 300, 11
 	d := startDaemon(t, daemon.Config{
@@ -225,9 +225,9 @@ func TestLoopbackMirrorsSimulator(t *testing.T) {
 			t.Errorf("daemon never delivered copy (src=%d, seq=%d, out=%d)", dv.In, seq, dv.Out)
 			return
 		}
-		if got != (obsVal{dv.Arrival, dv.Slot, dv.Last}) {
+		if got != (obsVal{dv.Arrival, dv.Slot, dv.Done}) {
 			t.Errorf("copy (src=%d, seq=%d, out=%d): daemon %+v, mirror (%d,%d,%v)",
-				dv.In, seq, dv.Out, got, dv.Arrival, dv.Slot, dv.Last)
+				dv.In, seq, dv.Out, got, dv.Arrival, dv.Slot, dv.Done)
 		}
 		mirrored++
 	})

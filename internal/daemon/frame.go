@@ -41,8 +41,9 @@ const (
 	// whole datagram under a conservative MTU.
 	MaxPayload = 1400
 
-	// deliveryLast is the flags bit marking the copy that exhausted
-	// the packet's fanout (cell.Delivery.Last).
+	// deliveryLast is the flags bit marking the packet's final copy,
+	// after which no destination is owed (cell.Delivery.Done), under
+	// every algorithm.
 	deliveryLast = 0x01
 )
 

@@ -330,13 +330,12 @@ func (s *Switch) mcWants(in, out int) bool {
 // packet.
 func (s *Switch) acceptMulticast(slot int64, iter, in, out int, deliver func(cell.Delivery)) {
 	e := s.mc.Front(in)
-	e.Remaining.Remove(out)
-	last := e.Remaining.Empty()
 	s.freeOut[out>>6] &^= 1 << uint(out&63)
-	deliver(cell.Delivery{ID: e.P.ID, In: in, Out: out, Slot: slot, Arrival: e.P.Arrival, Last: last})
+	d := e.Serve(out, slot)
+	deliver(d)
 	s.served[in]++
 	if s.obs != nil {
-		s.observeDelivery(slot, iter, in, out, e.P, last)
+		s.observeDelivery(slot, iter, in, out, e.P, d.Last)
 	}
 }
 
@@ -349,7 +348,7 @@ func (s *Switch) acceptUnicast(slot int64, iter, in, out int, deliver func(cell.
 	}
 	s.payloads[in]--
 	s.freeOut[out>>6] &^= 1 << uint(out&63)
-	deliver(cell.Delivery{ID: p.ID, In: in, Out: out, Slot: slot, Arrival: p.Arrival, Last: true})
+	deliver(cell.Delivery{ID: p.ID, In: in, Out: out, Slot: slot, Arrival: p.Arrival, Last: true, Done: true, Fanout: 1})
 	if s.obs != nil {
 		s.observeDelivery(slot, iter, in, out, p, true)
 	}

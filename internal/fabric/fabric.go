@@ -77,22 +77,21 @@ type Drop struct {
 
 // ctxInfo is the fabric's per-(node, local packet) copy context: which
 // fabric packet the local packet carries, the exact leaf subset it is
-// responsible for, and how many links it crossed to get here. remain
-// counts the node-local output copies not yet delivered — the fabric's
-// own completion tracking, because Delivery.Last is per data cell and
-// a ModeCopied architecture marks every fanout-1 copy as last.
+// responsible for, and how many links it crossed to get here. It is
+// released on the node's Done delivery of the local packet.
 type ctxInfo struct {
 	fab    cell.PacketID
 	leaves int32 // leaf-slab row
 	hops   int32
-	remain int32
 }
 
 // liveInfo is the fabric-level record of one admitted packet.
 type liveInfo struct {
 	input   int32
+	fanout  int32 // leaves the packet was admitted for
 	arrival int64
 	remain  int32 // leaf copies not yet delivered or dropped
+	tainted bool  // a copy was dropped: the packet never completes
 }
 
 // linkEntry is one buffered copy on an inter-stage link.
@@ -311,7 +310,7 @@ func (f *Fabric) Arrive(p *cell.Packet) {
 	if dup {
 		panic(fmt.Sprintf("fabric: duplicate arrival of packet %d", p.ID))
 	}
-	*lv = liveInfo{input: int32(p.Input), arrival: p.Arrival, remain: int32(fanout)}
+	*lv = liveInfo{input: int32(p.Input), fanout: int32(fanout), arrival: p.Arrival, remain: int32(fanout)}
 	f.admitted++
 	f.admittedCopies += int64(fanout)
 	if f.obs.TraceOn() {
@@ -341,7 +340,7 @@ func (f *Fabric) admitLocal(ni int, fabID cell.PacketID, leaves int32, hops int3
 	if dup {
 		panic(fmt.Sprintf("fabric: node %d local packet id %d reused", ni, id))
 	}
-	*ctx = ctxInfo{fab: fabID, leaves: leaves, hops: hops, remain: int32(local.Dests.Count())}
+	*ctx = ctxInfo{fab: fabID, leaves: leaves, hops: hops}
 	f.nodes[ni].Arrive(local)
 }
 
@@ -421,8 +420,8 @@ func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
 			})
 		}
 		fd := cell.Delivery{
-			ID: ctx.fab, In: int(lv.input), Out: leaf,
-			Slot: f.slot, Arrival: lv.arrival, Last: last,
+			ID: ctx.fab, In: int(lv.input), Out: leaf, Slot: f.slot, Arrival: lv.arrival,
+			Last: last, Done: last && !lv.tainted, Fanout: lv.fanout,
 		}
 		if last {
 			f.live.Release(ctx.fab)
@@ -446,8 +445,7 @@ func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
 	default:
 		panic(fmt.Sprintf("fabric: node %d delivered out unwired port %d", ni, d.Out))
 	}
-	ctx.remain--
-	if ctx.remain == 0 {
+	if d.Done {
 		f.putRow(ctx.leaves)
 		f.ctxs[ni].Release(d.ID)
 	}
@@ -471,6 +469,7 @@ func (f *Fabric) dropCopy(ctx *ctxInfo, sub int32) {
 	if lv.remain < 0 {
 		panic(fmt.Sprintf("fabric: packet %d over-dropped", ctx.fab))
 	}
+	lv.tainted = true
 	if f.obs.TraceOn() {
 		in, arr := lv.input, lv.arrival
 		eachBit(f.row(sub), func(leaf int) {

@@ -33,8 +33,10 @@ func (f *Fabric) SaveState(w *snap.Writer) {
 	f.live.Ascending(func(id cell.PacketID, v *liveInfo) {
 		w.I64(int64(id))
 		w.Int(int(v.input))
+		w.Int(int(v.fanout))
 		w.I64(v.arrival)
 		w.Int(int(v.remain))
+		w.Bool(v.tainted)
 	})
 
 	for ni := range f.nodes {
@@ -44,7 +46,6 @@ func (f *Fabric) SaveState(w *snap.Writer) {
 			w.I64(int64(id))
 			w.I64(int64(v.fab))
 			w.Int(int(v.hops))
-			w.Int(int(v.remain))
 			snap.WriteDests(w, f.viewRow(v.leaves))
 		})
 	}
@@ -121,22 +122,25 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 		return err
 	}
 
-	// 8(id) + 8(input) + 8(arrival) + 8(remain) bytes per live entry.
-	nLive := r.Count(8 * 4)
+	// 8(id) + 8(input) + 8(fanout) + 8(arrival) + 8(remain) + 1(tainted)
+	// bytes per live entry.
+	nLive := r.Count(8*5 + 1)
 	f.live = idwin.Window[liveInfo]{}
 	var liveSpan idwin.Span
 	for i := 0; i < nLive; i++ {
 		id := cell.PacketID(r.I64())
 		input := r.Int()
+		fanout := r.Int()
 		arrival := r.I64()
 		remain := r.Int()
+		tainted := r.Bool()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if input < 0 || input >= f.top.Ingress() || remain < 1 || remain > f.top.Egress() ||
+		if input < 0 || input >= f.top.Ingress() || fanout > f.top.Egress() || remain < 1 || remain > fanout ||
 			arrival < 0 || arrival >= r.NextSlot() {
-			r.Failf("live packet %d has impossible state input=%d arrival=%d remain=%d",
-				id, input, arrival, remain)
+			r.Failf("live packet %d has impossible state input=%d fanout=%d arrival=%d remain=%d",
+				id, input, fanout, arrival, remain)
 			return r.Err()
 		}
 		if !liveSpan.Admit(id) {
@@ -148,7 +152,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 			r.Failf("live packet %d appears twice", id)
 			return r.Err()
 		}
-		*lv = liveInfo{input: int32(input), arrival: arrival, remain: int32(remain)}
+		*lv = liveInfo{input: int32(input), fanout: int32(fanout), arrival: arrival, remain: int32(remain), tainted: tainted}
 	}
 
 	for ni := range f.nodes {
@@ -156,15 +160,14 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 		if r.Err() == nil && f.nextLocal[ni] < 0 {
 			r.Failf("node %d local id counter %d negative", ni, f.nextLocal[ni])
 		}
-		// 8(local) + 8(fab) + 8(hops) + 8(remain) + 1(presence) + 4(member count).
-		nCtx := r.Count(37)
+		// 8(local) + 8(fab) + 8(hops) + 1(presence) + 4(member count).
+		nCtx := r.Count(29)
 		f.ctxs[ni] = idwin.Window[ctxInfo]{}
 		var ctxSpan idwin.Span
 		for i := 0; i < nCtx; i++ {
 			local := cell.PacketID(r.I64())
 			fab := cell.PacketID(r.I64())
 			hops := r.Int()
-			remain := r.Int()
 			leaves := snap.ReadDests(r, f.top.Egress())
 			if r.Err() != nil {
 				return r.Err()
@@ -181,10 +184,6 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 				r.Failf("node %d copy context hop depth %d outside [0,%d]", ni, hops, f.top.MaxHops())
 				return r.Err()
 			}
-			if remain < 1 || remain > f.top.NodePorts(ni) {
-				r.Failf("node %d copy context remaining copies %d outside [1,%d]", ni, remain, f.top.NodePorts(ni))
-				return r.Err()
-			}
 			if leaves == nil || leaves.Empty() {
 				r.Failf("node %d copy context for packet %d has no leaves", ni, fab)
 				return r.Err()
@@ -198,7 +197,7 @@ func (f *Fabric) LoadState(r *snap.Reader) error {
 				r.Failf("node %d local packet %d appears twice", ni, local)
 				return r.Err()
 			}
-			*ctx = ctxInfo{fab: fab, leaves: f.storeRow(leaves.Words()), hops: int32(hops), remain: int32(remain)}
+			*ctx = ctxInfo{fab: fab, leaves: f.storeRow(leaves.Words()), hops: int32(hops)}
 		}
 	}
 

@@ -208,7 +208,7 @@ func TestLoadStateBoundsIDSpan(t *testing.T) {
 	live := func(f *Fabric, ids ...cell.PacketID) {
 		for _, id := range ids {
 			lv, _ := f.live.Ensure(id)
-			*lv = liveInfo{remain: 1}
+			*lv = liveInfo{fanout: 1, remain: 1}
 		}
 	}
 	for _, tc := range []struct {
@@ -221,7 +221,7 @@ func TestLoadStateBoundsIDSpan(t *testing.T) {
 			f.nextLocal[0] = 1 << 44
 			for _, local := range []cell.PacketID{1, 1 << 44} {
 				ctx, _ := f.ctxs[0].Ensure(local)
-				*ctx = ctxInfo{fab: 1, leaves: f.storeRow(destset.FromMembers(f.top.Egress(), 0).Words()), remain: 1}
+				*ctx = ctxInfo{fab: 1, leaves: f.storeRow(destset.FromMembers(f.top.Egress(), 0).Words())}
 			}
 		}},
 	} {

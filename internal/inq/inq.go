@@ -24,6 +24,17 @@ type Entry struct {
 	Remaining *destset.Set
 }
 
+// Serve removes out from the entry's remaining destinations and
+// returns the delivery of that copy in slot. Last and Done both mark
+// the copy after which no destination is owed: the entry is the
+// packet's one data cell.
+func (e *Entry) Serve(out int, slot int64) cell.Delivery {
+	e.Remaining.Remove(out)
+	done := e.Remaining.Empty()
+	return cell.Delivery{ID: e.P.ID, In: e.P.Input, Out: out, Slot: slot, Arrival: e.P.Arrival,
+		Last: done, Done: done, Fanout: int32(e.P.Fanout())}
+}
+
 // entrySlab is how many entries an empty pool is refilled with.
 const entrySlab = 64
 

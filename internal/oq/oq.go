@@ -16,6 +16,7 @@ import (
 
 	"voqsim/internal/cell"
 	"voqsim/internal/fifoq"
+	"voqsim/internal/idwin"
 )
 
 // queuedCopy is one packet copy waiting in an output queue.
@@ -25,11 +26,21 @@ type queuedCopy struct {
 	arrival int64
 }
 
+// owed is the one per-packet counter of the output stage: the packet's
+// fanout and how many of its copies the output lines have sent. Copies
+// of one packet leave from different output queues in no fixed order,
+// so this is how the switch knows which copy completes the packet.
+type owed struct {
+	fanout int32
+	sent   int32
+}
+
 // Switch is the output-queued FIFO switch. It satisfies the
 // simulation engine's Switch interface.
 type Switch struct {
 	n      int
 	queues []fifoq.Queue[queuedCopy] // one FIFO per output
+	owed   idwin.Window[owed]        // packets with a copy not yet sent
 
 	// Packets that arrived since the last Step. The copies hold all
 	// the switch needs, so the packets go back to the release hook at
@@ -62,15 +73,22 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	if p.Dests.Count() == 0 {
 		panic("oq: arrival with empty destination set")
 	}
-	p.Dests.ForEach(func(out int) { s.Push(cell.Delivery{ID: p.ID, In: p.Input, Out: out, Arrival: p.Arrival}) })
+	fanout := int32(p.Fanout())
+	p.Dests.ForEach(func(out int) {
+		s.Push(cell.Delivery{ID: p.ID, In: p.Input, Out: out, Arrival: p.Arrival, Fanout: fanout})
+	})
 	if s.release != nil {
 		s.arrived = append(s.arrived, p)
 	}
 }
 
-// Push queues the copy d names at output d.Out; only its ID, input
-// and arrival are kept.
+// Push queues the copy d names at output d.Out; its ID, input and
+// arrival are kept, and the first copy of a packet records its fanout.
+// A CIOQ output stage pushes a packet's copies over several slots.
 func (s *Switch) Push(d cell.Delivery) {
+	if o, _ := s.owed.Ensure(d.ID); o.fanout == 0 {
+		o.fanout = d.Fanout
+	}
 	s.queues[d.Out].Push(queuedCopy{id: d.ID, in: d.In, arrival: d.Arrival})
 }
 
@@ -86,7 +104,14 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			continue
 		}
 		c := s.queues[out].Pop()
-		deliver(cell.Delivery{ID: c.id, In: c.in, Out: out, Slot: slot, Arrival: c.arrival})
+		o := s.owed.Lookup(c.id)
+		o.sent++
+		fanout, done := o.fanout, o.sent == o.fanout
+		if done {
+			s.owed.Release(c.id)
+		}
+		deliver(cell.Delivery{ID: c.id, In: c.in, Out: out, Slot: slot, Arrival: c.arrival,
+			Done: done, Fanout: fanout})
 	}
 	if s.release != nil {
 		for _, p := range s.arrived {

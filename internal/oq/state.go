@@ -2,13 +2,15 @@ package oq
 
 import (
 	"voqsim/internal/cell"
+	"voqsim/internal/idwin"
 	"voqsim/internal/snap"
 )
 
 // Checkpoint hooks. Serialized state: every output FIFO front to back,
-// one (packet ID, input, arrival) triple per copy. Packets awaiting
-// release are not state: the hook hands them back at the end of the
-// Step after their arrival, so none is held between slots.
+// one (packet ID, input, arrival) triple per copy, then the per-packet
+// counters in ascending ID order. Packets awaiting release are not
+// state: the hook hands them back at the end of the Step after their
+// arrival, so none is held between slots.
 
 // ForEachCopy calls fn for every queued copy, output by output, front
 // to back.
@@ -37,12 +39,19 @@ func (s *Switch) SaveState(w *snap.Writer) {
 			w.I64(c.arrival)
 		}
 	}
+	w.Count(s.owed.Len())
+	s.owed.Ascending(func(id cell.PacketID, o *owed) {
+		w.I64(int64(id))
+		w.Int(int(o.fanout))
+		w.Int(int(o.sent))
+	})
 	w.End()
 }
 
 // LoadState restores state written by SaveState into a fresh switch
-// of the same size. It refuses a copy from an input outside the
-// switch or with an arrival outside [0, resume slot).
+// of the same size. It refuses a copy from an input outside the switch
+// or with an arrival outside [0, resume slot), and a packet whose
+// counter is impossible or owes fewer copies than it queues.
 func (s *Switch) LoadState(r *snap.Reader) error {
 	if err := r.Section("oq"); err != nil {
 		return err
@@ -50,6 +59,7 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 	if n := r.Int(); r.Err() == nil && n != s.n {
 		r.Failf("snapshot is for a %d-port switch, this one has %d", n, s.n)
 	}
+	queued := make(map[cell.PacketID]int)
 	for out := range s.queues {
 		for i, k := 0, r.Count(24); i < k; i++ {
 			id := cell.PacketID(r.I64())
@@ -67,8 +77,36 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 			if r.Err() != nil {
 				return r.Err()
 			}
-			s.Push(cell.Delivery{ID: id, In: in, Out: out, Arrival: arrival})
+			s.queues[out].Push(queuedCopy{id: id, in: in, arrival: arrival})
+			queued[id]++
 		}
+	}
+	var span idwin.Span
+	for i, k := 0, r.Count(24); i < k; i++ {
+		id := cell.PacketID(r.I64())
+		fanout, sent := r.Int(), r.Int()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if fanout < 1 || fanout > s.n || sent < 0 || sent >= fanout || sent+queued[id] > fanout {
+			r.Failf("packet %d has fanout %d, %d copies sent and %d queued", id, fanout, sent, queued[id])
+			return r.Err()
+		}
+		if !span.Admit(id) {
+			r.Failf("packet %d widens the live ID span past %d", id, idwin.MaxSpan)
+			return r.Err()
+		}
+		o, dup := s.owed.Ensure(id)
+		if dup {
+			r.Failf("packet %d counted twice", id)
+			return r.Err()
+		}
+		*o = owed{fanout: int32(fanout), sent: int32(sent)}
+		delete(queued, id)
+	}
+	for id := range queued {
+		r.Failf("queued packet %d has no counter", id)
+		return r.Err()
 	}
 	return r.EndSection()
 }

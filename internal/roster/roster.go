@@ -64,6 +64,11 @@ const (
 	CheckerDifferential Battery = "checker-differential"
 	// CheckerClean: TestCleanRunAllArchitectures (internal/check).
 	CheckerClean Battery = "checker-clean"
+	// CheckerDoneMutants: TestDoneMutantsCaught (internal/check).
+	CheckerDoneMutants Battery = "checker-done-mutants"
+	// DaemonCompletion: TestEveryArchitectureCompletesOnTheWire
+	// (internal/daemon).
+	DaemonCompletion Battery = "daemon-completion"
 )
 
 // Batteries lists every battery, so an exemption or a For call that
@@ -73,7 +78,7 @@ var Batteries = []Battery{
 	FabricNode, FabricDifferential, FabricAllocs,
 	FabricResume, Resume, Recycling, RestoreFuzz, SnapshotGolden, SlotAllocs,
 	StableRun, BufferBytes, SaturationFairness,
-	CheckerDifferential, CheckerClean,
+	CheckerDifferential, CheckerClean, CheckerDoneMutants, DaemonCompletion,
 }
 
 // Exemption leaves one roster entry out of one battery.

@@ -45,7 +45,7 @@ import (
 
 // Version is the snapshot format version. Bump on any layout change,
 // in any section.
-const Version = 1
+const Version = 2
 
 // magic identifies a snapshot blob. Six bytes so the fixed header is
 // eight bytes with the version.

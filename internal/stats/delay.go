@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"voqsim/internal/cell"
-	"voqsim/internal/idwin"
 )
 
 // DelayTracker aggregates multicast transmission delay exactly as
@@ -38,11 +37,6 @@ type DelayTracker struct {
 	// output's series separates from the cold ones.
 	perOutput []Welford
 
-	// outstanding holds packets with undelivered copies. Completed
-	// packets are removed, so its size is bounded by the number of
-	// packets in flight, not the run length.
-	outstanding idwin.Window[packetState]
-
 	delivered int64 // copies counted (post-warmup packets only)
 	completed int64 // packets fully delivered
 
@@ -61,16 +55,6 @@ type DelayTracker struct {
 	// sampleEvery > 1 restricts delay statistics to every K-th packet
 	// ID (EnableSampling); 0 or 1 means every packet, the default.
 	sampleEvery uint64
-}
-
-// packetState is one in-flight packet of the delay tracker. A fanout
-// is at most the switch size, so int32 counters keep the window entry
-// at 40 bytes.
-type packetState struct {
-	arrival  int64
-	fanout   int32
-	remain   int32
-	maxDelay int64
 }
 
 // NewDelayTracker returns a tracker counting packets that arrive at or
@@ -107,11 +91,10 @@ func (t *DelayTracker) EnableDeferred(outputs int, every int64) {
 // (by ID — IDs are issued sequentially, so this is a 1-in-K systematic
 // sample of the arrival process, independent of queue state). Copy
 // counting stays exact: deliveries of unsampled packets are still
-// counted through Delivery.Arrival, so DeliveredCopies is unaffected;
-// Completed counts sampled packets only (the facade scales it back).
-// Requires EnableDeferred first and deliveries carrying their Arrival
-// slot, which only the core engine guarantees — this is a fast-mode
-// facility (DESIGN.md §12), never used on the bit-exact path.
+// counted, so DeliveredCopies is unaffected; Completed counts sampled
+// packets only (the facade scales it back). Requires EnableDeferred
+// first — this is a fast-mode facility (DESIGN.md §12), never used on
+// the bit-exact path.
 func (t *DelayTracker) EnableSampling(every int64) {
 	if t.dOut == nil {
 		panic("stats: EnableSampling without EnableDeferred")
@@ -140,162 +123,65 @@ func (t *DelayTracker) FlushDeferred() {
 	}
 }
 
-// Arrive registers a packet arrival. Packets arriving before the
-// measurement window are ignored (their deliveries will be too).
-func (t *DelayTracker) Arrive(p *cell.Packet) {
-	if p.Arrival < t.measureFrom {
-		return
-	}
-	if t.sampleEvery > 1 && uint64(p.ID)%t.sampleEvery != 0 {
-		return // unsampled in fast mode: no window entry at all
-	}
-	st, dup := t.outstanding.Ensure(p.ID)
-	if dup {
-		panic(fmt.Sprintf("stats: duplicate arrival of packet %d", p.ID))
-	}
-	fanout := int32(p.Fanout())
-	*st = packetState{arrival: p.Arrival, fanout: fanout, remain: fanout}
-}
+// Arrive does nothing: a delivery carries everything the tracker
+// reads (Arrival, Fanout, Done), so it keeps no per-packet state. It
+// stays because bench/traced.go still calls it.
+func (t *DelayTracker) Arrive(*cell.Packet) {}
 
-// Deliver registers the delivery of one copy. Deliveries of unknown
-// (pre-window) packets are ignored. Delivering more copies than the
-// packet's fanout panics, because it means a scheduler duplicated or
-// fabricated a copy.
+// Drop does nothing: a fabric never marks Done on a packet that lost a
+// copy, so the packet is left out of the input-oriented series without
+// the tracker's help. It stays because bench/traced.go still calls it.
+func (t *DelayTracker) Drop(cell.PacketID, int) {}
+
+// Deliver registers the delivery of one copy. Copies of packets that
+// arrived before the measurement window are ignored. The copy's delay
+// enters the per-copy series; on the packet's Done copy, which leaves
+// last, the same delay is the packet's input-oriented delay. A copy
+// delivered before its packet arrived panics.
 func (t *DelayTracker) Deliver(d cell.Delivery) {
-	if t.sampleEvery > 1 {
-		t.deliverSampled(d)
-		return
-	}
-	st := t.outstanding.Lookup(d.ID)
-	if st == nil {
-		return
-	}
-	delay := d.CopyDelay(st.arrival)
-	if delay < 1 {
-		panic(fmt.Sprintf("stats: packet %d delivered before arrival (delay %d)", d.ID, delay))
-	}
-	if t.dOut != nil {
-		t.dOut.Add(float64(delay))
-		t.dPerOutput[d.Out].Add(float64(delay))
-	} else {
-		t.outOriented.Add(float64(delay))
-		for len(t.perOutput) <= d.Out {
-			t.perOutput = append(t.perOutput, Welford{})
-		}
-		t.perOutput[d.Out].Add(float64(delay))
-	}
-	t.outHist.Observe(delay)
-	t.delivered++
-	if delay > st.maxDelay {
-		st.maxDelay = delay
-	}
-	st.remain--
-	if st.remain < 0 {
-		panic(fmt.Sprintf("stats: packet %d over-delivered", d.ID))
-	}
-	if st.remain == 0 {
-		if st.fanout == 0 {
-			// Tainted by Drop: some copy never arrived, so the packet
-			// has no input-oriented delay and does not complete.
-			t.outstanding.Release(d.ID)
-			return
-		}
-		if t.dIn != nil {
-			t.dIn.Add(float64(st.maxDelay))
-			if st.fanout == 1 {
-				t.dUni.Add(float64(st.maxDelay))
-			} else {
-				t.dMulti.Add(float64(st.maxDelay))
-			}
-		} else {
-			t.inOriented.Add(float64(st.maxDelay))
-			if st.fanout == 1 {
-				t.uniIn.Add(float64(st.maxDelay))
-			} else {
-				t.multiIn.Add(float64(st.maxDelay))
-			}
-		}
-		t.inHist.Observe(st.maxDelay)
-		t.completed++
-		t.outstanding.Release(d.ID)
-	}
-}
-
-// Drop records that `copies` copies of packet id were discarded in
-// transit (the multi-stage fabric's bounded inter-stage links). The
-// packet is tainted: its already-delivered copies stay in the per-copy
-// statistics, but it can never complete, so it contributes nothing to
-// the input-oriented series and is not counted in Completed. Once the
-// last owed copy is resolved — delivered or dropped — its window entry
-// is released, keeping the in-flight table bounded even on lossy runs.
-// Drops of unknown (pre-window, or unsampled in fast mode) packets are
-// ignored, mirroring Deliver.
-func (t *DelayTracker) Drop(id cell.PacketID, copies int) {
-	if copies <= 0 {
-		return
-	}
-	st := t.outstanding.Lookup(id)
-	if st == nil {
-		return
-	}
-	st.remain -= int32(copies)
-	if st.remain < 0 {
-		panic(fmt.Sprintf("stats: packet %d over-dropped", id))
-	}
-	st.fanout = 0 // taint: this packet never completes
-	if st.remain == 0 {
-		t.outstanding.Release(id)
-	}
-}
-
-// deliverSampled is the fast-mode Deliver (EnableSampling active):
-// the measurement-window filter and the copy count come straight from
-// the delivery's Arrival slot — exact, no table — and only every K-th
-// packet pays the statistics work plus a window entry. A sampled
-// packet's bookkeeping matches the exact path (remain counting, max
-// delay, completion split), just always through the deferred
-// accumulators.
-func (t *DelayTracker) deliverSampled(d cell.Delivery) {
 	if d.Arrival < t.measureFrom {
 		return
 	}
-	t.delivered++
-	if uint64(d.ID)%t.sampleEvery != 0 {
-		return
-	}
-	st := t.outstanding.Lookup(d.ID)
-	if st == nil {
-		return
-	}
-	delay := d.CopyDelay(st.arrival)
+	delay := d.CopyDelay()
 	if delay < 1 {
 		panic(fmt.Sprintf("stats: packet %d delivered before arrival (delay %d)", d.ID, delay))
 	}
-	t.dOut.Add(float64(delay))
-	t.dPerOutput[d.Out].Add(float64(delay))
+	t.delivered++
+	if t.sampleEvery > 1 && uint64(d.ID)%t.sampleEvery != 0 {
+		return // unsampled in fast mode: counted, not measured
+	}
+	x := float64(delay)
+	if t.dOut != nil {
+		t.dOut.Add(x)
+		t.dPerOutput[d.Out].Add(x)
+	} else {
+		t.outOriented.Add(x)
+		for len(t.perOutput) <= d.Out {
+			t.perOutput = append(t.perOutput, Welford{})
+		}
+		t.perOutput[d.Out].Add(x)
+	}
 	t.outHist.Observe(delay)
-	if delay > st.maxDelay {
-		st.maxDelay = delay
+	if !d.Done {
+		return
 	}
-	st.remain--
-	if st.remain < 0 {
-		panic(fmt.Sprintf("stats: packet %d over-delivered", d.ID))
-	}
-	if st.remain == 0 {
-		if st.fanout == 0 {
-			t.outstanding.Release(d.ID)
-			return
-		}
-		t.dIn.Add(float64(st.maxDelay))
-		if st.fanout == 1 {
-			t.dUni.Add(float64(st.maxDelay))
+	if t.dIn == nil {
+		t.inOriented.Add(x)
+		if d.Fanout == 1 {
+			t.uniIn.Add(x)
 		} else {
-			t.dMulti.Add(float64(st.maxDelay))
+			t.multiIn.Add(x)
 		}
-		t.inHist.Observe(st.maxDelay)
-		t.completed++
-		t.outstanding.Release(d.ID)
+	} else {
+		t.dIn.Add(x)
+		if d.Fanout == 1 {
+			t.dUni.Add(x)
+		} else {
+			t.dMulti.Add(x)
+		}
 	}
+	t.inHist.Observe(delay)
+	t.completed++
 }
 
 // InputOriented returns the accumulator of input-oriented delays of
@@ -337,10 +223,6 @@ func (t *DelayTracker) Completed() int64 { return t.completed }
 
 // DeliveredCopies returns the number of counted copy deliveries.
 func (t *DelayTracker) DeliveredCopies() int64 { return t.delivered }
-
-// InFlight returns the number of tracked packets not yet fully
-// delivered.
-func (t *DelayTracker) InFlight() int { return t.outstanding.Len() }
 
 // Occupancy samples per-port queue sizes once per measured slot and
 // tracks their running mean (over slots x ports, the paper's "average

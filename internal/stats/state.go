@@ -1,12 +1,6 @@
 package stats
 
-import (
-	"math"
-
-	"voqsim/internal/cell"
-	"voqsim/internal/idwin"
-	"voqsim/internal/snap"
-)
+import "voqsim/internal/snap"
 
 // Checkpoint hooks. Every collector serializes its complete internal
 // state so a restored run's statistics continue bit-identically —
@@ -82,9 +76,8 @@ func (h *Histogram) LoadState(r *snap.Reader) error {
 	return nil
 }
 
-// SaveState appends the tracker's complete state. The outstanding map
-// is written in ascending PacketID order so identical tracker states
-// always serialize to identical bytes.
+// SaveState appends the tracker's complete state: its accumulators
+// and counters. It keeps no per-packet state.
 func (t *DelayTracker) SaveState(sw *snap.Writer) {
 	sw.I64(t.measureFrom)
 	t.inOriented.SaveState(sw)
@@ -97,14 +90,6 @@ func (t *DelayTracker) SaveState(sw *snap.Writer) {
 	for i := range t.perOutput {
 		t.perOutput[i].SaveState(sw)
 	}
-	sw.Count(t.outstanding.Len())
-	t.outstanding.Ascending(func(id cell.PacketID, st *packetState) {
-		sw.I64(int64(id))
-		sw.I64(st.arrival)
-		sw.Int(int(st.fanout))
-		sw.Int(int(st.remain))
-		sw.I64(st.maxDelay)
-	})
 	sw.I64(t.delivered)
 	sw.I64(t.completed)
 }
@@ -136,42 +121,6 @@ func (t *DelayTracker) LoadState(r *snap.Reader) error {
 		if err := t.perOutput[i].LoadState(r); err != nil {
 			return err
 		}
-	}
-	nPkts := r.Count(8 * 5)
-	t.outstanding = idwin.Window[packetState]{}
-	var span idwin.Span
-	for i := 0; i < nPkts; i++ {
-		id := cell.PacketID(r.I64())
-		arrival, fanout, remain, maxDelay := r.I64(), r.Int(), r.Int(), r.I64()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		// fanout == 0 marks a packet tainted by Drop (a copy was
-		// discarded in transit); its remain no longer relates to fanout.
-		// Both counters are int32 in the window.
-		if remain < 1 || remain > math.MaxInt32 || fanout < 0 || fanout > math.MaxInt32 ||
-			(fanout != 0 && fanout < remain) || arrival < 0 || maxDelay < 0 {
-			r.Failf("outstanding packet %d has impossible state {arrival:%d fanout:%d remain:%d maxDelay:%d}",
-				id, arrival, fanout, remain, maxDelay)
-			return r.Err()
-		}
-		st := packetState{arrival: arrival, fanout: int32(fanout), remain: int32(remain), maxDelay: maxDelay}
-		if st.arrival >= r.NextSlot() {
-			// Deliver panics on a copy delay < 1, so an outstanding
-			// arrival at or past the resume slot is an input error.
-			r.Failf("outstanding packet %d arrival %d at or past resume slot %d", id, st.arrival, r.NextSlot())
-			return r.Err()
-		}
-		if !span.Admit(id) {
-			r.Failf("outstanding packet %d widens the live ID span past %d", id, idwin.MaxSpan)
-			return r.Err()
-		}
-		dst, dup := t.outstanding.Ensure(id)
-		if dup {
-			r.Failf("outstanding packet %d appears twice", id)
-			return r.Err()
-		}
-		*dst = st
 	}
 	t.delivered = r.I64()
 	t.completed = r.I64()

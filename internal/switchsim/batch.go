@@ -137,7 +137,6 @@ func (r *Runner) arrive(b *batch, k int, slot, warmup int64) {
 			r.offeredPackets++
 			r.offeredCopies += int64(p.Fanout())
 		}
-		r.tracker.Arrive(p) // tracker self-filters pre-warmup arrivals
 		r.sw.Arrive(p)
 	}
 }

@@ -127,13 +127,13 @@ func (l *LiveRunner) Step(slot int64, deliver func(cell.Delivery)) {
 }
 
 // handleDelivery is the persistent Step callback: per-copy accounting
-// using the Arrival stamp every architecture populates on Delivery.
+// from the Arrival stamp and Done flag every architecture sets.
 func (l *LiveRunner) handleDelivery(d cell.Delivery) {
 	l.delivered++
-	if d.Last {
+	if d.Done {
 		l.completed++
 	}
-	l.delay.Add(float64(d.Slot - d.Arrival + 1))
+	l.delay.Add(float64(d.CopyDelay()))
 	if l.userFn != nil {
 		l.userFn(d)
 	}

@@ -16,6 +16,7 @@ import (
 	"voqsim/internal/core"
 	"voqsim/internal/destset"
 	"voqsim/internal/experiment"
+	"voqsim/internal/fabric"
 	"voqsim/internal/oq"
 	"voqsim/internal/roster"
 	"voqsim/internal/snap"
@@ -247,8 +248,10 @@ func TestLoadStateRejectsOutputCopy(t *testing.T) {
 // snapshot, valid and with each of four board defects (tatraMutants);
 // with an oqfifo snapshot, valid and with a copy from an input, at an
 // output or with an arrival outside the switch or the run (oqMutants);
-// and with a cioq-s2 snapshot whose two stages both hold copies. The
-// blob's meta picks the algorithm when it names a roster entry; any
+// with a cioq-s2 snapshot whose two stages both hold copies; and with
+// fat-tree snapshots whose live-packet window, or node 0's copy-context
+// window, holds IDs 1 and 1<<44 (widenFabricWindow). The blob's meta
+// picks the algorithm when it names a roster entry or the fat tree; any
 // other blob is restored into fifoms.
 func FuzzRestore(f *testing.F) {
 	algos := roster.Names(roster.RestoreFuzz)
@@ -265,6 +268,13 @@ func FuzzRestore(f *testing.F) {
 		cfg := switchsim.Config{Slots: 300, Seed: goldenSeed, WarmupFrac: 0.25}
 		return switchsim.New(sw, resumePattern(), cfg, root.Split("traffic", 0))
 	}
+	// The fat tree restores its own blobs: its two ID windows are the
+	// only ones a snapshot still bounds by span.
+	buildFabric := func(tb testing.TB) *switchsim.Runner {
+		r, _, _ := buildFabricRunner(tb, fabricGoldenAlgo, fabricGoldenSpec, goldenSeed, 300, 0)
+		return r
+	}
+	_, _, fabricName := buildFabricRunner(f, fabricGoldenAlgo, fabricGoldenSpec, goldenSeed, 300, 0)
 	blobWhen := func(algo string, every int64, ready func(switchsim.Switch, map[cell.PacketID]bool) bool) []byte {
 		return checkpointWhen(f, build(f, algo), algo, every, ready)
 	}
@@ -292,7 +302,13 @@ func FuzzRestore(f *testing.F) {
 	}
 	islipBlob := plain["islip"]
 	f.Add(raiseCopiedCounter(f, islipBlob, func() *switchsim.Runner { return build(f, "islip") }))
-	f.Add(widenOutstanding(f, blobAt(goldenAlgo, 100, 2), func() *switchsim.Runner { return build(f, goldenAlgo) }))
+	fabricFresh := func() *switchsim.Runner { return buildFabric(f) }
+	fabricBlob := checkpointWhen(f, buildFabric(f), fabricName, 10, func(sw switchsim.Switch, _ map[cell.PacketID]bool) bool {
+		ids := map[cell.PacketID]bool{}
+		sw.(*fabric.Fabric).Node(0).ForEachCopy(func(_, _ int, id cell.PacketID, _ int64) { ids[id] = true })
+		return len(ids) >= 2
+	})
+	f.Add(widenFabricWindow(f, fabricBlob, "live", fabricFresh))
 	f.Add(sameSlotPackets(f, blobAt(goldenAlgo, 10, goldenN+1), func() *switchsim.Runner { return build(f, goldenAlgo) }))
 	for _, algo := range []string{"eslip", "wba"} {
 		split := blobWhen(algo, 10, partServed)
@@ -311,13 +327,20 @@ func FuzzRestore(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Add(blobWhen("cioq-s2", 10, bothStages))
+	f.Add(widenFabricWindow(f, fabricBlob, "contexts", fabricFresh))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		algo := goldenAlgo
-		if m, err := snap.ReadMeta(data); err == nil && slices.Contains(algos, m.Algorithm) {
+		m, err := snap.ReadMeta(data)
+		if err == nil && (slices.Contains(algos, m.Algorithm) || m.Algorithm == fabricName) {
 			algo = m.Algorithm
 		}
-		r := build(t, algo)
+		var r *switchsim.Runner
+		if algo == fabricName {
+			r = buildFabric(t)
+		} else {
+			r = build(t, algo)
+		}
 		if err := r.Restore(algo, data); err != nil {
 			return
 		}
@@ -348,43 +371,56 @@ func checkpointWhen(tb testing.TB, r *switchsim.Runner, algo string, every int64
 	return blob
 }
 
-// widenOutstanding returns a fifoms blob whose delay tracker holds
-// outstanding packets 1 and 1<<44 — its lowest and highest outstanding
-// IDs rewritten — after checking that a fresh runner restores the
-// original and rejects the result for its ID span: a window holding both
-// would double toward 2^45 entries once the IDs next to either are live.
-func widenOutstanding(tb testing.TB, blob []byte, fresh func() *switchsim.Runner) []byte {
+// widenFabricWindow returns a fat-tree blob in which one of the
+// fabric's two ID windows — the live packets ("live") or node 0's copy
+// contexts ("contexts") — holds IDs 1 and 1<<44, after checking that a
+// fresh runner restores the original and rejects the result for its ID
+// span: a window holding both would double toward 2^45 entries once
+// the IDs next to either are live.
+func widenFabricWindow(tb testing.TB, blob []byte, window string, fresh func() *switchsim.Runner) []byte {
 	tb.Helper()
-	r := fresh()
-	if err := r.Restore(goldenAlgo, blob); err != nil {
+	m, err := snap.ReadMeta(blob)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	// The tracker's entry for a packet starts with its id and arrival,
-	// little-endian, and the engine section it lives in comes first, so
-	// the first match is the tracker's. Packets that arrived before the
-	// warm-up ended have no entry.
-	var at []int
-	seen := map[cell.PacketID]bool{}
-	r.Switch().(*core.Switch).ForEachBuffered(func(_, _ int, p *cell.Packet) {
-		if seen[p.ID] {
-			return
-		}
-		seen[p.ID] = true
-		entry := binary.LittleEndian.AppendUint64(nil, uint64(p.ID))
-		entry = binary.LittleEndian.AppendUint64(entry, uint64(p.Arrival))
-		if i := bytes.Index(blob, entry); i >= 0 {
-			at = append(at, i)
-		}
-	})
-	if len(at) < 2 {
-		tb.Fatalf("%d outstanding packets at the checkpoint, want 2", len(at))
+	if err := fresh().Restore(m.Algorithm, blob); err != nil {
+		tb.Fatal(err)
 	}
-	slices.Sort(at) // the tracker writes its entries in ascending ID order
+	// The fabric section's payload: four Ints and four I64 counters,
+	// the drops-by-hop list, the hop-count Welford (five words), then
+	// the live window as a count and 41-byte entries led by the ID, then
+	// node 0's local ID counter, its context count and its contexts:
+	// local ID, fabric ID, hops, then the leaf set (presence byte and a
+	// counted list of Ints).
+	u32 := func(at int) int { return int(binary.LittleEndian.Uint32(blob[at:])) }
+	sec := bytes.Index(blob, []byte("\x06fabric"))
+	if sec < 0 {
+		tb.Fatal("no fabric section")
+	}
+	at := sec + 7 + 4 + 64
+	at += 4 + 8*u32(at) + 40
+	nLive, live := u32(at), at+4
+	node0 := live + 41*nLive
+	nCtx, ctx := u32(node0+8), node0+12
 	mut := append([]byte(nil), blob...)
-	binary.LittleEndian.PutUint64(mut[at[0]:], 1)
-	binary.LittleEndian.PutUint64(mut[at[len(at)-1]:], 1<<44)
-	if err := fresh().Restore(goldenAlgo, mut); err == nil || !strings.Contains(err.Error(), "span") {
-		tb.Fatalf("outstanding IDs 1 and 1<<44: Restore = %v, want a span rejection", err)
+	switch window {
+	case "live":
+		if nLive < 2 {
+			tb.Fatalf("%d live packets at the checkpoint, want 2", nLive)
+		}
+		binary.LittleEndian.PutUint64(mut[live:], 1)
+		binary.LittleEndian.PutUint64(mut[live+41*(nLive-1):], 1<<44)
+	case "contexts":
+		if nCtx < 2 {
+			tb.Fatalf("node 0 holds %d copy contexts at the checkpoint, want 2", nCtx)
+		}
+		second := ctx + 24 + 1 + 4 + 8*u32(ctx+25)
+		binary.LittleEndian.PutUint64(mut[node0:], 1<<44) // the local ID counter
+		binary.LittleEndian.PutUint64(mut[ctx:], 1)
+		binary.LittleEndian.PutUint64(mut[second:], 1<<44)
+	}
+	if err := fresh().Restore(m.Algorithm, mut); err == nil || !strings.Contains(err.Error(), "span") {
+		tb.Fatalf("%s IDs 1 and 1<<44: Restore = %v, want a span rejection", window, err)
 	}
 	return mut
 }

@@ -109,11 +109,11 @@ type FabricReporter interface {
 	FabricStats() *fabric.Stats
 }
 
-// DropReporter is optionally implemented by switches that can lose
-// admitted copies (the fabric's bounded inter-stage links). The engine
-// registers a hook that taints the delay tracker for every dropped
-// copy, so a packet with lost copies neither completes (its delay
-// would be a lie) nor pins the tracker's in-flight window forever.
+// DropReporter is implemented by switches that can lose admitted
+// copies (the fabric's bounded inter-stage links). The engine needs no
+// drop hook: a fabric never marks Done on a packet that lost a copy,
+// so such a packet never completes. The interface stays because
+// bench/traced.go still registers one.
 type DropReporter interface {
 	SetDropHook(fn func(fabric.Drop))
 }
@@ -368,9 +368,6 @@ func New(sw Switch, pat traffic.Pattern, cfg Config, root *xrand.Rand) *Runner {
 	r.br, _ = capabilities(sw).(BytesReporter)
 	if pr, ok := sw.(PacketReleaser); ok {
 		pr.SetReleaseHook(r.putPacket)
-	}
-	if dr, ok := sw.(DropReporter); ok {
-		dr.SetDropHook(r.handleDrop)
 	}
 	r.deliverFn = r.handleDelivery
 	return r
@@ -635,13 +632,6 @@ func (r *Runner) handleDelivery(d cell.Delivery) {
 		r.delivered++
 	}
 	r.tracker.Deliver(d)
-}
-
-// handleDrop is the engine's accounting for copies a fabric discarded
-// in transit: the delay tracker writes those copies off so the packet
-// retires from the in-flight window without ever completing.
-func (r *Runner) handleDrop(d fabric.Drop) {
-	r.tracker.Drop(d.ID, d.Leaves.Count())
 }
 
 // Describe renders the headline numbers of a Results for logs.

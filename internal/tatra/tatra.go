@@ -92,8 +92,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		if !e.Remaining.Contains(out) {
 			panic(fmt.Sprintf("tatra: board block (%d,%d) not in packet's remaining fanout", in, out))
 		}
-		e.Remaining.Remove(out)
-		deliver(cell.Delivery{ID: e.P.ID, In: in, Out: out, Slot: slot, Arrival: e.P.Arrival, Last: e.Remaining.Empty()})
+		deliver(e.Serve(out, slot))
 	}
 
 	// Advance: fully served head-of-line packets leave their queues and

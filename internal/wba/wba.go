@@ -165,9 +165,8 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			continue
 		}
 		e := s.heads[chosen]
-		e.Remaining.Remove(out)
-		last := e.Remaining.Empty()
-		deliver(cell.Delivery{ID: e.P.ID, In: chosen, Out: out, Slot: slot, Arrival: e.P.Arrival, Last: last})
+		d := e.Serve(out, slot)
+		deliver(d)
 		if s.obs != nil {
 			s.served[chosen]++
 			if s.obs.TraceOn() {
@@ -178,7 +177,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 					Round: 0, TS: e.P.Arrival, Packet: int64(e.P.ID),
 				})
 				aux := int32(0)
-				if last {
+				if d.Last {
 					aux = 1
 				}
 				s.obs.Trace.Emit(obs.Event{
@@ -188,7 +187,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			}
 			s.cGrants.Inc()
 			s.cDepartures.Inc()
-			if last {
+			if d.Last {
 				s.cCompleted.Inc()
 			}
 		}
