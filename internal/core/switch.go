@@ -593,10 +593,8 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 					// The delivery is out the door; the data slab entry is
 					// recycled on its last copy (in ModeShared its siblings in
 					// this very loop still reference it until then), and the
-					// packet itself is handed back for reuse once no buffered
-					// copy references it: at once in ModeShared, where the slab
-					// entry was its last internal reference, and with its last
-					// owed copy in ModeCopied.
+					// packet itself is handed back for reuse on its Done copy,
+					// when no buffered copy references it.
 					if last {
 						a.freeData(c.data)
 					}

@@ -125,7 +125,7 @@ func (l *linkRing) at(i int) *linkEntry { return &l.buf[(l.head+i)%len(l.buf)] }
 // ingress count, Arrive takes fabric packets whose destination
 // universe is the egress leaf count, Step runs one synchronous slot of
 // every stage — plus the engine's optional capabilities (release hook,
-// observer, drop hook, snapshot). The fabric must be square (ingress
+// observer, snapshot) and a drop hook. The fabric must be square (ingress
 // count == egress count) to sit behind Runner/LiveRunner, which use
 // one N for both sides; Builder topologies that aren't square can
 // still be driven by custom loops.
@@ -227,8 +227,8 @@ func (f *Fabric) Ports() int { return f.top.Ingress() }
 func (f *Fabric) SetReleaseHook(fn func(*cell.Packet)) { f.release = fn }
 
 // SetDropHook registers fn to observe every counted drop as it
-// happens. One consumer; the invariant checker interposes and chains
-// when both it and the engine want the stream.
+// happens. One consumer: the invariant checker, which retires the lost
+// copies from its shadow model.
 func (f *Fabric) SetDropHook(fn func(Drop)) { f.onDrop = fn }
 
 // SetObserver attaches the observability layer at fabric scope:

@@ -1,6 +1,6 @@
 // Package idwin is the in-flight table keyed by sequentially issued
-// packet IDs: the delay tracker's outstanding packets, the fabric's
-// live packets and its per-node copy contexts.
+// packet IDs: the output-queued switch's per-packet counters, the
+// fabric's live packets and its per-node copy contexts.
 package idwin
 
 import (
@@ -97,14 +97,15 @@ func (w *Window[T]) grow() {
 // MaxSpan bounds the live-ID span — highest live ID minus lowest — that
 // a snapshot may restore into one window. Two live IDs share a slot only
 // while the table is no longer than their distance, so a span below
-// MaxSpan keeps the table at most MaxSpan entries (160 MiB at the delay
-// tracker's 40-byte entry) now and for as long as the span lasts; an
-// unchecked span is unbounded: live IDs 1 and 1<<44 drive the table to
-// 2^45 entries as soon as ID 1<<44+1 is issued. A run reaches 2^22 only
-// by keeping one packet in flight while four million younger ones are
-// issued: at N = 1024 and load 0.9 that is at least 4,500 slots of one
-// packet's sojourn (unicast, the most IDs a slot), where the
-// benchmark's N = 1024 workload delays a packet 12 slots on average.
+// MaxSpan keeps the table at most MaxSpan entries (160 MiB at the
+// fabric's 40-byte live-packet entry) now and for as long as the span
+// lasts; an unchecked span is unbounded: live IDs 1 and 1<<44 drive the
+// table to 2^45 entries as soon as ID 1<<44+1 is issued. A run reaches
+// 2^22 only by keeping one packet in flight while four million younger
+// ones are issued: at N = 1024 and load 0.9 that is at least 4,500
+// slots of one packet's sojourn (unicast, the most IDs a slot), where
+// the benchmark's N = 1024 workload delays a packet 12 slots on
+// average.
 const MaxSpan = 1 << 22
 
 // Span is the range of the IDs a snapshot load has restored into one

@@ -26,11 +26,12 @@ type queuedCopy struct {
 	arrival int64
 }
 
-// owed is the one per-packet counter of the output stage: the packet's
-// fanout and how many of its copies the output lines have sent. Copies
-// of one packet leave from different output queues in no fixed order,
-// so this is how the switch knows which copy completes the packet.
-type owed struct {
+// pktSent is the one per-packet counter of the output stage: the
+// packet's fanout and how many of its copies the output lines have
+// sent. Copies of one packet leave from different output queues in no
+// fixed order, so this is how the switch knows which copy completes
+// the packet.
+type pktSent struct {
 	fanout int32
 	sent   int32
 }
@@ -40,7 +41,7 @@ type owed struct {
 type Switch struct {
 	n      int
 	queues []fifoq.Queue[queuedCopy] // one FIFO per output
-	owed   idwin.Window[owed]        // packets with a copy not yet sent
+	pkts   idwin.Window[pktSent]     // packets with a copy not yet sent
 
 	// Packets that arrived since the last Step. The copies hold all
 	// the switch needs, so the packets go back to the release hook at
@@ -86,7 +87,7 @@ func (s *Switch) Arrive(p *cell.Packet) {
 // arrival are kept, and the first copy of a packet records its fanout.
 // A CIOQ output stage pushes a packet's copies over several slots.
 func (s *Switch) Push(d cell.Delivery) {
-	if o, _ := s.owed.Ensure(d.ID); o.fanout == 0 {
+	if o, _ := s.pkts.Ensure(d.ID); o.fanout == 0 {
 		o.fanout = d.Fanout
 	}
 	s.queues[d.Out].Push(queuedCopy{id: d.ID, in: d.In, arrival: d.Arrival})
@@ -104,11 +105,11 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			continue
 		}
 		c := s.queues[out].Pop()
-		o := s.owed.Lookup(c.id)
+		o := s.pkts.Lookup(c.id)
 		o.sent++
 		fanout, done := o.fanout, o.sent == o.fanout
 		if done {
-			s.owed.Release(c.id)
+			s.pkts.Release(c.id)
 		}
 		deliver(cell.Delivery{ID: c.id, In: c.in, Out: out, Slot: slot, Arrival: c.arrival,
 			Done: done, Fanout: fanout})

@@ -39,8 +39,8 @@ func (s *Switch) SaveState(w *snap.Writer) {
 			w.I64(c.arrival)
 		}
 	}
-	w.Count(s.owed.Len())
-	s.owed.Ascending(func(id cell.PacketID, o *owed) {
+	w.Count(s.pkts.Len())
+	s.pkts.Ascending(func(id cell.PacketID, o *pktSent) {
 		w.I64(int64(id))
 		w.Int(int(o.fanout))
 		w.Int(int(o.sent))
@@ -96,12 +96,12 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 			r.Failf("packet %d widens the live ID span past %d", id, idwin.MaxSpan)
 			return r.Err()
 		}
-		o, dup := s.owed.Ensure(id)
+		o, dup := s.pkts.Ensure(id)
 		if dup {
 			r.Failf("packet %d counted twice", id)
 			return r.Err()
 		}
-		*o = owed{fanout: int32(fanout), sent: int32(sent)}
+		*o = pktSent{fanout: int32(fanout), sent: int32(sent)}
 		delete(queued, id)
 	}
 	for id := range queued {

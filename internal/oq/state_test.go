@@ -66,7 +66,7 @@ func TestDoneOnLastCopySent(t *testing.T) {
 	if len(done) != 2 || done[0] == done[1] {
 		t.Fatalf("Done on %v, want each packet once", done)
 	}
-	if s.owed.Len() != 0 {
-		t.Fatalf("%d packet counters left after every copy was sent", s.owed.Len())
+	if s.pkts.Len() != 0 {
+		t.Fatalf("%d packet counters left after every copy was sent", s.pkts.Len())
 	}
 }
