@@ -52,9 +52,9 @@ func hasViolation(ck *check.Checker, invariant string) bool {
 	return false
 }
 
-// doneMutants are the completion bugs a stateless delay tracker would
-// count without noticing. Each names the check that convicts it; the
-// tracker's in-flight window used to panic on the last two.
+// doneMutants are the completion bugs a delay tracker without
+// per-packet state would count without noticing. Each names the check
+// that convicts it.
 var doneMutants = []struct {
 	name, invariant string
 	fn              func(d cell.Delivery, before int32, emit func(cell.Delivery))
@@ -71,8 +71,7 @@ var doneMutants = []struct {
 		},
 	},
 	{
-		// A copy leaves twice (the tracker's over-delivery panic): the
-		// second is no longer owed.
+		// A copy leaves twice: the second is no longer owed.
 		name: "deliver-twice", invariant: "I3",
 		fn: func(d cell.Delivery, _ int32, emit func(cell.Delivery)) {
 			emit(d)
@@ -152,7 +151,7 @@ func TestDoneAfterDropCaught(t *testing.T) {
 }
 
 // TestDuplicateArrivalCaught: a packet ID admitted twice is convicted
-// under I3 (the delay tracker used to panic on it).
+// under I3.
 func TestDuplicateArrivalCaught(t *testing.T) {
 	ck := check.Wrap(core.NewSwitch(4, &core.FIFOMS{}, xrand.New(1)), check.Options{})
 	for in := 0; in < 2; in++ {

@@ -12,10 +12,10 @@ import (
 // to a 4-port daemon under every roster architecture and drains it.
 // Each copy must leave as one egress frame, each packet must complete
 // once — on the wire and in the counters — and no in-flight entry may
-// outlive its packet. The daemon keys both on the switch's Done copy;
-// keyed on Last, a copied-mode architecture (one private data cell per
-// copy) sent only each packet's first copy, and the output-queued ones
-// never completed a packet.
+// outlive its packet. The daemon keys both on the switch's Done copy:
+// Last would not do, because a copied-mode architecture (one private
+// data cell per copy) sets it on every copy and the output-queued ones
+// set it on none.
 func TestEveryArchitectureCompletesOnTheWire(t *testing.T) {
 	const n, packets, fanout = 4, 12, 3
 	for _, algo := range roster.For(roster.DaemonCompletion) {

@@ -74,10 +74,10 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	if p.Dests.Count() == 0 {
 		panic("oq: arrival with empty destination set")
 	}
-	fanout := int32(p.Fanout())
-	p.Dests.ForEach(func(out int) {
-		s.Push(cell.Delivery{ID: p.ID, In: p.Input, Out: out, Arrival: p.Arrival, Fanout: fanout})
-	})
+	o, _ := s.pkts.Ensure(p.ID)
+	o.fanout = int32(p.Fanout())
+	c := queuedCopy{id: p.ID, in: p.Input, arrival: p.Arrival}
+	p.Dests.ForEach(func(out int) { s.queues[out].Push(c) })
 	if s.release != nil {
 		s.arrived = append(s.arrived, p)
 	}
@@ -85,7 +85,8 @@ func (s *Switch) Arrive(p *cell.Packet) {
 
 // Push queues the copy d names at output d.Out; its ID, input and
 // arrival are kept, and the first copy of a packet records its fanout.
-// A CIOQ output stage pushes a packet's copies over several slots.
+// A CIOQ output stage pushes a packet's copies over several slots;
+// Arrive queues all of them at once.
 func (s *Switch) Push(d cell.Delivery) {
 	if o, _ := s.pkts.Ensure(d.ID); o.fanout == 0 {
 		o.fanout = d.Fanout

@@ -66,9 +66,8 @@ func TestDelayWarmupExclusion(t *testing.T) {
 
 // TestDelayOverDeliveryPanics: the tracker keeps no per-packet state,
 // so it completes a packet on exactly the copies the switch marks Done
-// and cannot see a copy delivered twice. The invariant checker convicts
-// that (check.TestDoneMutantsCaught); the tracker counts what it is
-// told.
+// and cannot see a copy delivered twice; the invariant checker
+// convicts that (check.TestDoneMutantsCaught).
 func TestDelayOverDeliveryPanics(t *testing.T) {
 	dt := NewDelayTracker(0)
 	dt.Deliver(copyOf(1, 0, 1, 0, 0, true))
