@@ -31,7 +31,9 @@ import (
 //     tracks the cells and VOQs buffered, not the N² VOQs that could
 //     exist.
 //   - Data cells live in a struct-of-arrays slab: dPkt[i]/dFan[i] are
-//     packet pointer and live fanout counter of slab entry i. Address
+//     packet pointer and live fanout counter of slab entry i, and
+//     dFanout[i] the packet's fanout, which its deliveries carry
+//     without a trip through the packet's destination set. Address
 //     cells reference entries by index, so ModeShared's one-data-cell
 //     -per-packet sharing is an integer comparison, and freed entries
 //     are recycled through the dFree list without touching the GC.
@@ -115,9 +117,10 @@ type arena struct {
 	// Data-cell slab. Entry i is live while dFan[i] > 0; freed entries
 	// are recycled LIFO through dFree, which bounds the slab length by
 	// the historical peak of concurrently buffered data cells.
-	dPkt  []*cell.Packet
-	dFan  []int32
-	dFree []int32
+	dPkt    []*cell.Packet
+	dFan    []int32
+	dFanout []int32
+	dFree   []int32
 
 	// ModeCopied owner slab: dOwn is indexed like dPkt (and grown only
 	// by allocCopy), owed[own] is live while positive.
@@ -207,12 +210,13 @@ func (a *arena) each(in, out int, fn func(acell)) {
 }
 
 // allocData takes a slab entry from the freelist or extends the slab,
-// and returns its index.
-func (a *arena) allocData(p *cell.Packet, fan int32) int32 {
+// and returns its index. fan is the entry's fanout counter, fanout the
+// packet's.
+func (a *arena) allocData(p *cell.Packet, fan, fanout int32) int32 {
 	if k := len(a.dFree); k > 0 {
 		idx := a.dFree[k-1]
 		a.dFree = a.dFree[:k-1]
-		a.dPkt[idx], a.dFan[idx] = p, fan
+		a.dPkt[idx], a.dFan[idx], a.dFanout[idx] = p, fan, fanout
 		return idx
 	}
 	if len(a.dPkt) >= math.MaxInt32 {
@@ -220,6 +224,7 @@ func (a *arena) allocData(p *cell.Packet, fan int32) int32 {
 	}
 	a.dPkt = append(a.dPkt, p)
 	a.dFan = append(a.dFan, fan)
+	a.dFanout = append(a.dFanout, fanout)
 	return int32(len(a.dPkt) - 1)
 }
 
@@ -232,8 +237,8 @@ func (a *arena) freeData(idx int32) {
 
 // allocCopy takes a fanout-1 data entry for one copy of p, owned by
 // owner entry own.
-func (a *arena) allocCopy(p *cell.Packet, own int32) int32 {
-	idx := a.allocData(p, 1)
+func (a *arena) allocCopy(p *cell.Packet, own, fanout int32) int32 {
+	idx := a.allocData(p, 1, fanout)
 	if int(idx) == len(a.dOwn) {
 		a.dOwn = append(a.dOwn, own)
 	} else {

@@ -69,7 +69,7 @@ func TestCellStoreMatchesModel(t *testing.T) {
 				stamp++
 				dests.ForEach(func(out int) {
 					p := &cell.Packet{ID: cell.PacketID(stamp), Input: in, Arrival: stamp}
-					data := s.arena.allocData(p, 1)
+					data := s.arena.allocData(p, 1, 1)
 					s.pushCell(in, out, stamp, data)
 					model[in*n+out].Push(modelCell{stamp, data, p})
 					live++

@@ -229,7 +229,7 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 				return r.Err()
 			}
 			stamps[arrival] = true
-			dataIdx[i] = a.allocData(packets[i], int32(counter))
+			dataIdx[i] = a.allocData(packets[i], int32(counter), int32(dests.Count()))
 			port.dataCells++
 			s.totalData++
 		} else {
@@ -265,7 +265,7 @@ func (s *Switch) loadPort(r *snap.Reader, in int) error {
 			data := dataIdx[idx]
 			if s.mode == ModeCopied {
 				a.owed[data]++
-				data = a.allocCopy(p, data)
+				data = a.allocCopy(p, data, int32(p.Dests.Count()))
 				port.dataCells++
 				s.totalData++
 			}

@@ -386,7 +386,7 @@ func (s *Switch) Arrive(p *cell.Packet) {
 				p.Input, p.Arrival, port.lastArrival))
 		}
 		port.lastArrival = p.Arrival
-		data := s.arena.allocData(p, int32(fanout))
+		data := s.arena.allocData(p, int32(fanout), int32(fanout))
 		port.dataCells++
 		s.totalData++
 		for wi, wv := range words {
@@ -404,7 +404,7 @@ func (s *Switch) Arrive(p *cell.Packet) {
 			for wv != 0 {
 				out := base + bits.TrailingZeros64(wv)
 				wv &= wv - 1
-				data := s.arena.allocCopy(p, own)
+				data := s.arena.allocCopy(p, own, int32(fanout))
 				port.dataCells++
 				s.totalData++
 				s.pushCell(p.Input, out, p.Arrival, data)
@@ -545,7 +545,6 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			in := uw<<6 + bits.TrailingZeros64(ins)
 			port := &s.ports[in]
 			dataRef := int32(-1)
-			fanout := int32(0) // the packet's; one packet per input per slot
 			row := s.grantW[in*w : in*w+w]
 			for gw, outs := range row {
 				row[gw] = 0
@@ -582,11 +581,8 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 						port.dataCells--
 						s.totalData--
 					}
-					if fanout == 0 {
-						fanout = int32(pkt.Fanout())
-					}
 					deliver(cell.Delivery{ID: pkt.ID, In: in, Out: out, Slot: slot, Arrival: pkt.Arrival,
-						Last: last, Done: done, Fanout: fanout})
+						Last: last, Done: done, Fanout: a.dFanout[c.data]})
 					if s.obs != nil {
 						s.observeDeparture(slot, in, out, c.ts, pkt.ID, last)
 					}
