@@ -381,6 +381,15 @@ func (c *Checker) BufferedCells() int64 { return c.inner.BufferedCells() }
 // Inner returns the wrapped switch as driven (not unwrapped).
 func (c *Checker) Inner() Switch { return c.inner }
 
+// SetReleaseHook is a deliberate no-op, so a checked run never reuses
+// a packet. The checker is there to catch a switch that breaks its
+// contract, and one that released a packet too early would, behind a
+// recycling pool, read another packet's ID and destinations and fail
+// somewhere unrelated, or not at all; left to the GC, the packet stays
+// what the shadow model says it is. The poisoned-pool battery
+// (switchsim's TestRecyclingInvisible) checks the release points.
+func (c *Checker) SetReleaseHook(func(*cell.Packet)) {}
+
 // SetObserver lets a checked run be instrumented like a bare one (it is
 // the engine's Observable surface). The wrapped switch has one observer
 // slot and the checker's event capture stays in it: o's metrics

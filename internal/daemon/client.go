@@ -106,19 +106,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 	start := time.Now()
 	for slot := int64(0); slot < cfg.Slots; slot++ {
 		for in := 0; in < n; in++ {
-			src, ok := sources[in].(traffic.IntoSource)
-			var arrived bool
-			if ok {
-				arrived = src.NextInto(slot, dests)
-			} else {
-				d := sources[in].Next(slot)
-				arrived = d != nil
-				if arrived {
-					dests.Clear()
-					d.ForEach(func(out int) { dests.Add(out) })
-				}
-			}
-			if !arrived {
+			if !sources[in].(traffic.IntoSource).NextInto(slot, dests) {
 				continue
 			}
 			for i := range bitmap {

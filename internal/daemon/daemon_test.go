@@ -445,7 +445,7 @@ func TestCheckpointRestoreResumesExactly(t *testing.T) {
 		Seed:           seed,
 		IngressBacklog: perInput + 4,
 		CheckpointPath: ckpt,
-		OnDelivery:     nil,
+		OnDelivery:     collectA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -483,12 +483,12 @@ func TestCheckpointRestoreResumesExactly(t *testing.T) {
 	}
 	ckptSlot := mA.Slot
 
-	// Straight run: keep daemon A going and collect its tail. The
-	// "crash" is that daemon A is simply never consulted again after
-	// this — its post-checkpoint output is only the reference.
-	if err := dA.SetOnDelivery(collectA); err != nil {
-		t.Fatal(err)
-	}
+	// Straight run: keep daemon A going and collect its tail from the
+	// checkpoint on (a manual-clock daemon delivers only inside
+	// Advance, so this reset is ordered with collectA). The "crash" is
+	// that daemon A is simply never consulted again after this — its
+	// post-checkpoint output is only the reference.
+	tailA = nil
 	for len(tailA) < int(mA.Daemon.AdmittedCopies-mA.Daemon.Delivered) {
 		if err := dA.Advance(25); err != nil {
 			t.Fatal(err)

@@ -142,30 +142,6 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
-// UnionWith adds every member of o to s. The universes must match.
-func (s *Set) UnionWith(o *Set) {
-	s.sameUniverse(o)
-	for i, w := range o.words {
-		s.words[i] |= w
-	}
-}
-
-// IntersectWith removes from s every member absent from o.
-func (s *Set) IntersectWith(o *Set) {
-	s.sameUniverse(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
-// SubtractWith removes every member of o from s.
-func (s *Set) SubtractWith(o *Set) {
-	s.sameUniverse(o)
-	for i, w := range o.words {
-		s.words[i] &^= w
-	}
-}
-
 // CopyFrom replaces s's members with o's. The universes must match.
 // Unlike Clone it writes into existing storage, so steady-state copies
 // (the burst source replaying its per-burst set every on-slot) stay

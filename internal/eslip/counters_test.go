@@ -24,7 +24,8 @@ func rescanPayloads(s *Switch) []int {
 }
 
 // checkPayloads compares the counters, QueueSizes and BufferedCells
-// against the rescan.
+// against the rescan, and the pending copy count against a walk of
+// every buffered copy.
 func checkPayloads(t *testing.T, s *Switch, when string) {
 	t.Helper()
 	want := rescanPayloads(s)
@@ -39,6 +40,11 @@ func checkPayloads(t *testing.T, s *Switch, when string) {
 	}
 	if b := s.BufferedCells(); b != total {
 		t.Fatalf("%s: BufferedCells = %d, the queues hold %d", when, b, total)
+	}
+	var copies int64
+	s.ForEachCopy(func(int, int, cell.PacketID, int64) { copies++ })
+	if s.pending != copies {
+		t.Fatalf("%s: %d copies counted pending, the queues hold %d", when, s.pending, copies)
 	}
 }
 

@@ -73,6 +73,9 @@ type Switch struct {
 	// high-water gauge costs O(1) per arrival and QueueSizes and
 	// BufferedCells O(N) per call instead of an O(N²) rescan.
 	payloads []int
+	// pending counts the copies still owed — unicast cells plus the
+	// multicast copies not yet served — so BufferedBytes is O(1).
+	pending int64
 
 	// Observability (DESIGN.md §8); obs is nil in ordinary runs and
 	// the metric handles are nil-safe no-ops.
@@ -177,6 +180,7 @@ func (s *Switch) Arrive(p *cell.Packet) {
 		s.mc.Push(p)
 	}
 	s.payloads[p.Input]++
+	s.pending += int64(fanout)
 	if s.obs != nil {
 		if s.obs.TraceOn() {
 			s.obs.Trace.Emit(obs.Event{
@@ -334,6 +338,7 @@ func (s *Switch) acceptMulticast(slot int64, iter, in, out int, deliver func(cel
 	d := e.Serve(out, slot)
 	deliver(d)
 	s.served[in]++
+	s.pending--
 	if s.obs != nil {
 		s.observeDelivery(slot, iter, in, out, e.P, d.Last)
 	}
@@ -347,6 +352,7 @@ func (s *Switch) acceptUnicast(slot int64, iter, in, out int, deliver func(cell.
 		s.uniOcc[out].Remove(in)
 	}
 	s.payloads[in]--
+	s.pending--
 	s.freeOut[out>>6] &^= 1 << uint(out&63)
 	deliver(cell.Delivery{ID: p.ID, In: in, Out: out, Slot: slot, Arrival: p.Arrival, Last: true, Done: true, Fanout: 1})
 	if s.obs != nil {
@@ -474,7 +480,5 @@ func (s *Switch) BufferedCells() int64 {
 // (unicast) plus an address-cell-sized bookkeeping entry per pending
 // destination.
 func (s *Switch) BufferedBytes() int64 {
-	var pending int64
-	s.ForEachCopy(func(int, int, cell.PacketID, int64) { pending++ })
-	return s.BufferedCells()*cell.PayloadSize + pending*cell.AddressCellSize
+	return s.BufferedCells()*cell.PayloadSize + s.pending*cell.AddressCellSize
 }

@@ -11,9 +11,9 @@ import (
 // residual destination set: fanout splitting mutates it in place, so a
 // packet's remaining set differs from its original destinations
 // mid-service), the three scheduler pointers and the rounds
-// accounting. The occupancy bitsets and payload counts are derived
-// caches, rebuilt while loading; the scratch sets and observability
-// handles are per-slot or reattached.
+// accounting. The occupancy bitsets, payload counts and the pending
+// copy count are derived caches, rebuilt while loading; the scratch
+// sets and observability handles are per-slot or reattached.
 
 // ForEachCopy calls fn for every copy still owed: the multicast
 // entries of every input, then each unicast VOQ front to back.
@@ -60,7 +60,8 @@ func (s *Switch) SaveState(w *snap.Writer) {
 
 // LoadState restores state written by SaveState into a fresh switch
 // of the same size, rebuilding the occupancy bitsets and payload
-// counts from the queues as they fill.
+// counts from the queues as they fill, and the pending copy count from
+// the restored queues once they are full.
 func (s *Switch) LoadState(r *snap.Reader) error {
 	if err := r.Section("eslip"); err != nil {
 		return err
@@ -122,5 +123,6 @@ func (s *Switch) LoadState(r *snap.Reader) error {
 			}
 		}
 	}
+	s.ForEachCopy(func(int, int, cell.PacketID, int64) { s.pending++ })
 	return r.EndSection()
 }

@@ -174,10 +174,10 @@ func TestParallelFabricResume(t *testing.T) {
 		switchsim.Config{Slots: slots, Seed: seed, WarmupFrac: 0.25}, root.Split("traffic", 0))
 	var gotTail []cell.Delivery
 	r.OnDelivery(func(d cell.Delivery) { gotTail = append(gotTail, d) })
-	got, err := r.ResumeRun(alg.Name, straight.blobs[0])
-	if err != nil {
-		t.Fatalf("ResumeRun: %v", err)
+	if err := r.Restore(alg.Name, straight.blobs[0]); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
+	got := r.Run(alg.Name)
 	if !reflect.DeepEqual(got, straight.res) {
 		t.Fatalf("resumed Results differ:\n got %+v\nwant %+v", got, straight.res)
 	}

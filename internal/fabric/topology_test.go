@@ -222,8 +222,8 @@ func TestSplitPartition(t *testing.T) {
 							t.Fatalf("%s node %d: leaf %d in subset of port %d, routed to %d",
 								top.Name(), node, leaf, out, top.RouteOut(node, leaf))
 						}
+						union.Add(leaf)
 					})
-					union.UnionWith(child)
 				}
 				if !union.Equal(leaves) {
 					t.Fatalf("%s node %d: child subsets union %v != parent %v",

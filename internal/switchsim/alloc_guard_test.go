@@ -7,6 +7,11 @@ import (
 	"testing"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/core"
+	"voqsim/internal/destset"
+	"voqsim/internal/fabric"
+	"voqsim/internal/traffic"
+	"voqsim/internal/xrand"
 )
 
 // simMallocs returns the objects the simulator allocated between two
@@ -49,25 +54,83 @@ func simMallocs(before, after []runtime.MemProfileRecord) (int64, string) {
 }
 
 // TestColdStartAllocs counts what the steady-state guard
-// (TestSlotZeroAllocs) warms away: the first slots of a fresh switch, the shape a short voqsim run
-// at large N has from end to end. VOQ storage is one address-cell slab
-// that grows by doubling (DESIGN.md §11), so touching a VOQ for the
-// first time allocates nothing, and the packet pool refills 64 packets
-// at a time; what is left is the slabs growing into the backlog — 0.30
-// mallocs a slot at N = 256, where a packet at a time cost 8.36 and a
-// private buffer per first-touched VOQ 117.03. The count repeats
-// exactly at a seed, so the limit needs no allowance for load.
+// (TestSlotZeroAllocs) warms away: the first slots of a fresh run, the
+// shape a short voqsim run at large N has from end to end, for each
+// driver of one packet pool (cell.Pool) under FIFOMS at load 0.9. VOQ
+// storage is one address-cell slab that grows by doubling (DESIGN.md
+// §11), so touching a VOQ for the first time allocates nothing, and
+// every pool refills 64 packets at a time; what is left is the slabs
+// growing into the backlog:
+//   - Runner at N = 256: 0.30 mallocs a slot, where a packet at a time
+//     cost 8.36 and a private buffer per first-touched VOQ 117.03;
+//   - an 8-ary fat tree, whose 80 nodes each pool their node-local
+//     packets: 6.79, where a packet at a time cost 22.23;
+//   - LiveRunner at N = 64: 0.14, where a packet at a time cost 1.69.
+//
+// The count repeats exactly at a seed, so the limits need no allowance
+// for load.
 func TestColdStartAllocs(t *testing.T) {
-	const n, slots, limit = 256, 500, 1
-	r := slotBenchRunner(n, slots+1, false)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for slot := int64(0); slot < slots; slot++ {
-		r.tick(slot, 0)
-	}
-	runtime.ReadMemStats(&after)
-	if perSlot := float64(after.Mallocs-before.Mallocs) / slots; perSlot > limit {
-		t.Fatalf("first %d slots of a fresh n=%d switch: %.2f mallocs/slot, want <= %d", slots, n, perSlot, limit)
+	const slots = 500
+	pat := traffic.Uniform{P: 2 * 0.9 / (1 + 4), MaxFanout: 4} // load 0.9
+	for _, tc := range []struct {
+		name  string
+		limit float64
+		// fresh builds a fresh run and returns its one-slot step.
+		fresh func() func(slot int64)
+	}{
+		{"n=256", 1, func() func(int64) {
+			r := slotBenchRunner(256, slots+1, false)
+			return func(slot int64) { r.tick(slot, 0) }
+		}},
+		{"fattree:k=8", 8, func() func(int64) {
+			top, err := fabric.FatTree(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := xrand.New(7)
+			f, err := fabric.New(top, fabric.Config{}, func(ports int, rr *xrand.Rand) fabric.Node {
+				return core.NewSwitch(ports, &core.FIFOMS{}, rr)
+			}, root.Split("switch", 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := New(f, pat, Config{Slots: slots + 1, WarmupFrac: -1, Seed: 7}, root.Split("traffic", 0))
+			return func(slot int64) { r.tick(slot, 0) }
+		}},
+		{"live/n=64", 0.25, func() func(int64) {
+			const n = 64
+			l := NewLive(core.NewSwitch(n, &core.FIFOMS{}, xrand.New(7).Split("switch", 0)))
+			srcs := traffic.BuildSources(pat, n, xrand.New(7).Split("traffic", 0))
+			d := destset.New(n)
+			return func(slot int64) {
+				for in, src := range srcs {
+					if !src.(traffic.IntoSource).NextInto(slot, d) {
+						continue
+					}
+					p := l.Borrow()
+					p.Dests.CopyFrom(d)
+					if _, err := l.Admit(p, in, slot); err != nil {
+						t.Fatal(err)
+					}
+				}
+				l.Step(slot, nil)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			step := tc.fresh()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for slot := int64(0); slot < slots; slot++ {
+				step(slot)
+			}
+			runtime.ReadMemStats(&after)
+			perSlot := float64(after.Mallocs-before.Mallocs) / slots
+			t.Logf("%.2f mallocs/slot", perSlot)
+			if perSlot > tc.limit {
+				t.Fatalf("first %d slots of a fresh %s run: %.2f mallocs/slot, want <= %g", slots, tc.name, perSlot, tc.limit)
+			}
+		})
 	}
 }
 
@@ -107,7 +170,13 @@ func TestDrawAheadZeroAllocs(t *testing.T) {
 	var nBefore, nAfter int
 	var okBefore, okAfter bool
 	var seen int
+	// peak is the most packets the pool has handed out at once.
+	var done, peak int64
 	r.OnDelivery(func(d cell.Delivery) {
+		if d.Done {
+			done++
+		}
+		peak = max(peak, int64(r.nextID)-done)
 		switch {
 		case seen == 0 && d.Slot >= warm:
 			runtime.GC()
@@ -129,8 +198,9 @@ func TestDrawAheadZeroAllocs(t *testing.T) {
 	if d, stacks := simMallocs(before[:nBefore], after[:nAfter]); d != 0 {
 		t.Fatalf("%d mallocs over %d warmed draw-ahead slots, want 0:\n%s", d, measured-warm, stacks)
 	}
-	if cap(r.freePkts) <= packetSlab {
-		t.Fatalf("the packet pool holds %d packets, want more than one slab", cap(r.freePkts))
+	// A pool refills 64 packets at a time (cell.Pool).
+	if peak <= 64 {
+		t.Fatalf("at most %d packets were in flight at once, want more than one pool slab", peak)
 	}
 
 	for _, tc := range []struct{ n, limit int }{

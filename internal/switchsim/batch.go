@@ -60,7 +60,7 @@ func (r *Runner) newBatches() []*batch {
 	if !r.cfg.DrawAhead {
 		b := &batch{ends: make([]int32, 0, 1), inputs: make([]int32, n), pkts: make([]*cell.Packet, n)}
 		for i := range b.pkts {
-			b.pkts[i] = r.getPacket()
+			b.pkts[i] = r.pool.Get()
 		}
 		return []*batch{b}
 	}
@@ -126,9 +126,9 @@ func (r *Runner) arrive(b *batch, k int, slot, warmup int64) {
 	for ; i < int(b.ends[k]); i++ {
 		var p *cell.Packet
 		if b.pkts != nil {
-			p, b.pkts[i] = b.pkts[i], r.getPacket()
+			p, b.pkts[i] = b.pkts[i], r.pool.Get()
 		} else {
-			p = r.getPacket()
+			p = r.pool.Get()
 			copy(p.Dests.Words(), b.words[i*b.stride:(i+1)*b.stride])
 		}
 		r.nextID++

@@ -9,10 +9,10 @@ import "voqsim/internal/cell"
 func (r *Runner) Tick(slot int64) { r.tick(slot, 0) }
 
 // PutPacket hands p back to r's packet pool.
-func (r *Runner) PutPacket(p *cell.Packet) { r.putPacket(p) }
+func (r *Runner) PutPacket(p *cell.Packet) { r.pool.Put(p) }
 
 // PutPacket hands p back to l's packet pool.
-func (l *LiveRunner) PutPacket(p *cell.Packet) { l.putPacket(p) }
+func (l *LiveRunner) PutPacket(p *cell.Packet) { l.pool.Put(p) }
 
 var (
 	SlotBenchRunner = slotBenchRunner

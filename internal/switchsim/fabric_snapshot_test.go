@@ -121,10 +121,10 @@ func TestFabricSnapshotGolden(t *testing.T) {
 	straight, _, _ := buildFabricRunner(t, fabricGoldenAlgo, fabricGoldenSpec, fabricGoldenSeed, slots, 0)
 	wantRes := straight.Run(name)
 	resumed, _, _ := buildFabricRunner(t, fabricGoldenAlgo, fabricGoldenSpec, fabricGoldenSeed, slots, 0)
-	gotRes, err := resumed.ResumeRun(name, want)
-	if err != nil {
+	if err := resumed.Restore(name, want); err != nil {
 		t.Fatalf("resuming fabric golden blob: %v", err)
 	}
+	gotRes := resumed.Run(name)
 	if !sameResults(gotRes, wantRes) {
 		t.Fatalf("fabric golden blob resume diverged:\n got %+v\nwant %+v", gotRes, wantRes)
 	}
@@ -193,10 +193,10 @@ func testFabricResumePoint(t *testing.T, algo, spec string, seed uint64, slots i
 	resumed, _, _ := buildFabricRunner(t, algo, spec, seed, slots, 0)
 	var gotDel []cell.Delivery
 	resumed.OnDelivery(func(d cell.Delivery) { gotDel = append(gotDel, d) })
-	got, err = resumed.ResumeRun(name, blob)
-	if err != nil {
-		t.Fatalf("ResumeRun: %v", err)
+	if err := resumed.Restore(name, blob); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
+	got = resumed.Run(name)
 	if !sameResults(got, want) {
 		t.Errorf("resumed Results differ:\n got %+v\nwant %+v", got, want)
 	}
@@ -211,10 +211,10 @@ func testFabricResumePoint(t *testing.T, algo, spec string, seed uint64, slots i
 	}
 
 	checked, ck, _ := buildFabricRunner(t, algo, spec, seed, slots, 8)
-	got, err = checked.ResumeRun(name, blob)
-	if err != nil {
-		t.Fatalf("checked ResumeRun: %v", err)
+	if err := checked.Restore(name, blob); err != nil {
+		t.Fatalf("checked Restore: %v", err)
 	}
+	got = checked.Run(name)
 	if !sameResults(got, want) {
 		t.Errorf("checked resumed Results differ:\n got %+v\nwant %+v", got, want)
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"voqsim/internal/cell"
+	"voqsim/internal/check"
 	"voqsim/internal/core"
 	"voqsim/internal/experiment"
+	"voqsim/internal/obs"
 	"voqsim/internal/snap"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
@@ -283,4 +285,36 @@ func ExampleLiveRunner() {
 	// slot 0: copy to output 1 (last=false)
 	// slot 0: copy to output 3 (last=true)
 	// admitted=1 delivered=2 completed=1
+}
+
+// TestInstrumentAgreesAcrossDrivers: LiveRunner and Runner attach the
+// observability layer through one path, so they agree on every switch —
+// true for an observable architecture, false for one that is not, and
+// the same again behind the invariant checker, whose SetObserver exists
+// whatever it wraps.
+func TestInstrumentAgreesAcrossDrivers(t *testing.T) {
+	const n = 4
+	for _, tc := range []struct {
+		algo string
+		want bool
+	}{{"fifoms", true}, {"tatra", false}} {
+		a, err := experiment.ByName(tc.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := func() switchsim.Switch { return a.New(n, xrand.New(1).Split("switch", 0)) }
+		pat := traffic.Uniform{P: 0.2, MaxFanout: 2}
+		cfg := switchsim.Config{Slots: 10}
+		checked, _ := switchsim.NewChecked(fresh(), pat, cfg, xrand.New(1), check.Options{})
+		for name, got := range map[string]bool{
+			"Runner":             switchsim.New(fresh(), pat, cfg, xrand.New(1)).Instrument(&obs.Observer{}),
+			"LiveRunner":         switchsim.NewLive(fresh()).Instrument(&obs.Observer{}),
+			"checked Runner":     checked.Instrument(&obs.Observer{}),
+			"checked LiveRunner": switchsim.NewLive(check.Wrap(fresh(), check.Options{})).Instrument(&obs.Observer{}),
+		} {
+			if got != tc.want {
+				t.Errorf("%s over %s: Instrument = %v, want %v", name, tc.algo, got, tc.want)
+			}
+		}
+	}
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"reflect"
 	"testing"
 
 	"voqsim/internal/cell"
 	"voqsim/internal/experiment"
+	"voqsim/internal/fabric"
 	"voqsim/internal/roster"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
@@ -85,17 +87,21 @@ func recycleRunner(algo experiment.Algorithm, n int) (*switchsim.Runner, switchs
 // recycleRun runs algo at n with the release hook poisoned (ledger set)
 // or removed (ledger nil), and returns the results with the hash of the
 // delivery stream.
-func recycleRun(tb testing.TB, algo experiment.Algorithm, n int, l *releaseLedger) (switchsim.Results, uint64) {
+func recycleRun(algo experiment.Algorithm, n int, l *releaseLedger) (switchsim.Results, uint64) {
 	r, sw := recycleRunner(algo, n)
-	pr, ok := sw.(switchsim.PacketReleaser)
-	if !ok {
-		tb.Fatalf("%s does not hand packets back", algo.Name)
-	}
 	if l != nil {
-		pr.SetReleaseHook(l.poison(r.PutPacket))
+		sw.SetReleaseHook(l.poison(r.PutPacket))
 	} else {
-		pr.SetReleaseHook(nil)
+		sw.SetReleaseHook(nil)
 	}
+	sum := hashDeliveries(r, l)
+	return r.Run(algo.Name), sum()
+}
+
+// hashDeliveries has r's deliveries feed l (when set) and a hash of
+// the delivery stream, which the returned function reads once r has
+// run.
+func hashDeliveries(r *switchsim.Runner, l *releaseLedger) func() uint64 {
 	h := fnv.New64a()
 	r.OnDelivery(func(d cell.Delivery) {
 		if l != nil {
@@ -103,16 +109,17 @@ func recycleRun(tb testing.TB, algo experiment.Algorithm, n int, l *releaseLedge
 		}
 		fmt.Fprintf(h, "%d %d %d %d %v;", d.ID, d.In, d.Out, d.Slot, d.Last)
 	})
-	return r.Run(algo.Name), h.Sum64()
+	return h.Sum64
 }
 
 func TestRecyclingInvisible(t *testing.T) {
 	for _, algo := range roster.For(roster.Recycling) {
+		t.Run(algo.Name+"/fattree:k=4", func(t *testing.T) { recyclingInFabric(t, algo) })
 		for _, n := range []int{4, 16, 64} {
 			t.Run(fmt.Sprintf("%s/n=%d", algo.Name, n), func(t *testing.T) {
 				l := newLedger(t, algo.Name)
-				poisoned, ph := recycleRun(t, algo, n, l)
-				clean, ch := recycleRun(t, algo, n, nil)
+				poisoned, ph := recycleRun(algo, n, l)
+				clean, ch := recycleRun(algo, n, nil)
 				if poisoned != clean {
 					t.Fatalf("poisoned pool changed the results:\n got %+v\nwant %+v", poisoned, clean)
 				}
@@ -137,6 +144,95 @@ func TestRecyclingInvisible(t *testing.T) {
 	}
 }
 
+// poisonNode puts a ledger's poisoning hook in front of the node pool
+// a fabric registers on one of its nodes, and feeds the ledger the
+// node's own deliveries. A nil ledger removes the hook instead.
+type poisonNode struct {
+	fabric.Node
+	l *releaseLedger
+}
+
+func (p *poisonNode) SetReleaseHook(fn func(*cell.Packet)) {
+	if p.l == nil {
+		fn = nil
+	} else {
+		fn = p.l.poison(fn)
+	}
+	p.Node.SetReleaseHook(fn)
+}
+
+func (p *poisonNode) Step(slot int64, deliver func(cell.Delivery)) {
+	if p.l == nil {
+		p.Node.Step(slot, deliver)
+		return
+	}
+	p.Node.Step(slot, func(d cell.Delivery) {
+		p.l.deliver(d)
+		deliver(d)
+	})
+}
+
+// recyclingInFabric is the poisoned pool one level down: a 4-ary fat
+// tree of algo's switches, where every node's pool of node-local
+// packets and the engine's pool behind the fabric are poisoned, against
+// the same fabric with no hook anywhere. Each node keeps its own
+// ledger, because node-local packet IDs are per node; the fabric hands
+// an engine packet back from Arrive, once it has copied the
+// destinations, so that ledger does not wait for deliveries.
+func recyclingInFabric(t *testing.T, algo experiment.Algorithm) {
+	top, err := fabric.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(poison bool) (switchsim.Results, uint64, []*releaseLedger, *releaseLedger) {
+		var nodes []*releaseLedger
+		var engine *releaseLedger
+		if poison {
+			engine = newLedger(t, "fabric")
+			engine.afterLast = false
+		}
+		root := xrand.New(11)
+		f, err := fabric.New(top, fabric.Config{}, func(ports int, rr *xrand.Rand) fabric.Node {
+			pn := &poisonNode{Node: algo.New(ports, rr).(fabric.Node)}
+			if poison {
+				pn.l = newLedger(t, algo.Name)
+				nodes = append(nodes, pn.l)
+			}
+			return pn
+		}, root.Split("switch", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := switchsim.Config{Slots: 1000, WarmupFrac: -1, Seed: 11}
+		r := switchsim.New(f, traffic.Uniform{P: 0.24, MaxFanout: 4}, cfg, root.Split("traffic", 0))
+		if poison {
+			f.SetReleaseHook(engine.poison(r.PutPacket))
+		} else {
+			f.SetReleaseHook(nil)
+		}
+		sum := hashDeliveries(r, engine)
+		return r.Run(algo.Name), sum(), nodes, engine
+	}
+	poisoned, ph, nodes, engine := run(true)
+	clean, ch, _, _ := run(false)
+	if !reflect.DeepEqual(poisoned, clean) {
+		t.Fatalf("poisoned pools changed the results:\n got %+v\nwant %+v", poisoned, clean)
+	}
+	if ph != ch {
+		t.Fatal("poisoned pools changed the delivery stream")
+	}
+	if got := int64(len(engine.released)); got != clean.OfferedPackets {
+		t.Fatalf("the fabric released %d engine packets, want every arrival (%d)", got, clean.OfferedPackets)
+	}
+	local := 0
+	for _, l := range nodes {
+		local += len(l.released)
+	}
+	if local == 0 {
+		t.Fatal("no node released a node-local packet")
+	}
+}
+
 // TestRecyclingAcrossResume restores every roster architecture from
 // a mid-run snapshot — islip's restored switch rebuilds its owner counts
 // from the VOQ references, the input-queued switches hold packets the
@@ -154,7 +250,7 @@ func recyclingAcrossResume(t *testing.T, algo experiment.Algorithm) {
 	const n, snapSlot = 16, 700
 	build := func(l *releaseLedger) *switchsim.Runner {
 		r, sw := recycleRunner(algo, n)
-		sw.(switchsim.PacketReleaser).SetReleaseHook(l.poison(r.PutPacket))
+		sw.SetReleaseHook(l.poison(r.PutPacket))
 		r.OnDelivery(l.deliver)
 		return r
 	}
@@ -188,10 +284,11 @@ func recyclingAcrossResume(t *testing.T, algo experiment.Algorithm) {
 	// last copy" spans the snapshot.
 	resumed := newLedger(t, algo.Name)
 	resumed.delivered = pre
-	got, err := build(resumed).ResumeRun(algo.Name, blob)
-	if err != nil {
+	rr := build(resumed)
+	if err := rr.Restore(algo.Name, blob); err != nil {
 		t.Fatal(err)
 	}
+	got := rr.Run(algo.Name)
 	if got != want {
 		t.Fatalf("resumed run diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -220,9 +317,9 @@ func TestLiveRecyclingInvisible(t *testing.T) {
 				sw := algo.New(n, xrand.New(3).Split("switch", 0))
 				live := switchsim.NewLive(sw)
 				if l != nil {
-					sw.(switchsim.PacketReleaser).SetReleaseHook(l.poison(live.PutPacket))
+					sw.SetReleaseHook(l.poison(live.PutPacket))
 				} else {
-					sw.(switchsim.PacketReleaser).SetReleaseHook(nil)
+					sw.SetReleaseHook(nil)
 				}
 				h := fnv.New64a()
 				onDeliver := func(d cell.Delivery) {

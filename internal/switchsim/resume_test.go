@@ -139,10 +139,10 @@ func testResumePoint(t *testing.T, algo string, n int, seed uint64) {
 	resumed, _ := buildRunner(t, algo, n, seed, 0)
 	var gotDel []cell.Delivery
 	resumed.OnDelivery(func(d cell.Delivery) { gotDel = append(gotDel, d) })
-	got, err = resumed.ResumeRun(algo, blob)
-	if err != nil {
-		t.Fatalf("ResumeRun: %v", err)
+	if err := resumed.Restore(algo, blob); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
+	got = resumed.Run(algo)
 	if got != want {
 		t.Errorf("resumed Results differ:\n got %+v\nwant %+v", got, want)
 	}
@@ -164,10 +164,10 @@ func testResumePoint(t *testing.T, algo string, n int, seed uint64) {
 		every = int64(n) // deep O(n²) cross-checks at a coarser cadence
 	}
 	checked, ck := buildRunner(t, algo, n, seed, every)
-	got, err = checked.ResumeRun(algo, blob)
-	if err != nil {
-		t.Fatalf("checked ResumeRun: %v", err)
+	if err := checked.Restore(algo, blob); err != nil {
+		t.Fatalf("checked Restore: %v", err)
 	}
+	got = checked.Run(algo)
 	if got != want {
 		t.Errorf("checked resumed Results differ:\n got %+v\nwant %+v", got, want)
 	}

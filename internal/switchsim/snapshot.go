@@ -74,7 +74,9 @@ func (r *Runner) Snapshot(name string, nextSlot int64) ([]byte, error) {
 // Restore loads a snapshot into this runner, which must be freshly
 // built with the same switch architecture, pattern, config and seed
 // the snapshot was taken under (the blob's identity header is
-// enforced). A following Run continues from the snapshot's slot.
+// enforced). A following Run continues from the snapshot's slot, and
+// its Results cover the whole run, exactly as an uninterrupted Run
+// would have reported them.
 func (r *Runner) Restore(name string, blob []byte) error {
 	if err := r.Snapshottable(); err != nil {
 		return err
@@ -91,16 +93,6 @@ func (r *Runner) Restore(name string, blob []byte) error {
 	}
 	r.startSlot = m.NextSlot
 	return nil
-}
-
-// ResumeRun restores a snapshot and runs the remainder of the run.
-// The Results cover the whole run, exactly as an uninterrupted Run
-// would have reported them.
-func (r *Runner) ResumeRun(name string, blob []byte) (Results, error) {
-	if err := r.Restore(name, blob); err != nil {
-		return Results{}, err
-	}
-	return r.Run(name), nil
 }
 
 // SaveState implements snap.Stater: engine accounting and statistics,

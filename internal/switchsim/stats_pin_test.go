@@ -167,10 +167,10 @@ func statsPinLines(t *testing.T) []string {
 			t.Fatal(err)
 		}
 		r := statsPinRunner(t, alg, 16, cfg, statsPinPattern(16))
-		got, err := r.ResumeRun(alg.Name, blob)
-		if err != nil {
+		if err := r.Restore(alg.Name, blob); err != nil {
 			t.Fatalf("%s: resume: %v", name, err)
 		}
+		got := r.Run(alg.Name)
 		if !sameResults(got, want) {
 			t.Errorf("%s: resumed run diverged:\n got %+v\nwant %+v", name, got, want)
 		}

@@ -34,9 +34,10 @@ type TraceEntry struct {
 func Record(pat Pattern, n int, slots int64, root *xrand.Rand) *Trace {
 	sources := BuildSources(pat, n, root)
 	tr := &Trace{N: n, Slots: slots}
+	d := destset.New(n)
 	for slot := int64(0); slot < slots; slot++ {
 		for in, src := range sources {
-			if d := src.Next(slot); d != nil {
+			if src.(IntoSource).NextInto(slot, d) {
 				tr.Arrivals = append(tr.Arrivals, TraceEntry{
 					Slot: slot, Input: in, Dests: d.Members(nil),
 				})

@@ -33,9 +33,9 @@ type Source interface {
 // exactly the same order as Next (every built-in source implements
 // Next *as* NextInto into a fresh set, so the two can never diverge)
 // and reports whether a packet arrived; when it returns false the
-// set's content is unspecified. The engine's hot path uses it to keep
-// steady-state arrival generation allocation-free; Next remains the
-// portable contract for external sources.
+// set's content is unspecified. Every source BuildSources returns
+// implements it, and the engine, Record and voqload draw only through
+// it, which keeps steady-state arrival generation allocation-free.
 type IntoSource interface {
 	NextInto(slot int64, d *destset.Set) bool
 }
