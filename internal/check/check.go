@@ -69,6 +69,7 @@ type Switch interface {
 	SaveState(w *snap.Writer)
 	LoadState(r *snap.Reader) error
 	ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64))
+	SetObserver(o *obs.Observer)
 }
 
 // Unwrapper is implemented by test shims that wrap a real switch (for
@@ -78,11 +79,6 @@ type Switch interface {
 // full core rules rather than the conservative default.
 type Unwrapper interface {
 	CheckUnwrap() Switch
-}
-
-// observable matches switchsim.Observable without importing it.
-type observable interface {
-	SetObserver(o *obs.Observer)
 }
 
 // grantRule says how request/grant events from the wrapped switch are
@@ -353,14 +349,12 @@ func Wrap(sw Switch, opt Options) *Checker {
 	if prof.fab != nil {
 		prof.fab.SetDropHook(c.handleDrop)
 	}
-	if ob, ok := base.(observable); ok {
-		c.tracer = obs.NewTracer(1 << 12)
-		c.tracer.OnFull(func(batch []obs.Event) error {
-			c.events = append(c.events, batch...)
-			return nil
-		})
-		ob.SetObserver(&obs.Observer{Trace: c.tracer})
-	}
+	c.tracer = obs.NewTracer(1 << 12)
+	c.tracer.OnFull(func(batch []obs.Event) error {
+		c.events = append(c.events, batch...)
+		return nil
+	})
+	base.SetObserver(&obs.Observer{Trace: c.tracer})
 	if base.BufferedCells() > 0 {
 		// Wrapping a switch restored from a snapshot: seed the shadow
 		// model from its buffer content (state.go).
@@ -390,25 +384,20 @@ func (c *Checker) Inner() Switch { return c.inner }
 // (switchsim's TestRecyclingInvisible) checks the release points.
 func (c *Checker) SetReleaseHook(func(*cell.Packet)) {}
 
-// SetObserver lets a checked run be instrumented like a bare one (it is
-// the engine's Observable surface). The wrapped switch has one observer
-// slot and the checker's event capture stays in it: o's metrics
-// registry is handed to the switch as is, and trace events reach
-// o.Trace through the checker, in emission order, once verifyEvents has
-// checked the slot they belong to — the caller's trace is the one an
-// unchecked run writes. A nil o detaches the caller, never the checker.
-// Nothing is attached when the wrapped architecture is not observable.
+// SetObserver lets a checked run be instrumented like a bare one. The
+// wrapped switch has one observer slot and the checker's event capture
+// stays in it: o's metrics registry is handed to the switch as is, and
+// trace events reach o.Trace through the checker, in emission order,
+// once verifyEvents has checked the slot they belong to — the caller's
+// trace is the one an unchecked run writes. A nil o detaches the
+// caller, never the checker.
 func (c *Checker) SetObserver(o *obs.Observer) {
-	ob, ok := c.base.(observable)
-	if !ok {
-		return
-	}
 	inner := &obs.Observer{Trace: c.tracer}
 	c.outer = nil
 	if o != nil {
 		inner.Metrics, c.outer = o.Metrics, o.Trace
 	}
-	ob.SetObserver(inner)
+	c.base.SetObserver(inner)
 }
 
 // Arrive records the packet in the shadow model and forwards it.
@@ -437,10 +426,8 @@ func (c *Checker) Arrive(p *cell.Packet) {
 	if c.prof.wba != nil {
 		c.inq[p.Input].Push(p.ID)
 	}
-	if c.tracer != nil {
-		c.arrivals = append(c.arrivals, *p)
-		c.arrFanout = append(c.arrFanout, fanout)
-	}
+	c.arrivals = append(c.arrivals, *p)
+	c.arrFanout = append(c.arrFanout, fanout)
 	c.inner.Arrive(p)
 }
 
@@ -449,17 +436,13 @@ func (c *Checker) Arrive(p *cell.Packet) {
 func (c *Checker) Step(slot int64, deliver func(cell.Delivery)) {
 	c.inner.Step(slot, func(d cell.Delivery) {
 		c.checkDelivery(slot, d)
-		if c.tracer != nil {
-			c.deliveries = append(c.deliveries, d)
-		}
+		c.deliveries = append(c.deliveries, d)
 		if deliver != nil {
 			deliver(d)
 		}
 	})
 	c.slots++
-	if c.tracer != nil {
-		c.verifyEvents(slot)
-	}
+	c.verifyEvents(slot)
 	if c.slots%c.opt.Every == 0 {
 		c.deepCheck(slot)
 	}

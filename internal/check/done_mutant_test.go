@@ -9,6 +9,7 @@ import (
 	"voqsim/internal/destset"
 	"voqsim/internal/experiment"
 	"voqsim/internal/fabric"
+	"voqsim/internal/obs"
 	"voqsim/internal/roster"
 	"voqsim/internal/snap"
 	"voqsim/internal/traffic"
@@ -32,6 +33,7 @@ func (t *doneTamper) BufferedCells() int64           { return t.inner.BufferedCe
 func (t *doneTamper) CheckUnwrap() check.Switch      { return t.inner }
 func (t *doneTamper) SaveState(w *snap.Writer)       { t.inner.SaveState(w) }
 func (t *doneTamper) LoadState(r *snap.Reader) error { return t.inner.LoadState(r) }
+func (t *doneTamper) SetObserver(o *obs.Observer)    { t.inner.SetObserver(o) }
 func (t *doneTamper) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
 	t.inner.ForEachCopy(fn)
 }

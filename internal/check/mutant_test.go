@@ -29,12 +29,13 @@ type tamper struct {
 	fn    func(d cell.Delivery, emit func(cell.Delivery))
 }
 
-func (t *tamper) Ports() int                 { return t.inner.Ports() }
-func (t *tamper) Arrive(p *cell.Packet)      { t.inner.Arrive(p) }
-func (t *tamper) QueueSizes(dst []int) []int { return t.inner.QueueSizes(dst) }
-func (t *tamper) BufferedCells() int64       { return t.inner.BufferedCells() }
-func (t *tamper) CheckUnwrap() Switch        { return t.inner }
-func (t *tamper) SaveState(w *snap.Writer)   { t.inner.SaveState(w) }
+func (t *tamper) Ports() int                  { return t.inner.Ports() }
+func (t *tamper) Arrive(p *cell.Packet)       { t.inner.Arrive(p) }
+func (t *tamper) QueueSizes(dst []int) []int  { return t.inner.QueueSizes(dst) }
+func (t *tamper) BufferedCells() int64        { return t.inner.BufferedCells() }
+func (t *tamper) CheckUnwrap() Switch         { return t.inner }
+func (t *tamper) SaveState(w *snap.Writer)    { t.inner.SaveState(w) }
+func (t *tamper) SetObserver(o *obs.Observer) { t.inner.SetObserver(o) }
 func (t *tamper) ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64)) {
 	t.inner.ForEachCopy(fn)
 }

@@ -10,12 +10,12 @@
 // the identical substrate and differ only in how they match inputs to
 // outputs — exactly the comparison the paper's evaluation makes.
 //
-// Both the switch and the FIFOMS arbiter carry optional observability
-// hooks (SetObserver, from internal/obs): the switch emits the
-// packet-lifecycle events (arrival, enqueue, departure, fanout split)
-// and arbiters emit the per-round arbitration events (request, grant).
+// The switch holds the observability binding (an obs.Probe, attached
+// with SetObserver): the switch reports the packet-lifecycle events
+// (arrival, enqueue, departure, fanout split) and arbiters report the
+// per-round arbitration events (request, grant) through Switch.Probe.
 // With no observer attached — the default — every hook is one
-// never-taken nil check; alloc_guard_test.go pins that path at zero
+// never-taken branch; alloc_guard_test.go pins that path at zero
 // allocations. See DESIGN.md §8.
 package core
 

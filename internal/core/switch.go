@@ -67,20 +67,9 @@ type Switch struct {
 	// (SetReleaseHook); nil means completed packets are left to the GC.
 	release func(*cell.Packet)
 
-	// Observability (DESIGN.md §8). obs is nil in ordinary runs — the
-	// single nil check per instrumentation site is the whole disabled
-	// cost. The metric handles below are cached at SetObserver time so
-	// no per-slot path ever does a registry lookup; they are nil-safe
-	// no-ops when metrics are off.
-	obs         *obs.Observer
-	cArrivals   *obs.Counter
-	cEnqueues   *obs.Counter
-	cDepartures *obs.Counter
-	cCompleted  *obs.Counter
-	cSplits     *obs.Counter
-	cRounds     *obs.Counter
-	cActive     *obs.Counter
-	occHWM      []*obs.Gauge
+	// Observability (DESIGN.md §8): off in ordinary runs, where each
+	// instrumentation site is one never-taken branch.
+	probe obs.Probe
 
 	// The slot's crossbar configuration, reused every slot: grantW[in*
 	// words ...] is the bitmap of outputs granted to input in, usedW the
@@ -153,29 +142,13 @@ func (s *Switch) Arbiter() Arbiter { return s.arbiter }
 
 // SetObserver attaches (or, with nil, detaches) the observability
 // layer. Call it before the run starts: counters assume they saw
-// every slot. The observer is shared with the arbiter, which reads it
-// through Observer to emit per-round request/grant events.
-func (s *Switch) SetObserver(o *obs.Observer) {
-	s.obs = o
-	s.cArrivals = o.Counter(obs.MetricArrivals)
-	s.cEnqueues = o.Counter(obs.MetricEnqueues)
-	s.cDepartures = o.Counter(obs.MetricDepartures)
-	s.cCompleted = o.Counter(obs.MetricCompleted)
-	s.cSplits = o.Counter(obs.MetricSplits)
-	s.cRounds = o.Counter(obs.MetricRounds)
-	s.cActive = o.Counter(obs.MetricActiveSlots)
-	s.occHWM = nil
-	if o.MetricsOn() {
-		s.occHWM = make([]*obs.Gauge, s.n)
-		for i := range s.occHWM {
-			s.occHWM[i] = o.Gauge(obs.OccHWM(i))
-		}
-	}
-}
+// every slot. The arbiter shares the binding through Probe to report
+// per-round requests and grants.
+func (s *Switch) SetObserver(o *obs.Observer) { s.probe.Attach(o, s.n) }
 
-// Observer returns the attached observability layer, nil when
-// disabled. Arbiters fetch it once per Match call.
-func (s *Switch) Observer() *obs.Observer { return s.obs }
+// Probe returns the switch's observability binding, off when no
+// observer is attached. Arbiters fetch it once per Match call.
+func (s *Switch) Probe() *obs.Probe { return &s.probe }
 
 // pushCell appends an address cell to VOQ(in,out) and keeps the cached
 // HOL state coherent: a push onto an empty queue creates a new head,
@@ -413,30 +386,10 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	default:
 		panic("core: unknown preprocess mode")
 	}
-	if s.obs != nil {
-		s.observeArrival(p, fanout)
-	}
-}
-
-// observeArrival records a packet's arrival and per-destination
-// enqueues; only called with an observer attached.
-func (s *Switch) observeArrival(p *cell.Packet, fanout int) {
-	if s.obs.TraceOn() {
-		s.obs.Trace.Emit(obs.Event{
-			Slot: p.Arrival, Type: obs.EvArrival, In: int32(p.Input), Out: -1,
-			Round: -1, Aux: int32(fanout), TS: p.Arrival, Packet: int64(p.ID),
-		})
-		p.Dests.ForEach(func(out int) {
-			s.obs.Trace.Emit(obs.Event{
-				Slot: p.Arrival, Type: obs.EvEnqueue, In: int32(p.Input), Out: int32(out),
-				Round: -1, TS: p.Arrival, Packet: int64(p.ID),
-			})
-		})
-	}
-	s.cArrivals.Inc()
-	s.cEnqueues.Add(int64(fanout))
-	if s.occHWM != nil {
-		s.occHWM[p.Input].Max(int64(s.ports[p.Input].dataCells))
+	if s.probe.On() {
+		s.probe.Arrival(p, fanout)
+		s.probe.EnqueueEach(p, fanout)
+		s.probe.Occupancy(p.Input, s.ports[p.Input].dataCells)
 	}
 }
 
@@ -501,9 +454,8 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		s.arbiter.Match(s, slot, s.rnd, s.match)
 		s.activeSlots++
 		s.totalRounds += int64(s.match.Rounds)
-		if s.obs != nil {
-			s.cActive.Inc()
-			s.cRounds.Add(int64(s.match.Rounds))
+		if s.probe.On() {
+			s.probe.Rounds(s.match.Rounds)
 		}
 	}
 	s.lastRounds = s.match.Rounds
@@ -583,8 +535,8 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 					}
 					deliver(cell.Delivery{ID: pkt.ID, In: in, Out: out, Slot: slot, Arrival: pkt.Arrival,
 						Last: last, Done: done, Fanout: a.dFanout[c.data]})
-					if s.obs != nil {
-						s.observeDeparture(slot, in, out, c.ts, pkt.ID, last)
+					if s.probe.On() {
+						s.probe.Departure(slot, in, out, c.ts, int64(pkt.ID), last)
 					}
 					// The delivery is out the door; the data slab entry is
 					// recycled on its last copy (in ModeShared its siblings in
@@ -603,37 +555,11 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			// has unserved destinations after this slot's copies left, so
 			// its residue stays queued and competes again — an event only
 			// contention can cause, hence worth tracing.
-			if s.obs != nil && s.mode == ModeShared && dataRef >= 0 && a.dFan[dataRef] > 0 {
-				if s.obs.TraceOn() {
-					pkt := a.dPkt[dataRef]
-					s.obs.Trace.Emit(obs.Event{
-						Slot: slot, Type: obs.EvFanoutSplit, In: int32(in), Out: -1, Round: -1,
-						Aux: int32(a.dFan[dataRef]), TS: pkt.Arrival, Packet: int64(pkt.ID),
-					})
-				}
-				s.cSplits.Inc()
+			if s.probe.On() && s.mode == ModeShared && dataRef >= 0 && a.dFan[dataRef] > 0 {
+				pkt := a.dPkt[dataRef]
+				s.probe.Split(slot, in, int(a.dFan[dataRef]), pkt.Arrival, int64(pkt.ID))
 			}
 		}
-	}
-}
-
-// observeDeparture records one delivered copy; only called with an
-// observer attached. ts and id identify the just-popped address cell's
-// stamp and packet.
-func (s *Switch) observeDeparture(slot int64, in, out int, ts int64, id cell.PacketID, last bool) {
-	if s.obs.TraceOn() {
-		aux := int32(0)
-		if last {
-			aux = 1
-		}
-		s.obs.Trace.Emit(obs.Event{
-			Slot: slot, Type: obs.EvDeparture, In: int32(in), Out: int32(out),
-			Round: -1, Aux: aux, TS: ts, Packet: int64(id),
-		})
-	}
-	s.cDepartures.Inc()
-	if last {
-		s.cCompleted.Inc()
 	}
 }
 

@@ -5,14 +5,16 @@ import (
 	"time"
 
 	"voqsim/internal/daemon"
+	"voqsim/internal/obs"
 	"voqsim/internal/roster"
 )
 
 // TestEveryArchitectureCompletesOnTheWire sends twelve fanout-3 frames
 // to a 4-port daemon under every roster architecture and drains it.
 // Each copy must leave as one egress frame, each packet must complete
-// once — on the wire and in the counters — and no in-flight entry may
-// outlive its packet. The daemon keys both on the switch's Done copy:
+// once — on the wire and in the counters — the switch's own departure
+// counter on /metrics must agree, and no in-flight entry may outlive
+// its packet. The daemon keys both on the switch's Done copy:
 // Last would not do, because a copied-mode architecture (one private
 // data cell per copy) sets it on every copy and the output-queued ones
 // set it on none.
@@ -59,6 +61,9 @@ func TestEveryArchitectureCompletesOnTheWire(t *testing.T) {
 			}
 			if c.Completed != c.Admitted || c.InFlightPackets != 0 {
 				t.Fatalf("completed %d of %d packets, %d left in flight", c.Completed, c.Admitted, c.InFlightPackets)
+			}
+			if got := m.Switch[obs.MetricDepartures]; got != c.Delivered {
+				t.Fatalf("switch %s = %d, daemon delivered %d copies", obs.MetricDepartures, got, c.Delivered)
 			}
 			if got := recv.WaitFrames(c.Delivered, 10*time.Second); got != c.Delivered {
 				t.Fatalf("receiver saw %d of %d frames", got, c.Delivered)

@@ -77,19 +77,7 @@ type Switch struct {
 	// multicast copies not yet served — so BufferedBytes is O(1).
 	pending int64
 
-	// Observability (DESIGN.md §8); obs is nil in ordinary runs and
-	// the metric handles are nil-safe no-ops.
-	obs         *obs.Observer
-	cArrivals   *obs.Counter
-	cEnqueues   *obs.Counter
-	cDepartures *obs.Counter
-	cCompleted  *obs.Counter
-	cSplits     *obs.Counter
-	cRequests   *obs.Counter
-	cGrants     *obs.Counter
-	cRounds     *obs.Counter
-	cActive     *obs.Counter
-	occHWM      []*obs.Gauge
+	probe obs.Probe // observability (DESIGN.md §8), off in ordinary runs
 
 	// Per-slot scratch: free-port masks and, per input, a row over the
 	// outputs that granted it in the current iteration, one row slab
@@ -138,25 +126,7 @@ func (s *Switch) Name() string { return "eslip" }
 
 // SetObserver attaches (or detaches, with nil) the observability
 // layer; call it before the run starts.
-func (s *Switch) SetObserver(o *obs.Observer) {
-	s.obs = o
-	s.cArrivals = o.Counter(obs.MetricArrivals)
-	s.cEnqueues = o.Counter(obs.MetricEnqueues)
-	s.cDepartures = o.Counter(obs.MetricDepartures)
-	s.cCompleted = o.Counter(obs.MetricCompleted)
-	s.cSplits = o.Counter(obs.MetricSplits)
-	s.cRequests = o.Counter(obs.MetricRequests)
-	s.cGrants = o.Counter(obs.MetricGrants)
-	s.cRounds = o.Counter(obs.MetricRounds)
-	s.cActive = o.Counter(obs.MetricActiveSlots)
-	s.occHWM = nil
-	if o.MetricsOn() {
-		s.occHWM = make([]*obs.Gauge, s.n)
-		for i := range s.occHWM {
-			s.occHWM[i] = o.Gauge(obs.OccHWM(i))
-		}
-	}
-}
+func (s *Switch) SetObserver(o *obs.Observer) { s.probe.Attach(o, s.n) }
 
 // Arrive enqueues a packet: unicast cells enter their VOQ, multicast
 // packets enter the input's multicast queue whole.
@@ -165,13 +135,13 @@ func (s *Switch) Arrive(p *cell.Packet) {
 		panic(fmt.Sprintf("eslip: arrival at invalid input %d", p.Input))
 	}
 	fanout := p.Dests.Count()
-	enqueueOut := int32(-1) // multicast: one entry in the single mc FIFO
+	enqueueOut := -1 // multicast: one entry in the single mc FIFO
 	switch {
 	case fanout == 0:
 		panic("eslip: arrival with empty destination set")
 	case fanout == 1:
 		out := p.Dests.Min()
-		enqueueOut = int32(out)
+		enqueueOut = out
 		if s.uniVOQ[p.Input][out].Empty() {
 			s.uniOcc[out].Add(p.Input)
 		}
@@ -181,22 +151,10 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	}
 	s.payloads[p.Input]++
 	s.pending += int64(fanout)
-	if s.obs != nil {
-		if s.obs.TraceOn() {
-			s.obs.Trace.Emit(obs.Event{
-				Slot: p.Arrival, Type: obs.EvArrival, In: int32(p.Input), Out: -1,
-				Round: -1, Aux: int32(fanout), TS: p.Arrival, Packet: int64(p.ID),
-			})
-			s.obs.Trace.Emit(obs.Event{
-				Slot: p.Arrival, Type: obs.EvEnqueue, In: int32(p.Input), Out: enqueueOut,
-				Round: -1, TS: p.Arrival, Packet: int64(p.ID),
-			})
-		}
-		s.cArrivals.Inc()
-		s.cEnqueues.Inc()
-		if s.occHWM != nil {
-			s.occHWM[p.Input].Max(int64(s.payloads[p.Input]))
-		}
+	if s.probe.On() {
+		s.probe.Arrival(p, fanout)
+		s.probe.Enqueue(p, enqueueOut)
+		s.probe.Occupancy(p.Input, s.payloads[p.Input])
 	}
 }
 
@@ -211,7 +169,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	busy := s.BufferedCells() > 0
 
 	for iter := 0; ; iter++ {
-		if s.obs != nil {
+		if s.probe.On() {
 			s.observeRequests(slot, iter)
 		}
 		// Grant phase: each free output finds its multicast candidate
@@ -281,17 +239,11 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 			if in == s.mcPtr {
 				s.mcPtr = (s.mcPtr + 1) % n
 			}
-		} else if s.obs != nil && s.served[in] > 0 {
+		} else if s.probe.On() && s.served[in] > 0 {
 			// Partially served: the residue stays at HOL (fanout
 			// splitting) and competes again next slot.
 			e := s.mc.Front(in)
-			if s.obs.TraceOn() {
-				s.obs.Trace.Emit(obs.Event{
-					Slot: slot, Type: obs.EvFanoutSplit, In: int32(in), Out: -1, Round: -1,
-					Aux: int32(e.Remaining.Count()), TS: e.P.Arrival, Packet: int64(e.P.ID),
-				})
-			}
-			s.cSplits.Inc()
+			s.probe.Split(slot, in, e.Remaining.Count(), e.P.Arrival, int64(e.P.ID))
 		}
 	}
 
@@ -299,9 +251,8 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	if busy {
 		s.activeSlots++
 		s.totalRounds += int64(rounds)
-		if s.obs != nil {
-			s.cActive.Inc()
-			s.cRounds.Add(int64(rounds))
+		if s.probe.On() {
+			s.probe.Rounds(rounds)
 		}
 	}
 }
@@ -339,7 +290,7 @@ func (s *Switch) acceptMulticast(slot int64, iter, in, out int, deliver func(cel
 	deliver(d)
 	s.served[in]++
 	s.pending--
-	if s.obs != nil {
+	if s.probe.On() {
 		s.observeDelivery(slot, iter, in, out, e.P, d.Last)
 	}
 }
@@ -355,7 +306,7 @@ func (s *Switch) acceptUnicast(slot int64, iter, in, out int, deliver func(cell.
 	s.pending--
 	s.freeOut[out>>6] &^= 1 << uint(out&63)
 	deliver(cell.Delivery{ID: p.ID, In: in, Out: out, Slot: slot, Arrival: p.Arrival, Last: true, Done: true, Fanout: 1})
-	if s.obs != nil {
+	if s.probe.On() {
 		s.observeDelivery(slot, iter, in, out, p, true)
 	}
 	if s.release != nil {
@@ -370,29 +321,19 @@ func (s *Switch) acceptUnicast(slot int64, iter, in, out int, deliver func(cell.
 // has reports whether bit i is set in a port bitmap.
 func has(words []uint64, i int) bool { return words[i>>6]&(1<<uint(i&63)) != 0 }
 
-// observeRequests emits this iteration's implicit ESLIP requests —
+// observeRequests reports this iteration's implicit ESLIP requests —
 // every free input's HOL multicast packet requests its remaining free
 // outputs, and every non-empty unicast VOQ with a free input and free
-// output requests that output — and counts the pairs. Only called with
-// an observer attached.
+// output requests that output. Only called with an observer attached.
 func (s *Switch) observeRequests(slot int64, iter int) {
-	traceOn := s.obs.TraceOn()
-	var pairs int64
 	s.mc.Occupied().ForEach(func(in int) {
 		if !has(s.freeIn, in) {
 			return
 		}
 		e := s.mc.Front(in)
 		e.Remaining.ForEach(func(out int) {
-			if !has(s.freeOut, out) {
-				return
-			}
-			pairs++
-			if traceOn {
-				s.obs.Trace.Emit(obs.Event{
-					Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
-					Round: int32(iter), TS: e.P.Arrival, Packet: int64(e.P.ID),
-				})
+			if has(s.freeOut, out) {
+				s.probe.Request(slot, iter, in, out, e.P.Arrival, int64(e.P.ID))
 			}
 		})
 	})
@@ -401,47 +342,22 @@ func (s *Switch) observeRequests(slot int64, iter int) {
 			out := wo<<6 + bits.TrailingZeros64(ov)
 			for wi, iv := range s.uniOcc[out].Words() {
 				for iv &= s.freeIn[wi]; iv != 0; iv &= iv - 1 {
-					pairs++
-					if traceOn {
-						in := wi<<6 + bits.TrailingZeros64(iv)
-						p := s.uniVOQ[in][out].Front()
-						s.obs.Trace.Emit(obs.Event{
-							Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
-							Round: int32(iter), TS: p.Arrival, Packet: int64(p.ID),
-						})
-					}
+					in := wi<<6 + bits.TrailingZeros64(iv)
+					p := s.uniVOQ[in][out].Front()
+					s.probe.Request(slot, iter, in, out, p.Arrival, int64(p.ID))
 				}
 			}
 		}
 	}
-	s.cRequests.Add(pairs)
 }
 
-// observeDelivery emits the grant and departure events for one accepted
-// copy and bumps the matching counters. Only called with an observer
-// attached.
+// observeDelivery reports one accepted copy: its grant — the accepted
+// match, grant and accept collapsed, stamped with the packet's arrival,
+// ESLIP's implicit age — and its departure. Only called with an
+// observer attached.
 func (s *Switch) observeDelivery(slot int64, iter, in, out int, p *cell.Packet, last bool) {
-	if s.obs.TraceOn() {
-		// The grant event records the accepted match (grant + accept
-		// collapsed); TS is the packet's arrival, ESLIP's implicit age.
-		s.obs.Trace.Emit(obs.Event{
-			Slot: slot, Type: obs.EvGrant, In: int32(in), Out: int32(out),
-			Round: int32(iter), TS: p.Arrival, Packet: int64(p.ID),
-		})
-		aux := int32(0)
-		if last {
-			aux = 1
-		}
-		s.obs.Trace.Emit(obs.Event{
-			Slot: slot, Type: obs.EvDeparture, In: int32(in), Out: int32(out),
-			Round: -1, Aux: aux, TS: p.Arrival, Packet: int64(p.ID),
-		})
-	}
-	s.cGrants.Inc()
-	s.cDepartures.Inc()
-	if last {
-		s.cCompleted.Inc()
-	}
+	s.probe.Grant(slot, iter, in, out, p.Arrival, int64(p.ID))
+	s.probe.Departure(slot, in, out, p.Arrival, int64(p.ID), last)
 }
 
 // SetReleaseHook registers fn to receive each packet once its last copy

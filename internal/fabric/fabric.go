@@ -15,9 +15,8 @@ import (
 
 // Node is what the fabric needs from a switch architecture:
 // switchsim.Switch (declared structurally, so that switchsim can import
-// fabric without a cycle) plus the release hook and the live backlog
-// of one input port. Every single-switch architecture the engine can
-// drive is a Node.
+// fabric without a cycle) plus the live backlog of one input port.
+// Every single-switch architecture the engine can drive is a Node.
 type Node interface {
 	Ports() int
 	Arrive(p *cell.Packet)
@@ -28,6 +27,7 @@ type Node interface {
 	LoadState(r *snap.Reader) error
 	ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64))
 	SetReleaseHook(fn func(*cell.Packet))
+	SetObserver(o *obs.Observer)
 	InputBacklog(port int) int // QueueSizes' current value for one port
 }
 
@@ -124,8 +124,8 @@ func (l *linkRing) at(i int) *linkEntry { return &l.buf[(l.head+i)%len(l.buf)] }
 // It implements the switchsim.Switch surface — Ports() is the fabric
 // ingress count, Arrive takes fabric packets whose destination
 // universe is the egress leaf count, Step runs one synchronous slot of
-// every stage — plus the release hook, the engine's optional
-// capabilities (observer, snapshot) and a drop hook. The fabric must
+// every stage, the release hook, the observer and the snapshot codec —
+// plus a drop hook. The fabric must
 // be square (ingress count == egress count) to sit behind
 // Runner/LiveRunner, which use one N for both sides; Builder
 // topologies that aren't square can still be driven by custom loops.
@@ -160,7 +160,7 @@ type Fabric struct {
 	outer   func(cell.Delivery)
 	release func(*cell.Packet)
 	onDrop  func(Drop)
-	obs     *obs.Observer
+	probe   obs.Probe
 
 	admitted       int64
 	admittedCopies int64
@@ -234,9 +234,16 @@ func (f *Fabric) SetDropHook(fn func(Drop)) { f.onDrop = fn }
 
 // SetObserver attaches the observability layer at fabric scope:
 // arrivals at ingress, one EvHop per link admission, counted EvDrops,
-// departures at egress. Node-internal events stay unobserved (the
-// per-node arbiter traffic would drown the end-to-end story).
-func (f *Fabric) SetObserver(o *obs.Observer) { f.obs = o }
+// departures at egress. Only the tracer is bound: the fabric's counts
+// are its Stats, and it registers no metrics. Node-internal events
+// stay unobserved (the per-node arbiter traffic would drown the
+// end-to-end story).
+func (f *Fabric) SetObserver(o *obs.Observer) {
+	if o != nil {
+		o = &obs.Observer{Trace: o.Trace}
+	}
+	f.probe.Attach(o, 0)
+}
 
 // getRow takes a leaf row from the free list or grows the slab. Growing
 // moves the slab: take row slices only after the last getRow.
@@ -303,11 +310,8 @@ func (f *Fabric) Arrive(p *cell.Packet) {
 	*lv = liveInfo{input: int32(p.Input), fanout: int32(fanout), arrival: p.Arrival, remain: int32(fanout)}
 	f.admitted++
 	f.admittedCopies += int64(fanout)
-	if f.obs.TraceOn() {
-		f.obs.Trace.Emit(obs.Event{
-			Slot: p.Arrival, Type: obs.EvArrival, In: int32(p.Input), Out: -1,
-			Round: -1, Aux: int32(fanout), TS: p.Arrival, Packet: int64(p.ID),
-		})
+	if f.probe.On() {
+		f.probe.Arrival(p, fanout)
 	}
 	ep := f.top.IngressAt(p.Input)
 	f.admitLocal(ep.Node, p.ID, f.storeRow(p.Dests.Words()), 0, ep.Port, p.Arrival)
@@ -356,12 +360,9 @@ func (f *Fabric) Step(slot int64, deliver func(cell.Delivery)) {
 		if f.nodes[to.Node].InputBacklog(to.Port) >= f.cfg.MaxInputCells {
 			continue // backpressure: retry next slot
 		}
-		if f.obs.TraceOn() {
+		if f.probe.On() {
 			lv := f.live.Lookup(head.fabID)
-			f.obs.Trace.Emit(obs.Event{
-				Slot: slot, Type: obs.EvHop, In: int32(lv.input), Out: int32(to.Node),
-				Round: -1, Aux: int32(head.hops), TS: lv.arrival, Packet: int64(head.fabID),
-			})
+			f.probe.Hop(slot, int(lv.input), to.Node, int(head.hops), lv.arrival, int64(head.fabID))
 		}
 		f.admitLocal(to.Node, head.fabID, head.leaves, head.hops, to.Port, slot)
 		lk.pop()
@@ -399,15 +400,8 @@ func (f *Fabric) handleNodeDelivery(ni int, d cell.Delivery) {
 		last := lv.remain == 0
 		f.delivered++
 		f.hops.Add(float64(ctx.hops) + 1)
-		if f.obs.TraceOn() {
-			aux := int32(0)
-			if last {
-				aux = 1
-			}
-			f.obs.Trace.Emit(obs.Event{
-				Slot: f.slot, Type: obs.EvDeparture, In: lv.input, Out: int32(leaf),
-				Round: -1, Aux: aux, TS: lv.arrival, Packet: int64(ctx.fab),
-			})
+		if f.probe.On() {
+			f.probe.Departure(f.slot, int(lv.input), leaf, lv.arrival, int64(ctx.fab), last)
 		}
 		fd := cell.Delivery{
 			ID: ctx.fab, In: int(lv.input), Out: leaf, Slot: f.slot, Arrival: lv.arrival,
@@ -460,13 +454,10 @@ func (f *Fabric) dropCopy(ctx *ctxInfo, sub int32) {
 		panic(fmt.Sprintf("fabric: packet %d over-dropped", ctx.fab))
 	}
 	lv.tainted = true
-	if f.obs.TraceOn() {
-		in, arr := lv.input, lv.arrival
+	if f.probe.On() {
+		in, arr := int(lv.input), lv.arrival
 		eachBit(f.row(sub), func(leaf int) {
-			f.obs.Trace.Emit(obs.Event{
-				Slot: f.slot, Type: obs.EvDrop, In: in, Out: int32(leaf),
-				Round: -1, Aux: int32(ctx.hops), TS: arr, Packet: int64(ctx.fab),
-			})
+			f.probe.Drop(f.slot, in, leaf, int(ctx.hops), arr, int64(ctx.fab))
 		})
 	}
 	if f.onDrop != nil {

@@ -5,10 +5,9 @@
 // exported and explained, not just aggregated at the end of a run.
 //
 // The layer is built around one invariant: when observability is off it
-// must cost nothing measurable. Switches hold a single *Observer
-// pointer that is nil in ordinary runs; every instrumentation site is
-// guarded by one predictable nil check (or by the nil-receiver helpers
-// TraceOn/MetricsOn/Emit below), so the tier-1 benchmarks see the
+// must cost nothing measurable. Every switch holds a Probe (probe.go)
+// that is off in ordinary runs; every instrumentation site is guarded
+// by one predictable Probe.On test, so the tier-1 benchmarks see the
 // disabled fast path: no allocation, no map lookup, one never-taken
 // branch. DESIGN.md §8 records the taxonomy and the overhead budget.
 //
@@ -137,9 +136,8 @@ func (e Event) String() string {
 		e.Slot, e.Type, e.In, e.Out, e.Round, e.TS, e.Packet, e.Aux)
 }
 
-// Observer bundles the two observability halves. Switches hold a
-// *Observer that is nil when observability is disabled; the methods
-// below have nil receivers so call sites need no double checks.
+// Observer bundles the two observability halves; either may be nil.
+// A switch binds one with SetObserver, which attaches its Probe.
 type Observer struct {
 	Trace   *Tracer
 	Metrics *Registry
@@ -150,29 +148,3 @@ func (o *Observer) TraceOn() bool { return o != nil && o.Trace != nil }
 
 // MetricsOn reports whether metrics should be maintained.
 func (o *Observer) MetricsOn() bool { return o != nil && o.Metrics != nil }
-
-// Emit records e if tracing is enabled; otherwise it is a no-op.
-// Hot paths that would pay for constructing e should guard with
-// TraceOn instead of calling Emit unconditionally.
-func (o *Observer) Emit(e Event) {
-	if o != nil && o.Trace != nil {
-		o.Trace.Emit(e)
-	}
-}
-
-// Counter returns the named counter, or nil when metrics are disabled,
-// so instrumentation can cache pointers once at attach time.
-func (o *Observer) Counter(name string) *Counter {
-	if o == nil || o.Metrics == nil {
-		return nil
-	}
-	return o.Metrics.Counter(name)
-}
-
-// Gauge returns the named gauge, or nil when metrics are disabled.
-func (o *Observer) Gauge(name string) *Gauge {
-	if o == nil || o.Metrics == nil {
-		return nil
-	}
-	return o.Metrics.Gauge(name)
-}

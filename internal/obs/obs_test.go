@@ -3,8 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"voqsim/internal/cell"
+	"voqsim/internal/destset"
 )
 
 func ev(slot int64, t EventType, in, out int32) Event {
@@ -164,17 +168,84 @@ func TestNilObserverFastPath(t *testing.T) {
 	if o.TraceOn() || o.MetricsOn() {
 		t.Fatal("nil observer reports enabled")
 	}
-	o.Emit(ev(0, EvArrival, 0, 0)) // must not panic
-	if o.Counter("c") != nil || o.Gauge("g") != nil {
-		t.Fatal("nil observer handed out live metrics")
+	// A probe detached, or attached to nothing, is off and its methods
+	// are no-ops, so no instrumentation site needs a second guard.
+	for _, o := range []*Observer{nil, {}} {
+		var p Probe
+		p.Attach(o, 4)
+		if p.On() {
+			t.Fatalf("probe over %v reports on", o)
+		}
+		p.Arrival(&cell.Packet{Dests: destset.FromMembers(4, 1, 2)}, 2)
+		p.EnqueueEach(&cell.Packet{Dests: destset.FromMembers(4, 1, 2)}, 2)
+		p.Occupancy(3, 9)
+		p.Request(0, 0, 1, 2, 0, 0)
+		p.Grant(0, 0, 1, 2, 0, 0)
+		p.Rounds(2)
+		p.Departure(0, 1, 2, 0, 0, true)
+		p.Split(0, 1, 1, 0, 0)
 	}
-	// Nil metric handles are safe no-ops so attach-time caching needs
-	// no per-site guards.
-	o.Counter("c").Inc()
-	o.Counter("c").Add(2)
-	o.Gauge("g").Max(5)
-	o.Gauge("g").Set(1)
-	if o.Counter("c").Value() != 0 || o.Gauge("g").Value() != 0 {
+	// Nil metric handles are safe no-ops.
+	var c *Counter
+	var g *Gauge
+	c.Inc()
+	c.Add(2)
+	g.Max(5)
+	g.Set(1)
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatal("nil metric handles accumulated state")
+	}
+}
+
+// TestProbeCountsAndRegisters pins what a probe registers and when: the
+// lifecycle counters and the occupancy gauges at Attach, the
+// arbitration counters on first use; and that a metrics-only probe
+// counts what a traced one emits.
+func TestProbeCountsAndRegisters(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(64)
+	var p Probe
+	p.Attach(&Observer{Trace: tr, Metrics: reg}, 2)
+	names := func() (out []string) {
+		for _, m := range reg.Snapshot() {
+			out = append(out, m.Name)
+		}
+		return out
+	}
+	want := []string{MetricArrivals, MetricDepartures, MetricEnqueues, OccHWM(0), OccHWM(1),
+		MetricCompleted, MetricSplits}
+	if got := names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registered at Attach: %v, want %v", got, want)
+	}
+	pkt := &cell.Packet{ID: 7, Input: 1, Arrival: 3, Dests: destset.FromMembers(2, 0, 1)}
+	p.Arrival(pkt, 2)
+	p.EnqueueEach(pkt, 2)
+	p.Occupancy(1, 5)
+	p.Request(4, 0, 1, 0, 3, -1)
+	p.Grant(4, 0, 1, 0, 3, -1)
+	p.Rounds(3)
+	p.Departure(4, 1, 0, 3, 7, false)
+	p.Split(4, 1, 1, 3, 7)
+	want = []string{"active_slots_total", "arrivals_total", "departures_total", "enqueued_cells_total",
+		"grants_total", "occ_hwm_port_00", "occ_hwm_port_01", "packets_completed_total",
+		"requests_total", "rounds_total", "splits_total"}
+	if got := names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registered after use: %v, want %v", got, want)
+	}
+	values := map[string]int64{}
+	for _, m := range reg.Snapshot() {
+		values[m.Name] = m.Value
+	}
+	if values[MetricEnqueues] != 2 || values[MetricRounds] != 3 || values[MetricActiveSlots] != 1 ||
+		values[OccHWM(1)] != 5 || values[MetricCompleted] != 0 || values[MetricSplits] != 1 {
+		t.Fatalf("counted %v", values)
+	}
+	var types []EventType
+	for _, e := range tr.Events() {
+		types = append(types, e.Type)
+	}
+	wantTypes := []EventType{EvArrival, EvEnqueue, EvEnqueue, EvRequest, EvGrant, EvDeparture, EvFanoutSplit}
+	if !reflect.DeepEqual(types, wantTypes) {
+		t.Fatalf("emitted %v, want %v", types, wantTypes)
 	}
 }

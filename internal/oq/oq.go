@@ -17,6 +17,7 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/fifoq"
 	"voqsim/internal/idwin"
+	"voqsim/internal/obs"
 )
 
 // queuedCopy is one packet copy waiting in an output queue.
@@ -49,6 +50,8 @@ type Switch struct {
 	// still read them.
 	arrived []*cell.Packet
 	release func(*cell.Packet)
+
+	probe obs.Probe // observability (DESIGN.md §8), off in ordinary runs
 }
 
 // New returns an n x n output-queued switch.
@@ -74,10 +77,16 @@ func (s *Switch) Arrive(p *cell.Packet) {
 	if p.Dests.Count() == 0 {
 		panic("oq: arrival with empty destination set")
 	}
+	fanout := p.Fanout()
 	o, _ := s.pkts.Ensure(p.ID)
-	o.fanout = int32(p.Fanout())
+	o.fanout = int32(fanout)
 	c := queuedCopy{id: p.ID, in: p.Input, arrival: p.Arrival}
 	p.Dests.ForEach(func(out int) { s.queues[out].Push(c) })
+	if s.probe.On() {
+		s.probe.Arrival(p, fanout)
+		s.probe.EnqueueEach(p, fanout)
+		p.Dests.ForEach(func(out int) { s.probe.Occupancy(out, s.queues[out].Len()) })
+	}
 	if s.release != nil {
 		s.arrived = append(s.arrived, p)
 	}
@@ -93,6 +102,11 @@ func (s *Switch) Push(d cell.Delivery) {
 	}
 	s.queues[d.Out].Push(queuedCopy{id: d.ID, in: d.In, arrival: d.Arrival})
 }
+
+// SetObserver attaches (or detaches, with nil) the observability
+// layer; call it before the run starts. The occupancy gauges are per
+// output queue, the ports QueueSizes reports.
+func (s *Switch) SetObserver(o *obs.Observer) { s.probe.Attach(o, s.n) }
 
 // SetReleaseHook registers fn to receive each packet at the end of the
 // Step after its arrival — from Step, never from Arrive. Its copies
@@ -114,6 +128,9 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		}
 		deliver(cell.Delivery{ID: c.id, In: c.in, Out: out, Slot: slot, Arrival: c.arrival,
 			Done: done, Fanout: fanout})
+		if s.probe.On() {
+			s.probe.Departure(slot, c.in, out, c.arrival, int64(c.id), done)
+		}
 	}
 	if s.release != nil {
 		for _, p := range s.arrived {

@@ -9,38 +9,38 @@ import (
 	"testing"
 
 	"voqsim/internal/experiment"
+	"voqsim/internal/fabric"
 	"voqsim/internal/obs"
+	"voqsim/internal/roster"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// tracedRun runs a small deterministic 4x4 FIFOMS simulation with the
-// observability layer attached, streaming its event trace into a
-// buffer, and returns the JSONL bytes plus the run's results. Warmup
-// is disabled so every delivery counts. With checked set the run goes
-// through the invariant checker, which must hand on the same events and
-// find nothing.
-func tracedRun(t *testing.T, slots int64, checked bool) ([]byte, switchsim.Results) {
+// tracedRun runs a small deterministic n-port simulation of algo at
+// load 0.6 with the observability layer attached, streaming its event
+// trace into a buffer, and returns the JSONL bytes plus the run's
+// results. Warmup is disabled so every delivery counts. With checked
+// set the run goes through the invariant checker, which must hand on
+// the same events and find nothing.
+func tracedRun(t *testing.T, algo experiment.Algorithm, n int, slots int64, checked bool) ([]byte, switchsim.Results) {
 	t.Helper()
-	const n, seed = 4, 2004
+	const seed = 2004
 	pat, err := traffic.BernoulliAtLoad(0.6, 0.3, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := switchsim.Config{Slots: slots, WarmupFrac: -1, Seed: seed}
-	runner, ck, release := experiment.RunSeeding.NewRunner(experiment.FIFOMS, n, pat, cfg, checked)
+	runner, ck, release := experiment.RunSeeding.NewRunner(algo, n, pat, cfg, checked)
 	defer release()
 
 	var buf bytes.Buffer
 	tr := obs.NewTracer(64) // tiny ring: exercises mid-run streaming
 	tr.OnFull(EventSink(&buf))
 	o := &obs.Observer{Trace: tr, Metrics: obs.NewRegistry()}
-	if !runner.Instrument(o) {
-		t.Fatal("fifoms switch did not accept the observer")
-	}
-	res := runner.Run("fifoms")
+	runner.Instrument(o)
+	res := runner.Run(algo.Name)
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestTraceGolden(t *testing.T) {
 }
 
 func testTraceGolden(t *testing.T, checked bool) {
-	got, _ := tracedRun(t, 20, checked)
+	got, _ := tracedRun(t, experiment.FIFOMS, 4, 20, checked)
 	golden := filepath.Join("testdata", "trace_4x4_fifoms.jsonl")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -97,7 +97,7 @@ func testTraceGolden(t *testing.T, checked bool) {
 // completed-packet counts, and its arrival events the offered-packet
 // count.
 func TestTraceReplaysToDeliveredCount(t *testing.T) {
-	raw, res := tracedRun(t, 400, false)
+	raw, res := tracedRun(t, experiment.FIFOMS, 4, 400, false)
 	events, err := ReadEventsJSONL(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -125,5 +125,55 @@ func TestTraceReplaysToDeliveredCount(t *testing.T) {
 	}
 	if departures == 0 {
 		t.Fatal("trace recorded no departures; the run cannot have been empty")
+	}
+}
+
+// TestTraceEveryArchitecture is the roster's trace battery: on every
+// roster architecture and on a fat tree, a checked run's trace is the
+// unchecked run's byte for byte, the checker (I7 included) finds
+// nothing, and the trace holds one arrival event per offered packet and
+// one departure event per delivered copy.
+func TestTraceEveryArchitecture(t *testing.T) {
+	type entry struct {
+		algo experiment.Algorithm
+		n    int
+	}
+	var entries []entry
+	for _, a := range roster.For(roster.Trace) {
+		entries = append(entries, entry{a, 8})
+	}
+	top, err := fabric.ParseSpec("fattree:k=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fat, err := experiment.WithTopology(experiment.FIFOMS, top, fabric.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries = append(entries, entry{fat, top.Ingress()})
+	for _, e := range entries {
+		t.Run(e.algo.Name, func(t *testing.T) {
+			raw, res := tracedRun(t, e.algo, e.n, 300, false)
+			if checkedRaw, _ := tracedRun(t, e.algo, e.n, 300, true); !bytes.Equal(checkedRaw, raw) {
+				t.Errorf("checked trace (%d bytes) differs from the unchecked one (%d bytes)", len(checkedRaw), len(raw))
+			}
+			events, err := ReadEventsJSONL(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var arrivals, departures int64
+			for _, ev := range events {
+				switch ev.Type {
+				case obs.EvArrival:
+					arrivals++
+				case obs.EvDeparture:
+					departures++
+				}
+			}
+			if arrivals != res.OfferedPackets || departures != res.Delivered || departures == 0 {
+				t.Errorf("trace holds %d arrivals and %d departures; the run offered %d packets and delivered %d copies",
+					arrivals, departures, res.OfferedPackets, res.Delivered)
+			}
+		})
 	}
 }

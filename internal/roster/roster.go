@@ -69,6 +69,8 @@ const (
 	// DaemonCompletion: TestEveryArchitectureCompletesOnTheWire
 	// (internal/daemon).
 	DaemonCompletion Battery = "daemon-completion"
+	// Trace: TestTraceEveryArchitecture (internal/report).
+	Trace Battery = "trace"
 )
 
 // Batteries lists every battery, so an exemption or a For call that
@@ -79,6 +81,7 @@ var Batteries = []Battery{
 	FabricResume, Resume, Recycling, RestoreFuzz, SnapshotGolden, SlotAllocs,
 	StableRun, BufferBytes, SaturationFairness,
 	CheckerDifferential, CheckerClean, CheckerDoneMutants, DaemonCompletion,
+	Trace,
 }
 
 // Exemption leaves one roster entry out of one battery.

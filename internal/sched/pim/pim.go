@@ -64,7 +64,7 @@ func (a *Arbiter) ensure(n int) {
 // Match implements core.Arbiter.
 func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Matching) {
 	n := s.Ports()
-	o := s.Observer() // nil in ordinary runs
+	o := s.Probe() // off in ordinary runs
 	a.ensure(n)
 	destset.FillPorts(a.inFree, n)
 	destset.FillPorts(a.outFree, n)
@@ -74,7 +74,7 @@ func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Match
 	}
 
 	for iter := 0; iter < maxIter; iter++ {
-		if o != nil {
+		if o.On() {
 			a.observeRequests(s, o, slot, iter)
 		}
 		// Grant: each free output picks uniformly among free inputs
@@ -117,7 +117,6 @@ func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Match
 		}
 
 		matched := false
-		var granted int64
 		for in := 0; in < n; in++ {
 			out := a.acceptPick[in]
 			if out == core.None {
@@ -127,21 +126,12 @@ func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Match
 			a.inFree[in>>6] &^= 1 << uint(in&63)
 			a.outFree[out>>6] &^= 1 << uint(out&63)
 			matched = true
-			if o != nil {
-				granted++
-				if o.TraceOn() {
-					// PIM has no scheduling weight; TS is -1. The grant
-					// event records the accepted match (grant + accept
-					// collapsed), mirroring FIFOMS's standing grants.
-					o.Trace.Emit(obs.Event{
-						Slot: slot, Type: obs.EvGrant, In: int32(in), Out: int32(out),
-						Round: int32(iter), TS: -1, Packet: -1,
-					})
-				}
+			if o.On() {
+				// PIM has no scheduling weight; TS is -1. The grant
+				// event records the accepted match (grant + accept
+				// collapsed), mirroring FIFOMS's standing grants.
+				o.Grant(slot, iter, in, out, -1, -1)
 			}
-		}
-		if o != nil {
-			o.Counter(obs.MetricGrants).Add(granted)
 		}
 		if !matched {
 			break
@@ -150,27 +140,18 @@ func (a *Arbiter) Match(s *core.Switch, slot int64, r *xrand.Rand, m *core.Match
 	}
 }
 
-// observeRequests emits this iteration's implicit PIM requests — every
-// free input requests every free output it holds a cell for — and
-// counts the pairs. Only called with an observer attached.
-func (a *Arbiter) observeRequests(s *core.Switch, o *obs.Observer, slot int64, iter int) {
-	traceOn := o.TraceOn()
-	var pairs int64
+// observeRequests reports this iteration's implicit PIM requests —
+// every free input requests every free output it holds a cell for.
+// Only called with an observer attached.
+func (a *Arbiter) observeRequests(s *core.Switch, o *obs.Probe, slot int64, iter int) {
 	for wo, ov := range a.outFree {
 		for ; ov != 0; ov &= ov - 1 {
 			out := wo<<6 + bits.TrailingZeros64(ov)
 			for wi, wv := range s.OccOutWords(out) {
 				for wv &= a.inFree[wi]; wv != 0; wv &= wv - 1 {
-					pairs++
-					if traceOn {
-						o.Trace.Emit(obs.Event{
-							Slot: slot, Type: obs.EvRequest, In: int32(wi<<6 + bits.TrailingZeros64(wv)),
-							Out: int32(out), Round: int32(iter), TS: -1, Packet: -1,
-						})
-					}
+					o.Request(slot, iter, wi<<6+bits.TrailingZeros64(wv), out, -1, -1)
 				}
 			}
 		}
 	}
-	o.Counter(obs.MetricRequests).Add(pairs)
 }

@@ -157,10 +157,8 @@ func (l *LiveRunner) QueueSizes(dst []int) []int { return l.sw.QueueSizes(dst) }
 func (l *LiveRunner) Sizes() []int { return l.sw.QueueSizes(l.sizes) }
 
 // Instrument attaches the observability layer to the underlying
-// switch, reporting false — and attaching nothing — when the
-// architecture does not support it, exactly as Runner.Instrument does.
-// Attach before the first Admit.
-func (l *LiveRunner) Instrument(o *obs.Observer) bool { return instrument(l.sw, o) }
+// switch. Attach before the first Admit.
+func (l *LiveRunner) Instrument(o *obs.Observer) { l.sw.SetObserver(o) }
 
 // SaveState implements snap.Stater: the runner's admission and
 // delivery accounting, then the switch (buffered cells, arbiter

@@ -54,6 +54,10 @@ type Switch interface {
 	// input in to output out, of packet id, which arrived in slot
 	// arrival. The invariant checker primes itself from it.
 	ForEachCopy(fn func(in, out int, id cell.PacketID, arrival int64))
+	// SetObserver attaches the slot-level observability layer
+	// (DESIGN.md §8), or detaches it with nil; Runner.Instrument and
+	// LiveRunner.Instrument call it.
+	SetObserver(o *obs.Observer)
 	PacketReleaser
 }
 
@@ -69,13 +73,6 @@ type RoundsReporter interface {
 // engine then records mean and peak memory.
 type BytesReporter interface {
 	BufferedBytes() int64
-}
-
-// Observable is optionally implemented by switches that support the
-// slot-level observability layer (DESIGN.md §8): core.Switch,
-// eslip.Switch and wba.Switch.
-type Observable interface {
-	SetObserver(o *obs.Observer)
 }
 
 // PacketReleaser is the release half of the switch contract: every
@@ -387,34 +384,17 @@ func (r *Runner) Config() Config { return r.cfg }
 func (r *Runner) Tracker() *stats.DelayTracker { return r.tracker }
 
 // Instrument attaches the observability layer to the underlying
-// switch. It reports false — and attaches nothing — when the switch
-// architecture does not implement Observable. Call before Run; the
-// instrumentation makes no RNG draws, so an instrumented run is
-// bit-identical to an unobserved one.
-func (r *Runner) Instrument(o *obs.Observer) bool {
-	if !instrument(r.sw, o) {
-		return false
-	}
+// switch. Call before Run; the instrumentation makes no RNG draws, so
+// an instrumented run is bit-identical to an unobserved one.
+func (r *Runner) Instrument(o *obs.Observer) {
+	r.sw.SetObserver(o)
 	r.obs = o
-	return true
 }
 
-// instrument attaches o to sw and reports true, or reports false and
-// attaches nothing when the architecture sw drives is not Observable.
-// It is Runner's and LiveRunner's one Instrument path.
-func instrument(sw Switch, o *obs.Observer) bool {
-	if _, ok := capabilities(sw).(Observable); !ok {
-		return false
-	}
-	sw.(Observable).SetObserver(o)
-	return true
-}
-
-// capabilities returns the switch whose read-only optional interfaces
-// (RoundsReporter, BytesReporter, whether it is Observable) describe
-// the run: sw itself, or the switch a checker wraps — the checker
-// forwards none of the reporters and has SetObserver whatever it wraps.
-// The engine still drives sw.
+// capabilities returns the switch whose read-only optional interfaces,
+// RoundsReporter and BytesReporter, describe the run: sw itself, or the
+// switch a checker wraps — the checker forwards neither. The engine
+// still drives sw.
 func capabilities(sw Switch) check.Switch {
 	if ck, ok := sw.(*check.Checker); ok {
 		return ck.Inner()

@@ -29,6 +29,7 @@ import (
 	"voqsim/internal/cell"
 	"voqsim/internal/fifoq"
 	"voqsim/internal/inq"
+	"voqsim/internal/obs"
 )
 
 // Switch is a single-input-queued switch scheduled by TATRA. It
@@ -40,6 +41,9 @@ type Switch struct {
 	n       int
 	columns []fifoq.Queue[int] // Tetris board: per output, inputs in departure order
 	placed  []bool             // whether input i's HOL packet is on the board
+
+	probe  obs.Probe // observability (DESIGN.md §8), off in ordinary runs
+	served []int     // copies delivered per input this slot (observation only)
 }
 
 // New returns an n x n TATRA switch.
@@ -61,8 +65,25 @@ func (s *Switch) Ports() int { return s.n }
 // Name identifies the algorithm in reports.
 func (s *Switch) Name() string { return "tatra" }
 
+// SetObserver attaches (or detaches, with nil) the observability
+// layer; call it before the run starts.
+func (s *Switch) SetObserver(o *obs.Observer) {
+	s.probe.Attach(o, s.n)
+	s.served = nil
+	if s.probe.On() {
+		s.served = make([]int, s.n)
+	}
+}
+
 // Arrive appends a packet to its input's FIFO queue.
-func (s *Switch) Arrive(p *cell.Packet) { s.Push(p) }
+func (s *Switch) Arrive(p *cell.Packet) {
+	s.Push(p)
+	if s.probe.On() {
+		s.probe.Arrival(p, p.Dests.Count())
+		s.probe.Enqueue(p, -1) // one entry in the input's FIFO, whatever the fanout
+		s.probe.Occupancy(p.Input, s.Len(p.Input))
+	}
+}
 
 // Step runs one time slot: place newly head-of-line packets on the
 // board, let the bottom row depart, and advance fully-served packets.
@@ -92,13 +113,26 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		if !e.Remaining.Contains(out) {
 			panic(fmt.Sprintf("tatra: board block (%d,%d) not in packet's remaining fanout", in, out))
 		}
-		deliver(e.Serve(out, slot))
+		d := e.Serve(out, slot)
+		deliver(d)
+		if s.probe.On() {
+			s.served[in]++
+			s.probe.Departure(slot, in, out, e.P.Arrival, int64(e.P.ID), d.Last)
+		}
 	}
 
 	// Advance: fully served head-of-line packets leave their queues and
 	// are released; their successors are placed at the start of the
 	// next slot.
 	for in := 0; in < s.n; in++ {
+		if s.probe.On() && s.served[in] > 0 {
+			if e := s.Front(in); !e.Remaining.Empty() {
+				// Partially served: the residue keeps its blocks on the
+				// board and leaves in later slots (fanout splitting).
+				s.probe.Split(slot, in, e.Remaining.Count(), e.P.Arrival, int64(e.P.ID))
+			}
+			s.served[in] = 0
+		}
 		if s.placed[in] && s.Advance(in) {
 			s.placed[in] = false
 		}

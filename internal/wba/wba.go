@@ -41,18 +41,8 @@ type Switch struct {
 	// output.
 	heads []*inq.Entry
 
-	// Observability (DESIGN.md §8); obs is nil in ordinary runs and
-	// the metric handles are nil-safe no-ops.
-	obs         *obs.Observer
-	cArrivals   *obs.Counter
-	cEnqueues   *obs.Counter
-	cDepartures *obs.Counter
-	cCompleted  *obs.Counter
-	cSplits     *obs.Counter
-	cRequests   *obs.Counter
-	cGrants     *obs.Counter
-	occHWM      []*obs.Gauge
-	served      []int // copies delivered per input this slot (observation only)
+	probe  obs.Probe // observability (DESIGN.md §8), off in ordinary runs
+	served []int     // copies delivered per input this slot (observation only)
 }
 
 // New returns an n x n WBA switch drawing tie-break randomness from
@@ -78,47 +68,20 @@ func (s *Switch) Name() string { return "wba" }
 // SetObserver attaches (or detaches, with nil) the observability
 // layer; call it before the run starts.
 func (s *Switch) SetObserver(o *obs.Observer) {
-	s.obs = o
-	s.cArrivals = o.Counter(obs.MetricArrivals)
-	s.cEnqueues = o.Counter(obs.MetricEnqueues)
-	s.cDepartures = o.Counter(obs.MetricDepartures)
-	s.cCompleted = o.Counter(obs.MetricCompleted)
-	s.cSplits = o.Counter(obs.MetricSplits)
-	s.cRequests = o.Counter(obs.MetricRequests)
-	s.cGrants = o.Counter(obs.MetricGrants)
-	s.occHWM = nil
+	s.probe.Attach(o, s.n)
 	s.served = nil
-	if o != nil {
+	if s.probe.On() {
 		s.served = make([]int, s.n)
-	}
-	if o.MetricsOn() {
-		s.occHWM = make([]*obs.Gauge, s.n)
-		for i := range s.occHWM {
-			s.occHWM[i] = o.Gauge(obs.OccHWM(i))
-		}
 	}
 }
 
 // Arrive appends a packet to its input's FIFO queue.
 func (s *Switch) Arrive(p *cell.Packet) {
 	s.Push(p)
-	if s.obs != nil {
-		if s.obs.TraceOn() {
-			s.obs.Trace.Emit(obs.Event{
-				Slot: p.Arrival, Type: obs.EvArrival, In: int32(p.Input), Out: -1,
-				Round: -1, Aux: int32(p.Dests.Count()), TS: p.Arrival, Packet: int64(p.ID),
-			})
-			// One entry in the input's single FIFO, whatever the fanout.
-			s.obs.Trace.Emit(obs.Event{
-				Slot: p.Arrival, Type: obs.EvEnqueue, In: int32(p.Input), Out: -1,
-				Round: -1, TS: p.Arrival, Packet: int64(p.ID),
-			})
-		}
-		s.cArrivals.Inc()
-		s.cEnqueues.Inc()
-		if s.occHWM != nil {
-			s.occHWM[p.Input].Max(int64(s.Len(p.Input)))
-		}
+	if s.probe.On() {
+		s.probe.Arrival(p, p.Dests.Count())
+		s.probe.Enqueue(p, -1) // one entry in the input's FIFO, whatever the fanout
+		s.probe.Occupancy(p.Input, s.Len(p.Input))
 	}
 }
 
@@ -128,7 +91,7 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	// mutate remaining in place, never the head pointer.
 	occWords := s.Occupied().Words()
 	s.Occupied().ForEach(func(in int) { s.heads[in] = s.Front(in) })
-	if s.obs != nil {
+	if s.probe.On() {
 		s.observeRequests(slot)
 	}
 
@@ -167,46 +130,23 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 		e := s.heads[chosen]
 		d := e.Serve(out, slot)
 		deliver(d)
-		if s.obs != nil {
+		if s.probe.On() {
 			s.served[chosen]++
-			if s.obs.TraceOn() {
-				// WBA's single arbitration pass is round 0; TS records
-				// the winning packet's arrival (its age is its weight).
-				s.obs.Trace.Emit(obs.Event{
-					Slot: slot, Type: obs.EvGrant, In: int32(chosen), Out: int32(out),
-					Round: 0, TS: e.P.Arrival, Packet: int64(e.P.ID),
-				})
-				aux := int32(0)
-				if d.Last {
-					aux = 1
-				}
-				s.obs.Trace.Emit(obs.Event{
-					Slot: slot, Type: obs.EvDeparture, In: int32(chosen), Out: int32(out),
-					Round: -1, Aux: aux, TS: e.P.Arrival, Packet: int64(e.P.ID),
-				})
-			}
-			s.cGrants.Inc()
-			s.cDepartures.Inc()
-			if d.Last {
-				s.cCompleted.Inc()
-			}
+			// WBA's single arbitration pass is round 0; TS records the
+			// winning packet's arrival (its age is its weight).
+			s.probe.Grant(slot, 0, chosen, out, e.P.Arrival, int64(e.P.ID))
+			s.probe.Departure(slot, chosen, out, e.P.Arrival, int64(e.P.ID), d.Last)
 		}
 	}
 
 	// Advance and release fully served head-of-line packets, after the
 	// last trace event that reads them.
 	for in := 0; in < s.n; in++ {
-		if s.obs != nil && s.served[in] > 0 {
+		if s.probe.On() && s.served[in] > 0 {
 			if e := s.heads[in]; !e.Remaining.Empty() {
 				// Partially served: the residue stays at HOL (fanout
 				// splitting) and competes again next slot, older.
-				if s.obs.TraceOn() {
-					s.obs.Trace.Emit(obs.Event{
-						Slot: slot, Type: obs.EvFanoutSplit, In: int32(in), Out: -1, Round: -1,
-						Aux: int32(e.Remaining.Count()), TS: e.P.Arrival, Packet: int64(e.P.ID),
-					})
-				}
-				s.cSplits.Inc()
+				s.probe.Split(slot, in, e.Remaining.Count(), e.P.Arrival, int64(e.P.ID))
 			}
 			s.served[in] = 0
 		}
@@ -215,23 +155,14 @@ func (s *Switch) Step(slot int64, deliver func(cell.Delivery)) {
 	}
 }
 
-// observeRequests emits this slot's implicit WBA requests — every live
-// input's HOL packet requests all of its remaining destinations — and
-// counts the pairs. Only called with an observer attached.
+// observeRequests reports this slot's implicit WBA requests — every
+// live input's HOL packet requests all of its remaining destinations.
+// Only called with an observer attached.
 func (s *Switch) observeRequests(slot int64) {
-	traceOn := s.obs.TraceOn()
-	var pairs int64
 	s.Occupied().ForEach(func(in int) {
 		e := s.heads[in]
-		pairs += int64(e.Remaining.Count())
-		if traceOn {
-			e.Remaining.ForEach(func(out int) {
-				s.obs.Trace.Emit(obs.Event{
-					Slot: slot, Type: obs.EvRequest, In: int32(in), Out: int32(out),
-					Round: 0, TS: e.P.Arrival, Packet: int64(e.P.ID),
-				})
-			})
-		}
+		e.Remaining.ForEach(func(out int) {
+			s.probe.Request(slot, 0, in, out, e.P.Arrival, int64(e.P.ID))
+		})
 	})
-	s.cRequests.Add(pairs)
 }
