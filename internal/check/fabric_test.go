@@ -13,7 +13,7 @@ import (
 )
 
 // Fault-injection mutants for the fabric invariants: each test builds
-// a tiny fabric around a deliberately broken node and proves the
+// a tiny Clos fabric around a deliberately broken node and proves the
 // checker catches the exact corruption class. A silent mutant here
 // would mean the invariant battery is decorative.
 
@@ -54,47 +54,6 @@ func (m *dupSplitNode) Step(slot int64, deliver func(cell.Delivery)) {
 	})
 }
 
-// oneNodeTop is a single 2-port switch with identity routing — the
-// smallest topology on which a misroute is observable at the leaves.
-func oneNodeTop(t *testing.T) *fabric.Topology {
-	t.Helper()
-	b := fabric.NewBuilder("mutant-single")
-	n0 := b.AddNode(2)
-	b.BindIngress(n0, 0)
-	b.BindIngress(n0, 1)
-	b.BindEgress(n0, 0)
-	b.BindEgress(n0, 1)
-	b.Route(n0, 0, 0)
-	b.Route(n0, 1, 1)
-	top, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return top
-}
-
-// splitTop is a 2-port root feeding two 1-port second-stage switches,
-// one leaf each — the smallest topology with a real split.
-func splitTop(t *testing.T) *fabric.Topology {
-	t.Helper()
-	b := fabric.NewBuilder("mutant-split")
-	n0 := b.AddNode(2)
-	b.BindIngress(n0, 0)
-	b.BindIngress(n0, 1)
-	for leaf := 0; leaf < 2; leaf++ {
-		st := b.AddNode(1)
-		b.Connect(fabric.Endpoint{Node: n0, Port: leaf}, fabric.Endpoint{Node: st, Port: 0})
-		b.BindEgress(st, 0)
-		b.Route(n0, leaf, leaf)
-		b.Route(st, leaf, 0)
-	}
-	top, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return top
-}
-
 // driveMutant admits one packet destined to dests and steps the
 // checked fabric until the first violation (or the slot budget runs
 // out), returning the violations.
@@ -115,11 +74,24 @@ func driveMutant(t *testing.T, fab *fabric.Fabric, dests ...int) []check.Violati
 }
 
 // TestMutantMisroutedCopy proves a copy surfacing at the wrong leaf
-// trips the delivery-level membership invariant I3.
+// trips the delivery-level membership invariant I3. Clos(2, 1, 1) is a
+// 2-port ingress switch, one 1-port middle switch and a 2-port egress
+// switch binding both leaves; only the egress switch, the third node
+// New builds, misroutes.
 func TestMutantMisroutedCopy(t *testing.T) {
+	top, err := fabric.Clos(2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	root := xrand.New(7).Split("switch", 0)
-	fab, err := fabric.New(oneNodeTop(t), fabric.Config{}, func(ports int, r *xrand.Rand) fabric.Node {
-		return &misrouteNode{core.NewSwitch(ports, &core.FIFOMS{}, r)}
+	node := 0
+	fab, err := fabric.New(top, fabric.Config{}, func(ports int, r *xrand.Rand) fabric.Node {
+		defer func() { node++ }()
+		sw := core.NewSwitch(ports, &core.FIFOMS{}, r)
+		if node == 2 {
+			return &misrouteNode{sw}
+		}
+		return sw
 	}, root)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +109,19 @@ func TestMutantMisroutedCopy(t *testing.T) {
 	if !found {
 		t.Fatalf("expected an I3 membership violation, got %v", vs)
 	}
+}
+
+// splitTop is Clos(1, 1, 2): two 1-port ingress switches feed one
+// 2-port middle switch, which splits a two-leaf multicast between two
+// 1-port egress switches, one leaf each. The middle switch is the only
+// 2-port node.
+func splitTop(t *testing.T) *fabric.Topology {
+	t.Helper()
+	top, err := fabric.Clos(1, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
 }
 
 // TestMutantDuplicatedSplit proves a split that duplicates one child

@@ -37,8 +37,7 @@ func WithTopology(algo Algorithm, top *fabric.Topology, cfg fabric.Config) (Algo
 			}, root)
 			if err != nil {
 				// New validates only the node factory's port counts,
-				// which are the topology's own — unreachable for a
-				// Build()-validated topology.
+				// which are the topology's own — unreachable here.
 				panic(err)
 			}
 			return f

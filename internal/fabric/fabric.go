@@ -125,10 +125,9 @@ func (l *linkRing) at(i int) *linkEntry { return &l.buf[(l.head+i)%len(l.buf)] }
 // ingress count, Arrive takes fabric packets whose destination
 // universe is the egress leaf count, Step runs one synchronous slot of
 // every stage, the release hook, the observer and the snapshot codec —
-// plus a drop hook. The fabric must
-// be square (ingress count == egress count) to sit behind
-// Runner/LiveRunner, which use one N for both sides; Builder
-// topologies that aren't square can still be driven by custom loops.
+// plus a drop hook. Every generated topology is square (ingress count
+// == egress count), as Runner/LiveRunner, which use one N for both
+// sides, need.
 type Fabric struct {
 	top *Topology
 	cfg Config
@@ -233,17 +232,15 @@ func (f *Fabric) SetReleaseHook(fn func(*cell.Packet)) { f.release = fn }
 func (f *Fabric) SetDropHook(fn func(Drop)) { f.onDrop = fn }
 
 // SetObserver attaches the observability layer at fabric scope:
-// arrivals at ingress, one EvHop per link admission, counted EvDrops,
-// departures at egress. Only the tracer is bound: the fabric's counts
-// are its Stats, and it registers no metrics. Node-internal events
-// stay unobserved (the per-node arbiter traffic would drown the
-// end-to-end story).
-func (f *Fabric) SetObserver(o *obs.Observer) {
-	if o != nil {
-		o = &obs.Observer{Trace: o.Trace}
-	}
-	f.probe.Attach(o, 0)
-}
+// arrivals at ingress, one EvHop per link admission, one EvDrop per
+// lost leaf copy, departures at egress. The registry counts the same
+// end to end: arrivals_total per admitted packet, departures_total
+// and packets_completed_total per delivered copy and completed packet,
+// fabric_hops_total and fabric_drops_total (registered at the first
+// hop and the first drop). Node-internal events stay unobserved (the
+// per-node arbiter traffic would drown the end-to-end story), so
+// enqueued_cells_total and splits_total stay 0.
+func (f *Fabric) SetObserver(o *obs.Observer) { f.probe.Attach(o, 0) }
 
 // getRow takes a leaf row from the free list or grows the slab. Growing
 // moves the slab: take row slices only after the last getRow.

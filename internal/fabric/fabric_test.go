@@ -11,6 +11,7 @@ import (
 	"voqsim/internal/destset"
 	"voqsim/internal/experiment"
 	"voqsim/internal/fabric"
+	"voqsim/internal/obs"
 	"voqsim/internal/roster"
 	"voqsim/internal/switchsim"
 	"voqsim/internal/traffic"
@@ -96,6 +97,72 @@ func TestFabricRunConservation(t *testing.T) {
 	}
 }
 
+// TestFabricMetrics pins the registry a fabric fills against its own
+// ledger: on a lossless fat tree the lifecycle counters count admitted
+// packets, delivered copies and completed packets, and no drop counter
+// is registered; on a lossy one (one-entry links, as in the statistics
+// pin) fabric_drops_total is every lost leaf copy and fabric_hops_total
+// every traced hop.
+func TestFabricMetrics(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		fcfg  fabric.Config
+		pat   traffic.Pattern
+		lossy bool
+	}{
+		{"lossless", fabric.Config{}, traffic.Bernoulli{P: 0.3, B: 0.12}, false},
+		{"lossy", fabric.Config{LinkCapacity: 1, MaxInputCells: 4}, traffic.Bernoulli{P: 0.8, B: 0.12}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFabric(t, mustTop(t, "fattree:k=4"), "fifoms", c.fcfg, 17)
+			cfg := switchsim.Config{Slots: 1500, Seed: 17, WarmupFrac: 0.25, UnstableCellLimit: 1 << 30}
+			r := switchsim.New(f, c.pat, cfg, xrand.New(17).Split("traffic", 0))
+			var hops, completed int64
+			tr := obs.NewTracer(1024)
+			tr.OnFull(func(batch []obs.Event) error {
+				for _, e := range batch {
+					if e.Type == obs.EvHop {
+						hops++
+					}
+				}
+				return nil
+			})
+			reg := obs.NewRegistry()
+			r.Instrument(&obs.Observer{Trace: tr, Metrics: reg})
+			r.OnDelivery(func(d cell.Delivery) {
+				if d.Last {
+					completed++
+				}
+			})
+			r.Run("fifoms@fattree:k=4")
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int64{}
+			for _, m := range reg.Snapshot() {
+				got[m.Name] = m.Value
+			}
+			st := f.FabricStats()
+			if got[obs.MetricArrivals] != st.AdmittedPackets || got[obs.MetricDepartures] != st.DeliveredCopies ||
+				got[obs.MetricCompleted] != completed || st.DeliveredCopies == 0 {
+				t.Fatalf("registry counts %d arrivals, %d departures, %d completions; the fabric admitted %d packets, delivered %d copies, completed %d packets",
+					got[obs.MetricArrivals], got[obs.MetricDepartures], got[obs.MetricCompleted],
+					st.AdmittedPackets, st.DeliveredCopies, completed)
+			}
+			if got[obs.MetricHops] != hops || hops == 0 {
+				t.Fatalf("registry counts %d hops, the trace %d", got[obs.MetricHops], hops)
+			}
+			drops, registered := got[obs.MetricDrops]
+			if c.lossy && (drops != st.DroppedCopies || drops == 0) {
+				t.Fatalf("registry counts %d drops, the fabric dropped %d copies", drops, st.DroppedCopies)
+			}
+			if !c.lossy && (registered || st.DroppedCopies != 0) {
+				t.Fatalf("lossless run dropped %d copies, registered %s: %v", st.DroppedCopies, obs.MetricDrops, registered)
+			}
+		})
+	}
+}
+
 // TestFabricChecked runs a fat-tree under the full invariant checker:
 // the per-stage invariants plus the F1 fabric conservation invariant
 // must stay clean for a healthy fabric.
@@ -155,32 +222,6 @@ func TestFabricCheckedWithDrops(t *testing.T) {
 	}
 }
 
-// passThroughTop wires an N-port switch in front of N single-port
-// FIFO stages: node 0 is the switch under test, its output o feeds the
-// 1x1 switch that binds leaf o. An otherwise idle 1x1 FIFO forwards in
-// the slot a cell reaches it, so the compound is the plain switch
-// delayed by exactly the one-slot link crossing.
-func passThroughTop(tb testing.TB, n int) *fabric.Topology {
-	tb.Helper()
-	b := fabric.NewBuilder("passthrough")
-	n0 := b.AddNode(n)
-	for i := 0; i < n; i++ {
-		b.BindIngress(n0, i)
-	}
-	for o := 0; o < n; o++ {
-		stage := b.AddNode(1)
-		b.Connect(fabric.Endpoint{Node: n0, Port: o}, fabric.Endpoint{Node: stage, Port: 0})
-		b.BindEgress(stage, 0)
-		b.Route(n0, o, o)
-		b.Route(stage, o, 0)
-	}
-	top, err := b.Build()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return top
-}
-
 type deliveryRec struct {
 	id      cell.PacketID
 	in, out int
@@ -217,10 +258,15 @@ func runStream(tb testing.TB, sw switchsim.Switch, n int, seed uint64, slots int
 	return recs
 }
 
-// TestFabricDifferential is the two-stage differential battery: an
-// N-port switch followed by pass-through 1x1 stages must reproduce the
-// single switch's delivery stream bit for bit, one slot later — same
-// packet IDs, inputs, outputs and arrival stamps. Last flags are
+// TestFabricDifferential is the differential battery on Clos(N, N, 1):
+// the N-port ingress switch under test feeds N pass-through 1x1
+// middle switches, and they feed an N-port FIFOMS egress switch whose
+// input j carries only leaf j. An otherwise idle 1x1 FIFO forwards in
+// the slot a cell reaches it, and the egress switch, never contended,
+// delivers each cell in the slot it arrives, so the compound must
+// reproduce the single switch's delivery stream bit for bit, two
+// slots later (one per link) — same packet IDs, inputs, outputs and
+// arrival stamps. Last flags are
 // excluded from the record comparison — a ModeCopied architecture
 // marks every fanout-1 copy last, while the fabric computes a
 // per-packet last — and checked for coherence on the fabric stream
@@ -248,12 +294,17 @@ func TestFabricDifferential(t *testing.T) {
 				single := alg.New(sz.n, xrand.New(seed).Split("switch", 0).Split("node", 0))
 				want := runStream(t, single, sz.n, seed, sz.slots, sz.pat)
 
-				top := passThroughTop(t, sz.n)
+				top, err := fabric.Clos(sz.n, sz.n, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				node := 0 // New builds the nodes in order; node 0 is under test
 				fab, err := fabric.New(top, fabric.Config{}, func(ports int, r *xrand.Rand) fabric.Node {
-					if ports == sz.n {
+					defer func() { node++ }()
+					if node == 0 {
 						return alg.New(ports, r).(fabric.Node)
 					}
-					return core.NewSwitch(1, &core.FIFOMS{}, r)
+					return core.NewSwitch(ports, &core.FIFOMS{}, r)
 				}, xrand.New(seed).Split("switch", 0))
 				if err != nil {
 					t.Fatal(err)
@@ -261,9 +312,9 @@ func TestFabricDifferential(t *testing.T) {
 				got := runStream(t, fab, sz.n, seed, sz.slots, sz.pat)
 
 				// The fabric run ends at the same slot, so the single
-				// switch's final-slot deliveries have no shifted
-				// counterpart; trim them before comparing.
-				for len(want) > 0 && want[len(want)-1].slot == sz.slots-1 {
+				// switch's deliveries in its last two slots have no
+				// shifted counterpart; trim them before comparing.
+				for len(want) > 0 && want[len(want)-1].slot >= sz.slots-2 {
 					want = want[:len(want)-1]
 				}
 				if len(got) != len(want) {
@@ -272,7 +323,7 @@ func TestFabricDifferential(t *testing.T) {
 				}
 				for i := range want {
 					w, g := want[i], got[i]
-					w.slot++ // the constant hop delay
+					w.slot += 2 // the constant two-link delay
 					w.last, g.last = false, false
 					if g != w {
 						t.Fatalf("%s n=%d seed=%d: delivery %d diverged:\nfabric %+v\nsingle %+v (slot already shifted)",

@@ -1,8 +1,8 @@
 // Package fabric composes single-stage switches into multi-stage
-// datacenter fabrics (ROADMAP item 1): a topology graph whose nodes
-// are ordinary crossbar switches, wired by bounded inter-stage links,
-// with per-node routing tables that split a multicast packet's
-// destination set into per-stage subtrees.
+// datacenter fabrics: a topology graph whose nodes are ordinary
+// crossbar switches, wired by bounded inter-stage links, with per-node
+// routing tables that split a multicast packet's destination set into
+// per-stage subtrees.
 //
 // The model is slot-synchronous and matches the single-switch engine's
 // contract exactly, so a Fabric drops into switchsim.Runner and
@@ -23,11 +23,10 @@
 //     delay tracking spans all stages.
 //
 // This file is the static half: Topology (the wiring and route
-// tables), the arbitrary-graph Builder, the k-ary fat-tree and
-// 3-stage Clos constructors, and the "fattree:k=4" spec parser the
-// CLIs expose. Topology construction never panics on hostile input —
-// every malformed spec or wiring is an error (FuzzRouteTable pins
-// this).
+// tables), the k-ary fat-tree and 3-stage Clos generators that fill
+// it, and the "fattree:k=4" spec parser the CLIs expose. Topology
+// construction never panics on hostile input — every malformed spec
+// is an error (FuzzRouteTable pins this).
 package fabric
 
 import (
@@ -54,10 +53,9 @@ type Link struct {
 	To   Endpoint // input port of the downstream node
 }
 
-// Topology is a validated fabric wiring: nodes, links, the fabric's
-// external ingress/egress port bindings, and per-node route tables.
-// Build one with a Builder or a constructor (FatTree, Clos,
-// ParseSpec); a Topology is immutable afterwards.
+// Topology is a fabric wiring: nodes, links, the fabric's external
+// ingress/egress port bindings, and per-node route tables. FatTree,
+// Clos and ParseSpec build one; a Topology is immutable afterwards.
 type Topology struct {
 	name    string
 	ports   []int      // per-node port count
@@ -96,16 +94,9 @@ func (t *Topology) Egress() int { return len(t.egress) }
 // IngressAt returns the node input port bound to fabric ingress i.
 func (t *Topology) IngressAt(i int) Endpoint { return t.ingress[i] }
 
-// EgressAt returns the node output port bound to leaf e.
-func (t *Topology) EgressAt(e int) Endpoint { return t.egress[e] }
-
 // MaxHops returns the longest route path in links crossed (a packet
 // delivered by the ingress node itself crosses 0 links).
 func (t *Topology) MaxHops() int { return t.maxHops }
-
-// RouteOut returns the local output port node uses for leaf, or -1
-// when the leaf is unreachable from that node.
-func (t *Topology) RouteOut(node, leaf int) int { return int(t.route[node][leaf]) }
 
 // LocalDests fills dst (universe = node's port count) with the local
 // output ports node uses for the given leaves. This is the fabric's
@@ -123,16 +114,11 @@ func (t *Topology) LocalDests(node int, leaves *destset.Set, dst *destset.Set) {
 	}
 }
 
-// ChildLeaves fills dst with the members of leaves that node routes
-// through local output out — the child destination subset of a split.
-// Over all outputs the children partition the parent set (the split
-// property test pins this).
-func (t *Topology) ChildLeaves(node, out int, leaves, dst *destset.Set) {
-	t.childLeaves(node, out, leaves.Words(), dst.Words())
-}
-
-// childLeaves is ChildLeaves over rows of leaf words, one AND per word,
-// and reports whether the child subset is non-empty.
+// childLeaves fills dst with the members of leaves, both rows of leaf
+// words, that node routes through local output out — the child
+// destination subset of a split — one AND per word, and reports
+// whether the child subset is non-empty. Over all outputs the children
+// partition the parent set (TestSplitPartition pins this).
 func (t *Topology) childLeaves(node, out int, leaves, dst []uint64) bool {
 	mask := t.leafRow(node, out)
 	var nz uint64
@@ -148,280 +134,62 @@ func (t *Topology) leafRow(node, out int) []uint64 {
 	return t.leafMask[node][out*t.words : (out+1)*t.words]
 }
 
-// Builder assembles an arbitrary fabric graph. Calls record the
-// wiring; Build validates everything at once and returns the immutable
-// Topology (or an error describing the first few defects — a Builder
-// never panics on malformed input).
-type Builder struct {
-	name    string
-	ports   []int
-	links   []Link
-	ingress []Endpoint
-	egress  []Endpoint
-	routes  []routeSpec
-	errs    []string
-}
-
-type routeSpec struct {
-	node, leaf, out int
-}
-
-// NewBuilder returns an empty Builder; name becomes Topology.Name().
-func NewBuilder(name string) *Builder { return &Builder{name: name} }
-
-const maxBuilderErrs = 8
-
-func (b *Builder) errorf(format string, args ...any) {
-	if len(b.errs) < maxBuilderErrs {
-		b.errs = append(b.errs, fmt.Sprintf(format, args...))
-	}
-}
-
-// AddNode declares a switch with the given port count and returns its
-// node index.
-func (b *Builder) AddNode(ports int) int {
-	if ports <= 0 {
-		b.errorf("node %d: non-positive port count %d", len(b.ports), ports)
-		ports = 1
-	}
-	b.ports = append(b.ports, ports)
-	return len(b.ports) - 1
-}
-
-// Connect wires a link from from's output port to to's input port.
-func (b *Builder) Connect(from, to Endpoint) {
-	b.links = append(b.links, Link{From: from, To: to})
-}
-
-// BindIngress binds the next fabric ingress port (index = call order)
-// to the given node input port.
-func (b *Builder) BindIngress(node, port int) {
-	b.ingress = append(b.ingress, Endpoint{Node: node, Port: port})
-}
-
-// BindEgress binds the next fabric leaf (index = call order) to the
-// given node output port.
-func (b *Builder) BindEgress(node, port int) {
-	b.egress = append(b.egress, Endpoint{Node: node, Port: port})
-}
-
-// Route declares that node forwards traffic for leaf through local
-// output out.
-func (b *Builder) Route(node, leaf, out int) {
-	b.routes = append(b.routes, routeSpec{node: node, leaf: leaf, out: out})
-}
-
-func (b *Builder) nodeOK(n int) bool { return n >= 0 && n < len(b.ports) }
-
-// Build validates the recorded wiring and returns the Topology.
-func (b *Builder) Build() (*Topology, error) {
-	if len(b.ports) == 0 {
-		b.errorf("no nodes")
-	}
-	if len(b.ingress) == 0 {
-		b.errorf("no ingress ports")
-	}
-	if len(b.egress) == 0 {
-		b.errorf("no egress leaves")
-	}
-
-	// Input-side feed map: every node input port takes at most one
-	// source (one link or one fabric ingress) — this is what makes the
-	// one-arrival-per-input-per-slot discipline of the node switches
-	// hold by construction.
-	type inKey struct{ node, port int }
-	inFeed := make(map[inKey]string)
-	claimIn := func(node, port int, what string) {
-		if !b.nodeOK(node) {
-			b.errorf("%s: node %d out of range [0,%d)", what, node, len(b.ports))
-			return
-		}
-		if port < 0 || port >= b.ports[node] {
-			b.errorf("%s: input port %d out of range on %d-port node %d", what, port, b.ports[node], node)
-			return
-		}
-		k := inKey{node, port}
-		if prev, dup := inFeed[k]; dup {
-			b.errorf("%s: node %d input port %d already fed by %s", what, node, port, prev)
-			return
-		}
-		inFeed[k] = what
-	}
-	for i, ep := range b.ingress {
-		claimIn(ep.Node, ep.Port, fmt.Sprintf("ingress %d", i))
-	}
-	for l, lk := range b.links {
-		claimIn(lk.To.Node, lk.To.Port, fmt.Sprintf("link %d", l))
-	}
-
-	// Output-side use map: every node output port drives at most one
-	// of a link or a leaf binding, so a node delivery resolves to
-	// exactly one next hop.
-	outUse := make(map[inKey]string)
-	claimOut := func(node, port int, what string) {
-		if !b.nodeOK(node) {
-			b.errorf("%s: node %d out of range [0,%d)", what, node, len(b.ports))
-			return
-		}
-		if port < 0 || port >= b.ports[node] {
-			b.errorf("%s: output port %d out of range on %d-port node %d", what, port, b.ports[node], node)
-			return
-		}
-		k := inKey{node, port}
-		if prev, dup := outUse[k]; dup {
-			b.errorf("%s: node %d output port %d already drives %s", what, node, port, prev)
-			return
-		}
-		outUse[k] = what
-	}
-	for e, ep := range b.egress {
-		claimOut(ep.Node, ep.Port, fmt.Sprintf("leaf %d", e))
-	}
-	for l, lk := range b.links {
-		claimOut(lk.From.Node, lk.From.Port, fmt.Sprintf("link %d", l))
-	}
-
-	if len(b.errs) > 0 {
-		return nil, b.buildError()
-	}
-
+// newTopology returns a fabric of len(ports) nodes with the given port
+// counts and leaves leaves, wired to nothing yet: every route is -1 and
+// no port drives a link or a leaf. The generators fill it in, in their
+// own loop order, through connect, bindIngress, bindEgress and
+// setRoute.
+func newTopology(name string, ports []int, leaves, maxHops int) *Topology {
 	t := &Topology{
-		name:    b.name,
-		ports:   append([]int(nil), b.ports...),
-		links:   append([]Link(nil), b.links...),
-		ingress: append([]Endpoint(nil), b.ingress...),
-		egress:  append([]Endpoint(nil), b.egress...),
+		name:     name,
+		ports:    ports,
+		maxHops:  maxHops,
+		words:    destset.WordsPerRow(leaves),
+		route:    make([][]int32, len(ports)),
+		outLink:  make([][]int32, len(ports)),
+		outLeaf:  make([][]int32, len(ports)),
+		leafMask: make([][]uint64, len(ports)),
 	}
-	nLeaves := len(t.egress)
-	t.words = destset.WordsPerRow(nLeaves)
-	t.route = make([][]int32, len(t.ports))
-	t.leafMask = make([][]uint64, len(t.ports))
-	t.outLink = make([][]int32, len(t.ports))
-	t.outLeaf = make([][]int32, len(t.ports))
-	for n, p := range t.ports {
-		t.route[n] = make([]int32, nLeaves)
-		for i := range t.route[n] {
-			t.route[n][i] = -1
-		}
+	for n, p := range ports {
+		t.route[n] = unset(leaves)
+		t.outLink[n] = unset(p)
+		t.outLeaf[n] = unset(p)
 		t.leafMask[n] = make([]uint64, p*t.words)
-		t.outLink[n] = make([]int32, p)
-		t.outLeaf[n] = make([]int32, p)
-		for i := 0; i < p; i++ {
-			t.outLink[n][i] = -1
-			t.outLeaf[n][i] = -1
-		}
 	}
-	for l, lk := range t.links {
-		t.outLink[lk.From.Node][lk.From.Port] = int32(l)
-	}
-	for e, ep := range t.egress {
-		t.outLeaf[ep.Node][ep.Port] = int32(e)
-	}
-
-	for _, r := range b.routes {
-		if !b.nodeOK(r.node) {
-			b.errorf("route: node %d out of range [0,%d)", r.node, len(b.ports))
-			continue
-		}
-		if r.leaf < 0 || r.leaf >= nLeaves {
-			b.errorf("route: leaf %d out of range [0,%d) at node %d", r.leaf, nLeaves, r.node)
-			continue
-		}
-		if r.out < 0 || r.out >= t.ports[r.node] {
-			b.errorf("route: output port %d out of range on %d-port node %d", r.out, t.ports[r.node], r.node)
-			continue
-		}
-		if t.route[r.node][r.leaf] != -1 {
-			b.errorf("route: node %d leaf %d routed twice (ports %d and %d)",
-				r.node, r.leaf, t.route[r.node][r.leaf], r.out)
-			continue
-		}
-		t.route[r.node][r.leaf] = int32(r.out)
-		t.leafMask[r.node][r.out*t.words+r.leaf>>6] |= 1 << uint(r.leaf&63)
-	}
-	if len(b.errs) > 0 {
-		return nil, b.buildError()
-	}
-
-	// Every route hop must resolve: the chosen output port either
-	// binds exactly the routed leaf, or drives a link whose downstream
-	// node also routes the leaf.
-	for n := range t.ports {
-		for leaf := 0; leaf < nLeaves; leaf++ {
-			out := t.route[n][leaf]
-			if out < 0 {
-				continue
-			}
-			switch {
-			case t.outLeaf[n][out] == int32(leaf):
-				// terminal hop
-			case t.outLeaf[n][out] >= 0:
-				b.errorf("route: node %d sends leaf %d out port %d, which binds leaf %d",
-					n, leaf, out, t.outLeaf[n][out])
-			case t.outLink[n][out] >= 0:
-				next := t.links[t.outLink[n][out]].To.Node
-				if t.route[next][leaf] < 0 {
-					b.errorf("route: node %d forwards leaf %d to node %d, which cannot route it",
-						n, leaf, next)
-				}
-			default:
-				b.errorf("route: node %d sends leaf %d out unwired port %d", n, leaf, out)
-			}
-		}
-	}
-	// Every ingress node must route every leaf: an arriving fabric
-	// packet may carry any destination set.
-	seen := map[int]bool{}
-	for i, ep := range t.ingress {
-		if seen[ep.Node] {
-			continue
-		}
-		seen[ep.Node] = true
-		for leaf := 0; leaf < nLeaves; leaf++ {
-			if t.route[ep.Node][leaf] < 0 {
-				b.errorf("ingress %d: node %d has no route for leaf %d", i, ep.Node, leaf)
-				break
-			}
-		}
-	}
-	if len(b.errs) > 0 {
-		return nil, b.buildError()
-	}
-
-	// Route paths must terminate: follow every (node, leaf) route hop
-	// by hop; more hops than nodes means a routing loop. Record the
-	// longest path while at it.
-	for n := range t.ports {
-		for leaf := 0; leaf < nLeaves; leaf++ {
-			if t.route[n][leaf] < 0 {
-				continue
-			}
-			hops, cur := 0, n
-			for {
-				out := t.route[cur][leaf]
-				if t.outLeaf[cur][out] == int32(leaf) {
-					break
-				}
-				cur = t.links[t.outLink[cur][out]].To.Node
-				hops++
-				if hops > len(t.ports) {
-					b.errorf("route: loop forwarding leaf %d from node %d", leaf, n)
-					return nil, b.buildError()
-				}
-			}
-			if hops > t.maxHops {
-				t.maxHops = hops
-			}
-		}
-	}
-	if len(b.errs) > 0 {
-		return nil, b.buildError()
-	}
-	return t, nil
+	return t
 }
 
-func (b *Builder) buildError() error {
-	return fmt.Errorf("fabric: invalid topology %q: %s", b.name, strings.Join(b.errs, "; "))
+// unset returns n entries of -1.
+func unset(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
+}
+
+// connect wires the next link from from's output port to to's input
+// port.
+func (t *Topology) connect(from, to Endpoint) {
+	t.outLink[from.Node][from.Port] = int32(len(t.links))
+	t.links = append(t.links, Link{From: from, To: to})
+}
+
+// bindIngress binds the next fabric ingress to node's input port.
+func (t *Topology) bindIngress(node, port int) {
+	t.ingress = append(t.ingress, Endpoint{Node: node, Port: port})
+}
+
+// bindEgress binds the next leaf to node's output port.
+func (t *Topology) bindEgress(node, port int) {
+	t.outLeaf[node][port] = int32(len(t.egress))
+	t.egress = append(t.egress, Endpoint{Node: node, Port: port})
+}
+
+// setRoute makes node forward leaf through local output out.
+func (t *Topology) setRoute(node, leaf, out int) {
+	t.route[node][leaf] = int32(out)
+	t.leafMask[node][out*t.words+leaf>>6] |= 1 << uint(leaf&63)
 }
 
 // FatTree returns a k-ary fat-tree: k pods of k/2 edge and k/2
@@ -435,19 +203,23 @@ func FatTree(k int) (*Topology, error) {
 		return nil, fmt.Errorf("fabric: fat-tree arity k=%d (need even k in [2,16])", k)
 	}
 	h := k / 2
-	b := NewBuilder(fmt.Sprintf("fattree:k=%d", k))
 	edge := func(p, e int) int { return p*h + e }
 	agg := func(p, a int) int { return k*h + p*h + a }
 	core := func(i, j int) int { return 2*k*h + i*h + j }
-	for n := 0; n < k*h*2+h*h; n++ {
-		b.AddNode(k)
+	ports := make([]int, k*h*2+h*h)
+	for n := range ports {
+		ports[n] = k
 	}
+	leaves := k * h * h
+	// The longest route, between pods, climbs edge, aggregation and
+	// core and comes down the same way: four links, for every k.
+	t := newTopology(fmt.Sprintf("fattree:k=%d", k), ports, leaves, 4)
 	// Hosts, in leaf order: pod, then edge switch, then port.
 	for p := 0; p < k; p++ {
 		for e := 0; e < h; e++ {
 			for x := 0; x < h; x++ {
-				b.BindIngress(edge(p, e), x)
-				b.BindEgress(edge(p, e), x)
+				t.bindIngress(edge(p, e), x)
+				t.bindEgress(edge(p, e), x)
 			}
 		}
 	}
@@ -455,51 +227,50 @@ func FatTree(k int) (*Topology, error) {
 		for e := 0; e < h; e++ {
 			for a := 0; a < h; a++ {
 				// edge <-> aggregation, both directions.
-				b.Connect(Endpoint{edge(p, e), h + a}, Endpoint{agg(p, a), e})
-				b.Connect(Endpoint{agg(p, a), e}, Endpoint{edge(p, e), h + a})
+				t.connect(Endpoint{edge(p, e), h + a}, Endpoint{agg(p, a), e})
+				t.connect(Endpoint{agg(p, a), e}, Endpoint{edge(p, e), h + a})
 			}
 		}
 		for a := 0; a < h; a++ {
 			for j := 0; j < h; j++ {
 				// aggregation <-> core, both directions.
-				b.Connect(Endpoint{agg(p, a), h + j}, Endpoint{core(a, j), p})
-				b.Connect(Endpoint{core(a, j), p}, Endpoint{agg(p, a), h + j})
+				t.connect(Endpoint{agg(p, a), h + j}, Endpoint{core(a, j), p})
+				t.connect(Endpoint{core(a, j), p}, Endpoint{agg(p, a), h + j})
 			}
 		}
 	}
-	leaves := k * h * h
 	for d := 0; d < leaves; d++ {
 		pd, ed, xd := d/(h*h), (d/h)%h, d%h
 		for p := 0; p < k; p++ {
 			for e := 0; e < h; e++ {
 				if p == pd && e == ed {
-					b.Route(edge(p, e), d, xd)
+					t.setRoute(edge(p, e), d, xd)
 				} else {
-					b.Route(edge(p, e), d, h+d%h)
+					t.setRoute(edge(p, e), d, h+d%h)
 				}
 			}
 			for a := 0; a < h; a++ {
 				if p == pd {
-					b.Route(agg(p, a), d, ed)
+					t.setRoute(agg(p, a), d, ed)
 				} else {
-					b.Route(agg(p, a), d, h+(d/h)%h)
+					t.setRoute(agg(p, a), d, h+(d/h)%h)
 				}
 			}
 		}
 		for i := 0; i < h; i++ {
 			for j := 0; j < h; j++ {
-				b.Route(core(i, j), d, pd)
+				t.setRoute(core(i, j), d, pd)
 			}
 		}
 	}
-	return b.Build()
+	return t, nil
 }
 
 // Clos returns a symmetric 3-stage Clos fabric: r ingress switches of
 // n external ports each, m middle switches, r egress switches — r*n
 // fabric ports end to end. Middle selection is leaf mod m, so routing
 // is deterministic. Bounds: n, m, r >= 1, r*n <= 4096, nodes sized
-// max(n, m) (input and middle stages) and r (middle stage) ports.
+// max(n, m) (input and output stages) and r (middle stage) ports.
 func Clos(n, m, r int) (*Topology, error) {
 	if n < 1 || m < 1 || r < 1 {
 		return nil, fmt.Errorf("fabric: clos n=%d m=%d r=%d (need all >= 1)", n, m, r)
@@ -507,7 +278,6 @@ func Clos(n, m, r int) (*Topology, error) {
 	if r*n > 4096 || m > 256 || r > 256 {
 		return nil, fmt.Errorf("fabric: clos n=%d m=%d r=%d too large (r*n <= 4096, m,r <= 256)", n, m, r)
 	}
-	b := NewBuilder(fmt.Sprintf("clos:n=%d,m=%d,r=%d", n, m, r))
 	edgePorts := n
 	if m > n {
 		edgePorts = m
@@ -515,44 +285,44 @@ func Clos(n, m, r int) (*Topology, error) {
 	in := func(i int) int { return i }
 	mid := func(j int) int { return r + j }
 	out := func(e int) int { return r + m + e }
-	for i := 0; i < r; i++ {
-		b.AddNode(edgePorts)
+	ports := make([]int, 2*r+m)
+	for i := range ports {
+		ports[i] = edgePorts
 	}
 	for j := 0; j < m; j++ {
-		b.AddNode(r)
+		ports[mid(j)] = r
 	}
-	for e := 0; e < r; e++ {
-		b.AddNode(edgePorts)
-	}
+	leaves := r * n
+	// Every route crosses exactly the two links in -> mid -> out.
+	t := newTopology(fmt.Sprintf("clos:n=%d,m=%d,r=%d", n, m, r), ports, leaves, 2)
 	for i := 0; i < r; i++ {
-		for t := 0; t < n; t++ {
-			b.BindIngress(in(i), t)
+		for p := 0; p < n; p++ {
+			t.bindIngress(in(i), p)
 		}
 		for j := 0; j < m; j++ {
-			b.Connect(Endpoint{in(i), j}, Endpoint{mid(j), i})
+			t.connect(Endpoint{in(i), j}, Endpoint{mid(j), i})
 		}
 	}
 	for j := 0; j < m; j++ {
 		for e := 0; e < r; e++ {
-			b.Connect(Endpoint{mid(j), e}, Endpoint{out(e), j})
+			t.connect(Endpoint{mid(j), e}, Endpoint{out(e), j})
 		}
 	}
 	for e := 0; e < r; e++ {
-		for t := 0; t < n; t++ {
-			b.BindEgress(out(e), t)
+		for p := 0; p < n; p++ {
+			t.bindEgress(out(e), p)
 		}
 	}
-	leaves := r * n
 	for l := 0; l < leaves; l++ {
 		for i := 0; i < r; i++ {
-			b.Route(in(i), l, l%m)
+			t.setRoute(in(i), l, l%m)
 		}
 		for j := 0; j < m; j++ {
-			b.Route(mid(j), l, l/n)
+			t.setRoute(mid(j), l, l/n)
 		}
-		b.Route(out(l/n), l, l%n)
+		t.setRoute(out(l/n), l, l%n)
 	}
-	return b.Build()
+	return t, nil
 }
 
 // ParseSpec builds a topology from its CLI spec string:

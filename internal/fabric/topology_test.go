@@ -1,7 +1,7 @@
 package fabric
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"voqsim/internal/destset"
@@ -9,12 +9,12 @@ import (
 )
 
 // walkRoute follows the route table from node toward leaf and returns
-// the number of links crossed. Build guarantees termination.
+// the number of links crossed.
 func walkRoute(t *testing.T, top *Topology, node, leaf int) int {
 	t.Helper()
 	hops, cur := 0, node
 	for {
-		out := top.RouteOut(cur, leaf)
+		out := top.route[cur][leaf]
 		if out < 0 {
 			t.Fatalf("node %d has no route for leaf %d", cur, leaf)
 		}
@@ -81,7 +81,7 @@ func TestFatTreeRoutes(t *testing.T) {
 		node := top.IngressAt(in).Node
 		for leaf := 0; leaf < top.Egress(); leaf++ {
 			hops := walkRoute(t, top, node, leaf)
-			dst := top.EgressAt(leaf).Node
+			dst := top.egress[leaf].Node
 			var want int
 			switch {
 			case dst == node:
@@ -147,7 +147,7 @@ func TestClosShape(t *testing.T) {
 }
 
 // TestSplitPartition is the splitting property the multicast trees rest
-// on: at every node, the child leaf subsets produced by ChildLeaves
+// on: at every node, the child leaf subsets produced by childLeaves
 // over the node's output ports partition the parent leaf set — no leaf
 // lost, no leaf duplicated across branches.
 func TestSplitPartition(t *testing.T) {
@@ -173,7 +173,7 @@ func TestSplitPartition(t *testing.T) {
 			// route (interior nodes only see leaves routed through them).
 			routable := destset.New(top.Egress())
 			for leaf := 0; leaf < top.Egress(); leaf++ {
-				if top.RouteOut(node, leaf) >= 0 {
+				if top.route[node][leaf] >= 0 {
 					routable.Add(leaf)
 				}
 			}
@@ -202,10 +202,10 @@ func TestSplitPartition(t *testing.T) {
 				}
 				union.Clear()
 				for out := 0; out < top.NodePorts(node); out++ {
-					top.ChildLeaves(node, out, leaves, child)
+					top.childLeaves(node, out, leaves.Words(), child.Words())
 					if !local.Contains(out) {
 						if !child.Empty() {
-							t.Fatalf("%s node %d: port %d not in LocalDests but ChildLeaves %v",
+							t.Fatalf("%s node %d: port %d not in LocalDests but childLeaves %v",
 								top.Name(), node, out, child)
 						}
 						continue
@@ -218,9 +218,9 @@ func TestSplitPartition(t *testing.T) {
 						if union.Contains(leaf) {
 							t.Fatalf("%s node %d: leaf %d in two child subsets", top.Name(), node, leaf)
 						}
-						if top.RouteOut(node, leaf) != out {
+						if int(top.route[node][leaf]) != out {
 							t.Fatalf("%s node %d: leaf %d in subset of port %d, routed to %d",
-								top.Name(), node, leaf, out, top.RouteOut(node, leaf))
+								top.Name(), node, leaf, out, top.route[node][leaf])
 						}
 						union.Add(leaf)
 					})
@@ -234,26 +234,26 @@ func TestSplitPartition(t *testing.T) {
 	}
 }
 
-// refLocalDests and refChildLeaves are the per-leaf route-table loops
+// refLocalDests and refChildren are the per-leaf route-table loops
 // that the word forms replaced, kept as their reference.
 func refLocalDests(top *Topology, node int, leaves, dst *destset.Set) {
 	dst.Clear()
-	leaves.ForEach(func(leaf int) { dst.Add(top.RouteOut(node, leaf)) })
+	leaves.ForEach(func(leaf int) { dst.Add(int(top.route[node][leaf])) })
 }
 
-func refChildLeaves(top *Topology, node, out int, leaves, dst *destset.Set) {
+func refChildren(top *Topology, node, out int, leaves, dst *destset.Set) {
 	dst.Clear()
 	leaves.ForEach(func(leaf int) {
-		if top.RouteOut(node, leaf) == out {
+		if int(top.route[node][leaf]) == out {
 			dst.Add(leaf)
 		}
 	})
 }
 
-// checkRouteWords pins LocalDests and ChildLeaves to the reference
+// checkRouteWords pins LocalDests and childLeaves to the reference
 // loops at every node of top, until budget leaf visits are spent: on
 // the empty set, the node's routed leaves, random subsets of them and,
-// with singletons, each routed leaf alone. ChildLeaves also gets the
+// with singletons, each routed leaf alone. childLeaves also gets the
 // full leaf set, whose unrouted members it must leave out. Every
 // destination starts full, so a word form that fails to clear shows.
 func checkRouteWords(t *testing.T, top *Topology, rng *xrand.Rand, random int, singletons bool, budget int) {
@@ -274,7 +274,7 @@ func checkRouteWords(t *testing.T, top *Topology, rng *xrand.Rand, random int, s
 		gotOut, wantOut := destset.New(ports), destset.New(ports)
 		routed.Clear()
 		for leaf := 0; leaf < nl; leaf++ {
-			if top.RouteOut(node, leaf) >= 0 {
+			if top.route[node][leaf] >= 0 {
 				routed.Add(leaf)
 			}
 		}
@@ -290,10 +290,10 @@ func checkRouteWords(t *testing.T, top *Topology, rng *xrand.Rand, random int, s
 			}
 			for out := 0; out < ports; out++ {
 				got.CopyFrom(full)
-				top.ChildLeaves(node, out, leaves, got)
-				refChildLeaves(top, node, out, leaves, want)
+				top.childLeaves(node, out, leaves.Words(), got.Words())
+				refChildren(top, node, out, leaves, want)
 				if !got.Equal(want) {
-					t.Fatalf("%s node %d port %d, %s leaves %v: ChildLeaves %v, route table says %v",
+					t.Fatalf("%s node %d port %d, %s leaves %v: childLeaves %v, route table says %v",
 						top.Name(), node, out, what, leaves, got, want)
 				}
 			}
@@ -324,9 +324,9 @@ func checkRouteWords(t *testing.T, top *Topology, rng *xrand.Rand, random int, s
 	}
 }
 
-// TestRouteWordsMatchRouteTable pins the per-output leaf masks Build
-// derives to the route table they encode: the word forms of LocalDests
-// and ChildLeaves agree with the per-leaf loops on every node of fat
+// TestRouteWordsMatchRouteTable pins the per-output leaf masks the
+// generators derive to the route table they encode: the word forms of
+// LocalDests and childLeaves agree with the per-leaf loops on every node of fat
 // trees up to k = 16 (1024 leaves, sixteen words) and of Clos shapes
 // from one port to 64.
 func TestRouteWordsMatchRouteTable(t *testing.T) {
@@ -349,125 +349,6 @@ func TestRouteWordsMatchRouteTable(t *testing.T) {
 	for _, top := range tops {
 		checkRouteWords(t, top, rng, 8, true, 1<<62)
 	}
-}
-
-// chain builds the minimal valid two-node pipeline used as the base for
-// builder-misuse tests: node0 input 0 is the ingress, node0 output 0
-// links to node1 input 0, node1 output 0 is the single leaf.
-func chain() *Builder {
-	b := NewBuilder("chain")
-	n0 := b.AddNode(1)
-	n1 := b.AddNode(1)
-	b.Connect(Endpoint{n0, 0}, Endpoint{n1, 0})
-	b.BindIngress(n0, 0)
-	b.BindEgress(n1, 0)
-	b.Route(n0, 0, 0)
-	b.Route(n1, 0, 0)
-	return b
-}
-
-func TestBuilderValid(t *testing.T) {
-	top, err := chain().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.Nodes() != 2 || top.Ingress() != 1 || top.Egress() != 1 || top.MaxHops() != 1 {
-		t.Fatalf("chain shape: nodes=%d in=%d out=%d hops=%d", top.Nodes(), top.Ingress(), top.Egress(), top.MaxHops())
-	}
-}
-
-func TestBuilderErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		mod  func(b *Builder)
-		want string
-	}{
-		{"empty", func(b *Builder) { *b = *NewBuilder("empty") }, "no nodes"},
-		{"no ingress", func(b *Builder) { b.ingress = nil }, "no ingress"},
-		{"no egress", func(b *Builder) { b.egress = nil }, "no egress"},
-		{"bad port count", func(b *Builder) { b.AddNode(0) }, "non-positive port count"},
-		{"ingress node range", func(b *Builder) { b.BindIngress(9, 0) }, "out of range"},
-		{"ingress port range", func(b *Builder) { b.BindIngress(0, 5) }, "out of range"},
-		{"double-fed input", func(b *Builder) { b.BindIngress(1, 0) }, "already fed"},
-		{"double-driven output", func(b *Builder) { b.BindEgress(0, 0) }, "already drives"},
-		{"route node range", func(b *Builder) { b.Route(7, 0, 0) }, "out of range"},
-		{"route leaf range", func(b *Builder) { b.Route(0, 3, 0) }, "out of range"},
-		{"route port range", func(b *Builder) { b.Route(0, 0, 4) }, "out of range"},
-		{"route twice", func(b *Builder) { b.Route(0, 0, 0) }, "routed twice"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			b := chain()
-			c.mod(b)
-			top, err := b.Build()
-			if err == nil {
-				t.Fatalf("Build() = %v, want error containing %q", top, c.want)
-			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error %q does not contain %q", err, c.want)
-			}
-		})
-	}
-
-	t.Run("unwired route port", func(t *testing.T) {
-		b := NewBuilder("t")
-		n0 := b.AddNode(2)
-		b.BindIngress(n0, 0)
-		b.BindEgress(n0, 0)
-		b.Route(n0, 0, 1) // port 1 drives neither link nor leaf
-		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "unwired port") {
-			t.Fatalf("want unwired-port error, got %v", err)
-		}
-	})
-	t.Run("route to wrong leaf port", func(t *testing.T) {
-		b := NewBuilder("t")
-		n0 := b.AddNode(2)
-		b.BindIngress(n0, 0)
-		b.BindEgress(n0, 0)
-		b.BindEgress(n0, 1)
-		b.Route(n0, 0, 1) // leaf 0 sent out the port that binds leaf 1
-		b.Route(n0, 1, 1)
-		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "binds leaf") {
-			t.Fatalf("want wrong-leaf error, got %v", err)
-		}
-	})
-	t.Run("downstream cannot route", func(t *testing.T) {
-		b := NewBuilder("t")
-		n0 := b.AddNode(2)
-		n1 := b.AddNode(1)
-		b.Connect(Endpoint{n0, 1}, Endpoint{n1, 0})
-		b.BindIngress(n0, 0)
-		b.BindEgress(n0, 0)
-		b.Route(n0, 0, 1) // forwards to n1, which has no route for leaf 0
-		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "cannot route") {
-			t.Fatalf("want cannot-route error, got %v", err)
-		}
-	})
-	t.Run("ingress missing leaf route", func(t *testing.T) {
-		b := NewBuilder("t")
-		n0 := b.AddNode(2)
-		b.BindIngress(n0, 0)
-		b.BindEgress(n0, 0)
-		b.BindEgress(n0, 1)
-		b.Route(n0, 0, 0) // leaf 1 unrouted at the ingress node
-		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "no route for leaf") {
-			t.Fatalf("want missing-route error, got %v", err)
-		}
-	})
-	t.Run("routing loop", func(t *testing.T) {
-		b := NewBuilder("t")
-		n0 := b.AddNode(2)
-		n1 := b.AddNode(2)
-		b.Connect(Endpoint{n0, 1}, Endpoint{n1, 1})
-		b.Connect(Endpoint{n1, 0}, Endpoint{n0, 1})
-		b.BindIngress(n0, 0)
-		b.BindEgress(n1, 1)
-		b.Route(n0, 0, 1)
-		b.Route(n1, 0, 0) // n1 bounces the leaf back to n0: loop
-		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "loop") {
-			t.Fatalf("want loop error, got %v", err)
-		}
-	})
 }
 
 func TestParseSpec(t *testing.T) {
@@ -499,82 +380,208 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-// FuzzRouteTable feeds hostile topology specs and raw builder wirings
-// to the construction path: everything must surface as an error, never
-// a panic, and a topology that does build must have a loop-free,
-// partition-consistent route table whose leaf masks encode it.
+// FuzzRouteTable feeds hostile topology specs to the construction
+// path: everything must surface as an error, never a panic, and a
+// topology that does build must meet every generator invariant and
+// have leaf masks that encode its route table.
 func FuzzRouteTable(f *testing.F) {
-	f.Add("fattree:k=4", uint64(1))
-	f.Add("clos:n=2,m=3,r=2", uint64(2))
-	f.Add("fattree:k=-8", uint64(3))
-	f.Add("clos:n=4096,m=256,r=256", uint64(4))
-	f.Add("fattree:k=4,k=4", uint64(5))
-	f.Add("bogus:\x00=,,==", uint64(6))
-	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+	f.Add("fattree:k=4")
+	f.Add("clos:n=2,m=3,r=2")
+	f.Add("fattree:k=-8")
+	f.Add("clos:n=4096,m=256,r=256")
+	f.Add("fattree:k=4,k=4")
+	f.Add("bogus:\x00=,,==")
+	f.Fuzz(func(t *testing.T, spec string) {
 		top, err := ParseSpec(spec)
-		if err == nil {
-			checkTopology(t, top)
+		if err != nil {
+			return
 		}
-
-		// Random raw builder abuse: any wiring must either build into a
-		// consistent topology or error out.
-		rng := xrand.New(seed)
-		b := NewBuilder("fuzz")
-		nodes := 1 + rng.Intn(5)
-		for i := 0; i < nodes; i++ {
-			b.AddNode(1 + rng.Intn(4) - rng.Intn(2)) // occasionally invalid
+		if err := checkGenerated(top); err != nil {
+			t.Fatal(err)
 		}
-		pick := func() Endpoint {
-			return Endpoint{Node: rng.Intn(nodes+1) - 1, Port: rng.Intn(5) - 1}
-		}
-		for i := rng.Intn(8); i > 0; i-- {
-			b.Connect(pick(), pick())
-		}
-		for i := 1 + rng.Intn(4); i > 0; i-- {
-			ep := pick()
-			b.BindIngress(ep.Node, ep.Port)
-		}
-		leaves := 1 + rng.Intn(4)
-		for i := 0; i < leaves; i++ {
-			ep := pick()
-			b.BindEgress(ep.Node, ep.Port)
-		}
-		for i := rng.Intn(12); i > 0; i-- {
-			b.Route(rng.Intn(nodes+1)-1, rng.Intn(leaves+1)-1, rng.Intn(5)-1)
-		}
-		if top, err := b.Build(); err == nil {
-			checkTopology(t, top)
-		}
+		// The budget keeps the word-form cross-check to a few million
+		// word operations on the largest Clos a spec can ask for.
+		checkRouteWords(t, top, xrand.New(uint64(top.Egress())), 2, false, 1<<16)
 	})
 }
 
-// checkTopology asserts the structural guarantees Build promises for
-// any topology it returns.
-func checkTopology(t *testing.T, top *Topology) {
-	t.Helper()
-	if top.Nodes() == 0 || top.Ingress() == 0 || top.Egress() == 0 {
-		t.Fatalf("%s: built empty (%d nodes, %d in, %d out)", top.Name(), top.Nodes(), top.Ingress(), top.Egress())
-	}
-	// Every ingress node routes every leaf, loop-free, within MaxHops.
-	// Bounded so a huge fuzz-built Clos doesn't turn one exec into
-	// millions of walks.
-	walks := 0
-	seen := map[int]bool{}
-	for i := 0; i < top.Ingress() && walks < 1<<14; i++ {
-		node := top.IngressAt(i).Node
-		if seen[node] {
-			continue
+// TestGeneratorInvariants holds every topology a spec can name to the
+// structural guarantees the slot loop relies on: every fat tree, and a
+// grid of Clos shapes from the one-port (1,1,1) to the largest a spec
+// accepts.
+func TestGeneratorInvariants(t *testing.T) {
+	check := func(top *Topology, err error) {
+		t.Helper()
+		if err == nil {
+			err = checkGenerated(top)
 		}
-		seen[node] = true
-		for leaf := 0; leaf < top.Egress() && walks < 1<<14; leaf++ {
-			walks++
-			if hops := walkRoute(t, top, node, leaf); hops > top.MaxHops() {
-				t.Fatalf("%s: ingress node %d reaches leaf %d in %d hops > MaxHops %d",
-					top.Name(), node, leaf, hops, top.MaxHops())
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	for k := 2; k <= 16; k += 2 {
+		check(FatTree(k))
+	}
+	for _, n := range []int{1, 2, 3, 8} {
+		for _, m := range []int{1, 2, 5} {
+			for _, r := range []int{1, 2, 4, 7} {
+				check(Clos(n, m, r))
 			}
 		}
 	}
-	// The same bound keeps the word-form cross-check to a few million
-	// word operations on the largest Clos a spec can ask for.
-	checkRouteWords(t, top, xrand.New(uint64(top.Egress())), 2, false, 1<<16)
+	// n*r = 4096 and m = 256: one node of 4096 ports each side, and
+	// the most nodes (768) and links (131072) a spec can ask for.
+	check(Clos(4096, 256, 1))
+	check(Clos(16, 256, 256))
+}
+
+// checkGenerated reports the first structural defect of top: a node
+// input fed twice, an output driving two things, a route hop that
+// resolves to nothing, an ingress node missing a leaf, a routing loop,
+// a MaxHops other than the longest route, or a leaf mask that
+// disagrees with the route table. FatTree and Clos guarantee all of
+// this by construction; nothing checks it at run time.
+func checkGenerated(top *Topology) error {
+	nodes, leaves := top.Nodes(), top.Egress()
+	if nodes == 0 || top.Ingress() == 0 || leaves == 0 {
+		return fmt.Errorf("%s: empty (%d nodes, %d in, %d out)", top.Name(), nodes, top.Ingress(), leaves)
+	}
+	inRange := func(ep Endpoint) bool {
+		return ep.Node >= 0 && ep.Node < nodes && ep.Port >= 0 && ep.Port < top.NodePorts(ep.Node)
+	}
+	// Each node input takes at most one feed, an ingress or a link:
+	// the one-arrival-per-input-per-slot discipline of the nodes.
+	fed := map[Endpoint]string{}
+	feed := func(ep Endpoint, what string) error {
+		if !inRange(ep) {
+			return fmt.Errorf("%s: %s feeds input %v out of range", top.Name(), what, ep)
+		}
+		if prev, dup := fed[ep]; dup {
+			return fmt.Errorf("%s: node %d input %d fed by %s and %s", top.Name(), ep.Node, ep.Port, prev, what)
+		}
+		fed[ep] = what
+		return nil
+	}
+	// Each node output drives at most one link or leaf, and the
+	// outLink/outLeaf tables name exactly that one.
+	drives := map[Endpoint]string{}
+	drive := func(ep Endpoint, what string, table int32, want int) error {
+		if !inRange(ep) {
+			return fmt.Errorf("%s: %s leaves output %v out of range", top.Name(), what, ep)
+		}
+		if prev, dup := drives[ep]; dup {
+			return fmt.Errorf("%s: node %d output %d drives %s and %s", top.Name(), ep.Node, ep.Port, prev, what)
+		}
+		if int(table) != want {
+			return fmt.Errorf("%s: node %d output %d drives %s, its table says %d", top.Name(), ep.Node, ep.Port, what, table)
+		}
+		drives[ep] = what
+		return nil
+	}
+	for i, ep := range top.ingress {
+		if err := feed(ep, fmt.Sprintf("ingress %d", i)); err != nil {
+			return err
+		}
+	}
+	for l, lk := range top.links {
+		what := fmt.Sprintf("link %d", l)
+		if err := feed(lk.To, what); err != nil {
+			return err
+		}
+		if !inRange(lk.From) {
+			return fmt.Errorf("%s: %s leaves output %v out of range", top.Name(), what, lk.From)
+		}
+		if err := drive(lk.From, what, top.outLink[lk.From.Node][lk.From.Port], l); err != nil {
+			return err
+		}
+	}
+	for e, ep := range top.egress {
+		what := fmt.Sprintf("leaf %d", e)
+		if !inRange(ep) {
+			return fmt.Errorf("%s: %s bound to output %v out of range", top.Name(), what, ep)
+		}
+		if err := drive(ep, what, top.outLeaf[ep.Node][ep.Port], e); err != nil {
+			return err
+		}
+	}
+	for n := 0; n < nodes; n++ {
+		for p := 0; p < top.NodePorts(n); p++ {
+			if _, ok := drives[Endpoint{n, p}]; !ok && (top.outLink[n][p] >= 0 || top.outLeaf[n][p] >= 0) {
+				return fmt.Errorf("%s: node %d output %d drives nothing, its tables say link %d, leaf %d",
+					top.Name(), n, p, top.outLink[n][p], top.outLeaf[n][p])
+			}
+		}
+	}
+
+	// Every routed hop resolves: to the port that binds the leaf, or
+	// to a link whose downstream node routes it too.
+	for n := 0; n < nodes; n++ {
+		for leaf := 0; leaf < leaves; leaf++ {
+			out := int(top.route[n][leaf])
+			switch {
+			case out < 0:
+			case out >= top.NodePorts(n):
+				return fmt.Errorf("%s: node %d routes leaf %d out of port %d of %d", top.Name(), n, leaf, out, top.NodePorts(n))
+			case top.outLeaf[n][out] == int32(leaf):
+			case top.outLeaf[n][out] >= 0:
+				return fmt.Errorf("%s: node %d sends leaf %d out port %d, which binds leaf %d",
+					top.Name(), n, leaf, out, top.outLeaf[n][out])
+			case top.outLink[n][out] >= 0:
+				if next := top.links[top.outLink[n][out]].To.Node; top.route[next][leaf] < 0 {
+					return fmt.Errorf("%s: node %d forwards leaf %d to node %d, which cannot route it",
+						top.Name(), n, leaf, next)
+				}
+			default:
+				return fmt.Errorf("%s: node %d sends leaf %d out unwired port %d", top.Name(), n, leaf, out)
+			}
+		}
+	}
+	// An arriving packet may carry any destination set.
+	for i, ep := range top.ingress {
+		for leaf := 0; leaf < leaves; leaf++ {
+			if top.route[ep.Node][leaf] < 0 {
+				return fmt.Errorf("%s: ingress %d: node %d has no route for leaf %d", top.Name(), i, ep.Node, leaf)
+			}
+		}
+	}
+	// No route loops, and MaxHops is the longest route.
+	longest := 0
+	for n := 0; n < nodes; n++ {
+		for leaf := 0; leaf < leaves; leaf++ {
+			if top.route[n][leaf] < 0 {
+				continue
+			}
+			hops, cur := 0, n
+			for out := top.route[cur][leaf]; top.outLeaf[cur][out] != int32(leaf); out = top.route[cur][leaf] {
+				cur = top.links[top.outLink[cur][out]].To.Node
+				if hops++; hops > nodes {
+					return fmt.Errorf("%s: route loop forwarding leaf %d from node %d", top.Name(), leaf, n)
+				}
+			}
+			longest = max(longest, hops)
+		}
+	}
+	if top.MaxHops() != longest {
+		return fmt.Errorf("%s: MaxHops %d, longest route %d", top.Name(), top.MaxHops(), longest)
+	}
+	// Bit (node, out, leaf) of the leaf masks is set iff the node
+	// routes leaf out of out.
+	for n := 0; n < nodes; n++ {
+		want := make([]uint64, top.NodePorts(n)*top.words)
+		if len(top.leafMask[n]) != len(want) {
+			return fmt.Errorf("%s: node %d has %d leaf mask words, want %d", top.Name(), n, len(top.leafMask[n]), len(want))
+		}
+		for leaf := 0; leaf < leaves; leaf++ {
+			if out := int(top.route[n][leaf]); out >= 0 {
+				want[out*top.words+leaf>>6] |= 1 << uint(leaf&63)
+			}
+		}
+		for i, w := range top.leafMask[n] {
+			if w != want[i] {
+				return fmt.Errorf("%s: node %d output %d leaf mask word %d is %#x, the route table says %#x",
+					top.Name(), n, i/top.words, i%top.words, w, want[i])
+			}
+		}
+	}
+	return nil
 }

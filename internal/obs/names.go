@@ -33,6 +33,12 @@ const (
 	// queued cell to consider; MetricRounds/MetricActiveSlots is the
 	// Figure 5 convergence metric.
 	MetricActiveSlots = "active_slots_total"
+	// MetricHops counts fabric copies admitted to a node over an
+	// inter-stage link.
+	MetricHops = "fabric_hops_total"
+	// MetricDrops counts fabric copies lost to a full inter-stage
+	// link, one per leaf.
+	MetricDrops = "fabric_drops_total"
 )
 
 // Fleet metric names registered by the distributed-sweep coordinator

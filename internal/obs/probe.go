@@ -12,15 +12,16 @@ import "voqsim/internal/cell"
 // The counters every architecture keeps (arrivals, enqueues,
 // departures, completions, splits) and the per-port occupancy gauges
 // are registered at Attach. The arbitration counters (requests,
-// grants, rounds, active slots) are registered on first use, so a
-// scheduler that reports none of them registers none.
+// grants, rounds, active slots) and the fabric's hop and drop counters
+// are registered on first use, so a switch that reports none of them
+// registers none.
 type Probe struct {
 	on    bool
 	trace *Tracer
 	reg   *Registry
 
 	arrivals, enqueues, departures, completed, splits *Counter
-	requests, grants, rounds, active                  *Counter
+	requests, grants, rounds, active, hops, drops     *Counter
 	occ                                               []*Gauge
 }
 
@@ -145,10 +146,12 @@ func (p *Probe) Split(slot int64, in, remaining int, ts, id int64) {
 // node after crossing hops links.
 func (p *Probe) Hop(slot int64, in, node, hops int, ts, id int64) {
 	p.emit(slot, EvHop, in, node, -1, hops, ts, id)
+	p.count(&p.hops, MetricHops, 1)
 }
 
 // Drop records the loss of packet id's copy, from ingress in, for leaf
 // after hops links.
 func (p *Probe) Drop(slot int64, in, leaf, hops int, ts, id int64) {
 	p.emit(slot, EvDrop, in, leaf, -1, hops, ts, id)
+	p.count(&p.drops, MetricDrops, 1)
 }
