@@ -21,7 +21,6 @@ import (
 	"voqsim/internal/core"
 	"voqsim/internal/destset"
 	"voqsim/internal/experiment"
-	"voqsim/internal/hw"
 	"voqsim/internal/oq"
 	"voqsim/internal/sched/islip"
 	"voqsim/internal/sched/pim"
@@ -250,13 +249,6 @@ func BenchmarkISLIPMatch(b *testing.B) {
 // BenchmarkPIMMatch measures PIM's per-slot cost.
 func BenchmarkPIMMatch(b *testing.B) {
 	benchStep(b, func() switchsim.Switch { return loadedSwitch(16, pim.New()) })
-}
-
-// BenchmarkHWControlUnitMatch measures the gate-level FIFOMS control
-// unit's per-slot cost on the same backlogged state, for comparison
-// with the behavioural arbiter.
-func BenchmarkHWControlUnitMatch(b *testing.B) {
-	benchStep(b, func() switchsim.Switch { return loadedSwitch(16, hw.NewControlUnit()) })
 }
 
 // benchStep repeatedly steps a freshly loaded switch; when the backlog

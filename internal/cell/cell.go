@@ -1,18 +1,15 @@
-// Package cell defines the packet and cell model shared by every
-// switch architecture in the simulator.
-//
-// The paper's central data-structure idea (Section II) is to split a
-// fixed-size packet into two kinds of cells:
-//
-//   - a DataCell holding the payload once, plus a fanoutCounter of
-//     destinations still to be served, and
-//   - one AddressCell per destination, holding the arrival time stamp
-//     and a pointer to the data cell.
-//
-// This package defines those two cell types together with the Packet
-// record produced by traffic generators and the Delivery records the
-// switches emit, so that traffic sources, schedulers and the statistics
+// Package cell defines the packet and delivery records shared by every
+// switch architecture in the simulator: the Packet a traffic source
+// produces, the Pool that recycles it, and the Delivery a switch emits
+// for each copy, so that traffic sources, schedulers and the statistics
 // pipeline agree on one vocabulary.
+//
+// The paper's two cell kinds (Section II) — one data cell per packet
+// with a fanoutCounter, and one (timeStamp, pointer) address cell per
+// destination — are not types here: they live in internal/core's cell
+// arena, as a live fanout counter per data slab entry and a
+// pointer-free address-cell slab (DESIGN.md §11). This package keeps
+// only their sizes, for buffer-byte accounting.
 package cell
 
 import (
@@ -104,38 +101,6 @@ const PayloadSize = 64
 // address cell only includes an integer field and a pointer field, and
 // a small constant number of bytes should be sufficient").
 const AddressCellSize = 16
-
-// DataCell is the single stored copy of a packet's payload inside an
-// input port buffer (paper Table: "DataCell { dataContent;
-// fanoutCounter }"). FanoutCounter counts destinations not yet served;
-// when it reaches zero the cell's buffer space is reclaimed.
-type DataCell struct {
-	Packet        *Packet
-	FanoutCounter int
-}
-
-// Served records that one destination of the data cell has been
-// delivered and reports whether the cell is now fully served and must
-// be destroyed. Serving an already-exhausted cell is a scheduler bug
-// and panics.
-func (d *DataCell) Served() bool {
-	if d.FanoutCounter <= 0 {
-		panic("cell: Served on exhausted data cell")
-	}
-	d.FanoutCounter--
-	return d.FanoutCounter == 0
-}
-
-// AddressCell is a place holder in one virtual output queue for one
-// destination of a packet (paper: "AddressCell { timeStamp;
-// pDataCell }"). TimeStamp equals the packet's arrival slot; all
-// address cells of one packet share it, which is both how FIFOMS
-// recognises siblings and its FIFO scheduling weight.
-type AddressCell struct {
-	TimeStamp int64
-	Data      *DataCell
-	Output    int // the destination output port this cell stands for
-}
 
 // Delivery reports that one copy of a packet crossed the fabric: the
 // cell of packet ID was delivered from input In to output Out in slot

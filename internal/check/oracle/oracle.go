@@ -12,9 +12,9 @@
 // the order the production kernels are pinned to.
 //
 // It is the only reference kernel in the tree, so it speaks the same
-// three ablation modes as core.FIFOMS (MaxRounds, NoFanoutSplitting,
-// DeterministicTies): the matching-level differential in internal/core
-// and the delivery-level one in internal/check both compare against it.
+// two ablation modes as core.FIFOMS (MaxRounds, NoFanoutSplitting): the
+// matching-level differential in internal/core and the delivery-level
+// one in internal/check both compare against it.
 //
 // Do not optimise this file. Its O(N³)-per-slot rescans of every VOQ
 // head through the virtual HOL accessor are the point: nothing here is
@@ -30,7 +30,7 @@ import (
 
 // Arbiter is the reference FIFOMS arbiter. The zero value is the
 // paper's algorithm and is ready to use; it keeps no state between
-// slots. The three fields mirror core.FIFOMS's ablation modes.
+// slots. The two fields mirror core.FIFOMS's ablation modes.
 type Arbiter struct {
 	// MaxRounds, if positive, caps the request/grant rounds per slot.
 	MaxRounds int
@@ -38,9 +38,6 @@ type Arbiter struct {
 	// destination of its oldest packet is free, and withdraws its
 	// grants unless every requested output granted.
 	NoFanoutSplitting bool
-	// DeterministicTies breaks equal-time-stamp ties by lowest input
-	// index and draws no randomness.
-	DeterministicTies bool
 }
 
 // New returns a reference arbiter for the paper's algorithm.
@@ -110,8 +107,7 @@ func (a *Arbiter) Match(s *core.Switch, _ int64, r *xrand.Rand, m *core.Matching
 		// smallest time stamp, breaking ties uniformly at random. The
 		// scan is ascending in input order with a reservoir draw on
 		// every equal-timestamp candidate after the first — the draw
-		// discipline the production kernels are pinned to. With
-		// DeterministicTies the first (lowest-index) candidate stands.
+		// discipline the production kernels are pinned to.
 		for out := 0; out < n; out++ {
 			granted[out] = core.None
 			if !outputFree[out] {
@@ -132,7 +128,7 @@ func (a *Arbiter) Match(s *core.Switch, _ int64, r *xrand.Rand, m *core.Matching
 					bestTS = ts
 					granted[out] = in
 					ties = 1
-				case ts == bestTS && !a.DeterministicTies:
+				case ts == bestTS:
 					ties++
 					if r.Intn(ties) == 0 {
 						granted[out] = in

@@ -61,9 +61,9 @@ const denseMaxPorts = 256
 // that outgrows it moves out by append.
 const rankedRowCap = 64
 
-// acell is the arena's address cell: the paper's AddressCell with the
-// *DataCell pointer replaced by an index into the arena's data slab,
-// linked to the cell queued behind it.
+// acell is the arena's address cell: the paper's (timeStamp, pointer)
+// pair with the data-cell pointer replaced by an index into the
+// arena's data slab, linked to the cell queued behind it.
 type acell struct {
 	ts   int64 // arrival slot of the packet (the FIFOMS time stamp)
 	data int32 // index into dPkt/dFan

@@ -185,7 +185,6 @@ func refGrantStepW1(f *FIFOMS, r *xrand.Rand) (granted map[int]int, grants []int
 	granted = map[int]int{}
 	reqT := f.reqT
 	minTS := f.minTS
-	detTies := f.DeterministicTies
 	for ow := f.outFree[0] & f.reqOut[0]; ow != 0; ow &= ow - 1 {
 		out := bits.TrailingZeros64(ow)
 		cv := reqT[out]
@@ -203,11 +202,9 @@ func refGrantStepW1(f *FIFOMS, r *xrand.Rand) (granted map[int]int, grants []int
 			case ts < bestTS:
 				bestTS, g, ties = ts, in, 1
 			case ts == bestTS:
-				if !detTies {
-					ties++
-					if r.Intn(ties) == 0 {
-						g = in
-					}
+				ties++
+				if r.Intn(ties) == 0 {
+					g = in
 				}
 			}
 		}
@@ -232,74 +229,68 @@ func runGrantW1(f *FIFOMS, r *xrand.Rand) (map[int]int, []int) {
 // TestGrantFoldDrawIdentity drives grantStepW1 and the reservoir loop
 // it replaced on cloned generators over random requester columns with
 // frequent equal stamps: the winners and the generator states after
-// the step must be equal, with random and with deterministic ties. It
-// starts with the column where a tie at the running minimum is later
-// beaten (stamps 5, 5, 3 in ascending input order), which draws once.
+// the step must be equal. It starts with the column where a tie at
+// the running minimum is later beaten (stamps 5, 5, 3 in ascending
+// input order), which draws once.
 func TestGrantFoldDrawIdentity(t *testing.T) {
-	for _, det := range []bool{false, true} {
-		t.Run(fmt.Sprintf("deterministic=%v", det), func(t *testing.T) {
-			check := func(f *FIFOMS, r *xrand.Rand, what string) {
-				t.Helper()
-				ref := xrand.New(0)
-				if err := ref.SetState(r.State()); err != nil {
-					t.Fatal(err)
-				}
-				wantGranted, wantGrants := refGrantStepW1(f, ref)
-				gotGranted, gotGrants := runGrantW1(f, r)
-				if !slices.Equal(gotGrants, wantGrants) || fmt.Sprint(gotGranted) != fmt.Sprint(wantGranted) {
-					t.Fatalf("%s: granted %v over %v, reference %v over %v", what, gotGranted, gotGrants, wantGranted, wantGrants)
-				}
-				if r.State() != ref.State() {
-					t.Fatalf("%s: generator states diverged", what)
-				}
-			}
+	check := func(f *FIFOMS, r *xrand.Rand, what string) {
+		t.Helper()
+		ref := xrand.New(0)
+		if err := ref.SetState(r.State()); err != nil {
+			t.Fatal(err)
+		}
+		wantGranted, wantGrants := refGrantStepW1(f, ref)
+		gotGranted, gotGrants := runGrantW1(f, r)
+		if !slices.Equal(gotGrants, wantGrants) || fmt.Sprint(gotGranted) != fmt.Sprint(wantGranted) {
+			t.Fatalf("%s: granted %v over %v, reference %v over %v", what, gotGranted, gotGrants, wantGranted, wantGrants)
+		}
+		if r.State() != ref.State() {
+			t.Fatalf("%s: generator states diverged", what)
+		}
+	}
 
-			f := &FIFOMS{DeterministicTies: det}
-			f.ensure(3)
-			f.outFree[0], f.reqOut[0], f.reqT[0] = 1, 1, 0b111
-			copy(f.minTS, []int64{5, 5, 3})
-			r := xrand.New(9)
-			once := xrand.New(0)
-			if err := once.SetState(r.State()); err != nil {
-				t.Fatal(err)
-			}
-			if !det {
-				once.Intn(2)
-			}
-			check(f, r, "stamps 5, 5, 3")
-			if f.granted[0] != 2 || r.State() != once.State() {
-				t.Fatalf("stamps 5, 5, 3: granted input %d, want 2 after exactly one draw", f.granted[0])
-			}
+	f := &FIFOMS{}
+	f.ensure(3)
+	f.outFree[0], f.reqOut[0], f.reqT[0] = 1, 1, 0b111
+	copy(f.minTS, []int64{5, 5, 3})
+	r := xrand.New(9)
+	once := xrand.New(0)
+	if err := once.SetState(r.State()); err != nil {
+		t.Fatal(err)
+	}
+	once.Intn(2)
+	check(f, r, "stamps 5, 5, 3")
+	if f.granted[0] != 2 || r.State() != once.State() {
+		t.Fatalf("stamps 5, 5, 3: granted input %d, want 2 after exactly one draw", f.granted[0])
+	}
 
-			r = xrand.New(31)
-			for _, n := range []int{2, 5, 9, 33, 64} {
-				f := &FIFOMS{DeterministicTies: det}
-				f.ensure(n)
-				all := uint64(1)<<uint(n) - 1
-				if n == 64 {
-					all = ^uint64(0)
+	r = xrand.New(31)
+	for _, n := range []int{2, 5, 9, 33, 64} {
+		f := &FIFOMS{}
+		f.ensure(n)
+		all := uint64(1)<<uint(n) - 1
+		if n == 64 {
+			all = ^uint64(0)
+		}
+		for trial := 0; trial < 500; trial++ {
+			f.outFree[0] = all &^ (r.Uint64() & r.Uint64())
+			f.reqOut[0] = 0
+			for out := 0; out < n; out++ {
+				col := r.Uint64() & all
+				if trial%3 == 0 {
+					col &= r.Uint64() // sparser: more lone requesters
 				}
-				for trial := 0; trial < 500; trial++ {
-					f.outFree[0] = all &^ (r.Uint64() & r.Uint64())
-					f.reqOut[0] = 0
-					for out := 0; out < n; out++ {
-						col := r.Uint64() & all
-						if trial%3 == 0 {
-							col &= r.Uint64() // sparser: more lone requesters
-						}
-						f.reqT[out] = col
-						if col != 0 {
-							f.reqOut[0] |= 1 << uint(out)
-						}
-					}
-					span := 1 + r.Intn(4)
-					for in := range f.minTS {
-						f.minTS[in] = int64(r.Intn(span))
-					}
-					check(f, r, fmt.Sprintf("n=%d trial %d", n, trial))
+				f.reqT[out] = col
+				if col != 0 {
+					f.reqOut[0] |= 1 << uint(out)
 				}
 			}
-		})
+			span := 1 + r.Intn(4)
+			for in := range f.minTS {
+				f.minTS[in] = int64(r.Intn(span))
+			}
+			check(f, r, fmt.Sprintf("n=%d trial %d", n, trial))
+		}
 	}
 }
 

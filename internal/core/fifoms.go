@@ -52,14 +52,6 @@ type FIFOMS struct {
 	// conclusion warns about. Used by the splitting ablation.
 	NoFanoutSplitting bool
 
-	// DeterministicTies makes outputs break equal-time-stamp ties by
-	// lowest input index instead of uniformly at random. This is what
-	// a fixed-priority hardware comparator tree does (Section IV.A);
-	// the hw package's gate-level control unit is checked against
-	// FIFOMS in this mode. The paper's simulations use random ties,
-	// which avoid systematic port bias.
-	DeterministicTies bool
-
 	// Scratch, sized on first use. Every slice below is allocated
 	// together under the single scratchN guard — sizing them from
 	// independent length checks once let an arbiter reused across
@@ -323,15 +315,10 @@ func (f *FIFOMS) grantStep(r *xrand.Rand) bool {
 					case ts < bestTS:
 						bestTS, g, ties = ts, in, 1
 					case ts == bestTS:
-						// Equal stamps: keep the lowest index in
-						// deterministic mode (the first one found, since
-						// requesters are scanned in order); otherwise
-						// sample uniformly over the ties.
-						if !f.DeterministicTies {
-							ties++
-							if r.Intn(ties) == 0 {
-								g = in
-							}
+						// Equal stamps: sample uniformly over the ties.
+						ties++
+						if r.Intn(ties) == 0 {
+							g = in
 						}
 					}
 				}
@@ -353,7 +340,6 @@ func (f *FIFOMS) grantStep(r *xrand.Rand) bool {
 func (f *FIFOMS) grantStepW1(r *xrand.Rand) {
 	reqT := f.reqT
 	minTS := f.minTS
-	detTies := f.DeterministicTies
 	for ow := f.outFree[0] & f.reqOut[0]; ow != 0; ow &= ow - 1 {
 		out := bits.TrailingZeros64(ow)
 		cv := reqT[out]
@@ -377,7 +363,7 @@ func (f *FIFOMS) grantStepW1(r *xrand.Rand) {
 			// the generator is consulted at exactly the requesters and
 			// with exactly the arguments of the reservoir loop; a new
 			// minimum then folds in with conditional moves.
-			if ts == bestTS && !detTies {
+			if ts == bestTS {
 				ties++
 				if r.Intn(ties) == 0 {
 					g = in

@@ -184,32 +184,30 @@ func TestSharedDataCellInvariantStressed(t *testing.T) {
 }
 
 // TestOutputNeverDoubleDriven: at most one delivery per output per
-// slot, across arbiters.
+// slot.
 func TestOutputNeverDoubleDriven(t *testing.T) {
-	for _, arb := range []Arbiter{&FIFOMS{}, &FIFOMS{DeterministicTies: true}} {
-		s := NewSwitch(6, arb, xrand.New(61))
-		r := xrand.New(62)
-		id := cell.PacketID(0)
-		for slot := int64(0); slot < 2000; slot++ {
-			for in := 0; in < 6; in++ {
-				if r.Bool(0.5) {
-					d := destset.New(6)
-					d.RandomBernoulli(r, 0.35)
-					if d.Empty() {
-						continue
-					}
-					id++
-					s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
+	s := NewSwitch(6, &FIFOMS{}, xrand.New(61))
+	r := xrand.New(62)
+	id := cell.PacketID(0)
+	for slot := int64(0); slot < 2000; slot++ {
+		for in := 0; in < 6; in++ {
+			if r.Bool(0.5) {
+				d := destset.New(6)
+				d.RandomBernoulli(r, 0.35)
+				if d.Empty() {
+					continue
 				}
+				id++
+				s.Arrive(&cell.Packet{ID: id, Input: in, Arrival: slot, Dests: d})
 			}
-			outs := map[int]bool{}
-			s.Step(slot, func(d cell.Delivery) {
-				if outs[d.Out] {
-					t.Fatalf("slot %d: output %d driven twice", slot, d.Out)
-				}
-				outs[d.Out] = true
-			})
 		}
+		outs := map[int]bool{}
+		s.Step(slot, func(d cell.Delivery) {
+			if outs[d.Out] {
+				t.Fatalf("slot %d: output %d driven twice", slot, d.Out)
+			}
+			outs[d.Out] = true
+		})
 	}
 }
 

@@ -312,14 +312,6 @@ func (t *Table) SetPoint(ai, li int, pt Point) error {
 	return nil
 }
 
-// PointAt returns the grid cell at the given coordinates.
-func (t *Table) PointAt(ai, li int) (Point, error) {
-	if ai < 0 || ai >= len(t.Points) || li < 0 || li >= len(t.Loads) {
-		return Point{}, fmt.Errorf("experiment: point (%d,%d) outside %dx%d grid", ai, li, len(t.Points), len(t.Loads))
-	}
-	return t.Points[ai][li], nil
-}
-
 // Get returns the point for the given algorithm name and load index.
 func (t *Table) Get(algo string, li int) (Point, error) {
 	for ai, name := range t.Algos {

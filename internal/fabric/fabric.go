@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"voqsim/internal/cell"
 	"voqsim/internal/destset"
@@ -250,8 +251,13 @@ func (f *Fabric) getRow() int32 {
 		f.leafFree = f.leafFree[:k]
 		return r
 	}
-	f.leafRows = append(f.leafRows, make([]uint64, f.top.words)...)
-	return int32(len(f.leafRows)/f.top.words - 1)
+	// Grow-then-reslice, not append(rows, make(...)...): an
+	// instrumented (-race) build keeps that temporary on the heap. The
+	// new row needs no clearing, since storeRow and childLeaves write
+	// every word of the row they take.
+	w, n := f.top.words, len(f.leafRows)
+	f.leafRows = slices.Grow(f.leafRows, w)[:n+w]
+	return int32(n / w)
 }
 
 func (f *Fabric) putRow(r int32) { f.leafFree = append(f.leafFree, r) }

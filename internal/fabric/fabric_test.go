@@ -3,6 +3,7 @@ package fabric_test
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"voqsim/internal/cell"
@@ -621,4 +622,42 @@ func BenchmarkFabricSlot(b *testing.B) {
 			}
 		})
 	}
+}
+
+// portOneNode delivers every copy on output 1, whatever its arbiter
+// chose: a crossbar wiring fault.
+type portOneNode struct{ *core.Switch }
+
+func (m portOneNode) Step(slot int64, deliver func(cell.Delivery)) {
+	m.Switch.Step(slot, func(d cell.Delivery) {
+		d.Out = 1
+		deliver(d)
+	})
+}
+
+// TestDeliveryOnUnroutedOutputPanics: Clos(1, 2, 1)'s ingress switch
+// links output 1 to the second middle switch, but its one leaf routes
+// through output 0, so output 1 holds no leaf-mask row. A copy
+// delivered there is a node fault, and the fabric reports it as one.
+func TestDeliveryOnUnroutedOutputPanics(t *testing.T) {
+	top := mustTop(t, "clos:n=1,m=2,r=1")
+	node := 0
+	f, err := fabric.New(top, fabric.Config{}, func(ports int, r *xrand.Rand) fabric.Node {
+		defer func() { node++ }()
+		if node == 0 {
+			return portOneNode{core.NewSwitch(ports, &core.FIFOMS{}, r)}
+		}
+		return core.NewSwitch(ports, &core.FIFOMS{}, r)
+	}, xrand.New(1).Split("switch", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Arrive(&cell.Packet{ID: 1, Input: 0, Arrival: 0, Dests: destset.FromMembers(1, 0)})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "delivered port 1 with no routed leaves") {
+			t.Fatalf("panic %q, want the no-routed-leaves report", msg)
+		}
+	}()
+	f.Step(0, func(cell.Delivery) {})
 }

@@ -69,7 +69,11 @@ type Topology struct {
 
 	// leafMask[node][out*words ...] has bit leaf set exactly when
 	// route[node][leaf] == out; words = destset.WordsPerRow(leaves).
+	// A node holds rows only through its highest routed output (a Clos
+	// egress switch of max(n, m) ports routes through n), and leafRow
+	// reads the missing ones as noLeaves.
 	leafMask [][]uint64
+	noLeaves []uint64
 	words    int
 }
 
@@ -131,14 +135,18 @@ func (t *Topology) childLeaves(node, out int, leaves, dst []uint64) bool {
 
 // leafRow returns the leaves node routes through local output out.
 func (t *Topology) leafRow(node, out int) []uint64 {
-	return t.leafMask[node][out*t.words : (out+1)*t.words]
+	m := t.leafMask[node]
+	if (out+1)*t.words > len(m) {
+		return t.noLeaves
+	}
+	return m[out*t.words : (out+1)*t.words]
 }
 
 // newTopology returns a fabric of len(ports) nodes with the given port
 // counts and leaves leaves, wired to nothing yet: every route is -1 and
 // no port drives a link or a leaf. The generators fill it in, in their
 // own loop order, through connect, bindIngress, bindEgress and
-// setRoute.
+// setRoute, and end with buildMasks.
 func newTopology(name string, ports []int, leaves, maxHops int) *Topology {
 	t := &Topology{
 		name:     name,
@@ -150,11 +158,11 @@ func newTopology(name string, ports []int, leaves, maxHops int) *Topology {
 		outLeaf:  make([][]int32, len(ports)),
 		leafMask: make([][]uint64, len(ports)),
 	}
+	t.noLeaves = make([]uint64, t.words)
 	for n, p := range ports {
 		t.route[n] = unset(leaves)
 		t.outLink[n] = unset(p)
 		t.outLeaf[n] = unset(p)
-		t.leafMask[n] = make([]uint64, p*t.words)
 	}
 	return t
 }
@@ -187,9 +195,24 @@ func (t *Topology) bindEgress(node, port int) {
 }
 
 // setRoute makes node forward leaf through local output out.
-func (t *Topology) setRoute(node, leaf, out int) {
-	t.route[node][leaf] = int32(out)
-	t.leafMask[node][out*t.words+leaf>>6] |= 1 << uint(leaf&63)
+func (t *Topology) setRoute(node, leaf, out int) { t.route[node][leaf] = int32(out) }
+
+// buildMasks derives every node's leaf masks from its finished route
+// table, with rows through the node's highest routed output only.
+func (t *Topology) buildMasks() {
+	for n, r := range t.route {
+		last := int32(-1)
+		for _, out := range r {
+			last = max(last, out)
+		}
+		m := make([]uint64, int(last+1)*t.words)
+		for leaf, out := range r {
+			if out >= 0 {
+				m[int(out)*t.words+leaf>>6] |= 1 << uint(leaf&63)
+			}
+		}
+		t.leafMask[n] = m
+	}
 }
 
 // FatTree returns a k-ary fat-tree: k pods of k/2 edge and k/2
@@ -263,6 +286,7 @@ func FatTree(k int) (*Topology, error) {
 			}
 		}
 	}
+	t.buildMasks()
 	return t, nil
 }
 
@@ -322,6 +346,7 @@ func Clos(n, m, r int) (*Topology, error) {
 		}
 		t.setRoute(out(l/n), l, l%n)
 	}
+	t.buildMasks()
 	return t, nil
 }
 

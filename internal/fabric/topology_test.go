@@ -565,21 +565,26 @@ func checkGenerated(top *Topology) error {
 		return fmt.Errorf("%s: MaxHops %d, longest route %d", top.Name(), top.MaxHops(), longest)
 	}
 	// Bit (node, out, leaf) of the leaf masks is set iff the node
-	// routes leaf out of out.
+	// routes leaf out of out, where an output without a mask row reads
+	// as empty, and a node's last row routes some leaf.
 	for n := 0; n < nodes; n++ {
 		want := make([]uint64, top.NodePorts(n)*top.words)
-		if len(top.leafMask[n]) != len(want) {
-			return fmt.Errorf("%s: node %d has %d leaf mask words, want %d", top.Name(), n, len(top.leafMask[n]), len(want))
-		}
+		last := -1
 		for leaf := 0; leaf < leaves; leaf++ {
 			if out := int(top.route[n][leaf]); out >= 0 {
 				want[out*top.words+leaf>>6] |= 1 << uint(leaf&63)
+				last = max(last, out)
 			}
 		}
-		for i, w := range top.leafMask[n] {
-			if w != want[i] {
-				return fmt.Errorf("%s: node %d output %d leaf mask word %d is %#x, the route table says %#x",
-					top.Name(), n, i/top.words, i%top.words, w, want[i])
+		if len(top.leafMask[n]) != (last+1)*top.words {
+			return fmt.Errorf("%s: node %d has %d leaf mask words, highest routed output %d", top.Name(), n, len(top.leafMask[n]), last)
+		}
+		for out := 0; out < top.NodePorts(n); out++ {
+			for i, w := range top.leafRow(n, out) {
+				if w != want[out*top.words+i] {
+					return fmt.Errorf("%s: node %d output %d leaf mask word %d is %#x, the route table says %#x",
+						top.Name(), n, out, i, w, want[out*top.words+i])
+				}
 			}
 		}
 	}

@@ -1,86 +1,14 @@
-// Package hw models the hardware implementation of the FIFOMS
-// scheduler described in Section IV of the paper (Fig. 3): a control
-// unit built from per-port comparators that select minimum time stamps,
-// and a latency model that turns comparator depths into per-slot
-// scheduling latency.
-//
-// The package serves two purposes:
-//
-//  1. Fidelity: ControlUnit is a gate-level re-implementation of one
-//     FIFOMS iteration using explicit comparator trees with
-//     fixed-priority (lowest index) tie-breaking — exactly what a
-//     synthesised comparator tree does. A differential test checks
-//     that it produces bit-identical schedules to the behavioural
-//     core.FIFOMS with DeterministicTies set, so the paper's "fairly
-//     easy to implement in hardware" claim is backed by an actual
-//     structural model, not just prose.
-//
-//  2. Complexity analysis (Section IV.C): TreeMin resolves in
-//     ceil(log2 N) comparator delays and SerialMin in N-1, giving the
-//     O(1)-with-parallel-comparators versus O(N)-serial trade-off the
-//     paper quotes; LatencyModel turns measured convergence rounds
-//     into nanosecond scheduling budgets for concrete technologies.
+// Package hw is the Section IV.C complexity arithmetic of the paper's
+// hardware FIFOMS (Fig. 3): each round is an input-side and an
+// output-side minimum selection over per-port comparators, so a round
+// costs ceil(log2 N) comparator delays per side with parallel
+// comparator trees and N-1 with a serial chain. LatencyModel turns
+// those depths, and the rounds a simulation measures, into picosecond
+// scheduling budgets for a concrete technology. The scheduling itself
+// is core.FIFOMS; this package models only its latency.
 package hw
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-)
-
-// CompareResult is the outcome of a minimum selection: the winning
-// index, its value, and the comparator depth (critical path length in
-// comparator delays) the selection took.
-type CompareResult struct {
-	Index int
-	Value int64
-	Depth int
-}
-
-// NoIndex marks a selection over an empty candidate set.
-const NoIndex = -1
-
-// TreeMin selects the minimum valid value with a balanced binary
-// comparator tree: the hardware structure of Fig. 3's per-port
-// comparators. Ties resolve to the lower index (fixed priority wiring).
-// valid[i] masks candidate i; an all-false mask yields Index == NoIndex.
-// The reported depth is ceil(log2 n) regardless of the mask — hardware
-// latency is set by the wiring, not the data.
-func TreeMin(values []int64, valid []bool) CompareResult {
-	n := len(values)
-	if n != len(valid) {
-		panic(fmt.Sprintf("hw: %d values with %d valid flags", n, len(valid)))
-	}
-	if n == 0 {
-		return CompareResult{Index: NoIndex, Depth: 0}
-	}
-	depth := bits.Len(uint(n - 1)) // ceil(log2 n), 0 for n == 1
-
-	best := CompareResult{Index: NoIndex, Value: math.MaxInt64, Depth: depth}
-	// The tree reduces pairwise; a linear scan with lowest-index ties
-	// computes the identical result, so model the *outcome* directly
-	// and keep the structural property (depth) explicit.
-	for i := 0; i < n; i++ {
-		if valid[i] && values[i] < best.Value {
-			best.Index = i
-			best.Value = values[i]
-		}
-	}
-	if best.Index == NoIndex {
-		best.Value = 0
-	}
-	return best
-}
-
-// SerialMin selects the same minimum with a serial comparator chain,
-// the O(N) alternative of Section IV.C: depth n-1.
-func SerialMin(values []int64, valid []bool) CompareResult {
-	r := TreeMin(values, valid)
-	if len(values) > 0 {
-		r.Depth = len(values) - 1
-	}
-	return r
-}
+import "math/bits"
 
 // LatencyModel converts comparator depths into wall-clock scheduling
 // latency for a concrete implementation technology.
@@ -99,14 +27,10 @@ var DefaultLatency = LatencyModel{ComparatorDelayPs: 200, FeedbackDelayPs: 300}
 
 // RoundLatencyPs returns one FIFOMS round's critical path on an N-port
 // switch with parallel comparator trees: an input-side selection
-// (ceil(log2 N)) followed by an output-side selection (ceil(log2 N))
+// (TreeDepth(N)) followed by an output-side selection (TreeDepth(N))
 // plus feedback.
 func (m LatencyModel) RoundLatencyPs(n int) int64 {
-	if n <= 0 {
-		panic("hw: non-positive port count")
-	}
-	depth := int64(bits.Len(uint(n - 1)))
-	return 2*depth*m.ComparatorDelayPs + m.FeedbackDelayPs
+	return 2*int64(TreeDepth(n))*m.ComparatorDelayPs + m.FeedbackDelayPs
 }
 
 // SlotLatencyPs returns the scheduling latency of a slot that took the
@@ -122,4 +46,13 @@ func (m LatencyModel) SerialRoundLatencyPs(n int) int64 {
 		panic("hw: non-positive port count")
 	}
 	return 2*int64(n-1)*m.ComparatorDelayPs + m.FeedbackDelayPs
+}
+
+// TreeDepth returns ceil(log2 n), the comparator depth of one
+// selection stage on an n-port switch.
+func TreeDepth(n int) int {
+	if n <= 0 {
+		panic("hw: non-positive port count")
+	}
+	return bits.Len(uint(n - 1))
 }

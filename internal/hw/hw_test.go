@@ -1,96 +1,6 @@
 package hw
 
-import (
-	"testing"
-	"testing/quick"
-
-	"voqsim/internal/cell"
-	"voqsim/internal/core"
-	"voqsim/internal/destset"
-	"voqsim/internal/xrand"
-)
-
-func TestTreeMinBasics(t *testing.T) {
-	r := TreeMin([]int64{5, 3, 9, 3}, []bool{true, true, true, true})
-	if r.Index != 1 || r.Value != 3 {
-		t.Fatalf("TreeMin = %+v, want index 1 (lowest tie)", r)
-	}
-	if r.Depth != 2 {
-		t.Fatalf("depth = %d, want 2 for n=4", r.Depth)
-	}
-}
-
-func TestTreeMinMasking(t *testing.T) {
-	r := TreeMin([]int64{1, 2, 3}, []bool{false, false, true})
-	if r.Index != 2 || r.Value != 3 {
-		t.Fatalf("masked TreeMin = %+v", r)
-	}
-	r = TreeMin([]int64{1, 2}, []bool{false, false})
-	if r.Index != NoIndex {
-		t.Fatalf("all-masked TreeMin = %+v", r)
-	}
-}
-
-func TestTreeMinEmptyAndMismatch(t *testing.T) {
-	if r := TreeMin(nil, nil); r.Index != NoIndex || r.Depth != 0 {
-		t.Fatalf("empty TreeMin = %+v", r)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	TreeMin([]int64{1}, []bool{true, true})
-}
-
-func TestSerialMinSameAnswerDifferentDepth(t *testing.T) {
-	values := []int64{7, 2, 2, 8}
-	valid := []bool{true, true, true, true}
-	tr, se := TreeMin(values, valid), SerialMin(values, valid)
-	if tr.Index != se.Index || tr.Value != se.Value {
-		t.Fatalf("tree %+v vs serial %+v disagree", tr, se)
-	}
-	if se.Depth != 3 {
-		t.Fatalf("serial depth = %d, want n-1", se.Depth)
-	}
-}
-
-// Property: TreeMin always returns the global minimum with the lowest
-// index among ties, over any mask.
-func TestTreeMinProperty(t *testing.T) {
-	f := func(raw []int16, maskBits uint32) bool {
-		if len(raw) == 0 || len(raw) > 32 {
-			return true
-		}
-		values := make([]int64, len(raw))
-		valid := make([]bool, len(raw))
-		anyValid := false
-		for i, v := range raw {
-			values[i] = int64(v)
-			valid[i] = maskBits&(1<<uint(i)) != 0
-			anyValid = anyValid || valid[i]
-		}
-		r := TreeMin(values, valid)
-		if !anyValid {
-			return r.Index == NoIndex
-		}
-		for i, v := range values {
-			if !valid[i] {
-				continue
-			}
-			if v < r.Value {
-				return false
-			}
-			if v == r.Value && i < r.Index {
-				return false
-			}
-		}
-		return valid[r.Index] && values[r.Index] == r.Value
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestLatencyModel(t *testing.T) {
 	m := LatencyModel{ComparatorDelayPs: 100, FeedbackDelayPs: 50}
@@ -117,96 +27,4 @@ func TestLatencyPanics(t *testing.T) {
 		}
 	}()
 	DefaultLatency.RoundLatencyPs(0)
-}
-
-// TestDifferentialAgainstBehaviouralFIFOMS feeds identical random
-// arrival streams to the gate-level control unit and to core.FIFOMS
-// with deterministic ties, and requires bit-identical delivery
-// sequences over thousands of slots. This is the fidelity argument
-// for the Section IV hardware design.
-func TestDifferentialAgainstBehaviouralFIFOMS(t *testing.T) {
-	const n, slots = 8, 4000
-	type arrival struct {
-		in    int
-		dests []int
-	}
-	// Pre-generate the arrival stream once.
-	r := xrand.New(77)
-	stream := make([][]arrival, slots)
-	for slot := range stream {
-		for in := 0; in < n; in++ {
-			if !r.Bool(0.45) {
-				continue
-			}
-			d := destset.New(n)
-			d.RandomBernoulli(r, 0.3)
-			if d.Empty() {
-				continue
-			}
-			stream[slot] = append(stream[slot], arrival{in: in, dests: d.Members(nil)})
-		}
-	}
-
-	run := func(arb core.Arbiter) []cell.Delivery {
-		sw := core.NewSwitch(n, arb, xrand.New(5))
-		var out []cell.Delivery
-		id := cell.PacketID(0)
-		for slot := int64(0); slot < slots; slot++ {
-			for _, a := range stream[slot] {
-				id++
-				sw.Arrive(&cell.Packet{
-					ID: id, Input: a.in, Arrival: slot,
-					Dests: destset.FromMembers(n, a.dests...),
-				})
-			}
-			sw.Step(slot, func(d cell.Delivery) { out = append(out, d) })
-		}
-		return out
-	}
-
-	behavioural := run(&core.FIFOMS{DeterministicTies: true})
-	hardware := run(NewControlUnit())
-	if len(behavioural) != len(hardware) {
-		t.Fatalf("delivery counts differ: %d vs %d", len(behavioural), len(hardware))
-	}
-	for i := range behavioural {
-		if behavioural[i] != hardware[i] {
-			t.Fatalf("delivery %d differs: behavioural %+v vs hardware %+v",
-				i, behavioural[i], hardware[i])
-		}
-	}
-}
-
-func TestControlUnitAccounting(t *testing.T) {
-	const n = 4
-	cu := NewControlUnit()
-	sw := core.NewSwitch(n, cu, xrand.New(1))
-	sw.Arrive(&cell.Packet{ID: 1, Input: 0, Arrival: 0, Dests: destset.FromMembers(n, 0, 1)})
-	var got int
-	sw.Step(0, func(cell.Delivery) { got++ })
-	if got != 2 {
-		t.Fatalf("delivered %d copies", got)
-	}
-	if cu.Comparisons() == 0 {
-		t.Fatal("no comparator evaluations recorded")
-	}
-	if cu.MeanSlotLatencyPs() <= 0 {
-		t.Fatal("no latency recorded")
-	}
-}
-
-func TestControlUnitLatencyScalesWithRounds(t *testing.T) {
-	// A slot needing two rounds must cost twice the round latency.
-	const n = 2
-	cu := NewControlUnit()
-	sw := core.NewSwitch(n, cu, xrand.New(1))
-	// Same construction as core's two-round scenario.
-	sw.Arrive(&cell.Packet{ID: 1, Input: 0, Arrival: 0, Dests: destset.FromMembers(n, 0)})
-	sw.Arrive(&cell.Packet{ID: 2, Input: 1, Arrival: 1, Dests: destset.FromMembers(n, 0)})
-	sw.Arrive(&cell.Packet{ID: 3, Input: 1, Arrival: 2, Dests: destset.FromMembers(n, 1)})
-	sw.Step(2, func(cell.Delivery) {})
-	want := 2 * float64(cu.Latency.RoundLatencyPs(n))
-	if got := cu.MeanSlotLatencyPs(); got != want {
-		t.Fatalf("latency %v, want %v (2 rounds)", got, want)
-	}
 }

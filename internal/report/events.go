@@ -25,13 +25,8 @@ func EventSink(w io.Writer) func([]obs.Event) error {
 	}
 }
 
-// WriteEventsJSONL writes events to w as JSON Lines.
-func WriteEventsJSONL(w io.Writer, events []obs.Event) error {
-	return EventSink(w)(events)
-}
-
 // ReadEventsJSONL parses a JSON Lines event stream produced by
-// WriteEventsJSONL / EventSink. Blank lines are skipped.
+// EventSink. Blank lines are skipped.
 func ReadEventsJSONL(r io.Reader) ([]obs.Event, error) {
 	var events []obs.Event
 	sc := bufio.NewScanner(r)

@@ -14,7 +14,7 @@ import (
 // (the voqtrace tools depend on both properties).
 func FuzzReadEventsJSONL(f *testing.F) {
 	var valid bytes.Buffer
-	if err := WriteEventsJSONL(&valid, []obs.Event{
+	if err := EventSink(&valid)([]obs.Event{
 		{Slot: 0, Type: obs.EvArrival, In: 1, Out: -1, Round: -1, Aux: 2, TS: 0, Packet: 7},
 		{Slot: 3, Type: obs.EvGrant, In: 2, Out: 5, Round: 1, Aux: 0, TS: 42, Packet: -1},
 		{Slot: 3, Type: obs.EvDeparture, In: 2, Out: 5, Round: -1, Aux: 1, TS: 42, Packet: 9},
@@ -45,7 +45,7 @@ func FuzzReadEventsJSONL(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteEventsJSONL(&buf, events); err != nil {
+		if err := EventSink(&buf)(events); err != nil {
 			t.Fatalf("re-encoding parsed events: %v", err)
 		}
 		again, err := ReadEventsJSONL(&buf)

@@ -261,34 +261,11 @@ func (r *Rand) SampleBits(dst []uint64, n, k int) {
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
-// Geometric returns a sample from the geometric distribution on
-// {1, 2, ...} with success probability p: the number of Bernoulli(p)
-// trials up to and including the first success. It panics unless
-// 0 < p <= 1. The inversion method keeps it O(1).
-func (r *Rand) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric needs 0 < p <= 1")
-	}
-	if p == 1 {
-		return 1
-	}
-	u := r.Float64()
-	// Guard u == 0, whose log would be -Inf.
-	for u == 0 {
-		u = r.Float64()
-	}
-	g := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
-// Geo is a Geometric(p) sampler with the parameter's log(1-p)
-// precomputed: Geometric spends most of its time in two logarithms,
-// and the denominator one is loop-invariant for any fixed-rate source.
-// Next is computation-for-computation the inversion Geometric uses, so
-// given the same generator state it returns the same value.
+// Geo samples the geometric distribution on {1, 2, ...} with success
+// probability p: the number of Bernoulli(p) trials up to and including
+// the first success. Next inverts one uniform draw, O(1), with the
+// parameter's log(1-p) precomputed, since it is loop-invariant for any
+// fixed-rate source.
 type Geo struct {
 	p    float64
 	logQ float64 // log(1-p); 0 when p == 1 (unused)

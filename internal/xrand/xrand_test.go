@@ -215,9 +215,10 @@ func TestSampleUniform(t *testing.T) {
 func TestGeometricMean(t *testing.T) {
 	r := New(41)
 	const p, n = 0.25, 100000
+	geo := NewGeo(p)
 	sum := 0
 	for i := 0; i < n; i++ {
-		g := r.Geometric(p)
+		g := geo.Next(r)
 		if g < 1 {
 			t.Fatalf("Geometric returned %d < 1", g)
 		}
@@ -230,9 +231,9 @@ func TestGeometricMean(t *testing.T) {
 }
 
 func TestGeometricOne(t *testing.T) {
-	r := New(43)
+	r, geo := New(43), NewGeo(1)
 	for i := 0; i < 100; i++ {
-		if g := r.Geometric(1); g != 1 {
+		if g := geo.Next(r); g != 1 {
 			t.Fatalf("Geometric(1) = %d", g)
 		}
 	}
