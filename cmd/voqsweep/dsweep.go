@@ -33,11 +33,10 @@ func serveSweep(sweep *experiment.Sweep, spec dsweep.Spec, opts serveOpts, out o
 	progress func(experiment.Progress), stdout, stderr io.Writer) int {
 
 	cfg := dsweep.Config{
-		Sweep:           sweep,
-		Spec:            spec,
-		LeaseTTL:        opts.ttl,
-		CheckpointEvery: sweep.CheckpointEvery,
-		Progress:        progress,
+		Sweep:    sweep,
+		Spec:     spec,
+		LeaseTTL: opts.ttl,
+		Progress: progress,
 	}
 	if opts.verbose {
 		cfg.Logf = func(format string, args ...any) {

@@ -44,8 +44,11 @@
 //	                                   mid-run checkpoints live in DIR, and a re-run
 //	                                   with the same flags picks up where it stopped
 //	                                   (a -fast point, which cannot be snapshotted,
-//	                                   runs whole)
-//	-checkpoint-every K                checkpoint cadence in slots (with -resume-dir)
+//	                                   runs whole); with -serve, DIR holds finished
+//	                                   points only
+//	-checkpoint-every K                checkpoint cadence in slots of a local
+//	                                   -resume-dir sweep; an error with -serve,
+//	                                   whose lost points run again from slot 0
 //	-csv FILE / -json FILE             exports
 //	-cpuprofile FILE / -memprofile FILE  pprof profiles of the sweep
 //	-serve ADDR                        coordinate a worker fleet on ADDR instead of
@@ -110,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		checkRun    = fs.Bool("check", false, "run every point under the runtime invariant checker; exit 1 on any violation")
 		progressOn  = fs.Bool("progress", false, "stream per-point completion and ETA to stderr")
 		resumeDir   = fs.String("resume-dir", "", "checkpoint directory; a re-run of the identical sweep resumes from it")
-		ckptEvery   = fs.Int64("checkpoint-every", 0, "checkpoint cadence in slots (with -resume-dir; 0 = a tenth of -slots)")
+		ckptEvery   = fs.Int64("checkpoint-every", 0, "checkpoint cadence in slots of a local -resume-dir sweep (0 = a tenth of -slots; an error with -serve)")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		serveAddr   = fs.String("serve", "", "coordinate a worker fleet on this TCP address (e.g. 127.0.0.1:0) instead of simulating locally")
@@ -122,11 +125,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *workerAddr != "" {
 		if *serveAddr != "" {
 			return fail(stderr, fmt.Errorf("-serve and -worker are mutually exclusive"))
 		}
 		return runWorkerMode(*workerAddr, *workerName, *progressOn, stderr)
+	}
+	if *serveAddr != "" && explicit["checkpoint-every"] {
+		return fail(stderr, fmt.Errorf("-serve and -checkpoint-every are mutually exclusive: a fleet runs a lost point again from slot 0"))
 	}
 	serve := serveOpts{addr: *serveAddr, ttl: *leaseTTL, verbose: *progressOn}
 
@@ -141,8 +149,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = progressPrinter(stderr)
 	}
 
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	out := output{plots: *plots, csv: *csvPath, json: *jsonPath, checked: *checkRun}
 	if *figureName != "" {
 		fig, err := experiment.FigureByName(*figureName)

@@ -122,9 +122,9 @@ func TestParallelComposes(t *testing.T) {
 	}
 }
 
-// TestBadFlagFails: a bad flag value, or a flag that would change the
-// traffic or switch a figure row fixes, fails with a message naming it
-// and prints nothing on stdout.
+// TestBadFlagFails: a bad flag value, a flag that would change the
+// traffic or switch a figure row fixes, or a flag a fleet would ignore
+// fails with a message naming it and prints nothing on stdout.
 func TestBadFlagFails(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -135,6 +135,7 @@ func TestBadFlagFails(t *testing.T) {
 		{[]string{"-figure", "fig4", "-topology", "fattree:k=4"}, "-topology"},
 		{[]string{"-figure", "fig4", "-b", "0.3"}, "-b"},
 		{[]string{"-figure", "fig9"}, `unknown figure "fig9" (have ablation-criterion`},
+		{[]string{"-serve", "127.0.0.1:0", "-checkpoint-every", "500"}, "-serve and -checkpoint-every"},
 	} {
 		var out, errBuf bytes.Buffer
 		if code := run(tc.args, &out, &errBuf); code == 0 {

@@ -71,9 +71,6 @@ func (s *Switch) Ports() int { return s.inner.Ports() }
 // Name identifies the configuration in reports, e.g. "cioq-s2-fifoms".
 func (s *Switch) Name() string { return s.name }
 
-// Speedup returns the fabric speedup S.
-func (s *Switch) Speedup() int { return s.speedup }
-
 // SetObserver attaches (or detaches, with nil) the observability layer
 // at the switch's boundary: arrivals and their address cells at the
 // input stage, departures on the output lines. Crossings into the

@@ -26,7 +26,7 @@ func collect(s *Switch, slot int64) []cell.Delivery {
 
 func TestBasics(t *testing.T) {
 	s := New(4, 2, &core.FIFOMS{}, xrand.New(1))
-	if s.Ports() != 4 || s.Speedup() != 2 || s.Name() != "cioq-s2-fifoms" {
+	if s.Ports() != 4 || s.speedup != 2 || s.Name() != "cioq-s2-fifoms" {
 		t.Fatalf("metadata wrong: %s", s.Name())
 	}
 	p := mkPacket(0, 0, 4, 1, 2)
@@ -42,8 +42,8 @@ func TestBasics(t *testing.T) {
 
 func TestSpeedupClampedToN(t *testing.T) {
 	s := New(4, 99, &core.FIFOMS{}, xrand.New(1))
-	if s.Speedup() != 4 {
-		t.Fatalf("speedup %d, want clamp to 4", s.Speedup())
+	if s.speedup != 4 {
+		t.Fatalf("speedup %d, want clamp to 4", s.speedup)
 	}
 }
 

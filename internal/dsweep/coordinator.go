@@ -21,16 +21,12 @@ type Config struct {
 	Sweep *experiment.Sweep
 	Spec  Spec
 
-	// LeaseTTL is how long a lease survives without a heartbeat or
-	// checkpoint before the cell is reclaimed (default 10s).
+	// LeaseTTL is how long a lease survives without a heartbeat before
+	// the cell is reclaimed (default 10s).
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the heartbeat interval sent to workers in the
 	// welcome frame (default LeaseTTL/4).
 	HeartbeatEvery time.Duration
-	// CheckpointEvery is the snapshot cadence in slots workers must
-	// honour (default: a tenth of the per-point slot budget). Larger
-	// values trade recovery granularity for wire traffic.
-	CheckpointEvery int64
 	// BackoffBase/BackoffCap shape the re-lease backoff of a failing
 	// point: base<<(failures-1), capped (defaults 100ms, 2s).
 	BackoffBase time.Duration
@@ -53,16 +49,16 @@ type Config struct {
 // fleetMetrics caches the registry lookups; all access is under the
 // coordinator mutex (obs.Registry is not concurrency-safe).
 type fleetMetrics struct {
-	joined, lost, granted, resumed, expired, reclaimed *obs.Counter
-	merged, rejected, ckptStored, ckptRejected         *obs.Counter
-	stale, duplicate, preloaded                        *obs.Counter
-	connected                                          *obs.Gauge
+	joined, lost, granted, expired, reclaimed *obs.Counter
+	merged, rejected, stale, duplicate        *obs.Counter
+	preloaded                                 *obs.Counter
+	connected                                 *obs.Gauge
 }
 
 // Coordinator owns one sweep's grid: it leases cells to connected
-// workers, stores their checkpoint blobs, merges their results, and
-// reclaims work from workers that die. Serve returns the completed
-// table, byte-identical to Sweep.Run on the same sweep.
+// workers, merges their results, and reclaims work from workers that
+// die. Serve returns the completed table, byte-identical to Sweep.Run
+// on the same sweep.
 type Coordinator struct {
 	cfg      Config
 	specJSON []byte
@@ -124,12 +120,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatEvery < time.Millisecond {
 		cfg.HeartbeatEvery = time.Millisecond
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = cfg.Sweep.Slots / 10
-		if cfg.CheckpointEvery <= 0 {
-			cfg.CheckpointEvery = 1
-		}
-	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 100 * time.Millisecond
 	}
@@ -159,20 +149,17 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		doneCh:   make(chan struct{}),
 	}
 	c.m = fleetMetrics{
-		joined:       reg.Counter(obs.MetricFleetWorkersJoined),
-		lost:         reg.Counter(obs.MetricFleetWorkersLost),
-		granted:      reg.Counter(obs.MetricFleetLeasesGranted),
-		resumed:      reg.Counter(obs.MetricFleetLeasesResumed),
-		expired:      reg.Counter(obs.MetricFleetLeasesExpired),
-		reclaimed:    reg.Counter(obs.MetricFleetLeasesReclaimed),
-		merged:       reg.Counter(obs.MetricFleetResultsMerged),
-		rejected:     reg.Counter(obs.MetricFleetResultsRejected),
-		ckptStored:   reg.Counter(obs.MetricFleetCheckpointsStored),
-		ckptRejected: reg.Counter(obs.MetricFleetCheckpointsRejected),
-		stale:        reg.Counter(obs.MetricFleetStaleFrames),
-		duplicate:    reg.Counter(obs.MetricFleetDuplicateClaims),
-		preloaded:    reg.Counter(obs.MetricFleetPointsPreloaded),
-		connected:    reg.Gauge(obs.MetricFleetWorkersConnected),
+		joined:    reg.Counter(obs.MetricFleetWorkersJoined),
+		lost:      reg.Counter(obs.MetricFleetWorkersLost),
+		granted:   reg.Counter(obs.MetricFleetLeasesGranted),
+		expired:   reg.Counter(obs.MetricFleetLeasesExpired),
+		reclaimed: reg.Counter(obs.MetricFleetLeasesReclaimed),
+		merged:    reg.Counter(obs.MetricFleetResultsMerged),
+		rejected:  reg.Counter(obs.MetricFleetResultsRejected),
+		stale:     reg.Counter(obs.MetricFleetStaleFrames),
+		duplicate: reg.Counter(obs.MetricFleetDuplicateClaims),
+		preloaded: reg.Counter(obs.MetricFleetPointsPreloaded),
+		connected: reg.Gauge(obs.MetricFleetWorkersConnected),
 	}
 	c.lt = newLeaseTable(c.total, cfg.LeaseTTL, cfg.BackoffBase, cfg.BackoffCap, cfg.WaitRetry)
 
@@ -388,10 +375,9 @@ func (c *Coordinator) handle(conn net.Conn) {
 	c.logf("worker %s joined", cc.id)
 
 	if err := cc.send(Frame{
-		Kind:            KindWelcome,
-		HeartbeatMs:     uint32(c.cfg.HeartbeatEvery.Milliseconds()),
-		CheckpointEvery: c.cfg.CheckpointEvery,
-		Spec:            c.specJSON,
+		Kind:        KindWelcome,
+		HeartbeatMs: uint32(c.cfg.HeartbeatEvery.Milliseconds()),
+		Spec:        c.specJSON,
 	}); err != nil {
 		c.dropConn(cc)
 		return
@@ -414,11 +400,6 @@ func (c *Coordinator) handle(conn net.Conn) {
 			}
 		case KindHeartbeat:
 			c.handleHeartbeat(cc, f)
-		case KindCheckpoint:
-			if !c.handleCheckpoint(cc, f) {
-				c.dropConn(cc)
-				return
-			}
 		case KindResult:
 			if !c.handleResult(cc, f) {
 				c.dropConn(cc)
@@ -457,17 +438,14 @@ func (c *Coordinator) dropConn(cc *coordConn) {
 // violation).
 func (c *Coordinator) handleClaim(cc *coordConn) bool {
 	c.mu.Lock()
-	outcome, id, point, blob, slot, retry := c.lt.claim(time.Now(), cc.id)
+	outcome, id, point, retry := c.lt.claim(time.Now(), cc.id)
 	var reply Frame
 	switch outcome {
 	case claimGranted:
 		c.m.granted.Inc()
-		if len(blob) > 0 {
-			c.m.resumed.Inc()
-		}
 		ai, li, rep := c.cfg.Sweep.CellAt(point)
-		reply = Frame{Kind: KindLease, LeaseID: id, AI: ai, LI: li, Rep: rep, Sum: Checksum(blob), Blob: blob}
-		c.logf("lease %d: %s -> %s (resume slot %d)", id, c.pointLabel(point), cc.id, slot)
+		reply = Frame{Kind: KindLease, LeaseID: id, AI: ai, LI: li, Rep: rep}
+		c.logf("lease %d: %s -> %s", id, c.pointLabel(point), cc.id)
 	case claimWait:
 		ms := retry.Milliseconds()
 		if ms <= 0 {
@@ -489,32 +467,10 @@ func (c *Coordinator) handleClaim(cc *coordConn) bool {
 
 func (c *Coordinator) handleHeartbeat(cc *coordConn, f Frame) {
 	c.mu.Lock()
-	if !c.lt.heartbeat(time.Now(), f.LeaseID, cc.id, f.Slot) {
+	if !c.lt.heartbeat(time.Now(), f.LeaseID, cc.id) {
 		c.m.stale.Inc()
 	}
 	c.mu.Unlock()
-}
-
-// handleCheckpoint stores a mid-point snapshot blob. A checksum
-// mismatch is counted and refused — and the connection dropped, since
-// its sender is corrupting state the recovery path depends on.
-func (c *Coordinator) handleCheckpoint(cc *coordConn, f Frame) bool {
-	if Checksum(f.Blob) != f.Sum {
-		c.mu.Lock()
-		c.m.ckptRejected.Inc()
-		c.mu.Unlock()
-		c.logf("worker %s: checkpoint for lease %d failed its checksum; closing", cc.id, f.LeaseID)
-		cc.send(Frame{Kind: KindError, Msg: fmt.Sprintf("checkpoint for lease %d failed its checksum", f.LeaseID)})
-		return false
-	}
-	c.mu.Lock()
-	if c.lt.checkpoint(time.Now(), f.LeaseID, cc.id, f.Slot, f.Blob) {
-		c.m.ckptStored.Inc()
-	} else {
-		c.m.stale.Inc()
-	}
-	c.mu.Unlock()
-	return true
 }
 
 // handleResult verifies and merges one finished cell. Verification

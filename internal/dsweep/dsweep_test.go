@@ -3,6 +3,7 @@ package dsweep
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -18,7 +19,7 @@ import (
 // The chaos battery: every test here runs a real coordinator and real
 // workers over loopback TCP and asserts the merged table is
 // byte-identical to a single-process Sweep.Run — under clean fleets,
-// crashes mid-point, heartbeat loss, and tampered frames — and that
+// crashes holding a lease, heartbeat loss, and tampered frames — and that
 // every failure is visible in the fleet counters.
 
 // testSpec is a small grid that still exercises every result shape:
@@ -159,23 +160,27 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestCrashMidPointResumes is the headline recovery scenario: a worker
-// dies after streaming one checkpoint, and the replacement resumes
-// from that blob — the merged table must still equal the golden run.
-func TestCrashMidPointResumes(t *testing.T) {
-	golden := goldenTable(t, testSpec())
-	cfg := fastConfig()
-	cfg.CheckpointEvery = 200 // many checkpoints per 2000-slot point
-	c, addr, ch := startCoordinator(t, cfg)
+// errCrash is the chaos battery's crash: a ResultGate returning it
+// makes the worker abandon its lease with the result unsent, and its
+// connection drop is what the coordinator sees.
+var errCrash = errors.New("worker crashed holding a lease")
 
-	// The doomed worker panics out of its first point after one
-	// checkpoint frame; its connection drop is the crash signal.
+func crashGate(ai, li, rep int) error { return errCrash }
+
+// TestCrashHoldingLeaseRestarts is the headline recovery scenario: a
+// worker dies holding a lease on a simulated cell, and the replacement
+// runs that cell again from slot 0 — the merged table must still equal
+// the golden run.
+func TestCrashHoldingLeaseRestarts(t *testing.T) {
+	golden := goldenTable(t, testSpec())
+	c, addr, ch := startCoordinator(t, fastConfig())
+
 	err := RunWorker(WorkerConfig{
 		Addr: addr, Name: "doomed", Logf: t.Logf,
-		Hooks: Hooks{DieAfterCheckpoints: 1},
+		Hooks: Hooks{ResultGate: crashGate},
 	})
-	if err == nil {
-		t.Fatal("doomed worker exited cleanly")
+	if !errors.Is(err, errCrash) {
+		t.Fatalf("doomed worker exited with %v, want the crash", err)
 	}
 
 	if err := RunWorker(WorkerConfig{Addr: addr, Name: "healer", Logf: t.Logf}); err != nil {
@@ -188,10 +193,9 @@ func TestCrashMidPointResumes(t *testing.T) {
 
 	m := c.Metrics()
 	for name, min := range map[string]int64{
-		obs.MetricFleetWorkersLost:       1,
-		obs.MetricFleetLeasesReclaimed:   1,
-		obs.MetricFleetLeasesResumed:     1,
-		obs.MetricFleetCheckpointsStored: 1,
+		obs.MetricFleetWorkersLost:     1,
+		obs.MetricFleetLeasesReclaimed: 1,
+		obs.MetricFleetLeasesGranted:   7, // six cells, one of them twice
 	} {
 		if v := counterValue(t, m, name); v < min {
 			t.Errorf("%s = %d, want >= %d", name, v, min)
@@ -220,10 +224,9 @@ func TestHeartbeatLossExpiresLease(t *testing.T) {
 		zombieDone <- RunWorker(WorkerConfig{
 			Addr: addr, Name: "zombie", Logf: t.Logf,
 			Hooks: Hooks{
-				SuppressHeartbeats:  true,
-				SuppressCheckpoints: true,
-				OnLease:             func(ai, li, rep int, _ int64) { leaseOnce.Do(func() { close(leased) }) },
-				ResultGate:          func(ai, li, rep int) { <-gate },
+				SuppressHeartbeats: true,
+				OnLease:            func(ai, li, rep int) { leaseOnce.Do(func() { close(leased) }) },
+				ResultGate:         func(ai, li, rep int) error { <-gate; return nil },
 			},
 		})
 	}()
@@ -357,8 +360,8 @@ func TestForgedCoordinatesRejected(t *testing.T) {
 }
 
 // TestProtocolViolationsClosed covers the remaining adversarial
-// frames: a duplicate claim and a checkpoint with a bad checksum, each
-// of which must be counted and close the connection.
+// frames: a duplicate claim, which must be counted, and a frame of a
+// kind no worker sends; each must close the connection.
 func TestProtocolViolationsClosed(t *testing.T) {
 	c, addr, ch := startCoordinator(t, fastConfig())
 
@@ -375,16 +378,15 @@ func TestProtocolViolationsClosed(t *testing.T) {
 		rc.conn.Close()
 	})
 
-	t.Run("corrupt checkpoint", func(t *testing.T) {
-		rc := dialRaw(t, addr, "corrupt")
+	t.Run("unexpected kind", func(t *testing.T) {
+		rc := dialRaw(t, addr, "confused")
 		rc.send(Frame{Kind: KindClaim})
-		lease := rc.read()
-		if lease.Kind != KindLease {
-			t.Fatalf("claim reply kind %d", lease.Kind)
+		if f := rc.read(); f.Kind != KindLease {
+			t.Fatalf("claim reply kind %d", f.Kind)
 		}
-		rc.send(Frame{Kind: KindCheckpoint, LeaseID: lease.LeaseID, Slot: 7, Sum: 0xbad, Blob: []byte("snapshot")})
-		if f := rc.read(); f.Kind != KindError || !strings.Contains(f.Msg, "checksum") {
-			t.Fatalf("corrupt checkpoint reply = kind %d msg %q", f.Kind, f.Msg)
+		rc.send(Frame{Kind: KindWait, RetryMs: 1}) // a coordinator's frame
+		if f := rc.read(); f.Kind != KindError || !strings.Contains(f.Msg, "unexpected frame kind") {
+			t.Fatalf("unexpected kind reply = kind %d msg %q", f.Kind, f.Msg)
 		}
 		rc.conn.Close()
 	})
@@ -397,8 +399,8 @@ func TestProtocolViolationsClosed(t *testing.T) {
 	if v := counterValue(t, m, obs.MetricFleetDuplicateClaims); v != 1 {
 		t.Errorf("duplicate claims = %d, want 1", v)
 	}
-	if v := counterValue(t, m, obs.MetricFleetCheckpointsRejected); v != 1 {
-		t.Errorf("rejected checkpoints = %d, want 1", v)
+	if v := counterValue(t, m, obs.MetricFleetWorkersLost); v < 2 {
+		t.Errorf("workers lost = %d, want both violators", v)
 	}
 }
 

@@ -2,17 +2,16 @@
 // machines: a coordinator owns one experiment.Sweep's grid and leases
 // its cells — (algorithm, load, replication), numbered as Sweep.Run
 // numbers its shards — to workers over TCP; workers simulate cells,
-// stream heartbeats and mid-run snapshot checkpoints back, and return
-// per-cell results. When a worker dies — connection drop, kill -9,
-// heartbeat loss — the coordinator re-leases the cell, handing the
-// replacement worker the latest checkpoint blob so it resumes mid-run
-// instead of restarting (a fast cell, which cannot be snapshotted,
-// restarts). Because every cell derives its seeds
-// from its own coordinates and a resumed cell is bit-identical to a
-// straight run (the PR 4 contract pinned in internal/switchsim), the
-// merged table is byte-identical to a single-process Sweep.Run for any
-// fleet size, join/leave order, or crash schedule — the chaos battery
-// in this package proves it.
+// send heartbeats while they run, and return per-cell results. When a
+// worker dies — connection drop, kill -9, heartbeat loss — the
+// coordinator re-leases the cell and the replacement runs it again
+// from slot 0: at the paper's 10^6 slots a cell costs seconds, so a
+// crash loses at most one cell's work. Because every cell derives its
+// seeds from its own coordinates, the merged table is byte-identical
+// to a single-process Sweep.Run for any fleet size, join/leave order,
+// or crash schedule — the chaos battery in this package proves it.
+// The one checkpoint transport is the coordinator's resume directory
+// of finished cells (experiment.Sweep.CheckpointDir).
 //
 // DESIGN.md §15 documents the wire protocol, the lease lifecycle and
 // the trust model; docs for the operator flow live in README's
@@ -35,31 +34,31 @@ import (
 // multi-byte integers are big-endian, strings and blobs are
 // length-prefixed, and trailing bytes after a frame's declared fields
 // are a decode error so a truncated or corrupted frame can never be
-// half-understood. Snapshot and result payloads carry an FNV-1a
-// checksum; the codec transports it verbatim (re-encode identity holds
-// even for a bad sum) and the coordinator/worker verify it
-// semantically, so a tampered or corrupted payload is rejected with a
-// counted error instead of killing the parse.
+// half-understood. Result payloads carry an FNV-1a checksum; the codec
+// transports it verbatim (re-encode identity holds even for a bad sum)
+// and the coordinator verifies it semantically, so a tampered or
+// corrupted payload is rejected with a counted error instead of
+// killing the parse.
 const (
 	// Version is the protocol version in every frame header. Version 2
-	// put the replication index in the lease; a mixed fleet fails at the
-	// hello handshake.
-	Version = 2
+	// put the replication index in the lease; version 3 dropped the
+	// mid-cell checkpoint stream. A mixed fleet fails at the hello
+	// handshake.
+	Version = 3
 
 	// KindHello opens a session: worker -> coordinator, carrying the
 	// worker's display name.
 	KindHello = 1
 	// KindWelcome answers a hello: coordinator -> worker, carrying the
-	// sweep spec JSON plus the heartbeat interval and checkpoint
-	// cadence the worker must honour.
+	// sweep spec JSON plus the heartbeat interval the worker must
+	// honour.
 	KindWelcome = 2
 	// KindClaim asks for work: worker -> coordinator, empty body. The
 	// coordinator answers with exactly one of Lease, Wait or Done.
 	KindClaim = 3
 	// KindLease grants one cell: coordinator -> worker, carrying the
-	// lease id, the cell's coordinates (algorithm, load, replication)
-	// and the latest checkpoint blob of a previously interrupted run
-	// (empty = fresh).
+	// lease id and the cell's coordinates (algorithm, load,
+	// replication). Every lease runs its cell from slot 0.
 	KindLease = 4
 	// KindWait defers a claim: coordinator -> worker. Every point is
 	// currently leased or backing off; retry after RetryMs.
@@ -67,12 +66,10 @@ const (
 	// KindDone ends the session: coordinator -> worker. The table is
 	// complete; the worker exits cleanly.
 	KindDone = 6
-	// KindHeartbeat keeps a lease alive: worker -> coordinator, with
-	// the current simulation slot as progress.
+	// KindHeartbeat keeps a lease alive: worker -> coordinator,
+	// carrying the lease id. Kind 8 is unused: it was the mid-cell
+	// checkpoint of versions 1 and 2.
 	KindHeartbeat = 7
-	// KindCheckpoint streams a mid-point snapshot: worker ->
-	// coordinator. Implicitly also a heartbeat.
-	KindCheckpoint = 8
 	// KindResult returns a finished point: worker -> coordinator, the
 	// point JSON plus its checksum.
 	KindResult = 9
@@ -80,8 +77,8 @@ const (
 	// sent before the coordinator closes the connection.
 	KindError = 10
 
-	// MaxBlob bounds snapshot blobs and result payloads; generous next
-	// to any real snapshot (an N=1024 point is ~tens of MB at most).
+	// MaxBlob bounds the welcome's spec and result payloads; generous
+	// next to any real point JSON.
 	MaxBlob = 64 << 20
 	// MaxName bounds the worker name in a hello frame.
 	MaxName = 128
@@ -102,25 +99,22 @@ type Frame struct {
 
 	Name string // Hello: worker display name
 
-	Spec            []byte // Welcome: sweep spec JSON
-	HeartbeatMs     uint32 // Welcome: heartbeat interval, milliseconds
-	CheckpointEvery int64  // Welcome: checkpoint cadence, slots (0 = off)
+	Spec        []byte // Welcome: sweep spec JSON
+	HeartbeatMs uint32 // Welcome: heartbeat interval, milliseconds
 
-	LeaseID uint64 // Lease, Heartbeat, Checkpoint, Result
+	LeaseID uint64 // Lease, Heartbeat, Result
 	AI, LI  int    // Lease: grid coordinates (algorithm, load index)
 	Rep     int    // Lease: replication index
 
-	Slot int64 // Heartbeat, Checkpoint: current simulation slot
-
-	Sum  uint64 // Lease, Checkpoint, Result: FNV-1a 64 of Blob
-	Blob []byte // Lease, Checkpoint: snapshot; Result: point JSON
+	Sum  uint64 // Result: FNV-1a 64 of Blob
+	Blob []byte // Result: point JSON
 
 	RetryMs uint32 // Wait: suggested delay before the next claim
 
 	Msg string // Error: human-readable rejection reason
 }
 
-// Checksum is the FNV-1a 64 hash guarding blob payloads in transit.
+// Checksum is the FNV-1a 64 hash guarding result payloads in transit.
 // It is an integrity check against corruption and casual tampering,
 // not an authentication: the protocol trusts workers that compute
 // valid checksums (see the trust model in DESIGN.md §15).
@@ -149,14 +143,10 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		if f.HeartbeatMs == 0 {
 			panic("dsweep: welcome without a heartbeat interval")
 		}
-		if f.CheckpointEvery < 0 {
-			panic("dsweep: welcome with a negative checkpoint cadence")
-		}
 		if len(f.Spec) == 0 || len(f.Spec) > MaxBlob {
 			panic(fmt.Sprintf("dsweep: welcome spec is %d bytes", len(f.Spec)))
 		}
 		dst = binary.BigEndian.AppendUint32(dst, f.HeartbeatMs)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(f.CheckpointEvery))
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Spec)))
 		dst = append(dst, f.Spec...)
 	case KindClaim, KindDone:
@@ -165,39 +155,17 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		if f.AI < 0 || f.AI > MaxGrid || f.LI < 0 || f.LI > MaxGrid || f.Rep < 0 || f.Rep > MaxGrid {
 			panic(fmt.Sprintf("dsweep: lease coordinates (%d,%d,%d) out of range", f.AI, f.LI, f.Rep))
 		}
-		if len(f.Blob) > MaxBlob {
-			panic(fmt.Sprintf("dsweep: lease blob is %d bytes", len(f.Blob)))
-		}
 		dst = binary.BigEndian.AppendUint64(dst, f.LeaseID)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(f.AI))
 		dst = binary.BigEndian.AppendUint32(dst, uint32(f.LI))
 		dst = binary.BigEndian.AppendUint32(dst, uint32(f.Rep))
-		dst = binary.BigEndian.AppendUint64(dst, f.Sum)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Blob)))
-		dst = append(dst, f.Blob...)
 	case KindWait:
 		if f.RetryMs == 0 {
 			panic("dsweep: wait without a retry delay")
 		}
 		dst = binary.BigEndian.AppendUint32(dst, f.RetryMs)
 	case KindHeartbeat:
-		if f.Slot < 0 {
-			panic(fmt.Sprintf("dsweep: heartbeat slot %d", f.Slot))
-		}
 		dst = binary.BigEndian.AppendUint64(dst, f.LeaseID)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(f.Slot))
-	case KindCheckpoint:
-		if f.Slot < 0 {
-			panic(fmt.Sprintf("dsweep: checkpoint slot %d", f.Slot))
-		}
-		if len(f.Blob) == 0 || len(f.Blob) > MaxBlob {
-			panic(fmt.Sprintf("dsweep: checkpoint blob is %d bytes", len(f.Blob)))
-		}
-		dst = binary.BigEndian.AppendUint64(dst, f.LeaseID)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(f.Slot))
-		dst = binary.BigEndian.AppendUint64(dst, f.Sum)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Blob)))
-		dst = append(dst, f.Blob...)
 	case KindResult:
 		if len(f.Blob) == 0 || len(f.Blob) > MaxBlob {
 			panic(fmt.Sprintf("dsweep: result payload is %d bytes", len(f.Blob)))
@@ -228,7 +196,7 @@ func ParseFrame(b []byte) (Frame, error) {
 	case KindHello:
 		f.Name = string(r.Sized(int(r.U16()), 1, MaxName))
 	case KindWelcome:
-		f.HeartbeatMs, f.CheckpointEvery = r.U32(), r.NonNeg()
+		f.HeartbeatMs = r.U32()
 		f.Spec = r.Sized(int(r.U32()), 1, MaxBlob)
 		if f.HeartbeatMs == 0 {
 			r.Failf("welcome with zero heartbeat interval")
@@ -238,8 +206,6 @@ func ParseFrame(b []byte) (Frame, error) {
 	case KindLease:
 		f.LeaseID = r.U64()
 		ai, li, rep := r.U32(), r.U32(), r.U32()
-		f.Sum = r.U64()
-		f.Blob = r.Sized(int(r.U32()), 0, MaxBlob)
 		if max(ai, li, rep) > MaxGrid {
 			r.Failf("lease coordinates (%d,%d,%d) out of range", ai, li, rep)
 		}
@@ -249,10 +215,7 @@ func ParseFrame(b []byte) (Frame, error) {
 			r.Failf("wait with zero retry delay")
 		}
 	case KindHeartbeat:
-		f.LeaseID, f.Slot = r.U64(), r.NonNeg()
-	case KindCheckpoint:
-		f.LeaseID, f.Slot, f.Sum = r.U64(), r.NonNeg(), r.U64()
-		f.Blob = r.Sized(int(r.U32()), 1, MaxBlob)
+		f.LeaseID = r.U64()
 	case KindResult:
 		f.LeaseID, f.Sum = r.U64(), r.U64()
 		f.Blob = r.Sized(int(r.U32()), 1, MaxBlob)

@@ -13,18 +13,16 @@ import (
 // round-trip test, the reject mutations and the fuzz seed corpus.
 func exampleFrames() []Frame {
 	spec := []byte(`{"scenario":{"name":"x"}}`)
-	blob := []byte("snapshot-bytes")
 	res := []byte(`{"algorithm":"fifoms","load":0.3}`)
 	return []Frame{
 		{Kind: KindHello, Name: "worker-1"},
-		{Kind: KindWelcome, HeartbeatMs: 500, CheckpointEvery: 200, Spec: spec},
+		{Kind: KindWelcome, HeartbeatMs: 500, Spec: spec},
 		{Kind: KindClaim},
-		{Kind: KindLease, LeaseID: 7, AI: 1, LI: 2, Rep: 3, Sum: Checksum(blob), Blob: blob},
-		{Kind: KindLease, LeaseID: 8, AI: 0, LI: 0}, // fresh lease, no blob
+		{Kind: KindLease, LeaseID: 7, AI: 1, LI: 2, Rep: 3},
+		{Kind: KindLease, LeaseID: 8, AI: 0, LI: 0},
 		{Kind: KindWait, RetryMs: 100},
 		{Kind: KindDone},
-		{Kind: KindHeartbeat, LeaseID: 7, Slot: 1234},
-		{Kind: KindCheckpoint, LeaseID: 7, Slot: 1500, Sum: Checksum(blob), Blob: blob},
+		{Kind: KindHeartbeat, LeaseID: 7},
 		{Kind: KindResult, LeaseID: 7, Sum: Checksum(res), Blob: res},
 		{Kind: KindError, Msg: "lease 7 is stale"},
 	}
@@ -32,8 +30,7 @@ func exampleFrames() []Frame {
 
 func frameEqual(a, b Frame) bool {
 	return a.Kind == b.Kind && a.Name == b.Name && a.HeartbeatMs == b.HeartbeatMs &&
-		a.CheckpointEvery == b.CheckpointEvery && a.LeaseID == b.LeaseID &&
-		a.AI == b.AI && a.LI == b.LI && a.Rep == b.Rep && a.Slot == b.Slot && a.Sum == b.Sum &&
+		a.LeaseID == b.LeaseID && a.AI == b.AI && a.LI == b.LI && a.Rep == b.Rep && a.Sum == b.Sum &&
 		bytes.Equal(a.Blob, b.Blob) && bytes.Equal(a.Spec, b.Spec) &&
 		a.RetryMs == b.RetryMs && a.Msg == b.Msg
 }
@@ -132,7 +129,9 @@ func frameRejects() []reject {
 		{"bad-magic", mutate(hello, func(b []byte) []byte { b[0] = 'X'; return b })},
 		{"bad-version", mutate(hello, func(b []byte) []byte { b[2] = 9; return b })},
 		{"old-version", mutate(hello, func(b []byte) []byte { b[2] = 1; return b })},
+		{"v2-version", mutate(hello, func(b []byte) []byte { b[2] = 2; return b })},
 		{"unknown-kind", mutate(hello, func(b []byte) []byte { b[3] = 99; return b })},
+		{"kind-8", []byte{'D', 'S', Version, 8, 0, 0, 0, 0, 0, 0, 0, 1}}, // the v2 checkpoint
 		{"zero-kind", []byte{'D', 'S', Version, 0}},
 		{"hello-empty-name", []byte{'D', 'S', Version, KindHello, 0, 0}},
 		{"hello-short-name", hello[:len(hello)-1]},
@@ -140,32 +139,30 @@ func frameRejects() []reject {
 		{"claim-trailing", []byte{'D', 'S', Version, KindClaim, 0}},
 		{"done-trailing", []byte{'D', 'S', Version, KindDone, 0}},
 		{"welcome-truncated", []byte{'D', 'S', Version, KindWelcome, 0, 0}},
-		{"welcome-zero-hb", AppendFrameRaw(KindWelcome, put64h(put32h(nil, 0), 0), put32h(nil, 1), []byte("s"))},
-		{"welcome-cadence-overflow", AppendFrameRaw(KindWelcome, put64h(put32h(nil, 1), 1<<63), put32h(nil, 1), []byte("s"))},
+		{"welcome-zero-hb", AppendFrameRaw(KindWelcome, put32h(nil, 0), put32h(nil, 1), []byte("s"))},
+		{"welcome-v2-cadence", AppendFrameRaw(KindWelcome, put64h(put32h(nil, 1), 200), put32h(nil, 1), []byte("s"))},
 		{"lease-truncated", lease[:10]},
 		{"lease-v1-header", append(append([]byte(nil), lease[:20]...), lease[24:]...)}, // no rep field
 		{"lease-huge-coords", mutate(lease, func(b []byte) []byte { b[12] = 0xFF; return b })},
 		{"lease-huge-rep", mutate(lease, func(b []byte) []byte { b[20] = 0xFF; return b })},
-		{"lease-blob-short", lease[:len(lease)-1]},
-		{"lease-blob-declared", mutate(lease, func(b []byte) []byte { b[35] = 0xFF; return b })},
+		{"lease-trailing", AppendFrameRaw(KindLease, lease[4:], put64h(nil, 0), put32h(nil, 0))}, // the v2 sum and blob length
 		{"wait-zero", []byte{'D', 'S', Version, KindWait, 0, 0, 0, 0}},
 		{"wait-short", []byte{'D', 'S', Version, KindWait, 0, 0}},
 		{"heartbeat-short", []byte{'D', 'S', Version, KindHeartbeat, 0, 0}},
-		{"heartbeat-overflow", AppendFrameRaw(KindHeartbeat, put64h(nil, 1), put64h(nil, 1<<63), nil)},
-		{"checkpoint-empty", AppendFrameRaw(KindCheckpoint, put64h(put64h(nil, 1), 2), make([]byte, 12))}, // sum=0, blobLen=0
+		{"heartbeat-trailing", AppendFrameRaw(KindHeartbeat, put64h(nil, 1), put64h(nil, 500))}, // the v2 slot
 		{"result-empty", AppendFrameRaw(KindResult, put64h(put64h(nil, 1), 2), put32h(nil, 0), nil)},
 		{"result-short", result[:len(result)-1]},
+		{"result-trailing", append(append([]byte(nil), result...), 'x')},
 		{"error-empty", []byte{'D', 'S', Version, KindError, 0, 0}},
 	}
 }
 
 // rejectBaselines returns the valid frames frameRejects mutates. The
-// lease body is a 32-byte header — id 8, ai 4, li 4, rep 4, sum 8, blob
-// length 4 — then the blob; payload offsets in frameRejects add the
-// 4-byte frame header.
+// lease body is 20 bytes — id 8, ai 4, li 4, rep 4; payload offsets in
+// frameRejects add the 4-byte frame header.
 func rejectBaselines() (hello, lease, result []byte) {
 	return AppendFrame(nil, Frame{Kind: KindHello, Name: "w"}),
-		AppendFrame(nil, Frame{Kind: KindLease, LeaseID: 1, AI: 0, LI: 1, Rep: 2, Sum: Checksum([]byte("b")), Blob: []byte("b")}),
+		AppendFrame(nil, Frame{Kind: KindLease, LeaseID: 1, AI: 0, LI: 1, Rep: 2}),
 		AppendFrame(nil, Frame{Kind: KindResult, LeaseID: 1, Sum: 9, Blob: []byte("r")})
 }
 

@@ -6,10 +6,9 @@ import (
 )
 
 // The lease table is the coordinator's pure state machine: which grid
-// points are pending, leased or done, who holds each lease, when it
-// expires, and what checkpoint blob a replacement worker should resume
-// from. Every method takes the current time explicitly, so the unit
-// tests drive it with a fake clock and no sleeps; the coordinator
+// points are pending, leased or done, who holds each lease, and when
+// it expires. Every method takes the current time explicitly, so the
+// unit tests drive it with a fake clock and no sleeps; the coordinator
 // feeds it real time and owns the locking.
 //
 // Point lifecycle:
@@ -18,10 +17,10 @@ import (
 //	   ▲                  │
 //	   └── expire / fail / releaseOwner (attempts++, backoff gate)
 //
-// A point bounced back to pending keeps its latest checkpoint blob, so
-// the next lease resumes instead of restarting. Repeated failures gate
-// the point behind an exponential backoff (base<<attempts, capped), so
-// a poisonous point cannot monopolize the fleet in a tight loop.
+// A point bounced back to pending runs again from slot 0 under its
+// next lease. Repeated failures gate the point behind an exponential
+// backoff (base<<attempts, capped), so a poisonous point cannot
+// monopolize the fleet in a tight loop.
 
 type pointState uint8
 
@@ -37,7 +36,6 @@ type lease struct {
 	point   int
 	owner   string
 	expires time.Time
-	slot    int64 // latest progress reported by heartbeat/checkpoint
 }
 
 // claimOutcome tells the coordinator how to answer a claim frame.
@@ -67,8 +65,6 @@ type leaseTable struct {
 	states    []pointState
 	attempts  []int       // completed failures per point
 	notBefore []time.Time // backoff gate; zero = immediately claimable
-	blobs     [][]byte    // latest checkpoint blob per point (nil = fresh)
-	blobSlots []int64
 
 	leases  map[uint64]*lease
 	byOwner map[string]uint64
@@ -87,8 +83,6 @@ func newLeaseTable(total int, ttl, backoffBase, backoffCap, waitRetry time.Durat
 		states:      make([]pointState, total),
 		attempts:    make([]int, total),
 		notBefore:   make([]time.Time, total),
-		blobs:       make([][]byte, total),
-		blobSlots:   make([]int64, total),
 		leases:      make(map[uint64]*lease),
 		byOwner:     make(map[string]uint64),
 	}
@@ -136,15 +130,14 @@ func (lt *leaseTable) backoff(attempts int) time.Duration {
 }
 
 // claim leases the lowest-numbered claimable point to owner. On
-// claimGranted the returned lease id, point and resume blob (nil for a
-// fresh run) describe the grant; on claimWait the returned duration is
-// the suggested retry delay.
-func (lt *leaseTable) claim(now time.Time, owner string) (outcome claimOutcome, id uint64, point int, blob []byte, slot int64, retry time.Duration) {
+// claimGranted the returned lease id and point describe the grant; on
+// claimWait the returned duration is the suggested retry delay.
+func (lt *leaseTable) claim(now time.Time, owner string) (outcome claimOutcome, id uint64, point int, retry time.Duration) {
 	if lt.done() {
-		return claimDone, 0, 0, nil, 0, 0
+		return claimDone, 0, 0, 0
 	}
 	if _, held := lt.byOwner[owner]; held {
-		return claimDuplicate, 0, 0, nil, 0, 0
+		return claimDuplicate, 0, 0, 0
 	}
 	earliest := time.Time{}
 	for p, s := range lt.states {
@@ -158,11 +151,11 @@ func (lt *leaseTable) claim(now time.Time, owner string) (outcome claimOutcome, 
 			continue
 		}
 		lt.nextID++
-		l := &lease{id: lt.nextID, point: p, owner: owner, expires: now.Add(lt.ttl), slot: lt.blobSlots[p]}
+		l := &lease{id: lt.nextID, point: p, owner: owner, expires: now.Add(lt.ttl)}
 		lt.leases[l.id] = l
 		lt.byOwner[owner] = l.id
 		lt.states[p] = pointLeased
-		return claimGranted, l.id, p, lt.blobs[p], lt.blobSlots[p], 0
+		return claimGranted, l.id, p, 0
 	}
 	retry = lt.waitRetry
 	if !earliest.IsZero() {
@@ -173,44 +166,25 @@ func (lt *leaseTable) claim(now time.Time, owner string) (outcome claimOutcome, 
 	if retry <= 0 {
 		retry = time.Millisecond
 	}
-	return claimWait, 0, 0, nil, 0, retry
+	return claimWait, 0, 0, retry
 }
 
 // heartbeat extends the lease's expiry. It reports false for a lease
 // that no longer exists (expired and re-leased, or completed) or is
 // owned by someone else — a stale frame the coordinator counts and
 // drops.
-func (lt *leaseTable) heartbeat(now time.Time, id uint64, owner string, slot int64) bool {
+func (lt *leaseTable) heartbeat(now time.Time, id uint64, owner string) bool {
 	l, ok := lt.leases[id]
 	if !ok || l.owner != owner {
 		return false
 	}
 	l.expires = now.Add(lt.ttl)
-	if slot > l.slot {
-		l.slot = slot
-	}
 	return true
 }
 
-// checkpoint stores the point's latest snapshot blob and extends the
-// lease like a heartbeat. The table owns the blob after the call.
-func (lt *leaseTable) checkpoint(now time.Time, id uint64, owner string, slot int64, blob []byte) bool {
-	l, ok := lt.leases[id]
-	if !ok || l.owner != owner {
-		return false
-	}
-	l.expires = now.Add(lt.ttl)
-	if slot > l.slot {
-		l.slot = slot
-	}
-	lt.blobs[l.point] = blob
-	lt.blobSlots[l.point] = slot
-	return true
-}
-
-// complete resolves a lease with a merged result: the point is done,
-// its blob is dropped, and the owner may claim again. It reports false
-// for a stale or foreign lease.
+// complete resolves a lease with a merged result: the point is done
+// and the owner may claim again. It reports false for a stale or
+// foreign lease.
 func (lt *leaseTable) complete(id uint64, owner string) (point int, ok bool) {
 	l, exists := lt.leases[id]
 	if !exists || l.owner != owner {
@@ -218,14 +192,12 @@ func (lt *leaseTable) complete(id uint64, owner string) (point int, ok bool) {
 	}
 	lt.release(l)
 	lt.states[l.point] = pointDone
-	lt.blobs[l.point] = nil
-	lt.blobSlots[l.point] = 0
 	return l.point, true
 }
 
 // fail resolves a lease without a usable result (rejected frame,
 // protocol violation): the point returns to pending behind a backoff
-// gate, keeping its checkpoint blob.
+// gate.
 func (lt *leaseTable) fail(now time.Time, id uint64) (point int, ok bool) {
 	l, exists := lt.leases[id]
 	if !exists {
@@ -275,7 +247,3 @@ func (lt *leaseTable) release(l *lease) {
 	delete(lt.leases, l.id)
 	delete(lt.byOwner, l.owner)
 }
-
-// resumable reports whether the point's next lease would carry a
-// checkpoint blob.
-func (lt *leaseTable) resumable(point int) bool { return len(lt.blobs[point]) > 0 }

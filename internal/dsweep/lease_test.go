@@ -19,7 +19,7 @@ func newTestTable(total int) *leaseTable {
 
 func mustClaim(t *testing.T, lt *leaseTable, now time.Time, owner string) (uint64, int) {
 	t.Helper()
-	outcome, id, point, _, _, _ := lt.claim(now, owner)
+	outcome, id, point, _ := lt.claim(now, owner)
 	if outcome != claimGranted {
 		t.Fatalf("claim(%s) outcome %d, want granted", owner, outcome)
 	}
@@ -38,7 +38,7 @@ func TestClaimGrantCompleteDone(t *testing.T) {
 	}
 
 	// All points leased: a third worker waits with the default hint.
-	outcome, _, _, _, _, retry := lt.claim(t0, "c")
+	outcome, _, _, retry := lt.claim(t0, "c")
 	if outcome != claimWait || retry != 250*time.Millisecond {
 		t.Fatalf("exhausted claim = %d retry %v", outcome, retry)
 	}
@@ -55,7 +55,7 @@ func TestClaimGrantCompleteDone(t *testing.T) {
 	if !lt.done() {
 		t.Fatal("not done with every point complete")
 	}
-	if outcome, _, _, _, _, _ := lt.claim(t0, "a"); outcome != claimDone {
+	if outcome, _, _, _ := lt.claim(t0, "a"); outcome != claimDone {
 		t.Fatalf("claim after completion = %d, want done", outcome)
 	}
 }
@@ -63,79 +63,66 @@ func TestClaimGrantCompleteDone(t *testing.T) {
 func TestDuplicateClaimRejected(t *testing.T) {
 	lt := newTestTable(3)
 	mustClaim(t, lt, t0, "a")
-	if outcome, _, _, _, _, _ := lt.claim(t0, "a"); outcome != claimDuplicate {
+	if outcome, _, _, _ := lt.claim(t0, "a"); outcome != claimDuplicate {
 		t.Fatalf("second claim by the same owner = %d, want duplicate", outcome)
 	}
 	// A different owner still claims normally.
 	mustClaim(t, lt, t0, "b")
 }
 
-func TestExpiryReLeasesWithCheckpoint(t *testing.T) {
+func TestExpiryReLeases(t *testing.T) {
 	lt := newTestTable(1)
 	id, p := mustClaim(t, lt, t0, "a")
 
 	// Heartbeats keep the lease alive past its original deadline.
-	if !lt.heartbeat(t0.Add(900*time.Millisecond), id, "a", 500) {
+	if !lt.heartbeat(t0.Add(900*time.Millisecond), id, "a") {
 		t.Fatal("heartbeat on a live lease rejected")
 	}
 	if got := lt.expire(t0.Add(1500 * time.Millisecond)); len(got) != 0 {
 		t.Fatalf("lease expired %v despite heartbeat", got)
 	}
-
-	// A checkpoint stores the resume blob and also extends the lease.
-	blob := []byte("snap@1200")
-	if !lt.checkpoint(t0.Add(1700*time.Millisecond), id, "a", 1200, blob) {
-		t.Fatal("checkpoint on a live lease rejected")
+	if !lt.heartbeat(t0.Add(1700*time.Millisecond), id, "a") {
+		t.Fatal("second heartbeat on a live lease rejected")
 	}
 
 	// Silence: the lease expires one ttl after the last extension.
+	if got := lt.expire(t0.Add(2700 * time.Millisecond)); len(got) != 0 {
+		t.Fatalf("lease expired %v at its deadline", got)
+	}
 	expired := lt.expire(t0.Add(2701 * time.Millisecond))
 	if len(expired) != 1 || expired[0].point != p || expired[0].owner != "a" {
 		t.Fatalf("expire = %+v", expired)
 	}
-	if !lt.resumable(p) {
-		t.Fatal("expired point lost its checkpoint blob")
-	}
 
-	// The stale lease is dead: heartbeat, checkpoint, complete all
-	// bounce off it.
+	// The stale lease is dead: heartbeat and complete bounce off it.
 	late := t0.Add(3 * time.Second)
-	if lt.heartbeat(late, id, "a", 1300) {
+	if lt.heartbeat(late, id, "a") {
 		t.Error("heartbeat on an expired lease accepted")
-	}
-	if lt.checkpoint(late, id, "a", 1300, blob) {
-		t.Error("checkpoint on an expired lease accepted")
 	}
 	if _, ok := lt.complete(id, "a"); ok {
 		t.Error("complete on an expired lease accepted")
 	}
 
-	// Re-lease after the backoff gate: the replacement inherits the
-	// blob and its slot.
-	outcome, _, _, _, _, retry := lt.claim(t0.Add(2750*time.Millisecond), "b")
+	// Re-lease after the backoff gate, under a fresh lease id.
+	outcome, _, _, retry := lt.claim(t0.Add(2750*time.Millisecond), "b")
 	if outcome != claimWait {
 		t.Fatalf("claim inside the backoff window = %d, want wait", outcome)
 	}
 	if retry <= 0 || retry > 100*time.Millisecond {
 		t.Fatalf("backoff wait hint %v, want <= first backoff 100ms", retry)
 	}
-	outcome, id2, p2, blob2, slot2, _ := lt.claim(t0.Add(3*time.Second), "b")
+	outcome, id2, p2, _ := lt.claim(t0.Add(3*time.Second), "b")
 	if outcome != claimGranted || p2 != p {
 		t.Fatalf("re-lease outcome %d point %d", outcome, p2)
-	}
-	if string(blob2) != "snap@1200" || slot2 != 1200 {
-		t.Fatalf("re-lease blob %q slot %d, want the checkpoint", blob2, slot2)
 	}
 	if id2 == id {
 		t.Fatal("re-lease reused the lease id")
 	}
-
-	// Completion clears the blob.
 	if _, ok := lt.complete(id2, "b"); !ok {
 		t.Fatal("complete on the re-lease rejected")
 	}
-	if lt.resumable(p) {
-		t.Error("completed point kept its blob")
+	if !lt.done() {
+		t.Error("not done after the re-lease completed")
 	}
 }
 
@@ -159,7 +146,7 @@ func TestBackoffDoublesToCap(t *testing.T) {
 			t.Fatalf("backoff after %d failures = %v, want %v", i+1, got, w)
 		}
 		// Claiming before the gate opens waits; at the gate it grants.
-		if outcome, _, _, _, _, _ := lt.claim(now.Add(w-time.Millisecond), "a"); outcome != claimWait {
+		if outcome, _, _, _ := lt.claim(now.Add(w-time.Millisecond), "a"); outcome != claimWait {
 			t.Fatalf("claim inside backoff %d granted", i+1)
 		}
 		now = now.Add(w)
@@ -168,8 +155,7 @@ func TestBackoffDoublesToCap(t *testing.T) {
 
 func TestReleaseOwnerBouncesItsLease(t *testing.T) {
 	lt := newTestTable(2)
-	id, p := mustClaim(t, lt, t0, "a")
-	lt.checkpoint(t0, id, "a", 700, []byte("snap"))
+	_, p := mustClaim(t, lt, t0, "a")
 	mustClaim(t, lt, t0, "b")
 
 	points := lt.releaseOwner(t0, "a")
@@ -183,11 +169,14 @@ func TestReleaseOwnerBouncesItsLease(t *testing.T) {
 		t.Fatal("releasing an unknown owner released something")
 	}
 
-	// The bounced point is gated, then re-leasable with its blob; b's
-	// lease is untouched.
-	outcome, _, p2, blob, _, _ := lt.claim(t0.Add(150*time.Millisecond), "c")
-	if outcome != claimGranted || p2 != p || string(blob) != "snap" {
-		t.Fatalf("re-lease after owner loss: outcome %d point %d blob %q", outcome, p2, blob)
+	// The bounced point is gated, then re-leasable; b's lease is
+	// untouched.
+	if outcome, _, _, _ := lt.claim(t0.Add(50*time.Millisecond), "c"); outcome != claimWait {
+		t.Fatalf("re-lease inside the backoff gate: outcome %d", outcome)
+	}
+	outcome, _, p2, _ := lt.claim(t0.Add(150*time.Millisecond), "c")
+	if outcome != claimGranted || p2 != p {
+		t.Fatalf("re-lease after owner loss: outcome %d point %d", outcome, p2)
 	}
 	if len(lt.leases) != 2 {
 		t.Fatalf("%d live leases, want 2", len(lt.leases))
@@ -197,17 +186,14 @@ func TestReleaseOwnerBouncesItsLease(t *testing.T) {
 func TestForeignOwnerCannotTouchLease(t *testing.T) {
 	lt := newTestTable(1)
 	id, _ := mustClaim(t, lt, t0, "a")
-	if lt.heartbeat(t0, id, "b", 1) {
+	if lt.heartbeat(t0, id, "b") {
 		t.Error("foreign heartbeat accepted")
-	}
-	if lt.checkpoint(t0, id, "b", 1, []byte("x")) {
-		t.Error("foreign checkpoint accepted")
 	}
 	if _, ok := lt.complete(id, "b"); ok {
 		t.Error("foreign complete accepted")
 	}
 	// The rightful owner is unaffected.
-	if !lt.heartbeat(t0, id, "a", 1) {
+	if !lt.heartbeat(t0, id, "a") {
 		t.Error("owner heartbeat rejected")
 	}
 }
@@ -220,7 +206,7 @@ func TestMarkDonePreload(t *testing.T) {
 	if p != 1 {
 		t.Fatalf("claim skipped to point %d, want 1", p)
 	}
-	outcome, _, _, _, _, _ := lt.claim(t0, "b")
+	outcome, _, _, _ := lt.claim(t0, "b")
 	if outcome != claimWait {
 		t.Fatalf("claim with only leased points = %d, want wait", outcome)
 	}

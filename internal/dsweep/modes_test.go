@@ -1,6 +1,7 @@
 package dsweep
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"voqsim/internal/experiment"
+	"voqsim/internal/obs"
 	"voqsim/internal/scenario"
 )
 
@@ -22,9 +24,9 @@ import (
 // modeRows are the sweeps. Each single-switch roster pairs FIFOMS with
 // TATRA, which checkpoints through its board codec, and keeps
 // testSpec's unreachable load so skipped cells travel every path too.
-// The fast rows are the named exercisers of the whole-cell path: a
-// fast engine cannot be snapshotted, so its cells run whole under a
-// resume directory and a lease.
+// The fast rows are the named exercisers of the whole-cell path of a
+// resume directory: a fast engine cannot be snapshotted, so its cells
+// run whole there. Under a lease every cell runs whole.
 func modeRows() map[string]Spec {
 	base := func() Spec {
 		sp := testSpec()
@@ -142,14 +144,13 @@ var modeDrivers = []struct {
 	}},
 	{"fleet/crash", func(t *testing.T, sp Spec) *experiment.Table {
 		cfg := fastConfig()
-		cfg.Spec, cfg.CheckpointEvery = sp, sp.Scenario.Slots/4
-		_, addr, ch := startCoordinator(t, cfg)
-		// The first worker dies at its first checkpoint — cell 0 is
-		// fifoms, so there is one unless the sweep is Fast, whose cells
-		// run whole: then it never dies and finishes the sweep itself.
-		err := RunWorker(WorkerConfig{Addr: addr, Name: "doomed", Hooks: Hooks{DieAfterCheckpoints: 1}})
-		if died := err != nil; died == sp.Fast {
-			t.Errorf("doomed worker exit %v with Fast=%v", err, sp.Fast)
+		cfg.Spec = sp
+		c, addr, ch := startCoordinator(t, cfg)
+		// The first worker simulates cell 0 and dies before sending it;
+		// the cell runs again from slot 0 on another worker.
+		err := RunWorker(WorkerConfig{Addr: addr, Name: "doomed", Hooks: Hooks{ResultGate: crashGate}})
+		if !errors.Is(err, errCrash) {
+			t.Errorf("doomed worker exited with %v, want the crash", err)
 		}
 		var wg sync.WaitGroup
 		for _, name := range []string{"w0", "w1"} {
@@ -163,6 +164,9 @@ var modeDrivers = []struct {
 		}
 		tbl := waitTable(t, ch)
 		wg.Wait()
+		if v := counterValue(t, c.Metrics(), obs.MetricFleetLeasesReclaimed); v < 1 {
+			t.Errorf("leases reclaimed = %d, want the crashed one", v)
+		}
 		return tbl
 	}},
 	{"fleet/preloaded", func(t *testing.T, sp Spec) *experiment.Table {

@@ -12,35 +12,25 @@ import (
 )
 
 // Hooks are worker test instrumentation: the chaos battery uses them
-// to crash mid-point, starve heartbeats and forge results without
-// patching the production path. All fields are inert when zero.
+// to crash holding a lease, starve heartbeats and forge results
+// without patching the production path. All fields are inert when
+// zero.
 type Hooks struct {
-	// DieAfterCheckpoints, when > 0, makes the worker abandon its
-	// current point after sending that many checkpoint frames —
-	// simulating a process crash mid-simulation. RunWorker returns
-	// errWorkerDied.
-	DieAfterCheckpoints int
 	// SuppressHeartbeats stops the heartbeat goroutine from sending, so
 	// the coordinator sees a silent worker and expires its lease.
 	SuppressHeartbeats bool
-	// SuppressCheckpoints stops mid-point snapshot frames (heartbeats
-	// still flow), so a re-leased point restarts from slot 0.
-	SuppressCheckpoints bool
 	// TamperResult rewrites the result payload after its checksum was
 	// computed — a corrupted or malicious frame the coordinator must
 	// reject.
 	TamperResult func(json []byte) []byte
 	// ResultGate runs after a point is simulated, before its result is
-	// sent; tests use it to sequence multi-worker races.
-	ResultGate func(ai, li, rep int)
-	// OnLease observes every granted lease and the slot it resumes
-	// from (0 = fresh).
-	OnLease func(ai, li, rep int, resumeSlot int64)
+	// sent; tests use it to sequence multi-worker races. A non-nil
+	// error abandons the lease with its result unsent and RunWorker
+	// returns it — a process crash while holding a lease.
+	ResultGate func(ai, li, rep int) error
+	// OnLease observes every granted lease.
+	OnLease func(ai, li, rep int)
 }
-
-// errWorkerDied marks a hook-induced crash; also used as the panic
-// sentinel that aborts RunPointAt from inside its checkpoint sink.
-var errWorkerDied = fmt.Errorf("dsweep: worker died (test hook)")
 
 // WorkerConfig parameterizes RunWorker.
 type WorkerConfig struct {
@@ -64,17 +54,16 @@ type worker struct {
 
 	writeMu sync.Mutex
 
-	// Heartbeat state: the goroutine reads these under hbMu to know
-	// which lease (if any) to keep alive and what progress to report.
+	// Heartbeat state: the goroutine reads it under hbMu to know which
+	// lease (if any) to keep alive.
 	hbMu    sync.Mutex
 	hbLease uint64 // 0 = no active lease
-	hbSlot  int64
 }
 
 // RunWorker connects to a coordinator, claims cells until the
 // sweep is done, and returns nil on a clean Done. It returns an error
-// on connection loss, a coordinator rejection, or a hook-induced
-// crash.
+// on connection loss, a coordinator rejection, or a ResultGate
+// error.
 func RunWorker(cfg WorkerConfig) error {
 	if cfg.Name == "" {
 		cfg.Name = "worker"
@@ -116,7 +105,7 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 	go w.heartbeatLoop(hbEvery, hbStop)
 
-	return w.claimLoop(welcome.CheckpointEvery)
+	return w.claimLoop()
 }
 
 func (w *worker) logf(format string, args ...any) {
@@ -133,11 +122,10 @@ func (w *worker) send(f Frame) error {
 	return WriteFrame(w.conn, f)
 }
 
-// heartbeatLoop keeps the active lease (if any) alive. Checkpoint
-// frames also refresh the lease, but a point can legitimately compute
-// for many multiples of the heartbeat interval between checkpoints, so
-// the explicit heartbeat is what makes liveness independent of
-// progress.
+// heartbeatLoop keeps the active lease (if any) alive. It runs beside
+// the simulation, so a cell may compute for many multiples of the
+// heartbeat interval without its lease expiring: liveness is
+// independent of progress.
 func (w *worker) heartbeatLoop(every time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -150,36 +138,28 @@ func (w *worker) heartbeatLoop(every time.Duration, stop <-chan struct{}) {
 				continue
 			}
 			w.hbMu.Lock()
-			id, slot := w.hbLease, w.hbSlot
+			id := w.hbLease
 			w.hbMu.Unlock()
 			if id == 0 {
 				continue
 			}
 			// A failed write means the connection is gone; the claim
 			// loop's next read fails too, so just stop.
-			if w.send(Frame{Kind: KindHeartbeat, LeaseID: id, Slot: slot}) != nil {
+			if w.send(Frame{Kind: KindHeartbeat, LeaseID: id}) != nil {
 				return
 			}
 		}
 	}
 }
 
-func (w *worker) setLease(id uint64, slot int64) {
+func (w *worker) setLease(id uint64) {
 	w.hbMu.Lock()
-	w.hbLease, w.hbSlot = id, slot
-	w.hbMu.Unlock()
-}
-
-func (w *worker) setSlot(slot int64) {
-	w.hbMu.Lock()
-	if slot > w.hbSlot {
-		w.hbSlot = slot
-	}
+	w.hbLease = id
 	w.hbMu.Unlock()
 }
 
 // claimLoop is the worker's main loop: claim, run, report, repeat.
-func (w *worker) claimLoop(checkpointEvery int64) error {
+func (w *worker) claimLoop() error {
 	for {
 		if err := w.send(Frame{Kind: KindClaim}); err != nil {
 			return fmt.Errorf("dsweep: claim: %w", err)
@@ -190,7 +170,7 @@ func (w *worker) claimLoop(checkpointEvery int64) error {
 		}
 		switch f.Kind {
 		case KindLease:
-			if err := w.runLease(f, checkpointEvery); err != nil {
+			if err := w.runLease(f); err != nil {
 				return err
 			}
 		case KindWait:
@@ -206,52 +186,24 @@ func (w *worker) claimLoop(checkpointEvery int64) error {
 	}
 }
 
-// runLease simulates one leased point and reports its result.
-func (w *worker) runLease(f Frame, checkpointEvery int64) (err error) {
-	if Checksum(f.Blob) != f.Sum {
-		return fmt.Errorf("dsweep: lease %d resume blob failed its checksum", f.LeaseID)
-	}
-	var resumeSlot int64
-	if len(f.Blob) > 0 {
-		resumeSlot = -1 // unknown until the snapshot is restored; informational only
-	}
+// runLease simulates one leased point from slot 0 and reports its
+// result.
+func (w *worker) runLease(f Frame) error {
 	if w.cfg.Hooks.OnLease != nil {
-		w.cfg.Hooks.OnLease(f.AI, f.LI, f.Rep, resumeSlot)
+		w.cfg.Hooks.OnLease(f.AI, f.LI, f.Rep)
 	}
-	w.setLease(f.LeaseID, 0)
-	defer w.setLease(0, 0)
-	w.logf("lease %d: cell (%d,%d,%d), resume blob %d bytes", f.LeaseID, f.AI, f.LI, f.Rep, len(f.Blob))
+	w.setLease(f.LeaseID)
+	defer w.setLease(0)
+	w.logf("lease %d: cell (%d,%d,%d)", f.LeaseID, f.AI, f.LI, f.Rep)
 
-	pr := experiment.PointRun{
-		Resume:          f.Blob,
-		CheckpointEvery: checkpointEvery,
-	}
-	sent := 0
-	var sendErr error
-	if !w.cfg.Hooks.SuppressCheckpoints {
-		pr.Checkpoint = func(slot int64, blob []byte) {
-			w.setSlot(slot)
-			if e := w.send(Frame{Kind: KindCheckpoint, LeaseID: f.LeaseID, Slot: slot, Sum: Checksum(blob), Blob: blob}); e != nil && sendErr == nil {
-				sendErr = e
-			}
-			sent++
-			if w.cfg.Hooks.DieAfterCheckpoints > 0 && sent >= w.cfg.Hooks.DieAfterCheckpoints {
-				// Abort the simulation from inside its checkpoint sink;
-				// RunPointAt's deferred release still runs.
-				panic(errWorkerDied)
-			}
-		}
-	}
-
-	pt, err := w.runPoint(f.AI, f.LI, f.Rep, pr)
+	pt, err := w.sweep.RunPointAt(f.AI, f.LI, f.Rep, experiment.PointRun{})
 	if err != nil {
 		return err
 	}
-	if sendErr != nil {
-		return fmt.Errorf("dsweep: streaming checkpoint: %w", sendErr)
-	}
 	if w.cfg.Hooks.ResultGate != nil {
-		w.cfg.Hooks.ResultGate(f.AI, f.LI, f.Rep)
+		if err := w.cfg.Hooks.ResultGate(f.AI, f.LI, f.Rep); err != nil {
+			return err
+		}
 	}
 
 	payload, err := json.Marshal(pt)
@@ -267,19 +219,4 @@ func (w *worker) runLease(f Frame, checkpointEvery int64) (err error) {
 	}
 	w.logf("lease %d: result sent (%s@%g)", f.LeaseID, pt.Algorithm, pt.Load)
 	return nil
-}
-
-// runPoint wraps RunPointAt so a hook-induced crash panic is contained
-// to the one point.
-func (w *worker) runPoint(ai, li, rep int, pr experiment.PointRun) (pt experiment.Point, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if fmt.Sprint(r) == errWorkerDied.Error() {
-				err = errWorkerDied
-				return
-			}
-			panic(r)
-		}
-	}()
-	return w.sweep.RunPointAt(ai, li, rep, pr)
 }

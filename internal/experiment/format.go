@@ -145,20 +145,3 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// ReadTableJSON decodes a table written by WriteJSON.
-func ReadTableJSON(r io.Reader) (*Table, error) {
-	var t Table
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("experiment: decoding table: %w", err)
-	}
-	if len(t.Points) != len(t.Algos) {
-		return nil, fmt.Errorf("experiment: table has %d point rows for %d algorithms", len(t.Points), len(t.Algos))
-	}
-	for i, row := range t.Points {
-		if len(row) != len(t.Loads) {
-			return nil, fmt.Errorf("experiment: algorithm %q has %d points for %d loads", t.Algos[i], len(row), len(t.Loads))
-		}
-	}
-	return &t, nil
-}

@@ -13,11 +13,11 @@ import (
 // construction — every cell derives its seeds from its own
 // coordinates — so any scheduler that runs each cell exactly once and
 // merges it at its coordinates reproduces Sweep.Run bit for bit.
-// RunPointAt exposes one cell as a unit of work, with the
-// checkpoint protocol of resume.go redirected from disk files to
-// caller-supplied blobs, so a worker process can stream snapshots to a
-// remote coordinator and a replacement worker can resume a dead
-// worker's point mid-run.
+// RunPointAt exposes one cell as a unit of work; a dsweep worker runs
+// its lease with a zero PointRun, from slot 0 to the end. A non-zero
+// PointRun is a named test seam: it drives the checkpoint protocol of
+// resume.go through caller-supplied blobs instead of disk files, so
+// tests can stop a cell mid-run and resume it.
 
 // PointRun configures a single-point run.
 type PointRun struct {

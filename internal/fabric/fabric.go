@@ -239,8 +239,8 @@ func (f *Fabric) SetDropHook(fn func(Drop)) { f.onDrop = fn }
 // and packets_completed_total per delivered copy and completed packet,
 // fabric_hops_total and fabric_drops_total (registered at the first
 // hop and the first drop). Node-internal events stay unobserved (the
-// per-node arbiter traffic would drown the end-to-end story), so
-// enqueued_cells_total and splits_total stay 0.
+// per-node arbiter traffic would drown the end-to-end story), so a
+// fabric registers no enqueued_cells_total or splits_total.
 func (f *Fabric) SetObserver(o *obs.Observer) { f.probe.Attach(o, 0) }
 
 // getRow takes a leaf row from the free list or grows the slab. Growing

@@ -59,10 +59,6 @@ const (
 	// MetricFleetLeasesGranted counts point leases handed to workers,
 	// including re-leases.
 	MetricFleetLeasesGranted = "dsweep_leases_granted_total"
-	// MetricFleetLeasesResumed counts granted leases that carried a
-	// checkpoint blob — a replacement worker resuming a dead worker's
-	// point mid-run.
-	MetricFleetLeasesResumed = "dsweep_leases_resumed_total"
 	// MetricFleetLeasesExpired counts leases reclaimed by heartbeat
 	// timeout.
 	MetricFleetLeasesExpired = "dsweep_leases_expired_total"
@@ -75,15 +71,9 @@ const (
 	// checksum mismatch, undecodable JSON, or grid coordinates that
 	// contradict the lease. Rejected results are never merged.
 	MetricFleetResultsRejected = "dsweep_results_rejected_total"
-	// MetricFleetCheckpointsStored counts mid-point snapshot blobs
-	// accepted from workers.
-	MetricFleetCheckpointsStored = "dsweep_checkpoints_stored_total"
-	// MetricFleetCheckpointsRejected counts checkpoint frames refused
-	// for a checksum mismatch.
-	MetricFleetCheckpointsRejected = "dsweep_checkpoints_rejected_total"
-	// MetricFleetStaleFrames counts heartbeat/checkpoint/result frames
-	// for leases that no longer exist — a zombie worker outliving its
-	// lease. Stale frames are dropped, not merged.
+	// MetricFleetStaleFrames counts heartbeat/result frames for leases
+	// that no longer exist — a zombie worker outliving its lease. Stale
+	// frames are dropped, not merged.
 	MetricFleetStaleFrames = "dsweep_stale_frames_total"
 	// MetricFleetDuplicateClaims counts claims from a worker already
 	// holding a lease, a protocol violation.

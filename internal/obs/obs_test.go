@@ -198,8 +198,8 @@ func TestNilObserverFastPath(t *testing.T) {
 }
 
 // TestProbeCountsAndRegisters pins what a probe registers and when: the
-// lifecycle counters and the occupancy gauges at Attach, the
-// arbitration counters on first use; and that a metrics-only probe
+// lifecycle counters and the occupancy gauges at Attach, the queueing
+// and arbitration counters on first use; and that a metrics-only probe
 // counts what a traced one emits.
 func TestProbeCountsAndRegisters(t *testing.T) {
 	reg := NewRegistry()
@@ -212,8 +212,7 @@ func TestProbeCountsAndRegisters(t *testing.T) {
 		}
 		return out
 	}
-	want := []string{MetricArrivals, MetricDepartures, MetricEnqueues, OccHWM(0), OccHWM(1),
-		MetricCompleted, MetricSplits}
+	want := []string{MetricArrivals, MetricDepartures, OccHWM(0), OccHWM(1), MetricCompleted}
 	if got := names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("registered at Attach: %v, want %v", got, want)
 	}

@@ -9,12 +9,13 @@ import "voqsim/internal/cell"
 // probe is a no-op, so an instrumentation site is one never-taken On
 // branch in ordinary runs.
 //
-// The counters every architecture keeps (arrivals, enqueues,
-// departures, completions, splits) and the per-port occupancy gauges
-// are registered at Attach. The arbitration counters (requests,
-// grants, rounds, active slots) and the fabric's hop and drop counters
-// are registered on first use, so a switch that reports none of them
-// registers none.
+// The lifecycle counters every switch and fabric keeps (arrivals,
+// departures, completions) and the per-port occupancy gauges are
+// registered at Attach. The queueing counters (enqueues, splits), the
+// arbitration counters (requests, grants, rounds, active slots) and
+// the fabric's hop and drop counters are registered on first use, so a
+// switch — or a fabric, which leaves its nodes unobserved — that
+// reports none of them registers none.
 type Probe struct {
 	on    bool
 	trace *Tracer
@@ -38,10 +39,8 @@ func (p *Probe) Attach(o *Observer, ports int) {
 		return
 	}
 	p.arrivals = p.reg.Counter(MetricArrivals)
-	p.enqueues = p.reg.Counter(MetricEnqueues)
 	p.departures = p.reg.Counter(MetricDepartures)
 	p.completed = p.reg.Counter(MetricCompleted)
-	p.splits = p.reg.Counter(MetricSplits)
 	for i := 0; i < ports; i++ {
 		p.occ = append(p.occ, p.reg.Gauge(OccHWM(i)))
 	}
@@ -80,7 +79,7 @@ func (p *Probe) Arrival(pkt *cell.Packet, fanout int) {
 // output out, or the input's single FIFO when out is -1.
 func (p *Probe) Enqueue(pkt *cell.Packet, out int) {
 	p.emit(pkt.Arrival, EvEnqueue, pkt.Input, out, -1, 0, pkt.Arrival, int64(pkt.ID))
-	p.enqueues.Inc()
+	p.count(&p.enqueues, MetricEnqueues, 1)
 }
 
 // EnqueueEach records one entry per destination of pkt, fanout in all,
@@ -91,7 +90,7 @@ func (p *Probe) EnqueueEach(pkt *cell.Packet, fanout int) {
 			p.emit(pkt.Arrival, EvEnqueue, pkt.Input, out, -1, 0, pkt.Arrival, int64(pkt.ID))
 		})
 	}
-	p.enqueues.Add(int64(fanout))
+	p.count(&p.enqueues, MetricEnqueues, int64(fanout))
 }
 
 // Occupancy raises port's high-water gauge to n buffered payloads.
@@ -139,7 +138,7 @@ func (p *Probe) Departure(slot int64, in, out int, ts, id int64, last bool) {
 // slot, remaining destinations still owed.
 func (p *Probe) Split(slot int64, in, remaining int, ts, id int64) {
 	p.emit(slot, EvFanoutSplit, in, -1, -1, remaining, ts, id)
-	p.splits.Inc()
+	p.count(&p.splits, MetricSplits, 1)
 }
 
 // Hop records a fabric copy of packet id, from ingress in, entering

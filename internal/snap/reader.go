@@ -129,10 +129,6 @@ func (r *Reader) Count(elemMin int) int {
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes(r.Count(1))) }
 
-// U64s reads a length-prefixed []uint64. A zero-length slice decodes
-// as nil.
-func (r *Reader) U64s() []uint64 { return readSlice(r, r.U64) }
-
 // I64s reads a length-prefixed []int64. A zero-length slice decodes
 // as nil.
 func (r *Reader) I64s() []int64 { return readSlice(r, r.I64) }

@@ -22,10 +22,9 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.String("hello, κόσμε")
 	w.String("")
-	w.U64s([]uint64{1, 2, 3})
 	w.I64s([]int64{-1, 0, 1})
 	w.Ints([]int{9, 8})
-	w.U64s(nil)
+	w.I64s(nil)
 	w.End()
 	w.Begin("beta")
 	w.I64(99)
@@ -69,17 +68,14 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.String(); got != "" {
 		t.Errorf("empty String = %q", got)
 	}
-	if got := r.U64s(); len(got) != 3 || got[2] != 3 {
-		t.Errorf("U64s = %v", got)
-	}
 	if got := r.I64s(); len(got) != 3 || got[0] != -1 {
 		t.Errorf("I64s = %v", got)
 	}
 	if got := r.Ints(); len(got) != 2 || got[1] != 8 {
 		t.Errorf("Ints = %v", got)
 	}
-	if got := r.U64s(); got != nil {
-		t.Errorf("nil U64s = %v", got)
+	if got := r.I64s(); got != nil {
+		t.Errorf("nil I64s = %v", got)
 	}
 	if err := r.EndSection(); err != nil {
 		t.Fatal(err)
@@ -243,7 +239,7 @@ func TestCountGuardsAllocation(t *testing.T) {
 	if err := r.Section("s"); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.U64s(); got != nil {
+	if got := r.I64s(); got != nil {
 		t.Errorf("oversized count returned %d elements", len(got))
 	}
 	if r.Err() == nil {

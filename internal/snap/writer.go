@@ -103,14 +103,6 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// U64s appends a length-prefixed []uint64.
-func (w *Writer) U64s(vs []uint64) {
-	w.Count(len(vs))
-	for _, v := range vs {
-		w.U64(v)
-	}
-}
-
 // I64s appends a length-prefixed []int64.
 func (w *Writer) I64s(vs []int64) {
 	w.Count(len(vs))
